@@ -2,15 +2,15 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
-	optimizer-smoke shard-smoke health-smoke bench-smoke bench-chase \
-	bench bench-query bench-updates bench-optimizer bench-shard \
+	optimizer-smoke health-smoke bench-smoke bench-chase \
+	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
-# query-engine, incremental-maintenance, optimizer, shard and health
-# smoke gates.
+# query-engine, incremental-maintenance, optimizer and health smoke
+# gates.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		shard-smoke health-smoke
+		health-smoke
 	$(PYTHON) -m pytest -x -q
 
 # Static checks: ruff with the pinned config in pyproject.toml.
@@ -59,12 +59,6 @@ updates-smoke:
 optimizer-smoke:
 	$(PYTHON) benchmarks/bench_optimizer.py --smoke
 
-# Shard-parallel chase gate: small chain chased sequentially and at
-# 2/4 shards, results equivalence-checked (speedup floor enforced on
-# full `make bench-shard` runs only).  No JSON rewrite.
-shard-smoke:
-	$(PYTHON) benchmarks/bench_sharded_chase.py --smoke
-
 # Health-monitor gate: `repro health` must exit 0 on a healthy
 # workload and nonzero when a threshold is deliberately breached
 # (slow_query_rate_max=-1 makes any logged query an alert).
@@ -112,12 +106,6 @@ bench-updates:
 # regression watchdog via the payload's "floors" section).
 bench-optimizer:
 	$(PYTHON) benchmarks/bench_optimizer.py --out BENCH_optimizer.json
-
-# Shard-parallel chase vs sequential at 100k–300k rows: rewrites
-# BENCH_shard.json, enforcing the ≥2x speedup floor at 4 shards (also
-# judged by the regression watchdog via the payload's "floors").
-bench-shard:
-	$(PYTHON) benchmarks/bench_sharded_chase.py --out BENCH_shard.json
 
 # The whole pytest-benchmark suite (slow), incremental maintenance
 # included via benchmarks/bench_incremental_exchange.py.

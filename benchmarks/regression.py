@@ -42,13 +42,11 @@ SUITES = {
     "observability": ("bench_observability.py", "BENCH_observability.json"),
     "chase": ("bench_chase_scaling.py", "BENCH_chase.json"),
     "optimizer": ("bench_optimizer.py", "BENCH_optimizer.json"),
-    "shard": ("bench_sharded_chase.py", "BENCH_shard.json"),
 }
 
 #: ``check``'s default suites; ``chase`` is opt-in (it re-runs the
 #: naive baseline engine at every size, which dominates the runtime).
-DEFAULT_SUITES = ("query", "updates", "observability", "optimizer",
-                  "shard")
+DEFAULT_SUITES = ("query", "updates", "observability", "optimizer")
 
 
 def _report(reports, as_json: bool, verbose: bool) -> int:

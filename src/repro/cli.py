@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -157,11 +156,6 @@ def cmd_exchange(args) -> int:
     )
     from repro.runtime.executor import exchange
 
-    if args.shards is not None:
-        # The exchange path resolves shard counts from the environment
-        # (chase(shards=None) → REPRO_CHASE_SHARDS), so the flag just
-        # seeds it for this process.
-        os.environ["REPRO_CHASE_SHARDS"] = str(args.shards)
     mapping = _load_mapping(args.mapping)
     source = instance_from_dict(_load_json(args.data), mapping.source)
     result = exchange(mapping, source, compute_core=args.core)
@@ -544,10 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--core", action="store_true",
                    help="minimize the result to its core")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the chase across N hash shards "
-                        "(1 forces sequential; default: "
-                        "REPRO_CHASE_SHARDS or sequential)")
     p.set_defaults(func=cmd_exchange)
 
     p = sub.add_parser("sql", help="print generated query-view SQL")
@@ -693,10 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress the script's own stdout")
     p.add_argument("--threshold", action="append", metavar="KEY=VALUE",
                    help="override a threshold / min-sample knob "
-                   "(repeatable); keys: shard_imbalance_max, "
-                   "backpressure_ms_max, cache_eviction_rate_max, "
-                   "divergence_rate_max, slow_query_rate_max, "
-                   "min_shard_rounds, min_cache_lookups, "
+                   "(repeatable); keys: backpressure_ms_max, "
+                   "cache_eviction_rate_max, divergence_rate_max, "
+                   "slow_query_rate_max, min_cache_lookups, "
                    "min_query_samples")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")

@@ -209,9 +209,9 @@ class Instance:
         self._dirty_epoch = 0
         # Index-maintenance counters.  Writers append interned event
         # names to ``_stat_events`` (a single ``list.append``, atomic
-        # under the GIL, so concurrent shard workers never lose an
-        # increment); reads fold the pending events into the totals
-        # under ``_stats_lock``.  See the :attr:`index_stats` property.
+        # under the GIL, so writers on p2p hop or synchronizer threads
+        # never lose an increment); reads fold the pending events into
+        # the totals under ``_stats_lock``.  See the :attr:`index_stats` property.
         self._index_stats = {
             "hits": 0, "extends": 0, "rebuilds": 0, "removes": 0,
             "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 0,
@@ -235,7 +235,7 @@ class Instance:
         """Index maintenance counters (hits / extends / rebuilds /
         removes, plus the ``stats_*`` family for relation statistics).
 
-        Safe to read while shard workers are mutating the instance's
+        Safe to read while other threads are mutating the instance's
         indexes: writers only ever append to an event list, and this
         property folds the backlog into the totals under a lock before
         returning them."""
@@ -596,8 +596,8 @@ class Instance:
         ``attributes``, or ``None`` when the relation is absent.
 
         This is the bulk form of :meth:`projection_member`: callers
-        probing many tuples in a tight loop (the sharded chase's
-        compiled full-tgd lane) fetch the entry once and test
+        probing many tuples in a tight loop (the chase's fused
+        full-tgd lane) fetch the entry once and test
         ``values in entry.members`` directly.  The entry is a
         point-in-time view — rows appended after the call are only
         visible on the next fetch — and its ``members`` dict must not

@@ -63,20 +63,6 @@ class NullFactory:
     def fresh(self, hint: str = "") -> LabeledNull:
         return LabeledNull(next(self._counter), hint)
 
-    def peek(self) -> int:
-        """The label the next :meth:`fresh` call will carry, without
-        consuming it."""
-        value = next(self._counter)
-        self._counter = itertools.count(value)
-        return value
-
-    def advance_to(self, label: int) -> None:
-        """Ensure every future label is ``>= label``.  The sharded
-        chase mints per-shard labels from strided sub-ranges and calls
-        this afterwards so the shared factory never re-issues one."""
-        if label > self.peek():
-            self._counter = itertools.count(label)
-
 
 def is_null(value: object) -> bool:
     """True for SQL ``NULL`` (Python ``None``) and labeled nulls alike."""

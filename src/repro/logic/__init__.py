@@ -42,7 +42,6 @@ from repro.logic.chase import (
     ChaseStats,
     is_weakly_acyclic,
 )
-from repro.logic.sharding import ShardPlan, plan_shards, sharded_chase
 from repro.logic.core_computation import core_of
 from repro.logic.certain_answers import certain_answers, naive_evaluate
 from repro.logic.containment import is_contained_in, are_equivalent
@@ -58,7 +57,6 @@ __all__ = [
     "chase", "naive_chase", "ChaseProfile", "ChaseRecorder",
     "ChaseResult", "ChaseStats",
     "is_weakly_acyclic",
-    "ShardPlan", "plan_shards", "sharded_chase",
     "core_of",
     "certain_answers", "naive_evaluate",
     "is_contained_in", "are_equivalent",

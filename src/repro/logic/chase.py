@@ -25,7 +25,12 @@ Two engines live here:
   frontier assignment.  Egd equalities are batched per round into a
   union-find over labeled nulls and applied in a single substitution
   pass driven by a null → row occurrence index.  Per-round work is
-  proportional to the *delta*, not to the whole instance.
+  proportional to the *delta*, not to the whole instance.  Full tgds
+  with a single body atom, no function terms and head atoms on
+  distinct relations take a fused per-row lane
+  (:class:`_FullTGDLane`): the trigger *is* the row, so matching, the
+  satisfaction probe and the head build run in one loop without
+  building assignment dicts.
 
 * :func:`naive_chase` — the original Gauss–Seidel engine kept verbatim
   as the reference implementation: equivalence tests assert the
@@ -39,7 +44,6 @@ differ syntactically but are homomorphically equivalent.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
@@ -234,13 +238,6 @@ class ChaseRecorder:
         """One in-place merge pass: every rewritten position as
         ``(relation, row, attr, old_null, replacement)``."""
 
-    def on_shard(self, shard_id: int) -> None:
-        """Sharded chase only: subsequent hooks replay events recorded
-        on worker shard ``shard_id`` (``-1`` = the coordinator).  The
-        coordinator flushes worker events at frontier boundaries in
-        deterministic ``(shard, sequence)`` order, so provenance rows
-        merge identically run to run."""
-
 
 @dataclass
 class ChaseResult:
@@ -281,20 +278,6 @@ def _unique_names(dependencies: Sequence[Dependency]) -> list[str]:
     return names
 
 
-def _resolve_shards(shards: Optional[int]) -> int:
-    """Shard count: explicit argument wins, then ``REPRO_CHASE_SHARDS``,
-    then 1 (sequential).  Malformed env values fall back to 1."""
-    if shards is None:
-        raw = os.environ.get("REPRO_CHASE_SHARDS", "").strip()
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            return 1
-    return max(1, shards)
-
-
 def chase(
     instance: Instance,
     dependencies: Sequence[Union[TGD, EGD]],
@@ -303,7 +286,6 @@ def chase(
     copy: bool = True,
     recorder: Optional[ChaseRecorder] = None,
     initial_delta: Optional[dict[str, list[Row]]] = None,
-    shards: Optional[int] = None,
 ) -> ChaseResult:
     """Chase ``instance`` with ``dependencies`` (semi-naive engine).
 
@@ -314,12 +296,6 @@ def chase(
     except for freshly appended rows, so only triggers touching those
     rows can be active.
 
-    ``shards`` > 1 (or ``REPRO_CHASE_SHARDS=N``) routes the run through
-    the shard-parallel engine (:mod:`repro.logic.sharding`) when the
-    dependency set admits a co-partitioning key; otherwise — and always
-    at ``shards=1`` — the sequential engine below runs unchanged, so
-    ``shards=1`` is byte-identical to the pre-sharding path.
-
     Raises :class:`ChaseFailure` if an egd equates distinct constants
     (no solution exists) and :class:`ChaseNonTermination` as soon as a
     firing beyond the ``max_steps`` budget is attempted (the budget is
@@ -327,27 +303,6 @@ def chase(
     """
     working = instance.copy() if copy else instance
     factory = null_factory or _fresh_factory(working)
-    shard_count = _resolve_shards(shards)
-    if shard_count > 1:
-        from repro.logic.sharding import sharded_chase
-
-        result = sharded_chase(
-            working, dependencies, factory, max_steps, shard_count,
-            recorder=recorder, initial_delta=initial_delta,
-        )
-        if result is not None:
-            return result
-        if _OBS.enabled:
-            from repro.observability.journal import JOURNAL
-            from repro.observability.metrics import registry
-
-            registry.counter("chase.sequential_fallbacks").inc()
-            JOURNAL.record(
-                "chase.sequential_fallback",
-                shards=shard_count,
-                dependencies=len(dependencies),
-                reason="no co-partitioning key",
-            )
     engine = _SemiNaiveChase(working, dependencies, factory, max_steps,
                              recorder=recorder, initial_delta=initial_delta)
     if not _OBS.enabled:
@@ -456,6 +411,82 @@ class _UnionFind:
         return mapping
 
 
+#: Stand-in for the projection members of an absent head relation
+#: (read-only).
+_NO_MEMBERS: dict = {}
+
+
+class _FullTGDLane:
+    """A full tgd with one body atom, no function terms and head atoms
+    on distinct relations, compiled for :meth:`_SemiNaiveChase._fire_lane`.
+
+    The trigger of such a tgd *is* one body row, so the generic cycle
+    (an assignment dict per trigger from ``iter_homomorphisms``, an
+    index fetch per satisfaction test, a head row built term by term)
+    collapses to: an attribute-presence check, the atom's constant and
+    repeated-variable checks, one frontier key, one probe per head atom
+    against projection indexes fetched once per call, and head rows
+    built from a template.  Distinct head relations mean a row built
+    for one head atom can never satisfy another atom's probe, so each
+    atom's overlay of freshly built rows is exact on its own.
+    """
+
+    __slots__ = ("relation", "required", "const_checks", "eq_checks",
+                 "frontier", "frontier_attrs", "heads", "self_feeding")
+
+    @classmethod
+    def compile(cls, dependency: Dependency) -> Optional["_FullTGDLane"]:
+        if not isinstance(dependency, TGD) or len(dependency.body) != 1:
+            return None
+        relations = [atom.relation for atom in dependency.head]
+        if not relations or len(set(relations)) != len(relations):
+            return None
+        atom = dependency.body[0]
+        var_attr: dict[Var, str] = {}
+        const_checks: list[tuple[str, object]] = []
+        eq_checks: list[tuple[str, str]] = []
+        for attr, term in atom.args:
+            if isinstance(term, Const):
+                const_checks.append((attr, term.value))
+            elif isinstance(term, Var):
+                first = var_attr.setdefault(term, attr)
+                if first != attr:
+                    eq_checks.append((first, attr))
+            else:
+                return None
+        # Per head atom: (relation, attrs, probe parts, build parts).
+        # A probe part is (body attr, None) or (None, constant key); a
+        # build part is (head attr, body attr, None) or (head attr,
+        # None, constant).
+        heads = []
+        for head_atom in dependency.head:
+            probe = []
+            build = []
+            for attr, term in head_atom.args:
+                if isinstance(term, Const):
+                    probe.append((None, hashable_key(term.value)))
+                    build.append((attr, None, term.value))
+                elif isinstance(term, Var) and term in var_attr:
+                    probe.append((var_attr[term], None))
+                    build.append((attr, var_attr[term], None))
+                else:
+                    return None  # existential or function term
+            attrs = tuple(attr for attr, _ in head_atom.args)
+            heads.append((head_atom.relation, attrs, tuple(probe),
+                          tuple(build)))
+        lane = cls()
+        lane.relation = atom.relation
+        lane.required = frozenset(attr for attr, _ in atom.args)
+        lane.const_checks = tuple(const_checks)
+        lane.eq_checks = tuple(eq_checks)
+        frontier = sorted(dependency.frontier(), key=lambda v: v.name)
+        lane.frontier = tuple((var, var_attr[var]) for var in frontier)
+        lane.frontier_attrs = tuple(var_attr[var] for var in frontier)
+        lane.heads = tuple(heads)
+        lane.self_feeding = atom.relation in relations
+        return lane
+
+
 class _SemiNaiveChase:
     """One run of the delta-driven chase over a working instance."""
 
@@ -520,6 +551,9 @@ class _SemiNaiveChase:
         # Memo of frontier assignments whose head is known satisfied;
         # cleared whenever an egd substitution rewrites rows in place.
         self.satisfied: list[set] = [set() for _ in self.dependencies]
+        self.lanes: list[Optional[_FullTGDLane]] = [
+            _FullTGDLane.compile(d) for d in self.dependencies
+        ]
         # null → {id(row): (relation, row)} occurrence index, maintained
         # only when egds can merge nulls.
         self.null_occurrences: dict[
@@ -550,17 +584,20 @@ class _SemiNaiveChase:
                     continue
                 name = self.names[index]
                 dep_start = time.perf_counter()
-                triggers = list(self._triggers(index, dependency, delta))
-                self.stats.triggers_examined[name] = (
-                    self.stats.triggers_examined.get(name, 0)
-                    + len(triggers)
-                )
-                if isinstance(dependency, TGD):
-                    self._fire_tgd(index, dependency, triggers, inserted)
+                lane = self.lanes[index]
+                if lane is not None:
+                    examined = self._fire_lane(index, lane, delta, inserted)
                 else:
-                    if self._collect_egd(index, dependency, triggers,
-                                         union_find):
+                    triggers = list(self._triggers(index, dependency, delta))
+                    examined = len(triggers)
+                    if isinstance(dependency, TGD):
+                        self._fire_tgd(index, dependency, triggers, inserted)
+                    elif self._collect_egd(index, dependency, triggers,
+                                           union_find):
                         merged_any = True
+                self.stats.triggers_examined[name] = (
+                    self.stats.triggers_examined.get(name, 0) + examined
+                )
                 self.stats.dep_wall[name] = (
                     self.stats.dep_wall.get(name, 0.0)
                     + (time.perf_counter() - dep_start)
@@ -680,7 +717,10 @@ class _SemiNaiveChase:
                             "cannot chase second-order tgds directly; "
                             "ground their function terms first"
                         )
-                stored = self._store_head_row(atom.relation, row, inserted)
+                stored = self.instance.insert(atom.relation, row)
+                inserted.setdefault(atom.relation, []).append(stored)
+                if self.has_egds:
+                    self._record_nulls(atom.relation, stored)
                 head_rows.append((atom.relation, stored))
             if self.recorder is not None:
                 self.recorder.on_tgd_fire(
@@ -693,28 +733,127 @@ class _SemiNaiveChase:
         if fired:
             self.fired[name] = self.fired.get(name, 0) + fired
 
+    def _fire_lane(
+        self,
+        index: int,
+        lane: _FullTGDLane,
+        delta: Optional[dict[str, list[Row]]],
+        inserted: dict[str, list[Row]],
+    ) -> int:
+        """Scan, probe and fire a :class:`_FullTGDLane` tgd in one loop
+        over its body rows (all of them in round 0, else the delta's).
+        Same firings, memo entries, recorder calls and step charges as
+        :meth:`_fire_tgd` over the generic triggers; returns the number
+        of triggers examined."""
+        relations = self.instance.relations
+        if delta is None:
+            rows = relations.get(lane.relation)
+        else:
+            rows = delta.get(lane.relation)
+        if not rows:
+            return 0
+        if lane.self_feeding and rows is relations.get(lane.relation):
+            rows = list(rows)  # head rows are appended to this very list
+        # Per head atom: [probe parts, index members, overlay of the
+        # projections this loop derives, build parts, backing list,
+        # inserted list]; the two lists are resolved on the first
+        # firing so no empty relation is ever created.
+        heads = []
+        for relation, attrs, probe, build in lane.heads:
+            entry = self.instance.projection_entry(relation, attrs)
+            members = entry.members if entry is not None else _NO_MEMBERS
+            heads.append([probe, members, set(), build, None, None])
+        required = lane.required
+        const_checks = lane.const_checks
+        eq_checks = lane.eq_checks
+        fattrs = lane.frontier_attrs
+        # One head atom is the common shape and gets a straight-line
+        # probe; when that atom reads exactly the frontier attributes
+        # in frontier order, the probe value *is* the frontier key.
+        single = len(heads) == 1
+        probe0, members0, fresh0 = heads[0][:3]
+        key_probe = single and probe0 == tuple((a, None) for a in fattrs)
+        memo = self.satisfied[index]
+        recorder = self.recorder
+        tgd = self.dependencies[index]
+        has_egds = self.has_egds
+        hk = hashable_key
+        examined = 0
+        fired = 0
+        for row in rows:
+            if not row.keys() >= required:
+                continue
+            if const_checks and any(
+                row[attr] != value for attr, value in const_checks
+            ):
+                continue
+            if eq_checks and any(
+                row[left] != row[right] for left, right in eq_checks
+            ):
+                continue
+            key = tuple([hk(row[a]) for a in fattrs])
+            examined += 1
+            if key in memo:
+                continue
+            if single:
+                value = key if key_probe else tuple(
+                    [hk(row[s]) if s is not None else c for s, c in probe0]
+                )
+                if value in members0 or value in fresh0:
+                    memo.add(key)
+                    continue
+                values = (value,)
+            else:
+                values = [
+                    tuple([hk(row[s]) if s is not None else c
+                           for s, c in head[0]])
+                    for head in heads
+                ]
+                if all(
+                    value in head[1] or value in head[2]
+                    for head, value in zip(heads, values)
+                ):
+                    memo.add(key)
+                    continue
+            self._charge_step()
+            head_rows = []
+            for (relation, _, _, _), head, value in zip(
+                lane.heads, heads, values
+            ):
+                new_row: Row = {
+                    attr: row[s] if s is not None else c
+                    for attr, s, c in head[3]
+                }
+                head[2].add(value)
+                if head[4] is None:
+                    head[4] = relations.setdefault(relation, [])
+                    head[5] = inserted.setdefault(relation, [])
+                head[4].append(new_row)
+                head[5].append(new_row)
+                if has_egds:
+                    self._record_nulls(relation, new_row)
+                head_rows.append((relation, new_row))
+            if recorder is not None:
+                recorder.on_tgd_fire(
+                    index, tgd, key,
+                    [(var, row[attr]) for var, attr in lane.frontier],
+                    head_rows,
+                )
+            memo.add(key)
+            fired += 1
+        if fired:
+            name = self.names[index]
+            self.fired[name] = self.fired.get(name, 0) + fired
+        return examined
+
     def _charge_step(self) -> None:
-        """Charge one firing against the step budget.  The sharded
-        engine overrides this to charge a budget shared across
-        workers, keeping ``max_steps`` exact under parallelism."""
+        """Charge one firing against the step budget."""
         if self.steps >= self.max_steps:
             raise ChaseNonTermination(
                 f"chase exceeded {self.max_steps} steps; dependency "
                 "set is probably not weakly acyclic"
             )
         self.steps += 1
-
-    def _store_head_row(
-        self, relation: str, row: Row, inserted: dict[str, list[Row]]
-    ) -> Row:
-        """Store one freshly derived head row.  The sharded engine
-        overrides this to route rows whose partition key lands on
-        another shard through that shard's delta queue."""
-        stored = self.instance.insert(relation, row)
-        inserted.setdefault(relation, []).append(stored)
-        if self.has_egds:
-            self._record_nulls(relation, stored)
-        return stored
 
     def _head_satisfied(self, index: int, tgd: TGD, assignment: dict) -> bool:
         shape = self.full_head_shape[index]

@@ -15,13 +15,13 @@ for perf work.  This package provides:
 * an :func:`instrumented` decorator wiring both through any callable;
 * request-scoped **trace context** propagation
   (:mod:`repro.observability.context`) — capture a
-  :class:`TraceContext` on the caller's thread, restore it on shard
-  workers / hop threads / the synchronizer so their spans join the
+  :class:`TraceContext` on the caller's thread, restore it on p2p hop
+  threads / the synchronizer so their spans join the
   caller's trace, with adaptive head+tail **sampling**
   (:mod:`repro.observability.sampling`);
 * a bounded, trace-correlated **event journal**
   (:mod:`repro.observability.journal`) of engine lifecycle events —
-  chase rounds, reconciliations, backpressure waits, re-optimizations,
+  chase rounds, backpressure waits, re-optimizations,
   evictions, and every silent fallback;
 * a **health monitor** (:mod:`repro.observability.health`) judging
   metric-derived signals against SLO thresholds, behind

@@ -2,8 +2,7 @@
 
 A :class:`TraceContext` is a portable handle on "the request this work
 belongs to": the W3C-style trace id plus the span the work should nest
-under.  The engine's fan-out points — shard workers in
-:mod:`repro.logic.sharding`, p2p hop threads in
+under.  The engine's fan-out points — p2p hop threads in
 :mod:`repro.runtime.p2p`, the :class:`QueuedSynchronizer` worker in
 :mod:`repro.runtime.synchronization` — capture the context on the
 caller's thread and restore it on the worker thread, so spans started

@@ -4,9 +4,6 @@ The monitor turns the raw registry/query-log state into a handful of
 *signals* a human (or CI) can act on, each compared against a
 configurable threshold:
 
-* ``shard_imbalance`` — max/mean of per-shard chase round wall time
-  (``span.chase.shard.round.wall_ms``): a high ratio means the
-  co-partitioning key is skewed and one worker is pacing every round;
 * ``backpressure_ms`` — total time threads spent blocked on bounded
   queues (``backpressure.wait_ms``): sustained waits mean inbox/hop
   capacities are undersized for the workload;
@@ -43,12 +40,10 @@ class HealthConfig:
     from too few samples (below them the signal is ``no-data``).
     """
 
-    shard_imbalance_max: float = 4.0
     backpressure_ms_max: float = 1_000.0
     cache_eviction_rate_max: float = 0.5
     divergence_rate_max: float = 0.5
     slow_query_rate_max: float = 0.25
-    min_shard_rounds: int = 4
     min_cache_lookups: int = 20
     min_query_samples: int = 20
 
@@ -59,7 +54,7 @@ class HealthConfig:
         for key in overrides:
             if key not in known:
                 raise KeyError(key)
-        ints = {"min_shard_rounds", "min_cache_lookups", "min_query_samples"}
+        ints = {"min_cache_lookups", "min_query_samples"}
         coerced = {
             k: int(v) if k in ints else float(v)
             for k, v in overrides.items()
@@ -147,22 +142,6 @@ class HealthMonitor:
 
         cfg = config or self.config
         signals: list[HealthSignal] = []
-
-        # shard imbalance: max/mean of per-shard round wall time
-        name = "span.chase.shard.round.wall_ms"
-        value = None
-        detail = ""
-        count = 0
-        if name in registry:
-            hist = registry.histogram(name)
-            count = hist.count
-            if count >= cfg.min_shard_rounds and hist.mean:
-                value = hist.max / hist.mean
-                detail = f"rounds={count}"
-        signals.append(self._judge(
-            "shard_imbalance", value, cfg.shard_imbalance_max,
-            detail or f"rounds={count}<{cfg.min_shard_rounds}",
-        ))
 
         # backpressure: total blocked time on bounded queues
         name = "backpressure.wait_ms"

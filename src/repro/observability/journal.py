@@ -2,12 +2,11 @@
 
 Metrics say *how much*; traces say *how long*; the journal says *what
 happened* — a structured, trace-correlated record of engine lifecycle
-events that would otherwise be invisible: chase rounds and egd
-reconciliations, inbox backpressure waits, re-optimizations and
-plan-cache evictions, and every silent fallback the engine takes
-(vectorized stage → row closures, sharded chase → sequential engine,
-incremental maintenance → full re-exchange), plus the health monitor's
-alerts.
+events that would otherwise be invisible: chase rounds, queue
+backpressure waits, re-optimizations and plan-cache evictions, and
+every silent fallback the engine takes (vectorized stage → row
+closures, incremental maintenance → full re-exchange), plus the
+health monitor's alerts.
 
 Events live in a bounded ring (:class:`EventJournal`, default 512
 entries) so an event flood costs one deque append per event and a
@@ -70,7 +69,7 @@ class JournalEvent:
 class EventJournal:
     """Bounded ring of :class:`JournalEvent` with an optional JSONL
     sink.  All operations are safe under concurrent recording from
-    shard workers, hop threads, and the synchronizer worker."""
+    p2p hop threads and the synchronizer worker."""
 
     DEFAULT_CAPACITY = 512
 

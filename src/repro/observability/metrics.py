@@ -4,9 +4,10 @@ The registry (:data:`registry`) is a process-wide name → metric map.
 Recording sites in the engine guard every update with
 ``STATE.enabled`` so a disabled registry costs one attribute check.
 Each metric's update path (``inc`` / ``set`` / ``observe``) is
-serialized on a per-metric lock, so concurrent shard workers never
-lose increments; the enable/disable switch itself stays unguarded for
-code (the benchmark harness, tests) that manages it explicitly.
+serialized on a per-metric lock, so concurrent p2p hop threads and
+synchronizer workers never lose increments; the enable/disable switch
+itself stays unguarded for code (the benchmark harness, tests) that
+manages it explicitly.
 
 Histograms use *fixed* bucket bounds so percentile summaries need no
 stored samples: a percentile is located in its bucket by cumulative
@@ -102,7 +103,7 @@ class Counter:
 
     Updates are serialized on a lock (the registry hands every metric
     its own lock): ``value += amount`` is a read-modify-write, so
-    unguarded concurrent shard workers could lose increments."""
+    unguarded concurrent writers could lose increments."""
 
     __slots__ = ("name", "value", "_lock")
 

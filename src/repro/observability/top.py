@@ -30,8 +30,8 @@ KEY_COUNTERS: tuple[str, ...] = (
     "query.reopt.scheduled",
     "query.reopt.applied",
     "query.log.slow",
-    "chase.shard.rounds",
-    "chase.sequential_fallbacks",
+    "chase.runs",
+    "chase.steps",
     "backpressure",
     "trace.sampler",
     "health.alerts",

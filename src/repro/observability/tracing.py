@@ -5,8 +5,8 @@ runtime-service call, a chase run.  Spans nest: each thread keeps a
 stack of active spans, and a span started while another is active
 becomes its child.  Every span carries the **trace id** of its root
 (W3C-style 32-hex lowercase), so one request yields one correlatable
-tree even when its work fans out across shard workers, p2p hop threads
-and the queued synchronizer — those threads join the caller's trace by
+tree even when its work fans out across p2p hop threads and the
+queued synchronizer — those threads join the caller's trace by
 *attaching* a captured :class:`~repro.observability.context.TraceContext`
 (see :meth:`Tracer.attach`; the high-level helpers live in
 :mod:`repro.observability.context`).
@@ -188,7 +188,7 @@ class Tracer:
         ``STATE.enabled``; prefer :meth:`span`).
 
         Parentage: the innermost active span of this thread, else the
-        attached remote context (a shard worker or hop thread running
+        attached remote context (a hop or synchronizer thread running
         propagated work), else a new root.  Roots mint a fresh trace
         id and pass through the head sampler; children inherit both
         the trace id and the sampling decision."""

@@ -75,18 +75,12 @@ class _FallbackNeeded(Exception):
 
 class _Derivation:
     """One recorded tgd firing: the trigger's frontier bindings and the
-    stored rows it derived.
-
-    ``shard`` records which chase shard fired the trigger (``-1`` for
-    the sequential engine and coordinator-side events).  The sharded
-    chase flushes events in deterministic ``(shard, sequence)`` order,
-    so replay — delete cascades, DRed rederivation — sees the same
-    provenance regardless of worker interleaving."""
+    stored rows it derived."""
 
     __slots__ = ("dep_index", "key", "frontier", "rows", "seq", "alive",
-                 "suppressed", "shard")
+                 "suppressed")
 
-    def __init__(self, dep_index, key, frontier, rows, seq, shard=-1):
+    def __init__(self, dep_index, key, frontier, rows, seq):
         self.dep_index = dep_index
         self.key = key          # frontier key (kept current under merges)
         self.frontier = frontier  # [(Var, value)] in frontier order
@@ -94,7 +88,6 @@ class _Derivation:
         self.seq = seq
         self.alive = True
         self.suppressed = False  # directly deleted: never rederive
-        self.shard = shard      # chase shard that fired (-1: sequential)
 
 
 class _Edge:
@@ -137,12 +130,6 @@ class _ProvenanceRecorder(ChaseRecorder):
     def __init__(self, owner: "MaterializedExchange"):
         self.owner = owner
 
-    def on_shard(self, shard_id):
-        # The sharded chase announces which shard the following events
-        # came from (-1: coordinator); stamped onto derivations so the
-        # provenance log stays attributable after the ordered flush.
-        self.owner._current_shard = shard_id
-
     def on_tgd_fire(self, dep_index, tgd, frontier_key, frontier_items,
                     rows):
         self.owner._record_derivation(dep_index, frontier_key,
@@ -172,7 +159,7 @@ class MaterializedExchange:
     def __init__(self, mapping: Mapping, source: Instance, *,
                  enforce_target_keys: bool = False,
                  max_steps: int = 100_000,
-                 shards: Optional[int] = None):
+                 null_factory: Optional[NullFactory] = None):
         if mapping.so_tgd is not None or not mapping.tgds:
             raise ExpressivenessError(
                 "incremental materialized exchange needs a tgd mapping "
@@ -182,14 +169,8 @@ class MaterializedExchange:
         self._dependencies = exchange_dependencies(mapping,
                                                    enforce_target_keys)
         self._max_steps = max_steps
-        # Shard count for every chase this exchange runs (build, apply
-        # seeds, full re-exchange).  ``None`` defers to the
-        # ``REPRO_CHASE_SHARDS`` environment switch; 1 forces the
-        # sequential engine.
-        self._shards = shards
         self._target_relations = set(mapping.target.entities)
         self._recorder = _ProvenanceRecorder(self)
-        self._current_shard = -1
         self.stats = {
             "applies": 0,
             "reused_rows": 0,
@@ -216,15 +197,17 @@ class MaterializedExchange:
         self.working = Instance(mapping.source)
         for relation, rows in source.relations.items():
             self.working.relations[relation] = [dict(row) for row in rows]
-        existing = source.nulls()
-        self._factory = NullFactory(
-            max((n.label for n in existing), default=-1) + 1
+        # ``null_factory`` lets the hops of one p2p chain share labels
+        # (see PeerNetwork.materialize_chain): a hop must never mint a
+        # label that another hop already uses.
+        self._factory = null_factory or NullFactory(
+            max((n.label for n in source.nulls()), default=-1) + 1
         )
         self._reset_bookkeeping()
         self._begin_session()
         chase(self.working, self._dependencies, max_steps=self._max_steps,
               null_factory=self._factory, copy=False,
-              recorder=self._recorder, shards=self._shards)
+              recorder=self._recorder)
         self._begin_session()  # discard the build session
 
     # ------------------------------------------------------------------
@@ -255,21 +238,14 @@ class MaterializedExchange:
     def _record_derivation(self, dep_index, key, frontier_items, rows):
         self._seq += 1
         derivation = _Derivation(dep_index, key, list(frontier_items),
-                                 list(rows), self._seq,
-                                 shard=self._current_shard)
+                                 list(rows), self._seq)
         self._derivations.setdefault((dep_index, key), []).append(derivation)
         for relation, row in rows:
             rid = id(row)
             self._deriver[rid] = derivation
             self._support[rid] = self._support.get(rid, 0) + 1
-            if rid not in self._alive:
-                # Guard against duplicate derivation events for a row
-                # that already exists (the sharded chase remaps a
-                # deduplicated routed row onto its surviving twin):
-                # support counting above absorbs the extra derivation,
-                # but the row is only *session-inserted* once.
-                self._alive.add(rid)
-                self._session_inserted[rid] = (relation, row)
+            self._alive.add(rid)
+            self._session_inserted[rid] = (relation, row)
         for _, value in frontier_items:
             if isinstance(value, LabeledNull):
                 self._null_index.setdefault(
@@ -449,8 +425,7 @@ class MaterializedExchange:
                 chase(self.working, self._dependencies,
                       max_steps=self._max_steps,
                       null_factory=self._factory, copy=False,
-                      recorder=self._recorder, initial_delta=seed,
-                      shards=self._shards)
+                      recorder=self._recorder, initial_delta=seed)
         except _FallbackNeeded:
             delta = self._full_reexchange(update)
             self._publish(overdeleted, rederived, full=True)
@@ -587,6 +562,11 @@ class MaterializedExchange:
             for row in self.working.remove_rows(relation, rows):
                 rid = id(row)
                 self._alive.discard(rid)
+                # Dead rows must not stay reachable (or keep their ids
+                # claimed) through provenance; _try_reinstate restores
+                # both entries for a row it brings back.
+                self._deriver.pop(rid, None)
+                self._support.pop(rid, None)
                 if rid in self._session_inserted:
                     del self._session_inserted[rid]
                     continue
@@ -891,12 +871,12 @@ class MaterializedExchange:
                 chase(self.working, self._dependencies,
                       max_steps=self._max_steps,
                       null_factory=self._factory, copy=False,
-                      recorder=self._recorder, shards=self._shards)
+                      recorder=self._recorder)
         else:
             chase(self.working, self._dependencies,
                   max_steps=self._max_steps,
                   null_factory=self._factory, copy=False,
-                  recorder=self._recorder, shards=self._shards)
+                  recorder=self._recorder)
         self._begin_session()
         self.stats["full_reexchange"] += 1
         return _bag_delta(old_target, self.target_instance(copy=False),

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from repro.errors import MappingError
 from repro.instances.database import Instance
+from repro.instances.labeled_null import NullFactory
 from repro.mappings.mapping import Mapping
 from repro.metamodel.schema import Schema
 from repro.observability.instrument import instrumented
@@ -138,8 +139,15 @@ class PeerNetwork:
             raise MappingError(f"peer {source_peer!r} holds no data")
         hops: list[MaterializedExchange] = []
         current = peer.data
+        # One factory for the whole chain: a hop's labels flow into the
+        # next hop's target, so per-hop factories would collide as soon
+        # as an upstream hop mints a label a downstream hop already used.
+        factory = NullFactory(
+            max((n.label for n in current.nulls()), default=-1) + 1
+        )
         for mapping in self.find_chain(source_peer, target_peer):
-            hop = MaterializedExchange(mapping, current)
+            hop = MaterializedExchange(mapping, current,
+                                       null_factory=factory)
             hops.append(hop)
             current = hop.target_instance(copy=False)
         self._materialized[key] = hops

@@ -122,22 +122,6 @@ class TestEngineJournaling:
         assert rounds
         assert all("delta_rows" in e.attrs for e in rounds)
 
-    def test_sharded_fallback_journals_and_counts(self):
-        obs.enable()
-        db = Instance()
-        db.insert_all("R0", [{"a": i, "b": i} for i in range(10)])
-        db.insert_all("S0", [{"a": i, "c": i} for i in range(10)])
-        # The head drops the join variable, so no co-partitioning key
-        # exists and the chase silently falls back to sequential.
-        deps = [parse_tgd(
-            "R0(a=x, b=y) & S0(a=x, c=z) -> T0(b=y, c=z)"
-        )]
-        chase(db, deps, shards=2)
-        events = JOURNAL.events(kind="chase.sequential_fallback")
-        assert len(events) == 1
-        assert events[0].attrs["shards"] == 2
-        assert registry.counter("chase.sequential_fallbacks").value == 1
-
     def test_disabled_chase_journals_nothing(self):
         obs.disable()
         db, deps = self._chase_db()
@@ -153,30 +137,10 @@ class TestHealthSignals:
         report = MONITOR.evaluate()
         assert report.ok
         by_name = {s.name: s for s in report.signals}
-        assert by_name["shard_imbalance"].status == "no-data"
         assert by_name["divergence_rate"].status == "no-data"
         # Backpressure defaults to a measured zero, not no-data.
         assert by_name["backpressure_ms"].status == "ok"
         assert by_name["backpressure_ms"].value == 0.0
-
-    def test_shard_imbalance_alerts_on_skew(self):
-        hist = registry.histogram("span.chase.shard.round.wall_ms")
-        for value in (1.0,) * 7 + (97.0,):  # mean 13, max 97
-            hist.observe(value)
-        report = MONITOR.evaluate()
-        signal = {s.name: s for s in report.signals}["shard_imbalance"]
-        assert signal.status == "alert"
-        assert signal.value == pytest.approx(97.0 / 13.0)
-        assert not report.ok
-
-    def test_shard_imbalance_respects_min_rounds(self):
-        hist = registry.histogram("span.chase.shard.round.wall_ms")
-        for value in (1.0, 99.0):
-            hist.observe(value)
-        signal = {s.name: s for s in MONITOR.evaluate().signals}[
-            "shard_imbalance"
-        ]
-        assert signal.status == "no-data"
 
     def test_backpressure_alerts_on_total_wait(self):
         obs.enable()
@@ -330,7 +294,7 @@ def test_cli_health_json(capsys, workload):
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["ok"] is True
     assert {s["name"] for s in parsed["signals"]} >= {
-        "shard_imbalance", "backpressure_ms", "slow_query_rate",
+        "cache_eviction_rate", "backpressure_ms", "slow_query_rate",
     }
 
 

@@ -1,7 +1,9 @@
 """Tests for the engine-wide tracing/metrics layer
 (:mod:`repro.observability`)."""
 
+import copy
 import json
+import threading
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.observability import (
     registry,
     tracer,
 )
+from repro.observability.metrics import Counter, Gauge
 from repro.workloads import paper
 
 
@@ -275,3 +278,90 @@ class TestCli:
         captured = capsys.readouterr().out
         assert code == 0
         assert json.loads(captured)["chase.runs"]["value"] == 1
+
+
+# ----------------------------------------------------------------------
+# thread-safe observability (counters under contention)
+# ----------------------------------------------------------------------
+def _hammer(fn, threads=8, iterations=2000):
+    barrier = threading.Barrier(threads)
+
+    def work():
+        barrier.wait()
+        for _ in range(iterations):
+            fn()
+
+    pool = [threading.Thread(target=work) for _ in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join()
+    return threads * iterations
+
+
+class TestThreadSafeObservability:
+    def test_counter_loses_no_increments(self):
+        counter = Counter("t.counter")
+        total = _hammer(counter.inc)
+        assert counter.value == total
+
+    def test_histogram_counts_every_observation(self):
+        histogram = Histogram("t.hist")
+        total = _hammer(lambda: histogram.observe(1.0))
+        assert histogram.count == total
+        assert histogram.summary()["count"] == total
+
+    def test_gauge_last_write_wins_without_tearing(self):
+        gauge = Gauge("t.gauge")
+        _hammer(lambda: gauge.set(42.0))
+        assert gauge.value == 42.0
+
+    def test_index_stats_under_concurrent_lookups(self):
+        db = Instance()
+        db.insert_all("R", [{"a": i, "b": i % 5} for i in range(100)])
+        # Prime the projection index so every hammer call is a hit.
+        db.projection_member("R", ("b",), (0,))
+        baseline = dict(db.index_stats)
+        total = _hammer(
+            lambda: db.projection_member("R", ("b",), (1,)),
+            threads=8, iterations=1000,
+        )
+        stats = db.index_stats
+        assert stats["hits"] == baseline["hits"] + total
+        # A second read is stable (events were drained exactly once).
+        assert db.index_stats["hits"] == stats["hits"]
+
+    def test_index_stats_concurrent_readers_and_writers(self):
+        db = Instance()
+        db.insert_all("R", [{"a": i} for i in range(50)])
+        db.projection_member("R", ("a",), (0,))
+        stop = threading.Event()
+        seen = []
+
+        def reader():
+            while not stop.is_set():
+                seen.append(db.index_stats["hits"])
+
+        t = threading.Thread(target=reader)
+        t.start()
+        try:
+            total = _hammer(
+                lambda: db.projection_member("R", ("a",), (1,)),
+                threads=4, iterations=1000,
+            )
+        finally:
+            stop.set()
+            t.join()
+        assert db.index_stats["hits"] >= total
+        assert seen == sorted(seen), "hit counter went backwards"
+
+    def test_instance_stays_deepcopyable_and_picklable(self):
+        import pickle
+
+        db = Instance()
+        db.insert_all("R", [{"a": 1}])
+        db.projection_member("R", ("a",), (1,))
+        clone = copy.deepcopy(db)
+        assert clone.index_stats["hits"] == db.index_stats["hits"]
+        revived = pickle.loads(pickle.dumps(db))
+        assert revived.rows("R") == db.rows("R")

@@ -1,7 +1,7 @@
 """Trace-context propagation and adaptive sampling.
 
-The tentpole contract: work fanned out to shard workers, p2p hop
-threads, and the queued synchronizer joins the submitting request's
+The tentpole contract: work fanned out to p2p hop threads and the
+queued synchronizer joins the submitting request's
 trace — one trace_id, one connected span tree — with head sampling
 deterministic per root kind and tail-keep promoting slow/error traces.
 """
@@ -13,7 +13,7 @@ import pytest
 
 import repro.observability as obs
 from repro.instances import Instance
-from repro.logic import chase, parse_tgd
+from repro.logic import parse_tgd
 from repro.mappings import Mapping
 from repro.metamodel import INT, SchemaBuilder
 from repro.observability import SAMPLER, TraceContext, tracer
@@ -213,16 +213,6 @@ class TestSampler:
 # ----------------------------------------------------------------------
 # cross-thread joins through the engine
 # ----------------------------------------------------------------------
-def _chain_db(rows=60, stages=2):
-    db = Instance()
-    db.insert_all("R0", [{"a": i, "b": i % 7} for i in range(rows)])
-    deps = [
-        parse_tgd(f"R{k}(a=x, b=y) -> R{k + 1}(a=x, b=y)")
-        for k in range(stages)
-    ]
-    return db, deps
-
-
 def _peer_network(peers=4, rows=30):
     network = PeerNetwork()
     schemas = []
@@ -248,46 +238,26 @@ def _peer_network(peers=4, rows=30):
 
 
 class TestCrossThreadJoins:
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_sharded_chase_joins_request_trace(self, shards):
-        obs.enable()
-        SAMPLER.configure(default_rate=1.0)  # sampling active, keep-all
-        db, deps = _chain_db()
-        with obs.span("request"):
-            chase(db, deps, shards=shards)
-        spans = _all_spans()
-        trace_id = _assert_connected_single_trace(spans)
-        rounds = [s for s in spans if s.name == "chase.shard.round"]
-        assert rounds, "no shard-round spans recorded"
-        assert {s.attributes["shard"] for s in rounds} == set(range(shards))
-        # Worker spans really ran on pool threads, not the caller.
-        request = spans[0]
-        assert any(s.thread != request.thread for s in rounds)
-        assert all(s.trace_id == trace_id for s in rounds)
-        chase_span = next(s for s in spans if s.name == "logic.chase")
-        assert all(s.parent_id == chase_span.span_id for s in rounds)
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_pipelined_p2p_joins_request_trace(self, shards, monkeypatch):
-        monkeypatch.setenv("REPRO_CHASE_SHARDS", str(shards))
+    @pytest.mark.parametrize("hops", [2, 4])
+    def test_pipelined_p2p_joins_request_trace(self, hops):
         obs.enable()
         SAMPLER.configure(default_rate=1.0)
-        network = _peer_network()
+        network = _peer_network(peers=hops + 1)
         batches = [
             UpdateSet().insert("R0", k=100 + i, v=i) for i in range(6)
         ]
         with obs.span("request"):
             network.propagate_updates(
-                "p0", "p3", [copy.deepcopy(b) for b in batches],
+                "p0", f"p{hops}", [copy.deepcopy(b) for b in batches],
                 queue_depth=2,
             )
         spans = _all_spans()
         trace_id = _assert_connected_single_trace(spans)
-        hops = [s for s in spans if s.name == "runtime.p2p.hop"]
-        assert {s.attributes["hop"] for s in hops} == {0, 1, 2}
-        hop_threads = {s.thread for s in hops}
-        assert hop_threads == {f"p2p-hop-{i}" for i in range(3)}
-        assert all(s.trace_id == trace_id for s in hops)
+        hop_spans = [s for s in spans if s.name == "runtime.p2p.hop"]
+        assert {s.attributes["hop"] for s in hop_spans} == set(range(hops))
+        hop_threads = {s.thread for s in hop_spans}
+        assert hop_threads == {f"p2p-hop-{i}" for i in range(hops)}
+        assert all(s.trace_id == trace_id for s in hop_spans)
 
     def test_queued_synchronizer_joins_submitter_trace(self):
         from repro.runtime.synchronization import (
@@ -325,35 +295,31 @@ class TestCrossThreadJoins:
         assert forwarded, "no spans recorded on the forwarder thread"
         assert all(s.trace_id == trace_id for s in forwarded)
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_end_to_end_exchange_feeding_p2p(self, shards, monkeypatch):
-        """The acceptance scenario: a sharded exchange feeding
-        pipelined p2p propagation yields ONE trace connecting the
-        coordinator, all shard workers, and every hop thread, with
-        journal events carrying that trace_id."""
-        monkeypatch.setenv("REPRO_CHASE_SHARDS", str(shards))
+    @pytest.mark.parametrize("hops", [2, 4])
+    def test_end_to_end_exchange_feeding_p2p(self, hops):
+        """The acceptance scenario: exchanges feeding pipelined p2p
+        propagation yield ONE trace connecting the caller and every
+        hop thread, with journal events carrying that trace_id."""
         obs.enable()
         SAMPLER.configure(default_rate=1.0)
         from repro.observability.journal import JOURNAL
 
-        network = _peer_network(rows=40)
+        network = _peer_network(peers=hops + 1, rows=40)
         batches = [
             UpdateSet().insert("R0", k=200 + i, v=i) for i in range(8)
         ]
         with obs.span("request"):
-            network.propagate_updates("p0", "p3", batches, queue_depth=1)
+            network.propagate_updates("p0", f"p{hops}", batches,
+                                      queue_depth=1)
         spans = _all_spans()
         trace_id = _assert_connected_single_trace(spans)
 
-        rounds = [s for s in spans if s.name == "chase.shard.round"]
-        assert {s.attributes["shard"] for s in rounds} == set(range(shards))
-        hops = [s for s in spans if s.name == "runtime.p2p.hop"]
-        assert {s.thread for s in hops} == {
-            f"p2p-hop-{i}" for i in range(3)
+        hop_spans = [s for s in spans if s.name == "runtime.p2p.hop"]
+        assert {s.thread for s in hop_spans} == {
+            f"p2p-hop-{i}" for i in range(hops)
         }
-        # ≥ 3 distinct threads participated in the one trace:
-        # the caller, shard workers, and hop threads.
-        assert len({s.thread for s in spans}) >= 3
+        # The caller and every hop thread participated in the one trace.
+        assert len({s.thread for s in spans}) == hops + 1
 
         round_events = JOURNAL.events(kind="chase.round")
         assert round_events
