@@ -6,8 +6,9 @@ contract is that a *disabled* instrumented call costs one guard check.
 This suite verifies the contract two ways:
 
 * **chase micro-benchmark** — ``chase()`` (instrumented entry) vs the
-  bare ``_SemiNaiveChase`` engine it delegates to, tracing off.  The
-  acceptance bound is < 5% overhead;
+  bare ``_SemiNaiveChase`` engine it delegates to, tracing off,
+  interleaved with the collector paused.  The acceptance bound is < 5%
+  overhead;
 * **no-op call micro-benchmark** — a trivial function plain vs
   ``@instrumented``-wrapped with tracing off, in ns/call;
 * **enabled overhead** — the same chase workload with tracing on, for
@@ -75,57 +76,53 @@ def _best_of(fn, repeat: int = 5) -> float:
     return best
 
 
-def _ab_best(fn, setup_a, setup_b, repeat: int = 5, inner: int = 4) -> tuple:
-    """Interleaved A/B best-of: alternate the two configurations every
-    iteration so slow machine drift (thermal, background load) hits
-    both sides equally instead of landing on whichever was measured
-    second.  Each timed sample runs ``inner`` calls (a sub-ms workload
-    alone is scheduler-tick noise), the collector is paused during the
-    timed windows (and run between them), and setup calls run outside
-    the timed window.  Returns per-call (best_a, best_b)."""
+def _ab_best(*configs, repeat: int = 5, inner: int = 4) -> tuple:
+    """Interleaved best-of over ``(setup, fn)`` configurations:
+    alternate them every iteration so slow machine drift (thermal,
+    background load) hits all sides equally instead of landing on
+    whichever was measured last.  Each timed sample runs ``inner``
+    calls of ``fn`` (a sub-ms workload alone is scheduler-tick noise),
+    the collector is paused during the timed windows (and run between
+    them), and ``setup`` runs outside the timed window.  Returns the
+    per-call best of each configuration, in order."""
     import gc
 
-    setup_a()
-    fn()  # warmup both configurations
-    setup_b()
-    fn()
-    best_a = best_b = float("inf")
+    for setup, fn in configs:
+        setup()
+        fn()  # warmup every configuration
+    best = [float("inf")] * len(configs)
     gc_was_enabled = gc.isenabled()
     try:
         for _ in range(repeat):
-            setup_a()
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            for _ in range(inner):
-                fn()
-            best_a = min(best_a, time.perf_counter() - start)
-            if gc_was_enabled:
-                gc.enable()
-            setup_b()
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            for _ in range(inner):
-                fn()
-            best_b = min(best_b, time.perf_counter() - start)
-            if gc_was_enabled:
-                gc.enable()
+            for index, (setup, fn) in enumerate(configs):
+                setup()
+                gc.collect()
+                gc.disable()
+                start = time.perf_counter()
+                for _ in range(inner):
+                    fn()
+                best[index] = min(best[index], time.perf_counter() - start)
+                if gc_was_enabled:
+                    gc.enable()
     finally:
         if gc_was_enabled:
             gc.enable()
-    return best_a / inner, best_b / inner
+    return tuple(seconds / inner for seconds in best)
 
 
 def measure_chase_overhead(rows: int = 200, repeat: int = 5) -> dict:
-    """Disabled + enabled chase overhead vs the bare engine."""
+    """Disabled + enabled chase overhead vs the bare engine, the three
+    interleaved with the collector paused (see :func:`_ab_best`), so
+    that drift and collections land on every side alike: bare and
+    disabled do identical work, and the gate is 5%."""
     db, tgds = _chain_workload(rows)
-    obs.disable()
-    bare = _best_of(lambda: _bare_chase(db, tgds), repeat)
-    disabled = _best_of(lambda: chase(db, tgds), repeat)
     obs.reset()
-    obs.enable()
-    enabled = _best_of(lambda: chase(db, tgds), repeat)
+    bare, disabled, enabled = _ab_best(
+        (obs.disable, lambda: _bare_chase(db, tgds)),
+        (obs.disable, lambda: chase(db, tgds)),
+        (obs.enable, lambda: chase(db, tgds)),
+        repeat=repeat,
+    )
     obs.disable()
     return {
         "workload": f"chain(rows={rows}, stages=8)",
@@ -194,8 +191,12 @@ def measure_stats_overhead(rows: int = 4000, repeat: int = 7) -> dict:
     )
 
     obs.reset()
+
+    def run():
+        evaluate(query, db)
+
     disabled, enabled = _ab_best(
-        lambda: evaluate(query, db), obs.disable, obs.enable, repeat
+        (obs.disable, run), (obs.enable, run), repeat=repeat
     )
     obs.disable()
     obs.reset()
@@ -263,7 +264,9 @@ def measure_sampled_overhead(rows: int = 4000, repeat: int = 7) -> dict:
         if len(obs.tracer.roots) > 64:
             obs.tracer.roots.clear()
 
-    disabled, sampled = _ab_best(run, obs.disable, obs.enable, repeat)
+    disabled, sampled = _ab_best(
+        (obs.disable, run), (obs.enable, run), repeat=repeat
+    )
     snapshot = SAMPLER.snapshot()
     obs.disable()
     obs.reset()
@@ -358,7 +361,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rows = 100 if args.smoke else 400
-    chase_entry = measure_chase_overhead(rows=rows)
+    # Bare and disabled do identical work, so the 5% gate judges pure
+    # noise: on a shared 2-vCPU VM, 5 interleaved rounds spread the
+    # pair by up to ±30% and 20 rounds by about ±7%.
+    chase_entry = measure_chase_overhead(
+        rows=rows, repeat=5 if args.smoke else 20
+    )
     noop_entry = measure_noop_overhead(
         calls=50_000 if args.smoke else 500_000
     )

@@ -16,7 +16,8 @@ Row dicts remain the source of truth: instances keep storing
 ``list[Row]`` and the chase / interpreted engine / persistent indexes
 never see a batch.  :meth:`Instance.column_batch` materializes the
 columnar image on demand and maintains it incrementally under the same
-validation contract as the persistent (relation, attr) indexes (see
+validation contract as the persistent (relation, attr) indexes —
+appends extend it in place, removals compact it into a new batch (see
 ``docs/COLUMNAR.md`` for the layout and the compatibility contract).
 
 Batches handed to the vectorized executor are **immutable by
@@ -351,3 +352,42 @@ class ColumnBatch:
         if new_names:
             self.names = self.names + tuple(new_names)
         self.nrows = old + len(tail)
+
+    def _without(self, positions: Sequence[int]) -> "ColumnBatch":
+        """A new batch minus the rows at ``positions`` (ascending).
+
+        Only :meth:`Instance.remove_rows` calls this, to compact the
+        cached batch of a relation it removes rows from.  Every column
+        gets new value lists (slices, not copies of the whole batch
+        followed by deletes), so batches already handed out keep their
+        contents; presence masks normalize as in :meth:`Column.take`,
+        and a column no surviving row carries is dropped."""
+        nrows = self.nrows - len(positions)
+        names: list[str] = []
+        cols: dict[str, Column] = {}
+        for name in self.names:
+            col = self.cols[name]
+            present = col.present
+            if present is not None:
+                present = drop_positions(present, positions)
+                if 1 not in present:
+                    continue
+                if 0 not in present:
+                    present = None
+            elif not nrows:
+                continue
+            cols[name] = Column(drop_positions(col.values, positions), present)
+            names.append(name)
+        return ColumnBatch(tuple(names), cols, nrows)
+
+
+def drop_positions(seq, positions: Sequence[int]):
+    """A new list (or bytearray) of ``seq`` minus the ascending
+    ``positions``, assembled from the slices between them."""
+    out = seq[:positions[0]]
+    start = positions[0] + 1
+    for p in positions[1:]:
+        out += seq[start:p]
+        start = p + 1
+    out += seq[start:]
+    return out

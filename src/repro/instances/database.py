@@ -15,17 +15,20 @@ per-(relation, attribute-tuple) projection sets — consumed by the
 homomorphism search and the semi-naive chase.  The maintenance contract
 (see :meth:`Instance.mark_dirty`): appends through :meth:`insert` and
 wholesale list replacement via ``relations[r] = [...]`` are detected
-automatically; code that mutates stored row dicts *in place* must call
-:meth:`Instance.mark_dirty` afterwards or the indexes go stale.
+automatically, removals through :meth:`Instance.remove_rows` (and
+:meth:`Instance.delete`) update the caches in place; code that mutates
+stored row dicts *in place* must call :meth:`Instance.mark_dirty`
+afterwards or the indexes go stale.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError
-from repro.instances.columnar import ColumnBatch
+from repro.instances.columnar import ColumnBatch, drop_positions
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
 
@@ -43,19 +46,26 @@ def freeze_row(row: Mapping[str, object]) -> frozenset:
 class _IndexTag:
     """Private sentinel used to build index keys that cannot collide
     with user data: unlike the old string-tagged tuples, no genuine row
-    value can ever equal a tuple whose first element is this object."""
+    value can ever equal a tuple whose first element is this object.
+
+    Tags compare by identity, so ``copy.deepcopy`` and pickle must hand
+    back the module's own tag (``name`` is its global name here), or a
+    copied instance's index keys would stop matching fresh lookups."""
 
     __slots__ = ("_name",)
 
     def __init__(self, name: str):
         self._name = name
 
+    def __reduce__(self) -> str:
+        return self._name
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self._name}>"
 
 
-_NULL_TAG = _IndexTag("labeled-null")
-_OPAQUE_TAG = _IndexTag("unhashable")
+_NULL_TAG = _IndexTag("_NULL_TAG")
+_OPAQUE_TAG = _IndexTag("_OPAQUE_TAG")
 
 
 def null_key_label(key: object) -> Optional[int]:
@@ -85,6 +95,12 @@ def hashable_key(value: object) -> object:
 
 
 _NO_ROWS: list = []  # shared empty backing list for views of absent relations
+
+#: Largest removal batch :meth:`Instance.remove_rows` deletes position
+#: by position; bigger batches rebuild the list in one pass instead
+#: (each ``del`` shifts the tail: on a 20k-row list, 2,500 of them take
+#: about 4x as long as one pass, while 256 break even).
+_DEL_LIMIT = 256
 
 #: Shared empty batch for absent relations (immutable by convention).
 _EMPTY_BATCH = ColumnBatch((), {}, 0)
@@ -160,7 +176,9 @@ class _BatchEntry:
     """Cached columnar image of one relation (see
     :meth:`Instance.column_batch`), validated exactly like
     :class:`_AttrIndex`: backing-list identity + dirty epoch + a
-    ``seen`` watermark that lets appends extend the batch in place."""
+    ``seen`` watermark that lets appends extend the batch in place.
+    :meth:`Instance.remove_rows` swaps in a compacted batch and lowers
+    ``seen`` by the rows it covered."""
 
     __slots__ = ("source", "seen", "epoch", "batch")
 
@@ -175,8 +193,9 @@ class _StatsEntry:
     """Cached :class:`~repro.observability.stats.RelationStats` for one
     relation (see :meth:`Instance.relation_stats`), validated exactly
     like :class:`_BatchEntry`: backing-list identity + dirty epoch + a
-    ``seen`` watermark under which appends are absorbed in place while
-    removals and epoch bumps force a rebuild."""
+    ``seen`` watermark under which appends are absorbed in place and
+    :meth:`Instance.remove_rows` retracts the rows it covered, while
+    epoch bumps and list replacement force a rebuild."""
 
     __slots__ = ("source", "seen", "epoch", "stats")
 
@@ -185,6 +204,72 @@ class _StatsEntry:
         self.seen = 0
         self.epoch = epoch
         self.stats = stats
+
+
+class _SlotMap:
+    """Row positions of one relation without a scan (see
+    :meth:`Instance.remove_rows`), validated like the other caches:
+    backing-list identity + dirty epoch + ``seen`` watermark.
+
+    Every row the map has seen holds a *slot*: its position when the
+    map last renumbered, or its arrival order since.  ``slots`` maps
+    ``id(row)`` to the slot (``shared`` keeps the extra slots of a row
+    object stored more than once) and ``removed`` is the sorted list of
+    slots vacated since the last renumbering, so a row's current
+    position is its slot minus the removed slots below it.  Keys are
+    ``id()`` values: copies of an instance must not inherit the map
+    (see :meth:`Instance.__getstate__`)."""
+
+    __slots__ = ("source", "seen", "epoch", "slots", "shared", "removed")
+
+    def __init__(self, source: list, epoch: int):
+        self.source = source
+        self.seen = 0
+        self.epoch = epoch
+        self.slots: dict[int, int] = {}
+        self.shared: dict[int, list[int]] = {}
+        self.removed: list[int] = []
+
+    def absorb(self) -> None:
+        """Give the rows appended since the last call fresh slots."""
+        rows = self.source
+        slots = self.slots
+        slot = self.seen + len(self.removed)
+        for row in rows[self.seen:]:
+            key = id(row)
+            if key in slots:
+                self.shared.setdefault(key, []).append(slot)
+            else:
+                slots[key] = slot
+            slot += 1
+        self.seen = len(rows)
+
+    def take(self, rows: Iterable[Row]) -> list[int]:
+        """Release the slots of ``rows`` (those the map holds) and
+        return their current positions, ascending."""
+        slots = self.slots
+        removed = self.removed
+        freed: list[int] = []
+        for row in rows:
+            slot = slots.pop(id(row), None)
+            if slot is None:
+                continue  # not stored here, or named twice
+            freed.append(slot)
+            if self.shared:
+                freed.extend(self.shared.pop(id(row), ()))
+        freed.sort()
+        positions = [slot - bisect_left(removed, slot) for slot in freed]
+        for slot in freed:
+            insort(removed, slot)
+        self.seen -= len(freed)
+        if len(removed) > self.seen:
+            # Vacated slots outnumber live rows: renumber from scratch
+            # (one pass, paid for by the removals since the last one).
+            slots.clear()
+            self.shared.clear()
+            removed.clear()
+            self.seen = 0
+        return positions
 
 
 class Instance:
@@ -200,12 +285,14 @@ class Instance:
         self.relations: dict[str, list[Row]] = {}
         # Persistent index caches.  Validated per access against the
         # backing list's identity and length plus ``_dirty_epoch``, so
-        # appends extend incrementally while replacements, deletions and
-        # declared in-place mutations trigger a rebuild.
+        # appends extend incrementally, removals through remove_rows
+        # retract in place, and replacements and declared in-place
+        # mutations trigger a rebuild.
         self._attr_indexes: dict[tuple[str, str], _AttrIndex] = {}
         self._projection_sets: dict[tuple[str, tuple[str, ...]], _ProjectionSet] = {}
         self._batches: dict[str, _BatchEntry] = {}
         self._relation_stats: dict[str, _StatsEntry] = {}
+        self._slot_maps: dict[str, _SlotMap] = {}
         self._dirty_epoch = 0
         # Index-maintenance counters.  Writers append interned event
         # names to ``_stat_events`` (a single ``list.append``, atomic
@@ -221,9 +308,12 @@ class Instance:
 
     def __getstate__(self):
         # Locks are neither picklable nor deepcopy-able; the copy gets
-        # a fresh one (counter state itself transfers fine).
+        # a fresh one (counter state itself transfers fine).  Slot maps
+        # are keyed by id(row), and a copy's rows have new ids: the
+        # copy starts without them and rebuilds on its first removal.
         state = self.__dict__.copy()
         del state["_stats_lock"]
+        state["_slot_maps"] = {}
         return state
 
     def __setstate__(self, state):
@@ -294,62 +384,65 @@ class Instance:
     def delete(
         self, relation: str, predicate: Callable[[Row], bool]
     ) -> list[Row]:
-        """Remove and return rows of ``relation`` satisfying ``predicate``.
+        """Remove and return rows of ``relation`` satisfying ``predicate``
+        (called once per stored row).
 
-        The relation key is dropped entirely when the deletion empties
-        it, so absent and emptied relations are indistinguishable.
+        The removal goes through :meth:`remove_rows`, so the relation's
+        caches are updated in place and other relations' caches are
+        left alone.  The relation key is dropped entirely when the
+        deletion empties it, so absent and emptied relations are
+        indistinguishable.
         """
         rows = self.relations.get(relation)
         if rows is None:
             return []
-        removed = [r for r in rows if predicate(r)]
-        kept = [r for r in rows if not predicate(r)]
-        if kept:
-            self.relations[relation] = kept
-        else:
-            self.relations.pop(relation, None)
-        if removed:
-            self.mark_dirty()
+        removed = self.remove_rows(
+            relation, [row for row in rows if predicate(row)]
+        )
+        if not rows:
+            del self.relations[relation]
         return removed
 
     def remove_rows(self, relation: str, rows: Iterable[Row]) -> list[Row]:
-        """Remove specific stored rows (matched by *identity*) while
-        updating the persistent indexes **incrementally** instead of
-        invalidating them.
+        """Remove specific stored rows (matched by *identity*; a row
+        object stored more than once loses every copy) and return them
+        in stored order, updating every cache of the relation **in
+        place** instead of invalidating it.
 
-        This is the deletion counterpart of the append-detection in
-        :meth:`index_lookup` / :meth:`projection_member`: postings lists
-        drop the dead rows, projection multiplicities are decremented,
-        and each index's ``seen`` watermark is shifted by the number of
-        dead rows it had already absorbed — so a delete batch costs work
-        proportional to the batch, not to the relation.  The relation's
-        backing list keeps its identity (mutated in place), which is
-        what lets current index entries stay valid.
+        A delete batch costs work proportional to the batch, not to the
+        relation.  The relation's slot map (:class:`_SlotMap`) gives
+        each row's position without a scan.  Each cache retracts the
+        removed rows it had already absorbed and lowers its ``seen``
+        watermark by their number: postings lists drop the dead rows,
+        projection multiplicities are decremented, relation statistics
+        are retracted (:meth:`RelationStats.retract`) and the column
+        batch is compacted into a new batch.  None of this counts as a
+        rebuild in :attr:`index_stats`; ``removes`` counts the rows.
+        Last, the backing list drops the rows by position, highest
+        first (a batch over ``_DEL_LIMIT`` rows rebuilds it in one pass
+        instead), keeping its identity and the survivors' order.
         """
         backing = self.relations.get(relation)
         if backing is None:
             return []
-        dead = {id(row) for row in rows}
-        if not dead:
+        positions = self._slot_map(relation, backing).take(rows)
+        if not positions:
             return []
-        positions = {id(row): index for index, row in enumerate(backing)}
-        removed = [row for row in backing if id(row) in dead]
-        if not removed:
-            return []
-        backing[:] = [row for row in backing if id(row) not in dead]
+        removed = [backing[p] for p in positions]
         epoch = self._dirty_epoch
+
+        def covered(entry) -> int:
+            """How many of the removed rows ``entry`` has absorbed (0
+            for an entry the next access rebuilds anyway)."""
+            if entry.source is not backing or entry.epoch != epoch:
+                return 0
+            return bisect_left(positions, entry.seen)
+
         for (indexed_relation, attribute), entry in self._attr_indexes.items():
-            if (
-                indexed_relation != relation
-                or entry.source is not backing
-                or entry.epoch != epoch
-            ):
+            if indexed_relation != relation:
                 continue
-            absorbed = 0
-            for row in removed:
-                if positions[id(row)] >= entry.seen:
-                    continue  # never indexed: nothing to retract
-                absorbed += 1
+            absorbed = covered(entry)
+            for row in removed[:absorbed]:
                 if attribute not in row:
                     continue
                 key = hashable_key(row[attribute])
@@ -360,17 +453,10 @@ class Instance:
                         del entry.postings[key]
             entry.seen -= absorbed
         for (indexed_relation, attributes), entry in self._projection_sets.items():
-            if (
-                indexed_relation != relation
-                or entry.source is not backing
-                or entry.epoch != epoch
-            ):
+            if indexed_relation != relation:
                 continue
-            absorbed = 0
-            for row in removed:
-                if positions[id(row)] >= entry.seen:
-                    continue
-                absorbed += 1
+            absorbed = covered(entry)
+            for row in removed[:absorbed]:
                 try:
                     projected = tuple(
                         [hashable_key(row[a]) for a in attributes]
@@ -383,15 +469,40 @@ class Instance:
                 else:
                     entry.members.pop(projected, None)
             entry.seen -= absorbed
-        # Batches are positional (unlike the id-keyed indexes above), so
-        # a removal cannot be absorbed incrementally: drop the cache.
-        self._batches.pop(relation, None)
-        # Statistics are pure aggregates: decrementing them under
-        # removal would need the removed rows' full value profile, so
-        # they rebuild on next read instead (same rule as the batches).
-        self._relation_stats.pop(relation, None)
+        entry = self._batches.get(relation)
+        if entry is not None:
+            absorbed = covered(entry)
+            if absorbed:
+                entry.batch = entry.batch._without(positions[:absorbed])
+                entry.seen -= absorbed
+        entry = self._relation_stats.get(relation)
+        if entry is not None:
+            absorbed = covered(entry)
+            if absorbed:
+                entry.stats.retract(removed[:absorbed])
+                entry.seen -= absorbed
+        if len(positions) > _DEL_LIMIT:
+            backing[:] = drop_positions(backing, positions)
+        else:
+            for p in reversed(positions):
+                del backing[p]
         self._stat_events.extend(["removes"] * len(removed))
         return removed
+
+    def _slot_map(self, relation: str, rows: list) -> _SlotMap:
+        """The relation's :class:`_SlotMap`, covering every stored row."""
+        entry = self._slot_maps.get(relation)
+        if (
+            entry is None
+            or entry.source is not rows
+            or entry.epoch != self._dirty_epoch
+            or entry.seen > len(rows)
+        ):
+            entry = _SlotMap(rows, self._dirty_epoch)
+            self._slot_maps[relation] = entry
+        if entry.seen < len(rows):
+            entry.absorb()
+        return entry
 
     def clear(self, relation: str) -> None:
         self.relations[relation] = []
@@ -478,14 +589,16 @@ class Instance:
     def column_batch(self, relation: str) -> ColumnBatch:
         """The columnar image of ``relation``'s rows (see
         :mod:`repro.instances.columnar`), cached and incrementally
-        extended under the persistent-index maintenance contract:
-        appends are absorbed in place, while list replacement,
-        :meth:`delete`, :meth:`remove_rows` and :meth:`mark_dirty`
-        trigger a rebuild on next access.
+        maintained under the persistent-index maintenance contract:
+        appends are absorbed in place, :meth:`remove_rows` and
+        :meth:`delete` compact the cached batch into a new one, while
+        list replacement and :meth:`mark_dirty` trigger a rebuild on
+        next access.
 
         The returned batch is shared — callers must treat it as
         immutable (the vectorized executor copies at its output
-        boundary, never in place)."""
+        boundary, never in place).  A removal never touches a batch
+        already handed out; a later append may extend it."""
         rows = self.relations.get(relation)
         if rows is None:
             return _EMPTY_BATCH
@@ -515,11 +628,12 @@ class Instance:
         """Row-count / per-column statistics for ``relation`` (see
         :class:`repro.observability.stats.RelationStats`), cached and
         incrementally maintained under the persistent-index contract:
-        appends since the last read are absorbed in place, while list
-        replacement, :meth:`delete`, :meth:`remove_rows` and
-        :meth:`mark_dirty` trigger a rebuild on next access
-        (``stats_hits`` / ``stats_extends`` / ``stats_rebuilds`` in
-        :attr:`index_stats` count which path each read took).
+        appends since the last read are absorbed in place,
+        :meth:`remove_rows` and :meth:`delete` retract the removed rows
+        in place, while list replacement and :meth:`mark_dirty` trigger
+        a rebuild on next access (``stats_hits`` / ``stats_extends`` /
+        ``stats_rebuilds`` in :attr:`index_stats` count which path each
+        read took; retractions count as ``removes``).
 
         The returned object is shared with the cache — treat it as
         read-only; it feeds the cardinality estimator behind EXPLAIN

@@ -7,8 +7,9 @@ data model; the instances layer maintains it (see
 :meth:`repro.instances.database.Instance.relation_stats`, which caches
 a :class:`RelationStats` per relation under the same validation
 contract as the persistent attribute indexes and cached column
-batches: appends absorbed in place, removals/epoch bumps rebuilding),
-and :mod:`repro.algebra.estimate` consumes it.
+batches: appends absorbed in place, removals retracted in place,
+epoch bumps and list replacement rebuilding), and
+:mod:`repro.algebra.estimate` consumes it.
 
 A :class:`ColumnStats` keeps an exact value→count map (the engine's
 relations are small enough that a full frequency table is cheaper than
@@ -83,10 +84,15 @@ class ColumnStats:
     ``nulls``/``labeled`` count SQL nulls and labeled nulls.  ``lo`` /
     ``hi`` track min/max while every observed value stays within one
     ordered kind (all numbers, or all strings) — a mixed column turns
-    ordering off rather than guessing a cross-type order.
+    ordering off rather than guessing a cross-type order.  ``nums`` /
+    ``strs`` count the numeric and string cells (the rest of
+    :attr:`non_null` is unordered), which is what lets
+    :meth:`retract` turn ordering back on once the last value of the
+    odd kind is gone.
     """
 
-    __slots__ = ("present", "nulls", "labeled", "counts", "kind", "lo", "hi")
+    __slots__ = ("present", "nulls", "labeled", "counts", "kind", "lo", "hi",
+                 "nums", "strs")
 
     def __init__(self) -> None:
         self.present = 0
@@ -96,6 +102,8 @@ class ColumnStats:
         self.kind: Optional[str] = None  # None | "num" | "str" | "off"
         self.lo: object = None
         self.hi: object = None
+        self.nums = 0
+        self.strs = 0
 
     # ------------------------------------------------------------------
     def observe(self, value: object) -> None:
@@ -106,30 +114,90 @@ class ColumnStats:
         if isinstance(value, LabeledNull):
             self.labeled += 1
             return
-        key = _stat_key(value)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        kind = self.kind
-        if kind == "off":
-            return
+        # Numbers and strings are their own keys (always hashable), so
+        # only the unordered kinds pay for _stat_key.
         if isinstance(value, _NUMERIC):
+            self.nums += 1
             value_kind = "num"
+            key = value
         elif isinstance(value, str):
+            self.strs += 1
             value_kind = "str"
+            key = value
         else:
             value_kind = "off"
-        if kind is None:
+            key = _stat_key(value)
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
+        kind = self.kind
+        if kind == value_kind:
+            if kind == "off":
+                return
+            if value < self.lo:
+                self.lo = value
+            elif value > self.hi:
+                self.hi = value
+        elif kind is None:
             self.kind = value_kind
             if value_kind != "off":
                 self.lo = self.hi = value
-            return
-        if value_kind != kind:
+        elif kind != "off":
             self.kind = "off"
             self.lo = self.hi = None
-            return
-        if value < self.lo:
-            self.lo = value
-        elif value > self.hi:
-            self.hi = value
+
+    def retract(self, value: object) -> bool:
+        """Undo one earlier :meth:`observe` of ``value``.
+
+        Counts drop in O(1).  ``kind``, ``lo`` and ``hi`` are left for
+        :meth:`settle`: the return value says whether they may have
+        moved (an extreme's count reached zero, a kind's count did, or
+        the column lost its last cell), so a caller retracting a batch
+        settles each flagged column once, after its last retraction."""
+        self.present -= 1
+        if value is None:
+            self.nulls -= 1
+            return not self.present
+        if isinstance(value, LabeledNull):
+            self.labeled -= 1
+            return not self.present
+        if isinstance(value, _NUMERIC):
+            self.nums -= 1
+            moved = not self.nums
+            key = value
+        elif isinstance(value, str):
+            self.strs -= 1
+            moved = not self.strs
+            key = value
+        else:
+            moved = True  # an unordered cell left: ordering may return
+            key = _stat_key(value)
+        counts = self.counts
+        left = counts[key] - 1
+        if left:
+            counts[key] = left
+            return moved
+        del counts[key]
+        return moved or key == self.lo or key == self.hi
+
+    def settle(self) -> None:
+        """Re-derive ``kind`` from the per-kind counts and, for an
+        ordered column, ``lo`` / ``hi`` from the surviving keys — one
+        O(distinct) pass, run only for columns :meth:`retract`
+        flagged."""
+        nums, strs = self.nums, self.strs
+        if self.non_null - nums - strs or (nums and strs):
+            self.kind = "off"
+        elif nums:
+            self.kind = "num"
+        elif strs:
+            self.kind = "str"
+        else:
+            self.kind = None
+        if self.kind in ("num", "str"):
+            self.lo = min(self.counts)
+            self.hi = max(self.counts)
+        else:
+            self.lo = self.hi = None
 
     # ------------------------------------------------------------------
     @property
@@ -174,6 +242,8 @@ class ColumnStats:
             and self.kind == other.kind
             and self.lo == other.lo
             and self.hi == other.hi
+            and self.nums == other.nums
+            and self.strs == other.strs
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -201,10 +271,12 @@ class ColumnStats:
 class RelationStats:
     """Row count plus per-column :class:`ColumnStats` for one relation.
 
-    Built once from the backing rows and then *absorbed* forward on
-    appends (:meth:`absorb`), so keeping statistics fresh costs work
-    proportional to the rows added since the last read, not to the
-    relation.
+    Built once from the backing rows, then *absorbed* forward on
+    appends (:meth:`absorb`) and *retracted* on removals
+    (:meth:`retract`), so keeping statistics fresh costs work
+    proportional to the rows added or removed since the last read, not
+    to the relation.  Either way the result equals :meth:`from_rows`
+    over the current rows, field for field.
     """
 
     __slots__ = ("relation", "rows", "columns")
@@ -234,6 +306,29 @@ class RelationStats:
                     column = columns[name] = ColumnStats()
                 column.observe(value)
         self.rows += added
+
+    def retract(self, rows: Iterable[Mapping[str, object]]) -> None:
+        """Take rows previously absorbed back out, in place.
+
+        Each cell is retracted from its column in O(1); a column that
+        no remaining row carries loses its entry, and a column whose
+        kind or extremes may have moved is settled once, after the
+        whole batch (see :meth:`ColumnStats.retract`)."""
+        columns = self.columns
+        unsettled: set[str] = set()
+        removed = 0
+        for row in rows:
+            removed += 1
+            for name, value in row.items():
+                if columns[name].retract(value):
+                    unsettled.add(name)
+        self.rows -= removed
+        for name in unsettled:
+            column = columns[name]
+            if column.present:
+                column.settle()
+            else:
+                del columns[name]
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> Optional[ColumnStats]:

@@ -78,7 +78,7 @@ class _Derivation:
     stored rows it derived."""
 
     __slots__ = ("dep_index", "key", "frontier", "rows", "seq", "alive",
-                 "suppressed")
+                 "suppressed", "null_keys")
 
     def __init__(self, dep_index, key, frontier, rows, seq):
         self.dep_index = dep_index
@@ -88,13 +88,16 @@ class _Derivation:
         self.seq = seq
         self.alive = True
         self.suppressed = False  # directly deleted: never rederive
+        # Null-index keys listing this record (see _index_null); None
+        # once the record is dead for good and pruned.
+        self.null_keys: Optional[set | tuple] = ()
 
 
 class _Edge:
     """One applied egd union, keyed by its trigger's body bindings."""
 
     __slots__ = ("egd_index", "body_key", "left_key", "right_key", "seq",
-                 "alive")
+                 "alive", "null_keys")
 
     def __init__(self, egd_index, body_key, left_key, right_key, seq):
         self.egd_index = egd_index
@@ -103,6 +106,7 @@ class _Edge:
         self.right_key = right_key
         self.seq = seq
         self.alive = True
+        self.null_keys: Optional[set | tuple] = ()  # as on _Derivation
 
 
 class _MergeRecord:
@@ -221,8 +225,12 @@ class MaterializedExchange:
         self._deriver: dict[int, _Derivation] = {}   # id(row) → derivation
         self._support: dict[int, int] = {}           # id(row) → count
         self._edges: dict[tuple, list[_Edge]] = {}   # (egd, body key) → edges
-        self._merges: list[_MergeRecord] = []
-        self._null_index: dict[object, list] = {}    # null key → records
+        # Live merge records in recording order (a dict as ordered set,
+        # so pruning a rolled-back record is O(1)).
+        self._merges: dict[_MergeRecord, None] = {}
+        # null key → [(kind, record)]: the live derivations and edges
+        # whose keys mention the null, one entry per (key, record).
+        self._null_index: dict[object, list] = {}
         self._alive: set[int] = {
             id(row)
             for rows in self.working.relations.values()
@@ -234,6 +242,9 @@ class MaterializedExchange:
         self._session_deleted: dict[str, list[Row]] = {}
         # id(row) → ({attr: value at session start}, (relation, row))
         self._session_rewrites: dict[int, tuple[dict, tuple[str, Row]]] = {}
+        # Derivations, edges and merge records that died this session
+        # (see _prune_dead).
+        self._session_dead: list = []
 
     def _record_derivation(self, dep_index, key, frontier_items, rows):
         self._seq += 1
@@ -248,9 +259,7 @@ class MaterializedExchange:
             self._session_inserted[rid] = (relation, row)
         for _, value in frontier_items:
             if isinstance(value, LabeledNull):
-                self._null_index.setdefault(
-                    hashable_key(value), []
-                ).append(("deriv", derivation))
+                self._index_null(hashable_key(value), "deriv", derivation)
 
     def _record_edge(self, dep_index, body_key, left, right):
         self._seq += 1
@@ -259,7 +268,42 @@ class MaterializedExchange:
         self._edges.setdefault((dep_index, body_key), []).append(edge)
         for part in set(body_key) | {edge.left_key, edge.right_key}:
             if null_key_label(part) is not None:
-                self._null_index.setdefault(part, []).append(("edge", edge))
+                self._index_null(part, "edge", edge)
+
+    def _index_null(self, key, kind, record) -> None:
+        """List ``record`` under the null ``key`` (once per key; never
+        for a pruned record)."""
+        keys = record.null_keys
+        if keys is None or key in keys:
+            return
+        if keys:
+            keys.add(key)
+        else:
+            record.null_keys = {key}
+        self._null_index.setdefault(key, []).append((kind, record))
+
+    def _prune_dead(self) -> None:
+        """Forget this session's records that are dead for good: merge
+        records rolled back, edges dropped, and derivations killed and
+        not reinstated (rederivation only ever reinstates derivations
+        that died in the same session, so after it they stay dead).
+        Costs the dead records' own index lists, never a sweep."""
+        index = self._null_index
+        for record in self._session_dead:
+            if isinstance(record, _MergeRecord):
+                self._merges.pop(record, None)
+                continue
+            if record.alive or record.null_keys is None:
+                continue
+            for key in record.null_keys:
+                entries = index.get(key)
+                if entries is None:
+                    continue
+                entries[:] = [e for e in entries if e[1] is not record]
+                if not entries:
+                    del index[key]
+            record.null_keys = None
+        self._session_dead = []
 
     def _record_substitution(self, positions):
         self._seq += 1
@@ -271,7 +315,7 @@ class MaterializedExchange:
             if record is None:
                 record = _MergeRecord(null, seq)
                 records[null] = record
-                self._merges.append(record)
+                self._merges[record] = None
                 replacements[null] = replacement
             record.positions.append((relation, row, attr))
             rewrites = self._session_rewrites.setdefault(
@@ -286,6 +330,7 @@ class MaterializedExchange:
             new_key = hashable_key(replacement)
             record = records[null]
             for kind, obj in self._null_index.pop(old_key, []):
+                obj.null_keys.discard(old_key)
                 if kind == "deriv":
                     rekey = self._rekey_derivation(obj, null, replacement,
                                                    old_key, new_key)
@@ -318,9 +363,7 @@ class MaterializedExchange:
                 (derivation.dep_index, derivation.key), []
             ).append(derivation)
         if null_key_label(new_key) is not None:
-            self._null_index.setdefault(new_key, []).append(
-                ("deriv", derivation)
-            )
+            self._index_null(new_key, "deriv", derivation)
         return ("deriv", derivation, key_indices, frontier_indices)
 
     def _unbucket_derivation(self, derivation):
@@ -361,7 +404,7 @@ class MaterializedExchange:
                 (edge.egd_index, edge.body_key), []
             ).append(edge)
         if null_key_label(new_key) is not None:
-            self._null_index.setdefault(new_key, []).append(("edge", edge))
+            self._index_null(new_key, "edge", edge)
         return ("edge", edge, key_indices, ())
 
     # ------------------------------------------------------------------
@@ -430,6 +473,7 @@ class MaterializedExchange:
             delta = self._full_reexchange(update)
             self._publish(overdeleted, rederived, full=True)
             return delta
+        self._prune_dead()
         delta = self._finish_session()
         self._publish(overdeleted, rederived, full=False)
         return delta
@@ -507,6 +551,7 @@ class MaterializedExchange:
                         ):
                             edge.alive = False
                             dead_edges.append(edge)
+                            self._session_dead.append(edge)
             self._remove_batch(pending)
             pending = next_round
             next_round = {}
@@ -518,6 +563,7 @@ class MaterializedExchange:
         if not derivation.alive:
             return
         derivation.alive = False
+        self._session_dead.append(derivation)
         bucket = self._derivations.get(
             (derivation.dep_index, derivation.key)
         )
@@ -781,13 +827,19 @@ class MaterializedExchange:
                 row[attr] = record.null
             self._restore_rekeys(record)
             record.alive = False
+            self._session_dead.append(record)
         for key in list(self._edges):
             bucket = self._edges[key]
-            bucket[:] = [
-                edge for edge in bucket
-                if find(edge.left_key) not in affected_roots
-            ]
-            if not bucket:
+            kept = []
+            for edge in bucket:
+                if find(edge.left_key) in affected_roots:
+                    edge.alive = False
+                    self._session_dead.append(edge)
+                else:
+                    kept.append(edge)
+            if kept:
+                bucket[:] = kept
+            else:
                 del self._edges[key]
         if restored:
             self.working.mark_dirty()
@@ -813,9 +865,7 @@ class MaterializedExchange:
                     self._derivations.setdefault(
                         (obj.dep_index, obj.key), []
                     ).append(obj)
-                self._null_index.setdefault(old_key, []).append(
-                    ("deriv", obj)
-                )
+                self._index_null(old_key, "deriv", obj)
             else:
                 edge = obj
                 in_bucket = False
@@ -838,9 +888,7 @@ class MaterializedExchange:
                     self._edges.setdefault(
                         (edge.egd_index, edge.body_key), []
                     ).append(edge)
-                self._null_index.setdefault(old_key, []).append(
-                    ("edge", edge)
-                )
+                self._index_null(old_key, "edge", edge)
 
     # -- fallback ------------------------------------------------------
     def _full_reexchange(self, update: UpdateSet) -> UpdateSet:

@@ -8,8 +8,9 @@ reproduce every row dict exactly, for homogeneous and ragged shapes,
 labeled nulls, ``None`` cells, mixed-type columns and empty relations.
 The cache tests pin the persistent-index maintenance contract that
 :meth:`Instance.column_batch` shares with the (relation, attr)
-indexes: appends extend in place, removals and ``mark_dirty`` force a
-rebuild, and a clean re-read is a hit that returns the same object.
+indexes: appends extend in place, removals compact into a new batch
+without a rebuild, ``mark_dirty`` forces one, and a clean re-read is a
+hit that returns the same object.
 """
 
 import random
@@ -179,17 +180,21 @@ def test_append_extends_batch_in_place():
     assert bytes(grown.cols["b"].present) == b"\x00\x01"
 
 
-def test_remove_rows_drops_cache_and_rebuilds():
+def test_remove_rows_compacts_cache_without_rebuild():
     db = Instance()
-    db.insert_all("R", [{"a": 1}, {"a": 2}, {"a": 3}])
+    db.insert_all("R", [{"a": 1}, {"a": 2, "b": 0}, {"a": 3}])
     stale = db.column_batch("R")
     victims = [row for row in db.rows("R") if row["a"] == 2]
-    db.remove_rows("R", victims)
     before = _stats(db)
+    db.remove_rows("R", victims)
     fresh = db.column_batch("R")
-    assert fresh is not stale
-    assert db.index_stats["rebuilds"] == before["rebuilds"] + 1
-    assert fresh.to_rows() == [{"a": 1}, {"a": 3}]
+    assert fresh is not stale  # a new batch: handed-out ones stay intact
+    assert stale.to_rows() == [{"a": 1}, {"a": 2, "b": 0}, {"a": 3}]
+    assert db.index_stats["rebuilds"] == before["rebuilds"]
+    assert db.index_stats["hits"] == before["hits"] + 1
+    survivors = [{"a": 1}, {"a": 3}]
+    assert fresh.to_rows() == ColumnBatch.from_rows(survivors).to_rows()
+    assert fresh.names == ("a",)  # no survivor carries "b"
 
 
 def test_mark_dirty_invalidates_batch():

@@ -6,6 +6,8 @@ equivalence checker it is judged by, and the runtime services that
 consume it (propagator delta path, synchronizer forward_update, p2p
 materialized chains, batch loading)."""
 
+import random
+
 import pytest
 
 from repro.errors import ExpressivenessError
@@ -201,6 +203,73 @@ class TestMaterializedExchange:
         materialized.apply(update)
         current = apply_update(current, update)
         _assert_matches_full(materialized, current)
+
+    def test_long_egd_stream_prunes_dead_provenance(self):
+        """Hundreds of merge/rollback batches: after every apply the
+        null index lists only live derivations and edges and the merge
+        log only live merges, so bookkeeping tracks the instance, not
+        the stream's history; the target stays a universal solution."""
+        source_schema = (
+            SchemaBuilder("Sp").entity("A").attribute("eid", INT)
+            .entity("B").attribute("eid", INT)
+            .attribute("office", STRING).build()
+        )
+        target_schema = (
+            SchemaBuilder("Tp").entity("Assign", key=("eid",))
+            .attribute("eid", INT)
+            .attribute("office", STRING, nullable=True)
+            .entity("Desk").attribute("eid", INT)
+            .attribute("office", STRING, nullable=True).build()
+        )
+        mapping = Mapping(source_schema, target_schema, [
+            parse_tgd("A(eid=e) -> Assign(eid=e, office=o)"),
+            parse_tgd("B(eid=e, office=f) -> Assign(eid=e, office=f)"),
+            # Fires on null offices too, so derivations enter the index.
+            parse_tgd("A(eid=e) & Assign(eid=e, office=f) "
+                      "-> Desk(eid=e, office=f)"),
+        ])
+        source = Instance()
+        for eid in range(30):
+            source.insert("A", {"eid": eid})
+            if eid % 3 == 0:
+                source.insert("B", {"eid": eid, "office": f"o{eid % 4}"})
+        materialized = MaterializedExchange(mapping, source,
+                                            enforce_target_keys=True)
+        current = source
+        rng = random.Random(5)
+        indexed_derivations = 0
+        for batch in range(1, 251):
+            update = UpdateSet()
+            for _ in range(4):
+                eid = rng.randrange(40)
+                if rng.random() < 0.5:
+                    update.insert("A", eid=eid)
+                else:
+                    update.insert("B", eid=eid, office=f"o{eid % 4}")
+            for relation in ("A", "B"):
+                rows = list(current.rows(relation))
+                for row in rng.sample(rows, min(2, len(rows))):
+                    update.deletes.setdefault(relation, []).append(dict(row))
+            materialized.apply(update)
+            current = apply_update(current, update)
+            for key, entries in materialized._null_index.items():
+                assert entries
+                for kind, record in entries:
+                    assert record.alive and key in record.null_keys
+                    if kind == "edge":
+                        bucket = materialized._edges[
+                            (record.egd_index, record.body_key)
+                        ]
+                        assert any(edge is record for edge in bucket)
+                    else:
+                        indexed_derivations += 1
+            assert all(record.alive for record in materialized._merges)
+            if batch % 50 == 0:
+                _assert_matches_full(materialized, current)
+        stats = materialized.stats
+        assert stats["merge_rollbacks"] > 100
+        assert stats["full_reexchange"] < stats["applies"] // 2
+        assert indexed_derivations > 0
 
     def test_rejects_non_tgd_mappings(self):
         with pytest.raises(ExpressivenessError):

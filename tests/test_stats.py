@@ -1,14 +1,18 @@
 """Statistics service: maintenance invariants and estimator rules.
 
 The central invariant: however a relation got to its current rows —
-appends absorbed in place, removals, clears, epoch bumps — the cached
-:class:`RelationStats` the instance serves must equal the statistics
-recomputed from scratch over the current rows.  The randomized test
-drives arbitrary mutation sequences (including labeled nulls, SQL
-nulls, ragged rows, and unhashable cells) and checks that equality
-after every step.
+appends absorbed in place, removals retracted in place, clears, epoch
+bumps — the cached :class:`RelationStats` the instance serves must
+equal the statistics recomputed from scratch over the current rows.
+The randomized tests drive arbitrary mutation sequences (including
+labeled nulls, SQL nulls, ragged rows, and unhashable cells) and check
+that equality after every step; the removal test holds every other
+per-relation cache (postings, projections, column batch, row order) to
+the same standard.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,6 +25,7 @@ from repro.algebra.estimate import (
     worst_divergent,
 )
 from repro.algebra.plan_cache import PlanCache
+from repro.instances.columnar import ColumnBatch
 from repro.instances.database import Instance
 from repro.instances.labeled_null import LabeledNull
 from repro.observability.stats import (
@@ -161,6 +166,142 @@ def test_randomized_maintenance_matches_from_scratch(seed):
     _assert_stats_fresh(instance)
 
 
+_ATTRIBUTE_TUPLES = (("a",), ("b",), ("a", "b"), ("b", "c"), ("a", "b", "c"))
+
+
+def _assert_caches_match_fresh(instance, relation, survivors, values):
+    """Every cache of ``relation`` in ``instance`` equals the one a
+    fresh instance builds over ``survivors`` — and the stored rows are
+    exactly ``survivors``, same objects, same order."""
+    stored = instance.relations.get(relation, [])
+    assert len(stored) == len(survivors)
+    assert all(mine is theirs for mine, theirs in zip(stored, survivors))
+    fresh = Instance()
+    fresh.insert_all(relation, survivors)
+    assert instance.relation_stats(relation) == RelationStats.from_rows(
+        relation, survivors
+    )
+    batch = instance.column_batch(relation)
+    expected = ColumnBatch.from_rows(survivors)
+    assert batch.to_rows() == expected.to_rows()
+    # Same columns, and the same ones full (presence masks normalized).
+    assert {name: col.full for name, col in batch.cols.items()} == {
+        name: col.full for name, col in expected.cols.items()
+    }
+    for attribute in ("a", "b", "c"):
+        for value in [None, *values]:  # None: every index is read
+            assert instance.index_lookup(relation, attribute, value) == (
+                fresh.index_lookup(relation, attribute, value)
+            ), (attribute, value)
+    for attributes in _ATTRIBUTE_TUPLES:
+        mine = instance.projection_entry(relation, attributes)
+        theirs = fresh.projection_entry(relation, attributes)
+        assert (mine.members if mine else {}) == (
+            theirs.members if theirs else {}
+        ), attributes
+
+
+def _rebuild_counts(instance):
+    stats = instance.index_stats
+    return stats["rebuilds"], stats["stats_rebuilds"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_removals_match_a_fresh_instance(seed):
+    """Removals of every shape — FIFO, random, whole-relation, rows not
+    stored there, predicate deletes, and removals from deep copies and
+    pickle round-trips — leave every cache equal to a fresh instance's
+    over the survivors, without a rebuild."""
+    rng = random.Random(seed)
+    instance = Instance()
+    model: dict[str, list] = {"r": [], "s": []}  # expected rows, by identity
+    values: list = []
+    for _ in range(90):
+        relation = rng.choice(("r", "s"))
+        rows = model[relation]
+        keys_before = set(instance.relations)
+        epoch_bumped = False
+        dead: list = []
+        action = rng.random()
+        if action < 0.35:
+            batch = [_random_row(rng) for _ in range(rng.randrange(1, 7))]
+            values.extend(v for row in batch for v in row.values())
+            instance.insert_all(relation, batch)
+            rows.extend(instance.relations[relation][-len(batch):])
+        elif action < 0.45:
+            dead = rows[:rng.randrange(1, 4)]  # FIFO
+        elif action < 0.55:
+            dead = rng.sample(rows, rng.randrange(0, len(rows) + 1))
+        elif action < 0.6:
+            dead = list(rows)  # the whole relation
+        elif action < 0.68:
+            # Lookalike copies and the other relation's rows are not
+            # stored here; a real row named twice is removed once.
+            other = model["s" if relation == "r" else "r"]
+            foreign = [dict(row) for row in rows[:2]] + other[:2]
+            real = rng.sample(rows, min(2, len(rows)))
+            assert instance.remove_rows(relation, foreign + real + real) == [
+                row for row in rows if any(row is r for r in real)
+            ]
+            model[relation] = [
+                row for row in rows if not any(row is r for r in real)
+            ]
+        elif action < 0.76:
+            calls = []
+
+            def predicate(row):
+                calls.append(row)
+                return rng.random() < 0.4
+
+            removed = instance.delete(relation, predicate)
+            assert [id(row) for row in calls] == [id(row) for row in rows]
+            dead_ids = {id(row) for row in removed}
+            model[relation] = [row for row in rows if id(row) not in dead_ids]
+        elif action < 0.84:
+            clone = (
+                copy.deepcopy(instance) if rng.random() < 0.5
+                else pickle.loads(pickle.dumps(instance))
+            )
+            for name, stored in model.items():
+                copied = clone.relations.get(name, [])
+                assert copied == stored
+                model[name] = list(copied)
+            instance = clone
+        elif action < 0.9:
+            instance.mark_dirty()
+            epoch_bumped = True
+        # else: no mutation
+        if dead:
+            dead_ids = {id(row) for row in dead}
+            expected = [row for row in rows if id(row) in dead_ids]
+            assert instance.remove_rows(relation, dead) == expected
+            model[relation] = [row for row in rows if id(row) not in dead_ids]
+        before = _rebuild_counts(instance)
+        for name in ("r", "s"):
+            _assert_caches_match_fresh(instance, name, model[name], values)
+        if not epoch_bumped and set(instance.relations) == keys_before:
+            assert _rebuild_counts(instance) == before
+
+
+def test_row_object_stored_twice_loses_every_copy():
+    shared, other = {"a": 1}, {"a": 2}
+    instance = Instance()
+    instance.relations["r"] = [shared, other, shared]
+    instance.relation_stats("r")
+    instance.column_batch("r")
+    assert instance.remove_rows("r", [shared]) == [shared, shared]
+    _assert_caches_match_fresh(instance, "r", [other], [1, 2])
+    # A second copy appended after the slot map was built.
+    late = {"a": 3}
+    instance.insert_all("r", [late])
+    late = instance.relations["r"][-1]
+    instance.relations["r"].append(late)
+    instance.relations["r"].append(other)
+    assert instance.remove_rows("r", [late, other]) == [other, late, late,
+                                                          other]
+    _assert_caches_match_fresh(instance, "r", [], [1, 2, 3])
+
+
 def test_stats_counters_follow_the_validation_contract():
     instance = Instance()
     instance.insert_all("r", [{"a": 1}, {"a": 2}])
@@ -196,10 +337,11 @@ def test_stats_counters_follow_the_validation_contract():
 
     instance.remove_rows("r", [instance.rows("r")[0]])
     diff = deltas()
-    stats = instance.relation_stats("r")  # removal: rebuild
+    stats = instance.relation_stats("r")  # removal: retracted in place
     assert stats.rows == 2
+    assert stats == RelationStats.from_rows("r", [{"a": 2}, {"a": 3}])
     assert diff() == {
-        "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 1
+        "stats_hits": 1, "stats_extends": 0, "stats_rebuilds": 0
     }
 
     instance.mark_dirty()
