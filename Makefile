@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
 	optimizer-smoke health-smoke bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer \
-	bench-json bench-check bench-check-smoke
+	bench-json bench-check bench-check-smoke perfbench-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
 # query-engine, incremental-maintenance, optimizer and health smoke
@@ -38,11 +38,11 @@ assert len(ops) >= 4, f'only {sorted(ops)}'; \
 print(f'trace-smoke: {len(spans)} spans, {len(ops)} operators ok')"
 	@rm -f .trace-smoke.jsonl
 
-# Differential smoke for the three query engines: runs the
-# view-unfolding workload at the smallest size, asserting
-# vectorized/compiled/interpreted row parity and that warm plan caches
-# never recompile.  No JSON rewrite.  CI pins
-# REPRO_QUERY_ENGINE=vectorized on this gate (see ci.yml).
+# Differential smoke for the query executor: runs the view-unfolding
+# workload at the smallest size, asserting vectorized ≡ interpreted
+# row parity, that the warm plan cache never recompiles, and that
+# every EXPLAIN ANALYZE node matches the interpreter's row count.  No
+# JSON rewrite.
 query-smoke:
 	$(PYTHON) benchmarks/bench_query_executor.py --smoke
 
@@ -53,9 +53,10 @@ updates-smoke:
 	$(PYTHON) benchmarks/bench_incremental_exchange.py --smoke
 
 # Cost-based optimizer gate: differential oracle (heuristic ≡
-# cost-based × 3 engines) plus an end-to-end adaptive re-optimization
-# at reduced sizes.  Timing bars are skipped in smoke mode; the full
-# `make bench-optimizer` enforces them.  No JSON rewrite.
+# cost-based, on the vectorized engine and the interpreter) plus an
+# end-to-end adaptive re-optimization at reduced sizes.  Timing bars
+# are skipped in smoke mode; the full `make bench-optimizer` enforces
+# them.  No JSON rewrite.
 optimizer-smoke:
 	$(PYTHON) benchmarks/bench_optimizer.py --smoke
 
@@ -76,11 +77,9 @@ health-smoke:
 bench-smoke: test
 	$(PYTHON) benchmarks/bench_chase_scaling.py --smoke
 
-# Full query-executor shootout: rewrites BENCH_query.json at three
-# sizes (interpreted / compiled row / vectorized lanes, cold and warm)
-# and enforces the acceptance bars at 4k rows: 3x compiled vs
-# interpreted, 10x vectorized vs interpreted, 2x vectorized vs
-# compiled.
+# Full query-executor benchmark: rewrites BENCH_query.json at three
+# sizes (interpreted lane, vectorized cold and warm) and enforces the
+# 10x vectorized vs interpreted acceptance bar at 4k rows.
 #
 # Re-baselining workflow after a legitimate perf change:
 #   1. make bench-query            # rewrite BENCH_query.json in place
@@ -122,6 +121,20 @@ bench-check:
 # committed baselines were recorded on different hardware).
 bench-check-smoke:
 	$(PYTHON) benchmarks/regression.py check --smoke --report-only
+
+# End-to-end benchmark smoke: each perfbench workload once for 1 s,
+# traced.  run.py exits 0 even when requests fail, so the gate reads
+# the last JSON line and fails unless it says "correct": true.  Guards
+# the engine API the frozen benchmark imports.
+perfbench-smoke:
+	@for w in design exchange query maintain; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+			--trace 1 | tail -n 1 | $(PYTHON) -c "import json,sys; \
+r=json.loads(sys.stdin.read()); \
+assert r['correct'] is True, f'$$w: {r[\"failed\"]} failed'; \
+print(f'perfbench-smoke: $$w ok, {r[\"attempted\"]} requests')" \
+			|| exit 1; \
+	done
 
 # Every benchmark's machine-readable BENCH_*.json via the harness.
 bench-json:

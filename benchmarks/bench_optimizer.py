@@ -19,7 +19,7 @@ Two suites, both over mapping-runtime-shaped join pipelines:
 
 Every workload is also run through the differential oracle: the
 heuristic and cost-based trees must produce identical row multisets on
-all three engines (interpreted is the semantic reference).
+both engines (interpreted is the semantic reference).
 """
 
 import time
@@ -43,7 +43,7 @@ REOPT_MIN_SPEEDUP = 2.0
 #: Uniform workloads must not regress beyond noise.
 UNIFORM_NOISE_FLOOR = 0.5
 
-ENGINES = ("interpreted", "compiled", "vectorized")
+ENGINES = ("interpreted", "vectorized")
 
 
 def _scale(n: int) -> int:
@@ -252,7 +252,7 @@ def test_join_order_report(benchmark):
 # ----------------------------------------------------------------------
 def test_differential_oracle_report(benchmark):
     """Heuristic and cost-based trees produce identical row multisets
-    on all three engines (reduced sizes — the interpreter is the
+    on both engines (reduced sizes — the interpreter is the
     bottleneck, and plan *choice* is size-independent here)."""
     rows = []
     try:
@@ -275,7 +275,7 @@ def test_differential_oracle_report(benchmark):
         COST.enabled = True
         clear_plan_cache()
     print_table(
-        "differential oracle: heuristic ≡ cost-based × 3 engines",
+        "differential oracle: heuristic ≡ cost-based × 2 engines",
         ["workload", "rows", "verdict"],
         rows,
     )

@@ -62,19 +62,11 @@ from repro.algebra.expressions import (
     ValueJoinEq,
 )
 from repro.algebra.evaluator import (
-    ENGINES,
     EvalContext,
     evaluate,
     evaluate_interpreted,
-    get_default_engine,
-    set_default_engine,
 )
-from repro.algebra.compiler import (
-    CompiledPlan,
-    PlanNode,
-    PlanProfile,
-    compile_plan,
-)
+from repro.algebra.compiler import PlanNode, PlanProfile
 from repro.algebra.explain import (
     ExplainAnalyzeResult,
     ExplainResult,
@@ -82,10 +74,8 @@ from repro.algebra.explain import (
     explain_analyze,
 )
 from repro.algebra.plan_cache import (
-    GLOBAL_PLAN_CACHE,
     GLOBAL_VECTOR_PLAN_CACHE,
     PlanCache,
-    cached_plan,
     cached_vector_plan,
     clear_plan_cache,
     plan_cache_stats,
@@ -104,10 +94,8 @@ __all__ = [
     "RelExpr", "Scan", "EntityScan", "Values", "Select", "Project",
     "Extend", "Join", "UnionAll", "Difference", "Distinct", "Rename",
     "Aggregate", "Sort", "project_names", "eq_join", "ValueJoinEq",
-    "evaluate", "evaluate_interpreted", "EvalContext", "ENGINES",
-    "get_default_engine", "set_default_engine",
-    "CompiledPlan", "compile_plan", "PlanCache", "GLOBAL_PLAN_CACHE",
-    "cached_plan", "clear_plan_cache", "plan_cache_stats",
+    "evaluate", "evaluate_interpreted", "EvalContext",
+    "PlanCache", "clear_plan_cache", "plan_cache_stats",
     "VectorizedPlan", "compile_vector_plan", "GLOBAL_VECTOR_PLAN_CACHE",
     "cached_vector_plan", "vector_plan_cache_stats",
     "PlanNode", "PlanProfile",

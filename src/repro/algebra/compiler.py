@@ -1,46 +1,36 @@
-"""Compiling plan executor for the mapping runtime.
+"""Plan-building blocks shared by the query executor.
 
-The interpreter in :mod:`repro.algebra.evaluator` re-walks the
-expression tree for every operator and re-dispatches every scalar AST
-node for every row.  This module compiles a :class:`RelExpr` **once**
-into a pipeline of batch closures:
+The executor is :mod:`repro.algebra.vectorized` (the columnar plan
+pipeline behind ``evaluate``); the reference interpreter in
+:mod:`repro.algebra.evaluator` is its differential oracle.  This module
+keeps only what those modules, the optimizer and the estimator import:
 
-* scalar predicates/projections are lowered to closures built a single
-  time per plan — no per-row ``isinstance``/``_OPS`` dispatch;
-* every operator is a list→list stage driven by comprehensions — no
-  per-row generator frames, no per-operator row re-copying;
-* joins with extractable equality pairs become hash joins (and
-  *semi-joins* when the right side provably contributes no columns),
-  Distinct/Difference/Aggregate are hash-based;
-* static column inference (:func:`_static_cols`) licenses tuple keys
-  for Distinct/Difference, precomputed merge/pad layouts for joins and
-  unions, and projection pushdown through unions;
-* projections of constants and column moves copy one precomputed
-  template dict per row; identity projections over dynamically-shaped
-  inputs pass exactly-shaped rows through untouched;
-* subtrees referenced from several parents — view unfolding splices
-  the same definition object in at every scan site — compile to one
-  stage memoized per execution (:func:`_shared_subtrees`);
-* row construction is batched at the plan boundary: scans *borrow* the
-  instance's stored row dicts, and a copy is made only where a row
-  escapes the pipeline un-rebuilt (the interpreter copies every scan
-  row up front).
-
-Compiled plans are immutable and reentrant: all per-run state lives in
-the locals of one :meth:`CompiledPlan.execute` call, so one plan can be
-cached (see :mod:`repro.algebra.plan_cache`) and executed against many
-instances, the compile-once/run-many shape of a serving stack.
-Semantics are bit-for-bit those of the interpreter — the differential
-suite in ``tests/test_query_compiler.py`` holds the two engines to
-identical row multisets.
+* scalar lowering (:func:`compile_scalar`): a scalar AST becomes one
+  closure ``f(row, ctx)`` built once per plan — no per-row
+  ``isinstance``/``_OPS`` dispatch — memoized per scalar identity
+  during a lowering pass;
+* static column inference (:func:`_static_cols`), the license for
+  projection pushdown through unions
+  (:func:`_push_project_through_union`) and the optimizer's join
+  analysis;
+* CSE detection (:func:`_shared_subtrees`): view unfolding splices the
+  same definition object in at every scan site, and each shared
+  subtree lowers to one stage memoized per execution;
+* plan nodes (:class:`PlanNode`), the per-lowering registry that
+  records them and wraps every stage in the per-node profiling hook
+  (:class:`_PlanRegistry`), and one execution's per-node statistics
+  (:class:`PlanProfile`) — the units of EXPLAIN / EXPLAIN ANALYZE;
+* join-predicate analysis (:func:`equality_pairs`) and the row helpers
+  the vectorized engine's row fallbacks call: join keyers, merge and
+  left-join padding, frozen-row distinct/difference, aggregate
+  reduction, and the heterogeneous sort key.
 """
 
 from __future__ import annotations
 
 import threading
-from operator import itemgetter
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
@@ -48,13 +38,10 @@ from repro.errors import EvaluationError
 from repro.instances.database import Instance, Row, freeze_row, hashable_key
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
-from repro.observability.metrics import registry
-from repro.observability.state import STATE
-from repro.observability.tracing import tracer
 
 
 # ----------------------------------------------------------------------
-# shared execution helpers (the interpreter imports these too)
+# row helpers
 # ----------------------------------------------------------------------
 def join_key_value(value):
     """Join keys for null-*rejecting* equality (``_JoinEq``): ``None``
@@ -135,14 +122,13 @@ def merge_rows(l_row: Row, r_row: Row, right_prefix: Optional[str]) -> Row:
 # ----------------------------------------------------------------------
 ScalarFn = Callable[[Row, object], object]
 
-#: Per-compilation memo of lowered scalars, keyed on scalar *identity*
+#: Per-lowering memo of lowered scalars, keyed on scalar *identity*
 #: (CSE-shared subtrees splice the same predicate objects under several
-#: parents — without the memo each reference recompiles the closure
+#: parents — without the memo each reference relowers the closure
 #: tree).  Values keep a strong reference to the scalar so an id cannot
 #: be reused mid-pass.  Active only under :data:`_COMPILE_LOCK` (set by
-#: ``CompiledPlan._compile_with`` and the vectorized plan's compile
-#: pass); ``None`` outside a pass, where direct callers get the
-#: unmemoized behavior.
+#: the vectorized plan's lowering pass); ``None`` outside a pass, where
+#: direct callers get the unmemoized behavior.
 _scalar_memo: Optional[dict[int, tuple[S.Scalar, ScalarFn]]] = None
 
 
@@ -152,7 +138,7 @@ def compile_scalar(scalar: S.Scalar) -> ScalarFn:
     All dispatch happens here, once per plan; unknown scalar classes
     fall back to their own bound ``eval`` (which has the same
     signature), so user-defined predicates keep working.  During a plan
-    compilation pass, results are memoized per scalar identity.
+    lowering pass, results are memoized per scalar identity.
     """
     memo = _scalar_memo
     if memo is None:
@@ -360,9 +346,10 @@ def _compile_is_of(scalar: S.IsOf) -> ScalarFn:
 # ----------------------------------------------------------------------
 def _static_cols(expr: E.RelExpr) -> Optional[tuple[str, ...]]:
     """The exact, ordered column tuple of *every* row ``expr`` produces,
-    when statically known — the license for tuple-keyed hashing,
-    semi-joins and precomputed union padding.  ``None`` when rows may
-    be heterogeneous (scans, entity scans, mixed-shape Values)."""
+    when statically known — the license for projection pushdown through
+    unions and for the optimizer's semi-join and join-graph analysis.
+    ``None`` when rows may be heterogeneous (scans, entity scans,
+    mixed-shape Values)."""
     if isinstance(expr, E.Project):
         return expr.output_names
     if isinstance(expr, E.Aggregate):
@@ -419,574 +406,6 @@ def _static_cols(expr: E.RelExpr) -> Optional[tuple[str, ...]]:
     return None  # Scan / EntityScan / unknown nodes
 
 
-# ----------------------------------------------------------------------
-# relational lowering
-# ----------------------------------------------------------------------
-class _Run:
-    """Per-execution context a compiled pipeline threads through its
-    scalar closures (duck-compatible with the interpreter's
-    ``EvalContext``: exposes ``schema`` and ``instance``).  ``memo``
-    holds the per-execution results of common subexpressions the
-    compiler detected (see :func:`_shared_subtrees`); ``profile`` is
-    the per-node ``[calls, rows, seconds]`` accumulator of a profiled
-    execution (None on the raw pipeline, which carries no per-node
-    instrumentation at all)."""
-
-    __slots__ = ("instance", "schema", "memo", "profile")
-
-    def __init__(
-        self,
-        instance: Instance,
-        schema: Optional[Schema],
-        profile: Optional[list] = None,
-    ):
-        self.instance = instance
-        self.schema = schema
-        self.memo: dict = {}
-        self.profile = profile
-
-
-_EMPTY: tuple = ()
-
-#: Sentinel for "this row can never match" join keys (a null under a
-#: null-rejecting pair).  Never inserted into an index.
-_NOMATCH = object()
-
-#: (run(ctx) -> list of rows, rows_owned_by_pipeline)
-_Compiled = tuple[Callable[[_Run], list], bool]
-
-
-def _shared_subtrees(expr: E.RelExpr) -> dict[int, int]:
-    """``id(node) -> memo slot`` for every subtree referenced from more
-    than one parent.  View unfolding splices the *same* definition
-    object in at every scan site (see ``unfold_scans``), so identity is
-    exactly the sharing the plan's DAG structure records; compiling
-    each shared subtree to one memoized stage makes it run once per
-    execution instead of once per reference."""
-    counts: dict[int, int] = {}
-    nodes: dict[int, E.RelExpr] = {}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        seen = counts.get(key, 0)
-        counts[key] = seen + 1
-        if not seen:
-            nodes[key] = node
-            stack.extend(node.inputs())
-    return {
-        key: slot
-        for slot, key in enumerate(
-            key
-            for key, count in counts.items()
-            if count > 1
-            # Sharing a source stage saves nothing — it is already O(1).
-            and not isinstance(nodes[key], (E.Scan, E.EntityScan, E.Values))
-        )
-    }
-
-
-class _CSE:
-    """Compile-time state for common-subexpression elimination: the
-    shared-subtree slot map plus the stages already compiled for them
-    (so both referencing parents get the *same* memoizing closure)."""
-
-    __slots__ = ("shared", "compiled")
-
-    def __init__(self, shared: dict[int, int]):
-        self.shared = shared
-        self.compiled: dict[int, _Compiled] = {}
-
-
-#: Active CSE state during one ``CompiledPlan`` construction.  Plans
-#: are compiled under :data:`_COMPILE_LOCK`, so a plain module slot is
-#: safe as long as it is saved/restored re-entrantly (see
-#: ``CompiledPlan.__init__``).
-_cse_state: Optional[_CSE] = None
-
-
-class PlanNode:
-    """Static metadata for one compiled plan node (EXPLAIN's unit).
-
-    ``strategy`` is the name of the batch closure the compiler chose —
-    ``hash_join_static_single``, ``project_template``, ``semi_join`` —
-    so the annotated plan tree shows *which* fast path each operator
-    took.  ``children`` holds node ids in input order; a CSE-shared
-    subtree keeps one node referenced from every parent
-    (``shared=True``).
-
-    ``expr`` is the (possibly optimizer-synthesized) algebra subtree
-    this node lowered from — the cardinality estimator's anchor (see
-    :mod:`repro.algebra.estimate`).  ``est_rows`` caches the most
-    recent estimate annotated onto the node; a plan is instance-
-    independent, so the estimate is refreshed per
-    explain/execute-under-observability, not fixed at compile time."""
-
-    __slots__ = ("node_id", "label", "strategy", "children", "shared",
-                 "expr", "est_rows")
-
-    def __init__(self, node_id: int, label: str, strategy: str,
-                 children: list[int], shared: bool,
-                 expr: Optional[E.RelExpr] = None):
-        self.node_id = node_id
-        self.label = label
-        self.strategy = strategy
-        self.children = tuple(children)
-        self.shared = shared
-        self.expr = expr
-        self.est_rows: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "label": self.label,
-            "strategy": self.strategy,
-            "children": list(self.children),
-            "shared": self.shared,
-            "est_rows": self.est_rows,
-        }
-
-
-class _PlanRegistry:
-    """Per-compilation collector of :class:`PlanNode` metadata.
-
-    Registration happens post-order (a node registers after its inputs
-    compiled), so the stack of pending child-id lists reconstructs the
-    *compiled* tree — including optimizer rewrites like projection
-    pushdown, whose synthesized nodes appear under the original node.
-    With ``wrap=True`` every stage closure is additionally wrapped in
-    a per-node ``[calls, rows, seconds]`` recorder (the EXPLAIN
-    ANALYZE pipeline); with ``wrap=False`` collection is compile-time
-    metadata only and execution is untouched."""
-
-    __slots__ = ("wrap", "nodes", "shared_ids", "stack")
-
-    def __init__(self, wrap: bool):
-        self.wrap = wrap
-        self.nodes: list[PlanNode] = []
-        self.shared_ids: dict[int, int] = {}   # id(expr) -> node_id
-        self.stack: list[list[int]] = [[]]
-
-    def enter(self) -> None:
-        self.stack.append([])
-
-    def exit_register(self, expr: E.RelExpr, strategy: str,
-                      shared: bool) -> int:
-        from repro.algebra.printer import node_label
-
-        children = self.stack.pop()
-        node_id = len(self.nodes)
-        self.nodes.append(
-            PlanNode(node_id, node_label(expr),
-                     strategy.removeprefix("run_"), children, shared,
-                     expr=expr)
-        )
-        if shared:
-            self.shared_ids[id(expr)] = node_id
-        self.stack[-1].append(node_id)
-        return node_id
-
-    def exit_reference(self, expr: E.RelExpr) -> None:
-        """A second parent of a CSE-shared subtree: attach the existing
-        node id instead of creating a new node."""
-        self.stack.pop()
-        self.stack[-1].append(self.shared_ids[id(expr)])
-
-    def root_id(self) -> int:
-        return self.stack[0][0]
-
-    def wrap_stage(self, run, node_id: int):
-        if not self.wrap:
-            return run
-
-        def run_profiled(ctx, _run=run, _nid=node_id):
-            start = perf_counter()
-            rows = _run(ctx)
-            seconds = perf_counter() - start
-            record = ctx.profile[_nid]
-            record[0] += 1
-            record[1] += len(rows)
-            record[2] += seconds
-            return rows
-
-        return run_profiled
-
-
-#: Active node registry during one compilation (guarded, like
-#: :data:`_cse_state`, by :data:`_COMPILE_LOCK`).
-_plan_registry: Optional[_PlanRegistry] = None
-
-#: Compilation is rare (the plan cache memoizes it) but may be reached
-#: from several threads at once; the module-level CSE/registry slots
-#: make it a critical section.
-_COMPILE_LOCK = threading.RLock()
-
-
-def _compile(expr: E.RelExpr) -> _Compiled:
-    """Compile ``expr``, routing shared subtrees through a per-execution
-    memo so each runs once per :class:`_Run` regardless of how many
-    parents reference it, and recording per-node metadata (plus the
-    profiling wrappers of the EXPLAIN ANALYZE pipeline) in the active
-    :class:`_PlanRegistry`."""
-    plan_registry = _plan_registry
-    if plan_registry is None:
-        return _compile_unregistered(expr)
-    plan_registry.enter()
-    cse = _cse_state
-    slot = cse.shared.get(id(expr)) if cse is not None else None
-    if slot is None:
-        run, owned = _compile_node(expr)
-        node_id = plan_registry.exit_register(expr, run.__name__, False)
-        return plan_registry.wrap_stage(run, node_id), owned
-    cached = cse.compiled.get(id(expr))
-    if cached is not None:
-        plan_registry.exit_reference(expr)
-        return cached
-    run, _ = _compile_node(expr)
-    node_id = plan_registry.exit_register(expr, run.__name__, True)
-
-    def run_shared(ctx, _run=run, _slot=slot):
-        memo = ctx.memo
-        rows = memo.get(_slot)
-        if rows is None:
-            rows = memo[_slot] = _run(ctx)
-        return rows
-
-    # The profiling wrapper goes *outside* the memo, so a shared node's
-    # ``calls`` counts every reference and ``calls - 1`` of them are
-    # memo hits (near-zero recorded time).  Memoized rows are handed to
-    # several consumers, so none may mutate them in place: "borrowed".
-    cached = cse.compiled[id(expr)] = (
-        plan_registry.wrap_stage(run_shared, node_id), False
-    )
-    return cached
-
-
-def _compile_unregistered(expr: E.RelExpr) -> _Compiled:
-    """The pre-registry compile path (kept for direct callers)."""
-    cse = _cse_state
-    if cse is None:
-        return _compile_node(expr)
-    slot = cse.shared.get(id(expr))
-    if slot is None:
-        return _compile_node(expr)
-    cached = cse.compiled.get(id(expr))
-    if cached is None:
-        run, _ = _compile_node(expr)
-
-        def run_shared(ctx, _run=run, _slot=slot):
-            memo = ctx.memo
-            rows = memo.get(_slot)
-            if rows is None:
-                rows = memo[_slot] = _run(ctx)
-            return rows
-
-        cached = cse.compiled[id(expr)] = (run_shared, False)
-    return cached
-
-
-def _compile_node(expr: E.RelExpr) -> _Compiled:
-    if isinstance(expr, E.Scan):
-        relation = expr.relation
-
-        def run_scan(ctx):
-            return ctx.instance.relations.get(relation, _EMPTY)
-
-        return run_scan, False
-
-    if isinstance(expr, E.EntityScan):
-        entity = expr.entity
-        only = expr.only
-
-        def run_entity_scan(ctx):
-            if ctx.schema is None:
-                raise EvaluationError("EntityScan requires a schema")
-            return ctx.instance.objects_of(entity, strict=only, schema=ctx.schema)
-
-        return run_entity_scan, False
-
-    if isinstance(expr, E.Values):
-        rows = expr.rows
-        return (lambda ctx: rows), False
-
-    if isinstance(expr, E.Select):
-        inner, owned = _compile(expr.input)
-        predicate = compile_scalar(expr.predicate)
-
-        def run_select(ctx):
-            return [row for row in inner(ctx) if predicate(row, ctx)]
-
-        return run_select, owned
-
-    if isinstance(expr, E.Project):
-        return _compile_project(expr)
-
-    if isinstance(expr, E.Extend):
-        inner, owned = _compile(expr.input)
-        name = expr.name
-        scalar = compile_scalar(expr.scalar)
-        if owned:
-
-            def run_extend_inplace(ctx):
-                rows = inner(ctx)
-                for row in rows:
-                    row[name] = scalar(row, ctx)
-                return rows
-
-            return run_extend_inplace, True
-
-        def run_extend(ctx):
-            out = []
-            for row in inner(ctx):
-                extended = dict(row)
-                extended[name] = scalar(row, ctx)
-                out.append(extended)
-            return out
-
-        return run_extend, True
-
-    if isinstance(expr, E.Rename):
-        inner, _ = _compile(expr.input)
-        mapping = expr.mapping
-
-        def run_rename(ctx):
-            return [
-                {mapping.get(k, k): v for k, v in row.items()}
-                for row in inner(ctx)
-            ]
-
-        return run_rename, True
-
-    if isinstance(expr, E.Join):
-        return _compile_join(expr)
-
-    if isinstance(expr, E.UnionAll):
-        return _compile_union(expr)
-
-    if isinstance(expr, E.Difference):
-        return _compile_difference(expr)
-
-    if isinstance(expr, E.Distinct):
-        inner, owned = _compile(expr.input)
-        cols = _static_cols(expr.input)
-        if cols:
-            getter = itemgetter(*cols)
-
-            def run_distinct_fast(ctx):
-                rows = inner(ctx)
-                try:
-                    seen = set()
-                    add = seen.add
-                    out = []
-                    append = out.append
-                    for row in rows:
-                        key = getter(row)
-                        if key not in seen:
-                            add(key)
-                            append(row)
-                    return out
-                except TypeError:  # unhashable value → frozen-row path
-                    return _distinct_frozen(rows)
-
-            return run_distinct_fast, owned
-
-        def run_distinct(ctx):
-            return _distinct_frozen(inner(ctx))
-
-        return run_distinct, owned
-
-    if isinstance(expr, E.Aggregate):
-        return _compile_aggregate(expr)
-
-    if isinstance(expr, E.Sort):
-        inner, owned = _compile(expr.input)
-        keys = expr.keys
-
-        def run_sort(ctx):
-            rows = inner(ctx)
-            # Source stages hand back borrowed lists — never sort those
-            # in place.
-            rows = rows if owned else list(rows)
-            for key in reversed(keys):
-                descending = key.startswith("-")
-                column = key[1:] if descending else key
-                rows.sort(
-                    key=lambda r: SortKey(r.get(column)), reverse=descending
-                )
-            return rows
-
-        return run_sort, owned
-
-    raise EvaluationError(f"unknown expression node {type(expr).__name__}")
-
-
-def _distinct_frozen(rows) -> list:
-    seen: set[frozenset] = set()
-    out = []
-    for row in rows:
-        frozen = freeze_row(row)
-        if frozen not in seen:
-            seen.add(frozen)
-            out.append(row)
-    return out
-
-
-# ----------------------------------------------------------------------
-# projection
-# ----------------------------------------------------------------------
-def _compile_project(expr: E.Project) -> _Compiled:
-    pushed = _push_project_through_union(expr)
-    if pushed is not None:
-        return _compile(pushed)
-
-    inner, _ = _compile(expr.input)
-    in_cols = _static_cols(expr.input)
-
-    if all(isinstance(s, S.Col) for _, s in expr.outputs):
-        pairs = tuple((name, s.name) for name, s in expr.outputs)
-        if in_cols is not None:
-            missing = next(
-                (src for _, src in pairs if src not in in_cols), None
-            )
-            if missing is None:
-                # Every source column is statically present — no
-                # KeyError possible, drop the guard entirely.
-                def run_project_static(ctx):
-                    return [
-                        {name: row[src] for name, src in pairs}
-                        for row in inner(ctx)
-                    ]
-
-                return run_project_static, True
-
-            def run_project_missing(ctx):
-                rows = inner(ctx)
-                if not rows:
-                    return []
-                raise EvaluationError(
-                    f"row has no column {missing!r}: {sorted(in_cols)}"
-                )
-
-            return run_project_missing, True
-
-        names = tuple(name for name, _ in pairs)
-        if names == tuple(src for _, src in pairs):
-            # Identity projection over a dynamically-shaped input: a row
-            # whose key tuple already matches passes through untouched
-            # (a scan of an exactly-shaped table pays one tuple compare
-            # per row instead of a dict build); others are rebuilt.
-            # Passed-through rows may alias storage, hence "borrowed".
-            def run_project_identity(ctx):
-                rows = inner(ctx)
-                try:
-                    return [
-                        row
-                        if tuple(row) == names
-                        else {name: row[src] for name, src in pairs}
-                        for row in rows
-                    ]
-                except KeyError:
-                    _raise_missing_column(rows, pairs)
-                    raise
-
-            return run_project_identity, False
-
-        def run_project_cols(ctx):
-            rows = inner(ctx)
-            try:
-                return [
-                    {name: row[src] for name, src in pairs} for row in rows
-                ]
-            except KeyError:
-                _raise_missing_column(rows, pairs)
-                raise
-
-        return run_project_cols, True
-
-    if all(isinstance(s, (S.Col, S.Lit)) for _, s in expr.outputs):
-        # Constants and column moves only: start every output row as a
-        # copy of one precomputed template dict (constants filled in,
-        # output order fixed) and assign the column values — no scalar
-        # closure calls at all.
-        template = {
-            name: (scalar.value if isinstance(scalar, S.Lit) else None)
-            for name, scalar in expr.outputs
-        }
-        col_pairs = tuple(
-            (name, scalar.name)
-            for name, scalar in expr.outputs
-            if isinstance(scalar, S.Col)
-        )
-        if in_cols is not None:
-            missing = next(
-                (src for _, src in col_pairs if src not in in_cols), None
-            )
-            if missing is None:
-
-                def run_project_template(ctx):
-                    out = []
-                    append = out.append
-                    for row in inner(ctx):
-                        built = dict(template)
-                        for name, src in col_pairs:
-                            built[name] = row[src]
-                        append(built)
-                    return out
-
-                return run_project_template, True
-
-            def run_project_template_missing(ctx):
-                rows = inner(ctx)
-                if not rows:
-                    return []
-                raise EvaluationError(
-                    f"row has no column {missing!r}: {sorted(in_cols)}"
-                )
-
-            return run_project_template_missing, True
-
-        def run_project_template_guarded(ctx):
-            rows = inner(ctx)
-            try:
-                out = []
-                append = out.append
-                for row in rows:
-                    built = dict(template)
-                    for name, src in col_pairs:
-                        built[name] = row[src]
-                    append(built)
-                return out
-            except KeyError:
-                _raise_missing_column(rows, col_pairs)
-                raise
-
-        return run_project_template_guarded, True
-
-    outputs = tuple(
-        (name, compile_scalar(scalar)) for name, scalar in expr.outputs
-    )
-
-    def run_project(ctx):
-        return [
-            {name: fn(row, ctx) for name, fn in outputs}
-            for row in inner(ctx)
-        ]
-
-    return run_project, True
-
-
-def _raise_missing_column(rows, pairs) -> None:
-    """Turn a batched projection's ``KeyError`` into the interpreter's
-    ``EvaluationError`` by re-scanning for the offending column; returns
-    (for the caller's re-``raise``) if no row is actually missing one."""
-    for row in rows:
-        for _, src in pairs:
-            if src not in row:
-                raise EvaluationError(
-                    f"row has no column {src!r}: {sorted(row)}"
-                ) from None
-
-
 def _push_project_through_union(expr: E.Project) -> Optional[E.RelExpr]:
     """Rewrite ``π[cols](A ∪ B ∪ …)`` into ``π[cols](A) ∪ π[cols](B) ∪
     …`` when every branch's shape is statically known and carries every
@@ -1026,108 +445,193 @@ def _push_project_through_union(expr: E.Project) -> Optional[E.RelExpr]:
 
 
 # ----------------------------------------------------------------------
-# union / difference
+# execution context and CSE detection
 # ----------------------------------------------------------------------
-def _compile_union(expr: E.UnionAll) -> _Compiled:
-    left, l_owned = _compile(expr.left)
-    right, r_owned = _compile(expr.right)
-    l_cols = _static_cols(expr.left)
-    r_cols = _static_cols(expr.right)
+class _Run:
+    """Per-execution context a plan pipeline threads through its stage
+    and scalar closures (duck-compatible with the interpreter's
+    ``EvalContext``: exposes ``schema`` and ``instance``).  ``memo``
+    holds the per-execution results of common subexpressions (see
+    :func:`_shared_subtrees`); ``profile`` is the per-node
+    ``[calls, rows, seconds]`` accumulator of a profiled execution, or
+    None, in which case the stage wrappers record nothing."""
 
-    if l_cols is not None and r_cols is not None:
-        if l_cols == r_cols:
+    __slots__ = ("instance", "schema", "memo", "profile")
 
-            def run_union_concat(ctx):
-                # splat, not +: source stages may hand back tuples
-                return [*left(ctx), *right(ctx)]
+    def __init__(
+        self,
+        instance: Instance,
+        schema: Optional[Schema],
+        profile: Optional[list] = None,
+    ):
+        self.instance = instance
+        self.schema = schema
+        self.memo: dict = {}
+        self.profile = profile
 
-            return run_union_concat, l_owned and r_owned
 
-        merged = l_cols + tuple(c for c in r_cols if c not in l_cols)
-        left_missing = tuple(c for c in merged if c not in l_cols)
+#: Sentinel for "this row can never match" join keys (a null under a
+#: null-rejecting pair).  Never inserted into an index.
+_NOMATCH = object()
 
-        def run_union_static(ctx):
-            left_rows = left(ctx)
-            right_rows = right(ctx)
-            # Column discovery is over actual rows (interpreter parity):
-            # an empty side contributes no columns, so the other side
-            # passes through unpadded.
-            if not right_rows:
-                return list(left_rows)
-            if not left_rows:
-                return list(right_rows)
-            out = []
-            append = out.append
-            if left_missing:
-                for row in left_rows:
-                    padded = dict(row)
-                    for c in left_missing:
-                        padded[c] = None
-                    append(padded)
-            else:
-                out = list(left_rows)
-                append = out.append
-            for row in right_rows:
-                append({c: row.get(c) for c in merged})
+
+def _shared_subtrees(expr: E.RelExpr) -> dict[int, int]:
+    """``id(node) -> memo slot`` for every subtree referenced from more
+    than one parent.  View unfolding splices the *same* definition
+    object in at every scan site (see ``unfold_scans``), so identity is
+    exactly the sharing the plan's DAG structure records; lowering
+    each shared subtree to one memoized stage makes it run once per
+    execution instead of once per reference."""
+    counts: dict[int, int] = {}
+    nodes: dict[int, E.RelExpr] = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        seen = counts.get(key, 0)
+        counts[key] = seen + 1
+        if not seen:
+            nodes[key] = node
+            stack.extend(node.inputs())
+    return {
+        key: slot
+        for slot, key in enumerate(
+            key
+            for key, count in counts.items()
+            if count > 1
+            # Sharing a source stage saves nothing — it is already O(1).
+            and not isinstance(nodes[key], (E.Scan, E.EntityScan, E.Values))
+        )
+    }
+
+
+class PlanNode:
+    """Static metadata for one plan node (EXPLAIN's unit).
+
+    ``strategy`` is the name of the stage closure the lowering chose —
+    ``vec_hash_join``, ``vec_project``, ``vec_select_rows`` — so the
+    annotated plan tree shows *which* path each operator took.
+    ``children`` holds node ids in input order; a CSE-shared subtree
+    keeps one node referenced from every parent (``shared=True``).
+
+    ``expr`` is the (possibly optimizer-synthesized) algebra subtree
+    this node lowered from — the cardinality estimator's anchor (see
+    :mod:`repro.algebra.estimate`).  A plan is cached
+    instance-independently, so estimates are never stored on its
+    nodes: :func:`~repro.algebra.estimate.annotate_plan` returns them
+    per call."""
+
+    __slots__ = ("node_id", "label", "strategy", "children", "shared",
+                 "expr")
+
+    def __init__(self, node_id: int, label: str, strategy: str,
+                 children: list[int], shared: bool,
+                 expr: Optional[E.RelExpr] = None):
+        self.node_id = node_id
+        self.label = label
+        self.strategy = strategy
+        self.children = tuple(children)
+        self.shared = shared
+        self.expr = expr
+
+    def to_dict(self) -> dict:
+        return {
+            "node_id": self.node_id,
+            "label": self.label,
+            "strategy": self.strategy,
+            "children": list(self.children),
+            "shared": self.shared,
+        }
+
+
+class _PlanRegistry:
+    """Per-lowering collector of :class:`PlanNode` metadata.
+
+    Registration happens post-order (a node registers after its inputs
+    lowered), so the stack of pending child-id lists reconstructs the
+    *lowered* tree — including rewrites like projection pushdown, whose
+    synthesized nodes appear under the original node.  Every stage
+    closure is wrapped by :meth:`wrap_stage`; one pipeline serves both
+    plain execution and EXPLAIN ANALYZE."""
+
+    __slots__ = ("nodes", "shared_ids", "stack")
+
+    def __init__(self):
+        self.nodes: list[PlanNode] = []
+        self.shared_ids: dict[int, int] = {}   # id(expr) -> node_id
+        self.stack: list[list[int]] = [[]]
+
+    def enter(self) -> None:
+        self.stack.append([])
+
+    def exit_register(self, expr: E.RelExpr, strategy: str,
+                      shared: bool) -> int:
+        from repro.algebra.printer import node_label
+
+        children = self.stack.pop()
+        node_id = len(self.nodes)
+        self.nodes.append(
+            PlanNode(node_id, node_label(expr),
+                     strategy.removeprefix("run_"), children, shared,
+                     expr=expr)
+        )
+        if shared:
+            self.shared_ids[id(expr)] = node_id
+        self.stack[-1].append(node_id)
+        return node_id
+
+    def exit_reference(self, expr: E.RelExpr) -> None:
+        """A second parent of a CSE-shared subtree: attach the existing
+        node id instead of creating a new node."""
+        self.stack.pop()
+        self.stack[-1].append(self.shared_ids[id(expr)])
+
+    def root_id(self) -> int:
+        return self.stack[0][0]
+
+    @staticmethod
+    def wrap_stage(run, node_id: int):
+        """The per-node hook: adds ``[1, len(output), seconds]`` to the
+        node's record when the run carries a profile, and is one extra
+        call otherwise."""
+
+        def run_node(ctx, _run=run, _nid=node_id):
+            profile = ctx.profile
+            if profile is None:
+                return _run(ctx)
+            start = perf_counter()
+            out = _run(ctx)
+            seconds = perf_counter() - start
+            record = profile[_nid]
+            record[0] += 1
+            record[1] += len(out)
+            record[2] += seconds
             return out
 
-        # An empty side hands the other through unchanged, so ownership
-        # must be the conservative conjunction.
-        return run_union_static, l_owned and r_owned
-
-    def run_union(ctx):
-        left_rows = left(ctx)
-        right_rows = right(ctx)
-        columns: dict[str, None] = {}
-        for row in left_rows:
-            for key in row:
-                if key not in columns:
-                    columns[key] = None
-        for row in right_rows:
-            for key in row:
-                if key not in columns:
-                    columns[key] = None
-        out = [{c: row.get(c) for c in columns} for row in left_rows]
-        out.extend({c: row.get(c) for c in columns} for row in right_rows)
-        return out
-
-    return run_union, True
+        # A node lowered to another node's stage (projection pushed
+        # through a union) reports that stage's strategy.
+        run_node.__name__ = run.__name__
+        return run_node
 
 
-def _compile_difference(expr: E.Difference) -> _Compiled:
-    left, owned = _compile(expr.left)
-    right, _ = _compile(expr.right)
-    l_cols = _static_cols(expr.left)
-    r_cols = _static_cols(expr.right)
+#: Lowering is rare (the plan cache memoizes it) but may be reached
+#: from several threads at once; the module-level scalar memo makes it
+#: a critical section.
+_COMPILE_LOCK = threading.RLock()
 
-    if l_cols and r_cols and set(l_cols) == set(r_cols):
-        # Same column set on both sides: dict equality ⇔ value-tuple
-        # equality in a fixed column order.
-        getter = itemgetter(*l_cols)
 
-        def run_difference_fast(ctx):
-            left_rows = left(ctx)
-            right_rows = right(ctx)
-            try:
-                excluded = {getter(r) for r in right_rows}
-                seen = set()
-                add = seen.add
-                out = []
-                for row in left_rows:
-                    key = getter(row)
-                    if key not in excluded and key not in seen:
-                        add(key)
-                        out.append(row)
-                return out
-            except TypeError:  # unhashable value → frozen-row path
-                return _difference_frozen(left_rows, right_rows)
-
-        return run_difference_fast, owned
-
-    def run_difference(ctx):
-        return _difference_frozen(left(ctx), right(ctx))
-
-    return run_difference, owned
+# ----------------------------------------------------------------------
+# row paths the vectorized stages fall back to
+# ----------------------------------------------------------------------
+def _distinct_frozen(rows) -> list:
+    seen: set[frozenset] = set()
+    out = []
+    for row in rows:
+        frozen = freeze_row(row)
+        if frozen not in seen:
+            seen.add(frozen)
+            out.append(row)
+    return out
 
 
 def _difference_frozen(left_rows, right_rows) -> list:
@@ -1142,9 +646,6 @@ def _difference_frozen(left_rows, right_rows) -> list:
     return out
 
 
-# ----------------------------------------------------------------------
-# joins
-# ----------------------------------------------------------------------
 def _make_join_keyer(columns: tuple[str, ...], tolerant: tuple[bool, ...]):
     """One closure ``row -> hashable key | _NOMATCH`` per join side.
     ``_NOMATCH`` marks a null under a null-rejecting pair — the row can
@@ -1179,237 +680,6 @@ def _make_join_keyer(columns: tuple[str, ...], tolerant: tuple[bool, ...]):
     return multi
 
 
-def _compile_join(expr: E.Join) -> _Compiled:
-    left, l_owned = _compile(expr.left)
-    right, _ = _compile(expr.right)
-    kind = expr.kind
-    right_prefix = expr.right_prefix
-    pairs = equality_pairs(expr.predicate)
-    l_cols = _static_cols(expr.left)
-    r_cols = _static_cols(expr.right)
-
-    if pairs:
-        tolerant = tuple(t for _, _, t in pairs)
-        lkey = _make_join_keyer(tuple(lc for lc, _, _ in pairs), tolerant)
-        rkey = _make_join_keyer(tuple(rc for _, rc, _ in pairs), tolerant)
-        join_right_cols = {rc for _, rc, _ in pairs}
-
-        if (
-            kind == "inner"
-            and right_prefix is None
-            and l_cols is not None
-            and r_cols is not None
-            and set(r_cols) <= set(l_cols)
-            and set(r_cols) == join_right_cols
-            and isinstance(expr.right, (E.Distinct, E.Difference))
-        ):
-            # The right side contributes no columns (all collide, left
-            # wins) and is set-valued over exactly the join key, so
-            # every key matches at most one right row: the join is a
-            # pure *filter* on the left — no row construction at all.
-            if len(pairs) == 1 and not tolerant[0]:
-                lc, rc, _ = pairs[0]
-
-                def run_semi_join_single(ctx):
-                    # Build over raw values (the right shape guarantees
-                    # the column).  Only labeled nulls and tuples need
-                    # the canonical ("⊥", label) wrapping to hash like
-                    # the interpreter — detect them once over the
-                    # distinct keys and fall back to the keyers.
-                    keys = {r_row[rc] for r_row in right(ctx)}
-                    keys.discard(None)
-                    if any(
-                        isinstance(k, (LabeledNull, tuple)) for k in keys
-                    ):
-                        keys = {
-                            ("⊥", k.label)
-                            if isinstance(k, LabeledNull)
-                            else k
-                            for k in keys
-                        }
-                        return [
-                            row for row in left(ctx) if lkey(row) in keys
-                        ]
-                    return [
-                        row for row in left(ctx) if row.get(lc) in keys
-                    ]
-
-                return run_semi_join_single, l_owned
-
-            def run_semi_join(ctx):
-                keys = set()
-                add = keys.add
-                for r_row in right(ctx):
-                    key = rkey(r_row)
-                    if key is not _NOMATCH:
-                        add(key)
-                return [row for row in left(ctx) if lkey(row) in keys]
-
-            return run_semi_join, l_owned
-
-        if l_cols is not None and r_cols is not None:
-            l_set = set(l_cols)
-            # (output name, right source column) in right-column order —
-            # exactly what merge_rows would emit for these shapes.
-            actions = []
-            for c in r_cols:
-                if c in l_set:
-                    if right_prefix:
-                        actions.append((f"{right_prefix}.{c}", c))
-                else:
-                    actions.append((c, c))
-            actions = tuple(actions)
-            if right_prefix:
-                pad_names = tuple(f"{right_prefix}.{c}" for c in r_cols)
-            else:
-                pad_names = tuple(
-                    name for name, src in actions if name == src
-                )
-            is_left = kind == "left"
-
-            if len(pairs) == 1 and not tolerant[0]:
-                lc, rc, _ = pairs[0]
-
-                # Same loop as run_hash_join_static below, with the
-                # single null-rejecting keyer inlined — no per-row
-                # closure calls on either side.
-                def run_hash_join_static_single(ctx):
-                    right_rows = right(ctx)
-                    index: dict = {}
-                    setdefault = index.setdefault
-                    for r_row in right_rows:
-                        key = r_row.get(rc)
-                        if key is not None:
-                            if isinstance(key, LabeledNull):
-                                key = ("⊥", key.label)
-                            setdefault(key, []).append(r_row)
-                    get = index.get
-                    pad = pad_names if right_rows else _EMPTY
-                    out = []
-                    append = out.append
-                    for l_row in left(ctx):
-                        key = l_row.get(lc)
-                        if key is None:
-                            candidates = _EMPTY
-                        else:
-                            if isinstance(key, LabeledNull):
-                                key = ("⊥", key.label)
-                            candidates = get(key, _EMPTY)
-                        if candidates:
-                            for r_row in candidates:
-                                merged = dict(l_row)
-                                for name, src in actions:
-                                    merged[name] = r_row[src]
-                                append(merged)
-                        elif is_left:
-                            merged = dict(l_row)
-                            for name in pad:
-                                merged[name] = None
-                            append(merged)
-                    return out
-
-                return run_hash_join_static_single, True
-
-            def run_hash_join_static(ctx):
-                right_rows = right(ctx)
-                index: dict = {}
-                setdefault = index.setdefault
-                for r_row in right_rows:
-                    key = rkey(r_row)
-                    if key is not _NOMATCH:
-                        setdefault(key, []).append(r_row)
-                get = index.get
-                # Padding mirrors runtime column discovery: an empty
-                # right side pads nothing.
-                pad = pad_names if right_rows else _EMPTY
-                out = []
-                append = out.append
-                for l_row in left(ctx):
-                    candidates = get(lkey(l_row), _EMPTY)
-                    if candidates:
-                        for r_row in candidates:
-                            merged = dict(l_row)
-                            for name, src in actions:
-                                merged[name] = r_row[src]
-                            append(merged)
-                    elif is_left:
-                        merged = dict(l_row)
-                        for name in pad:
-                            merged[name] = None
-                        append(merged)
-                return out
-
-            return run_hash_join_static, True
-
-        def run_hash_join(ctx):
-            right_rows = right(ctx)
-            index: dict = {}
-            setdefault = index.setdefault
-            for r_row in right_rows:
-                key = rkey(r_row)
-                if key is not _NOMATCH:
-                    setdefault(key, []).append(r_row)
-            right_columns = _column_set(right_rows)
-            get = index.get
-            out = []
-            append = out.append
-            for l_row in left(ctx):
-                candidates = get(lkey(l_row), _EMPTY)
-                if candidates:
-                    for r_row in candidates:
-                        append(merge_rows(l_row, r_row, right_prefix))
-                elif kind == "left":
-                    append(_pad_left(l_row, right_columns, right_prefix))
-            return out
-
-        return run_hash_join, True
-
-    if pairs == []:  # TRUE predicate: cross join
-
-        def run_cross_join(ctx):
-            right_rows = right(ctx)
-            right_columns = _column_set(right_rows)
-            out = []
-            append = out.append
-            for l_row in left(ctx):
-                if right_rows:
-                    for r_row in right_rows:
-                        append(merge_rows(l_row, r_row, right_prefix))
-                elif kind == "left":
-                    append(_pad_left(l_row, right_columns, right_prefix))
-            return out
-
-        return run_cross_join, True
-
-    predicate = compile_scalar(expr.predicate)
-
-    def run_nested_join(ctx):
-        right_rows = right(ctx)
-        right_columns = _column_set(right_rows)
-        out = []
-        append = out.append
-        for l_row in left(ctx):
-            matched = False
-            for r_row in right_rows:
-                combined = dict(l_row)
-                for key, value in r_row.items():
-                    if key not in combined:
-                        combined[key] = value
-                for key, value in l_row.items():
-                    combined[f"$left.{key}"] = value
-                for key, value in r_row.items():
-                    combined[f"$right.{key}"] = value
-                if not predicate(combined, ctx):
-                    continue
-                matched = True
-                append(merge_rows(l_row, r_row, right_prefix))
-            if not matched and kind == "left":
-                append(_pad_left(l_row, right_columns, right_prefix))
-        return out
-
-    return run_nested_join, True
-
-
 def _column_set(rows) -> set[str]:
     columns: set[str] = set()
     for row in rows:
@@ -1427,38 +697,6 @@ def _pad_left(
     merged = dict(l_row)
     merged.update(padding)
     return merged
-
-
-# ----------------------------------------------------------------------
-# aggregation
-# ----------------------------------------------------------------------
-def _compile_aggregate(expr: E.Aggregate) -> _Compiled:
-    inner, _ = _compile(expr.input)
-    group_by = expr.group_by
-    aggregations = tuple(
-        (name, func, compile_scalar(scalar) if scalar is not None else None)
-        for name, func, scalar in expr.aggregations
-    )
-
-    def run_aggregate(ctx):
-        groups: dict[tuple, list[Row]] = {}
-        setdefault = groups.setdefault
-        for row in inner(ctx):
-            key = tuple(join_key_value(row.get(c)) for c in group_by)
-            setdefault(key, []).append(row)
-        if not groups and not group_by:
-            groups[()] = []
-        out = []
-        for members in groups.values():
-            result: Row = {}
-            for column in group_by:
-                result[column] = members[0].get(column) if members else None
-            for name, func, scalar in aggregations:
-                result[name] = _apply_aggregate(func, scalar, members, ctx)
-            out.append(result)
-        return out
-
-    return run_aggregate, True
 
 
 def _apply_aggregate(
@@ -1487,7 +725,7 @@ def _apply_aggregate(
 
 
 # ----------------------------------------------------------------------
-# compiled plans
+# per-execution profiles
 # ----------------------------------------------------------------------
 class PlanProfile:
     """Per-node runtime statistics from one profiled execution.
@@ -1561,163 +799,3 @@ class PlanProfile:
                 for node in self.nodes
             ],
         }
-
-
-class CompiledPlan:
-    """An executable pipeline compiled from one :class:`RelExpr`.
-
-    Immutable and reentrant: every run's state lives in the locals of
-    that run's stage calls, so one plan serves arbitrarily many
-    concurrent executions over different instances.  (The two mutable
-    slots — the lazily compiled profiled pipeline and ``last_profile``
-    — are single-assignment caches; racing writers store equivalent
-    values.)
-    """
-
-    __slots__ = (
-        "expr", "fingerprint", "size", "_run", "_owned",
-        "nodes", "root_id", "_profiled_run", "_profiled_owned",
-        "last_profile", "optimized_from", "_annotate_memo",
-    )
-
-    def __init__(self, expr: E.RelExpr, fingerprint: Optional[str] = None):
-        self.expr = expr
-        self.fingerprint = fingerprint or expr.fingerprint()
-        self.size = expr.size()
-        self._profiled_run = None
-        self._profiled_owned = True
-        self.last_profile: Optional[PlanProfile] = None
-        self._annotate_memo = None     # annotate_plan's per-instance memo
-        # Source fingerprint when the adaptive cache compiled this plan
-        # from a cost-based rewrite of a different tree (EXPLAIN shows
-        # it); informational only.
-        self.optimized_from: Optional[str] = None
-        run, owned, registry_ = self._compile_with(wrap=False)
-        self._run, self._owned = run, owned
-        self.nodes = registry_.nodes
-        self.root_id = registry_.root_id()
-
-    def _compile_with(self, wrap: bool):
-        """One full compilation pass under the module compile lock
-        (the CSE and registry slots are module-global)."""
-        global _cse_state, _plan_registry, _scalar_memo
-        with _COMPILE_LOCK:
-            prev_cse, prev_reg = _cse_state, _plan_registry
-            prev_memo = _scalar_memo
-            shared = _shared_subtrees(self.expr)
-            _cse_state = _CSE(shared) if shared else None
-            reg = _PlanRegistry(wrap)
-            _plan_registry = reg
-            _scalar_memo = {}
-            try:
-                run, owned = _compile(self.expr)
-            finally:
-                _cse_state, _plan_registry = prev_cse, prev_reg
-                _scalar_memo = prev_memo
-        return run, owned, reg
-
-    def _ensure_profiled(self):
-        """Compile the EXPLAIN ANALYZE pipeline on first use.  The raw
-        pipeline stays wrapper-free, so the disabled path pays nothing
-        per node."""
-        if self._profiled_run is None:
-            run, owned, _ = self._compile_with(wrap=True)
-            self._profiled_run, self._profiled_owned = run, owned
-        return self._profiled_run, self._profiled_owned
-
-    def rows(
-        self, instance: Instance, schema: Optional[Schema] = None
-    ) -> Iterable[Row]:
-        """The plan's output rows, uncopied (borrowed rows may alias
-        instance storage — callers must not mutate them)."""
-        ctx = _Run(instance, schema if schema is not None else instance.schema)
-        return self._run(ctx)
-
-    def execute(
-        self, instance: Instance, schema: Optional[Schema] = None
-    ) -> list[Row]:
-        """Run against ``instance`` and return the result rows.
-
-        ``schema`` overrides the instance's bound schema for
-        ``EntityScan``/``IsOf``, exactly like the interpreter's
-        ``evaluate``.
-        """
-        if not STATE.enabled:
-            return self._materialize(instance, schema)
-        rows, self.last_profile = self.execute_profiled(instance, schema)
-        return rows
-
-    def execute_profiled(
-        self, instance: Instance, schema: Optional[Schema] = None
-    ) -> tuple[list[Row], PlanProfile]:
-        """EXPLAIN ANALYZE: run the profiled pipeline and return
-        ``(rows, profile)``.
-
-        Works regardless of ``STATE.enabled``; when enabled it also
-        emits the usual ``query.execute`` span and metrics, so the
-        profile's root time nests inside (and sums to, minus wrapper
-        epsilon) the measured span."""
-        run, owned = self._ensure_profiled()
-        counters = [[0, 0, 0.0] for _ in self.nodes]
-        if not STATE.enabled:
-            rows = self._materialize(instance, schema, run, owned, counters)
-        else:
-            with tracer.span(
-                "query.execute",
-                engine="compiled",
-                plan=self.fingerprint[:12],
-                **{"plan.size": self.size},
-            ) as span:
-                rows = self._materialize(
-                    instance, schema, run, owned, counters
-                )
-                if span is not None:
-                    span.set_attribute("rows", len(rows))
-            registry.counter("query.execute.count").inc()
-            registry.histogram("query.execute.rows").observe(len(rows))
-        profile = PlanProfile(
-            self.nodes, self.root_id, counters, self.fingerprint, len(rows)
-        )
-        return rows, profile
-
-    def _materialize(
-        self,
-        instance: Instance,
-        schema: Optional[Schema],
-        run=None,
-        owned: Optional[bool] = None,
-        counters: Optional[list] = None,
-    ) -> list[Row]:
-        if run is None:
-            run, owned = self._run, self._owned
-        ctx = _Run(
-            instance,
-            schema if schema is not None else instance.schema,
-            counters,
-        )
-        produced = run(ctx)
-        if owned:
-            return produced if isinstance(produced, list) else list(produced)
-        # Borrowed rows escape the pipeline here: copy once, at the
-        # boundary, instead of once per operator.
-        return [dict(row) for row in produced]
-
-    def __repr__(self) -> str:
-        return (
-            f"<CompiledPlan {self.fingerprint[:12]} "
-            f"size={self.size}>"
-        )
-
-
-def compile_plan(
-    expr: E.RelExpr, fingerprint: Optional[str] = None
-) -> CompiledPlan:
-    """Compile ``expr`` into a :class:`CompiledPlan` (uncached — go
-    through :mod:`repro.algebra.plan_cache` for the memoized path)."""
-    if not STATE.enabled:
-        return CompiledPlan(expr, fingerprint)
-    with tracer.span("query.compile", **{"plan.size": expr.size()}) as span:
-        plan = CompiledPlan(expr, fingerprint)
-        if span is not None:
-            span.set_attribute("plan", plan.fingerprint[:12])
-    return plan

@@ -12,15 +12,15 @@ Plans are compiled once and cached *instance-independently*, so
 estimates cannot be fixed at lowering time: every ``PlanNode`` carries
 the ``RelExpr`` it was lowered from (``node.expr``) and
 :func:`annotate_plan` walks those anchors against a concrete instance,
-refreshing ``node.est_rows`` per EXPLAIN / EXPLAIN ANALYZE call.  CSE
-shares subtrees between parents, so the walk memoizes by expression
-identity — a shared subtree is estimated once.
+returning the estimates per EXPLAIN / EXPLAIN ANALYZE / observed query
+instead of storing them on the shared plan.  CSE shares subtrees
+between parents, so the walk memoizes by expression identity — a
+shared subtree is estimated once.
 
-:func:`divergence_ratio` and :func:`worst_divergent` compare estimates
-with a ``PlanProfile``'s actual row counts; nodes beyond
-``ESTIMATION.divergence_factor`` are the feedback hook the PlanCache
-evict/refingerprint loop (ROADMAP: cost-based optimization) will key
-on.
+:func:`divergence_ratio` and :func:`worst_divergent` compare one run's
+estimates with the same run's ``PlanProfile`` row counts; nodes beyond
+``ESTIMATION.divergence_factor`` feed the PlanCache's re-optimization
+loop (:meth:`~repro.algebra.plan_cache.PlanCache.note_divergence`).
 """
 
 from __future__ import annotations
@@ -469,8 +469,8 @@ def _annotation_key(plan, instance) -> Optional[tuple]:
 def annotate_plan(
     plan, instance, schema=None
 ) -> list[Optional[float]]:
-    """Refresh ``node.est_rows`` on every node of a compiled plan
-    against ``instance`` and return the estimates indexed by node id.
+    """Estimate every node of a compiled plan against ``instance`` and
+    return the estimates indexed by node id.
 
     Estimates are instance-dependent while plans are cached
     instance-independently, so they cannot be fixed at lowering time.
@@ -480,7 +480,7 @@ def annotate_plan(
     identity/length, so the warm query path — same plan, unchanged
     data, one annotation per query — pays a key comparison instead of
     a full re-estimation.  Nodes lowered without an expression anchor
-    keep ``est_rows = None``.
+    estimate as ``None``.
     """
     key = _annotation_key(plan, instance)
     memoized = getattr(plan, "_annotate_memo", None)
@@ -490,20 +490,13 @@ def annotate_plan(
         and memoized[0]() is instance
         and memoized[1] == key
     ):
-        estimates = memoized[2]
-        for node, est in zip(plan.nodes, estimates):
-            node.est_rows = est
-        return list(estimates)
+        return list(memoized[2])
     memo: dict[int, _Est] = {}
-    estimates = []
-    for node in plan.nodes:
-        if node.expr is None:
-            node.est_rows = None
-        else:
-            node.est_rows = _estimate(
-                node.expr, instance, schema, memo
-            ).rows
-        estimates.append(node.est_rows)
+    estimates = [
+        None if node.expr is None
+        else _estimate(node.expr, instance, schema, memo).rows
+        for node in plan.nodes
+    ]
     if key is not None:
         try:
             plan._annotate_memo = (
@@ -524,10 +517,13 @@ def divergence_ratio(est: float, actual: int) -> float:
 def worst_divergent(
     nodes: list[PlanNode],
     profile,
+    estimates: list[Optional[float]],
     factor: Optional[float] = None,
 ) -> Optional[dict]:
-    """The node whose estimate diverges worst from the profiled actual
-    rows, as a summary dict, or None when nothing is comparable.
+    """The node whose estimate (``estimates[node_id]``, as
+    :func:`annotate_plan` returns them) diverges worst from the same
+    run's profiled actual rows, as a summary dict, or None when nothing
+    is comparable.
 
     ``flagged`` marks ratios at or beyond ``factor`` (default
     :data:`ESTIMATION.divergence_factor`) — the re-optimization
@@ -537,7 +533,7 @@ def worst_divergent(
         factor = ESTIMATION.divergence_factor
     worst: Optional[dict] = None
     for node in nodes:
-        est = node.est_rows
+        est = estimates[node.node_id]
         if est is None:
             continue
         actual = profile.rows_out(node.node_id)

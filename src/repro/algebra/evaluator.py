@@ -1,30 +1,24 @@
 """Evaluation of relational algebra expressions over instances.
 
 This is the query-execution half of the paper's "mapping runtime": the
-engine that actually runs generated transformations.  Three engines
-live behind :func:`evaluate`:
+engine that actually runs generated transformations.  :func:`evaluate`
+runs one executor and keeps one oracle:
 
-* ``vectorized`` (the default) — the columnar executor of
+* ``vectorized`` (the default) — the columnar plan pipeline of
   :mod:`repro.algebra.vectorized`: stages operate on
   :class:`~repro.instances.columnar.ColumnBatch` operands (masks,
-  column permutations, column-slice hash joins), memoized through its
-  own plan cache;
-* ``compiled`` — the row closure-pipeline executor of
-  :mod:`repro.algebra.compiler`, memoized through the plan cache of
-  :mod:`repro.algebra.plan_cache`;
+  column permutations, column-slice hash joins), memoized through the
+  plan cache of :mod:`repro.algebra.plan_cache`;
 * ``interpreted`` — the reference tree-walking interpreter in this
   module: a straightforward evaluator that materializes each
   operator's output.  Simple, deterministic, and the semantic oracle
-  the differential suite holds both compiling engines to.
+  the differential suite holds the vectorized engine to.
 
-Select the engine per call (``evaluate(..., engine="interpreted")``),
-process-wide (:func:`set_default_engine`), or via the
-``REPRO_QUERY_ENGINE`` environment variable.
+Pick the oracle per call with ``evaluate(..., engine="interpreted")``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,35 +46,6 @@ from repro.observability.metrics import registry
 from repro.observability.state import STATE
 from repro.observability.tracing import tracer
 
-#: Engines selectable through ``evaluate(..., engine=...)``,
-#: :func:`set_default_engine`, or ``REPRO_QUERY_ENGINE``.
-ENGINES = ("vectorized", "compiled", "interpreted")
-
-_default_engine: Optional[str] = None
-
-
-def get_default_engine() -> str:
-    """The engine used when ``evaluate`` is called without one:
-    the :func:`set_default_engine` override if set, else
-    ``REPRO_QUERY_ENGINE`` if valid, else ``vectorized``."""
-    if _default_engine is not None:
-        return _default_engine
-    env = os.environ.get("REPRO_QUERY_ENGINE", "").strip().lower()
-    if env in ENGINES:
-        return env
-    return "vectorized"
-
-
-def set_default_engine(engine: Optional[str]) -> None:
-    """Process-wide engine override; ``None`` reverts to the
-    environment/default resolution."""
-    global _default_engine
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(
-            f"unknown query engine {engine!r}; expected one of {ENGINES}"
-        )
-    _default_engine = engine
-
 
 @dataclass
 class EvalContext:
@@ -100,11 +65,11 @@ def evaluate(
 
     ``schema`` supplies the is-a hierarchy for ``EntityScan`` and
     ``IsOf``; it defaults to the instance's bound schema.  ``engine``
-    picks ``vectorized``, ``compiled``, or ``interpreted`` (default per
-    :func:`get_default_engine`); all produce identical row multisets.
+    is ``None``/``"vectorized"`` (the plan-cached executor) or
+    ``"interpreted"`` (the reference oracle); both produce identical
+    row multisets, and any other value raises ``EvaluationError``.
     """
-    resolved = engine if engine is not None else get_default_engine()
-    if resolved == "vectorized":
+    if engine is None or engine == "vectorized":
         from repro.algebra.plan_cache import GLOBAL_VECTOR_PLAN_CACHE
 
         if not STATE.enabled:
@@ -113,22 +78,12 @@ def evaluate(
             )
             return plan.execute(instance, schema)
         return _evaluate_observed(
-            expr, instance, schema, GLOBAL_VECTOR_PLAN_CACHE, resolved
+            expr, instance, schema, GLOBAL_VECTOR_PLAN_CACHE
         )
-    if resolved == "compiled":
-        from repro.algebra.plan_cache import GLOBAL_PLAN_CACHE
-
-        if not STATE.enabled:
-            plan, _ = GLOBAL_PLAN_CACHE.adaptive_lookup(
-                expr, instance, schema
-            )
-            return plan.execute(instance, schema)
-        return _evaluate_observed(
-            expr, instance, schema, GLOBAL_PLAN_CACHE, resolved
-        )
-    if resolved != "interpreted":
+    if engine != "interpreted":
         raise EvaluationError(
-            f"unknown query engine {resolved!r}; expected one of {ENGINES}"
+            f"unknown query engine {engine!r}; expected 'vectorized' "
+            "or 'interpreted'"
         )
     return evaluate_interpreted(expr, instance, schema)
 
@@ -138,17 +93,19 @@ def _evaluate_observed(
     instance: Instance,
     schema: Optional[Schema],
     cache,
-    engine: str,
 ) -> list[Row]:
-    """The compiling engines' execution path under ``STATE.enabled``:
-    identical result, plus a query-log entry carrying the *source*
-    expression fingerprint (all engines and the adaptive feedback store
-    agree on it, whatever tree the optimizer chose), cache hit/miss,
-    wall time, output rows, and the worst estimate↔actual divergent
-    node.  A flagged divergence is handed to the adaptive cache, which
-    may schedule a re-optimization of this query with actuals-corrected
+    """The executor's path under ``STATE.enabled``: identical result,
+    plus a query-log entry carrying the *source* expression fingerprint
+    (the interpreter and the adaptive feedback store agree on it,
+    whatever tree the optimizer chose), cache hit/miss, wall time,
+    output rows, and the worst estimate↔actual divergent node.  A
+    flagged divergence is handed to the adaptive cache, which may
+    schedule a re-optimization of this query with actuals-corrected
     cardinalities (``reopt`` in the log entry).
 
+    The divergence compares this run's own profile with estimates
+    against this run's instance — never state stored on the shared
+    cached plan, which concurrent runs over other instances overwrite.
     The estimator runs *after* execution (outside the recorded wall
     time) and its failures never fail the query — they land in the
     ``query.estimate.errors`` counter."""
@@ -158,24 +115,22 @@ def _evaluate_observed(
 
     plan, cache_hit = cache.adaptive_lookup(expr, instance, schema)
     start = time.perf_counter()
-    rows = plan.execute(instance, schema)
+    rows, profile = plan.execute_profiled(instance, schema)
     wall_ms = (time.perf_counter() - start) * 1000.0
     worst = None
     reopt = False
     try:
         from repro.algebra.estimate import annotate_plan, worst_divergent
 
-        annotate_plan(plan, instance, schema)
-        profile = plan.last_profile
-        if profile is not None:
-            worst = worst_divergent(plan.nodes, profile)
-            if worst is not None and worst["flagged"]:
-                reopt = cache.note_divergence(expr, plan, profile)
+        estimates = annotate_plan(plan, instance, schema)
+        worst = worst_divergent(plan.nodes, profile, estimates)
+        if worst is not None and worst["flagged"]:
+            reopt = cache.note_divergence(expr, plan, profile)
     except Exception:
         registry.counter("query.estimate.errors").inc()
     entry = QUERY_LOG.record(
         fingerprint=expr.fingerprint(),
-        engine=engine,
+        engine="vectorized",
         cache_hit=cache_hit,
         wall_ms=wall_ms,
         rows_out=len(rows),
@@ -195,8 +150,8 @@ def evaluate_interpreted(
     instance: Instance,
     schema: Optional[Schema] = None,
 ) -> list[Row]:
-    """The reference tree-walking interpreter (always available,
-    regardless of the default engine)."""
+    """The reference tree-walking interpreter (the oracle that
+    ``evaluate(..., engine="interpreted")`` selects)."""
     ctx = EvalContext(schema=schema or instance.schema, instance=instance)
     if not STATE.enabled:
         return _eval(expr, instance, ctx)
@@ -216,7 +171,7 @@ def evaluate_interpreted(
     registry.histogram("query.execute.rows").observe(len(rows))
     # The interpreter has no plan cache (or per-node plan), but its
     # executions still land in the query log under the same structural
-    # fingerprint the compiling engines would use.
+    # fingerprint the vectorized engine uses.
     entry = QUERY_LOG.record(
         fingerprint=expr.fingerprint(),
         engine="interpreted",

@@ -1,11 +1,11 @@
-"""EXPLAIN / EXPLAIN ANALYZE for the compiling query executors.
+"""EXPLAIN / EXPLAIN ANALYZE for the query executor.
 
 ``explain`` compiles (through the plan cache, exactly like
 ``evaluate``) and renders the annotated plan tree — which strategy
-each node lowered to, where CSE shares a subtree.  ``explain_analyze``
-additionally runs the plan through the profiled pipeline and annotates
-every node with calls, output rows, inclusive and exclusive
-(charge-once) wall time, and CSE-memo hits.
+each node lowered to (``vec_*``), where CSE shares a subtree.
+``explain_analyze`` additionally runs the plan with a profile attached
+and annotates every node with calls, output rows, inclusive and
+exclusive (charge-once) wall time, and CSE-memo hits.
 
 Both accept an optional ``instance``: with one in hand the query is
 first run through the cost-based optimizer (the same
@@ -23,19 +23,10 @@ explain --no-opt`` / ``--compare``).  Estimation failures never fail
 the explain: they are swallowed and counted
 (``query.estimate.errors``).
 
-Both work for the row engine (``engine="compiled"``) and the columnar
-engine (``engine="vectorized"``, strategies named ``vec_*``); the
-default follows :func:`repro.algebra.evaluator.get_default_engine`.
-The two lowerings register node-for-node identical tree shapes, and
-profiled row counts agree exactly — only strategy names and timings
-differ.  ``engine="interpreted"`` has no plan to show and falls back
-to the row compiler's view of the query.
-
-The profiled pipeline is a *second* compilation of the same plan whose
-stage closures are wrapped in per-node counters; the raw pipeline used
-by ``evaluate`` under ``STATE.enabled == False`` is untouched, which is
-how the observability layer keeps its zero-per-node-overhead contract
-(see docs/OBSERVABILITY.md).
+The profile comes from the same pipeline ``evaluate`` runs: every
+stage is wrapped in a per-node hook that records only when the run
+carries a profile, so the disabled path pays one extra call per node
+and no timing (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -44,31 +35,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra import expressions as E
-from repro.algebra.compiler import CompiledPlan, PlanProfile
+from repro.algebra.compiler import PlanProfile
 from repro.algebra.estimate import annotate_plan, worst_divergent
-from repro.algebra.plan_cache import (
-    GLOBAL_PLAN_CACHE,
-    GLOBAL_VECTOR_PLAN_CACHE,
-)
+from repro.algebra.plan_cache import GLOBAL_VECTOR_PLAN_CACHE
 from repro.algebra.printer import render_plan, to_text
+from repro.algebra.vectorized import VectorizedPlan
 from repro.instances.database import Instance, Row
 from repro.metamodel.schema import Schema
 from repro.observability import registry
 from repro.observability.stats import ESTIMATION
-
-
-def _cache_for(engine: Optional[str]):
-    """The plan cache whose entries ``explain`` should show for
-    ``engine`` (None → the process default engine)."""
-    if engine is None:
-        from repro.algebra.evaluator import get_default_engine
-
-        engine = get_default_engine()
-    if engine == "vectorized":
-        return GLOBAL_VECTOR_PLAN_CACHE
-    # "compiled" — and "interpreted", which has no plan of its own:
-    # show the row compiler's lowering of the query.
-    return GLOBAL_PLAN_CACHE
 
 
 def _estimates_for(
@@ -91,7 +66,7 @@ class ExplainResult:
     """A compiled plan plus its rendering context."""
 
     expr: E.RelExpr
-    plan: CompiledPlan
+    plan: VectorizedPlan
     cache_hit: bool
     estimates: Optional[list] = None
     #: Estimated cost of the plan shown / of the heuristic tree, when
@@ -134,9 +109,7 @@ class ExplainResult:
     def to_dict(self) -> dict:
         nodes = [node.to_dict() for node in self.plan.nodes]
         for position, node in enumerate(nodes):
-            # ``est_rows`` is refreshed per explain call; report this
-            # call's estimates, never a stale annotation on the cached
-            # plan.
+            # This call's estimates: the cached plan stores none.
             node["est_rows"] = (
                 self.estimates[position]
                 if self.estimates is not None
@@ -198,17 +171,13 @@ class ExplainAnalyzeResult(ExplainResult):
         data = super().to_dict()
         data["profile"] = self.profile.to_dict()
         data["worst_divergent"] = self.worst
-        del data["nodes"]  # superseded by the annotated profile nodes
-        if self.estimates is not None:
-            for node, est in zip(
-                data["profile"]["nodes"], self.estimates
-            ):
-                node["est_rows"] = est
+        # The profile's annotated nodes supersede the plain ones.
+        for node, plain in zip(data["profile"]["nodes"], data.pop("nodes")):
+            node["est_rows"] = plain["est_rows"]
         return data
 
 
 def _plan_for(
-    cache,
     expr: E.RelExpr,
     instance: Optional[Instance],
     schema: Optional[Schema],
@@ -222,6 +191,7 @@ def _plan_for(
     """
     from repro.algebra.optimizer import COST
 
+    cache = GLOBAL_VECTOR_PLAN_CACHE
     if instance is None or not COST.enabled:
         cache_hit = expr in cache
         return cache.get(expr), cache_hit, None, None, False
@@ -250,7 +220,6 @@ def _plan_for(
 
 def explain(
     expr: E.RelExpr,
-    engine: Optional[str] = None,
     instance: Optional[Instance] = None,
     schema: Optional[Schema] = None,
     no_opt: bool = False,
@@ -261,9 +230,8 @@ def explain(
     With an ``instance``, the cost-based optimizer chooses the tree
     (unless ``no_opt``) and nodes additionally carry cardinality
     estimates from its statistics service."""
-    cache = _cache_for(engine)
     plan, cache_hit, cost, heuristic_cost, optimized = _plan_for(
-        cache, expr, instance, schema, no_opt
+        expr, instance, schema, no_opt
     )
     estimates = _estimates_for(plan, instance, schema)
     return ExplainResult(
@@ -281,7 +249,6 @@ def explain_analyze(
     expr: E.RelExpr,
     instance: Instance,
     schema: Optional[Schema] = None,
-    engine: Optional[str] = None,
     no_opt: bool = False,
 ) -> ExplainAnalyzeResult:
     """Compile, execute against ``instance``, and return the plan
@@ -291,14 +258,13 @@ def explain_analyze(
     Profiling works whether or not observability is enabled; when it
     is enabled the run also emits the usual ``query.execute`` span, so
     the profile's total nests inside that span's wall time."""
-    cache = _cache_for(engine)
     plan, cache_hit, cost, heuristic_cost, optimized = _plan_for(
-        cache, expr, instance, schema, no_opt
+        expr, instance, schema, no_opt
     )
     estimates = _estimates_for(plan, instance, schema)
     rows, profile = plan.execute_profiled(instance, schema)
     worst = (
-        worst_divergent(plan.nodes, profile)
+        worst_divergent(plan.nodes, profile, estimates)
         if estimates is not None
         else None
     )

@@ -415,8 +415,8 @@ class ValueJoinEq(Predicate):
 
     This is the join semantics of variable binding in the homomorphism
     search — the CQ-to-algebra translation joins atom plans with it so
-    the compiled path reproduces naive evaluation exactly.  Both
-    engines give it the hash-join fast path.
+    the planned path reproduces naive evaluation exactly.  Both
+    the vectorized engine and the interpreter give it a hash join.
     """
 
     def __init__(self, left_col: str, right_col: str):

@@ -589,7 +589,7 @@ def _join_step_cost(join: E.Join, est) -> float:
         right_rows * COST.build_weight + left_rows * COST.probe_weight
     )
     # Semi-join shape: Distinct right over exactly the join keys never
-    # materializes widened output rows (compiler fast path).
+    # materializes widened output rows (the executor's semi-join path).
     right_cols = _static_cols(join.right)
     if isinstance(join.right, E.Distinct) and right_cols is not None and set(
         right_cols

@@ -10,12 +10,12 @@ collision-guarded by a structural ``==`` check against the cached
 plan's expression, so a digest collision degrades to a miss instead of
 returning the wrong plan.
 
-Cache behavior is observable through the PR-2 metrics registry:
+Cache behavior is observable through the metrics registry:
 ``query.plan_cache.hits`` / ``.misses`` / ``.evictions`` counters and a
 ``query.plan_cache.size`` gauge, plus the ``query.compile`` span that
-:func:`repro.algebra.compiler.compile_plan` records on every actual
-compilation — a warm cache shows hits climbing while the compile span
-count stays flat.
+:func:`repro.algebra.vectorized.compile_vector_plan` records on every
+actual compilation — a warm cache shows hits climbing while the compile
+span count stays flat.
 
 On top of the fingerprint-keyed compile cache sits an *adaptive* layer
 (:meth:`PlanCache.adaptive_lookup`): entries keyed by ``(fingerprint,
@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
 
-from repro.algebra.compiler import CompiledPlan, compile_plan
 from repro.algebra.expressions import RelExpr
+from repro.algebra.vectorized import VectorizedPlan, compile_vector_plan
 from repro.observability.metrics import registry
 from repro.observability.state import STATE
 
@@ -75,22 +74,14 @@ class _Feedback:
 
 class PlanCache:
     """Thread-safe LRU cache mapping expression fingerprints to
-    executable plans.
+    executable :class:`~repro.algebra.vectorized.VectorizedPlan`
+    objects."""
 
-    ``compile_fn`` decides what a cache entry *is*: the default builds
-    row-pipeline :class:`CompiledPlan` objects; the vectorized engine's
-    cache (:data:`GLOBAL_VECTOR_PLAN_CACHE`) builds
-    :class:`~repro.algebra.vectorized.VectorizedPlan` objects through
-    the same LRU/metrics machinery.  Both plan kinds share the
-    ``expr``/``fingerprint`` attribute surface the cache relies on.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, compile_fn=None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._compile = compile_fn if compile_fn is not None else compile_plan
-        self._plans: "OrderedDict[str, CompiledPlan]" = OrderedDict()
+        self._plans: "OrderedDict[str, VectorizedPlan]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -121,11 +112,11 @@ class PlanCache:
                 "plan_cache.eviction", reason=reason, count=count
             )
 
-    def get(self, expr: RelExpr) -> CompiledPlan:
+    def get(self, expr: RelExpr) -> VectorizedPlan:
         """The compiled plan for ``expr``, compiling on miss."""
         return self.lookup(expr)[0]
 
-    def lookup(self, expr: RelExpr) -> tuple[CompiledPlan, bool]:
+    def lookup(self, expr: RelExpr) -> tuple[VectorizedPlan, bool]:
         """``(plan, cache_hit)`` — like :meth:`get`, but telling the
         caller whether the plan was already cached (the query log
         records hit/miss per execution)."""
@@ -140,7 +131,7 @@ class PlanCache:
                 return cached, True
         # Compile outside the lock: compilation is pure and the worst
         # case of a race is one redundant compile.
-        plan = self._compile(expr, fingerprint)
+        plan = compile_vector_plan(expr, fingerprint)
         with self._lock:
             self.misses += 1
             self._plans[fingerprint] = plan
@@ -161,7 +152,7 @@ class PlanCache:
     # ------------------------------------------------------------------
     def adaptive_lookup(
         self, expr: RelExpr, instance, schema=None
-    ) -> tuple[CompiledPlan, bool]:
+    ) -> tuple[VectorizedPlan, bool]:
         """``(plan, cache_hit)`` with cost-based optimization.
 
         Entries are keyed by ``(source fingerprint, stats_epoch())`` —
@@ -200,7 +191,7 @@ class PlanCache:
         plan, _ = self.lookup(report.chosen)
         if corrections and STATE.enabled:
             registry.counter("query.reopt.applied").inc()
-        if report.reordered and hasattr(plan, "optimized_from"):
+        if report.reordered:
             plan.optimized_from = fingerprint
         with self._lock:
             self.opt_misses += 1
@@ -234,7 +225,7 @@ class PlanCache:
         if profile is None or not COST.enabled:
             return False
         corrections: dict[str, float] = {}
-        for node in getattr(plan, "nodes", ()):
+        for node in plan.nodes:
             if node.expr is not None:
                 actual = float(profile.rows_out(node.node_id))
                 corrections[node.expr.fingerprint()] = actual
@@ -343,39 +334,24 @@ class PlanCache:
             }
 
 
-def _compile_vector(expr: RelExpr, fingerprint: str):
-    from repro.algebra.vectorized import compile_vector_plan
-
-    return compile_vector_plan(expr, fingerprint)
+#: Process-wide cache used by ``evaluate`` and ``explain``.
+GLOBAL_VECTOR_PLAN_CACHE = PlanCache()
 
 
-#: Process-wide cache used by the compiled (row-pipeline) engine.
-GLOBAL_PLAN_CACHE = PlanCache()
-
-#: Process-wide cache used by the vectorized (columnar) engine.  A
-#: separate cache because the two engines lower the same expression to
-#: different executables; both report through the same
-#: ``query.plan_cache.*`` metric names.
-GLOBAL_VECTOR_PLAN_CACHE = PlanCache(compile_fn=_compile_vector)
-
-
-def cached_plan(expr: RelExpr) -> CompiledPlan:
-    """Fetch ``expr``'s row-engine plan from the process-wide cache."""
-    return GLOBAL_PLAN_CACHE.get(expr)
-
-
-def cached_vector_plan(expr: RelExpr):
-    """Fetch ``expr``'s vectorized plan from the process-wide cache."""
+def cached_vector_plan(expr: RelExpr) -> VectorizedPlan:
+    """Fetch ``expr``'s plan from the process-wide cache."""
     return GLOBAL_VECTOR_PLAN_CACHE.get(expr)
 
 
 def clear_plan_cache() -> None:
-    GLOBAL_PLAN_CACHE.clear()
     GLOBAL_VECTOR_PLAN_CACHE.clear()
 
 
 def plan_cache_stats() -> dict[str, int]:
-    return GLOBAL_PLAN_CACHE.stats()
+    """Stats of an empty cache: the process has one plan cache, whose
+    counters :func:`vector_plan_cache_stats` reports.  Kept so callers
+    that add both caches' counters count each event once."""
+    return PlanCache().stats()
 
 
 def vector_plan_cache_stats() -> dict[str, int]:

@@ -1,10 +1,10 @@
-"""Vectorized (columnar) plan executor.
+"""Vectorized (columnar) plan executor — the engine behind ``evaluate``.
 
-The row compiler (:mod:`repro.algebra.compiler`) already removed
-per-row interpretation overhead, but every stage still builds and
-copies Python dicts row by row.  This module lowers the same
-:class:`~repro.algebra.expressions.RelExpr` trees onto
-:class:`~repro.instances.columnar.ColumnBatch` operands instead:
+This module lowers a :class:`~repro.algebra.expressions.RelExpr` once
+into a pipeline of stage closures over
+:class:`~repro.instances.columnar.ColumnBatch` operands, so a cached
+plan runs many times without re-walking the tree or re-dispatching
+scalars per row:
 
 * **selection** evaluates vectorizable predicates as boolean masks over
   whole columns and compresses once;
@@ -18,24 +18,23 @@ copies Python dicts row by row.  This module lowers the same
 * **union** aligns layouts once per batch pair and concatenates value
   lists.
 
-Semantics are bit-for-bit those of the interpreter and the row
-compiler — the differential suite in ``tests/test_query_compiler.py``
-holds all three engines to identical results, labeled nulls included.
-Where a scalar expression or a runtime batch shape falls outside the
-vectorizer's reach (heterogeneous rows, exotic predicates, nested-loop
-joins), the stage falls back to the row algorithm *per stage*: it
-materializes rows, runs the exact row-engine code, and re-encodes —
-never approximating the row semantics.
+Semantics are bit-for-bit those of the reference interpreter in
+:mod:`repro.algebra.evaluator` — the differential suite in
+``tests/test_query_compiler.py`` holds the two to identical results,
+labeled nulls included.  Where a scalar expression or a runtime batch
+shape falls outside the vectorizer's reach (heterogeneous rows, exotic
+predicates, computed projections, cross and nested-loop joins), the
+stage takes a row path *per stage*: it materializes rows, runs the row
+algorithm, and re-encodes — never approximating the row semantics.
+Every row path is counted (``query.vectorized.row_fallback.<stage>``)
+and journaled once per stage kind when observability is enabled.
 
-Structure mirrors :class:`~repro.algebra.compiler.CompiledPlan`: the
-same CSE detection (:func:`~repro.algebra.compiler._shared_subtrees`),
-the same projection-through-union pushdown, and the same
-:class:`~repro.algebra.compiler._PlanRegistry` node bookkeeping — so
-EXPLAIN / EXPLAIN ANALYZE trees have node-for-node the same shape and
-per-node row counts as the row engine's, only with ``vec_*`` strategy
-names.  Batches flowing between stages are immutable by convention;
-fresh row dicts are built exactly once, at the plan boundary
-(:meth:`VectorizedPlan.execute`).
+The plan-building blocks — CSE detection, projection-through-union
+pushdown, scalar lowering, and the :class:`~repro.algebra.compiler.
+_PlanRegistry` node bookkeeping behind EXPLAIN / EXPLAIN ANALYZE — live
+in :mod:`repro.algebra.compiler`.  Batches flowing between stages are
+immutable by convention; fresh row dicts are built exactly once, at
+the plan boundary (:meth:`VectorizedPlan.execute`).
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ class _Lower:
 
     __slots__ = ("shared", "compiled", "registry")
 
-    def __init__(self, shared: dict[int, int], registry: "C._PlanRegistry"):
+    def __init__(self, shared: dict[int, int], registry: C._PlanRegistry):
         self.shared = shared
         self.compiled: dict[int, VStage] = {}
         self.registry = registry
@@ -130,7 +129,7 @@ def _full_values(batch: ColumnBatch, name: str) -> Optional[list]:
 def _raise_missing(batch: ColumnBatch, srcs: tuple[str, ...]) -> None:
     """Interpreter-parity missing-column error: report the first row
     (in order) missing any of ``srcs`` (first such column in ``srcs``
-    order), exactly like the row engines do."""
+    order), exactly like the interpreter does."""
     for i in range(batch.nrows):
         row = batch.row_at(i)
         for src in srcs:
@@ -376,8 +375,9 @@ def _vector_predicate(scalar) -> Optional[_VecPred]:
 # ----------------------------------------------------------------------
 def _lower(expr: E.RelExpr, st: _Lower) -> VStage:
     """Lower ``expr``, sharing CSE subtrees through the per-execution
-    memo and registering plan-node metadata — the vectorized mirror of
-    the row compiler's ``_compile``."""
+    memo and registering plan-node metadata; every stage is wrapped in
+    the registry's per-node profiling hook (outside the memo, so a
+    shared node's ``calls`` counts every reference)."""
     reg = st.registry
     reg.enter()
     slot = st.shared.get(id(expr))
@@ -446,6 +446,7 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
                 }
                 return ColumnBatch(new_names, cols, batch.nrows)
             # Colliding rename: later key wins per row — row semantics.
+            _note_row_fallback("rename")
             return _from_rows([
                 {mapping.get(k, k): v for k, v in row.items()}
                 for row in batch.to_rows()
@@ -498,6 +499,7 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
                     return batch.take(sorted(first.values()))
                 except TypeError:
                     pass  # unhashable value → frozen-row path
+            _note_row_fallback("distinct")
             return _from_rows(C._distinct_frozen(batch.to_rows()))
 
         return run_vec_distinct
@@ -576,6 +578,7 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
             batch = inner(ctx)
             if not batch.nrows:
                 return batch
+            _note_row_fallback("select")
             mask = [predicate(row, ctx) for row in batch.to_rows()]
             return batch.compress(mask)
 
@@ -593,6 +596,7 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
             if col is None or col.present is not None:
                 # A referenced column is missing from some row: use the
                 # row path (exact raise/short-circuit semantics).
+                _note_row_fallback("select")
                 mask = [predicate(row, ctx) for row in batch.to_rows()]
                 return batch.compress(mask)
         return batch.compress(mask_fn(batch, ctx))
@@ -642,6 +646,7 @@ def _lower_project(expr: E.Project, st: _Lower) -> VStage:
 
     def run_vec_project_rows(ctx):
         batch = inner(ctx)
+        _note_row_fallback("project")
         built = [
             {name: fn(row, ctx) for name, fn in compiled}
             for row in batch.to_rows()
@@ -715,8 +720,8 @@ def _batch_keys(
     tolerant: tuple[bool, ...],
 ) -> list:
     """Per-row join keys over column slices (``_NOMATCH`` marks a null
-    under a null-rejecting pair) — the columnar image of the row
-    engine's ``_make_join_keyer``."""
+    under a null-rejecting pair) — the columnar image of
+    ``_make_join_keyer``, which keys the row fallback."""
     n = batch.nrows
     if len(columns) == 1:
         col = batch.cols.get(columns[0])
@@ -788,7 +793,7 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
         is_left = kind == "left"
 
         def rows_fallback(lb, rb):
-            """Exact run_hash_join over materialized rows."""
+            """The hash join over materialized rows (row semantics)."""
             _note_row_fallback("join")
             right_rows = rb.to_rows()
             index: dict = {}
@@ -921,6 +926,7 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
         def run_vec_cross_join(ctx):
             lb = left(ctx)
             rb = right(ctx)
+            _note_row_fallback("join")
             right_rows = rb.to_rows()
             right_columns = C._column_set(right_rows)
             out = []
@@ -940,6 +946,7 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
     def run_vec_nested_join(ctx):
         lb = left(ctx)
         rb = right(ctx)
+        _note_row_fallback("join")
         right_rows = rb.to_rows()
         right_columns = C._column_set(right_rows)
         out = []
@@ -1033,7 +1040,7 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
                 n = lb.nrows
                 # First-occurrence position per key (reversed insertion,
                 # last assignment wins), minus the excluded keys —
-                # difference dedups its left side like the row engine.
+                # difference dedups its left side like the interpreter.
                 first = {
                     key: i
                     for i, key in zip(range(n - 1, -1, -1), reversed(keys))
@@ -1046,6 +1053,7 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
                 return lb.take(indices)
             except TypeError:
                 pass  # unhashable value → frozen-row path
+        _note_row_fallback("difference")
         return _from_rows(
             C._difference_frozen(lb.to_rows(), rb.to_rows())
         )
@@ -1178,14 +1186,19 @@ def _lower_aggregate(expr: E.Aggregate, st: _Lower) -> VStage:
 # ----------------------------------------------------------------------
 class VectorizedPlan:
     """An executable columnar pipeline compiled from one
-    :class:`RelExpr` — the vectorized sibling of
-    :class:`~repro.algebra.compiler.CompiledPlan`, sharing its plan
-    cacheability contract: immutable, reentrant, per-run state in the
-    locals of one :meth:`execute` call."""
+    :class:`RelExpr`.
+
+    Immutable and reentrant: every run's state lives in its own
+    :class:`_Run`, so one cached plan serves concurrent executions over
+    different instances.  One pipeline serves plain execution and
+    EXPLAIN ANALYZE: each stage's profiling hook records only when the
+    run carries a profile.  The only mutable slots are
+    ``optimized_from`` (an EXPLAIN label) and ``_annotate_memo`` (the
+    estimator's per-instance cache, whose racing writers store
+    equivalent values)."""
 
     __slots__ = (
-        "expr", "fingerprint", "size", "_run",
-        "nodes", "root_id", "_profiled_run", "last_profile",
+        "expr", "fingerprint", "size", "_run", "nodes", "root_id",
         "optimized_from", "_annotate_memo",
     )
 
@@ -1193,38 +1206,23 @@ class VectorizedPlan:
         self.expr = expr
         self.fingerprint = fingerprint or expr.fingerprint()
         self.size = expr.size()
-        self._profiled_run = None
-        self.last_profile: Optional[PlanProfile] = None
         self._annotate_memo = None     # annotate_plan's per-instance memo
         # Source fingerprint when the adaptive cache compiled this plan
         # from a cost-based rewrite of a different tree (EXPLAIN shows
         # it); informational only.
         self.optimized_from: Optional[str] = None
-        run, reg = self._compile_with(wrap=False)
-        self._run = run
-        self.nodes = reg.nodes
-        self.root_id = reg.root_id()
-
-    def _compile_with(self, wrap: bool):
-        """One lowering pass.  Shares the row compiler's scalar-closure
-        memo slot (hence the compile lock), so CSE-shared predicates
-        lower once per pass here too."""
+        # The scalar-closure memo slot is module-global (hence the
+        # lock), so CSE-shared predicates lower once per pass.
         with C._COMPILE_LOCK:
             prev_memo = C._scalar_memo
             C._scalar_memo = {}
             try:
-                shared = C._shared_subtrees(self.expr)
-                st = _Lower(shared, C._PlanRegistry(wrap))
-                run = _lower(self.expr, st)
+                st = _Lower(C._shared_subtrees(expr), C._PlanRegistry())
+                self._run = _lower(expr, st)
             finally:
                 C._scalar_memo = prev_memo
-        return run, st.registry
-
-    def _ensure_profiled(self):
-        if self._profiled_run is None:
-            run, _ = self._compile_with(wrap=True)
-            self._profiled_run = run
-        return self._profiled_run
+        self.nodes = st.registry.nodes
+        self.root_id = st.registry.root_id()
 
     def batch(
         self, instance: Instance, schema: Optional[Schema] = None
@@ -1239,20 +1237,19 @@ class VectorizedPlan:
     ) -> list[Row]:
         """Run against ``instance`` and return fresh result rows."""
         if not STATE.enabled:
-            ctx = _Run(
-                instance, schema if schema is not None else instance.schema
-            )
-            return self._run(ctx).to_rows()
-        rows, self.last_profile = self.execute_profiled(instance, schema)
-        return rows
+            return self.batch(instance, schema).to_rows()
+        return self.execute_profiled(instance, schema)[0]
 
     def execute_profiled(
         self, instance: Instance, schema: Optional[Schema] = None
     ) -> tuple[list[Row], PlanProfile]:
-        """EXPLAIN ANALYZE: run the profiled pipeline and return
-        ``(rows, profile)`` — per-node calls/rows/seconds, exactly as
-        the row engine reports them."""
-        run = self._ensure_profiled()
+        """EXPLAIN ANALYZE: run the pipeline with a profile attached and
+        return ``(rows, profile)`` — per-node calls/rows/seconds of
+        this run only.
+
+        Works regardless of ``STATE.enabled``; when enabled it also
+        emits the ``query.execute`` span and metrics, so the profile's
+        root time nests inside the measured span."""
         counters = [[0, 0, 0.0] for _ in self.nodes]
         ctx = _Run(
             instance,
@@ -1260,7 +1257,7 @@ class VectorizedPlan:
             counters,
         )
         if not STATE.enabled:
-            rows = run(ctx).to_rows()
+            rows = self._run(ctx).to_rows()
         else:
             with tracer.span(
                 "query.execute",
@@ -1268,7 +1265,7 @@ class VectorizedPlan:
                 plan=self.fingerprint[:12],
                 **{"plan.size": self.size},
             ) as span:
-                rows = run(ctx).to_rows()
+                rows = self._run(ctx).to_rows()
                 if span is not None:
                     span.set_attribute("rows", len(rows))
             registry.counter("query.execute.count").inc()

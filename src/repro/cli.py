@@ -214,7 +214,7 @@ def cmd_explain(args) -> int:
             print("error: --analyze needs --data DATA.json", file=sys.stderr)
             return 2
         source = Instance(schema=mapping.source)
-    processor = QueryProcessor(mapping, source, engine=args.engine)
+    processor = QueryProcessor(mapping, source)
 
     from repro.algebra.expressions import Scan
 
@@ -350,20 +350,13 @@ def cmd_querylog(args) -> int:
         print(QUERY_LOG.export_jsonl())
     else:
         print(QUERY_LOG.render(limit=args.limit, slow_only=args.slow))
-        from repro.algebra.plan_cache import (
-            plan_cache_stats,
-            vector_plan_cache_stats,
-        )
+        from repro.algebra.plan_cache import vector_plan_cache_stats
 
-        for label, stats in (
-            ("row", plan_cache_stats()),
-            ("vector", vector_plan_cache_stats()),
-        ):
-            if not (stats["hits"] or stats["misses"] or stats["reopts"]):
-                continue
+        stats = vector_plan_cache_stats()
+        if stats["hits"] or stats["misses"] or stats["reopts"]:
             reasons = stats["evictions_by_reason"]
             print(
-                f"plan cache [{label}]: "
+                f"plan cache: "
                 f"{stats['hits']} hits / {stats['misses']} misses, "
                 f"evictions lru={reasons['lru']} "
                 f"epoch={reasons['epoch']} reopt={reasons['reopt']}, "
@@ -555,12 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(required with --analyze)")
     p.add_argument("--analyze", action="store_true",
                    help="run the plan and annotate per-node rows/time")
-    p.add_argument("--engine",
-                   choices=["vectorized", "compiled", "interpreted"],
-                   default=None,
-                   help="which engine to explain (interpreted shows the "
-                   "row compiler's view of the query; default: the "
-                   "process default engine)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable plan/profile instead of the tree")
     p.add_argument("--no-opt", action="store_true", dest="no_opt",

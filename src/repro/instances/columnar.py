@@ -122,7 +122,7 @@ class ColumnBatch:
     """A columnar snapshot of one row list.
 
     ``names`` fixes the column order (first-seen across the source
-    rows — the same discovery order the row engines use), ``cols`` maps
+    rows — the same discovery order the interpreter uses), ``cols`` maps
     each name to its :class:`Column`, and ``nrows`` is the row count
     (``len(batch)`` — every column's value list has exactly this
     length).

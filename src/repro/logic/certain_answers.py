@@ -7,9 +7,9 @@ this is *naive evaluation*: run the query on a universal solution and
 discard answers that contain labeled nulls.
 
 Two execution paths share these semantics.  The reference path
-enumerates homomorphisms directly; the ``compiled`` engine translates
-the CQ to relational algebra (:mod:`repro.logic.cq_compile`) and runs
-it through the plan-cached closure executor, falling back to the
+enumerates homomorphisms directly; the default path translates the CQ
+to relational algebra (:mod:`repro.logic.cq_compile`) and runs it
+through the plan-cached vectorized executor, falling back to the
 reference search for queries the translation declines.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.algebra.evaluator import evaluate, get_default_engine
+from repro.algebra.evaluator import evaluate
 from repro.instances.database import Instance
 from repro.instances.labeled_null import LabeledNull
 from repro.logic.cq_compile import answers_from_rows, translate_cq
@@ -33,17 +33,16 @@ def naive_evaluate(
     """All answer tuples of ``query`` over ``instance`` (nulls allowed
     to bind variables; answers may contain nulls).
 
-    ``engine="vectorized"``/``"compiled"`` (or the process default)
-    runs the algebra translation through that engine's plan cache;
+    By default (``engine=None``/``"vectorized"``) the algebra
+    translation runs through the vectorized plan cache;
     ``engine="interpreted"`` forces the reference homomorphism
-    enumeration.  Answer *sets* are identical; ordering may differ
-    between the paths.
+    enumeration, the oracle for the planned path.  Answer *sets* are
+    identical; ordering may differ between the paths.
     """
-    resolved = engine if engine is not None else get_default_engine()
-    if resolved in ("vectorized", "compiled"):
+    if engine != "interpreted":
         plan = translate_cq(query)
         if plan is not None:
-            rows = evaluate(plan, instance, engine=resolved)
+            rows = evaluate(plan, instance, engine=engine)
             return answers_from_rows(query, rows)
     answers: list[tuple] = []
     seen: set[tuple] = set()

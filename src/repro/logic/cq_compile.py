@@ -4,8 +4,8 @@ Naive evaluation of a CQ (:func:`repro.logic.certain_answers.naive_evaluate`)
 enumerates homomorphisms with a backtracking search.  That search is
 re-planned from scratch on every call; the mapping runtime, however,
 answers the *same* target queries over and over.  Translating the CQ
-body into a ``RelExpr`` once lets those calls go through the compiled
-plan executor and its plan cache.
+body into a ``RelExpr`` once lets those calls go through the
+vectorized plan executor and its plan cache.
 
 The translation reproduces homomorphism-matching semantics exactly:
 

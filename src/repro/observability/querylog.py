@@ -1,7 +1,7 @@
 """Plan-fingerprinted query log.
 
 A bounded in-memory ring buffer of recent query executions, recorded
-by :func:`repro.algebra.evaluator.evaluate` (all three engines) while
+by :func:`repro.algebra.evaluator.evaluate` (both engines) while
 observability is enabled.  Each entry carries the plan's structural
 fingerprint (the plan-cache key, so log entries correlate with cached
 plans and with ``query.execute`` spans), the engine, whether the plan

@@ -81,7 +81,7 @@ class AlgebraTransformation(Transformation):
         self.input_schema = input_schema
         self.output_schema = output_schema
         self.name = name
-        #: Default engine for :meth:`apply` (None → process default).
+        #: Default engine for :meth:`apply` (None → vectorized).
         self.engine = engine
 
     def apply(

@@ -54,7 +54,7 @@ class MappingDebugger:
     ):
         self.mapping = mapping
         self.sample_size = sample_size
-        #: Algebra engine traced rules run on (None → process default).
+        #: Algebra engine traced rules run on (None → vectorized).
         self.engine = engine
 
     # ------------------------------------------------------------------

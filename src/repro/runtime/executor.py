@@ -23,8 +23,8 @@ def execute(
 
     For a :class:`TransformationPair`, the *query view* is executed —
     the direction that materializes the entity/target side.  ``engine``
-    selects the algebra execution engine (compiled/interpreted; None →
-    process default).
+    selects the algebra execution engine (vectorized/interpreted; None
+    → vectorized).
     """
     if isinstance(transformation, TransformationPair):
         return transformation.query_view.apply(instance, engine=engine)

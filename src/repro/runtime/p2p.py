@@ -50,7 +50,7 @@ class PeerNetwork:
     """Peers connected by mappings, queried through chains.
 
     ``engine`` selects the algebra execution engine for every exchange
-    in the network (None → process default)."""
+    in the network (None → vectorized)."""
 
     def __init__(self, engine: Optional[str] = None):
         self.peers: dict[str, Peer] = {}

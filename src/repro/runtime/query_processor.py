@@ -33,10 +33,11 @@ class QueryProcessor:
     """Query answering over one mapping, source database attached.
 
     ``engine`` picks the algebra execution engine for every query this
-    processor answers (``compiled``/``interpreted``; None → process
-    default, see :func:`repro.algebra.evaluate`).  Unfolded views are
-    structurally stable, so the compiled engine's plan cache makes
-    repeated queries through one processor compile-once/run-many.
+    processor answers (``vectorized``/``interpreted``; None →
+    vectorized, see :func:`repro.algebra.evaluate`).  Unfolded views
+    are structurally stable, so the vectorized engine's plan cache
+    makes repeated queries through one processor compile-once/run-many.
+    EXPLAIN always shows the vectorized plan.
     """
 
     def __init__(
@@ -163,14 +164,12 @@ class QueryProcessor:
         if self.mapping.equalities:
             return explain(
                 self.unfolded(query),
-                engine=self.engine,
                 instance=self.source,
                 schema=self.mapping.source,
                 no_opt=no_opt,
             )
         return explain(
             query,
-            engine=self.engine,
             instance=self._universal,
             schema=self.mapping.target,
             no_opt=no_opt,
@@ -188,11 +187,11 @@ class QueryProcessor:
         if self.mapping.equalities:
             return explain_analyze(
                 self.unfolded(query), self.source, self.mapping.source,
-                engine=self.engine, no_opt=no_opt,
+                no_opt=no_opt,
             )
         return explain_analyze(
             query, self._universal_solution(), self.mapping.target,
-            engine=self.engine, no_opt=no_opt,
+            no_opt=no_opt,
         )
 
 

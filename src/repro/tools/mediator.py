@@ -34,7 +34,7 @@ class QueryMediator:
 
     ``engine`` selects the algebra execution engine used by every
     per-source processor and the union-side re-aggregation (None →
-    process default)."""
+    vectorized)."""
 
     def __init__(self, global_schema: Schema, engine: Optional[str] = None):
         self.global_schema = global_schema

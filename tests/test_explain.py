@@ -4,9 +4,11 @@ accounting, and the chase's per-dependency profile.
 The per-node profile must agree with the plan's actual execution: rows
 at the root equal the result, CSE-shared nodes count every reference
 (memo hits = calls − 1), and the charge-once self times telescope
-exactly to the root's inclusive time.  ``explain_analyze`` runs a
-*second*, wrapped compilation, so these tests also pin that the
-ordinary pipeline result is unchanged (parity with ``evaluate``).
+exactly to the root's inclusive time.  ``explain_analyze`` runs the
+same pipeline as ``evaluate`` with a profile attached, so these tests
+also pin that profiling leaves the result unchanged (parity with
+``evaluate``), and that every node's row count matches the reference
+interpreter on the subtree it lowered from.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.algebra import (
     clear_plan_cache,
     eq_join,
     evaluate,
+    evaluate_interpreted,
     explain,
     explain_analyze,
     node_label,
@@ -65,30 +68,40 @@ def shared_plan():
 class TestExplain:
     def test_explain_renders_every_node(self):
         _, expr = shared_plan()
-        result = explain(expr, engine="compiled")
+        result = explain(expr)
         text = result.render()
         assert "cache=miss" in text
         assert "∪" in text and "π" in text and "σ" in text
-        assert "(union_static)" in text and "(scan)" in text
+        assert "(vec_union)" in text and "(vec_scan)" in text
         # the shared Select renders once (⊛) plus one back-reference
         assert text.count("⊛") == 1
         assert "↻ see #" in text
         # second explain hits the plan cache
-        assert explain(expr, engine="compiled").cache_hit
+        assert explain(expr).cache_hit
 
     def test_explain_vectorized_same_tree_shape(self):
+        """Every node produces, per call, exactly the rows the
+        interpreter computes for the subtree it lowered from — the
+        CSE-shared node (one node, two calls) included."""
+        db = people()
         _, expr = shared_plan()
-        row = explain(expr, engine="compiled")
-        vec = explain(expr, engine="vectorized")
-        text = vec.render()
-        assert "(vec_union)" in text and "(vec_scan)" in text
-        assert text.count("⊛") == 1 and "↻ see #" in text
-        # node-for-node identical shape, only strategy names differ
-        assert len(row.plan.nodes) == len(vec.plan.nodes)
-        for a, b in zip(row.plan.nodes, vec.plan.nodes):
-            assert (a.node_id, a.children, a.shared) == (
-                b.node_id, b.children, b.shared
-            )
+        profile = explain_analyze(expr, db).profile
+        assert [n.shared for n in profile.nodes].count(True) == 1
+        for node in profile.nodes:
+            expected = len(evaluate_interpreted(node.expr, db))
+            assert profile.rows_out(node.node_id) == (
+                profile.calls(node.node_id) * expected
+            ), f"node #{node.node_id} ({node.label})"
+
+    def test_pushed_projection_names_the_union_stage(self):
+        """π over ∪ lowers to the pushed-down union's stage, and its
+        node reports that stage's strategy, not the profiling hook's."""
+        branches = [project_names(Scan(r), ["dept"])
+                    for r in ("People", "Depts")]
+        expr = project_names(UnionAll(*branches), ["dept"])
+        plan = explain(expr).plan
+        assert plan.nodes[plan.root_id].strategy == "vec_union"
+        assert all(n.strategy.startswith("vec_") for n in plan.nodes)
 
     def test_to_dict_round_trips_node_tree(self):
         _, expr = shared_plan()
@@ -177,20 +190,17 @@ class TestEstimates:
     def test_explain_with_instance_annotates_every_node(self):
         db = people()
         _, expr = shared_plan()
-        for engine in ("vectorized", "compiled", "interpreted"):
-            result = explain(expr, engine=engine, instance=db)
-            assert result.estimates is not None
-            assert all(est is not None for est in result.estimates)
-            assert "est=" in result.render()
-        # the two compiling engines agree estimate-for-estimate
-        vec = explain(expr, engine="vectorized", instance=db)
-        row = explain(expr, engine="compiled", instance=db)
-        assert vec.estimates == row.estimates
+        result = explain(expr, instance=db)
+        assert result.estimates is not None
+        assert all(est is not None for est in result.estimates)
+        assert "est=" in result.render()
+        # a warm explain reads the same estimates from the memo
+        assert explain(expr, instance=db).estimates == result.estimates
 
     def test_stale_estimates_not_reported_without_instance(self):
         db = people()
         _, expr = shared_plan()
-        explain(expr, instance=db)  # annotates the cached plan's nodes
+        explain(expr, instance=db)  # estimates against db
         bare = explain(expr)
         assert bare.estimates is None
         assert all(

@@ -1,7 +1,7 @@
-"""Differential tests: the compiled closure executor against the
+"""Differential tests: the vectorized plan executor against the
 reference interpreter, plus plan-cache / engine-flag behavior.
 
-The compiler (:mod:`repro.algebra.compiler`) must be observationally
+The executor (:mod:`repro.algebra.vectorized`) must be observationally
 identical to the tree-walking interpreter on every operator, including
 the awkward corners: labeled-null join keys, left-join padding,
 empty-group aggregates, null-tolerant ``ValueJoinEq`` joins, and
@@ -23,7 +23,7 @@ from repro.algebra import (
     Distinct,
     EntityScan,
     Extend,
-    GLOBAL_PLAN_CACHE,
+    GLOBAL_VECTOR_PLAN_CACHE,
     IsNull,
     Join,
     Lit,
@@ -34,18 +34,17 @@ from repro.algebra import (
     Scan,
     Select,
     Sort,
+    TRUE,
     UnionAll,
     ValueJoinEq,
     Values,
     clear_plan_cache,
-    compile_plan,
+    compile_vector_plan,
     eq,
     eq_join,
     evaluate,
     evaluate_interpreted,
-    get_default_engine,
-    plan_cache_stats,
-    set_default_engine,
+    vector_plan_cache_stats,
 )
 from repro.algebra.optimizer import optimize
 from repro.errors import EvaluationError
@@ -68,14 +67,11 @@ def canon(rows):
 
 
 def assert_engines_agree(expr, instance, schema=None):
-    """Three-way oracle: row-compiled and vectorized against the
-    reference interpreter."""
-    compiled = evaluate(expr, instance, schema, engine="compiled")
+    """The oracle: vectorized against the reference interpreter."""
     interpreted = evaluate(expr, instance, schema, engine="interpreted")
     vectorized = evaluate(expr, instance, schema, engine="vectorized")
-    assert canon(compiled) == canon(interpreted)
     assert canon(vectorized) == canon(interpreted)
-    return compiled
+    return vectorized
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +79,6 @@ def _fresh_cache():
     clear_plan_cache()
     yield
     clear_plan_cache()
-    set_default_engine(None)
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +258,8 @@ def test_differential_random_plans(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_differential_random_plans_heterogeneous(seed):
     """Ragged rows force the columnar presence machinery (and, where an
-    operator declines a partial batch, the row-closure fallback) — all
-    three engines must still agree.  A random plan may legitimately
+    operator declines a partial batch, the row-closure fallback) — the
+    executor must still agree with the interpreter.  A random plan may legitimately
     project a column some ragged row lacks; then every engine must
     raise the same ``EvaluationError``."""
     rng = random.Random(5000 + seed)
@@ -278,7 +273,6 @@ def test_differential_random_plans_heterogeneous(seed):
             return ("error", str(exc))
 
     interpreted = outcome("interpreted")
-    assert outcome("compiled") == interpreted
     assert outcome("vectorized") == interpreted
 
 
@@ -291,7 +285,6 @@ def test_differential_optimized_random_plans(seed):
     expr, _, _ = _random_plan(rng, rng.randint(1, 3))
     baseline = canon(evaluate_interpreted(expr, instance))
     optimized = optimize(expr)
-    assert canon(evaluate(optimized, instance, engine="compiled")) == baseline
     assert canon(evaluate(optimized, instance, engine="vectorized")) == baseline
     assert canon(evaluate(optimized, instance, engine="interpreted")) == baseline
 
@@ -390,7 +383,7 @@ def test_pad_union_column_order():
         Values([{"a": 1, "b": 2}]),
         Values([{"c": 3, "a": 4}]),
     )
-    for engine in ("compiled", "interpreted"):
+    for engine in ("vectorized", "interpreted"):
         rows = evaluate(expr, Instance(), engine=engine)
         assert [list(r) for r in rows] == [["a", "b", "c"], ["a", "b", "c"]]
     assert_engines_agree(expr, Instance())
@@ -403,10 +396,53 @@ def test_entity_scan_schema_override():
                                "Dept": "d"})
     instance.insert("Person", {"$type": "Person", "Id": 2, "Name": "b"})
     expr = EntityScan("Employee")
-    compiled = evaluate(expr, instance, schema, engine="compiled")
+    vectorized = evaluate(expr, instance, schema, engine="vectorized")
     interpreted = evaluate(expr, instance, schema, engine="interpreted")
-    assert canon(compiled) == canon(interpreted)
-    assert [r["Id"] for r in compiled] == [1]
+    assert canon(vectorized) == canon(interpreted)
+    assert [r["Id"] for r in vectorized] == [1]
+
+
+def test_colliding_rename_over_ragged_rows():
+    """A rename that maps two columns onto one name takes the row path:
+    per row the later key wins, and a row lacking one keeps the
+    other."""
+    instance = Instance()
+    instance.insert_all("T", [{"a": 1, "b": 2}, {"a": 3}, {"b": 4, "c": 5}])
+    rows = assert_engines_agree(Rename(Scan("T"), {"a": "b"}), instance)
+    assert canon(rows) == canon([{"b": 2}, {"b": 3}, {"b": 4, "c": 5}])
+
+
+_RAGGED = Values([{"a": 1, "b": 0}, {"b": 2}])
+_LEFT = Values([{"a": 1}, {"a": 3}])
+_RIGHT = Values([{"b": 2}])
+
+
+@pytest.mark.parametrize("stage, expr", [
+    ("rename", Rename(_RAGGED, {"a": "b"})),
+    ("distinct", Distinct(_RAGGED)),
+    ("difference", Difference(_RAGGED, _RIGHT)),
+    ("select", Select(_LEFT, Comparison(">", Arith("+", Col("a"), Lit(1)),
+                                        Lit(2)))),
+    ("select", Select(_RAGGED, Or(eq(Col("b"), Lit(2)),
+                                  eq(Col("a"), Lit(1))))),
+    ("project", Project(_LEFT, [("x", Arith("+", Col("a"), Lit(1)))])),
+    ("join", Join(_LEFT, _RIGHT, TRUE)),
+    ("join", Join(_LEFT, _RIGHT, Comparison("<", Col("a"), Col("b")))),
+], ids=["rename", "distinct", "difference", "select-predicate",
+        "select-partial-column", "project-computed", "cross-join",
+        "nested-loop-join"])
+def test_every_row_path_is_counted(stage, expr):
+    """Each row path the vectorized engine keeps bumps its per-stage
+    fallback counter, and still agrees with the interpreter."""
+    reset()
+    enable()
+    try:
+        assert_engines_agree(expr, Instance())
+        counter = f"query.vectorized.row_fallback.{stage}"
+        assert registry.counter(counter).value == 1
+    finally:
+        disable()
+        reset()
 
 
 def test_results_do_not_alias_stored_rows():
@@ -415,7 +451,7 @@ def test_results_do_not_alias_stored_rows():
     instance = Instance()
     instance.insert("T", {"a": 1})
     for expr in (Scan("T"), Select(Scan("T"), eq(Col("a"), Lit(1)))):
-        rows = evaluate(expr, instance, engine="compiled")
+        rows = evaluate(expr, instance, engine="vectorized")
         rows[0]["a"] = 999
         assert instance.rows("T")[0]["a"] == 1
 
@@ -424,7 +460,7 @@ def test_extend_does_not_mutate_stored_rows():
     instance = Instance()
     instance.insert("T", {"a": 1})
     rows = evaluate(Extend(Scan("T"), "b", Lit(2)), instance,
-                    engine="compiled")
+                    engine="vectorized")
     assert rows == [{"a": 1, "b": 2}]
     assert instance.rows("T") == [{"a": 1}]
 
@@ -434,7 +470,7 @@ def test_compiled_missing_column_raises_evaluation_error():
     instance.insert("T", {"a": 1})
     expr = Project(Scan("T"), [("missing", Col("missing"))])
     with pytest.raises(EvaluationError):
-        evaluate(expr, instance, engine="compiled")
+        evaluate(expr, instance, engine="vectorized")
     with pytest.raises(EvaluationError):
         evaluate(expr, instance, engine="interpreted")
 
@@ -461,8 +497,8 @@ def test_warm_cache_skips_compilation():
     reset()
     enable()
     try:
-        evaluate(first, instance, engine="compiled")
-        evaluate(second, instance, engine="compiled")
+        evaluate(first, instance, engine="vectorized")
+        evaluate(second, instance, engine="vectorized")
         assert registry.counter("span.query.compile.calls").value == 1
         assert registry.counter("span.query.execute.calls").value == 2
         assert registry.counter("query.plan_cache.hits").value == 1
@@ -476,13 +512,13 @@ def test_global_cache_stats():
     instance = Instance()
     instance.insert("T", {"a": 1})
     expr = Scan("T")
-    evaluate(expr, instance, engine="compiled")
-    evaluate(expr, instance, engine="compiled")
-    stats = plan_cache_stats()
+    evaluate(expr, instance, engine="vectorized")
+    evaluate(expr, instance, engine="vectorized")
+    stats = vector_plan_cache_stats()
     assert stats["hits"] == 1
     assert stats["misses"] == 1
     assert stats["size"] == 1
-    assert expr in GLOBAL_PLAN_CACHE
+    assert expr in GLOBAL_VECTOR_PLAN_CACHE
 
 
 def test_plan_cache_lru_eviction():
@@ -501,10 +537,12 @@ def test_plan_cache_lru_eviction():
     assert exprs[2] not in cache
 
 
-def test_compile_plan_direct_execution():
+def test_compile_vector_plan_direct_execution():
     instance = Instance()
     instance.insert_all("T", [{"a": 1}, {"a": 2}])
-    plan = compile_plan(Select(Scan("T"), Comparison(">", Col("a"), Lit(1))))
+    plan = compile_vector_plan(
+        Select(Scan("T"), Comparison(">", Col("a"), Lit(1)))
+    )
     assert plan.execute(instance) == [{"a": 2}]
     assert plan.size >= 2
     assert len(plan.fingerprint) == 32  # blake2b-16 hex
@@ -513,42 +551,25 @@ def test_compile_plan_direct_execution():
 # ----------------------------------------------------------------------
 # engine selection
 # ----------------------------------------------------------------------
-def test_default_engine_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_QUERY_ENGINE", raising=False)
-    set_default_engine(None)
-    assert get_default_engine() == "vectorized"
-    monkeypatch.setenv("REPRO_QUERY_ENGINE", "interpreted")
-    assert get_default_engine() == "interpreted"
-    monkeypatch.setenv("REPRO_QUERY_ENGINE", "compiled")
-    assert get_default_engine() == "compiled"
-    monkeypatch.setenv("REPRO_QUERY_ENGINE", "bogus")
-    assert get_default_engine() == "vectorized"  # invalid env ignored
-    set_default_engine("interpreted")
-    monkeypatch.delenv("REPRO_QUERY_ENGINE")
-    assert get_default_engine() == "interpreted"
-    set_default_engine(None)
-    assert get_default_engine() == "vectorized"
-
-
-def test_set_default_engine_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_default_engine("columnar")
-
-
 def test_interpreted_default_bypasses_plan_cache():
+    """The oracle never touches the executor's plan cache: a run
+    through it is no hit, no miss, and caches no plan."""
     instance = Instance()
     instance.insert("T", {"a": 1})
-    set_default_engine("interpreted")
-    before = plan_cache_stats()
-    assert evaluate(Scan("T"), instance) == [{"a": 1}]
-    after = plan_cache_stats()
+    expr = Scan("T")
+    before = vector_plan_cache_stats()
+    assert evaluate(expr, instance, engine="interpreted") == [{"a": 1}]
+    after = vector_plan_cache_stats()
     assert (after["hits"], after["misses"]) == (before["hits"],
                                                before["misses"])
+    assert expr not in GLOBAL_VECTOR_PLAN_CACHE
 
 
 def test_evaluate_rejects_unknown_engine():
-    with pytest.raises(EvaluationError):
-        evaluate(Scan("T"), Instance(), engine="bogus")
+    # "compiled" named the retired row engine; it is unknown now.
+    for engine in ("bogus", "compiled"):
+        with pytest.raises(EvaluationError):
+            evaluate(Scan("T"), Instance(), engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +591,7 @@ def test_optimizer_recognizes_comparison_equi_join():
     instance = Instance()
     instance.insert_all("L", [{"a": 1}, {"a": 2}, {"a": None}])
     instance.insert_all("R", [{"b": 2}, {"b": 3}, {"b": None}])
-    assert canon(evaluate(rewritten, instance, engine="compiled")) == canon(
+    assert canon(evaluate(rewritten, instance, engine="vectorized")) == canon(
         evaluate(expr, instance, engine="interpreted")
     )
 
@@ -634,11 +655,11 @@ def test_cq_join_parity_with_nulls():
         body=(Atom.of("Emp", eid=x, dept=d), Atom.of("Dept", dname=d, mgr=m)),
     )
     instance = _cq_instance()
-    compiled = naive_evaluate(query, instance, engine="compiled")
+    planned = naive_evaluate(query, instance, engine="vectorized")
     reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(compiled) == _answer_set(reference)
+    assert _answer_set(planned) == _answer_set(reference)
     # the None dept binds too: homomorphism equality is value equality
-    assert (("c", 4), ("c", 3)) in _answer_set(compiled)
+    assert (("c", 4), ("c", 3)) in _answer_set(planned)
 
 
 def test_cq_condition_and_constant_parity():
@@ -649,9 +670,9 @@ def test_cq_condition_and_constant_parity():
         conditions=(Equality(d, Const("a")),),
     )
     instance = _cq_instance()
-    compiled = naive_evaluate(query, instance, engine="compiled")
+    planned = naive_evaluate(query, instance, engine="vectorized")
     reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(compiled) == _answer_set(reference) == {(("c", 1),)}
+    assert _answer_set(planned) == _answer_set(reference) == {(("c", 1),)}
 
 
 def test_cq_repeated_variable_parity():
@@ -667,9 +688,9 @@ def test_cq_repeated_variable_parity():
          {"a": LabeledNull(5), "b": LabeledNull(5)},
          {"a": None, "b": None}],
     )
-    compiled = naive_evaluate(query, instance, engine="compiled")
+    planned = naive_evaluate(query, instance, engine="vectorized")
     reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(compiled) == _answer_set(reference)
+    assert _answer_set(planned) == _answer_set(reference)
 
 
 def test_certain_answers_drop_nulls_both_engines():
@@ -678,10 +699,10 @@ def test_certain_answers_drop_nulls_both_engines():
         head=(x, d), body=(Atom.of("Emp", eid=x, dept=d),)
     )
     instance = _cq_instance()
-    compiled = set(certain_answers(query, instance, engine="compiled"))
+    planned = set(certain_answers(query, instance, engine="vectorized"))
     reference = set(certain_answers(query, instance, engine="interpreted"))
-    assert compiled == reference
-    assert (3, LabeledNull(9)) not in compiled
+    assert planned == reference
+    assert (3, LabeledNull(9)) not in planned
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -699,6 +720,6 @@ def test_cq_random_parity(seed):
         head=(u, w),
         body=(Atom.of("P", u=u, v=v), Atom.of("Q", v=v, w=w)),
     )
-    compiled = naive_evaluate(query, instance, engine="compiled")
+    planned = naive_evaluate(query, instance, engine="vectorized")
     reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(compiled) == _answer_set(reference)
+    assert _answer_set(planned) == _answer_set(reference)

@@ -81,28 +81,25 @@ def test_export_jsonl_round_trips():
 # ----------------------------------------------------------------------
 def test_disabled_evaluate_records_nothing(instance):
     obs.disable()
-    for engine in ("vectorized", "compiled", "interpreted"):
+    for engine in ("vectorized", "interpreted"):
         evaluate(QUERY, instance, engine=engine)
     assert len(QUERY_LOG) == 0
 
 
 def test_enabled_evaluate_records_all_engines(instance):
     obs.enable()
-    for engine in ("vectorized", "compiled", "interpreted"):
+    for engine in ("vectorized", "interpreted"):
         rows = evaluate(QUERY, instance, engine=engine)
         assert len(rows) == 10
     entries = QUERY_LOG.entries()
-    assert [e.engine for e in entries] == [
-        "vectorized", "compiled", "interpreted"
-    ]
+    assert [e.engine for e in entries] == ["vectorized", "interpreted"]
     # One structural fingerprint across engines.
     assert len({e.fingerprint for e in entries}) == 1
     assert all(e.rows_out == 10 for e in entries)
-    # The compiling engines carry estimate↔actual divergence.
+    # The planned engine carries estimate↔actual divergence.
     assert entries[0].worst is not None
-    assert entries[1].worst is not None
-    assert entries[2].worst is None  # interpreter has no plan nodes
-    assert registry.counter("query.log.entries").value == 3
+    assert entries[1].worst is None  # interpreter has no plan nodes
+    assert registry.counter("query.log.entries").value == 2
 
 
 def test_cache_hit_miss_recorded(instance):
@@ -121,7 +118,7 @@ def test_cache_hit_miss_recorded(instance):
 
 def test_reset_clears_query_log(instance):
     obs.enable()
-    evaluate(QUERY, instance, engine="compiled")
+    evaluate(QUERY, instance, engine="vectorized")
     assert len(QUERY_LOG) == 1
     obs.reset()
     assert len(QUERY_LOG) == 0
@@ -135,11 +132,40 @@ def test_estimator_failure_never_fails_the_query(instance, monkeypatch):
 
     monkeypatch.setattr(estimate, "annotate_plan", boom)
     obs.enable()
-    rows = evaluate(QUERY, instance, engine="compiled")
+    rows = evaluate(QUERY, instance, engine="vectorized")
     assert len(rows) == 10
     assert registry.counter("query.estimate.errors").value == 1
     entry = QUERY_LOG.entries()[-1]
     assert entry.worst is None
+
+
+def test_interleaved_run_never_leaks_into_the_log(monkeypatch):
+    """Another run of the same cached plan, over a larger instance,
+    landing between this query's execute and its annotate — the
+    interleaving a p2p hop thread or the queued synchronizer produces —
+    must not leak its row counts into this query's divergence or
+    schedule a re-optimization from them."""
+    import repro.algebra.estimate as estimate
+
+    small, big = Instance(), Instance()
+    small.insert_all("t", [{"a": i} for i in range(10)])
+    big.insert_all("t", [{"a": i} for i in range(1000)])
+    query = E.Select(E.Scan("t"), S.Comparison(">=", S.Col("a"), S.Lit(0)))
+    annotate = estimate.annotate_plan
+
+    def annotate_after_other_run(plan, inst, schema=None):
+        if inst is small:
+            plan.execute(big)
+        return annotate(plan, inst, schema)
+
+    monkeypatch.setattr(estimate, "annotate_plan", annotate_after_other_run)
+    obs.enable()
+    assert len(evaluate(query, small)) == 10
+    (entry,) = QUERY_LOG.entries()
+    assert entry.worst["actual_rows"] == 10
+    assert not entry.worst["flagged"]
+    assert not entry.reopt
+    assert registry.counter("query.reopt.scheduled").value == 0
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +183,7 @@ def test_cli_querylog_renders_and_exports(tmp_path, capsys, instance):
         "from repro.algebra.evaluator import evaluate\n"
         f"inst = load_instance(open({str(data)!r}).read())\n"
         "q = E.Select(E.Scan('t'), S.Comparison('=', S.Col('b'), S.Lit(3)))\n"
-        "for engine in ('vectorized', 'compiled', 'interpreted'):\n"
+        "for engine in ('vectorized', 'interpreted'):\n"
         "    evaluate(q, inst, engine=engine)\n"
     )
     out = tmp_path / "log.jsonl"
@@ -166,9 +192,9 @@ def test_cli_querylog_renders_and_exports(tmp_path, capsys, instance):
     printed = capsys.readouterr().out
     assert "vectorized" in printed and "interpreted" in printed
     lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert len(lines) == 3
+    assert len(lines) == 2
     assert {line["engine"] for line in lines} == {
-        "vectorized", "compiled", "interpreted"
+        "vectorized", "interpreted"
     }
 
 
