@@ -12,15 +12,23 @@ executor clears the ≥10× acceptance bar over the interpreter.  EXPLAIN
 ANALYZE acceptance additionally pins that every node of the profiled
 plan reports exactly the rows the interpreter computes for the subtree
 it lowered from.
+
+The point-lookup lane sends 64 distinct keys through one
+``QueryProcessor``, the way perfbench's ``query`` workload does, and
+reports the mean time per key after the first and how many plans the
+keys compiled; every answer is checked against the interpreter, and
+the keys must share one plan.
 """
 
 import gc
+import random
 import time
 
 import pytest
 
 from repro.algebra import (
     Col,
+    EntityScan,
     Scan,
     Select,
     clear_plan_cache,
@@ -34,11 +42,13 @@ from repro.algebra import (
 from repro.instances import Instance
 from repro.operators.compose import unfold_scans
 from repro.operators.transgen import transgen
+from repro.runtime.query_processor import QueryProcessor
 from repro.workloads import paper
 
 from conftest import print_table
 
 SIZES = (250, 1000, 4000)
+POINT_KEYS = 64
 # vectorized engine vs interpreter, at 4k
 VEC_VS_INTERPRETED = 10.0
 
@@ -73,6 +83,35 @@ def _unfolded_queries():
         definitions,
     ))
     return [("unfold-extent", extent), ("unfold-selective", selective)]
+
+
+def _point_lookups(sql: Instance, people: int) -> tuple[float, float, float, int]:
+    """``POINT_KEYS`` distinct point lookups through one processor:
+    ``(interpreted ms per key, first key ms, vectorized ms per key
+    after the first, plans compiled)``."""
+    mapping = paper.figure2_mapping()
+    processor = QueryProcessor(mapping, sql)
+    oracle = QueryProcessor(mapping, sql, engine="interpreted")
+    keys = random.Random(people).sample(range(people), POINT_KEYS)
+    clear_plan_cache()
+    gc.collect()
+    misses = vector_plan_cache_stats()["misses"]
+    vectorized, interpreted = [], []
+    for key in keys:
+        query = Select(project_names(EntityScan("Person"), ["Id", "Name"]),
+                       eq(Col("Id"), key))
+        start = time.perf_counter()
+        rows = processor.answer_algebra(query)
+        vectorized.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        expected = oracle.answer_algebra(query)
+        interpreted.append(time.perf_counter() - start)
+        assert rows == expected, f"point lookup of {key}: {rows}"
+    compiled = vector_plan_cache_stats()["misses"] - misses
+    return (sum(interpreted) / len(keys) * 1000.0,
+            vectorized[0] * 1000.0,
+            sum(vectorized[1:]) / (len(keys) - 1) * 1000.0,
+            compiled)
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -118,9 +157,21 @@ def test_query_executor_report(benchmark):
 
     queries = _unfolded_queries()
     rows = []
+    lookups = []
     acceptance = {}
     for people in SIZES:
         sql = _scaled_sql(people)
+        interpreted_ms, first_ms, per_key_ms, compiled = _point_lookups(
+            sql, people
+        )
+        assert compiled <= 1, (
+            f"{POINT_KEYS} point lookups compiled {compiled} plans"
+        )
+        lookups.append([
+            people, compiled, f"{interpreted_ms:.3f} ms",
+            f"{first_ms:.3f} ms", f"{per_key_ms:.3f} ms",
+            f"{interpreted_ms / per_key_ms:.1f}x",
+        ])
         for label, plan in queries:
             interpreted_ms = _best_of(
                 lambda: evaluate(plan, sql, engine="interpreted")
@@ -174,6 +225,13 @@ def test_query_executor_report(benchmark):
         ["persons", "query", "interpreted", "vectorized cold",
          "vectorized warm", "vec/interp"],
         rows,
+    )
+    print_table(
+        f"Point lookups: {POINT_KEYS} distinct keys through one "
+        "QueryProcessor",
+        ["persons", "plans compiled", "interpreted", "first key",
+         "per key after first", "vec/interp"],
+        lookups,
     )
     if acceptance and max(SIZES) >= 4000:
         assert acceptance["vec_vs_interpreted"] >= VEC_VS_INTERPRETED, (

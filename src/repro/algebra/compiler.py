@@ -77,6 +77,19 @@ def equality_pairs(predicate) -> Optional[list[tuple[str, str, bool]]]:
     return None
 
 
+def eq_test(predicate) -> Optional[tuple[str, S.Scalar]]:
+    """``(column, operand)`` of a ``Col = Lit`` / ``Col = Param`` test
+    (either side), else None."""
+    if isinstance(predicate, S.Comparison) and predicate.op == "=":
+        for column, operand in ((predicate.left, predicate.right),
+                                (predicate.right, predicate.left)):
+            if isinstance(column, S.Col) and isinstance(
+                operand, (S.Lit, S.Param)
+            ):
+                return column.name, operand
+    return None
+
+
 class SortKey:
     """Total order over heterogeneous values: nulls last, then by type
     name, then by value (string fallback for incomparables)."""
@@ -168,6 +181,10 @@ def _compile_scalar(scalar: S.Scalar) -> ScalarFn:
     if isinstance(scalar, (S.Lit, S._Bool)):
         value = scalar.value
         return lambda row, ctx: value
+
+    if isinstance(scalar, S.Param):
+        index = scalar.index
+        return lambda row, ctx: ctx.params[index]
 
     if isinstance(scalar, S.Comparison):
         return _compile_comparison(scalar)
@@ -373,11 +390,13 @@ def _static_cols(expr: E.RelExpr) -> Optional[tuple[str, ...]]:
         # A rename that collapses two columns makes the shape dynamic.
         return renamed if len(set(renamed)) == len(renamed) else None
     if isinstance(expr, E.UnionAll):
+        # ∪ pads a side's missing columns only while the other side has
+        # rows, so only a column set both sides share is static.
         l_cols = _static_cols(expr.left)
         r_cols = _static_cols(expr.right)
-        if l_cols is None or r_cols is None:
+        if l_cols is None or r_cols is None or set(l_cols) != set(r_cols):
             return None
-        return l_cols + tuple(c for c in r_cols if c not in l_cols)
+        return l_cols
     if isinstance(expr, E.Values):
         rows = expr.rows
         if not rows:
@@ -406,6 +425,13 @@ def _static_cols(expr: E.RelExpr) -> Optional[tuple[str, ...]]:
     return None  # Scan / EntityScan / unknown nodes
 
 
+def union_branches(expr: E.RelExpr) -> list[E.RelExpr]:
+    """The non-union operands of a ``UnionAll`` tree, left to right."""
+    if isinstance(expr, E.UnionAll):
+        return union_branches(expr.left) + union_branches(expr.right)
+    return [expr]
+
+
 def _push_project_through_union(expr: E.Project) -> Optional[E.RelExpr]:
     """Rewrite ``π[cols](A ∪ B ∪ …)`` into ``π[cols](A) ∪ π[cols](B) ∪
     …`` when every branch's shape is statically known and carries every
@@ -419,16 +445,7 @@ def _push_project_through_union(expr: E.Project) -> Optional[E.RelExpr]:
         return None
     if not all(isinstance(s, S.Col) for _, s in expr.outputs):
         return None
-    branches: list[E.RelExpr] = []
-
-    def flatten(node: E.RelExpr) -> None:
-        if isinstance(node, E.UnionAll):
-            flatten(node.left)
-            flatten(node.right)
-        else:
-            branches.append(node)
-
-    flatten(expr.input)
+    branches = union_branches(expr.input)
     cols_per_branch = [_static_cols(b) for b in branches]
     if any(cols is None for cols in cols_per_branch):
         return None
@@ -450,24 +467,27 @@ def _push_project_through_union(expr: E.Project) -> Optional[E.RelExpr]:
 class _Run:
     """Per-execution context a plan pipeline threads through its stage
     and scalar closures (duck-compatible with the interpreter's
-    ``EvalContext``: exposes ``schema`` and ``instance``).  ``memo``
-    holds the per-execution results of common subexpressions (see
+    ``EvalContext``: exposes ``schema``, ``instance`` and the values
+    bound to the plan's ``Param`` slots).  ``memo`` holds the
+    per-execution results of common subexpressions (see
     :func:`_shared_subtrees`); ``profile`` is the per-node
     ``[calls, rows, seconds]`` accumulator of a profiled execution, or
     None, in which case the stage wrappers record nothing."""
 
-    __slots__ = ("instance", "schema", "memo", "profile")
+    __slots__ = ("instance", "schema", "memo", "profile", "params")
 
     def __init__(
         self,
         instance: Instance,
         schema: Optional[Schema],
         profile: Optional[list] = None,
+        params: tuple = (),
     ):
         self.instance = instance
         self.schema = schema
         self.memo: dict = {}
         self.profile = profile
+        self.params = params
 
 
 #: Sentinel for "this row can never match" join keys (a null under a

@@ -271,18 +271,20 @@ def _distinct_groups(est: _Est, names) -> float:
     return max(1.0, min(product, est.rows))
 
 
-def _estimate(expr: E.RelExpr, instance, schema, memo: dict) -> _Est:
+def _estimate(
+    expr: E.RelExpr, instance, schema, memo: dict, params: tuple = ()
+) -> _Est:
     key = id(expr)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    est = _estimate_uncached(expr, instance, schema, memo)
+    est = _estimate_uncached(expr, instance, schema, memo, params)
     memo[key] = est
     return est
 
 
 def _estimate_uncached(
-    expr: E.RelExpr, instance, schema, memo: dict
+    expr: E.RelExpr, instance, schema, memo: dict, params: tuple
 ) -> _Est:
     if isinstance(expr, E.Scan):
         return _from_relation_stats(instance.relation_stats(expr.relation))
@@ -307,11 +309,12 @@ def _estimate_uncached(
             RelationStats.from_rows("<values>", expr.rows)
         )
     if isinstance(expr, E.Select):
-        inner = _estimate(expr.input, instance, schema, memo)
-        fraction = _clamp(_selectivity(expr.predicate, inner, schema))
+        inner = _estimate(expr.input, instance, schema, memo, params)
+        predicate = S.bind_params(expr.predicate, params)
+        fraction = _clamp(_selectivity(predicate, inner, schema))
         return _Est(inner.rows * fraction, inner.cols)
     if isinstance(expr, E.Project):
-        inner = _estimate(expr.input, instance, schema, memo)
+        inner = _estimate(expr.input, instance, schema, memo, params)
         cols = {}
         for name, scalar in expr.outputs:
             if isinstance(scalar, S.Col):
@@ -320,7 +323,7 @@ def _estimate_uncached(
                     cols[name] = ref
         return _Est(inner.rows, cols)
     if isinstance(expr, E.Extend):
-        inner = _estimate(expr.input, instance, schema, memo)
+        inner = _estimate(expr.input, instance, schema, memo, params)
         cols = dict(inner.cols)
         cols.pop(expr.name, None)
         if isinstance(expr.scalar, S.Col):
@@ -329,7 +332,7 @@ def _estimate_uncached(
                 cols[expr.name] = ref
         return _Est(inner.rows, cols)
     if isinstance(expr, E.Rename):
-        inner = _estimate(expr.input, instance, schema, memo)
+        inner = _estimate(expr.input, instance, schema, memo, params)
         mapping = expr.mapping
         cols = {
             mapping.get(name, name): ref
@@ -337,14 +340,14 @@ def _estimate_uncached(
         }
         return _Est(inner.rows, cols)
     if isinstance(expr, E.Sort):
-        return _estimate(expr.input, instance, schema, memo)
+        return _estimate(expr.input, instance, schema, memo, params)
     if isinstance(expr, E.Join):
-        left = _estimate(expr.left, instance, schema, memo)
-        right = _estimate(expr.right, instance, schema, memo)
+        left = _estimate(expr.left, instance, schema, memo, params)
+        right = _estimate(expr.right, instance, schema, memo, params)
         return _join_estimate(expr, left, right, schema)
     if isinstance(expr, E.UnionAll):
-        left = _estimate(expr.left, instance, schema, memo)
-        right = _estimate(expr.right, instance, schema, memo)
+        left = _estimate(expr.left, instance, schema, memo, params)
+        right = _estimate(expr.right, instance, schema, memo, params)
         cols = {
             name: ref
             for name, ref in left.cols.items()
@@ -352,16 +355,16 @@ def _estimate_uncached(
         }
         return _Est(left.rows + right.rows, cols)
     if isinstance(expr, E.Difference):
-        left = _estimate(expr.left, instance, schema, memo)
-        _estimate(expr.right, instance, schema, memo)
+        left = _estimate(expr.left, instance, schema, memo, params)
+        _estimate(expr.right, instance, schema, memo, params)
         return _Est(left.rows, left.cols)
     if isinstance(expr, E.Distinct):
-        inner = _estimate(expr.input, instance, schema, memo)
+        inner = _estimate(expr.input, instance, schema, memo, params)
         if not inner.cols:
             return _Est(inner.rows, inner.cols)
         return _Est(_distinct_groups(inner, inner.cols), inner.cols)
     if isinstance(expr, E.Aggregate):
-        inner = _estimate(expr.input, instance, schema, memo)
+        inner = _estimate(expr.input, instance, schema, memo, params)
         cols = {
             name: ref
             for name, ref in inner.cols.items()
@@ -389,7 +392,8 @@ class Estimator:
     *actuals-corrected* cardinalities: ``corrections`` maps subtree
     fingerprints to row counts observed by a profiled execution (the
     adaptive re-optimization feedback of
-    :meth:`repro.algebra.plan_cache.PlanCache.note_divergence`).  A
+    :meth:`repro.algebra.plan_cache.PlanCache.note_divergence`), and
+    ``params`` bind the trees' ``Param`` slots.  A
     corrected subtree overrides its statistics-derived estimate, and
     the override propagates into every parent estimated afterwards.
 
@@ -398,13 +402,16 @@ class Estimator:
     candidate's ``id`` could be recycled and alias a stale entry.
     """
 
-    __slots__ = ("instance", "schema", "corrections", "_memo", "_fps",
-                 "_pins")
+    __slots__ = ("instance", "schema", "corrections", "params", "_memo",
+                 "_fps", "_pins")
 
-    def __init__(self, instance, schema=None, corrections=None) -> None:
+    def __init__(
+        self, instance, schema=None, corrections=None, params: tuple = ()
+    ) -> None:
         self.instance = instance
         self.schema = schema
         self.corrections = dict(corrections) if corrections else {}
+        self.params = params
         self._memo: dict[int, _Est] = {}
         self._fps: dict[int, str] = {}
         self._pins: list[E.RelExpr] = []
@@ -420,7 +427,9 @@ class Estimator:
         self._pins.append(expr)
         if self.corrections:
             self._correct(expr)
-        return _estimate(expr, self.instance, self.schema, self._memo)
+        return _estimate(
+            expr, self.instance, self.schema, self._memo, self.params
+        )
 
     def rows(self, expr: E.RelExpr) -> float:
         """Estimated output rows (corrections applied)."""
@@ -433,7 +442,9 @@ class Estimator:
             return
         for child in expr.inputs():
             self._correct(child)
-        est = _estimate(expr, self.instance, self.schema, self._memo)
+        est = _estimate(
+            expr, self.instance, self.schema, self._memo, self.params
+        )
         actual = self.corrections.get(self.fingerprint(expr))
         if actual is not None and est.rows != actual:
             self._memo[id(expr)] = _Est(float(actual), est.cols)
@@ -467,7 +478,7 @@ def _annotation_key(plan, instance) -> Optional[tuple]:
 
 
 def annotate_plan(
-    plan, instance, schema=None
+    plan, instance, schema=None, params: tuple = ()
 ) -> list[Optional[float]]:
     """Estimate every node of a compiled plan against ``instance`` and
     return the estimates indexed by node id.
@@ -480,9 +491,12 @@ def annotate_plan(
     identity/length, so the warm query path — same plan, unchanged
     data, one annotation per query — pays a key comparison instead of
     a full re-estimation.  Nodes lowered without an expression anchor
-    estimate as ``None``.
+    estimate as ``None``.  ``params`` bind the plan's slots, so a
+    parameterized plan estimates like the literal query it ran for.
     """
     key = _annotation_key(plan, instance)
+    if key is not None:
+        key = (key, params)
     memoized = getattr(plan, "_annotate_memo", None)
     if (
         key is not None
@@ -494,7 +508,7 @@ def annotate_plan(
     memo: dict[int, _Est] = {}
     estimates = [
         None if node.expr is None
-        else _estimate(node.expr, instance, schema, memo).rows
+        else _estimate(node.expr, instance, schema, memo, params).rows
         for node in plan.nodes
     ]
     if key is not None:

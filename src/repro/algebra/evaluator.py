@@ -53,6 +53,7 @@ class EvalContext:
 
     schema: Optional[Schema] = None
     instance: Optional[Instance] = None
+    params: tuple = ()  # values of the expression's Param slots
 
 
 def evaluate(
@@ -60,6 +61,7 @@ def evaluate(
     instance: Instance,
     schema: Optional[Schema] = None,
     engine: Optional[str] = None,
+    params: tuple = (),
 ) -> list[Row]:
     """Evaluate ``expr`` against ``instance`` and return its rows.
 
@@ -68,28 +70,37 @@ def evaluate(
     is ``None``/``"vectorized"`` (the plan-cached executor) or
     ``"interpreted"`` (the reference oracle); both produce identical
     row multisets, and any other value raises ``EvaluationError``.
+    ``params`` bind ``expr``'s ``Param`` slots, if it has any.  The
+    executor runs the cached plan of the query's *shape*
+    (:func:`~repro.algebra.plan_cache.parameterize`).
     """
     if engine is None or engine == "vectorized":
-        from repro.algebra.plan_cache import GLOBAL_VECTOR_PLAN_CACHE
+        from repro.algebra.plan_cache import (
+            GLOBAL_VECTOR_PLAN_CACHE,
+            parameterize,
+        )
 
+        shape, params = parameterize(expr, params)
         if not STATE.enabled:
             plan, _ = GLOBAL_VECTOR_PLAN_CACHE.adaptive_lookup(
-                expr, instance, schema
+                shape, instance, schema, params
             )
-            return plan.execute(instance, schema)
+            return plan.execute(instance, schema, params)
         return _evaluate_observed(
-            expr, instance, schema, GLOBAL_VECTOR_PLAN_CACHE
+            expr, shape, params, instance, schema, GLOBAL_VECTOR_PLAN_CACHE
         )
     if engine != "interpreted":
         raise EvaluationError(
             f"unknown query engine {engine!r}; expected 'vectorized' "
             "or 'interpreted'"
         )
-    return evaluate_interpreted(expr, instance, schema)
+    return evaluate_interpreted(expr, instance, schema, params)
 
 
 def _evaluate_observed(
     expr: RelExpr,
+    shape: RelExpr,
+    params: tuple,
     instance: Instance,
     schema: Optional[Schema],
     cache,
@@ -113,19 +124,22 @@ def _evaluate_observed(
 
     from repro.observability.querylog import QUERY_LOG
 
-    plan, cache_hit = cache.adaptive_lookup(expr, instance, schema)
+    plan, cache_hit = cache.adaptive_lookup(shape, instance, schema, params)
     start = time.perf_counter()
-    rows, profile = plan.execute_profiled(instance, schema)
+    rows, profile = plan.execute_profiled(instance, schema, params)
     wall_ms = (time.perf_counter() - start) * 1000.0
     worst = None
     reopt = False
     try:
         from repro.algebra.estimate import annotate_plan, worst_divergent
 
-        estimates = annotate_plan(plan, instance, schema)
+        if params:
+            estimates = annotate_plan(plan, instance, schema, params)
+        else:
+            estimates = annotate_plan(plan, instance, schema)
         worst = worst_divergent(plan.nodes, profile, estimates)
         if worst is not None and worst["flagged"]:
-            reopt = cache.note_divergence(expr, plan, profile)
+            reopt = cache.note_divergence(shape, plan, profile)
     except Exception:
         registry.counter("query.estimate.errors").inc()
     entry = QUERY_LOG.record(
@@ -149,10 +163,11 @@ def evaluate_interpreted(
     expr: RelExpr,
     instance: Instance,
     schema: Optional[Schema] = None,
+    params: tuple = (),
 ) -> list[Row]:
     """The reference tree-walking interpreter (the oracle that
     ``evaluate(..., engine="interpreted")`` selects)."""
-    ctx = EvalContext(schema=schema or instance.schema, instance=instance)
+    ctx = EvalContext(schema or instance.schema, instance, params)
     if not STATE.enabled:
         return _eval(expr, instance, ctx)
     import time

@@ -37,7 +37,12 @@ from typing import Optional
 from repro.algebra import expressions as E
 from repro.algebra.compiler import PlanProfile
 from repro.algebra.estimate import annotate_plan, worst_divergent
-from repro.algebra.plan_cache import GLOBAL_VECTOR_PLAN_CACHE
+from repro.algebra.plan_cache import (
+    GLOBAL_VECTOR_PLAN_CACHE,
+    bind_plan,
+    bind_tree,
+    parameterize,
+)
 from repro.algebra.printer import render_plan, to_text
 from repro.algebra.vectorized import VectorizedPlan
 from repro.instances.database import Instance, Row
@@ -182,19 +187,23 @@ def _plan_for(
     instance: Optional[Instance],
     schema: Optional[Schema],
     no_opt: bool,
+    params: tuple,
 ):
     """Resolve the plan EXPLAIN should show: the adaptive cost-based
-    plan when an instance is in hand (the tree ``evaluate`` would run),
-    or the heuristic compilation with ``no_opt`` / without an instance.
+    plan of the query's shape when an instance is in hand (the tree
+    ``evaluate`` would run), or the heuristic compilation with
+    ``no_opt`` / without an instance.
 
-    Returns ``(plan, cache_hit, cost, heuristic_cost, optimized)``.
+    Returns ``(plan, params, cache_hit, cost, heuristic_cost,
+    optimized)``, ``params`` binding the plan's slots.
     """
     from repro.algebra.optimizer import COST
 
     cache = GLOBAL_VECTOR_PLAN_CACHE
+    expr, params = parameterize(expr, params)
     if instance is None or not COST.enabled:
         cache_hit = expr in cache
-        return cache.get(expr), cache_hit, None, None, False
+        return cache.get(expr), params, cache_hit, None, None, False
     if no_opt:
         cache_hit = expr in cache
         plan = cache.get(expr)
@@ -203,14 +212,15 @@ def _plan_for(
             from repro.algebra.estimate import Estimator
             from repro.algebra.optimizer import plan_cost
 
-            cost = plan_cost(expr, Estimator(instance, schema))
+            cost = plan_cost(expr, Estimator(instance, schema, params=params))
         except Exception:
             registry.counter("query.estimate.errors").inc()
-        return plan, cache_hit, cost, cost, False
-    plan, cache_hit = cache.adaptive_lookup(expr, instance, schema)
+        return plan, params, cache_hit, cost, cost, False
+    plan, cache_hit = cache.adaptive_lookup(expr, instance, schema, params)
     report = cache.adaptive_report(expr) or {}
     return (
         plan,
+        params,
         cache_hit,
         report.get("chosen_cost"),
         report.get("heuristic_cost"),
@@ -223,19 +233,22 @@ def explain(
     instance: Optional[Instance] = None,
     schema: Optional[Schema] = None,
     no_opt: bool = False,
+    params: tuple = (),
 ) -> ExplainResult:
     """Compile ``expr`` (via the process-wide plan cache, like
-    ``evaluate``) and return its annotated plan.
+    ``evaluate``) and return its annotated plan, with the values bound
+    to its slots shown in their place.
 
     With an ``instance``, the cost-based optimizer chooses the tree
     (unless ``no_opt``) and nodes additionally carry cardinality
     estimates from its statistics service."""
-    plan, cache_hit, cost, heuristic_cost, optimized = _plan_for(
-        expr, instance, schema, no_opt
+    plan, params, cache_hit, cost, heuristic_cost, optimized = _plan_for(
+        expr, instance, schema, no_opt, params
     )
+    plan = bind_plan(plan, params)
     estimates = _estimates_for(plan, instance, schema)
     return ExplainResult(
-        expr=expr,
+        expr=bind_tree(expr, params),
         plan=plan,
         cache_hit=cache_hit,
         estimates=estimates,
@@ -250,6 +263,7 @@ def explain_analyze(
     instance: Instance,
     schema: Optional[Schema] = None,
     no_opt: bool = False,
+    params: tuple = (),
 ) -> ExplainAnalyzeResult:
     """Compile, execute against ``instance``, and return the plan
     annotated with per-node runtime statistics and estimate↔actual
@@ -258,18 +272,19 @@ def explain_analyze(
     Profiling works whether or not observability is enabled; when it
     is enabled the run also emits the usual ``query.execute`` span, so
     the profile's total nests inside that span's wall time."""
-    plan, cache_hit, cost, heuristic_cost, optimized = _plan_for(
-        expr, instance, schema, no_opt
+    plan, params, cache_hit, cost, heuristic_cost, optimized = _plan_for(
+        expr, instance, schema, no_opt, params
     )
+    plan = bind_plan(plan, params)
     estimates = _estimates_for(plan, instance, schema)
-    rows, profile = plan.execute_profiled(instance, schema)
+    rows, profile = plan.execute_profiled(instance, schema, params)
     worst = (
         worst_divergent(plan.nodes, profile, estimates)
         if estimates is not None
         else None
     )
     return ExplainAnalyzeResult(
-        expr=expr,
+        expr=bind_tree(expr, params),
         plan=plan,
         cache_hit=cache_hit,
         estimates=estimates,

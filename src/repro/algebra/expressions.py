@@ -329,6 +329,9 @@ class Aggregate(RelExpr):
         for _, func, _ in aggregations:
             if func not in self.FUNCTIONS:
                 raise EvaluationError(f"unknown aggregate {func!r}")
+        names = list(group_by) + [name for name, _, _ in aggregations]
+        if len(names) != len(set(names)):
+            raise EvaluationError(f"duplicate output columns: {names}")
         self.input = input
         self.group_by = tuple(group_by)
         self.aggregations = tuple(aggregations)

@@ -6,8 +6,12 @@ optimization opportunities", Section 4).  This optimizer applies the
 classical safe rewrites:
 
 * cascade and fuse selections (σp(σq(x)) → σp∧q(x));
-* push selections through projections/extends when the predicate only
-  reads pass-through columns, and into union branches;
+* push selections through projections when the predicate only reads
+  pass-through columns, into union branches and both sides of a
+  difference that all carry its columns, through renames that leave
+  them alone, and into the side of an inner join that owns them —
+  ``col = value`` on an equi-join key reaches both sides.  Each push
+  needs statically known columns (``compiler._static_cols``);
 * fuse adjacent projections;
 * drop identity projections and empty renames;
 * simplify predicates (TRUE/FALSE absorption);
@@ -38,6 +42,12 @@ from typing import Optional
 
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
+from repro.algebra.compiler import (
+    _static_cols,
+    eq_test,
+    equality_pairs,
+    union_branches,
+)
 
 
 class CostConfig:
@@ -154,14 +164,37 @@ def _rewrite(expr: E.RelExpr) -> E.RelExpr:
             return _rewrite(
                 E.Distinct(E.Select(expr.input.input, predicate))
             )
-        # σp(x ∪ y) → σp(x) ∪ σp(y)
-        if isinstance(expr.input, E.UnionAll):
-            return _rewrite(
-                E.UnionAll(
-                    E.Select(expr.input.left, predicate),
-                    E.Select(expr.input.right, predicate),
-                )
+        source = expr.input
+        # σp(x ∪ y) → σp(x) ∪ σp(y) when every branch carries p's
+        # columns (∪ pads a missing one with None, which σ below the
+        # union would not see); σp(x − y) → σp(x) − σp(y) likewise.
+        if (
+            isinstance(source, E.UnionAll) and all(
+                _carries(b, predicate) for b in union_branches(source)
             )
+            or isinstance(source, E.Difference) and all(
+                _carries(b, predicate) for b in source.inputs()
+            )
+        ):
+            return _rewrite(type(source)(
+                *(E.Select(side, predicate) for side in source.inputs())
+            ))
+        # σp(ρ(x)) → ρ(σp(x)) for an injective rename that leaves p's
+        # columns alone.
+        if (
+            isinstance(source, E.Rename)
+            and _static_cols(source) is not None
+            and _carries(source.input, predicate)
+            and all(source.mapping.get(c, c) == c
+                    for c in predicate.columns())
+        ):
+            return _rewrite(
+                E.Rename(E.Select(source.input, predicate), source.mapping)
+            )
+        if isinstance(source, E.Join):
+            pushed = _push_select_into_join(source, predicate)
+            if pushed is not None:
+                return _rewrite(pushed)
         # σp(π(x)): first partially evaluate p against literal outputs
         # (this statically prunes union branches whose discriminator —
         # e.g. the $type a query-view branch pins — contradicts p)...
@@ -271,6 +304,64 @@ def _rewrite_children(expr: E.RelExpr) -> E.RelExpr:
     if isinstance(expr, E.Sort):
         return E.Sort(_rewrite(expr.input), expr.keys)
     return expr
+
+
+def _carries(expr: E.RelExpr, predicate: S.Predicate) -> bool:
+    """Every row of ``expr`` statically carries ``predicate``'s columns."""
+    cols = _static_cols(expr)
+    return cols is not None and predicate.columns() <= set(cols)
+
+
+def _push_select_into_join(
+    join: E.Join, predicate: S.Predicate
+) -> Optional[E.RelExpr]:
+    """σp(x ⋈ y) for an inner join with statically known sides: each
+    conjunct moves to the side owning its columns (left wins a shared
+    name, as in the join's output); ``col = value`` on an equi-join key
+    also crosses the key, since joined pairs agree on it.  ``None``
+    when nothing moves."""
+    if join.kind != "inner":
+        return None
+    left_cols = _static_cols(join.left)
+    right_cols = _static_cols(join.right)
+    if left_cols is None or right_cols is None:
+        return None
+    left_set = set(left_cols)
+    right_only = set(right_cols) - left_set
+    pairs = equality_pairs(join.predicate) or ()
+    to_left, to_right, kept = [], [], []
+    operands = (
+        predicate.operands if isinstance(predicate, S.And) else (predicate,)
+    )
+    for conjunct in operands:
+        cols = conjunct.columns()
+        eq = eq_test(conjunct)
+        if cols and cols <= left_set:
+            to_left.append(conjunct)
+            if eq is not None:
+                to_right.extend(
+                    S.Comparison("=", S.Col(rcol), eq[1])
+                    for lcol, rcol, _ in pairs
+                    if lcol == eq[0]
+                )
+        elif cols and cols <= right_only:
+            to_right.append(conjunct)
+            if eq is not None:
+                to_left.extend(
+                    S.Comparison("=", S.Col(lcol), eq[1])
+                    for lcol, rcol, _ in pairs
+                    if rcol == eq[0]
+                )
+        else:
+            kept.append(conjunct)
+    if not to_left and not to_right:
+        return None
+    left, right = (
+        E.Select(side, S.conjunction(moved)) if moved else side
+        for side, moved in ((join.left, to_left), (join.right, to_right))
+    )
+    joined = E.Join(left, right, join.predicate, join.kind, join.right_prefix)
+    return E.Select(joined, S.conjunction(kept)) if kept else joined
 
 
 def _is_empty(expr: E.RelExpr) -> bool:
@@ -480,9 +571,11 @@ def optimize_with_report(
     schema=None,
     corrections=None,
     max_passes: int = 10,
+    params: tuple = (),
 ) -> OptimizationReport:
     """Instance-aware optimization returning both the heuristic and the
-    cost-based tree with their estimated costs.
+    cost-based tree with their estimated costs (``params`` bind the
+    tree's ``Param`` slots for the estimator).
 
     Any failure in the cost phase (unexpected tree shapes, statistics
     errors) falls back to the heuristic tree and bumps the
@@ -495,7 +588,7 @@ def optimize_with_report(
     try:
         from repro.algebra.estimate import Estimator
 
-        est = Estimator(instance, schema, corrections)
+        est = Estimator(instance, schema, corrections, params)
         chosen = _cost_walk(heuristic, est)
         heuristic_cost = plan_cost(heuristic, est)
         if chosen is heuristic or chosen == heuristic:
@@ -572,8 +665,6 @@ def plan_cost(expr: E.RelExpr, est) -> float:
 
 def _join_step_cost(join: E.Join, est) -> float:
     """Cost of one join node, excluding its subtrees."""
-    from repro.algebra.compiler import _static_cols, equality_pairs
-
     left_rows = est.rows(join.left)
     right_rows = est.rows(join.right)
     out_rows = est.rows(join)
@@ -610,8 +701,6 @@ def mirror_join_fingerprint(expr: E.RelExpr) -> Optional[str]:
     mis-estimated join — and needs a second divergence round to learn
     what it already measured.
     """
-    from repro.algebra.compiler import equality_pairs
-
     if not isinstance(expr, E.Join) or expr.kind != "inner":
         return None
     if expr.right_prefix is not None:
@@ -715,8 +804,6 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
     predicates, leaves with unknowable columns, a class touching one
     leaf twice, ambiguous copies never constrained equal) bails out.
     """
-    from repro.algebra.compiler import _static_cols, equality_pairs
-
     leaves: list[E.RelExpr] = []
     raw_edges: list[tuple[int, int, int, str, str, bool]] = []
 

@@ -1,10 +1,14 @@
-"""LRU cache of compiled plans, keyed on structural fingerprints.
+"""LRU cache of compiled plans, keyed on the structural fingerprints of
+query *shapes*.
 
 The mapping runtime executes the same generated views over and over —
 every query against a mediated schema unfolds to the same algebra tree,
 every exchange re-runs the same TransGen script.  Compiling those trees
 once and memoizing the result turns the per-call cost into a dict
-lookup.  Keys are :meth:`RelExpr.fingerprint` digests (structural, so
+lookup.  ``evaluate`` first turns each ``Col = literal`` test into a
+``Param`` slot bound at execution (:func:`parameterize`), so point
+lookups of different keys share one plan.
+Keys are :meth:`RelExpr.fingerprint` digests (structural, so
 two independently-built but equal trees share one entry); a hit is
 collision-guarded by a structural ``==`` check against the cached
 plan's expression, so a digest collision degrades to a miss instead of
@@ -32,11 +36,17 @@ through ``query.reopt.scheduled`` / ``query.reopt.applied``.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 
-from repro.algebra.expressions import RelExpr
+from repro.algebra.compiler import PlanNode, eq_test
+from repro.algebra.expressions import RelExpr, Select
+from repro.algebra.optimizer import _replace_children
+from repro.algebra.printer import node_label
+from repro.algebra.scalars import And, Comparison, Or, Param, bind_params
 from repro.algebra.vectorized import VectorizedPlan, compile_vector_plan
+from repro.instances.database import TYPE_FIELD
 from repro.observability.metrics import registry
 from repro.observability.state import STATE
 
@@ -151,7 +161,7 @@ class PlanCache:
     # adaptive (cost-based) layer
     # ------------------------------------------------------------------
     def adaptive_lookup(
-        self, expr: RelExpr, instance, schema=None
+        self, expr: RelExpr, instance, schema=None, params: tuple = ()
     ) -> tuple[VectorizedPlan, bool]:
         """``(plan, cache_hit)`` with cost-based optimization.
 
@@ -164,7 +174,8 @@ class PlanCache:
         the plain fingerprint cache (so two epochs choosing the same
         tree share one compilation), and the result is cached.  Falls
         back to :meth:`lookup` when cost-based planning is disabled or
-        the instance has no statistics epoch.
+        the instance has no statistics epoch.  ``params`` bind ``expr``'s
+        slots for the estimator; the chosen tree serves every value.
         """
         from repro.algebra.optimizer import COST, optimize_with_report
 
@@ -186,7 +197,8 @@ class PlanCache:
             corrections = dict(feedback.corrections) if feedback else None
         # Optimize and compile outside the lock (both are pure).
         report = optimize_with_report(
-            expr, instance, schema=schema, corrections=corrections
+            expr, instance, schema=schema, corrections=corrections,
+            params=params,
         )
         plan, _ = self.lookup(report.chosen)
         if corrections and STATE.enabled:
@@ -332,6 +344,100 @@ class PlanCache:
                 "adaptive_misses": self.opt_misses,
                 "reopts": self.reopts,
             }
+
+
+def parameterize(expr: RelExpr, params: tuple = ()) -> tuple[RelExpr, tuple]:
+    """``(shape, values)``: ``expr`` with each ``Col = literal`` test in a
+    selection predicate made a ``Param`` slot, and the slots' values
+    after ``params`` (those of the slots ``expr`` already has).
+
+    Queries differing only in such literals share one shape and one
+    plan.  ``$type`` literals stay: they drive the optimizer's static
+    pruning of union branches.  Memoized on ``expr`` (expressions are
+    immutable), so a reused tree pays for the walk once."""
+    memo = getattr(expr, "_shape_memo", None)
+    if memo is not None and memo[0] == len(params):
+        shape = expr if memo[1] is None else memo[1]
+        return shape, params + memo[2]
+    hoisted: list = []
+    base = len(params)
+
+    def hoist(scalar):
+        if isinstance(scalar, (And, Or)):
+            operands = [hoist(p) for p in scalar.operands]
+            if all(new is old for new, old in zip(operands, scalar.operands)):
+                return scalar
+            return type(scalar)(*operands)
+        test = eq_test(scalar)
+        if test is None or test[0] == TYPE_FIELD or isinstance(
+            test[1], Param
+        ):
+            return scalar
+        slot = Param(base + len(hoisted))
+        hoisted.append(test[1].value)
+        if scalar.left is test[1]:
+            return Comparison("=", slot, scalar.right)
+        return Comparison("=", scalar.left, slot)
+
+    shape = _map_selections(expr, hoist)
+    values = tuple(hoisted)
+    # No self-reference when nothing was hoisted: a cycle would leave
+    # the tree to the cyclic collector.
+    expr._shape_memo = (base, None if shape is expr else shape, values)
+    return shape, params + values
+
+
+def bind_plan(plan: VectorizedPlan, params: tuple) -> VectorizedPlan:
+    """``plan`` as it runs for ``params``: the same pipeline, with the
+    slots' values in place of the slots in its expression and in every
+    node's anchor and label — the tree EXPLAIN renders and the
+    estimator scores."""
+    if not params:
+        return plan
+    memo: dict = {}
+
+    def bind(expr):
+        return bind_tree(expr, params, memo)
+
+    view = copy.copy(plan)
+    view.expr = bind(plan.expr)
+    view.nodes = [
+        node if node.expr is None else PlanNode(
+            node.node_id, node_label(bound := bind(node.expr)),
+            node.strategy, list(node.children), node.shared, expr=bound,
+        )
+        for node in plan.nodes
+    ]
+    view._annotate_memo = None
+    return view
+
+
+def bind_tree(expr: RelExpr, params: tuple, memo=None) -> RelExpr:
+    """``expr`` with the values of its slots in place of the slots."""
+    return _map_selections(
+        expr, lambda scalar: bind_params(scalar, params), memo
+    )
+
+
+def _map_selections(expr: RelExpr, fn, memo=None) -> RelExpr:
+    """``expr`` with each selection predicate replaced by ``fn(p)``;
+    unchanged subtrees keep their identity, shared ones stay shared."""
+    if memo is None:
+        memo = {}
+
+    def walk(node):
+        done = memo.get(id(node))
+        if done is not None:
+            return done[1]
+        rebuilt = _replace_children(node, [walk(c) for c in node.inputs()])
+        if isinstance(rebuilt, Select):
+            predicate = fn(rebuilt.predicate)
+            if predicate is not rebuilt.predicate:
+                rebuilt = Select(rebuilt.input, predicate)
+        memo[id(node)] = (node, rebuilt)
+        return rebuilt
+
+    return walk(expr)
 
 
 #: Process-wide cache used by ``evaluate`` and ``explain``.

@@ -18,6 +18,8 @@ def scalar_text(scalar: S.Scalar) -> str:
         return scalar.name
     if isinstance(scalar, S.Lit):
         return repr(scalar.value)
+    if isinstance(scalar, S.Param):
+        return f"${scalar.index}"
     if isinstance(scalar, S._Bool):
         return "TRUE" if scalar.value else "FALSE"
     if isinstance(scalar, S.Func):

@@ -86,6 +86,43 @@ class Lit(Scalar):
         return (self.value,)
 
 
+class Param(Scalar):
+    """A parameter slot: a literal hoisted out of a ``Col = literal``
+    test (:func:`repro.algebra.plan_cache.parameterize`), read from the
+    context's ``params`` at execution."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def eval(self, row: Row, ctx: "EvalContext") -> object:
+        return ctx.params[self.index]
+
+    def columns(self) -> set[str]:
+        return set()
+
+    def _key(self):
+        return (self.index,)
+
+
+def bind_params(scalar: Scalar, params: Sequence[object]) -> Scalar:
+    """``scalar`` with each :class:`Param` slot replaced by its value.
+    Slots sit only in comparisons under ``And``/``Or``, where the
+    parameterizer puts them."""
+    if not params:
+        return scalar
+    if isinstance(scalar, Param):
+        return Lit(params[scalar.index])
+    if isinstance(scalar, Comparison):
+        return Comparison(
+            scalar.op,
+            bind_params(scalar.left, params),
+            bind_params(scalar.right, params),
+        )
+    if isinstance(scalar, (And, Or)):
+        return type(scalar)(*(bind_params(p, params) for p in scalar.operands))
+    return scalar
+
+
 class Func(Scalar):
     """A named scalar function applied to argument expressions.
 

@@ -7,7 +7,9 @@ plan runs many times without re-walking the tree or re-dispatching
 scalars per row:
 
 * **selection** evaluates vectorizable predicates as boolean masks over
-  whole columns and compresses once;
+  whole columns and compresses once; ``σ[col = value](Scan R)`` reads
+  the relation's postings (:meth:`Instance.index_lookup`) instead when
+  the statistics price that below the mask (``vec_probe``);
 * **projection** of columns/constants is a column *permutation* —
   O(columns) per stage, sharing the input's (immutable) value lists;
 * **hash joins** build and probe over column slices, then gather output
@@ -44,6 +46,7 @@ from typing import Callable, Optional
 from repro.algebra import compiler as C
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
+from repro.algebra.optimizer import COST
 from repro.algebra.compiler import (
     PlanProfile,
     SortKey,
@@ -212,14 +215,6 @@ def _lit_mask_fn(op: str, name: str, lit, flipped: bool):
         return None  # null literals need the pairing rules everywhere
     pair = _pair_fn(op)
 
-    if op == "=":
-        # `v == lit` matches pair_eq for every v: None == lit is False,
-        # LabeledNull.__eq__(concrete) is False.
-        def run_mask_eq(b, ctx):
-            return [v == lit for v in b.cols[name].values]
-
-        return run_mask_eq
-
     if op == "!=":
         # Diverges only on SQL NULL cells (pair says False, != says
         # True), so it is licensed per batch by the cached null mask.
@@ -266,6 +261,20 @@ def _vector_predicate(scalar) -> Optional[_VecPred]:
     if isinstance(scalar, S.Comparison):
         left, right = scalar.left, scalar.right
         pair = _pair_fn(scalar.op)
+        test = C.eq_test(scalar)
+        if test is not None:
+            name, value_of = test[0], _value_of(test[1])
+
+            def run_mask_eq(b, ctx):
+                lit = value_of(ctx)
+                values = b.cols[name].values
+                if lit is None or isinstance(lit, LabeledNull):
+                    return [pair(v, lit) for v in values]
+                # `v == lit` matches pair_eq for every v: None == lit is
+                # False, LabeledNull.__eq__(concrete) is False.
+                return [v == lit for v in values]
+
+            return run_mask_eq, frozenset((name,))
         if isinstance(left, S.Col) and isinstance(right, S.Lit):
             name, lit = left.name, right.value
             fast = _lit_mask_fn(scalar.op, name, lit, flipped=False)
@@ -586,8 +595,7 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
 
     mask_fn, needs = vec
 
-    def run_vec_select(ctx):
-        batch = inner(ctx)
+    def select(batch, ctx):
         if not batch.nrows:
             return batch
         cols = batch.cols
@@ -601,7 +609,62 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
                 return batch.compress(mask)
         return batch.compress(mask_fn(batch, ctx))
 
-    return run_vec_select
+    test = C.eq_test(expr.predicate)
+    if not isinstance(expr.input, E.Scan) or test is None:
+
+        def run_vec_select(ctx):
+            return select(inner(ctx), ctx)
+
+        return run_vec_select
+
+    relation = expr.input.relation
+    name, value_of = test[0], _value_of(test[1])
+
+    def run_vec_probe(ctx):
+        batch = inner(ctx)
+        value = value_of(ctx)
+        if (
+            batch.nrows
+            and isinstance(value, (int, str))
+            and name in batch.cols
+            and batch.full
+            and _probe_pays(ctx.instance, relation, name, value, batch.nrows)
+        ):
+            # Postings hold stored rows in stored order, and a full batch
+            # has exactly ``names`` in every row.
+            rows = ctx.instance.index_lookup(relation, name, value)
+            return ColumnBatch.from_homogeneous_rows(rows, batch.names)
+        return select(batch, ctx)
+
+    return run_vec_probe
+
+
+def _value_of(operand):
+    """``ctx -> value`` of a literal or a parameter slot."""
+    if isinstance(operand, S.Param):
+        index = operand.index
+        return lambda ctx: ctx.params[index]
+    value = operand.value
+    return lambda ctx: value
+
+
+def _probe_pays(
+    instance: Instance, relation: str, name: str, value, nrows: int
+) -> bool:
+    """Whether reading ``relation``'s postings for ``name = value``
+    costs less than masking its ``nrows``-row batch, under the
+    optimizer's ``CostConfig`` weights.  The expected match count is
+    the larger of the value's own frequency and the column's average
+    per distinct value, so a low-cardinality column never gets a
+    postings index, even for a rare value."""
+    stats = instance.relation_stats(relation).columns.get(name)
+    if stats is None or not stats.distinct:
+        return False
+    matched = max(stats.frequency(value) or 0, stats.non_null / stats.distinct)
+    return (
+        matched * (COST.probe_weight + COST.output_weight)
+        < nrows * COST.scan_weight
+    )
 
 
 def _lower_project(expr: E.Project, st: _Lower) -> VStage:
@@ -1225,23 +1288,27 @@ class VectorizedPlan:
         self.root_id = st.registry.root_id()
 
     def batch(
-        self, instance: Instance, schema: Optional[Schema] = None
+        self, instance: Instance, schema: Optional[Schema] = None,
+        params: tuple = (),
     ) -> ColumnBatch:
         """The plan's output batch (shared storage — treat as
-        immutable; :meth:`execute` is the row-materializing API)."""
-        ctx = _Run(instance, schema if schema is not None else instance.schema)
-        return self._run(ctx)
+        immutable; :meth:`execute` is the row-materializing API).
+        ``params`` bind the plan's ``Param`` slots."""
+        schema = schema if schema is not None else instance.schema
+        return self._run(_Run(instance, schema, params=params))
 
     def execute(
-        self, instance: Instance, schema: Optional[Schema] = None
+        self, instance: Instance, schema: Optional[Schema] = None,
+        params: tuple = (),
     ) -> list[Row]:
         """Run against ``instance`` and return fresh result rows."""
         if not STATE.enabled:
-            return self.batch(instance, schema).to_rows()
-        return self.execute_profiled(instance, schema)[0]
+            return self.batch(instance, schema, params).to_rows()
+        return self.execute_profiled(instance, schema, params)[0]
 
     def execute_profiled(
-        self, instance: Instance, schema: Optional[Schema] = None
+        self, instance: Instance, schema: Optional[Schema] = None,
+        params: tuple = (),
     ) -> tuple[list[Row], PlanProfile]:
         """EXPLAIN ANALYZE: run the pipeline with a profile attached and
         return ``(rows, profile)`` — per-node calls/rows/seconds of
@@ -1255,6 +1322,7 @@ class VectorizedPlan:
             instance,
             schema if schema is not None else instance.schema,
             counters,
+            params,
         )
         if not STATE.enabled:
             rows = self._run(ctx).to_rows()

@@ -14,11 +14,14 @@ Two regimes, matching the mapping language:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Optional, Sequence, Union
 
 from repro.algebra.evaluator import evaluate
 from repro.algebra.expressions import RelExpr
 from repro.algebra.optimizer import optimize
+from repro.algebra.plan_cache import GLOBAL_VECTOR_PLAN_CACHE, parameterize
 from repro.errors import TransformationError
 from repro.instances.database import Instance, Row
 from repro.logic.certain_answers import certain_answers
@@ -34,10 +37,11 @@ class QueryProcessor:
 
     ``engine`` picks the algebra execution engine for every query this
     processor answers (``vectorized``/``interpreted``; None →
-    vectorized, see :func:`repro.algebra.evaluate`).  Unfolded views
-    are structurally stable, so the vectorized engine's plan cache
-    makes repeated queries through one processor compile-once/run-many.
-    EXPLAIN always shows the vectorized plan.
+    vectorized, see :func:`repro.algebra.evaluate`).  Unfolding runs
+    once per target-query *shape* (``Col = literal`` tests become
+    parameter slots first), so lookups of different keys share one
+    unfolded tree and one cached plan.  EXPLAIN always shows the
+    vectorized plan.
     """
 
     def __init__(
@@ -51,6 +55,10 @@ class QueryProcessor:
         self.engine = engine
         self._views: Optional[dict[str, RelExpr]] = None
         self._universal: Optional[Instance] = None
+        # Target-query shape -> unfolded shape, LRU bounded like the
+        # plan cache.
+        self._unfolded: "OrderedDict[RelExpr, RelExpr]" = OrderedDict()
+        self._unfolded_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
@@ -104,16 +112,10 @@ class QueryProcessor:
         solution and drop rows containing labeled nulls.
         """
         if self.mapping.equalities:
-            # Heuristic rewrites here; the cost-based join-order choice
-            # happens inside evaluate's adaptive plan cache (keyed by
-            # source-instance stats epoch), so it is not re-done per
-            # call and EXPLAIN shows exactly the tree that runs.
-            localized = _localize_type_predicates(query, self.mapping.target)
-            unfolded = optimize(
-                unfold_scans(localized, self._view_definitions())
-            )
+            unfolded, params = self._unfold(query)
             return evaluate(
-                unfolded, self.source, self.mapping.source, engine=self.engine
+                unfolded, self.source, self.mapping.source,
+                engine=self.engine, params=params,
             )
         universal = self._universal_solution()
         rows = evaluate(
@@ -126,6 +128,28 @@ class QueryProcessor:
             for row in rows
             if not any(isinstance(v, LabeledNull) for v in row.values())
         ]
+
+    def _unfold(self, query: RelExpr) -> tuple[RelExpr, tuple]:
+        """The source-side shape of a target query and its slot values.
+
+        Heuristic rewrites here, memoized per shape; the cost-based
+        join-order choice happens inside evaluate's adaptive plan cache
+        (keyed by source-instance stats epoch), so EXPLAIN shows exactly
+        the tree that runs."""
+        shape, params = parameterize(query)
+        with self._unfolded_lock:
+            unfolded = self._unfolded.get(shape)
+            if unfolded is not None:
+                self._unfolded.move_to_end(shape)
+                return unfolded, params
+        localized = _localize_type_predicates(shape, self.mapping.target)
+        unfolded = optimize(unfold_scans(localized, self._view_definitions()))
+        with self._unfolded_lock:
+            self._unfolded[shape] = unfolded
+            self._unfolded.move_to_end(shape)
+            while len(self._unfolded) > GLOBAL_VECTOR_PLAN_CACHE.capacity:
+                self._unfolded.popitem(last=False)
+        return unfolded, params
 
     @instrumented("runtime.query.cq", attrs=lambda self, query,
                   *a, **k: {"mapping.name": self.mapping.name,
@@ -162,11 +186,13 @@ class QueryProcessor:
         from repro.algebra.explain import explain
 
         if self.mapping.equalities:
+            unfolded, params = self._unfold(query)
             return explain(
-                self.unfolded(query),
+                unfolded,
                 instance=self.source,
                 schema=self.mapping.source,
                 no_opt=no_opt,
+                params=params,
             )
         return explain(
             query,
@@ -185,9 +211,10 @@ class QueryProcessor:
         from repro.algebra.explain import explain_analyze
 
         if self.mapping.equalities:
+            unfolded, params = self._unfold(query)
             return explain_analyze(
-                self.unfolded(query), self.source, self.mapping.source,
-                no_opt=no_opt,
+                unfolded, self.source, self.mapping.source,
+                no_opt=no_opt, params=params,
             )
         return explain_analyze(
             query, self._universal_solution(), self.mapping.target,

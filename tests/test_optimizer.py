@@ -76,9 +76,16 @@ class TestRewrites:
 
     def test_select_pushed_into_union(self):
         p = eq(Col("x"), 1)
-        pushed = optimize(Select(UnionAll(Scan("A"), Scan("B")), p))
+        branches = [project_names(Scan(r), ["x", "y"]) for r in "AB"]
+        pushed = optimize(Select(UnionAll(*branches), p))
         assert isinstance(pushed, UnionAll)
-        assert isinstance(pushed.left, Select)
+        assert isinstance(pushed.left, Project)
+        assert isinstance(pushed.left.input, Select)
+        # A branch that may lack x keeps σ above the union: ∪ pads the
+        # branch's x with None, which σ below it would not see.
+        for union in (UnionAll(Scan("A"), Scan("B")),
+                      UnionAll(branches[0], project_names(Scan("B"), ["y"]))):
+            assert optimize(Select(union, p)) == Select(union, p)
 
     def test_select_through_passthrough_project(self):
         p = eq(Col("x"), 1)

@@ -210,14 +210,17 @@ def _random_plan(rng, depth):
         return joined, cols + right_cols, int_cols + right_cols[:2]
     if op == "aggregate":
         group = rng.sample(cols, rng.randint(0, min(2, len(cols))))
-        aggregations = [("cnt", "count", None)]
+        # Names unique per depth: a nested aggregate's outputs may be
+        # grouped on here, and output names must not repeat.
+        aggregations = [(f"cnt{depth}", "count", None)]
         if int_cols:
-            aggregations.append(("sm", "sum", Col(rng.choice(int_cols))))
-            aggregations.append(("mn", "min", Col(rng.choice(int_cols))))
-        out_cols = list(group) + [n for n, _, _ in aggregations]
-        ints = [c for c in group if c in int_cols] + ["cnt", "sm", "mn"][
-            : len(aggregations)
-        ]
+            aggregations.append(
+                (f"sm{depth}", "sum", Col(rng.choice(int_cols))))
+            aggregations.append(
+                (f"mn{depth}", "min", Col(rng.choice(int_cols))))
+        names = [n for n, _, _ in aggregations]
+        out_cols = list(group) + names
+        ints = [c for c in group if c in int_cols] + names
         return Aggregate(expr, group, aggregations), out_cols, ints
     # sort
     keys = [
