@@ -17,13 +17,18 @@ engine's the whole instance); the core shrinks the redundant workload's
 output but never the irredundant one's.
 
 Run standalone (``python benchmarks/bench_chase_scaling.py``) to emit
-``BENCH_chase.json`` — rows/sec, rounds and speedup at three instance
-sizes — so successive PRs leave a perf trajectory.  ``--smoke`` runs
-only the smallest size (the ``make bench-smoke`` target).
+``BENCH_chase.json`` through the harness (``benchmarks/harness.py``):
+wall and process CPU time of both engines, steps, rounds and speedup
+for three workloads at three instance sizes, so successive PRs leave a
+perf trajectory.  At the smallest size every workload's result must be
+hom-equivalent to ``naive_chase``'s and take the same steps; the run
+exits non-zero otherwise.  ``--smoke`` runs only the smallest size and
+rewrites no JSON unless ``--out`` is given (the ``make bench-smoke``
+target and the CI "Chase bench smoke" step).
 """
 
-import argparse
-import json
+import gc
+import random
 import sys
 import time
 from pathlib import Path
@@ -38,10 +43,12 @@ from repro.logic import (
     chase,
     core_of,
     naive_chase,
+    parse_egd,
     parse_query,
     parse_tgd,
 )
 from repro.logic.homomorphism import are_hom_equivalent
+from repro.runtime.incremental import set_equal_modulo_nulls
 from repro.workloads import synthetic
 
 from conftest import print_table
@@ -170,126 +177,120 @@ def test_chase_report(benchmark):
 
 
 # ----------------------------------------------------------------------
-# standalone trajectory run → BENCH_chase.json
+# standalone trajectory run → BENCH_chase.json (harness-v1)
 # ----------------------------------------------------------------------
 _SIZES = (250, 1000, 4000)
 
 
-def _time(engine, db, tgds):
-    start = time.perf_counter()
-    result = engine(db, tgds)
-    return time.perf_counter() - start, result
+def _keyed_workload(rows: int, seed: int = 5):
+    """The shapes of perfbench ``exchange`` over ``rows`` source rows: a
+    join tgd, an existential tgd and a target tgd over orders and
+    customers, and a key egd over staff that is partly placed in an
+    office (a tgd per split) and partly unplaced (an existential)."""
+    rng = random.Random(seed)
+    customers = rows // 7
+    staff = (rows - 5 * customers) * 2 // 3
+    placed = rows - 5 * customers - staff
+    db = Instance()
+    cids = rng.sample(range(10 ** 6), customers)
+    for cid in cids:
+        db.add("Cust", cid=cid, name=f"c{rng.randrange(97)}")
+    for oid in rng.sample(range(10 ** 6), 4 * customers):
+        db.add("Ord", oid=oid, cust=rng.choice(cids),
+               amount=rng.randrange(1000))
+    eids = rng.sample(range(10 ** 6), staff)
+    for eid in eids:
+        db.add("A", eid=eid)
+    for eid in rng.sample(eids, placed):
+        db.add("B", eid=eid, office=f"off{rng.randrange(5)}")
+    dependencies = [
+        parse_tgd("Ord(oid=o, cust=c, amount=a) & Cust(cid=c, name=n) "
+                  "-> Sale(oid=o, name=n)"),
+        parse_tgd("Cust(cid=c, name=n) -> Client(cid=c, name=n, tier=t)"),
+        parse_tgd("Sale(oid=o, name=n) -> Audit(oid=o)"),
+        parse_tgd("A(eid=e) -> Assign(eid=e, office=o)"),
+        parse_tgd("B(eid=e, office=f) -> Assign(eid=e, office=f)"),
+        parse_tgd("Assign(eid=e, office=f) -> Room(office=f)"),
+        parse_egd("Assign(eid=e, office=f) & Assign(eid=e, office=g) "
+                  "-> f = g", name="Assign.key"),
+    ]
+    return db, dependencies
 
 
-def _measure(rows: int, check_equivalence: bool) -> dict:
-    # The gap between engines scales with the number of stages (naive
-    # sweeps cost O(stages² · rows), delta rounds O(stages · rows)):
-    # 12 stages is the depth of the composition-chain workloads.
-    db, tgds = _chain_workload(rows, stages=12)
-    naive_seconds, naive_result = _time(naive_chase, db, tgds)
-    semi_seconds, semi_result = _time(chase, db, tgds)
-    entry = {
-        "workload": "chain(stages=12)",
-        "source_rows": rows,
-        "rows_produced": semi_result.steps,
-        "rounds": semi_result.stats.rounds,
-        "seminaive_seconds": round(semi_seconds, 4),
-        "seminaive_rows_per_sec": round(semi_result.steps / semi_seconds)
-        if semi_seconds
-        else None,
-        "naive_seconds": round(naive_seconds, 4),
-        "naive_rows_per_sec": round(naive_result.steps / naive_seconds)
-        if naive_seconds
-        else None,
-        "speedup": round(naive_seconds / semi_seconds, 2)
-        if semi_seconds
-        else None,
-        "delta_sizes": semi_result.stats.delta_sizes,
-    }
-    if check_equivalence:
-        entry["hom_equivalent"] = are_hom_equivalent(
-            semi_result.instance, naive_result.instance
-        )
-    return entry
+#: workload label → builder of (source, dependencies) at a size.  The
+#: chain's gap between engines scales with its stages (naive sweeps cost
+#: O(stages² · rows), delta rounds O(stages · rows)); 12 stages is the
+#: depth of the composition-chain workloads.
+_WORKLOADS = {
+    "chain(stages=12)": lambda rows: _chain_workload(rows, stages=12),
+    "exchange(∃=0.5)": lambda rows: _exchange_workload(rows, 0.5, seed=9),
+    "keyed": _keyed_workload,
+}
 
 
-def _measure_exchange(rows: int, check_equivalence: bool) -> dict:
-    db, tgds = _exchange_workload(rows, existential_fraction=0.5, seed=9)
-    naive_seconds, naive_result = _time(naive_chase, db, tgds)
-    semi_seconds, semi_result = _time(chase, db, tgds)
-    entry = {
-        "workload": "exchange(∃=0.5)",
-        "source_rows": rows,
-        "rows_produced": semi_result.steps,
-        "rounds": semi_result.stats.rounds,
-        "seminaive_seconds": round(semi_seconds, 4),
-        "naive_seconds": round(naive_seconds, 4),
-        "speedup": round(naive_seconds / semi_seconds, 2)
-        if semi_seconds
-        else None,
-    }
-    if check_equivalence:
-        entry["hom_equivalent"] = are_hom_equivalent(
-            semi_result.instance, naive_result.instance
-        )
-    return entry
+def _timed(engine, db, dependencies):
+    # Collect the previous runs' garbage first, so that a full
+    # collection they leave due does not land inside this measurement.
+    gc.collect()
+    wall, cpu = time.perf_counter(), time.process_time()
+    result = engine(db, dependencies)
+    return (result, time.perf_counter() - wall, time.process_time() - cpu)
+
+
+def trajectory_report(benchmark):
+    """Both engines on every workload and size.  The smallest size also
+    checks the semi-naive result against the naive one (hom-equivalent,
+    equal steps) and fails the run on a mismatch."""
+    rows_table, mismatches = [], []
+    for workload, build in _WORKLOADS.items():
+        for index, rows in enumerate(_SIZES):
+            db, dependencies = build(rows)
+            semi, semi_wall, semi_cpu = _timed(chase, db, dependencies)
+            naive, naive_wall, naive_cpu = _timed(naive_chase, db,
+                                                  dependencies)
+            checked = "—"
+            if index == 0:
+                # Equal up to null renaming, else homomorphic both ways.
+                equivalent = set_equal_modulo_nulls(semi.instance,
+                                                    naive.instance)
+                checked = ("ok" if equivalent and semi.steps == naive.steps
+                           else f"MISMATCH (steps {semi.steps} vs "
+                                f"{naive.steps}, hom-equivalent "
+                                f"{equivalent})")
+                if checked != "ok":
+                    mismatches.append(f"{workload} at {rows} rows: {checked}")
+            rows_table.append([
+                workload, rows, semi.steps, semi.stats.rounds,
+                f"{semi_wall * 1000:.2f} ms", f"{semi_cpu * 1000:.2f} ms",
+                f"{naive_wall * 1000:.2f} ms", f"{naive_cpu * 1000:.2f} ms",
+                f"{naive_wall / semi_wall:.2f}x", checked,
+            ])
+            print(f"{workload:<17} rows={rows:>5}  "
+                  f"semi={semi_wall:.4f}s  naive={naive_wall:.4f}s")
+    db, dependencies = _chain_workload(_SIZES[0], stages=12)
+    benchmark(chase, db, dependencies)
+    print_table(
+        "E3c: semi-naive vs naive chase (wall and process CPU time; "
+        "smallest size checked against the naive result)",
+        ["workload", "source rows", "steps", "rounds", "semi-naive",
+         "semi-naive cpu", "naive", "naive cpu", "speedup",
+         "naive check"],
+        rows_table,
+    )
+    assert not mismatches, "semi-naive chase diverged from naive_chase: " \
+        + "; ".join(mismatches)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Chase scaling trajectory → BENCH_chase.json"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="run only the smallest size (CI sanity, no JSON rewrite "
-             "unless --out is given)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output path (default: BENCH_chase.json next to the repo "
-             "root on full runs)",
-    )
-    args = parser.parse_args(argv)
+    from harness import run_standalone
 
-    sizes = _SIZES[:1] if args.smoke else _SIZES
-    results = []
-    for index, rows in enumerate(sizes):
-        entry = _measure(rows, check_equivalence=(index == 0))
-        results.append(entry)
-        print(
-            f"chain  rows={rows:>5}  semi={entry['seminaive_seconds']:.4f}s"
-            f"  naive={entry['naive_seconds']:.4f}s"
-            f"  speedup={entry['speedup']}×"
-        )
-    for index, rows in enumerate(sizes):
-        entry = _measure_exchange(rows, check_equivalence=(index == 0))
-        results.append(entry)
-        print(
-            f"exchange rows={rows:>4}  semi={entry['seminaive_seconds']:.4f}s"
-            f"  naive={entry['naive_seconds']:.4f}s"
-            f"  speedup={entry['speedup']}×"
-        )
-
-    out = args.out
-    if out is None and not args.smoke:
-        out = Path(__file__).resolve().parent.parent / "BENCH_chase.json"
-    if out is not None:
-        payload = {
-            "benchmark": "chase_scaling",
-            "engine": "semi-naive delta-driven chase",
-            "baseline": "naive Gauss–Seidel chase (seed)",
-            "results": results,
-        }
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
-
-    failures = [
-        r for r in results if r.get("hom_equivalent") is False
-    ]
-    if failures:
-        print("ERROR: semi-naive result not hom-equivalent to naive")
-        return 1
-    return 0
+    if argv is None:
+        argv = sys.argv[1:]
+    if "--smoke" in argv:
+        global _SIZES
+        _SIZES = _SIZES[:1]
+    return run_standalone("chase", [trajectory_report], argv,
+                          observe=False)
 
 
 if __name__ == "__main__":

@@ -703,6 +703,19 @@ class Instance:
             return _NO_ROWS
         return entry.postings.get(hashable_key(value), _NO_ROWS)
 
+    def postings(self, relation: str, attribute: str) -> dict:
+        """The up-to-date postings index of ``relation`` on
+        ``attribute`` (``hashable_key(value)`` → rows carrying it), or
+        an empty dict when the relation is absent.
+
+        This is the bulk form of :meth:`index_lookup`: the chase's
+        compiled plans fetch it once per step and probe it per binding.
+        Like :meth:`projection_entry` it is a point-in-time view — rows
+        appended later show up on the next fetch — and callers must not
+        mutate it."""
+        entry = self._attr_entry(relation, attribute)
+        return entry.postings if entry is not None else {}
+
     def projection_entry(
         self, relation: str, attributes: tuple[str, ...]
     ) -> Optional[_ProjectionSet]:
@@ -710,8 +723,8 @@ class Instance:
         ``attributes``, or ``None`` when the relation is absent.
 
         This is the bulk form of :meth:`projection_member`: callers
-        probing many tuples in a tight loop (the chase's fused
-        full-tgd lane) fetch the entry once and test
+        probing many tuples in a tight loop (the chase's full head
+        checks) fetch the entry once and test
         ``values in entry.members`` directly.  The entry is a
         point-in-time view — rows appended after the call are only
         visible on the next fetch — and its ``members`` dict must not
@@ -752,8 +765,8 @@ class Instance:
         """Is there a row of ``relation`` whose projection onto
         ``attributes`` equals ``values`` (already ``hashable_key``-mapped)?
 
-        This is the frozen-row membership test the semi-naive chase uses
-        in place of a per-trigger homomorphism search for full tgds.
+        The one-off form of :meth:`projection_entry`, which the chase
+        uses to check full head atoms without a homomorphism search.
         """
         entry = self.projection_entry(relation, attributes)
         if entry is None:

@@ -14,23 +14,24 @@ termination for weakly acyclic dependency sets.
 
 Two engines live here:
 
-* :func:`chase` — the **semi-naive (delta-driven)** engine.  Each round
-  enumerates only triggers that touch at least one row inserted (or
-  rewritten by an egd merge) in the previous round, via per-dependency
-  body-atom → relation subscriptions; round 0 seeds with a full
-  enumeration.  Head-satisfaction for full tgds is a frozen-row
-  membership test against the instance's incrementally maintained
-  projection sets; existential heads keep the homomorphism-extension
-  test (it cannot be expressed as plain membership) but memoize it per
-  frontier assignment.  Egd equalities are batched per round into a
-  union-find over labeled nulls and applied in a single substitution
-  pass driven by a null → row occurrence index.  Per-round work is
-  proportional to the *delta*, not to the whole instance.  Full tgds
-  with a single body atom, no function terms and head atoms on
-  distinct relations take a fused per-row lane
-  (:class:`_FullTGDLane`): the trigger *is* the row, so matching, the
-  satisfaction probe and the head build run in one loop without
-  building assignment dicts.
+* :func:`chase` — the **semi-naive, set-at-a-time** engine.  Each
+  dependency is compiled once (:func:`compile_dependency`) into a
+  positional join plan: body variables get tuple slots in sorted-name
+  order, and each body atom is a step probing the instance's postings
+  on its first constant or bound attribute.  A plan extends a list of
+  binding tuples one atom at a time, in the order of the backtracking
+  search (:func:`iter_homomorphisms`), so triggers, labeled nulls and
+  recorder events are the ones that search yields.  Round 0 enumerates
+  every trigger; later rounds pin each body atom in turn to the rows
+  inserted (or rewritten by an egd merge) in the previous round, so
+  per-round work tracks the *delta*.  A tgd's last step fires as it
+  scans, checking full head atoms against projection indexes, the
+  others by index lookups (or a homomorphism search when an
+  existential spans atoms), memoized per frontier assignment.  Key egds
+  ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` run as a hash group-by on K.  Egd
+  equalities are batched per round into a union-find over labeled
+  nulls and applied in one substitution pass driven by a null → row
+  occurrence index.
 
 * :func:`naive_chase` — the original Gauss–Seidel engine kept verbatim
   as the reference implementation: equivalence tests assert the
@@ -46,12 +47,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import ChaseFailure, ChaseNonTermination
 from repro.instances.database import Instance, Row, hashable_key
 from repro.instances.labeled_null import LabeledNull, NullFactory
 from repro.logic.dependencies import EGD, TGD, Dependency
+from repro.logic.formulas import Atom
 from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
 from repro.logic.terms import Const, Var
 from repro.observability.state import STATE as _OBS
@@ -63,12 +67,15 @@ class ChaseStats:
 
     * ``rounds`` — delta rounds executed (round 0 included);
     * ``triggers_examined`` — per-dependency count of trigger
-      assignments enumerated (before satisfaction filtering);
+      assignments enumerated before satisfaction filtering: all of them
+      in round 0, later each distinct one touching the delta (a one-atom
+      body: one per delta row); a key egd's group-by counts the
+      assignments it stands for, not the rows it scans;
     * ``delta_sizes`` — rows inserted or rewritten per round; the run
       stops after the first ``0``;
     * ``merges`` — egd equalities applied (null↦value substitutions);
-    * ``index_hits`` / ``index_extends`` / ``index_rebuilds`` — how the
-      instance's persistent indexes behaved: a *hit* reused an index
+    * ``index_hits`` / ``index_extends`` / ``index_rebuilds`` — index
+      fetches (once per plan step and call): a *hit* reused an index
       as-is, an *extend* appended only new rows, a *rebuild* scanned the
       relation from scratch;
     * ``wall_time`` — seconds spent inside the engine;
@@ -265,13 +272,14 @@ def _fresh_factory(instance: Instance) -> NullFactory:
     return NullFactory(start)
 
 
-def _unique_names(dependencies: Sequence[Dependency]) -> list[str]:
-    """Collision-free display keys for the ``fired`` dict: unnamed
-    dependencies sharing a 60-char ``str()`` prefix get ``#n`` suffixes."""
+def _unique_names(dependencies: Sequence[Dependency],
+                  labels: Optional[Sequence[str]] = None) -> list[str]:
+    """Collision-free display keys for the ``fired`` dict: dependencies
+    sharing a label (by default the name, else a 60-char ``str()``
+    prefix) get ``#n`` suffixes."""
     names: list[str] = []
     used: dict[str, int] = {}
-    for dependency in dependencies:
-        base = dependency.name or str(dependency)[:60]
+    for base in labels or [d.name or str(d)[:60] for d in dependencies]:
         count = used.get(base, 0)
         used[base] = count + 1
         names.append(base if count == 0 else f"{base}#{count + 1}")
@@ -411,154 +419,275 @@ class _UnionFind:
         return mapping
 
 
-#: Stand-in for the projection members of an absent head relation
-#: (read-only).
-_NO_MEMBERS: dict = {}
+#: :class:`_Step` check kinds: the row's value must equal a constant, a
+#: binding slot, or the row's value at another attribute.
+_CONST, _BOUND, _SAME = 0, 1, 2
+_SECOND_ORDER = ("cannot chase second-order tgds directly; ground their "
+                 "function terms first")
 
 
-class _FullTGDLane:
-    """A full tgd with one body atom, no function terms and head atoms
-    on distinct relations, compiled for :meth:`_SemiNaiveChase._fire_lane`.
+def _getter(indices: tuple) -> Callable:
+    """``itemgetter(*indices)`` that returns a tuple for any arity."""
+    if len(indices) == 1:
+        return lambda item, i=indices[0]: (item[i],)
+    return itemgetter(*indices) if indices else (lambda item: ())
 
-    The trigger of such a tgd *is* one body row, so the generic cycle
-    (an assignment dict per trigger from ``iter_homomorphisms``, an
-    index fetch per satisfaction test, a head row built term by term)
-    collapses to: an attribute-presence check, the atom's constant and
-    repeated-variable checks, one frontier key, one probe per head atom
-    against projection indexes fetched once per call, and head rows
-    built from a template.  Distinct head relations mean a row built
-    for one head atom can never satisfy another atom's probe, so each
-    atom's overlay of freshly built rows is exact on its own.
-    """
 
-    __slots__ = ("relation", "required", "const_checks", "eq_checks",
-                 "frontier", "frontier_attrs", "heads", "self_feeding")
+class _Step:
+    """One atom matched against rows (a plan's body atom, or a head atom
+    probed for satisfaction): candidates are the postings of ``probe``,
+    the first constant or bound argument, under ``source``, else a scan.
+    A match has the ``required`` attributes and passes ``checks`` on
+    constants, bound and repeated variables; ``grab`` reads its new
+    variables, which ``positions`` (variable → binding slot) gains."""
+
+    __slots__ = ("relation", "probe", "source", "required", "checks", "grab")
+
+    def __init__(self, atom: Atom, positions: dict, probe: bool = True):
+        self.relation, self.probe, self.source = atom.relation, None, None
+        self.required = frozenset(attr for attr, _ in atom.args)
+        checks, new = [], {}
+        for attr, term in atom.args:
+            if isinstance(term, Var) and term not in positions:
+                if term in new:
+                    checks.append((attr, new[term], _SAME))
+                new.setdefault(term, attr)
+                continue
+            if isinstance(term, Const):
+                source = (_CONST, term.value)
+            elif isinstance(term, Var):
+                source = (_BOUND, positions[term])
+            else:
+                raise ChaseFailure(_SECOND_ORDER)
+            if probe and self.probe is None:
+                self.probe, self.source = attr, source
+            else:
+                checks.append((attr, source[1], source[0]))
+        for var in new:
+            positions[var] = len(positions)
+        self.checks = tuple(checks)
+        self.grab = _getter(tuple(new.values())) if new else None
+
+    def accepts(self, row: Row, binding: tuple) -> bool:
+        return not any(
+            row[attr] != source if kind == _CONST
+            else binding[source] != row[attr] if kind == _BOUND
+            else row[source] != row[attr]
+            for attr, source, kind in self.checks
+        )
+
+
+def _extend(step: _Step, bindings: Iterable[tuple],
+            rows: Optional[Sequence[Row]], postings: dict) -> Iterator[tuple]:
+    """``bindings`` extended by ``step`` over ``rows`` or the postings."""
+    required, grab, checks = step.required, step.grab, step.checks
+    slot = step.source[1] if rows is None else None
+    for binding in bindings:
+        for row in (rows if slot is None
+                    else postings.get(hashable_key(binding[slot]), ())):
+            if row.keys() >= required and (
+                not checks or step.accepts(row, binding)
+            ):
+                yield binding if grab is None else binding + grab(row)
+
+
+class _KeyGroup:
+    """A key egd ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` (see :func:`key_egd`)
+    as a hash group-by on ``key``.  Each attribute is a constant in both
+    atoms, a key variable in both, or two variables used nowhere else
+    that an equality may equate (first atom's on the left); ``slots``
+    reads each body variable from a trigger's first or second row."""
+
+    __slots__ = ("relation", "key", "required", "consts", "values", "slots")
 
     @classmethod
-    def compile(cls, dependency: Dependency) -> Optional["_FullTGDLane"]:
-        if not isinstance(dependency, TGD) or len(dependency.body) != 1:
+    def of(cls, egd: EGD, variables: tuple) -> Optional["_KeyGroup"]:
+        first, second = egd.body if len(egd.body) == 2 else (None, None)
+        other = dict(second.args) if second else {}
+        if (first is None or first.relation != second.relation
+                or not len(first.args) == len(second.args) == len(other)
+                or other.keys() != dict(first.args).keys()):
             return None
-        relations = [atom.relation for atom in dependency.head]
-        if not relations or len(set(relations)) != len(relations):
-            return None
-        atom = dependency.body[0]
-        var_attr: dict[Var, str] = {}
-        const_checks: list[tuple[str, object]] = []
-        eq_checks: list[tuple[str, str]] = []
-        for attr, term in atom.args:
-            if isinstance(term, Const):
-                const_checks.append((attr, term.value))
-            elif isinstance(term, Var):
-                first = var_attr.setdefault(term, attr)
-                if first != attr:
-                    eq_checks.append((first, attr))
-            else:
+        terms = [term for _, term in first.args + second.args]
+        group, key, consts, pairs, sides = cls(), [], [], {}, {}
+        for attr, left in first.args:
+            right = other[attr]
+            if isinstance(left, Const) and left == right:
+                consts.append((attr, left.value))
+            elif not (isinstance(left, Var) and isinstance(right, Var)):
                 return None
-        # Per head atom: (relation, attrs, probe parts, build parts).
-        # A probe part is (body attr, None) or (None, constant key); a
-        # build part is (head attr, body attr, None) or (head attr,
-        # None, constant).
-        heads = []
-        for head_atom in dependency.head:
-            probe = []
-            build = []
-            for attr, term in head_atom.args:
-                if isinstance(term, Const):
-                    probe.append((None, hashable_key(term.value)))
-                    build.append((attr, None, term.value))
-                elif isinstance(term, Var) and term in var_attr:
-                    probe.append((var_attr[term], None))
-                    build.append((attr, var_attr[term], None))
-                else:
-                    return None  # existential or function term
-            attrs = tuple(attr for attr, _ in head_atom.args)
-            heads.append((head_atom.relation, attrs, tuple(probe),
-                          tuple(build)))
-        lane = cls()
-        lane.relation = atom.relation
-        lane.required = frozenset(attr for attr, _ in atom.args)
-        lane.const_checks = tuple(const_checks)
-        lane.eq_checks = tuple(eq_checks)
-        frontier = sorted(dependency.frontier(), key=lambda v: v.name)
-        lane.frontier = tuple((var, var_attr[var]) for var in frontier)
-        lane.frontier_attrs = tuple(var_attr[var] for var in frontier)
-        lane.heads = tuple(heads)
-        lane.self_feeding = atom.relation in relations
-        return lane
+            elif left == right and terms.count(left) == 2:
+                key.append(attr)
+                sides[left] = (0, attr)
+            elif left != right and terms.count(left) == terms.count(right) == 1:
+                pairs[(left, right)] = attr
+                sides[left], sides[right] = (0, attr), (1, attr)
+            else:
+                return None  # a variable used elsewhere
+        if not key or any((e.left, e.right) not in pairs
+                           for e in egd.equalities):
+            return None
+        group.relation, group.key = first.relation, tuple(key)
+        group.required, group.consts = frozenset(other), tuple(consts)
+        group.values = tuple(pairs.values())
+        group.slots = tuple(sides[var] for var in variables)
+        return group
+
+    def collect(self, rows: Iterable[Row]) -> dict[tuple, list[Row]]:
+        """The qualifying rows grouped by key, in first-row order."""
+        groups: dict[tuple, list[Row]] = {}
+        for row in rows:
+            if row.keys() >= self.required and not any(
+                row[attr] != value for attr, value in self.consts
+            ):
+                groups.setdefault(self.project(row, self.key), []).append(row)
+        return groups
+
+    @staticmethod
+    def project(row: Row, attrs: tuple) -> tuple:
+        return tuple([hashable_key(row[attr]) for attr in attrs])
+
+
+class CompiledDependency:
+    """A dependency compiled once for the chase.  ``variables`` (body
+    variables by name) is the slot order of bindings and body keys,
+    ``frontier`` (by name) that of frontier keys.  A tgd's ``templates``
+    pick head rows from the frontier values, head constants and fresh
+    nulls (``hints``); ``probes`` check its head atoms — ``(relation,
+    attrs, pick)`` projection probes, fed by the rows of the head atoms
+    ``feeds`` names, or :class:`_Step` lookups for existential atoms —
+    unless an existential spans atoms (None)."""
+
+    def __init__(self, dependency: Dependency):
+        self.dependency, self._variants = dependency, {}
+        self.label = dependency.name or str(dependency)[:60]
+        self.relations = frozenset(dependency.body_relations())
+        self.variables = tuple(sorted(dependency.body_variables(),
+                                      key=lambda v: v.name))
+        slots = {var: i for i, var in enumerate(self.variables)}
+        terms = [t for atom in dependency.body + getattr(
+            dependency, "head", ()) for _, t in atom.args]
+        self.frontier, self.group = (), None
+        if isinstance(dependency, EGD):
+            self.kind = "egd"
+            pairs = [(e.left, e.right) for e in dependency.equalities]
+            terms += [t for pair in pairs for t in pair]
+            self.equalities = tuple(
+                tuple((None, t.value) if isinstance(t, Const)
+                      else (slots[t], None) for t in pair)
+                for pair in pairs
+            )
+            self.group = _KeyGroup.of(dependency, self.variables)
+        else:
+            self._compile_head(dependency, slots)
+        self.frontier_set = frozenset(self.frontier)
+        self.has_constants = any(isinstance(t, Const) for t in terms)
+
+    def _compile_head(self, tgd: TGD, slots: dict) -> None:
+        self.kind = "tgd" if tgd.is_full else "tgd∃"
+        frontier = tuple(sorted(tgd.frontier(), key=lambda v: v.name))
+        self.frontier, width = frontier, len(frontier)
+        self.fget = None if frontier == self.variables else _getter(
+            tuple(slots[var] for var in frontier)
+        )
+        # A firing's cells: the frontier values, the head constants, then
+        # a fresh null per existential in order of first occurrence (the
+        # order they are minted in); each head atom picks its row's cells.
+        terms = [term for atom in tgd.head for _, term in atom.args]
+        if not all(isinstance(t, (Var, Const)) for t in terms):
+            raise ChaseFailure(_SECOND_ORDER)
+        self.consts = tuple(t.value for t in terms if isinstance(t, Const))
+        self.hconsts = tuple(hashable_key(c) for c in self.consts)
+        opens = [t for t in dict.fromkeys(terms)
+                 if isinstance(t, Var) and t not in frontier]
+        self.hints = tuple(f"{tgd.name or 'tgd'}.{var.name}" for var in opens)
+        first_open = width + len(self.consts)
+        cell = {var: i for i, var in enumerate(frontier)}
+        cell.update((var, first_open + n) for n, var in enumerate(opens))
+        consts = iter(range(width, first_open))  # in order of occurrence
+        atoms = [tuple(next(consts) if isinstance(t, Const) else cell[t]
+                       for _, t in atom.args) for atom in tgd.head]
+        self.templates = tuple(
+            (atom.relation, tuple(attr for attr, _ in atom.args),
+             None if at == tuple(range(len(at))) else _getter(at))
+            for atom, at in zip(tgd.head, atoms)
+        )
+        self.self_feeding = bool(tgd.head_relations() & self.relations)
+        self.probes, self.feeds = None, tuple(() for _ in atoms)
+        existential = [any(i >= first_open for i in at) for at in atoms]
+        if sum(len({i for i in at if i >= first_open})
+               for at in atoms) > len(opens):
+            return  # an existential spans head atoms
+        self.probes = tuple(
+            _Step(atom, dict(zip(frontier, range(width)))) if open_atom
+            else (atom.relation, attrs,
+                  None if at == tuple(range(width)) else _getter(at))
+            for atom, (_, attrs, _), at, open_atom
+            in zip(tgd.head, self.templates, atoms, existential)
+        )
+        self.feeds = tuple(
+            tuple(k for k, probe in enumerate(self.probes)
+                  if isinstance(probe, tuple) and probe[0] == relation
+                  and set(probe[1]) <= set(attrs))
+            for relation, attrs, _ in self.templates
+        )
+
+    def variant(self, order: tuple, pinned: bool) -> tuple:
+        """The body's steps in ``order`` (the first reading a pinned
+        delta when ``pinned``) and the map from binding order to slot
+        order (None when they agree), compiled once per order."""
+        found = self._variants.get((order, pinned))
+        if found is None:
+            positions: dict[Var, int] = {}
+            steps = tuple(
+                _Step(self.dependency.body[i], positions,
+                      probe=not (pinned and n == 0))
+                for n, i in enumerate(order)
+            )
+            perm = tuple(positions[var] for var in self.variables)
+            found = (steps, None if perm == tuple(range(len(perm)))
+                     else _getter(perm))
+            self._variants[(order, pinned)] = found
+        return found
+
+
+@lru_cache(maxsize=1024)
+def _compile(dependency: Dependency) -> CompiledDependency:
+    return CompiledDependency(dependency)
+
+
+def compile_dependency(dependency: Dependency) -> CompiledDependency:
+    """``dependency`` compiled for the chase, cached by value — but equal
+    constants can differ in type (``Const(1) == Const(True)``)."""
+    compiled = _compile(dependency)
+    if compiled.dependency is not dependency and compiled.has_constants:
+        return CompiledDependency(dependency)
+    return compiled
 
 
 class _SemiNaiveChase:
     """One run of the delta-driven chase over a working instance."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        dependencies: Sequence[Union[TGD, EGD]],
-        factory: NullFactory,
-        max_steps: int,
-        recorder: Optional[ChaseRecorder] = None,
-        initial_delta: Optional[dict[str, list[Row]]] = None,
-    ) -> None:
-        self.instance = instance
-        self.dependencies = list(dependencies)
-        self.factory = factory
-        self.max_steps = max_steps
-        self.recorder = recorder
-        self.initial_delta = initial_delta
-        self.steps = 0
-        self.fired: dict[str, int] = {}
-        self.stats = ChaseStats()
-        self.names = _unique_names(self.dependencies)
-        self.has_egds = any(
-            isinstance(d, EGD) for d in self.dependencies
-        )
-        # Per-dependency precomputation.
-        self.body_relations: list[set[str]] = [
-            d.body_relations() for d in self.dependencies
-        ]
-        self.body_variables: list[tuple[Var, ...]] = [
-            tuple(sorted(d.body_variables(), key=lambda v: v.name))
-            for d in self.dependencies
-        ]
-        for name, dependency in zip(self.names, self.dependencies):
-            if isinstance(dependency, EGD):
-                self.stats.dep_kind[name] = "egd"
-            elif dependency.is_full:
-                self.stats.dep_kind[name] = "tgd"
-            else:
-                self.stats.dep_kind[name] = "tgd∃"
-        self.frontiers: list[tuple[Var, ...]] = []
-        self.full_head_shape: list[Optional[list]] = []
-        for dependency in self.dependencies:
-            if isinstance(dependency, TGD):
-                self.frontiers.append(
-                    tuple(sorted(dependency.frontier(), key=lambda v: v.name))
-                )
-                if dependency.is_full:
-                    # (relation, attr tuple, term tuple) per head atom,
-                    # for the projection-set membership test.
-                    shape = []
-                    for atom in dependency.head:
-                        attrs = tuple(name for name, _ in atom.args)
-                        terms = tuple(term for _, term in atom.args)
-                        shape.append((atom.relation, attrs, terms))
-                    self.full_head_shape.append(shape)
-                else:
-                    self.full_head_shape.append(None)
-            else:
-                self.frontiers.append(())
-                self.full_head_shape.append(None)
+    def __init__(self, instance: Instance,
+                 dependencies: Sequence[Union[TGD, EGD]],
+                 factory: NullFactory, max_steps: int,
+                 recorder: Optional[ChaseRecorder] = None,
+                 initial_delta: Optional[dict[str, list[Row]]] = None):
+        self.instance, self.factory, self.max_steps = instance, factory, max_steps
+        self.recorder, self.initial_delta = recorder, initial_delta
+        self.plans = [compile_dependency(d) for d in dependencies]
+        self.steps, self.fired, self.stats = 0, {}, ChaseStats()
+        self.names = _unique_names(dependencies,
+                                   [plan.label for plan in self.plans])
+        self.has_egds = any(plan.kind == "egd" for plan in self.plans)
+        for name, plan in zip(self.names, self.plans):
+            self.stats.dep_kind[name] = plan.kind
         # Memo of frontier assignments whose head is known satisfied;
         # cleared whenever an egd substitution rewrites rows in place.
-        self.satisfied: list[set] = [set() for _ in self.dependencies]
-        self.lanes: list[Optional[_FullTGDLane]] = [
-            _FullTGDLane.compile(d) for d in self.dependencies
-        ]
+        self.satisfied: list[set] = [set() for _ in self.plans]
         # null → {id(row): (relation, row)} occurrence index, maintained
         # only when egds can merge nulls.
-        self.null_occurrences: dict[
-            LabeledNull, dict[int, tuple[str, Row]]
-        ] = {}
+        self.null_occurrences: dict[LabeledNull, dict] = {}
         if self.has_egds:
             for relation, rows in instance.relations.items():
                 for row in rows:
@@ -567,284 +696,214 @@ class _SemiNaiveChase:
     # ------------------------------------------------------------------
     def run(self) -> ChaseResult:
         start = time.perf_counter()
-        instance = self.instance
+        instance, stats = self.instance, self.stats
         hits0 = dict(instance.index_stats)
         # None ⇒ full round-0 enumeration; a caller-supplied initial
         # delta restricts round 0 to triggers touching its rows.
         delta: Optional[dict[str, list[Row]]] = self.initial_delta
         while True:
-            self.stats.rounds += 1
+            stats.rounds += 1
             inserted: dict[str, list[Row]] = {}
             union_find = _UnionFind() if self.has_egds else None
             merged_any = False
-            for index, dependency in enumerate(self.dependencies):
-                if delta is not None and not (
-                    self.body_relations[index] & delta.keys()
-                ):
+            for index, plan in enumerate(self.plans):
+                if delta is not None and not (plan.relations & delta.keys()):
                     continue
                 name = self.names[index]
                 dep_start = time.perf_counter()
-                lane = self.lanes[index]
-                if lane is not None:
-                    examined = self._fire_lane(index, lane, delta, inserted)
+                if plan.kind != "egd":
+                    examined = self._fire_tgd(index, plan, delta, inserted)
                 else:
-                    triggers = list(self._triggers(index, dependency, delta))
-                    examined = len(triggers)
-                    if isinstance(dependency, TGD):
-                        self._fire_tgd(index, dependency, triggers, inserted)
-                    elif self._collect_egd(index, dependency, triggers,
-                                           union_find):
+                    examined, merged = self._collect_egd(index, plan, delta,
+                                                         union_find)
+                    if merged:
+                        self.fired[name] = self.fired.get(name, 0) + merged
+                        stats.merges += merged
                         merged_any = True
-                self.stats.triggers_examined[name] = (
-                    self.stats.triggers_examined.get(name, 0) + examined
-                )
-                self.stats.dep_wall[name] = (
-                    self.stats.dep_wall.get(name, 0.0)
-                    + (time.perf_counter() - dep_start)
-                )
-            modified: list[tuple[str, Row]] = []
-            if merged_any:
-                modified = self._apply_merges(union_find)
+                examined += stats.triggers_examined.get(name, 0)
+                stats.triggers_examined[name] = examined
+                wall = time.perf_counter() - dep_start
+                stats.dep_wall[name] = stats.dep_wall.get(name, 0.0) + wall
+            modified = self._apply_merges(union_find) if merged_any else []
             next_delta: dict[str, list[Row]] = dict(inserted)
-            inserted_ids = {
-                id(row) for rows in inserted.values() for row in rows
-            }
+            inserted_ids = {id(row) for rows in inserted.values()
+                            for row in rows}
             for relation, row in modified:
                 if id(row) not in inserted_ids:
                     next_delta.setdefault(relation, []).append(row)
             delta_size = sum(len(rows) for rows in next_delta.values())
-            self.stats.delta_sizes.append(delta_size)
+            stats.delta_sizes.append(delta_size)
             if _OBS.enabled:
                 from repro.observability.journal import journal
 
-                journal(
-                    "chase.round",
-                    round=self.stats.rounds,
-                    delta_rows=delta_size,
-                )
+                journal("chase.round", round=stats.rounds,
+                        delta_rows=delta_size)
             if not next_delta:
                 break
             delta = next_delta
-        self.stats.wall_time = time.perf_counter() - start
-        self.stats.dep_fired = dict(self.fired)
-        self.stats.index_hits = instance.index_stats["hits"] - hits0["hits"]
-        self.stats.index_extends = (
-            instance.index_stats["extends"] - hits0["extends"]
-        )
-        self.stats.index_rebuilds = (
-            instance.index_stats["rebuilds"] - hits0["rebuilds"]
-        )
-        return ChaseResult(
-            instance=instance,
-            steps=self.steps,
-            fired=self.fired,
-            null_factory=self.factory,
-            stats=self.stats,
-        )
+        stats.wall_time = time.perf_counter() - start
+        stats.dep_fired = dict(self.fired)
+        for kind in ("hits", "extends", "rebuilds"):
+            setattr(stats, f"index_{kind}",
+                    instance.index_stats[kind] - hits0[kind])
+        return ChaseResult(instance=instance, steps=self.steps,
+                           fired=self.fired, null_factory=self.factory,
+                           stats=stats)
 
     # ------------------------------------------------------------------
     # trigger enumeration
     # ------------------------------------------------------------------
-    def _triggers(
-        self,
-        index: int,
-        dependency: Dependency,
-        delta: Optional[dict[str, list[Row]]],
-    ) -> Iterator[dict]:
-        body = dependency.body
+    def _bindings(self, plan: CompiledDependency,
+                  pin: Optional[tuple] = None) -> Iterable[tuple]:
+        """Every assignment of the body as a slot tuple, in the order of
+        ``iter_homomorphisms``: the pinned atom ``(position, rows)``
+        first, then the rest by cardinality.  Each step fetches its
+        postings once; the last step runs as the caller consumes it."""
+        body, relations = plan.dependency.body, self.instance.relations
+        order = sorted(range(len(body)), key=lambda i: (
+            (0, 0) if pin is not None and i == pin[0]
+            else (1, len(relations.get(body[i].relation, ())))))
+        steps, out = plan.variant(tuple(order), pin is not None)
+        bindings: Iterable[tuple] = [()]
+        for n, step in enumerate(steps):
+            postings = None
+            if n == 0 and pin is not None:
+                rows = pin[1]
+            elif step.probe is None:
+                rows = relations.get(step.relation, ())
+            else:
+                postings = self.instance.postings(step.relation, step.probe)
+                kind, source = step.source
+                rows = (postings.get(hashable_key(source), ())
+                        if kind == _CONST else None)
+            bindings = _extend(step, bindings, rows, postings)
+            if n < len(steps) - 1:
+                bindings = list(bindings)
+        return bindings if out is None else map(out, bindings)
+
+    def _triggers(self, plan: CompiledDependency,
+                  delta: Optional[dict[str, list[Row]]]) -> Iterable[tuple]:
+        """All assignments in round 0; later those touching ``delta``,
+        each distinct one once (a one-atom body: once per delta row)."""
+        body = plan.dependency.body
         if delta is None:
-            yield from iter_homomorphisms(body, self.instance)
-            return
-        variables = self.body_variables[index]
+            return self._bindings(plan)
+        if len(body) == 1:
+            rows = delta.get(body[0].relation)
+            return self._bindings(plan, (0, rows)) if rows else ()
+        return self._distinct(plan, delta)
+
+    def _distinct(self, plan: CompiledDependency,
+                  delta: dict[str, list[Row]]) -> Iterator[tuple]:
         seen: set = set()
-        for position, atom in enumerate(body):
-            delta_rows = delta.get(atom.relation)
-            if not delta_rows:
+        for position, atom in enumerate(plan.dependency.body):
+            rows = delta.get(atom.relation)
+            if not rows:
                 continue
-            for assignment in iter_homomorphisms(
-                body, self.instance, pinned=(position, delta_rows)
-            ):
-                key = tuple(
-                    [hashable_key(assignment[v]) for v in variables]
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield assignment
+            for binding in self._bindings(plan, (position, rows)):
+                key = tuple(map(hashable_key, binding))
+                if key not in seen:
+                    seen.add(key)
+                    yield binding
 
     # ------------------------------------------------------------------
     # tgds
     # ------------------------------------------------------------------
-    def _fire_tgd(
-        self,
-        index: int,
-        tgd: TGD,
-        triggers: list[dict],
-        inserted: dict[str, list[Row]],
-    ) -> None:
-        frontier = self.frontiers[index]
-        memo = self.satisfied[index]
-        name = self.names[index]
-        fired = 0
-        for assignment in triggers:
-            key = tuple([hashable_key(assignment[v]) for v in frontier])
-            if key in memo:
-                continue
-            if self._head_satisfied(index, tgd, assignment):
-                memo.add(key)
-                continue
-            self._charge_step()
-            existential_values: dict[Var, LabeledNull] = {}
-            head_rows: list[tuple[str, Row]] = []
-            for atom in tgd.head:
-                row: Row = {}
-                for attr, term in atom.args:
-                    if isinstance(term, Const):
-                        row[attr] = term.value
-                    elif isinstance(term, Var):
-                        if term in assignment:
-                            row[attr] = assignment[term]
-                        else:
-                            null = existential_values.get(term)
-                            if null is None:
-                                null = self.factory.fresh(
-                                    hint=f"{tgd.name or 'tgd'}.{term.name}"
-                                )
-                                existential_values[term] = null
-                            row[attr] = null
-                    else:
-                        raise ChaseFailure(
-                            "cannot chase second-order tgds directly; "
-                            "ground their function terms first"
-                        )
-                stored = self.instance.insert(atom.relation, row)
-                inserted.setdefault(atom.relation, []).append(stored)
-                if self.has_egds:
-                    self._record_nulls(atom.relation, stored)
-                head_rows.append((atom.relation, stored))
-            if self.recorder is not None:
-                self.recorder.on_tgd_fire(
-                    index, tgd, key,
-                    [(v, assignment[v]) for v in frontier],
-                    head_rows,
-                )
-            memo.add(key)
-            fired += 1
-        if fired:
-            self.fired[name] = self.fired.get(name, 0) + fired
-
-    def _fire_lane(
-        self,
-        index: int,
-        lane: _FullTGDLane,
-        delta: Optional[dict[str, list[Row]]],
-        inserted: dict[str, list[Row]],
-    ) -> int:
-        """Scan, probe and fire a :class:`_FullTGDLane` tgd in one loop
-        over its body rows (all of them in round 0, else the delta's).
-        Same firings, memo entries, recorder calls and step charges as
-        :meth:`_fire_tgd` over the generic triggers; returns the number
-        of triggers examined."""
+    def _fire_tgd(self, index: int, plan: CompiledDependency,
+                  delta: Optional[dict[str, list[Row]]],
+                  inserted: dict[str, list[Row]]) -> int:
+        """Enumerate, check and fire one tgd's triggers (materialized
+        first if the head writes a body relation); returns the count."""
+        triggers = self._triggers(plan, delta)
+        if plan.self_feeding:
+            triggers = list(triggers)
         relations = self.instance.relations
-        if delta is None:
-            rows = relations.get(lane.relation)
-        else:
-            rows = delta.get(lane.relation)
-        if not rows:
-            return 0
-        if lane.self_feeding and rows is relations.get(lane.relation):
-            rows = list(rows)  # head rows are appended to this very list
-        # Per head atom: [probe parts, index members, overlay of the
-        # projections this loop derives, build parts, backing list,
-        # inserted list]; the two lists are resolved on the first
-        # firing so no empty relation is ever created.
-        heads = []
-        for relation, attrs, probe, build in lane.heads:
-            entry = self.instance.projection_entry(relation, attrs)
-            members = entry.members if entry is not None else _NO_MEMBERS
-            heads.append([probe, members, set(), build, None, None])
-        required = lane.required
-        const_checks = lane.const_checks
-        eq_checks = lane.eq_checks
-        fattrs = lane.frontier_attrs
-        # One head atom is the common shape and gets a straight-line
-        # probe; when that atom reads exactly the frontier attributes
-        # in frontier order, the probe value *is* the frontier key.
-        single = len(heads) == 1
-        probe0, members0, fresh0 = heads[0][:3]
-        key_probe = single and probe0 == tuple((a, None) for a in fattrs)
-        memo = self.satisfied[index]
-        recorder = self.recorder
-        tgd = self.dependencies[index]
-        has_egds = self.has_egds
-        hk = hashable_key
-        examined = 0
-        fired = 0
-        for row in rows:
-            if not row.keys() >= required:
-                continue
-            if const_checks and any(
-                row[attr] != value for attr, value in const_checks
-            ):
-                continue
-            if eq_checks and any(
-                row[left] != row[right] for left, right in eq_checks
-            ):
-                continue
-            key = tuple([hk(row[a]) for a in fattrs])
+        # Projection members are fetched once, plus overlays of the rows
+        # fired here.  A lone full head atom (probed inline) needs none:
+        # its projection determines the frontier key, which the memo has.
+        probes = plan.probes or ()
+        members = []
+        for probe in probes:
+            entry = (self.instance.projection_entry(probe[0], probe[1])
+                     if isinstance(probe, tuple) else None)
+            members.append({} if entry is None else entry.members)
+        overlays = [set() for _ in probes]
+        single = len(probes) == 1 and isinstance(probes[0], tuple)
+        if single:
+            get, members0 = probes[0][2], members[0]
+        feeds = ((),) if single else plan.feeds
+        fget, hints, memo = plan.fget, plan.hints, self.satisfied[index]
+        templates, consts, hconsts = plan.templates, plan.consts, plan.hconsts
+        recorder, has_egds, hk = self.recorder, self.has_egds, hashable_key
+        examined = fired = 0
+        outputs = [None] * len(templates)
+        for binding in triggers:
             examined += 1
+            values = binding if fget is None else fget(binding)
+            key = tuple(map(hk, values))
             if key in memo:
                 continue
             if single:
-                value = key if key_probe else tuple(
-                    [hk(row[s]) if s is not None else c for s, c in probe0]
-                )
-                if value in members0 or value in fresh0:
+                if (key if get is None else get(key + hconsts)) in members0:
                     memo.add(key)
                     continue
-                values = (value,)
-            else:
-                values = [
-                    tuple([hk(row[s]) if s is not None else c
-                           for s, c in head[0]])
-                    for head in heads
-                ]
-                if all(
-                    value in head[1] or value in head[2]
-                    for head, value in zip(heads, values)
-                ):
-                    memo.add(key)
-                    continue
+            elif self._head_holds(plan, key, values, members, overlays):
+                memo.add(key)
+                continue
             self._charge_step()
+            cells = values + consts
+            if hints:
+                cells += tuple([self.factory.fresh(hint=h) for h in hints])
             head_rows = []
-            for (relation, _, _, _), head, value in zip(
-                lane.heads, heads, values
-            ):
-                new_row: Row = {
-                    attr: row[s] if s is not None else c
-                    for attr, s, c in head[3]
-                }
-                head[2].add(value)
-                if head[4] is None:
-                    head[4] = relations.setdefault(relation, [])
-                    head[5] = inserted.setdefault(relation, [])
-                head[4].append(new_row)
-                head[5].append(new_row)
+            for n, (relation, attrs, pick) in enumerate(templates):
+                row = dict(zip(attrs, cells if pick is None else pick(cells)))
+                if outputs[n] is None:
+                    outputs[n] = (relations.setdefault(relation, []),
+                                  inserted.setdefault(relation, []))
+                outputs[n][0].append(row)
+                outputs[n][1].append(row)
+                for k in feeds[n]:
+                    overlays[k].add(tuple(map(hk, map(row.get, probes[k][1]))))
                 if has_egds:
-                    self._record_nulls(relation, new_row)
-                head_rows.append((relation, new_row))
+                    self._record_nulls(relation, row)
+                if recorder is not None:
+                    head_rows.append((relation, row))
             if recorder is not None:
-                recorder.on_tgd_fire(
-                    index, tgd, key,
-                    [(var, row[attr]) for var, attr in lane.frontier],
-                    head_rows,
-                )
+                recorder.on_tgd_fire(index, plan.dependency, key,
+                                     list(zip(plan.frontier, values)),
+                                     head_rows)
             memo.add(key)
             fired += 1
         if fired:
             name = self.names[index]
             self.fired[name] = self.fired.get(name, 0) + fired
         return examined
+
+    def _head_holds(self, plan: CompiledDependency, key: tuple,
+                    values: tuple, members: list, overlays: list) -> bool:
+        """Is the head satisfied?  Atom by atom (existential ones by live
+        index lookups), unless an existential spans atoms."""
+        if plan.probes is None:
+            partial = dict(zip(plan.frontier, values))
+            return find_homomorphism(plan.dependency.head, self.instance,
+                                     partial=partial) is not None
+        for probe, found, fresh in zip(plan.probes, members, overlays):
+            if isinstance(probe, tuple):
+                get = probe[2]
+                value = key if get is None else get(key + plan.hconsts)
+                if value not in found and value not in fresh:
+                    return False
+                continue
+            rows = self.instance.relations.get(probe.relation, ())
+            if probe.probe is not None:
+                kind, source = probe.source
+                rows = self.instance.index_lookup(
+                    probe.relation, probe.probe,
+                    source if kind == _CONST else values[source],
+                )
+            if next(_extend(probe, (values,), rows, None), None) is None:
+                return False
+        return True
 
     def _charge_step(self) -> None:
         """Charge one firing against the step budget."""
@@ -855,79 +914,70 @@ class _SemiNaiveChase:
             )
         self.steps += 1
 
-    def _head_satisfied(self, index: int, tgd: TGD, assignment: dict) -> bool:
-        shape = self.full_head_shape[index]
-        if shape is not None:
-            # Full tgd: the head instantiation is fully determined, so
-            # satisfaction is plain frozen-row membership per atom.
-            instance = self.instance
-            for relation, attrs, terms in shape:
-                values = tuple(
-                    [
-                        hashable_key(
-                            term.value
-                            if isinstance(term, Const)
-                            else assignment[term]
-                        )
-                        for term in terms
-                    ]
-                )
-                if not instance.projection_member(relation, attrs, values):
-                    return False
-            return True
-        partial = {
-            var: assignment[var]
-            for var in self.frontiers[index]
-            if var in assignment
-        }
-        return (
-            find_homomorphism(tgd.head, self.instance, partial=partial)
-            is not None
-        )
-
     # ------------------------------------------------------------------
     # egds
     # ------------------------------------------------------------------
-    def _collect_egd(
-        self,
-        index: int,
-        egd: EGD,
-        triggers: list[dict],
-        union_find: _UnionFind,
-    ) -> bool:
-        name = self.names[index]
-        variables = self.body_variables[index]
-        merged = 0
-        for assignment in triggers:
-            for equality in egd.equalities:
-                left = _value(equality.left, assignment)
-                right = _value(equality.right, assignment)
+    def _collect_egd(self, index: int, plan: CompiledDependency,
+                     delta: Optional[dict[str, list[Row]]],
+                     union_find: _UnionFind) -> tuple[int, int]:
+        """Unite every trigger's equalities in the round's union-find;
+        returns (examined, united)."""
+        if plan.group is None:
+            triggers, examined = self._triggers(plan, delta), None
+        else:
+            examined, triggers = self._groups(plan, delta)
+        count = merged = 0
+        for binding in triggers:
+            count += 1
+            for (lslot, lconst), (rslot, rconst) in plan.equalities:
+                left = lconst if lslot is None else binding[lslot]
+                right = rconst if rslot is None else binding[rslot]
                 if left == right:
                     continue
-                if not isinstance(left, LabeledNull) and not isinstance(
-                    right, LabeledNull
-                ):
+                if not (isinstance(left, LabeledNull)
+                        or isinstance(right, LabeledNull)):
                     raise ChaseFailure(
-                        f"egd {egd.name or egd} equates distinct constants "
-                        f"{left!r} and {right!r}"
+                        f"egd {plan.dependency.name or plan.dependency} "
+                        f"equates distinct constants {left!r} and {right!r}"
                     )
-                if union_find.union(left, right, egd.name or str(egd)[:60]):
+                if union_find.union(left, right, plan.label):
                     self._charge_step()
                     merged += 1
                     if self.recorder is not None:
                         self.recorder.on_egd_union(
-                            index, egd,
-                            tuple(
-                                hashable_key(assignment[v])
-                                for v in variables
-                            ),
+                            index, plan.dependency,
+                            tuple([hashable_key(v) for v in binding]),
                             left, right,
                         )
-        if merged:
-            self.fired[name] = self.fired.get(name, 0) + merged
-            self.stats.merges += merged
-            return True
-        return False
+        return (count if examined is None else examined), merged
+
+    def _groups(self, plan: CompiledDependency,
+                delta: Optional[dict[str, list[Row]]]) -> tuple[int, Iterator]:
+        """A key egd's triggers by a hash group-by on the key: each group
+        paired with its first row (in a later round, its first delta
+        row).  These make the backtracking self-join's successful unions
+        in its order, so steps, merges and recorder events agree; the
+        count returned is that join's (distinct) assignments."""
+        group, project = plan.group, plan.group.project
+        if delta is None:
+            groups = group.collect(self.instance.relations.get(
+                group.relation, ()))
+            examined = sum(len(rows) ** 2 for rows in groups.values())
+            anchored = [(rows[0], rows) for rows in groups.values()]
+        else:
+            postings = self.instance.postings(group.relation, group.key[0])
+            examined, anchored = 0, []
+            delta_groups = group.collect(delta.get(group.relation, ()))
+            for key, fresh in delta_groups.items():
+                rows = group.collect(postings.get(key[0], ())).get(key, [])
+                old = {project(row, group.values) for row in rows}
+                new = {project(row, group.values) for row in fresh}
+                examined += 2 * len(old) * len(new) - len(old & new) ** 2
+                anchored.append((fresh[0], rows))
+        return examined, (
+            tuple([(anchor, row)[side][attr] for side, attr in group.slots])
+            for anchor, rows in anchored for row in rows
+        )
 
     def _apply_merges(
         self, union_find: _UnionFind
@@ -961,7 +1011,7 @@ class _SemiNaiveChase:
         # Rows were rewritten in place: the instance's persistent
         # indexes and the satisfied-frontier memos are both stale.
         self.instance.mark_dirty()
-        self.satisfied = [set() for _ in self.dependencies]
+        self.satisfied = [set() for _ in self.plans]
         return list(touched.values())
 
     def _record_nulls(self, relation: str, row: Row) -> None:

@@ -9,7 +9,7 @@ the GLAV constraint language of the Clio line of work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.logic.formulas import Atom, Equality
 from repro.logic.terms import Var
@@ -132,32 +132,3 @@ def key_egd(relation: str, key: Sequence[str], attributes: Sequence[str]) -> EGD
         name=f"key:{relation}({','.join(key)})",
     )
 
-
-def inclusion_tgd(
-    source: str,
-    source_attributes: Sequence[str],
-    target: str,
-    target_attributes: Sequence[str],
-    target_all_attributes: Optional[Sequence[str]] = None,
-) -> TGD:
-    """The tgd encoding an inclusion dependency.  Non-shared target
-    attributes become existentials."""
-    shared = {
-        t_attr: Var(f"x{i}")
-        for i, t_attr in enumerate(target_attributes)
-    }
-    body_args = tuple(
-        (s_attr, shared[t_attr])
-        for s_attr, t_attr in zip(source_attributes, target_attributes)
-    )
-    head_args = []
-    for attribute in target_all_attributes or target_attributes:
-        if attribute in shared:
-            head_args.append((attribute, shared[attribute]))
-        else:
-            head_args.append((attribute, Var(f"e_{attribute}")))
-    return TGD(
-        body=(Atom(source, body_args),),
-        head=(Atom(target, tuple(head_args)),),
-        name=f"incl:{source}→{target}",
-    )

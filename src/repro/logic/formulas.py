@@ -73,9 +73,6 @@ class Atom:
             tuple((name, apply_term(term, substitution)) for name, term in self.args),
         )
 
-    def is_ground(self) -> bool:
-        return not self.variables() and not self.functions()
-
     def __str__(self) -> str:
         inner = ", ".join(f"{name}={term}" for name, term in self.args)
         return f"{self.relation}({inner})"
@@ -96,9 +93,6 @@ class Equality:
 
     def variables(self) -> set[Var]:
         return variables_of(self.left) | variables_of(self.right)
-
-    def is_trivial(self) -> bool:
-        return self.left == self.right
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.instances.database import Instance, Row, freeze_row, hashable_key
+from repro.instances.database import Instance, Row
 from repro.instances.labeled_null import LabeledNull
 from repro.logic.formulas import Atom, Equality
 from repro.logic.terms import Const, FuncTerm, Term, Var, apply_term
@@ -86,11 +86,6 @@ def _term_value(term: Term, assignment: Assignment) -> object:
     raise TypeError("conditions must be first-order")
 
 
-#: Backwards-compatible alias — key construction now lives on the
-#: instance layer and uses private sentinels instead of string tags.
-_hashable = hashable_key
-
-
 def _candidate_rows(
     instance: Instance, atom: Atom, assignment: Assignment
 ) -> Sequence[Row]:
@@ -122,8 +117,9 @@ def iter_homomorphisms(
     attribute.
 
     ``pinned=(i, rows)`` restricts atom ``i`` of ``atoms`` to the given
-    candidate rows and matches it first — the semi-naive chase uses this
-    to enumerate only triggers touching the latest delta.
+    candidate rows and matches it first — incremental maintenance uses
+    this to enumerate only triggers touching a delta, and the chase's
+    compiled plans reproduce exactly this order.
     """
     entries: list[tuple[Atom, Optional[Sequence[Row]]]] = [
         (atom, None) for atom in atoms
@@ -205,17 +201,6 @@ def instance_homomorphism(
     }
     # Most-constrained-first ordering.
     source_rows.sort(key=lambda item: len(target_sets.get(item[0], [])))
-
-    def row_image(row: Row, mapping: dict[LabeledNull, object]) -> Optional[Row]:
-        image = {}
-        for key, value in row.items():
-            if isinstance(value, LabeledNull):
-                if value not in mapping:
-                    return None
-                image[key] = mapping[value]
-            else:
-                image[key] = value
-        return image
 
     def try_map_row(
         row: Row, candidate: Row, mapping: dict[LabeledNull, object]

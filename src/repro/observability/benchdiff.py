@@ -1,7 +1,7 @@
 """Benchmark regression diffing: fresh ``BENCH_*.json`` vs baselines.
 
 The repo commits one baseline JSON per benchmark suite (harness-v1
-files plus the chase-trajectory and observability-contract formats).
+files plus the observability-contract format).
 This module extracts comparable numeric metrics from each format,
 classifies every metric by direction, and diffs a fresh run against
 the committed baseline with *generous* relative thresholds — timing on
@@ -11,8 +11,8 @@ not 10% jitter:
 
 * **lower-better** (wall times: ``... ms`` / ``... s`` cells, timing
   entries, ``*_seconds`` fields) — regressed when fresh > 2× baseline;
-* **higher-better** (``...x`` speedup cells, ``speedup`` /
-  ``*_rows_per_sec`` fields) — regressed when fresh < 0.5× baseline;
+* **higher-better** (``...x`` speedup cells) — regressed when fresh
+  < 0.5× baseline;
 * **ceiling** (``disabled_overhead_percent``) — regressed when fresh
   exceeds the absolute 5.0 contract from docs/OBSERVABILITY.md,
   regardless of the baseline; ``stats_overhead_percent`` (the enabled
@@ -154,8 +154,6 @@ def _kind_for_field(name: str) -> str:
         return "stats_ceiling"
     if name.endswith("_seconds") or name.endswith("_ms"):
         return "lower"
-    if name == "speedup" or name.endswith("_rows_per_sec"):
-        return "higher"
     return "info"
 
 
@@ -182,8 +180,6 @@ def extract_metrics(payload: dict) -> list[Metric]:
         return _extract_harness(payload)
     if "contract" in payload:
         return _extract_contract(payload)
-    if isinstance(payload.get("results"), list):
-        return _extract_trajectory(payload)
     return []
 
 
@@ -212,29 +208,6 @@ def _extract_harness(payload: dict) -> list[Metric]:
                     metrics.append(Metric(key, value, kind))
     for name, seconds in payload.get("timings_seconds", {}).items():
         metrics.append(Metric(f"timing/{name}", float(seconds), "lower"))
-    return metrics
-
-
-def _extract_trajectory(payload: dict) -> list[Metric]:
-    """The BENCH_chase.json shape: a results list of flat dicts keyed
-    by workload and size."""
-    metrics: list[Metric] = []
-    for result in payload["results"]:
-        workload = result.get("workload", "?")
-        size = result.get("source_rows", "?")
-        prefix = f"{workload}/rows={size}"
-        for name, value in result.items():
-            if name in ("workload", "source_rows"):
-                continue
-            if isinstance(value, bool):
-                metrics.append(
-                    Metric(f"{prefix}/{name}", float(value), "info")
-                )
-            elif isinstance(value, (int, float)):
-                metrics.append(
-                    Metric(f"{prefix}/{name}", float(value),
-                           _kind_for_field(name))
-                )
     return metrics
 
 

@@ -56,7 +56,7 @@ from repro.instances.database import (
     null_key_label,
 )
 from repro.instances.labeled_null import LabeledNull, NullFactory
-from repro.logic.chase import ChaseRecorder, chase
+from repro.logic.chase import ChaseRecorder, chase, compile_dependency
 from repro.logic.dependencies import TGD
 from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
 from repro.logic.terms import Const, Var
@@ -183,20 +183,9 @@ class MaterializedExchange:
             "merge_rollbacks": 0,
             "full_reexchange": 0,
         }
-        # Per-dependency precomputation mirroring the chase's own, so
-        # recorded keys and re-enumerated keys always agree.
-        self._body_relations = [d.body_relations()
-                                for d in self._dependencies]
-        self._body_variables = [
-            tuple(sorted(d.body_variables(), key=lambda v: v.name))
-            for d in self._dependencies
-        ]
-        self._frontiers = [
-            tuple(sorted(d.frontier(), key=lambda v: v.name))
-            if isinstance(d, TGD) else ()
-            for d in self._dependencies
-        ]
-        self._frontier_sets = [set(f) for f in self._frontiers]
+        # The chase's compilations own the body-key and frontier-key
+        # order, so recorded keys and re-enumerated keys always agree.
+        self._compiled = [compile_dependency(d) for d in self._dependencies]
         # Working instance: source relations ∪ chased target relations.
         self.working = Instance(mapping.source)
         for relation, rows in source.relations.items():
@@ -523,10 +512,11 @@ class MaterializedExchange:
         next_round: dict[str, list[Row]] = {}
         while pending:
             for dep_index, dependency in enumerate(self._dependencies):
-                if not (self._body_relations[dep_index] & pending.keys()):
+                if not (self._compiled[dep_index].relations
+                        & pending.keys()):
                     continue
                 if isinstance(dependency, TGD):
-                    frontier = self._frontiers[dep_index]
+                    frontier = self._compiled[dep_index].frontier
                     for assignment in self._pinned_triggers(dep_index,
                                                             pending):
                         key = tuple(
@@ -540,7 +530,7 @@ class MaterializedExchange:
                                     next_round, scheduled
                                 )
                 else:
-                    variables = self._body_variables[dep_index]
+                    variables = self._compiled[dep_index].variables
                     for assignment in self._pinned_triggers(dep_index,
                                                             pending):
                         body_key = tuple(
@@ -586,7 +576,7 @@ class MaterializedExchange:
                          delta: dict[str, list[Row]]) -> Iterator[dict]:
         dependency = self._dependencies[dep_index]
         body = dependency.body
-        variables = self._body_variables[dep_index]
+        variables = self._compiled[dep_index].variables
         seen: set = set()
         for position, atom in enumerate(body):
             delta_rows = delta.get(atom.relation)
@@ -688,8 +678,8 @@ class MaterializedExchange:
         for dep_index, dependency in enumerate(self._dependencies):
             if not isinstance(dependency, TGD):
                 continue
-            frontier_set = self._frontier_sets[dep_index]
-            frontier = self._frontiers[dep_index]
+            frontier_set = self._compiled[dep_index].frontier_set
+            frontier = self._compiled[dep_index].frontier
             for atom in dependency.head:
                 if atom.relation != relation:
                     continue
@@ -731,7 +721,7 @@ class MaterializedExchange:
         return partial
 
     def _fire(self, dep_index, tgd, assignment, key):
-        frontier = self._frontiers[dep_index]
+        frontier = self._compiled[dep_index].frontier
         existential_values: dict = {}
         head_rows: list[tuple[str, Row]] = []
         for atom in tgd.head:

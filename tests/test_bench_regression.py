@@ -41,23 +41,6 @@ def harness_payload(warm_ms=0.7, speedup="3.1x", timing=0.5):
     }
 
 
-def trajectory_payload(seminaive=0.03, rate=100_000):
-    return {
-        "benchmark": "chase_scaling",
-        "results": [
-            {
-                "workload": "chain(stages=12)",
-                "source_rows": 250,
-                "rows_produced": 3000,
-                "seminaive_seconds": seminaive,
-                "seminaive_rows_per_sec": rate,
-                "speedup": 7.7,
-                "hom_equivalent": True,
-            }
-        ],
-    }
-
-
 def contract_payload(overhead=0.4, stats_overhead=3.0):
     return {
         "benchmark": "observability",
@@ -89,16 +72,6 @@ class TestExtraction:
         payload["tables"][0]["rows"][0][2] = "1.5 s"
         metrics = {m.key: m for m in extract_metrics(payload)}
         assert metrics["4000/unfold-extent/interpreted"].value == 1500.0
-
-    def test_trajectory_fields(self):
-        metrics = {m.key: m for m in extract_metrics(trajectory_payload())}
-        prefix = "chain(stages=12)/rows=250"
-        assert metrics[f"{prefix}/seminaive_seconds"].kind == "lower"
-        assert metrics[f"{prefix}/seminaive_rows_per_sec"].kind == "higher"
-        assert metrics[f"{prefix}/speedup"].kind == "higher"
-        assert metrics[f"{prefix}/rows_produced"].kind == "info"
-        # booleans are info, not judged as numbers
-        assert metrics[f"{prefix}/hom_equivalent"].kind == "info"
 
     def test_contract_fields(self):
         metrics = {m.key: m for m in extract_metrics(contract_payload())}
@@ -135,15 +108,15 @@ class TestJudgment:
         ]
 
     def test_higher_better_fails_below_half(self):
-        baseline = trajectory_payload(rate=100_000)
-        floor = 100_000 * HIGHER_REL_THRESHOLD
-        ok = diff_payloads("c", baseline, trajectory_payload(rate=floor))
+        baseline = harness_payload(speedup="3.1x")
+        floor = 3.1 * HIGHER_REL_THRESHOLD
+        ok = diff_payloads("q", baseline, harness_payload(
+            speedup=f"{floor:g}x"))
         assert ok.regressions == []
-        bad = diff_payloads(
-            "c", baseline, trajectory_payload(rate=floor * 0.9)
-        )
+        bad = diff_payloads("q", baseline, harness_payload(
+            speedup=f"{floor * 0.9:g}x"))
         assert [f.key for f in bad.regressions] == [
-            "chain(stages=12)/rows=250/seminaive_rows_per_sec"
+            "4000/unfold-extent/speedup (warm)"
         ]
 
     def test_overhead_ceiling_is_absolute(self):
@@ -181,13 +154,13 @@ class TestJudgment:
         ]
 
     def test_info_metrics_never_fail(self):
-        baseline = trajectory_payload()
-        fresh = trajectory_payload()
-        fresh["results"][0]["rows_produced"] = 999_999
-        report = diff_payloads("c", baseline, fresh)
+        baseline = contract_payload()
+        fresh = contract_payload()
+        fresh["chase"]["spans"] = 999_999
+        report = diff_payloads("o", baseline, fresh)
         assert report.regressions == []
         finding = next(
-            f for f in report.findings if f.key.endswith("rows_produced")
+            f for f in report.findings if f.key == "chase.spans"
         )
         assert finding.status == "changed"
 
@@ -223,7 +196,7 @@ class TestDirsAndCli:
         base.mkdir(), fresh.mkdir()
         self.write(base, "BENCH_query.json", harness_payload())
         self.write(fresh, "BENCH_query.json", harness_payload(warm_ms=9.0))
-        self.write(fresh, "BENCH_new.json", trajectory_payload())
+        self.write(fresh, "BENCH_new.json", harness_payload())
         reports = {r.name: r for r in diff_dirs(base, fresh)}
         assert reports["BENCH_query.json"].regressions
         # fresh-only file is reported, never failed

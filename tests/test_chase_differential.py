@@ -1,14 +1,15 @@
-"""The semi-naive chase against the naive oracle, and its fused
-full-tgd lane against the generic trigger path.
+"""The semi-naive chase against the naive oracle, and its compiled
+plans against the backtracking search.
 
 Two differential properties:
 
 * ``chase`` ≡ ``naive_chase``: same ``steps`` and results equal modulo
   labeled nulls, on chains, egd-heavy sets, mid-chain merges, joins and
   seeded random workloads;
-* lane ≡ generic path: with every single-body-atom full tgd forced
-  onto the generic path, the engine must take the same steps, store the
-  same rows in the same order and hand the recorder the same events.
+* plans ≡ search: on the source and on the chased instance, every
+  dependency's compiled plan yields the triggers of
+  ``iter_homomorphisms`` in its order, over the whole instance and
+  pinned to a delta (see ``tests/test_chase_plans.py``).
 """
 
 import copy
@@ -16,17 +17,18 @@ import random
 
 import pytest
 
-from repro.errors import ChaseNonTermination
+from repro.errors import ChaseFailure, ChaseNonTermination
 from repro.instances import Instance, LabeledNull
 from repro.instances.database import freeze_row
 from repro.logic import chase, naive_chase, parse_egd, parse_tgd
 from repro.logic.chase import (
-    ChaseRecorder,
-    _FullTGDLane,
     _fresh_factory,
     _SemiNaiveChase,
+    compile_dependency,
 )
 from repro.runtime.incremental import set_equal_modulo_nulls
+
+from tests.test_chase_plans import assert_plans_match_search
 
 
 def _assert_matches_naive(db, deps, same_steps=True):
@@ -43,54 +45,14 @@ def _assert_matches_naive(db, deps, same_steps=True):
     return semi
 
 
-class _Log(ChaseRecorder):
-    def __init__(self):
-        self.events = []
-
-    def on_tgd_fire(self, dep_index, tgd, frontier_key, frontier_items,
-                    rows):
-        self.events.append((
-            "fire", dep_index, frontier_key, tuple(frontier_items),
-            tuple((relation, freeze_row(row)) for relation, row in rows),
-        ))
-
-    def on_egd_union(self, dep_index, egd, body_key, left, right):
-        self.events.append(("union", dep_index, body_key, left, right))
-
-    def on_substitution(self, positions):
-        self.events.append(("subst", tuple(
-            (relation, attr, null, value)
-            for relation, _row, attr, null, value in positions
-        )))
-
-
-def _run(db, deps, lanes=True, max_steps=100_000):
-    """One engine run over a copy of ``db``; ``lanes=False`` forces
-    every dependency onto the generic trigger path."""
-    working = copy.deepcopy(db)
-    log = _Log()
-    engine = _SemiNaiveChase(working, deps, _fresh_factory(working),
-                             max_steps, recorder=log)
-    if not lanes:
-        engine.lanes = [None] * len(deps)
-    result = engine.run()
-    rows = {
-        relation: [freeze_row(row) for row in result.instance.rows(relation)]
-        for relation in result.instance.relations
-    }
-    return result, rows, log.events
-
-
-def _assert_lane_matches_generic(db, deps):
-    """The lane must be an exact drop-in for the generic path."""
-    fast, fast_rows, fast_events = _run(db, deps)
-    slow, slow_rows, slow_events = _run(db, deps, lanes=False)
-    assert fast.steps == slow.steps
-    assert fast.fired == slow.fired
-    assert fast.stats.delta_sizes == slow.stats.delta_sizes
-    assert fast_rows == slow_rows
-    assert fast_events == slow_events
-    return fast
+def _assert_plans_match(db, deps):
+    """One chase run, after checking that each dependency's compiled
+    plan yields the backtracking search's triggers, in order, on the
+    source and on the chased instance."""
+    result = chase(copy.deepcopy(db), deps)
+    for instance in (db, result.instance):
+        assert_plans_match_search(instance, deps)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +81,7 @@ def _egd_heavy(rows=300, keys=30):
 
 def _midmerge(rows=400, keys=40):
     # Existentials minted mid-chain and checked by egds while the next
-    # stage (a lane tgd) is still firing.
+    # stage (a one-atom full tgd) is still firing.
     db = Instance()
     db.insert_all("A", [{"k": i % keys, "v": i} for i in range(rows)])
     deps = [
@@ -132,7 +94,7 @@ def _midmerge(rows=400, keys=40):
 
 
 def _join(rows=500, fan_in=1):
-    # A join tgd (generic path) feeding a lane tgd; each joined L row
+    # A join tgd feeding a one-atom full tgd; each joined L row
     # meets ``fan_in`` E rows.
     db = Instance()
     db.insert_all("E", [{"src": i, "dst": (i * 17) % (rows // fan_in)}
@@ -172,9 +134,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("workload", ["chain", "join", "midmerge"])
     def test_lane_matches_generic(self, workload):
-        db, deps = WORKLOADS[workload]()
-        assert any(_FullTGDLane.compile(d) is not None for d in deps)
-        _assert_lane_matches_generic(db, deps)
+        # The fused lane and the generic path are one path now: its
+        # compiled plans must match the backtracking search.
+        _assert_plans_match(*WORKLOADS[workload]())
 
     def test_budget_is_exact(self):
         db, deps = _chain(rows=500, stages=2)
@@ -218,42 +180,49 @@ class TestRandomizedDifferential:
                 ))
         rng.shuffle(deps)
         _assert_matches_naive(db, deps)
-        _assert_lane_matches_generic(db, deps)
+        _assert_plans_match(db, deps)
 
 
 # ----------------------------------------------------------------------
-# fused lane edge cases
+# one-atom full tgds (the shapes of the former fused lane)
 # ----------------------------------------------------------------------
 class TestFullTGDLane:
     def test_lane_selection(self):
-        # The shapes of an exchange mapping: only single-body-atom full
-        # tgds without function terms, heads on distinct relations,
-        # take the lane.
-        lane = [
+        # The shapes of an exchange mapping.  The fused lane took only
+        # one-atom full tgds with heads on distinct relations; now every
+        # shape compiles to one plan, a one-atom full tgd to a one-step
+        # plan whose head atoms are all projection probes — two head
+        # atoms on one relation included.
+        one_step = [
             "Sale(oid=o, name=n) -> Audit(oid=o)",
             "B(eid=e, office=f) -> Assign(eid=e, office=f)",
             "Assign(eid=e, office=f) -> Room(office=f)",
-        ]
-        generic = [
-            "Ord(oid=o, cust=c) & Cust(cid=c, name=n) -> Sale(oid=o, name=n)",
-            "Cust(cid=c, name=n) -> Client(cid=c, name=n, tier=t)",
-            "A(eid=e) -> Assign(eid=e, office=o)",
-            "R(a=x) -> S(a=f(x))",
-            # Two head atoms on one relation: a row built for one atom
-            # could satisfy the other's probe.
             "R(a=x, b=y) -> S(a=x, b=y) & S(a=y, b=x)",
         ]
-        assert all(_FullTGDLane.compile(parse_tgd(t)) for t in lane)
-        assert not any(_FullTGDLane.compile(parse_tgd(t)) for t in generic)
+        for text in one_step:
+            plan = compile_dependency(parse_tgd(text))
+            assert len(plan.variant((0,), False)[0]) == 1
+            assert all(isinstance(probe, tuple) for probe in plan.probes)
+        join = compile_dependency(parse_tgd(
+            "Ord(oid=o, cust=c) & Cust(cid=c, name=n) -> Sale(oid=o, name=n)"
+        ))
+        assert len(join.variant((1, 0), False)[0]) == 2
+        for text in ["Cust(cid=c, name=n) -> Client(cid=c, name=n, tier=t)",
+                     "A(eid=e) -> Assign(eid=e, office=o)"]:
+            plan = compile_dependency(parse_tgd(text))
+            assert plan.kind == "tgd∃"
+            assert not isinstance(plan.probes[0], tuple)
+        with pytest.raises(ChaseFailure):
+            compile_dependency(parse_tgd("R(a=x) -> S(a=f(x))"))
         egd = parse_egd("Assign(eid=e, office=f) & Assign(eid=e, office=g) "
                         "-> f = g")
-        assert _FullTGDLane.compile(egd) is None
+        assert compile_dependency(egd).group is not None
 
     def test_row_missing_body_attribute(self):
         db = Instance()
         db.insert_all("R", [{"a": 1, "b": 2}, {"a": 3}, {"b": 4}])
         deps = [parse_tgd("R(a=x, b=y) -> S(a=x, b=y)")]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert result.steps == 1
         assert result.instance.rows("S") == [{"a": 1, "b": 2}]
         _assert_matches_naive(db, deps)
@@ -263,7 +232,7 @@ class TestFullTGDLane:
         db.insert_all("R", [{"a": i, "kind": "x" if i % 2 else "y"}
                             for i in range(10)])
         deps = [parse_tgd("R(a=x, kind='x') -> S(a=x)")]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert sorted(r["a"] for r in result.instance.rows("S")) == [
             1, 3, 5, 7, 9
         ]
@@ -273,7 +242,7 @@ class TestFullTGDLane:
         db = Instance()
         db.insert_all("R", [{"a": i, "b": i % 3} for i in range(9)])
         deps = [parse_tgd("R(a=x, b=x) -> S(a=x)")]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert sorted(r["a"] for r in result.instance.rows("S")) == [0, 1, 2]
         _assert_matches_naive(db, deps)
 
@@ -283,7 +252,7 @@ class TestFullTGDLane:
         db.insert_all("R", [{"a": n1, "b": 1}, {"a": n1, "b": 1},
                             {"a": n2, "b": 1}, {"a": 5, "b": n2}])
         deps = [parse_tgd("R(a=x, b=y) -> S(a=x, b=y)")]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert result.steps == 3
         assert {freeze_row(r) for r in result.instance.rows("S")} == {
             freeze_row(r) for r in db.rows("R")
@@ -295,7 +264,7 @@ class TestFullTGDLane:
         db.insert_all("R", [{"a": i} for i in range(5)])
         db.insert("S", {"a": 2, "tag": "t"})  # already satisfied
         deps = [parse_tgd("R(a=x) -> S(a=x, tag='t')")]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert result.steps == 4
         assert all(r["tag"] == "t" for r in result.instance.rows("S"))
         _assert_matches_naive(db, deps)
@@ -311,8 +280,7 @@ class TestFullTGDLane:
                             for i in range(20)])
         db.insert("S", {"a": 2})  # satisfies one head atom, not both
         deps = [parse_tgd(tgd)]
-        assert _FullTGDLane.compile(deps[0]) is not None
-        _assert_lane_matches_generic(db, deps)
+        _assert_plans_match(db, deps)
         _assert_matches_naive(db, deps)
 
     @pytest.mark.parametrize("tgd, steps, rounds", [
@@ -322,17 +290,17 @@ class TestFullTGDLane:
     ])
     def test_head_relation_is_body_relation(self, tgd, steps, rounds):
         # Round 0 scans R while firing into R: rows derived in the
-        # loop must wait for the next round, as with the generic path.
+        # loop must wait for the next round.
         db = Instance()
         db.insert_all("R", [{"a": i, "b": i + 10} for i in range(6)])
         deps = [parse_tgd(tgd)]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert result.steps == steps
         assert result.stats.rounds == rounds
         _assert_matches_naive(db, deps)
 
     def test_egd_merge_between_rounds(self):
-        # Round 0 mints B(1, ⊥) and copies it into D through the lane;
+        # Round 0 mints B(1, ⊥) and copies it into D;
         # the egd merges ⊥ into 'c' at the round barrier, rewriting the
         # D row and resetting the frontier memos before round 1 re-scans
         # the rewritten B rows.
@@ -345,7 +313,7 @@ class TestFullTGDLane:
             parse_egd("B(k=x, u=y1) & B(k=x, u=y2) -> y1 = y2"),
             parse_tgd("B(k=x, u=y) -> D(k=x, u=y)"),
         ]
-        result = _assert_lane_matches_generic(db, deps)
+        result = _assert_plans_match(db, deps)
         assert result.stats.merges == 1
         assert {freeze_row(r) for r in result.instance.rows("D")} == {
             freeze_row({"k": 1, "u": "c"})
@@ -356,7 +324,6 @@ class TestFullTGDLane:
         db, deps = _chain(rows=500, stages=1)
         working = copy.deepcopy(db)
         engine = _SemiNaiveChase(working, deps, _fresh_factory(working), 100)
-        assert engine.lanes[0] is not None
         with pytest.raises(ChaseNonTermination):
             engine.run()
         assert engine.steps == 100
