@@ -62,7 +62,10 @@ optimizer-smoke:
 
 # Health-monitor gate: `repro health` must exit 0 on a healthy
 # workload and nonzero when a threshold is deliberately breached
-# (slow_query_rate_max=-1 makes any logged query an alert).
+# (slow_query_rate_max=-1 makes any observed query an alert).  Also:
+# `repro querylog --json` prints only `query` journal events, each
+# with a plan fingerprint, and a non-positive `--capacity` is a usage
+# error (exit 2).
 health-smoke:
 	@$(PYTHON) -m repro health examples/schema_evolution.py --quiet \
 		>/dev/null || (echo "health-smoke: healthy run alerted" && exit 1)
@@ -70,6 +73,17 @@ health-smoke:
 		--threshold slow_query_rate_max=-1 \
 		--threshold min_query_samples=1 >/dev/null; then \
 		echo "health-smoke: breached threshold did not alert"; exit 1; \
+	fi
+	@$(PYTHON) -m repro querylog examples/schema_evolution.py --quiet \
+		--json | $(PYTHON) -c "import json,sys; \
+events=[json.loads(l) for l in sys.stdin if l.strip()]; \
+assert events, 'querylog printed no events'; \
+assert all(e['kind'] == 'query' and e['fingerprint'] for e in events), \
+	'querylog printed a non-query event'; \
+print(f'health-smoke: querylog printed {len(events)} query events')"
+	@$(PYTHON) -m repro journal examples/schema_evolution.py --quiet \
+		--capacity 0 >/dev/null 2>&1; code=$$?; if [ $$code -ne 2 ]; then \
+		echo "health-smoke: --capacity 0 exited $$code, not 2"; exit 1; \
 	fi
 	@echo "health-smoke: exit codes ok"
 

@@ -15,22 +15,23 @@ This suite verifies the contract two ways:
   reference (this one is allowed to cost something);
 * **stats / query-path overhead** — a warm-cache query workload with
   observability on (statistics service + cardinality estimator +
-  query log + per-node profiling) vs off.  The acceptance bound is
-  < 10% overhead, plus an informational ns/row figure for absorbing
-  appended rows into a warm ``RelationStats`` cache;
+  ``query`` journal event + per-node profiling) vs off.  The
+  acceptance bound is < 10% overhead, plus an informational ns/row
+  figure for absorbing appended rows into a warm ``RelationStats``
+  cache;
 * **sampled query-path overhead** — the same workload with the trace
   sampler active at a 10% keep rate (the recommended production
   setting): head-dropped traces still pay span construction for
   tail-keep, and the bound is the same < 10% contract.
 
-Standalone (``python benchmarks/bench_observability.py``) emits
-``BENCH_observability.json`` and exits nonzero if the disabled bound
-is violated.  The pytest entries assert the same bound, with slack for
+Standalone (``python benchmarks/bench_observability.py [--smoke]
+[--out PATH]``) emits harness-v1 ``BENCH_observability.json`` through
+``benchmarks/harness.py``, with each bound declared as a ceiling that
+the regression watchdog enforces, and exits nonzero if a bound is
+violated.  The pytest entries assert the same bounds, with slack for
 noisy CI machines.
 """
 
-import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -165,13 +166,13 @@ def measure_noop_overhead(calls: int = 200_000) -> dict:
 
 
 def measure_stats_overhead(rows: int = 4000, repeat: int = 7) -> dict:
-    """Enabled query-path overhead: statistics + estimator + query log.
+    """Enabled query-path overhead: statistics + estimator + journal.
 
     A warm-plan-cache select+join workload, best-of-``repeat``, with
     observability off vs on.  The enabled run pays for the per-node
     profiled pipeline, the cardinality estimator (statistics served
-    from the validated cache), and the query-log append — the whole
-    estimate↔actual telemetry path.  Separately reports the absolute
+    from the validated cache), and the ``query`` journal event — the
+    whole estimate↔actual telemetry path.  Separately reports the absolute
     cost of absorbing appended rows into a warm stats cache.
     """
     from repro.algebra import expressions as E
@@ -325,122 +326,113 @@ def test_sampled_query_overhead_bound(benchmark):
     assert entry["sampler_dropped"] > entry["sampler_kept"]
 
 
+# ----------------------------------------------------------------------
+# standalone run -> BENCH_observability.json (harness-v1)
+# ----------------------------------------------------------------------
+#: ``--smoke``: a smaller chase and fewer rounds, for CI sanity.
+_SMOKE = False
+
+#: Overhead rows with a bound: the ceiling declared in the payload (and
+#: the full run's exit-code limit), then the smoke run's exit-code
+#: limit, in percent.  A 100-row smoke chase is noise-dominated, so
+#: the smoke run gets relaxed limits.
+_LIMITS = {
+    "disabled chase vs bare": (5.0, 15.0),
+    "enabled query vs disabled": (10.0, 25.0),
+    "sampled query vs disabled": (10.0, 25.0),
+}
+
+#: Limits the last report run exceeded; :func:`main` exits 1 on any.
+_BREACHES: list[str] = []
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000:.3f} ms"
+
+
 def test_observability_report(benchmark):
-    chase_entry = measure_chase_overhead(rows=100, repeat=3)
-    noop_entry = measure_noop_overhead(calls=50_000)
-    benchmark(lambda: chase(*_chain_workload(50)))
-    print_table(
-        "Observability overhead (tracing off unless noted)",
-        ["quantity", "value"],
-        [
-            ["bare chase (s)", chase_entry["bare_seconds"]],
-            ["instrumented, disabled (s)", chase_entry["disabled_seconds"]],
-            ["instrumented, enabled (s)", chase_entry["enabled_seconds"]],
-            ["disabled overhead (%)",
-             chase_entry["disabled_overhead_percent"]],
-            ["enabled overhead (%)",
-             chase_entry["enabled_overhead_percent"]],
-            ["no-op plain (ns/call)", noop_entry["plain_ns_per_call"]],
-            ["no-op disabled (ns/call)",
-             noop_entry["disabled_ns_per_call"]],
-        ],
-    )
-
-
-# ----------------------------------------------------------------------
-# standalone run -> BENCH_observability.json
-# ----------------------------------------------------------------------
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Observability overhead → BENCH_observability.json"
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller workload, no JSON rewrite unless "
-                             "--out is given")
-    parser.add_argument("--out", type=Path, default=None)
-    args = parser.parse_args(argv)
-
-    rows = 100 if args.smoke else 400
+    """Every overhead measurement as one table.  Run standalone, the
+    bounded rows declare their ceilings on the harness and the raw
+    measurements go into the payload's ``results``.  Under pytest
+    there is no harness: the report runs the smoke sizes and only
+    prints, as the ``test_*_bound`` entries assert the bounds."""
+    harness = getattr(benchmark, "_harness", None)
+    smoke = _SMOKE or harness is None
+    rows = 100 if smoke else 400
     # Bare and disabled do identical work, so the 5% gate judges pure
     # noise: on a shared 2-vCPU VM, 5 interleaved rounds spread the
     # pair by up to ±30% and 20 rounds by about ±7%.
     chase_entry = measure_chase_overhead(
-        rows=rows, repeat=5 if args.smoke else 20
+        rows=rows, repeat=5 if smoke else 20
     )
     noop_entry = measure_noop_overhead(
-        calls=50_000 if args.smoke else 500_000
+        calls=50_000 if smoke else 500_000
     )
     # Always full-size rows: the overhead is a fixed per-query cost,
     # so a smaller query would inflate the percentage.
-    stats_entry = measure_stats_overhead(
-        rows=4000, repeat=3 if args.smoke else 7
-    )
+    stats_entry = measure_stats_overhead(rows=4000, repeat=3 if smoke else 7)
     sampled_entry = measure_sampled_overhead(
-        rows=4000, repeat=3 if args.smoke else 7
+        rows=4000, repeat=3 if smoke else 7
     )
-    print(
-        f"chase rows={rows}: bare={chase_entry['bare_seconds']:.4f}s  "
-        f"disabled={chase_entry['disabled_seconds']:.4f}s "
-        f"({chase_entry['disabled_overhead_percent']:+.2f}%)  "
-        f"enabled={chase_entry['enabled_seconds']:.4f}s "
-        f"({chase_entry['enabled_overhead_percent']:+.2f}%)"
+    table = [
+        [path, _ms(entry[base]), _ms(entry[measured]),
+         f"{entry[overhead]:+.2f}%"]
+        for path, entry, base, measured, overhead in (
+            ("disabled chase vs bare", chase_entry, "bare_seconds",
+             "disabled_seconds", "disabled_overhead_percent"),
+            ("enabled chase vs bare", chase_entry, "bare_seconds",
+             "enabled_seconds", "enabled_overhead_percent"),
+            ("enabled query vs disabled", stats_entry, "disabled_seconds",
+             "enabled_seconds", "stats_overhead_percent"),
+            ("sampled query vs disabled", sampled_entry,
+             "disabled_seconds", "sampled_seconds",
+             "sampled_overhead_percent"),
+        )
+    ]
+    print_table(
+        f"Observability overhead (best of interleaved rounds; chase: "
+        f"{chase_entry['workload']}; query: {stats_entry['workload']}, "
+        f"sampled at rate 0.1)",
+        ["path", "baseline", "measured", "overhead"],
+        table,
     )
     print(
         f"no-op: plain={noop_entry['plain_ns_per_call']}ns/call  "
-        f"disabled wrapper={noop_entry['disabled_ns_per_call']}ns/call"
-    )
-    print(
-        f"stats query path: disabled={stats_entry['disabled_seconds']:.4f}s  "
-        f"enabled={stats_entry['enabled_seconds']:.4f}s "
-        f"({stats_entry['stats_overhead_percent']:+.2f}%)  "
-        f"extend={stats_entry['stats_extend_ns_per_row']}ns/row"
-    )
-    print(
-        f"sampled query path (rate=0.1): "
-        f"disabled={sampled_entry['disabled_seconds']:.4f}s  "
-        f"sampled={sampled_entry['sampled_seconds']:.4f}s "
-        f"({sampled_entry['sampled_overhead_percent']:+.2f}%)  "
-        f"kept={sampled_entry['sampler_kept']} "
+        f"disabled wrapper={noop_entry['disabled_ns_per_call']}ns/call  "
+        f"stats extend={stats_entry['stats_extend_ns_per_row']}ns/row  "
+        f"sampler kept={sampled_entry['sampler_kept']} "
         f"dropped={sampled_entry['sampler_dropped']}"
     )
+    if harness is None:
+        benchmark(lambda: chase(*_chain_workload(50)))
+        return
+    for path, _, _, overhead in table:
+        if path not in _LIMITS:
+            continue
+        ceiling, smoke_limit = _LIMITS[path]
+        harness.ceiling(f"{path}/overhead", ceiling)
+        limit = smoke_limit if _SMOKE else ceiling
+        if float(overhead.rstrip("%")) >= limit:
+            _BREACHES.append(f"{path} overhead {overhead} exceeds the "
+                             f"{limit:g}% limit")
+    for section, entry in (("chase", chase_entry), ("noop_call", noop_entry),
+                           ("stats", stats_entry),
+                           ("sampled", sampled_entry)):
+        harness.record(section=section, **entry)
 
-    out = args.out
-    if out is None and not args.smoke:
-        out = Path(__file__).resolve().parent.parent / (
-            "BENCH_observability.json"
-        )
-    if out is not None:
-        payload = {
-            "benchmark": "observability",
-            "contract": "disabled instrumented call < 5% over bare; "
-                        "enabled stats/query path < 10% over disabled; "
-                        "sampled (rate=0.1) query path < 10% over "
-                        "disabled",
-            "chase": chase_entry,
-            "noop_call": noop_entry,
-            "stats": stats_entry,
-            "sampled": sampled_entry,
-        }
-        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
 
-    # The 5% contract is judged on the full 400-row measurement; the
-    # 100-row smoke run is noise-dominated (a ~7ms denominator), so it
-    # gets the same relaxed bound the pytest check uses.
-    limit = 15.0 if args.smoke else 5.0
-    if chase_entry["disabled_overhead_percent"] >= limit:
-        print(f"ERROR: disabled overhead exceeds the {limit:g}% contract")
-        return 1
-    stats_limit = 25.0 if args.smoke else 10.0
-    if stats_entry["stats_overhead_percent"] >= stats_limit:
-        print(f"ERROR: enabled stats/query-path overhead exceeds the "
-              f"{stats_limit:g}% contract")
-        return 1
-    if sampled_entry["sampled_overhead_percent"] >= stats_limit:
-        print(f"ERROR: sampled query-path overhead exceeds the "
-              f"{stats_limit:g}% contract")
-        return 1
-    return 0
+def main(argv=None) -> int:
+    from harness import run_standalone
+
+    global _SMOKE
+    args = list(sys.argv[1:] if argv is None else argv)
+    _SMOKE = "--smoke" in args
+    _BREACHES.clear()
+    status = run_standalone("observability", [test_observability_report],
+                            args, observe=False)
+    for breach in _BREACHES:
+        print(f"ERROR: {breach}")
+    return status or (1 if _BREACHES else 0)
 
 
 if __name__ == "__main__":

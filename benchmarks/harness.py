@@ -51,6 +51,7 @@ class Harness:
         self.results: list[dict] = []
         self.timings: dict[str, float] = {}
         self.floors: dict[str, float] = {}
+        self.ceilings: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def timed(self, label: str, fn: Callable, *args, **kwargs):
@@ -79,6 +80,12 @@ class Harness:
         of the baseline — e.g. the optimizer suite's ≥2× skewed-join
         speedup contract."""
         self.floors[key] = float(minimum)
+
+    def ceiling(self, key: str, maximum: float) -> None:
+        """Declare an absolute ceiling for one extracted metric key,
+        judged like :meth:`floor` from the other side — e.g. the
+        observability suite's overhead limits."""
+        self.ceilings[key] = float(maximum)
 
     def capture_table(self, title: str, headers: list[str],
                       rows: list[list]) -> None:
@@ -117,6 +124,8 @@ class Harness:
         }
         if self.floors:
             data["floors"] = dict(self.floors)
+        if self.ceilings:
+            data["ceilings"] = dict(self.ceilings)
         if self.observe:
             from repro.observability import registry
 

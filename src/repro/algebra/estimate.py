@@ -31,6 +31,9 @@ from typing import Optional
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
 from repro.algebra.compiler import PlanNode, equality_pairs
+from repro.errors import SchemaError
+from repro.observability.journal import journal
+from repro.observability.metrics import registry
 from repro.observability.stats import ESTIMATION, RelationStats
 from repro.instances.database import TYPE_FIELD
 
@@ -98,7 +101,7 @@ def _entity_member_fraction(
         node = schema.entity(entity)
         root = node.root().name
         members = {node.name} | {d.name for d in node.descendants()}
-    except Exception:
+    except SchemaError:
         return None
     ref = est.cols.get(TYPE_FIELD)
     base = ref.base_rows if ref is not None else est.rows
@@ -295,7 +298,7 @@ def _estimate_uncached(
             return _Est(0.0, {})
         try:
             root = schema.entity(expr.entity).root().name
-        except Exception:
+        except SchemaError:
             return _Est(0.0, {})
         base = _from_relation_stats(instance.relation_stats(root))
         fraction = _entity_member_fraction(
@@ -562,3 +565,10 @@ def worst_divergent(
                 "flagged": ratio >= factor,
             }
     return worst
+
+
+def note_estimate_error(exc: Exception, site: str) -> None:
+    """Count and journal an estimator failure that ``site`` swallowed:
+    estimates are advisory, so a failure never fails the query."""
+    registry.counter("query.estimate.errors").inc()
+    journal("query.estimate.error", site=site, error=type(exc).__name__)

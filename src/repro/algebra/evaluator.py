@@ -42,6 +42,7 @@ from repro.errors import EvaluationError
 from repro.instances.database import Instance, Row, freeze_row
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
+from repro.observability.journal import JOURNAL
 from repro.observability.metrics import registry
 from repro.observability.state import STATE
 from repro.observability.tracing import tracer
@@ -106,23 +107,23 @@ def _evaluate_observed(
     cache,
 ) -> list[Row]:
     """The executor's path under ``STATE.enabled``: identical result,
-    plus a query-log entry carrying the *source* expression fingerprint
-    (the interpreter and the adaptive feedback store agree on it,
-    whatever tree the optimizer chose), cache hit/miss, wall time,
-    output rows, and the worst estimate↔actual divergent node.  A
-    flagged divergence is handed to the adaptive cache, which may
-    schedule a re-optimization of this query with actuals-corrected
-    cardinalities (``reopt`` in the log entry).
+    plus a ``query`` event (see :func:`_record_query`) carrying the
+    *source* expression fingerprint (the interpreter and the adaptive
+    feedback store agree on it, whatever tree the optimizer chose) and
+    the worst estimate↔actual divergent node.  A flagged divergence is
+    handed to the adaptive cache, which may schedule a
+    re-optimization of this query with actuals-corrected
+    cardinalities (``reopt`` in the event).
 
     The divergence compares this run's own profile with estimates
     against this run's instance — never state stored on the shared
     cached plan, which concurrent runs over other instances overwrite.
     The estimator runs *after* execution (outside the recorded wall
-    time) and its failures never fail the query — they land in the
-    ``query.estimate.errors`` counter."""
+    time) and its failures never fail the query — they are counted
+    and journaled as ``query.estimate.error``."""
     import time
 
-    from repro.observability.querylog import QUERY_LOG
+    from repro.algebra import estimate
 
     plan, cache_hit = cache.adaptive_lookup(shape, instance, schema, params)
     start = time.perf_counter()
@@ -131,32 +132,51 @@ def _evaluate_observed(
     worst = None
     reopt = False
     try:
-        from repro.algebra.estimate import annotate_plan, worst_divergent
-
         if params:
-            estimates = annotate_plan(plan, instance, schema, params)
+            estimates = estimate.annotate_plan(plan, instance, schema, params)
         else:
-            estimates = annotate_plan(plan, instance, schema)
-        worst = worst_divergent(plan.nodes, profile, estimates)
+            estimates = estimate.annotate_plan(plan, instance, schema)
+        worst = estimate.worst_divergent(plan.nodes, profile, estimates)
         if worst is not None and worst["flagged"]:
             reopt = cache.note_divergence(shape, plan, profile)
-    except Exception:
-        registry.counter("query.estimate.errors").inc()
-    entry = QUERY_LOG.record(
+    except Exception as exc:  # noqa: BLE001 - telemetry never fails a query
+        estimate.note_estimate_error(exc, "evaluate")
+    _record_query(expr, "vectorized", cache_hit, wall_ms, len(rows),
+                  worst, reopt)
+    return rows
+
+
+#: Wall time (ms) at or over which an observed query counts as slow.
+SLOW_QUERY_MS = 100.0
+
+
+def _record_query(
+    expr: RelExpr,
+    engine: str,
+    cache_hit: bool,
+    wall_ms: float,
+    rows_out: int,
+    worst: Optional[dict] = None,
+    reopt: bool = False,
+) -> None:
+    """Journal one observed execution as a ``query`` event and bump
+    the ``query.log.entries`` / ``.slow`` and
+    ``query.estimate.divergent`` counters the health monitor reads."""
+    JOURNAL.record(
+        "query",
         fingerprint=expr.fingerprint(),
-        engine="vectorized",
+        engine=engine,
         cache_hit=cache_hit,
-        wall_ms=wall_ms,
-        rows_out=len(rows),
-        worst=worst,
+        wall_ms=round(wall_ms, 3),
+        rows_out=rows_out,
+        worst_divergent=worst,
         reopt=reopt,
     )
     registry.counter("query.log.entries").inc()
-    if entry.slow:
+    if wall_ms >= SLOW_QUERY_MS:
         registry.counter("query.log.slow").inc()
     if worst is not None and worst["flagged"]:
         registry.counter("query.estimate.divergent").inc()
-    return rows
 
 
 def evaluate_interpreted(
@@ -172,8 +192,6 @@ def evaluate_interpreted(
         return _eval(expr, instance, ctx)
     import time
 
-    from repro.observability.querylog import QUERY_LOG
-
     start = time.perf_counter()
     with tracer.span(
         "query.execute", engine="interpreted", **{"plan.size": expr.size()}
@@ -184,20 +202,9 @@ def evaluate_interpreted(
     wall_ms = (time.perf_counter() - start) * 1000.0
     registry.counter("query.execute.count").inc()
     registry.histogram("query.execute.rows").observe(len(rows))
-    # The interpreter has no plan cache (or per-node plan), but its
-    # executions still land in the query log under the same structural
-    # fingerprint the vectorized engine uses.
-    entry = QUERY_LOG.record(
-        fingerprint=expr.fingerprint(),
-        engine="interpreted",
-        cache_hit=False,
-        wall_ms=wall_ms,
-        rows_out=len(rows),
-        worst=None,
-    )
-    registry.counter("query.log.entries").inc()
-    if entry.slow:
-        registry.counter("query.log.slow").inc()
+    # No plan cache or per-node plan here, but the event carries the
+    # same structural fingerprint the vectorized engine's does.
+    _record_query(expr, "interpreted", False, wall_ms, len(rows))
     return rows
 
 

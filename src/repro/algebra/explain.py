@@ -16,12 +16,12 @@ cardinality estimator (:mod:`repro.algebra.estimate` over the
 per-relation statistics service) — plain EXPLAIN shows estimates and
 EXPLAIN ANALYZE shows estimate vs. actual with per-node divergence
 ratios; nodes beyond ``ESTIMATION.divergence_factor`` are flagged and
-the worst one is summarized (the signal the query log records and the
-PlanCache feedback loop consumes).  ``no_opt=True`` skips the
+the worst one is summarized (the signal ``query`` journal events carry
+and the PlanCache feedback loop consumes).  ``no_opt=True`` skips the
 cost-based phase and shows the heuristic plan (the CLI's ``repro
 explain --no-opt`` / ``--compare``).  Estimation failures never fail
-the explain: they are swallowed and counted
-(``query.estimate.errors``).
+the explain: they are swallowed, counted (``query.estimate.errors``)
+and journaled (``query.estimate.error``).
 
 The profile comes from the same pipeline ``evaluate`` runs: every
 stage is wrapped in a per-node hook that records only when the run
@@ -36,7 +36,11 @@ from typing import Optional
 
 from repro.algebra import expressions as E
 from repro.algebra.compiler import PlanProfile
-from repro.algebra.estimate import annotate_plan, worst_divergent
+from repro.algebra.estimate import (
+    annotate_plan,
+    note_estimate_error,
+    worst_divergent,
+)
 from repro.algebra.plan_cache import (
     GLOBAL_VECTOR_PLAN_CACHE,
     bind_plan,
@@ -47,7 +51,6 @@ from repro.algebra.printer import render_plan, to_text
 from repro.algebra.vectorized import VectorizedPlan
 from repro.instances.database import Instance, Row
 from repro.metamodel.schema import Schema
-from repro.observability import registry
 from repro.observability.stats import ESTIMATION
 
 
@@ -55,14 +58,14 @@ def _estimates_for(
     plan, instance: Optional[Instance], schema: Optional[Schema]
 ) -> Optional[list]:
     """Annotate ``plan`` against ``instance``, swallowing estimator
-    bugs (telemetry must never fail the query path) into the
-    ``query.estimate.errors`` counter."""
+    bugs (telemetry must never fail the query path) into
+    :func:`~repro.algebra.estimate.note_estimate_error`."""
     if instance is None:
         return None
     try:
         return annotate_plan(plan, instance, schema)
-    except Exception:
-        registry.counter("query.estimate.errors").inc()
+    except Exception as exc:  # noqa: BLE001 - estimates are advisory
+        note_estimate_error(exc, "explain")
         return None
 
 
@@ -213,8 +216,8 @@ def _plan_for(
             from repro.algebra.optimizer import plan_cost
 
             cost = plan_cost(expr, Estimator(instance, schema, params=params))
-        except Exception:
-            registry.counter("query.estimate.errors").inc()
+        except Exception as exc:  # noqa: BLE001 - estimates are advisory
+            note_estimate_error(exc, "explain.cost")
         return plan, params, cache_hit, cost, cost, False
     plan, cache_hit = cache.adaptive_lookup(expr, instance, schema, params)
     report = cache.adaptive_report(expr) or {}

@@ -578,8 +578,9 @@ def optimize_with_report(
     tree's ``Param`` slots for the estimator).
 
     Any failure in the cost phase (unexpected tree shapes, statistics
-    errors) falls back to the heuristic tree and bumps the
-    ``query.optimizer.errors`` counter — cost-based planning must never
+    errors) falls back to the heuristic tree, bumps the
+    ``query.optimizer.errors`` counter and journals a
+    ``query.optimizer.fallback`` event — cost-based planning must never
     make a query unrunnable.
     """
     heuristic = (
@@ -605,20 +606,19 @@ def optimize_with_report(
         return OptimizationReport(
             heuristic, chosen, heuristic_cost, chosen_cost
         )
-    except Exception:  # noqa: BLE001 - planning must never break queries
-        _count_optimizer_error()
+    except Exception as exc:  # noqa: BLE001 - planning never breaks queries
+        _count_optimizer_error(exc)
         return OptimizationReport(heuristic, heuristic, None, None)
 
 
-def _count_optimizer_error() -> None:
-    try:
-        from repro.observability.metrics import registry
-        from repro.observability.state import STATE
+def _count_optimizer_error(exc: Exception) -> None:
+    from repro.observability.journal import JOURNAL
+    from repro.observability.metrics import registry
+    from repro.observability.state import STATE
 
-        if STATE.enabled:
-            registry.counter("query.optimizer.errors").inc()
-    except Exception:  # noqa: BLE001 - metrics are best-effort here
-        pass
+    if STATE.enabled:
+        registry.counter("query.optimizer.errors").inc()
+        JOURNAL.record("query.optimizer.fallback", error=type(exc).__name__)
 
 
 def plan_cost(expr: E.RelExpr, est) -> float:

@@ -27,7 +27,7 @@ instance stats epoch)`` hold the cost-based optimizer's chosen tree, so
 statistics drift re-plans instead of reusing a stale join order, and
 :meth:`PlanCache.note_divergence` closes the feedback loop — a plan
 whose estimate↔actual divergence is flagged by ``EXPLAIN ANALYZE`` /
-the query log is evicted and re-optimized with actuals-corrected
+an observed ``evaluate`` is evicted and re-optimized with actuals-corrected
 cardinalities on the next execution (bounded by ``COST.max_reopts``).
 Evictions are attributed by reason through
 ``query.plan_cache.evictions.{lru,epoch,reopt}`` and re-planning
@@ -128,8 +128,8 @@ class PlanCache:
 
     def lookup(self, expr: RelExpr) -> tuple[VectorizedPlan, bool]:
         """``(plan, cache_hit)`` — like :meth:`get`, but telling the
-        caller whether the plan was already cached (the query log
-        records hit/miss per execution)."""
+        caller whether the plan was already cached (``query`` journal
+        events record hit/miss per execution)."""
         fingerprint = expr.fingerprint()
         with self._lock:
             cached = self._plans.get(fingerprint)

@@ -28,11 +28,14 @@ serializes (schemas, mappings, instances as JSON; DDL as SQL text):
 * ``stats DATA.json`` — the per-relation statistics the cardinality
   estimator consumes (row counts, distincts, null fractions, min/max,
   most-common values);
-* ``querylog SCRIPT.py`` — run a script with observability enabled and
-  print the plan-fingerprinted query log (``--out`` exports JSONL);
-* ``journal SCRIPT.py`` — run a script and print the engine event
-  journal (chase rounds, backpressure, fallbacks, alerts; ``--out``
-  exports JSONL);
+* ``journal SCRIPT.py`` — run a script with observability enabled and
+  print the engine event journal (queries, chase rounds, backpressure,
+  fallbacks, alerts; ``--kind`` filters, ``--out`` exports the same
+  events as JSONL);
+* ``querylog SCRIPT.py`` — the journal view of the script's ``query``
+  events (plan fingerprint, engine, cache hit, wall ms, rows, worst
+  divergent node; ``--slow``/``--slow-ms`` keep the slow ones) plus a
+  plan-cache footer;
 * ``health [SCRIPT.py]`` — evaluate SLO health signals (optionally
   after running a script under observability) and exit nonzero when
   any signal breaches its threshold (``--threshold key=value``
@@ -181,8 +184,23 @@ def cmd_sql(args) -> int:
     return 0
 
 
-def _run_script_observed(script: str, quiet: bool) -> None:
-    """Execute ``script`` as ``__main__`` with observability enabled."""
+def _positive_int(text: str) -> int:
+    """argparse type for counts: anything but a positive integer is a
+    usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
+def _run_script_observed(
+    script: str, quiet: bool, capacity: int | None = None
+) -> None:
+    """Execute ``script`` as ``__main__`` with observability enabled,
+    after a reset; ``capacity`` resizes the journal's ring for the
+    run (the reset restores the default)."""
     import contextlib
     import io
     import runpy
@@ -190,6 +208,8 @@ def _run_script_observed(script: str, quiet: bool) -> None:
     import repro.observability as obs
 
     obs.reset()
+    if capacity is not None:
+        obs.JOURNAL.configure(capacity=capacity)
     obs.enable()
     try:
         if quiet:
@@ -341,56 +361,53 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_querylog(args) -> int:
-    from repro.observability.querylog import QUERY_LOG
-
-    QUERY_LOG.configure(capacity=args.capacity, slow_ms=args.slow_ms)
-    _run_script_observed(args.script, args.quiet)
+def _show_events(events, args) -> None:
+    """The journal views' output: ``events`` as JSON Lines with
+    ``--json``, else the newest ``--limit`` rendered; ``--out`` writes
+    the same events as JSONL."""
+    lines = [json.dumps(e.to_dict(), default=str) for e in events]
     if args.json:
-        print(QUERY_LOG.export_jsonl())
+        print("\n".join(lines))
+    elif not events:
+        print("(no events)")
     else:
-        print(QUERY_LOG.render(limit=args.limit, slow_only=args.slow))
-        from repro.algebra.plan_cache import vector_plan_cache_stats
-
-        stats = vector_plan_cache_stats()
-        if stats["hits"] or stats["misses"] or stats["reopts"]:
-            reasons = stats["evictions_by_reason"]
-            print(
-                f"plan cache: "
-                f"{stats['hits']} hits / {stats['misses']} misses, "
-                f"evictions lru={reasons['lru']} "
-                f"epoch={reasons['epoch']} reopt={reasons['reopt']}, "
-                f"re-optimizations={stats['reopts']}"
-            )
+        print("\n".join(e.render() for e in events[-args.limit:]))
     if args.out:
-        Path(args.out).write_text(QUERY_LOG.export_jsonl() + "\n")
-        print(f"{len(QUERY_LOG)} entries written to {args.out}",
+        Path(args.out).write_text("".join(line + "\n" for line in lines))
+        print(f"{len(lines)} events written to {args.out}",
               file=sys.stderr)
-    return 0
 
 
 def cmd_journal(args) -> int:
     from repro.observability.journal import JOURNAL
 
-    if args.capacity:
-        JOURNAL.configure(capacity=args.capacity)
-    _run_script_observed(args.script, args.quiet)
-    if args.json:
+    _run_script_observed(args.script, args.quiet, args.capacity)
+    _show_events(JOURNAL.events(kind=args.kind), args)
+    return 0
+
+
+def cmd_querylog(args) -> int:
+    from repro.algebra.evaluator import SLOW_QUERY_MS
+    from repro.algebra.plan_cache import vector_plan_cache_stats
+    from repro.observability.journal import JOURNAL
+
+    _run_script_observed(args.script, args.quiet, args.capacity)
+    events = [e for e in JOURNAL.events() if e.kind == "query"]
+    if args.slow or args.slow_ms is not None:
+        slow_ms = SLOW_QUERY_MS if args.slow_ms is None else args.slow_ms
+        events = [e for e in events if e.attrs["wall_ms"] >= slow_ms]
+    _show_events(events, args)
+    stats = vector_plan_cache_stats()
+    if not args.json and (stats["hits"] or stats["misses"]
+                          or stats["reopts"]):
+        reasons = stats["evictions_by_reason"]
         print(
-            "\n".join(
-                json.dumps(e.to_dict(), default=str)
-                for e in JOURNAL.events(kind=args.kind)
-            )
+            f"plan cache: "
+            f"{stats['hits']} hits / {stats['misses']} misses, "
+            f"evictions lru={reasons['lru']} "
+            f"epoch={reasons['epoch']} reopt={reasons['reopt']}, "
+            f"re-optimizations={stats['reopts']}"
         )
-    else:
-        events = JOURNAL.events(kind=args.kind)
-        if not events:
-            print("(journal empty)")
-        else:
-            print("\n".join(e.render() for e in events[-args.limit:]))
-    if args.out:
-        path = JOURNAL.export_jsonl(args.out)
-        print(f"{len(JOURNAL)} events written to {path}", file=sys.stderr)
     return 0
 
 
@@ -478,6 +495,21 @@ def cmd_top(args) -> int:
         print(f"script failed: {failures[0]!r}", file=sys.stderr)
         return 1
     return 0
+
+
+def _add_event_view_arguments(p, limit: int) -> None:
+    """The arguments ``repro journal`` and ``repro querylog`` share."""
+    p.add_argument("script", help="Python script executed as __main__")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress the script's own stdout")
+    p.add_argument("--limit", type=_positive_int, default=limit,
+                   help=f"newest events to show (default {limit})")
+    p.add_argument("--capacity", type=_positive_int, default=None,
+                   help="journal ring capacity (default 512)")
+    p.add_argument("--json", action="store_true",
+                   help="print events as JSON Lines")
+    p.add_argument("--out",
+                   help="also export the filtered events as JSONL here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,45 +650,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
-        "querylog",
-        help="run a script with observability on, print the "
-        "plan-fingerprinted query log",
-    )
-    p.add_argument("script", help="Python script executed as __main__")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the script's own stdout")
-    p.add_argument("--limit", type=int, default=20,
-                   help="newest entries to show (default 20)")
-    p.add_argument("--slow", action="store_true",
-                   help="only entries over the slow threshold")
-    p.add_argument("--slow-ms", type=float, default=None,
-                   help="slow-query threshold in ms (default 100)")
-    p.add_argument("--capacity", type=int, default=None,
-                   help="ring-buffer capacity (default 256)")
-    p.add_argument("--json", action="store_true",
-                   help="print entries as JSON Lines")
-    p.add_argument("--out", help="also export entries as JSONL here")
-    p.set_defaults(func=cmd_querylog)
-
-    p = sub.add_parser(
         "journal",
         help="run a script with observability on, print the engine "
         "event journal",
     )
-    p.add_argument("script", help="Python script executed as __main__")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the script's own stdout")
-    p.add_argument("--limit", type=int, default=50,
-                   help="newest events to show (default 50)")
+    _add_event_view_arguments(p, limit=50)
     p.add_argument("--kind", default=None,
                    help="only events of this kind (exact or dotted "
                    "prefix)")
-    p.add_argument("--capacity", type=int, default=None,
-                   help="ring capacity (default 512)")
-    p.add_argument("--json", action="store_true",
-                   help="print events as JSON Lines")
-    p.add_argument("--out", help="also export events as JSONL here")
     p.set_defaults(func=cmd_journal)
+
+    p = sub.add_parser(
+        "querylog",
+        help="run a script with observability on, print its query "
+        "events (the journal's kind=query view)",
+    )
+    _add_event_view_arguments(p, limit=20)
+    p.add_argument("--slow", action="store_true",
+                   help="only queries at or over 100 ms")
+    p.add_argument("--slow-ms", type=float, default=None,
+                   help="only queries at or over this many ms")
+    p.set_defaults(func=cmd_querylog)
 
     p = sub.add_parser(
         "health",

@@ -637,7 +637,7 @@ class Instance:
 
         The returned object is shared with the cache — treat it as
         read-only; it feeds the cardinality estimator behind EXPLAIN
-        and the query log."""
+        and the ``query`` journal events."""
         from repro.observability.stats import RelationStats
 
         rows = self.relations.get(relation)

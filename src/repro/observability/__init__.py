@@ -21,8 +21,8 @@ for perf work.  This package provides:
   (:mod:`repro.observability.sampling`);
 * a bounded, trace-correlated **event journal**
   (:mod:`repro.observability.journal`) of engine lifecycle events —
-  chase rounds, backpressure waits, re-optimizations,
-  evictions, and every silent fallback;
+  observed queries, chase rounds, backpressure waits,
+  re-optimizations, evictions, and every silent fallback;
 * a **health monitor** (:mod:`repro.observability.health`) judging
   metric-derived signals against SLO thresholds, behind
   ``repro health`` and the live ``repro top`` dashboard
@@ -154,17 +154,17 @@ def is_enabled() -> bool:
 
 
 def reset() -> None:
-    """Drop all recorded telemetry — spans, metrics, query-log and
-    journal entries — stop the health monitor, restore estimator
-    tunables, and re-read the sampler's environment config."""
-    from repro.observability.querylog import QUERY_LOG
+    """Drop all recorded telemetry — spans, metrics and journal events
+    (``query`` events included) — stop the health monitor, restore the
+    journal's default capacity and the estimator tunables, and re-read
+    the sampler's environment config."""
     from repro.observability.stats import ESTIMATION
 
     MONITOR.reset()
     tracer.reset()
     registry.reset()
-    QUERY_LOG.clear()
     JOURNAL.clear()
+    JOURNAL.configure(capacity=EventJournal.DEFAULT_CAPACITY)
     SAMPLER.reset()
     ESTIMATION.reset()
 

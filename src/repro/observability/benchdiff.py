@@ -1,31 +1,27 @@
 """Benchmark regression diffing: fresh ``BENCH_*.json`` vs baselines.
 
-The repo commits one baseline JSON per benchmark suite (harness-v1
-files plus the observability-contract format).
-This module extracts comparable numeric metrics from each format,
-classifies every metric by direction, and diffs a fresh run against
-the committed baseline with *generous* relative thresholds — timing on
-shared CI hardware is noisy, so the watchdog is tuned to catch
-step-change regressions (an accidental O(n²), a dropped fast path),
-not 10% jitter:
+The repo commits one harness-v1 baseline JSON per benchmark suite
+(``benchmarks/harness.py``).  This module extracts comparable numeric
+metrics from their table cells and timings, classifies every metric by
+its cell's unit, and diffs a fresh run against the committed baseline
+with *generous* relative thresholds — timing on shared CI hardware is
+noisy, so the watchdog is tuned to catch step-change regressions (an
+accidental O(n²), a dropped fast path), not 10% jitter:
 
-* **lower-better** (wall times: ``... ms`` / ``... s`` cells, timing
-  entries, ``*_seconds`` fields) — regressed when fresh > 2× baseline;
+* **lower-better** (``... ms`` / ``... s`` cells, timing entries) —
+  regressed when fresh > 2× baseline;
 * **higher-better** (``...x`` speedup cells) — regressed when fresh
   < 0.5× baseline;
-* **ceiling** (``disabled_overhead_percent``) — regressed when fresh
-  exceeds the absolute 5.0 contract from docs/OBSERVABILITY.md,
-  regardless of the baseline; ``stats_overhead_percent`` (the enabled
-  stats/query-path bound) is judged the same way against an absolute
-  10.0 ceiling;
-* **floor** — harness payloads may declare absolute minimums for
-  specific keys (``"floors": {"skewed-chain/speedup": 2.0}``, written
-  by ``Harness.floor``); a floored metric regresses when fresh drops
-  below its floor, regardless of the baseline — this is how the
-  optimizer suite's ≥2× skewed-join win is enforced as a contract
-  rather than a relative drift check;
-* **info** (row counts, rounds, percentages without a contract) —
-  never regress; drift is reported as ``changed``.
+* **floor** / **ceiling** — a payload may declare an absolute bound
+  for one key (``"floors": {"skewed-chain/speedup": 2.0}`` by
+  ``Harness.floor``, ``"ceilings": {"disabled chase vs
+  bare/overhead": 5.0}`` by ``Harness.ceiling``); the metric regresses
+  when fresh falls below its floor or rises above its ceiling,
+  whatever the baseline — this is how the optimizer suite's ≥2×
+  skewed-join win and the observability overhead limits are enforced
+  as contracts rather than relative drift checks;
+* **info** (signed ``...%`` cells without a declared bound) — never
+  regress; drift is reported as ``changed``.
 
 Keys present on only one side (a new size, a renamed workload) are
 reported as ``new`` / ``missing`` and never fail the check — smoke
@@ -49,16 +45,13 @@ from typing import Optional, Sequence, Union
 LOWER_REL_THRESHOLD = 1.0
 #: Relative drop tolerated on higher-better metrics (0.5 ⇒ half).
 HIGHER_REL_THRESHOLD = 0.5
-#: Absolute limit for the disabled-overhead contract (percent).
-OVERHEAD_CEILING = 5.0
-#: Absolute limit for the enabled stats/query-path contract (percent).
-STATS_OVERHEAD_CEILING = 10.0
 #: Relative drift below which info metrics count as unchanged.
 INFO_TOLERANCE = 0.01
 
 _MS_CELL = re.compile(r"^([0-9]+(?:\.[0-9]+)?)\s*ms$")
 _S_CELL = re.compile(r"^([0-9]+(?:\.[0-9]+)?)\s*s$")
 _X_CELL = re.compile(r"^([0-9]+(?:\.[0-9]+)?)x$")
+_PCT_CELL = re.compile(r"^([+-]?[0-9]+(?:\.[0-9]+)?)\s*%$")
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,8 @@ class Metric:
 
     key: str
     value: float
-    kind: str  # "lower" | "higher" | "ceiling" | "stats_ceiling" |
-    #          # "floor" | "info"
-    floor: Optional[float] = None  # set when kind == "floor"
+    kind: str  # "lower" | "higher" | "floor" | "ceiling" | "info"
+    bound: Optional[float] = None  # set when kind is floor or ceiling
 
 
 @dataclass
@@ -145,18 +137,6 @@ class DiffReport:
 # ----------------------------------------------------------------------
 # metric extraction
 # ----------------------------------------------------------------------
-def _kind_for_field(name: str) -> str:
-    if name.endswith("disabled_overhead_percent"):
-        return "ceiling"
-    if name.endswith("stats_overhead_percent"):
-        return "stats_ceiling"
-    if name.endswith("sampled_overhead_percent"):
-        return "stats_ceiling"
-    if name.endswith("_seconds") or name.endswith("_ms"):
-        return "lower"
-    return "info"
-
-
 def _cell_metric(cell: object) -> Optional[tuple[float, str]]:
     """(value, kind) when a table cell is a recognizable measurement."""
     if not isinstance(cell, str):
@@ -171,20 +151,20 @@ def _cell_metric(cell: object) -> Optional[tuple[float, str]]:
     match = _X_CELL.match(text)
     if match:
         return float(match.group(1)), "higher"
+    match = _PCT_CELL.match(text)
+    if match:
+        return float(match.group(1)), "info"
     return None
 
 
 def extract_metrics(payload: dict) -> list[Metric]:
-    """Comparable metrics from any committed BENCH format."""
-    if payload.get("format") == "harness-v1":
-        return _extract_harness(payload)
-    if "contract" in payload:
-        return _extract_contract(payload)
-    return []
-
-
-def _extract_harness(payload: dict) -> list[Metric]:
-    floors = payload.get("floors") or {}
+    """Comparable metrics of a harness-v1 payload (none otherwise)."""
+    if payload.get("format") != "harness-v1":
+        return []
+    bounds = {}
+    for kind in ("floor", "ceiling"):
+        for key, bound in payload.get(kind + "s", {}).items():
+            bounds[key] = (kind, float(bound))
     metrics: list[Metric] = []
     for table in payload.get("tables", []):
         headers = table.get("headers", [])
@@ -200,31 +180,10 @@ def _extract_harness(payload: dict) -> list[Metric]:
             label = "/".join(label_cells)
             for header, value, kind in measured:
                 key = f"{label}/{header}"
-                if key in floors:
-                    metrics.append(
-                        Metric(key, value, "floor", float(floors[key]))
-                    )
-                else:
-                    metrics.append(Metric(key, value, kind))
+                kind, bound = bounds.get(key, (kind, None))
+                metrics.append(Metric(key, value, kind, bound))
     for name, seconds in payload.get("timings_seconds", {}).items():
         metrics.append(Metric(f"timing/{name}", float(seconds), "lower"))
-    return metrics
-
-
-def _extract_contract(payload: dict) -> list[Metric]:
-    """The BENCH_observability.json shape: nested sections of numeric
-    leaves, with the disabled-overhead ceiling contract."""
-    metrics: list[Metric] = []
-    for section, body in payload.items():
-        if not isinstance(body, dict):
-            continue
-        for name, value in body.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            metrics.append(
-                Metric(f"{section}.{name}", float(value),
-                       _kind_for_field(f"{section}.{name}"))
-            )
     return metrics
 
 
@@ -233,22 +192,15 @@ def _extract_contract(payload: dict) -> list[Metric]:
 # ----------------------------------------------------------------------
 def _judge(
     kind: str, baseline: float, fresh: float,
-    floor: Optional[float] = None,
+    bound: Optional[float] = None,
 ) -> tuple[str, str]:
     if kind == "floor":
-        if floor is not None and fresh < floor:
-            return "regressed", f"below the {floor:g} floor"
+        if fresh < bound:
+            return "regressed", f"below the {bound:g} floor"
         return "ok", ""
     if kind == "ceiling":
-        if fresh > OVERHEAD_CEILING:
-            return "regressed", f"exceeds the {OVERHEAD_CEILING:g} ceiling"
-        return "ok", ""
-    if kind == "stats_ceiling":
-        if fresh > STATS_OVERHEAD_CEILING:
-            return (
-                "regressed",
-                f"exceeds the {STATS_OVERHEAD_CEILING:g} ceiling",
-            )
+        if fresh > bound:
+            return "regressed", f"exceeds the {bound:g} ceiling"
         return "ok", ""
     if kind == "lower":
         if baseline > 0 and fresh > baseline * (1.0 + LOWER_REL_THRESHOLD):
@@ -298,14 +250,15 @@ def diff_payloads(
                 Finding(key, base.kind, "missing", base.value, None)
             )
             continue
-        # A floor declared on either side applies (the fresh payload's
+        # A bound declared on either side applies (the fresh payload's
         # declaration wins, so a suite can tighten its own contract).
-        floor = new.floor if new.floor is not None else base.floor
-        kind = "floor" if floor is not None else base.kind
-        status, detail = _judge(kind, base.value, new.value, floor)
-        report.findings.append(
-            Finding(key, kind, status, base.value, new.value, detail)
+        declared = new if new.bound is not None else base
+        status, detail = _judge(
+            declared.kind, base.value, new.value, declared.bound
         )
+        report.findings.append(Finding(
+            key, declared.kind, status, base.value, new.value, detail
+        ))
     return report
 
 

@@ -1,6 +1,6 @@
 """Health monitor: SLO-threshold evaluation over engine metrics.
 
-The monitor turns the raw registry/query-log state into a handful of
+The monitor turns metrics-registry counters into a handful of
 *signals* a human (or CI) can act on, each compared against a
 configurable threshold:
 
@@ -10,11 +10,16 @@ configurable threshold:
 * ``cache_eviction_rate`` — plan-cache evictions per lookup
   (``query.plan_cache.*``): thrash, i.e. the working set of plans no
   longer fits;
-* ``divergence_rate`` — fraction of logged queries whose worst
-  estimate↔actual divergence was flagged: the statistics are stale;
-* ``slow_query_rate`` — fraction of logged queries over the query
-  log's slow threshold.
+* ``divergence_rate`` — fraction of observed queries whose worst
+  estimate↔actual divergence was flagged
+  (``query.estimate.divergent / query.log.entries``): the statistics
+  are stale;
+* ``slow_query_rate`` — fraction of observed queries at or over
+  ``SLOW_QUERY_MS`` (``query.log.slow / query.log.entries``).
 
+Every signal reads the registry only, so all four cover the same
+period — everything since the last :func:`repro.observability.reset`
+— and none depends on what the journal's ring has already discarded.
 Signals with too few samples report ``no-data`` rather than guessing.
 Each breach journals a ``health.alert`` event and bumps the
 ``health.alerts`` counter, so alerts correlate with traces like any
@@ -135,42 +140,35 @@ class HealthMonitor:
     # signal derivation
     # ------------------------------------------------------------------
     def evaluate(self, config: Optional[HealthConfig] = None) -> HealthReport:
-        """Derive every signal from the current registry / query-log
-        state.  Pure read — no journal events, no counters."""
+        """Derive every signal from the metrics registry.  Pure read —
+        no journal events, no counters."""
         from repro.observability.metrics import registry
-        from repro.observability.querylog import QUERY_LOG
 
         cfg = config or self.config
+        snapshot = registry.snapshot()
+
+        def count(name: str) -> int:
+            metric = snapshot.get(name)
+            if metric is None or metric["type"] != "counter":
+                return 0
+            return metric["value"]
+
         signals: list[HealthSignal] = []
 
         # backpressure: total blocked time on bounded queues
-        name = "backpressure.wait_ms"
-        value = None
-        detail = ""
-        if name in registry:
-            hist = registry.histogram(name)
-            if hist.count:
-                value = hist.total
-                detail = f"waits={hist.count}"
-        if value is None:
-            value = 0.0
-            detail = "waits=0"
+        waits = snapshot.get("backpressure.wait_ms")
+        value, detail = 0.0, "waits=0"
+        if waits is not None and waits["count"]:
+            value, detail = waits["sum"], f"waits={waits['count']}"
         signals.append(self._judge(
             "backpressure_ms", value, cfg.backpressure_ms_max, detail,
         ))
 
-        # plan-cache thrash: evictions per lookup
-        snapshot = registry.snapshot()
-        lookups = sum(
-            m["value"] for key, m in snapshot.items()
-            if key in ("query.plan_cache.hits", "query.plan_cache.misses")
-            and m["type"] == "counter"
-        )
-        evictions = sum(
-            m["value"] for key, m in snapshot.items()
-            if key.startswith("query.plan_cache.evictions")
-            and m["type"] == "counter"
-        )
+        # plan-cache thrash: evictions per lookup (the total counter;
+        # the per-reason ones split the same evictions)
+        lookups = (count("query.plan_cache.hits")
+                   + count("query.plan_cache.misses"))
+        evictions = count("query.plan_cache.evictions")
         value = None
         detail = f"lookups={lookups}<{cfg.min_cache_lookups}"
         if lookups >= cfg.min_cache_lookups:
@@ -181,31 +179,20 @@ class HealthMonitor:
             detail,
         ))
 
-        # estimate divergence and slow-query rates from the query log
-        entries = QUERY_LOG.entries()
-        samples = len(entries)
-        if samples >= cfg.min_query_samples:
-            flagged = sum(
-                1 for e in entries
-                if e.worst is not None and e.worst.get("flagged")
-            )
-            slow = sum(1 for e in entries if e.slow)
-            signals.append(self._judge(
-                "divergence_rate", flagged / samples,
-                cfg.divergence_rate_max, f"flagged={flagged}/{samples}",
-            ))
-            signals.append(self._judge(
-                "slow_query_rate", slow / samples,
-                cfg.slow_query_rate_max, f"slow={slow}/{samples}",
-            ))
-        else:
+        # divergent and slow shares of the observed queries
+        samples = count("query.log.entries")
+        for name, counter, label, threshold in (
+            ("divergence_rate", "query.estimate.divergent", "flagged",
+             cfg.divergence_rate_max),
+            ("slow_query_rate", "query.log.slow", "slow",
+             cfg.slow_query_rate_max),
+        ):
+            value = None
             detail = f"queries={samples}<{cfg.min_query_samples}"
-            signals.append(self._judge(
-                "divergence_rate", None, cfg.divergence_rate_max, detail,
-            ))
-            signals.append(self._judge(
-                "slow_query_rate", None, cfg.slow_query_rate_max, detail,
-            ))
+            if samples >= cfg.min_query_samples:
+                hits = count(counter)
+                value, detail = hits / samples, f"{label}={hits}/{samples}"
+            signals.append(self._judge(name, value, threshold, detail))
 
         return HealthReport(signals=signals)
 

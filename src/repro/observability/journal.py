@@ -2,19 +2,23 @@
 
 Metrics say *how much*; traces say *how long*; the journal says *what
 happened* — a structured, trace-correlated record of engine lifecycle
-events that would otherwise be invisible: chase rounds, queue
-backpressure waits, re-optimizations and plan-cache evictions, and
-every silent fallback the engine takes (vectorized stage → row
-closures, incremental maintenance → full re-exchange), plus the
-health monitor's alerts.
+events that would otherwise be invisible: every observed query
+execution (``query``: plan fingerprint, engine, cache hit, wall ms,
+rows out, worst divergent node, re-optimization mark), chase rounds,
+queue backpressure waits, re-optimizations and plan-cache evictions,
+and every silent fallback the engine takes (vectorized stage → row
+closures, incremental maintenance → full re-exchange, a failed
+estimate or cost-based plan), plus the health monitor's alerts.
 
 Events live in a bounded ring (:class:`EventJournal`, default 512
 entries) so an event flood costs one deque append per event and a
-fixed amount of memory.  Each event carries the recording thread's
-trace id (from the active span or an attached remote context), which
-is what lets ``repro top`` and post-mortems line journal entries up
-against the span tree of one request.  An optional JSONL sink mirrors
-every event to a file as it is recorded.
+fixed amount of memory.  Whatever the health monitor judges is
+counted in the metrics registry as well, so an event that rotates out
+of the ring is never lost to a signal.  Each event carries the
+recording thread's trace id (from the active span or an attached
+remote context), which is what lets ``repro top`` and post-mortems
+line journal entries up against the span tree of one request.  An
+optional JSONL sink mirrors every event to a file as it is recorded.
 
 Recording is guarded by ``STATE.enabled`` at the call sites via the
 :func:`journal` helper, preserving the disabled-overhead contract; the
@@ -90,8 +94,8 @@ class EventJournal:
         """Resize the ring and/or (re)open a JSONL sink.  ``sink=None``
         leaves the current sink alone; pass ``sink=""`` to close it."""
         with self._lock:
-            if capacity is not None:
-                self._events = deque(self._events, maxlen=int(capacity))
+            if capacity is not None and capacity != self._events.maxlen:
+                self._events = deque(self._events, maxlen=capacity)
             if sink is not None:
                 self._close_sink_locked()
                 if sink != "":
@@ -173,6 +177,10 @@ class EventJournal:
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
+
+    @property
+    def capacity(self) -> int:
+        return self._events.maxlen
 
     def render(self, count: Optional[int] = None) -> str:
         events = self.events()

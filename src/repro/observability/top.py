@@ -7,7 +7,8 @@ One render frame combines, top to bottom:
   total wall time, with call counts and p50/p99;
 * key engine counters and gauges (chase, plan cache, queries,
   backpressure, sampler);
-* the journal tail — the most recent engine events.
+* the journal tail — the most recent engine events other than
+  ``query`` (``repro querylog`` lists those).
 
 Rendering is pure read (registry snapshot + journal snapshot + one
 health evaluation), so a frame can be taken while the engine is mid
@@ -116,9 +117,13 @@ def render_top(
         lines.append("  (none recorded)")
     lines.append("")
 
-    # journal tail
-    events = JOURNAL.tail(journal_limit)
-    lines.append(f"journal (last {journal_limit} of {len(JOURNAL)})")
+    # journal tail; `query` events would crowd out the rare kinds, and
+    # `repro querylog` is their view
+    others = [e for e in JOURNAL.events() if e.kind != "query"]
+    events = others[-journal_limit:]
+    lines.append(
+        f"journal (last {journal_limit} of {len(others)} non-query events)"
+    )
     if not events:
         lines.append("  (journal empty)")
     for event in events:

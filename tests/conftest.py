@@ -1,16 +1,16 @@
 """Shared test fixtures.
 
-Observability state (the span tracer, the metrics registry, the query
-log, the event journal, the trace sampler, the health monitor, the
-estimator config, and the process-wide enabled flag) is a process
-singleton, so a test that enables tracing and fails mid-way would
-otherwise leak spans, metrics, journal events, sampler counters, or a
-running health thread into every later test's assertions.  The autouse
-fixture below restores a clean state around *every* test;
-``obs.reset()`` covers the tracer, the registry, the query log, the
-journal (including its JSONL sink), the sampler (re-reading
-``REPRO_TRACE_SAMPLE``), the health monitor (stopping its periodic
-thread), and the estimator tunables.
+Observability state (the span tracer, the metrics registry, the event
+journal with its ``query`` events, the trace sampler, the health
+monitor, the estimator config, and the process-wide enabled flag) is a
+process singleton, so a test that enables tracing and fails mid-way
+would otherwise leak spans, metrics, journal events, sampler counters,
+or a running health thread into every later test's assertions.  The
+autouse fixture below restores a clean state around *every* test;
+``obs.reset()`` covers the tracer, the registry, the journal
+(including its JSONL sink and its capacity, restored to the default),
+the sampler (re-reading ``REPRO_TRACE_SAMPLE``), the health monitor
+(stopping its periodic thread), and the estimator tunables.
 
 Setting ``REPRO_OBSERVABILITY=1`` runs the whole suite with
 observability *enabled* instead (the CI lane that catches state-leak
@@ -33,8 +33,8 @@ _FORCED = os.environ.get("REPRO_OBSERVABILITY", "").strip() not in ("", "0")
 def _reset_observability():
     """Guarantee each test starts and ends with empty observability
     state (disabled by default; enabled under REPRO_OBSERVABILITY=1),
-    so span/metric/query-log/journal/sampler/health assertions cannot
-    leak across tests."""
+    so span/metric/journal/sampler/health assertions cannot leak
+    across tests."""
     obs.reset()
     if _FORCED:
         obs.enable()

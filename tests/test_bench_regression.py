@@ -1,7 +1,7 @@
-"""The benchmark regression watchdog: metric extraction from every
-committed BENCH format, threshold judgments, and the acceptance
-contract — an unchanged tree diffs clean, a baseline perturbed beyond
-threshold demonstrably fails.
+"""The benchmark regression watchdog: metric extraction from the
+harness-v1 BENCH format, threshold judgments, declared floors and
+ceilings, and the acceptance contract — an unchanged tree diffs clean,
+a baseline perturbed beyond threshold demonstrably fails.
 """
 
 import json
@@ -12,8 +12,6 @@ from pathlib import Path
 from repro.observability.benchdiff import (
     HIGHER_REL_THRESHOLD,
     LOWER_REL_THRESHOLD,
-    OVERHEAD_CEILING,
-    STATS_OVERHEAD_CEILING,
     diff_dirs,
     diff_files,
     diff_payloads,
@@ -41,18 +39,30 @@ def harness_payload(warm_ms=0.7, speedup="3.1x", timing=0.5):
     }
 
 
-def contract_payload(overhead=0.4, stats_overhead=3.0):
+def overhead_payload(disabled="+0.40%", query="+3.00%",
+                     enabled="+3.67%"):
+    """The shape BENCH_observability.json takes: signed percent cells,
+    two of them under declared ceilings."""
     return {
         "benchmark": "observability",
-        "contract": {"max_overhead_percent": 5.0},
-        "chase": {
-            "disabled_overhead_percent": overhead,
-            "enabled_seconds": 0.02,
-            "spans": 12,
-        },
-        "stats": {
-            "stats_overhead_percent": stats_overhead,
-            "stats_extend_ns_per_row": 700.0,
+        "format": "harness-v1",
+        "tables": [
+            {
+                "headers": ["path", "baseline", "measured", "overhead"],
+                "rows": [
+                    ["disabled chase vs bare", "7.42 ms", "7.44 ms",
+                     disabled],
+                    ["enabled chase vs bare", "7.42 ms", "7.70 ms",
+                     enabled],
+                    ["enabled query vs disabled", "1.57 ms", "1.62 ms",
+                     query],
+                ],
+            }
+        ],
+        "timings_seconds": {},
+        "ceilings": {
+            "disabled chase vs bare/overhead": 5.0,
+            "enabled query vs disabled/overhead": 10.0,
         },
     }
 
@@ -73,15 +83,18 @@ class TestExtraction:
         metrics = {m.key: m for m in extract_metrics(payload)}
         assert metrics["4000/unfold-extent/interpreted"].value == 1500.0
 
-    def test_contract_fields(self):
-        metrics = {m.key: m for m in extract_metrics(contract_payload())}
-        assert metrics["chase.disabled_overhead_percent"].kind == "ceiling"
-        assert metrics["chase.enabled_seconds"].kind == "lower"
-        assert metrics["chase.spans"].kind == "info"
-        assert (
-            metrics["stats.stats_overhead_percent"].kind == "stats_ceiling"
-        )
-        assert metrics["stats.stats_extend_ns_per_row"].kind == "info"
+    def test_declared_ceilings_and_signed_percent_cells(self):
+        metrics = {
+            m.key: m for m in extract_metrics(
+                overhead_payload(disabled="-2.47%")
+            )
+        }
+        disabled = metrics["disabled chase vs bare/overhead"]
+        assert (disabled.kind, disabled.bound) == ("ceiling", 5.0)
+        assert disabled.value == -2.47
+        assert metrics["enabled chase vs bare/overhead"].kind == "info"
+        assert metrics["enabled chase vs bare/overhead"].value == 3.67
+        assert metrics["enabled chase vs bare/measured"].kind == "lower"
 
     def test_every_committed_baseline_yields_metrics(self):
         for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
@@ -120,47 +133,56 @@ class TestJudgment:
         ]
 
     def test_overhead_ceiling_is_absolute(self):
-        # a big relative jump below the ceiling is fine...
+        key = "disabled chase vs bare/overhead"
+        # a big relative jump up to the ceiling is fine...
         ok = diff_payloads(
-            "o", contract_payload(overhead=0.1),
-            contract_payload(overhead=OVERHEAD_CEILING),
+            "o", overhead_payload(disabled="-9.00%"),
+            overhead_payload(disabled="+5.00%"),
         )
-        assert all(
-            f.status != "regressed"
-            for f in ok.findings
-            if f.key == "chase.disabled_overhead_percent"
-        )
-        # ...but exceeding the contract fails even from a high baseline
-        bad = diff_payloads(
-            "o", contract_payload(overhead=4.9),
-            contract_payload(overhead=OVERHEAD_CEILING + 0.1),
-        )
-        assert [f.key for f in bad.regressions] == [
-            "chase.disabled_overhead_percent"
-        ]
+        assert next(f for f in ok.findings if f.key == key).status == "ok"
+        # ...but exceeding it fails from any baseline, even one above it
+        for baseline in ("-9.00%", "+4.90%", "+8.00%"):
+            bad = diff_payloads(
+                "o", overhead_payload(disabled=baseline),
+                overhead_payload(disabled="+5.10%"),
+            )
+            assert [f.key for f in bad.regressions] == [key]
+            assert "5 ceiling" in bad.regressions[0].detail
 
     def test_stats_overhead_ceiling_is_absolute(self):
         ok = diff_payloads(
-            "o", contract_payload(stats_overhead=0.5),
-            contract_payload(stats_overhead=STATS_OVERHEAD_CEILING),
+            "o", overhead_payload(query="+0.50%"),
+            overhead_payload(query="+10.00%"),
         )
         assert ok.regressions == []
         bad = diff_payloads(
-            "o", contract_payload(stats_overhead=9.9),
-            contract_payload(stats_overhead=STATS_OVERHEAD_CEILING + 0.1),
+            "o", overhead_payload(query="+9.90%"),
+            overhead_payload(query="+10.10%"),
         )
         assert [f.key for f in bad.regressions] == [
-            "stats.stats_overhead_percent"
+            "enabled query vs disabled/overhead"
         ]
 
+    def test_ceiling_declared_on_either_side_applies(self):
+        undeclared = overhead_payload(disabled="+7.00%")
+        del undeclared["ceilings"]
+        declared = overhead_payload(disabled="+7.00%")
+        for baseline, fresh in ((undeclared, declared),
+                                (declared, undeclared)):
+            report = diff_payloads("o", baseline, fresh)
+            assert [f.key for f in report.regressions] == [
+                "disabled chase vs bare/overhead"
+            ]
+
     def test_info_metrics_never_fail(self):
-        baseline = contract_payload()
-        fresh = contract_payload()
-        fresh["chase"]["spans"] = 999_999
-        report = diff_payloads("o", baseline, fresh)
+        report = diff_payloads(
+            "o", overhead_payload(enabled="+3.67%"),
+            overhead_payload(enabled="+999.00%"),
+        )
         assert report.regressions == []
         finding = next(
-            f for f in report.findings if f.key == "chase.spans"
+            f for f in report.findings
+            if f.key == "enabled chase vs bare/overhead"
         )
         assert finding.status == "changed"
 

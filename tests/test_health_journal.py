@@ -1,5 +1,5 @@
 """Event journal, health monitor, and their CLI surfaces
-(`repro journal`, `repro health`, `repro top`)."""
+(`repro journal`, `repro querylog`, `repro health`, `repro top`)."""
 
 import json
 
@@ -21,7 +21,6 @@ from repro.observability.journal import (
     EventJournal,
     record_backpressure,
 )
-from repro.observability.querylog import QUERY_LOG
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +97,11 @@ class TestEventJournal:
         assert event.attrs["site"] == "test.site"
         assert event.attrs["wait_ms"] == pytest.approx(50.0)
 
+    def test_reset_restores_default_capacity(self):
+        JOURNAL.configure(capacity=4)
+        obs.reset()
+        assert JOURNAL.capacity == EventJournal.DEFAULT_CAPACITY
+
     def test_record_backpressure_noop_when_disabled(self):
         obs.disable()
         record_backpressure("test.site", 0.05)
@@ -162,11 +166,8 @@ class TestHealthSignals:
         assert signal.value == pytest.approx(0.75)
 
     def test_query_rates_from_log(self):
-        QUERY_LOG.configure(slow_ms=5.0)
-        for i in range(20):
-            QUERY_LOG.record(
-                f"fp{i}", "compiled", False, 9.0 if i < 12 else 1.0, 0
-            )
+        registry.counter("query.log.entries").inc(20)
+        registry.counter("query.log.slow").inc(12)
         config = HealthConfig(min_query_samples=20)
         by_name = {s.name: s for s in MONITOR.evaluate(config).signals}
         assert by_name["slow_query_rate"].value == pytest.approx(0.6)
@@ -174,15 +175,66 @@ class TestHealthSignals:
         assert by_name["divergence_rate"].value == 0.0
 
     def test_divergence_rate_counts_flagged(self):
-        for i in range(20):
-            worst = {"flagged": i < 15}
-            QUERY_LOG.record(f"fp{i}", "compiled", False, 1.0, 0,
-                             worst=worst)
+        registry.counter("query.log.entries").inc(20)
+        registry.counter("query.estimate.divergent").inc(15)
         signal = {s.name: s for s in MONITOR.evaluate().signals}[
             "divergence_rate"
         ]
         assert signal.status == "alert"
         assert signal.value == pytest.approx(0.75)
+
+    def test_every_signal_reads_counters_alone(self):
+        """No journal event, span or plan behind them: the registry's
+        counters and histogram drive all four signals."""
+        registry.histogram("backpressure.wait_ms").observe(1500.0)
+        registry.counter("query.plan_cache.hits").inc(15)
+        registry.counter("query.plan_cache.misses").inc(5)
+        registry.counter("query.plan_cache.evictions").inc(12)
+        registry.counter("query.log.entries").inc(40)
+        registry.counter("query.estimate.divergent").inc(30)
+        registry.counter("query.log.slow").inc(20)
+        assert len(JOURNAL) == 0
+        by_name = {s.name: s for s in MONITOR.evaluate().signals}
+        assert {name: signal.value for name, signal in by_name.items()} \
+            == pytest.approx({
+                "backpressure_ms": 1500.0,
+                "cache_eviction_rate": 0.6,
+                "divergence_rate": 0.75,
+                "slow_query_rate": 0.5,
+            })
+        assert all(s.status == "alert" for s in by_name.values())
+
+    def test_evictions_by_reason_count_once(self):
+        registry.counter("query.plan_cache.hits").inc(10)
+        registry.counter("query.plan_cache.misses").inc(10)
+        registry.counter("query.plan_cache.evictions").inc(8)
+        registry.counter("query.plan_cache.evictions.lru").inc(8)
+        signal = {s.name: s for s in MONITOR.evaluate().signals}[
+            "cache_eviction_rate"
+        ]
+        assert signal.value == pytest.approx(0.4)
+
+    def test_rotated_out_query_still_counts_as_slow(self, monkeypatch):
+        import repro.algebra.evaluator as evaluator
+        from repro.algebra import expressions as E
+        from repro.algebra.evaluator import evaluate
+
+        db = Instance()
+        db.insert_all("t", [{"a": i} for i in range(5)])
+        obs.enable()
+        JOURNAL.configure(capacity=2)
+        monkeypatch.setattr(evaluator, "SLOW_QUERY_MS", 0.0)
+        evaluate(E.Scan("t"), db)  # counted slow at a 0 ms threshold
+        monkeypatch.undo()
+        for _ in range(3):
+            evaluate(E.Scan("t"), db)
+        assert all(e.seq > 1 for e in JOURNAL.events())
+        config = HealthConfig(min_query_samples=4)
+        signal = {s.name: s for s in MONITOR.evaluate(config).signals}[
+            "slow_query_rate"
+        ]
+        assert signal.value == pytest.approx(0.25)
+        assert signal.detail == "slow=1/4"
 
     def test_with_overrides_rejects_unknown_key(self):
         with pytest.raises(KeyError):
@@ -260,6 +312,38 @@ def test_cli_journal_prints_and_exports(tmp_path, capsys, workload):
     assert any(l["kind"] == "chase.round" for l in lines)
 
 
+def test_cli_journal_out_writes_the_kind_filtered_events(tmp_path,
+                                                         workload):
+    out = tmp_path / "events.jsonl"
+    assert main(["journal", str(workload), "--quiet", "--kind", "query",
+                 "--out", str(out)]) == 0
+    kinds = {json.loads(l)["kind"] for l in out.read_text().splitlines()}
+    assert kinds == {"query"}
+
+
+@pytest.mark.parametrize("command", ["journal", "querylog"])
+@pytest.mark.parametrize("option, value", [
+    ("--capacity", "-1"),
+    ("--capacity", "0"),
+    ("--limit", "0"),
+    ("--limit", "-1"),
+    ("--limit", "many"),
+])
+def test_cli_event_views_reject_non_positive_counts(capsys, workload,
+                                                    command, option, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(workload), "--quiet", option, value])
+    assert exit_info.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_cli_capacity_applies_after_the_reset(capsys, workload):
+    assert main(["journal", str(workload), "--quiet", "--json",
+                 "--capacity", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert JOURNAL.capacity == 2
+
+
 def test_cli_journal_json(capsys, workload):
     assert main(["journal", str(workload), "--quiet", "--json"]) == 0
     lines = [
@@ -304,6 +388,18 @@ def test_cli_top_once(capsys, workload):
     assert "repro top" in out
     assert "health:" in out
     assert "query.execute" in out or "chase" in out
+
+
+def test_top_journal_tail_skips_query_events():
+    from repro.observability.top import render_top
+
+    JOURNAL.record("chase.round", round=1, delta_rows=3)
+    for _ in range(10):
+        JOURNAL.record("query", fingerprint="fp", wall_ms=1.0)
+    frame = render_top(journal_limit=8)
+    assert "chase.round" in frame
+    assert "fingerprint=fp" not in frame
+    assert "journal (last 8 of 1 non-query events)" in frame
 
 
 def test_cli_top_script_failure_exits_one(tmp_path, capsys):

@@ -8,6 +8,7 @@ divergence re-optimization lifecycle, and the BENCH floor judging used
 by the optimizer benchmark.
 """
 
+import importlib
 import random
 
 import pytest
@@ -37,8 +38,8 @@ from repro.algebra.optimizer import (
 )
 from repro.algebra.plan_cache import PlanCache
 from repro.instances import Instance
+from repro.observability import JOURNAL, registry
 from repro.observability.benchdiff import diff_payloads
-from repro.observability.querylog import QUERY_LOG
 
 
 @pytest.fixture(autouse=True)
@@ -385,9 +386,8 @@ class TestAdaptivePlanCache:
         stats = GLOBAL_VECTOR_PLAN_CACHE.stats()
         assert stats["reopts"] >= 1
         assert stats["evictions_by_reason"]["reopt"] >= 1
-        assert any(entry.reopt for entry in QUERY_LOG.entries())
-        from repro.observability import registry
-
+        assert any(e.attrs["reopt"] for e in JOURNAL.events()
+                   if e.kind == "query")
         snapshot = registry.snapshot()
         assert snapshot["query.reopt.scheduled"]["value"] >= 1
         assert snapshot["query.reopt.applied"]["value"] >= 1
@@ -440,6 +440,51 @@ class TestExplainCost:
         assert result.cost == result.heuristic_cost
         cost_based = explain(query, instance=db)
         assert result.cost > cost_based.cost
+
+
+class TestSwallowedFailuresAreJournaled:
+    """Each site that keeps a query running past an estimator or cost
+    walk failure counts it and journals it with the exception type."""
+
+    @staticmethod
+    def _boom(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    def test_optimizer_falls_back_to_the_heuristic_tree(self, monkeypatch):
+        import repro.algebra.optimizer as optimizer
+
+        monkeypatch.setattr(optimizer, "_cost_walk", self._boom)
+        obs.enable()
+        db, query = _skewed_chain(60)
+        report = optimize_with_report(query, db)
+        assert report.chosen is report.heuristic
+        assert registry.counter("query.optimizer.errors").value == 1
+        (event,) = JOURNAL.events(kind="query.optimizer.fallback")
+        assert event.attrs == {"error": "ZeroDivisionError"}
+
+    def test_explain_estimates(self, monkeypatch):
+        # The package re-exports explain(), which shadows the module.
+        explain_module = importlib.import_module("repro.algebra.explain")
+        monkeypatch.setattr(explain_module, "annotate_plan", self._boom)
+        obs.enable()
+        db, query = _skewed_chain(60)
+        assert explain(query, instance=db).estimates is None
+        assert registry.counter("query.estimate.errors").value == 1
+        (event,) = JOURNAL.events(kind="query.estimate.error")
+        assert event.attrs == {"site": "explain", "error": "ZeroDivisionError"}
+
+    def test_explain_no_opt_cost(self, monkeypatch):
+        import repro.algebra.optimizer as optimizer
+
+        monkeypatch.setattr(optimizer, "plan_cost", self._boom)
+        obs.enable()
+        db, query = _skewed_chain(60)
+        assert explain(query, instance=db, no_opt=True).cost is None
+        assert registry.counter("query.estimate.errors").value == 1
+        (event,) = JOURNAL.events(kind="query.estimate.error")
+        assert event.attrs == {
+            "site": "explain.cost", "error": "ZeroDivisionError"
+        }
 
 
 class TestBenchFloorJudging:

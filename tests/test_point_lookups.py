@@ -50,7 +50,7 @@ from repro.algebra.plan_cache import parameterize
 from repro.errors import EvaluationError
 from repro.instances import Instance, LabeledNull
 from repro.observability import disable, enable, reset
-from repro.observability.querylog import QUERY_LOG
+from repro.observability.journal import JOURNAL
 from repro.operators.compose import unfold_scans
 from repro.runtime.query_processor import (
     QueryProcessor,
@@ -229,7 +229,7 @@ def test_select_pushed_through_difference_and_rename():
 
 
 # ----------------------------------------------------------------------
-# shapes, probes, EXPLAIN and the query log
+# shapes, probes, EXPLAIN and the query events
 # ----------------------------------------------------------------------
 def test_literals_become_slots_but_type_literals_stay():
     query = Select(Scan("T"), And(eq(Col("a"), 1), eq(Lit(2), Col("b")),
@@ -282,15 +282,16 @@ def test_logged_estimate_binds_the_slots():
     enable()
     try:
         evaluate(query, db)
-        (entry,) = QUERY_LOG.entries()
+        (event,) = [e for e in JOURNAL.events() if e.kind == "query"]
     finally:
         disable()
         reset()
-    assert entry.fingerprint == query.fingerprint()
-    assert entry.worst["label"] == "σ[(b = $0 AND c = $1)]"
-    assert entry.worst["est_rows"] == estimate_expr(query, db)
-    assert entry.worst["est_rows"] == pytest.approx(1.0)
-    assert entry.worst["actual_rows"] == 10
+    worst = event.attrs["worst_divergent"]
+    assert event.attrs["fingerprint"] == query.fingerprint()
+    assert worst["label"] == "σ[(b = $0 AND c = $1)]"
+    assert worst["est_rows"] == estimate_expr(query, db)
+    assert worst["est_rows"] == pytest.approx(1.0)
+    assert worst["actual_rows"] == 10
 
 
 @pytest.mark.parametrize("value", [1, True, 1.0])

@@ -1,19 +1,21 @@
-"""Query log: ring buffer semantics, evaluate() wiring, CLI surface,
-and the Prometheus metrics exposition round trip."""
+"""The ``query`` journal events every observed ``evaluate()`` records,
+the ``repro querylog`` view over them, and the Prometheus metrics
+exposition round trip."""
 
 import json
 
 import pytest
 
 import repro.observability as obs
+from repro.algebra import clear_plan_cache
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
-from repro.algebra.evaluator import evaluate
+from repro.algebra.evaluator import SLOW_QUERY_MS, evaluate
 from repro.cli import main
 from repro.instances.database import Instance
 from repro.instances.serialization import dump_instance
 from repro.observability import registry
-from repro.observability.querylog import QueryLog, QUERY_LOG
+from repro.observability.journal import JOURNAL
 
 
 @pytest.fixture
@@ -27,53 +29,55 @@ def instance() -> Instance:
 QUERY = E.Select(E.Scan("t"), S.Comparison("=", S.Col("b"), S.Lit(3)))
 
 
+def queries() -> list:
+    return [e for e in JOURNAL.events() if e.kind == "query"]
+
+
 # ----------------------------------------------------------------------
-# ring buffer semantics
+# query events in the journal's ring
 # ----------------------------------------------------------------------
-def test_ring_buffer_rotates_and_sequences():
-    log = QueryLog(capacity=3)
-    for i in range(5):
-        log.record(f"fp{i}", "compiled", False, 1.0, i)
-    entries = log.entries()
-    assert len(entries) == 3
-    assert [e.seq for e in entries] == [3, 4, 5]
-    assert [e.fingerprint for e in entries] == ["fp2", "fp3", "fp4"]
-    assert log.recorded == 5
-    log.clear()
-    assert len(log) == 0 and log.recorded == 0
+def test_ring_buffer_rotates_and_sequences(instance):
+    """Events rotate out of the ring; the counters keep every query."""
+    obs.enable()
+    JOURNAL.configure(capacity=3)
+    for _ in range(5):
+        evaluate(QUERY, instance)
+    assert [e.seq for e in queries()] == [3, 4, 5]
+    assert registry.counter("query.log.entries").value == 5
 
 
-def test_slow_threshold_marks_entries():
-    log = QueryLog(slow_ms=5.0)
-    fast = log.record("fp", "compiled", False, 1.0, 0)
-    slow = log.record("fp", "compiled", False, 9.0, 0)
-    assert not fast.slow and slow.slow
-    assert [e.seq for e in log.slow_entries()] == [2]
-    assert "SLOW" in slow.render()
-    log.configure(slow_ms=0.5)
-    assert log.record("fp", "compiled", False, 1.0, 0).slow
+def test_slow_threshold_marks_entries(instance, monkeypatch):
+    """A query at or over ``SLOW_QUERY_MS`` bumps ``query.log.slow``."""
+    import repro.algebra.evaluator as evaluator
+
+    obs.enable()
+    evaluate(QUERY, instance)
+    assert registry.counter("query.log.slow").value == 0
+    monkeypatch.setattr(evaluator, "SLOW_QUERY_MS", 0.0)
+    evaluate(QUERY, instance)
+    assert registry.counter("query.log.slow").value == 1
+    assert SLOW_QUERY_MS == 100.0
 
 
-def test_configure_capacity_keeps_newest():
-    log = QueryLog(capacity=10)
-    for i in range(6):
-        log.record(f"fp{i}", "compiled", False, 1.0, 0)
-    log.configure(capacity=2)
-    assert [e.fingerprint for e in log.entries()] == ["fp4", "fp5"]
+def test_configure_capacity_keeps_newest(instance):
+    obs.enable()
+    for _ in range(6):
+        evaluate(QUERY, instance)
+    JOURNAL.configure(capacity=2)
+    assert [e.seq for e in queries()] == [5, 6]
 
 
-def test_export_jsonl_round_trips():
-    log = QueryLog()
-    log.record("fp", "vectorized", True, 2.5, 7,
-               worst={"node_id": 1, "label": "σ", "est_rows": 3.0,
-                      "actual_rows": 7, "ratio": 2.0, "flagged": False})
-    lines = log.export_jsonl().splitlines()
-    assert len(lines) == 1
-    entry = json.loads(lines[0])
-    assert entry["fingerprint"] == "fp"
-    assert entry["cache_hit"] is True
-    assert entry["rows_out"] == 7
-    assert entry["worst_divergent"]["ratio"] == 2.0
+def test_export_jsonl_round_trips(tmp_path, instance):
+    obs.enable()
+    clear_plan_cache()
+    evaluate(QUERY, instance)
+    path = JOURNAL.export_jsonl(tmp_path / "events.jsonl")
+    (event,) = [json.loads(line) for line in path.read_text().splitlines()]
+    assert event["kind"] == "query"
+    assert event["fingerprint"] == QUERY.fingerprint()
+    assert event["cache_hit"] is False
+    assert event["rows_out"] == 10
+    assert event["worst_divergent"]["actual_rows"] >= 10
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +87,7 @@ def test_disabled_evaluate_records_nothing(instance):
     obs.disable()
     for engine in ("vectorized", "interpreted"):
         evaluate(QUERY, instance, engine=engine)
-    assert len(QUERY_LOG) == 0
+    assert len(JOURNAL) == 0
 
 
 def test_enabled_evaluate_records_all_engines(instance):
@@ -91,14 +95,17 @@ def test_enabled_evaluate_records_all_engines(instance):
     for engine in ("vectorized", "interpreted"):
         rows = evaluate(QUERY, instance, engine=engine)
         assert len(rows) == 10
-    entries = QUERY_LOG.entries()
-    assert [e.engine for e in entries] == ["vectorized", "interpreted"]
+    events = queries()
+    assert [e.attrs["engine"] for e in events] == [
+        "vectorized", "interpreted"
+    ]
     # One structural fingerprint across engines.
-    assert len({e.fingerprint for e in entries}) == 1
-    assert all(e.rows_out == 10 for e in entries)
+    assert len({e.attrs["fingerprint"] for e in events}) == 1
+    assert all(e.attrs["rows_out"] == 10 for e in events)
     # The planned engine carries estimate↔actual divergence.
-    assert entries[0].worst is not None
-    assert entries[1].worst is None  # interpreter has no plan nodes
+    assert events[0].attrs["worst_divergent"] is not None
+    # The interpreter has no plan nodes.
+    assert events[1].attrs["worst_divergent"] is None
     assert registry.counter("query.log.entries").value == 2
 
 
@@ -111,17 +118,18 @@ def test_cache_hit_miss_recorded(instance):
     )
     evaluate(query, instance, engine="vectorized")
     evaluate(query, instance, engine="vectorized")
-    first, second = QUERY_LOG.entries()
-    assert not first.cache_hit
-    assert second.cache_hit
+    first, second = queries()
+    assert not first.attrs["cache_hit"]
+    assert second.attrs["cache_hit"]
 
 
 def test_reset_clears_query_log(instance):
     obs.enable()
     evaluate(QUERY, instance, engine="vectorized")
-    assert len(QUERY_LOG) == 1
+    assert len(queries()) == 1
     obs.reset()
-    assert len(QUERY_LOG) == 0
+    assert queries() == []
+    assert "query.log.entries" not in registry
 
 
 def test_estimator_failure_never_fails_the_query(instance, monkeypatch):
@@ -135,8 +143,9 @@ def test_estimator_failure_never_fails_the_query(instance, monkeypatch):
     rows = evaluate(QUERY, instance, engine="vectorized")
     assert len(rows) == 10
     assert registry.counter("query.estimate.errors").value == 1
-    entry = QUERY_LOG.entries()[-1]
-    assert entry.worst is None
+    (error,) = JOURNAL.events(kind="query.estimate.error")
+    assert error.attrs == {"site": "evaluate", "error": "RuntimeError"}
+    assert queries()[-1].attrs["worst_divergent"] is None
 
 
 def test_interleaved_run_never_leaks_into_the_log(monkeypatch):
@@ -161,41 +170,65 @@ def test_interleaved_run_never_leaks_into_the_log(monkeypatch):
     monkeypatch.setattr(estimate, "annotate_plan", annotate_after_other_run)
     obs.enable()
     assert len(evaluate(query, small)) == 10
-    (entry,) = QUERY_LOG.entries()
-    assert entry.worst["actual_rows"] == 10
-    assert not entry.worst["flagged"]
-    assert not entry.reopt
+    (event,) = queries()
+    assert event.attrs["worst_divergent"]["actual_rows"] == 10
+    assert not event.attrs["worst_divergent"]["flagged"]
+    assert not event.attrs["reopt"]
     assert registry.counter("query.reopt.scheduled").value == 0
+    assert registry.counter("query.estimate.divergent").value == 0
 
 
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_querylog_renders_and_exports(tmp_path, capsys, instance):
+def _workload_script(tmp_path, instance) -> str:
     data = tmp_path / "data.json"
     data.write_text(dump_instance(instance))
     script = tmp_path / "workload.py"
     script.write_text(
-        "import json, sys\n"
         "from repro.instances.serialization import load_instance\n"
         "from repro.algebra import expressions as E\n"
         "from repro.algebra import scalars as S\n"
         "from repro.algebra.evaluator import evaluate\n"
+        "from repro.instances import Instance\n"
+        "from repro.logic import chase, parse_tgd\n"
         f"inst = load_instance(open({str(data)!r}).read())\n"
         "q = E.Select(E.Scan('t'), S.Comparison('=', S.Col('b'), S.Lit(3)))\n"
         "for engine in ('vectorized', 'interpreted'):\n"
         "    evaluate(q, inst, engine=engine)\n"
+        "db = Instance()\n"
+        "db.insert_all('R0', [{'a': i} for i in range(10)])\n"
+        "chase(db, [parse_tgd('R0(a=x) -> R1(a=x)')])\n"
     )
+    return str(script)
+
+
+def test_cli_querylog_renders_and_exports(tmp_path, capsys, instance):
+    script = _workload_script(tmp_path, instance)
     out = tmp_path / "log.jsonl"
-    code = main(["querylog", str(script), "--quiet", "--out", str(out)])
+    code = main(["querylog", script, "--quiet", "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "vectorized" in printed and "interpreted" in printed
+    assert "engine=vectorized" in printed and "engine=interpreted" in printed
+    assert "chase.round" not in printed
+    assert "plan cache:" in printed
     lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert len(lines) == 2
+    assert [line["kind"] for line in lines] == ["query", "query"]
     assert {line["engine"] for line in lines} == {
         "vectorized", "interpreted"
     }
+
+
+def test_cli_querylog_slow_filters_on_wall_ms(tmp_path, capsys, instance):
+    script = _workload_script(tmp_path, instance)
+    assert main(["querylog", script, "--quiet", "--json",
+                 "--slow-ms", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    # Nothing in this workload takes 100 ms.
+    assert main(["querylog", script, "--quiet", "--json", "--slow"]) == 0
+    assert capsys.readouterr().out.strip() == ""
+    assert main(["querylog", script, "--quiet", "--slow-ms", "1e9"]) == 0
+    assert "(no events)" in capsys.readouterr().out
 
 
 def test_cli_stats_renders_relation_statistics(tmp_path, capsys, instance):

@@ -327,7 +327,7 @@ class TestCrossThreadJoins:
 
 
 # ----------------------------------------------------------------------
-# trace_id plumbing into exports and the query log
+# trace_id plumbing into exports and the query events
 # ----------------------------------------------------------------------
 class TestTraceIdPlumbing:
     def test_span_export_includes_trace_id(self, tmp_path):
@@ -347,7 +347,7 @@ class TestTraceIdPlumbing:
     def test_query_log_entries_carry_trace_id(self):
         from repro.algebra import expressions as E
         from repro.algebra.evaluator import evaluate
-        from repro.observability.querylog import QUERY_LOG
+        from repro.observability.journal import JOURNAL
 
         inst = Instance()
         for i in range(10):
@@ -355,7 +355,7 @@ class TestTraceIdPlumbing:
         obs.enable()
         with obs.span("request") as root:
             evaluate(E.Scan("t"), inst)
-        entries = QUERY_LOG.entries()
-        assert entries
-        assert entries[-1].trace_id == root.trace_id
-        assert entries[-1].to_dict()["trace_id"] == root.trace_id
+        events = [e for e in JOURNAL.events() if e.kind == "query"]
+        assert events
+        assert events[-1].trace_id == root.trace_id
+        assert events[-1].to_dict()["trace_id"] == root.trace_id
