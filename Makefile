@@ -2,15 +2,15 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
-	optimizer-smoke health-smoke bench-smoke bench-chase \
+	optimizer-smoke health-smoke match-smoke bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke perfbench-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
-# query-engine, incremental-maintenance, optimizer and health smoke
-# gates.
+# query-engine, incremental-maintenance, optimizer, health and Match
+# smoke gates.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		health-smoke
+		health-smoke match-smoke
 	$(PYTHON) -m pytest -x -q
 
 # Static checks: ruff with the pinned config in pyproject.toml.
@@ -86,6 +86,12 @@ print(f'health-smoke: querylog printed {len(events)} query events')"
 		echo "health-smoke: --capacity 0 exited $$code, not 2"; exit 1; \
 	fi
 	@echo "health-smoke: exit codes ok"
+
+# Match gate: the E1 quality table, which fails if any candidate moves
+# from its pinned value, plus the scaling rows at 23 and 77 elements.
+# No JSON rewrite.
+match-smoke:
+	$(PYTHON) benchmarks/bench_match_scaling.py --smoke
 
 # Fast perf sanity after tier-1: smallest size only, no JSON rewrite.
 bench-smoke: test

@@ -42,10 +42,12 @@ SUITES = {
     "observability": ("bench_observability.py", "BENCH_observability.json"),
     "chase": ("bench_chase_scaling.py", "BENCH_chase.json"),
     "optimizer": ("bench_optimizer.py", "BENCH_optimizer.json"),
+    "match": ("bench_match_scaling.py", "BENCH_match.json"),
 }
 
 #: ``check``'s default suites; ``chase`` is opt-in (it re-runs the
-#: naive baseline engine at every size, which dominates the runtime).
+#: naive baseline engine at every size, which dominates the runtime),
+#: and so is ``match`` (its 509-element Match takes seconds).
 DEFAULT_SUITES = ("query", "updates", "observability", "optimizer")
 
 

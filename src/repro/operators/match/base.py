@@ -4,73 +4,94 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from repro.metamodel.schema import ElementPath, Schema
+from repro.metamodel.schema import Schema
 
 
 class SimilarityMatrix:
     """Sparse similarity scores between element paths of two schemas.
 
     Scores live in [0, 1]; absent pairs are 0.  Matrices combine by
-    weighted sum (:meth:`blend`) and normalize per source element.
+    weighted sum (:meth:`blend`).  Scores are kept grouped by source
+    element (one row each), so the candidates of one source element
+    cost one row to rank.
     """
 
     def __init__(self, source: Schema, target: Schema):
         self.source = source
         self.target = target
-        self._scores: dict[tuple[str, str], float] = {}
+        self._rows: dict[str, dict[str, float]] = {}
+        self._target_positions: Optional[dict[str, int]] = None
 
     def set(self, source_path: str, target_path: str, score: float) -> None:
         if score <= 0.0:
-            self._scores.pop((source_path, target_path), None)
+            self._rows.get(source_path, {}).pop(target_path, None)
         else:
-            self._scores[(source_path, target_path)] = min(1.0, score)
+            self._rows.setdefault(source_path, {})[target_path] = min(1.0, score)
 
     def get(self, source_path: str, target_path: str) -> float:
-        return self._scores.get((source_path, target_path), 0.0)
+        row = self._rows.get(source_path)
+        return row.get(target_path, 0.0) if row else 0.0
 
     def items(self) -> Iterator[tuple[str, str, float]]:
-        for (source_path, target_path), score in self._scores.items():
-            yield source_path, target_path, score
+        for source_path, row in self._rows.items():
+            for target_path, score in row.items():
+                yield source_path, target_path, score
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return sum(len(row) for row in self._rows.values())
 
     def blend(self, others: Iterable[tuple["SimilarityMatrix", float]]) -> "SimilarityMatrix":
         """Weighted combination of this matrix (weight folded in by the
-        caller) with others; pairs missing from a matrix contribute 0."""
+        caller) with others; pairs missing from a matrix contribute 0.
+
+        Each pair's total adds this matrix's score, then each other
+        matrix's weighted score in the order given, so a pair's sum does
+        not depend on which other pairs exist."""
+        totals = {source_path: dict(row) for source_path, row in self._rows.items()}
+        for matrix, weight in others:
+            for source_path, row in matrix._rows.items():
+                total_row = totals.setdefault(source_path, {})
+                for target_path, score in row.items():
+                    total_row[target_path] = (
+                        total_row.get(target_path, 0.0) + weight * score
+                    )
         result = SimilarityMatrix(self.source, self.target)
-        keys: set[tuple[str, str]] = set(self._scores)
-        weighted: list[tuple[SimilarityMatrix, float]] = list(others)
-        for matrix, _ in weighted:
-            keys |= set(matrix._scores)
-        for key in keys:
-            total = self._scores.get(key, 0.0)
-            for matrix, weight in weighted:
-                total += weight * matrix._scores.get(key, 0.0)
-            if total > 0:
-                result._scores[key] = min(1.0, total)
+        for source_path, total_row in totals.items():
+            result._rows[source_path] = {
+                target_path: min(1.0, total)
+                for target_path, total in total_row.items()
+                if total > 0
+            }
         return result
 
     def scale(self, factor: float) -> "SimilarityMatrix":
         result = SimilarityMatrix(self.source, self.target)
-        for key, score in self._scores.items():
-            result._scores[key] = score * factor
+        for source_path, row in self._rows.items():
+            result._rows[source_path] = {
+                target_path: score * factor for target_path, score in row.items()
+            }
         return result
 
-    def normalized(self) -> "SimilarityMatrix":
-        """Divide by the global maximum so the best pair scores 1."""
-        best = max(self._scores.values(), default=0.0)
-        if best == 0:
-            return self
-        return self.scale(1.0 / best)
-
     def best_for_source(self, source_path: str, k: int = 1) -> list[tuple[str, float]]:
-        candidates = [
-            (target_path, score)
-            for (s, target_path), score in self._scores.items()
-            if s == source_path
-        ]
-        candidates.sort(key=lambda item: -item[1])
+        """The ``k`` best targets of one source element, best first.
+
+        Equal scores rank by the target element's position in
+        ``target.all_element_paths()`` (entities first, then attributes
+        in declaration order), so a tie never depends on hash order."""
+        row = self._rows.get(source_path)
+        if not row:
+            return []
+        if self._target_positions is None:
+            self._target_positions = {
+                str(p.path): index
+                for index, p in enumerate(self.target.all_element_paths())
+            }
+        positions = self._target_positions
+        unknown = len(positions)
+        candidates = sorted(
+            row.items(),
+            key=lambda item: (-item[1], positions.get(item[0], unknown)),
+        )
         return candidates[:k]
 
 

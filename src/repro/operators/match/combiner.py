@@ -88,19 +88,26 @@ def _build_matchers(config: MatchConfig) -> list[tuple[Matcher, float]]:
 def ensemble_similarity(
     source: Schema, target: Schema, config: Optional[MatchConfig] = None
 ) -> SimilarityMatrix:
-    """The weighted-average similarity matrix of the enabled matchers."""
+    """The weighted-average similarity matrix of the enabled matchers.
+
+    The lexical matrix is computed once: similarity flooding seeds from
+    it when the lexical matcher is enabled, and computes its own seed
+    only when it runs without it."""
     config = config or MatchConfig()
     matchers = _build_matchers(config)
     total_weight = sum(weight for _, weight in matchers)
-    first_matcher, first_weight = matchers[0]
-    combined = first_matcher.similarity(source, target).scale(
-        first_weight / total_weight
-    )
-    rest = [
-        (matcher.similarity(source, target), weight / total_weight)
-        for matcher, weight in matchers[1:]
-    ]
-    return combined.blend(rest)
+    weighted: list[tuple[SimilarityMatrix, float]] = []
+    lexical: Optional[SimilarityMatrix] = None
+    for matcher, weight in matchers:
+        if isinstance(matcher, SimilarityFlooding) and lexical is not None:
+            matrix = matcher.flood(lexical)
+        else:
+            matrix = matcher.similarity(source, target)
+        if isinstance(matcher, LexicalMatcher):
+            lexical = matrix
+        weighted.append((matrix, weight / total_weight))
+    first, first_weight = weighted[0]
+    return first.scale(first_weight).blend(weighted[1:])
 
 
 @instrumented("op.match", attrs=lambda source, target, config=None: {

@@ -8,7 +8,7 @@ pairs with irreconcilable types.
 from __future__ import annotations
 
 from repro.metamodel.schema import Schema
-from repro.metamodel.types import type_compatibility
+from repro.metamodel.types import DataType, type_compatibility
 from repro.operators.match.base import Matcher, SimilarityMatrix
 
 
@@ -27,7 +27,14 @@ class DatatypeMatcher(Matcher):
             for e in target.entities.values()
             for a in e.attributes
         ]
+        # Few distinct types: score each distinct pair once.
+        rows: dict[DataType, list[float]] = {}
         for s_path, s_type in source_attrs:
-            for t_path, t_type in target_attrs:
-                matrix.set(s_path, t_path, type_compatibility(s_type, t_type))
+            row = rows.get(s_type)
+            if row is None:
+                row = rows[s_type] = [
+                    type_compatibility(s_type, t_type) for _, t_type in target_attrs
+                ]
+            for (t_path, _), score in zip(target_attrs, row):
+                matrix.set(s_path, t_path, score)
         return matrix

@@ -35,8 +35,8 @@ def tokenize(identifier: str) -> tuple[str, ...]:
     return tuple(t.lower() for t in _SPLITTER.findall(identifier))
 
 
-def _trigrams(text: str) -> set[str]:
-    padded = f"  {text.lower()} "
+def _trigrams(lowered: str) -> set[str]:
+    padded = f"  {lowered} "
     return {padded[i : i + 3] for i in range(len(padded) - 2)}
 
 
@@ -48,48 +48,76 @@ def _dice(a: set, b: set) -> float:
 
 @lru_cache(maxsize=65536)
 def _levenshtein(a: str, b: str) -> int:
+    """Edit distance by the bit-parallel algorithm of Myers (JACM 1999),
+    in Hyyrö's form for the distance between two whole strings: bit i
+    of the vertical delta vectors ``vp``/``vn`` says whether
+    D[i + 1][j] − D[i][j] is +1/−1 in the current column j, and the
+    bottom row's horizontal delta moves the distance D[len(a)][j]."""
     if not a:
         return len(b)
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+    match_bits: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        match_bits[ch] = match_bits.get(ch, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    vp, vn, distance = full, 0, len(a)
+    for ch in b:
+        eq = match_bits.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & full
+        vn = hp & xv & full
+    return distance
 
 
-def _token_similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
-    """Greedy best-pair token alignment with abbreviation awareness."""
+def _token_pair_score(token_a: str, token_b: str) -> float:
+    """Exact, prefix, abbreviation or scaled edit-distance similarity of
+    two tokens."""
+    if token_a == token_b:
+        return 1.0
+    if token_a.startswith(token_b) or token_b.startswith(token_a):
+        return 0.85
+    if _is_abbreviation(token_a, token_b) or _is_abbreviation(token_b, token_a):
+        return 0.75
+    distance = _levenshtein(token_a, token_b)
+    longest = max(len(token_a), len(token_b))
+    return max(0.0, 1.0 - distance / longest) * 0.7
+
+
+def _token_similarity(
+    a: tuple[str, ...],
+    b: tuple[str, ...],
+    pair_scores: dict[str, dict[str, float]],
+) -> float:
+    """Greedy best-pair token alignment with abbreviation awareness;
+    ``pair_scores[token_a][token_b]`` memoizes :func:`_token_pair_score`."""
     if not a or not b:
         return 0.0
     total = 0.0
     used: set[int] = set()
     for token_a in a:
+        scores = pair_scores.get(token_a)
+        if scores is None:
+            scores = pair_scores[token_a] = {}
         best, best_index = 0.0, -1
         for index, token_b in enumerate(b):
             if index in used:
                 continue
-            if token_a == token_b:
-                score = 1.0
-            elif token_a.startswith(token_b) or token_b.startswith(token_a):
-                score = 0.85
-            elif _is_abbreviation(token_a, token_b) or _is_abbreviation(
-                token_b, token_a
-            ):
-                score = 0.75
-            else:
-                distance = _levenshtein(token_a, token_b)
-                longest = max(len(token_a), len(token_b))
-                score = max(0.0, 1.0 - distance / longest) * 0.7
+            score = scores.get(token_b)
+            if score is None:
+                score = scores[token_b] = _token_pair_score(token_a, token_b)
             if score > best:
                 best, best_index = score, index
         if best_index >= 0 and best > 0.3:
@@ -126,17 +154,61 @@ def _is_abbreviation(short: str, long: str) -> bool:
     return False
 
 
+#: What every score of a name reads: the name, its lowercase form, its
+#: tokens and its trigram set.
+_Features = tuple[str, str, tuple[str, ...], set[str]]
+
+
+def _features(name: str) -> _Features:
+    lowered = name.lower()
+    return name, lowered, tokenize(name), _trigrams(lowered)
+
+
+def _feature_similarity(
+    a: _Features, b: _Features, pair_scores: dict[str, dict[str, float]]
+) -> float:
+    name_a, lower_a, tokens_a, trigrams_a = a
+    name_b, lower_b, tokens_b, trigrams_b = b
+    if name_a == name_b:
+        return 1.0
+    if lower_a == lower_b:
+        return 0.98
+    tokens = _token_similarity(tokens_a, tokens_b, pair_scores)
+    trigram = _dice(trigrams_a, trigrams_b)
+    distance = _levenshtein(lower_a, lower_b)
+    edit = max(0.0, 1.0 - distance / max(len(name_a), len(name_b)))
+    return max(tokens, 0.5 * trigram + 0.5 * edit)
+
+
 def name_similarity(a: str, b: str) -> float:
     """Overall lexical similarity of two element names in [0, 1]."""
-    if a == b:
-        return 1.0
-    if a.lower() == b.lower():
-        return 0.98
-    tokens = _token_similarity(tokenize(a), tokenize(b))
-    trigram = _dice(_trigrams(a), _trigrams(b))
-    distance = _levenshtein(a.lower(), b.lower())
-    edit = max(0.0, 1.0 - distance / max(len(a), len(b)))
-    return max(tokens, 0.5 * trigram + 0.5 * edit)
+    return _feature_similarity(_features(a), _features(b), {})
+
+
+class _NameScorer:
+    """:func:`name_similarity` for the many pairs of one matcher call:
+    each name's features are worked out once, and each distinct name
+    pair and token pair is scored once."""
+
+    def __init__(self) -> None:
+        self._features: dict[str, _Features] = {}
+        self._pairs: dict[tuple[str, str], float] = {}
+        self._token_pairs: dict[str, dict[str, float]] = {}
+
+    def features(self, name: str) -> _Features:
+        features = self._features.get(name)
+        if features is None:
+            features = self._features[name] = _features(name)
+        return features
+
+    def __call__(self, a: str, b: str) -> float:
+        key = (a, b)
+        score = self._pairs.get(key)
+        if score is None:
+            score = self._pairs[key] = _feature_similarity(
+                self.features(a), self.features(b), self._token_pairs
+            )
+        return score
 
 
 class LexicalMatcher(Matcher):
@@ -150,20 +222,32 @@ class LexicalMatcher(Matcher):
 
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
         matrix = SimilarityMatrix(source, target)
-        entity_scores: dict[tuple[str, str], float] = {}
+        floor = self.floor
+        score = _NameScorer()
+        entity_scores: dict[str, dict[str, float]] = {}
         for s_entity in source.entities:
+            owners = entity_scores[s_entity] = {}
             for t_entity in target.entities:
-                score = name_similarity(s_entity, t_entity)
-                entity_scores[(s_entity, t_entity)] = score
-                if score > self.floor:
-                    matrix.set(s_entity, t_entity, score)
+                value = owners[t_entity] = score(s_entity, t_entity)
+                if value > floor:
+                    matrix.set(s_entity, t_entity, value)
+        targets = [
+            (t_path, *t_path.split(".", 1))
+            for t_path in self.attribute_paths(target)
+        ]
+        # One list of name scores per distinct source attribute name,
+        # aligned with ``targets``.
+        name_rows: dict[str, list[float]] = {}
         for s_path in self.attribute_paths(source):
             s_entity, s_attr = s_path.split(".", 1)
-            for t_path in self.attribute_paths(target):
-                t_entity, t_attr = t_path.split(".", 1)
-                score = name_similarity(s_attr, t_attr)
-                owner = entity_scores.get((s_entity, t_entity), 0.0)
-                blended = 0.85 * score + 0.15 * owner
-                if blended > self.floor:
+            names = name_rows.get(s_attr)
+            if names is None:
+                names = name_rows[s_attr] = [
+                    score(s_attr, t_attr) for _, _, t_attr in targets
+                ]
+            owners = entity_scores.get(s_entity, {})
+            for (t_path, t_entity, _), name_score in zip(targets, names):
+                blended = 0.85 * name_score + 0.15 * owners.get(t_entity, 0.0)
+                if blended > floor:
                     matrix.set(s_path, t_path, blended)
         return matrix

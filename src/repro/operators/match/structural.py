@@ -17,6 +17,9 @@ Schema graph edge labels used here:
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul, sub, truediv
+
 from repro.metamodel.schema import Schema
 from repro.metamodel.types import base_primitive
 from repro.operators.match.base import Matcher, SimilarityMatrix
@@ -49,86 +52,105 @@ def _schema_graph(schema: Schema) -> list[tuple[str, str, str]]:
     return edges
 
 
+def _connectivity_graph(
+    source_edges: list[tuple[str, str, str]],
+    target_edges: list[tuple[str, str, str]],
+) -> tuple[list[tuple[str, str]], list[list[int]]]:
+    """The pairwise connectivity graph: for same-labelled edges
+    (a --L--> b) and (a' --L--> b'), pair (a, a') feeds (b, b') and
+    vice versa.
+
+    Returns the node pairs, numbered in the order the edges first
+    reach them, and each node's neighbour ids in edge order (an edge
+    found twice is listed twice)."""
+    pairs: list[tuple[str, str]] = []
+    adjacency: list[list[int]] = []
+    # source node -> target node -> id of the pair node
+    ids: dict[str, dict[str, int]] = {}
+    by_label_target: dict[str, list[tuple[str, str]]] = {}
+    for from_node, label, to_node in target_edges:
+        by_label_target.setdefault(label, []).append((from_node, to_node))
+    for s_from, label, s_to in source_edges:
+        from_ids = ids.setdefault(s_from, {})
+        to_ids = ids.setdefault(s_to, {})
+        for t_from, t_to in by_label_target.get(label, ()):
+            from_id = from_ids.get(t_from)
+            if from_id is None:
+                from_id = from_ids[t_from] = len(pairs)
+                pairs.append((s_from, t_from))
+                adjacency.append([])
+            to_id = to_ids.get(t_to)
+            if to_id is None:
+                to_id = to_ids[t_to] = len(pairs)
+                pairs.append((s_to, t_to))
+                adjacency.append([])
+            adjacency[from_id].append(to_id)
+            adjacency[to_id].append(from_id)
+    return pairs, adjacency
+
+
 class SimilarityFlooding(Matcher):
     """Fixpoint similarity propagation over the pairwise connectivity
-    graph, seeded by a lexical matcher."""
+    graph, seeded by the lexical matcher."""
 
     name = "similarity-flooding"
 
-    def __init__(
-        self,
-        iterations: int = 20,
-        epsilon: float = 1e-4,
-        seed_matcher: Matcher | None = None,
-    ):
+    def __init__(self, iterations: int = 20, epsilon: float = 1e-4):
         self.iterations = iterations
         self.epsilon = epsilon
-        self.seed_matcher = seed_matcher or LexicalMatcher()
 
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
-        seed = self.seed_matcher.similarity(source, target)
-        source_edges = _schema_graph(source)
-        target_edges = _schema_graph(target)
+        return self.flood(LexicalMatcher().similarity(source, target))
 
-        # Pairwise connectivity graph: for same-labelled edges
-        # (a --L--> b) and (a' --L--> b'), pair (a, a') feeds (b, b')
-        # and vice versa.
-        propagation: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    def flood(self, seed: SimilarityMatrix) -> SimilarityMatrix:
+        """Propagate a lexical ``seed`` matrix (of ``seed.source`` ×
+        ``seed.target``) to its fixpoint; the ensemble passes the
+        lexical matrix it has already computed."""
+        source, target = seed.source, seed.target
+        pairs, adjacency = _connectivity_graph(
+            _schema_graph(source), _schema_graph(target)
+        )
 
-        def add_edge(from_pair, to_pair) -> None:
-            propagation.setdefault(from_pair, []).append(to_pair)
-
-        by_label_target: dict[str, list[tuple[str, str]]] = {}
-        for from_node, label, to_node in target_edges:
-            by_label_target.setdefault(label, []).append((from_node, to_node))
-        for s_from, label, s_to in source_edges:
-            for t_from, t_to in by_label_target.get(label, []):
-                add_edge((s_from, t_from), (s_to, t_to))
-                add_edge((s_to, t_to), (s_from, t_from))
-
-        # Fanout-weighted coefficients (the 1/outdegree of the PCG).
-        weights: dict[tuple[tuple[str, str], tuple[str, str]], float] = {}
-        for from_pair, neighbours in propagation.items():
-            coefficient = 1.0 / len(neighbours)
-            for to_pair in neighbours:
-                weights[(from_pair, to_pair)] = coefficient
+        # Fanout-weighted coefficients: every edge a node sends along
+        # weighs 1/outdegree of that node.
+        weights = [1.0 / len(neighbours) for neighbours in adjacency]
 
         # Initial σ⁰: seed scores for element pairs, 1.0 for shared type
         # nodes (they are identical constants).
-        sigma: dict[tuple[str, str], float] = {}
-        pairs = set(propagation)
-        for neighbours in propagation.values():
-            pairs.update(neighbours)
-        for pair in pairs:
-            s_node, t_node = pair
-            if s_node.startswith("type:") or t_node.startswith("type:"):
-                sigma[pair] = 1.0 if s_node == t_node else 0.0
-            else:
-                sigma[pair] = seed.get(s_node, t_node)
+        is_type = [
+            s_node.startswith("type:") or t_node.startswith("type:")
+            for s_node, t_node in pairs
+        ]
+        sigma = [
+            (1.0 if s_node == t_node else 0.0)
+            if type_pair
+            else seed.get(s_node, t_node)
+            for (s_node, t_node), type_pair in zip(pairs, is_type)
+        ]
 
         for _ in range(self.iterations):
-            updated: dict[tuple[str, str], float] = {}
-            for pair in pairs:
+            # What each node sends: σ times its weight, once per node.
+            sent = list(map(mul, sigma, weights))
+            updated = []
+            append = updated.append
+            for value, neighbours in zip(sigma, adjacency):
+                # A plain loop: the sum runs left to right in edge
+                # order (``sum`` compensates float sums from 3.12 on).
                 incoming = 0.0
-                for neighbour in propagation.get(pair, []):
-                    incoming += sigma.get(neighbour, 0.0) * weights[
-                        (neighbour, pair)
-                    ]
-                updated[pair] = sigma[pair] + incoming
-            best = max(updated.values(), default=1.0)
+                for neighbour in neighbours:
+                    incoming += sent[neighbour]
+                append(value + incoming)
+            best = max(updated, default=1.0)
             if best > 0:
-                for pair in updated:
-                    updated[pair] /= best
-            delta = max(
-                abs(updated[pair] - sigma[pair]) for pair in pairs
-            ) if pairs else 0.0
+                updated = list(map(truediv, updated, repeat(best)))
+            delta = max(map(abs, map(sub, updated, sigma)), default=0.0)
             sigma = updated
             if delta < self.epsilon:
                 break
 
         matrix = SimilarityMatrix(source, target)
-        for (s_node, t_node), score in sigma.items():
-            if s_node.startswith("type:") or t_node.startswith("type:"):
+        for (s_node, t_node), score, type_pair in zip(pairs, sigma, is_type):
+            if type_pair:
                 continue
             if score > 0.01:
                 matrix.set(s_node, t_node, score)

@@ -62,21 +62,38 @@ class ThesaurusMatcher(Matcher):
             self.thesaurus.get(token, token) for token in tokenize(identifier)
         }
 
-    def _score(self, a: str, b: str) -> float:
-        canon_a, canon_b = self._canonical(a), self._canonical(b)
-        if not canon_a or not canon_b:
-            return 0.0
-        overlap = len(canon_a & canon_b)
-        return overlap / max(len(canon_a), len(canon_b))
-
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
         matrix = SimilarityMatrix(source, target)
+        # Each name's canonical set, and each distinct name pair's
+        # score, is worked out once per call.
+        canonical: dict[str, set[str]] = {}
+        scores: dict[tuple[str, str], float] = {}
+
+        def score(a: str, b: str) -> float:
+            key = (a, b)
+            value = scores.get(key)
+            if value is None:
+                for name in key:
+                    if name not in canonical:
+                        canonical[name] = self._canonical(name)
+                value = scores[key] = _overlap(canonical[a], canonical[b])
+            return value
+
         for s_entity in source.entities:
             for t_entity in target.entities:
-                matrix.set(s_entity, t_entity, self._score(s_entity, t_entity))
+                matrix.set(s_entity, t_entity, score(s_entity, t_entity))
+        targets = [
+            (t_path, t_path.split(".", 1)[1])
+            for t_path in self.attribute_paths(target)
+        ]
         for s_path in self.attribute_paths(source):
             s_attr = s_path.split(".", 1)[1]
-            for t_path in self.attribute_paths(target):
-                t_attr = t_path.split(".", 1)[1]
-                matrix.set(s_path, t_path, self._score(s_attr, t_attr))
+            for t_path, t_attr in targets:
+                matrix.set(s_path, t_path, score(s_attr, t_attr))
         return matrix
+
+
+def _overlap(canon_a: set[str], canon_b: set[str]) -> float:
+    if not canon_a or not canon_b:
+        return 0.0
+    return len(canon_a & canon_b) / max(len(canon_a), len(canon_b))

@@ -62,17 +62,20 @@ def snowflake_schema(
     def make_entity(entity_name: str, level: int) -> None:
         key = f"{entity_name}_id"
         builder.entity(entity_name, key=[key]).attribute(key, INT)
+        names = {key}
         for _ in range(attributes_per_entity):
             attr = rng.choice(_NAME_POOL)
             suffix = 0
             candidate = attr
-            while True:
-                try:
-                    builder.attribute(candidate, rng.choice(_TYPES))
-                    break
-                except Exception:
-                    suffix += 1
-                    candidate = f"{attr}_{suffix}"
+            # One type drawn per attempt, taken names included, so that
+            # every seed keeps generating the schema it always has.
+            data_type = rng.choice(_TYPES)
+            while candidate in names:
+                suffix += 1
+                candidate = f"{attr}_{suffix}"
+                data_type = rng.choice(_TYPES)
+            builder.attribute(candidate, data_type)
+            names.add(candidate)
         children: list[str] = []
         if level < depth:
             # Declare all of this entity's FK columns before recursing —

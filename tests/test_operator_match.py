@@ -212,3 +212,12 @@ class TestSimilarityMatrix:
         m.set("Empl", "Staff.SID", 0.3)
         best = m.best_for_source("Empl", k=1)
         assert best == [("Staff", 0.9)]
+        # Equal scores rank by the target's position in
+        # all_element_paths(), not by insertion (or hash) order.
+        m.set("Empl.Name", "Staff.City", 0.5)
+        m.set("Empl.Name", "Staff.Name", 0.5)
+        m.set("Empl.Name", "Staff.SID", 0.5)
+        m.set("Empl.Name", "Staff.BirthDate", 0.7)
+        assert m.best_for_source("Empl.Name", k=3) == [
+            ("Staff.BirthDate", 0.7), ("Staff.SID", 0.5), ("Staff.Name", 0.5),
+        ]
