@@ -2,15 +2,15 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
-	optimizer-smoke health-smoke match-smoke bench-smoke bench-chase \
+	optimizer-smoke health-smoke match-smoke compose-smoke bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke perfbench-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
-# query-engine, incremental-maintenance, optimizer, health and Match
-# smoke gates.
+# query-engine, incremental-maintenance, optimizer, health, Match and
+# Compose smoke gates.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		health-smoke match-smoke
+		health-smoke match-smoke compose-smoke
 	$(PYTHON) -m pytest -x -q
 
 # Static checks: ruff with the pinned config in pyproject.toml.
@@ -92,6 +92,12 @@ print(f'health-smoke: querylog printed {len(events)} query events')"
 # No JSON rewrite.
 match-smoke:
 	$(PYTHON) benchmarks/bench_match_scaling.py --smoke
+
+# Compose gate: the E2 table, which fails if a clause count leaves its
+# pinned value (3 per chain, 2^n per width), at chains of 2 and 4 steps
+# and widths up to 6.  No JSON rewrite.
+compose-smoke:
+	$(PYTHON) benchmarks/bench_compose_scaling.py --smoke
 
 # Fast perf sanity after tier-1: smallest size only, no JSON rewrite.
 bench-smoke: test

@@ -43,11 +43,13 @@ SUITES = {
     "chase": ("bench_chase_scaling.py", "BENCH_chase.json"),
     "optimizer": ("bench_optimizer.py", "BENCH_optimizer.json"),
     "match": ("bench_match_scaling.py", "BENCH_match.json"),
+    "compose": ("bench_compose_scaling.py", "BENCH_compose.json"),
 }
 
 #: ``check``'s default suites; ``chase`` is opt-in (it re-runs the
 #: naive baseline engine at every size, which dominates the runtime),
-#: and so is ``match`` (its 509-element Match takes seconds).
+#: and so are ``match`` (its 509-element Match takes seconds) and
+#: ``compose`` (its timings are single compositions of a few ms).
 DEFAULT_SUITES = ("query", "updates", "observability", "optimizer")
 
 

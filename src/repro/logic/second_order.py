@@ -20,8 +20,7 @@ tgds — implications whose terms may apply existentially quantified
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ExpressivenessError
@@ -29,8 +28,8 @@ from repro.instances.database import Instance, Row
 from repro.instances.labeled_null import LabeledNull, NullFactory
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom, Equality
-from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
-from repro.logic.terms import Const, FuncTerm, Substitution, Term, Var, apply_term
+from repro.logic.homomorphism import iter_homomorphisms
+from repro.logic.terms import Const, FuncTerm, Substitution, Term, Var, functions_of, variables_of
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class Implication:
             found |= atom.functions()
         for condition in self.conditions:
             for term in (condition.left, condition.right):
-                found |= _functions_of_term(term)
+                found |= functions_of(term)
         return found
 
     def variables(self) -> set[Var]:
@@ -73,15 +72,6 @@ class Implication:
         parts = [str(a) for a in self.body] + [str(c) for c in self.conditions]
         head = " & ".join(str(a) for a in self.head)
         return f"{' & '.join(parts)} -> {head}"
-
-
-def _functions_of_term(term: Term) -> set[str]:
-    if isinstance(term, FuncTerm):
-        found = {term.function}
-        for arg in term.args:
-            found |= _functions_of_term(arg)
-        return found
-    return set()
 
 
 @dataclass(frozen=True)
@@ -156,11 +146,16 @@ def deskolemize(so_tgd: SecondOrderTGD) -> list[TGD]:
     A Skolem term can become an existential variable when, within an
     implication, (a) it does not occur nested inside another function
     term, (b) it does not occur in the body, and (c) equalities between
-    function terms have been resolved away.  Otherwise the mapping is
-    genuinely second-order and :class:`ExpressivenessError` is raised —
-    this is the expressiveness boundary the paper highlights.
+    function terms have been resolved away; and when (d) its function
+    occurs in no other implication and with no other arguments, since
+    separate existentials would no longer have to agree.  Otherwise the
+    mapping is genuinely second-order and
+    :class:`ExpressivenessError` is raised — this is the
+    expressiveness boundary the paper highlights.
     """
     result: list[TGD] = []
+    # function symbol -> the one (implication index, term) it may take
+    owners: dict[str, tuple[int, FuncTerm]] = {}
     for index, implication in enumerate(so_tgd.implications):
         resolved = _resolve_conditions(implication)
         if resolved is None or resolved.conditions:
@@ -176,7 +171,6 @@ def deskolemize(so_tgd: SecondOrderTGD) -> list[TGD]:
         # Each distinct function term in the head becomes one
         # existential variable.
         replacements: dict[FuncTerm, Var] = {}
-        counter = itertools.count()
 
         def rewrite(term: Term) -> Term:
             if isinstance(term, FuncTerm):
@@ -185,7 +179,15 @@ def deskolemize(so_tgd: SecondOrderTGD) -> list[TGD]:
                         f"nested function term {term} is not first-order"
                     )
                 if term not in replacements:
-                    replacements[term] = Var(f"e{index}_{next(counter)}")
+                    if owners.setdefault(term.function, (index, term)) != (
+                        index, term
+                    ):
+                        raise ExpressivenessError(
+                            f"Skolem function {term.function} is shared "
+                            "between implications or argument tuples; "
+                            "not first-order"
+                        )
+                    replacements[term] = Var(f"e{index}_{len(replacements)}")
                 return replacements[term]
             return term
 
@@ -203,37 +205,49 @@ def deskolemize(so_tgd: SecondOrderTGD) -> list[TGD]:
 
 
 def _resolve_conditions(implication: Implication) -> Optional[Implication]:
-    """Eliminate conditions by substitution.
+    """Eliminate conditions by unification.
 
-    ``x = t`` substitutes ``t`` for ``x``; ``f(s̄) = f(t̄)`` decomposes
-    into argument equalities; ``f(s̄) = g(t̄)`` or a function term equal
-    to a constant/frontier variable in a position that cannot be
-    substituted makes the implication unresolvable (returns None).
+    ``x = t`` binds ``x`` to ``t``; ``f(s̄) = f(t̄)`` decomposes into
+    argument equalities; ``f(s̄) = g(t̄)`` or a function term equal to a
+    constant makes the implication unresolvable (returns None).  The
+    bindings form a triangular substitution: a popped condition is
+    resolved under them on the spot, and the body, head and residual
+    conditions are resolved once, at the end.
     """
-    body = list(implication.body)
-    head = list(implication.head)
+    # Keyed by variable name: a str caches its hash, a Var rehashes on
+    # every lookup, and Compose's candidates spend most of their time
+    # here (apply_term and Implication.substitute take twice as long).
+    bindings: dict[str, Term] = {}
+
+    def resolve(term: Term) -> Term:
+        while isinstance(term, Var) and term.name in bindings:
+            term = bindings[term.name]
+        if isinstance(term, FuncTerm):
+            return FuncTerm(term.function, tuple(map(resolve, term.args)))
+        return term
+
+    def resolve_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
+        return tuple(
+            Atom(a.relation, tuple((name, resolve(t)) for name, t in a.args))
+            for a in atoms
+        )
+
     pending = list(implication.conditions)
     residual: list[Equality] = []
     while pending:
         condition = pending.pop()
-        left, right = condition.left, condition.right
+        left, right = resolve(condition.left), resolve(condition.right)
         if left == right:
             continue
         if isinstance(right, Var) and not isinstance(left, Var):
             left, right = right, left
         if isinstance(left, Var):
-            from repro.logic.terms import variables_of
-
-            if left in variables_of(right):
+            if isinstance(right, FuncTerm) and left in variables_of(right):
                 # Occurs check: x = f(..x..) is a genuine second-order
                 # constraint on the function; keep it residual.
                 residual.append(Equality(left, right))
-                continue
-            substitution = {left: right}
-            body = [a.substitute(substitution) for a in body]
-            head = [a.substitute(substitution) for a in head]
-            pending = [c.substitute(substitution) for c in pending]
-            residual = [c.substitute(substitution) for c in residual]
+            else:
+                bindings[left.name] = right
             continue
         if isinstance(left, FuncTerm) and isinstance(right, FuncTerm):
             if left.function == right.function and len(left.args) == len(right.args):
@@ -245,16 +259,16 @@ def _resolve_conditions(implication: Implication) -> Optional[Implication]:
             if left.value != right.value:
                 # Condition can never hold: implication is vacuous.
                 return Implication(
-                    body=tuple(body), head=(), conditions=(), name=implication.name
+                    resolve_atoms(implication.body), (), (), implication.name
                 )
             continue
         # FuncTerm = Const: genuinely second-order constraint.
         return None
     return Implication(
-        body=tuple(body),
-        head=tuple(head),
-        conditions=tuple(residual),
-        name=implication.name,
+        resolve_atoms(implication.body),
+        resolve_atoms(implication.head),
+        tuple(Equality(resolve(c.left), resolve(c.right)) for c in residual),
+        implication.name,
     )
 
 
@@ -281,10 +295,20 @@ def execute_so_tgd(
     skolem_cache: dict[tuple, LabeledNull] = {}
 
     for implication in so_tgd.implications:
+        bound = set().union(*(atom.variables() for atom in implication.body))
+        if any(atom.functions() for atom in implication.body) or any(
+            not condition.variables() <= bound for condition in implication.conditions
+        ):
+            # Equalities that a composition cannot resolve can leave
+            # R(f(x)) in a body, or a condition on a variable that no
+            # body atom binds.  Neither fires: f(x) is a null fresh to
+            # this run, which no source row holds, and an unbound
+            # variable equals no value, as in a first-order condition.
+            continue
         first_order_conditions = [
             c
             for c in implication.conditions
-            if not (_functions_of_term(c.left) or _functions_of_term(c.right))
+            if not (functions_of(c.left) or functions_of(c.right))
         ]
         functional_conditions = [
             c for c in implication.conditions if c not in first_order_conditions

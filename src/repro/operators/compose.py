@@ -29,7 +29,6 @@ from repro.algebra import expressions as E
 from repro.algebra import scalars as S
 from repro.algebra.optimizer import optimize
 from repro.errors import CompositionError, ExpressivenessError
-from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom, Equality
 from repro.logic.second_order import (
     Implication,
@@ -38,13 +37,12 @@ from repro.logic.second_order import (
     deskolemize,
     skolemize_all,
 )
-from repro.logic.terms import Term, Var
-from repro.mappings.mapping import (
-    EqualityConstraint,
-    Mapping,
-    MappingLanguage,
-)
+from repro.logic.terms import FuncTerm, Term, Var
+from repro.mappings.mapping import EqualityConstraint, Mapping
 from repro.observability.instrument import instrumented
+from repro.observability.journal import JOURNAL
+from repro.observability.metrics import registry
+from repro.observability.state import STATE
 
 
 @instrumented("op.compose", attrs=lambda map12, map23, *a, **k: {
@@ -84,113 +82,141 @@ def _compose_tgds(
         sigma23 = map23.so_tgd
     else:
         sigma23 = skolemize_all(map23.tgds, name=map23.name)
+    sigma23 = _rename_functions_apart(sigma23, sigma12.functions)
     middle_relations = set(map12.target.entities)
+    first_suffix = _first_free_suffix(sigma12.implications + sigma23.implications)
 
     composed: list[Implication] = []
-    counter = itertools.count()
     for implication in sigma23.implications:
         for resolved in _replace_middle_atoms(
-            implication, sigma12, middle_relations, counter
+            implication, sigma12, middle_relations, first_suffix
         ):
             if resolved.head:  # vacuous implications are dropped
                 composed.append(resolved)
 
-    so_tgd = SecondOrderTGD(tuple(composed), name=f"{map12.name}∘{map23.name}")
+    name = f"{map12.name}∘{map23.name}"
+    so_tgd = SecondOrderTGD(tuple(composed), name=name)
     if prefer_first_order:
         try:
-            tgds = deskolemize(so_tgd)
-            return Mapping(
-                map12.source, map23.target, tgds,
-                name=f"{map12.name}∘{map23.name}",
-            )
-        except ExpressivenessError:
-            pass
-    return Mapping(
-        map12.source, map23.target, so_tgd, name=f"{map12.name}∘{map23.name}"
-    )
+            return Mapping(map12.source, map23.target, deskolemize(so_tgd),
+                           name=name)
+        except ExpressivenessError as exc:
+            if STATE.enabled:  # count and journal the SO-tgd fallback
+                registry.counter("compose.second_order").inc()
+                JOURNAL.record("compose.second_order", mapping=name,
+                               reason=str(exc))
+    return Mapping(map12.source, map23.target, so_tgd, name=name)
 
 
 def _replace_middle_atoms(
     implication: Implication,
     sigma12: SecondOrderTGD,
     middle_relations: set[str],
-    counter,
+    first_suffix: int,
 ) -> list[Implication]:
     """Replace every middle-schema atom in ``implication``'s body by all
-    possible σ12 origins (the exponential case product)."""
+    possible σ12 origins (the exponential case product).  Each origin is
+    renamed apart once per middle-atom position ``p``, with the suffix
+    ``~(first_suffix + p)``; a choice then only concatenates cases."""
     middle_atoms = [a for a in implication.body if a.relation in middle_relations]
     other_atoms = [a for a in implication.body if a.relation not in middle_relations]
+    produced = {h.relation for o in sigma12.implications for h in o.head}
+    if any(atom.relation not in produced for atom in middle_atoms):
+        # No σ12 rule ever produces this relation: the implication
+        # body is unsatisfiable over σ12-generated middles, so it
+        # contributes nothing (vacuously true).
+        return []
 
-    # Origins of a middle atom: (implication, head-atom index) pairs
-    # whose head atom has the same relation.
-    origins: list[list[tuple[Implication, Atom]]] = []
-    for atom in middle_atoms:
-        candidates: list[tuple[Implication, Atom]] = []
-        for source_implication in sigma12.implications:
-            for head_atom in source_implication.head:
-                if head_atom.relation == atom.relation:
-                    candidates.append((source_implication, head_atom))
-        if not candidates:
-            # No σ12 rule ever produces this relation: the implication
-            # body is unsatisfiable over σ12-generated middles, so it
-            # contributes nothing (vacuously true).
-            return []
-        origins.append(candidates)
+    # Per position, one (body atoms, conditions) case per origin head atom.
+    cases: list[list[tuple[tuple[Atom, ...], tuple[Equality, ...]]]] = []
+    for position, atom in enumerate(middle_atoms):
+        atom_args = atom.arg_map
+        cases.append([])
+        for origin in sigma12.implications:
+            heads = [i for i, h in enumerate(origin.head) if h.relation == atom.relation]
+            if not heads:
+                continue
+            renamed = _rename_apart(origin, first_suffix + position)
+            for index in heads:
+                # Equate the σ23 atom's terms with the σ12 head atom's.
+                head_args = renamed.head[index].arg_map
+                if set(atom_args) != set(head_args):
+                    missing = set(atom_args) ^ set(head_args)
+                    raise CompositionError(
+                        f"attribute mismatch on {atom.relation!r}: {sorted(missing)}"
+                    )
+                equalities = tuple(
+                    Equality(atom_args[a], head_args[a]) for a in sorted(atom_args)
+                )
+                cases[-1].append((renamed.body, renamed.conditions + equalities))
 
     results: list[Implication] = []
-    for choice in itertools.product(*origins):
+    for choice in itertools.product(*cases):
         body: list[Atom] = list(other_atoms)
         conditions: list[Equality] = list(implication.conditions)
-        for atom, (source_implication, head_atom) in zip(middle_atoms, choice):
-            renamed = _rename_apart(source_implication, next(counter))
-            renamed_head_atom = _find_corresponding_head(
-                renamed, source_implication, head_atom
-            )
-            body.extend(renamed.body)
-            conditions.extend(renamed.conditions)
-            # Equate the σ23 atom's terms with the σ12 head atom's terms.
-            atom_args = atom.arg_map
-            head_args = renamed_head_atom.arg_map
-            shared = set(atom_args) & set(head_args)
-            if set(atom_args) != set(head_args):
-                missing = set(atom_args) ^ set(head_args)
-                raise CompositionError(
-                    f"attribute mismatch on {atom.relation!r}: {sorted(missing)}"
-                )
-            for attribute in sorted(shared):
-                conditions.append(
-                    Equality(atom_args[attribute], head_args[attribute])
-                )
+        for case_body, case_conditions in choice:
+            body.extend(case_body)
+            conditions.extend(case_conditions)
         candidate = Implication(
-            body=tuple(body),
-            head=implication.head,
-            conditions=tuple(conditions),
-            name=f"{implication.name}",
+            tuple(body), implication.head, tuple(conditions), implication.name
         )
         resolved = _resolve_conditions(candidate)
-        if resolved is None:
-            # Residual function-term conditions: keep them unresolved —
-            # the SO-tgd language allows them.
-            results.append(candidate)
-        else:
-            results.append(resolved)
+        # Residual function-term conditions are kept unresolved: the
+        # SO-tgd language allows them.
+        results.append(candidate if resolved is None else resolved)
     return results
 
 
+def _rename_functions_apart(
+    sigma23: SecondOrderTGD, taken: frozenset[str]
+) -> SecondOrderTGD:
+    """Rename each σ23 Skolem function whose name σ12 also uses to the
+    first free ``name$k``.  ``skolemize`` names a function after its
+    tgd, not its mapping, so unnamed tgds, or two earlier compositions,
+    reuse names; the functions are still distinct, and merging them
+    would equate their values."""
+    renaming: dict[str, str] = {}
+    used = set(taken | sigma23.functions)
+    for function in sorted(taken & sigma23.functions):
+        suffix = 1
+        while f"{function}${suffix}" in used:
+            suffix += 1
+        renaming[function] = f"{function}${suffix}"
+        used.add(renaming[function])
+    if not renaming:
+        return sigma23
+
+    def rename(t: Term) -> Term:
+        if isinstance(t, FuncTerm):
+            return FuncTerm(renaming.get(t.function, t.function), tuple(map(rename, t.args)))
+        return t
+
+    def rename_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
+        return tuple(Atom(a.relation, tuple((n, rename(t)) for n, t in a.args)) for a in atoms)
+
+    implications = tuple(
+        Implication(rename_atoms(i.body), rename_atoms(i.head), tuple(
+            Equality(rename(c.left), rename(c.right)) for c in i.conditions
+        ), i.name)
+        for i in sigma23.implications
+    )
+    return SecondOrderTGD(implications, name=sigma23.name)
+
+
+def _first_free_suffix(implications: Sequence[Implication]) -> int:
+    """One past the largest ``j`` of any variable named ``…~j``: suffixes
+    from there on never capture a variable, not even one that an earlier
+    composition named."""
+    tails = (v.name.rpartition("~")[2] for i in implications for v in i.variables())
+    return 1 + max((int(t) for t in tails if t.isdecimal()), default=-1)
+
+
 def _rename_apart(implication: Implication, index: int) -> Implication:
-    """Rename an implication's variables with a fresh suffix so distinct
-    origin choices never share variables."""
+    """Rename an implication's variables with the suffix ``~index``."""
     substitution: dict[Var, Term] = {
         var: Var(f"{var.name}~{index}") for var in implication.variables()
     }
     return implication.substitute(substitution)
-
-
-def _find_corresponding_head(
-    renamed: Implication, original: Implication, head_atom: Atom
-) -> Atom:
-    position = original.head.index(head_atom)
-    return renamed.head[position]
 
 
 # ----------------------------------------------------------------------

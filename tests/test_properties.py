@@ -31,6 +31,7 @@ from repro.operators import (
     quasi_inverse,
     transgen,
 )
+from repro.runtime import exchange
 from repro.workloads import synthetic
 
 # ----------------------------------------------------------------------
@@ -136,27 +137,86 @@ def test_composition_equals_two_step_exchange(m12_text, m23_text, rows):
     assert are_hom_equivalent(two_step, one_step)
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                min_size=0, max_size=4))
-@settings(max_examples=25, deadline=None)
-def test_composition_associativity(rows):
-    """(m12 ∘ m23) ∘ m34 and m12 ∘ (m23 ∘ m34) agree on exchange."""
+def _schema(name, relations):
+    builder = SchemaBuilder(name)
+    for relation, attributes in relations.items():
+        builder.entity(relation, key=[attributes[0]])
+        for attribute in attributes:
+            builder.attribute(attribute, INT)
+    return builder.build()
+
+
+def _step(source, target, *texts):
+    return Mapping(source, target, [parse_tgd(t) for t in texts])
+
+
+def _associativity_chains():
+    """Three-step chains (m12, m23, m34).  In the two multi-relation
+    chains, ``m23 ∘ m34`` has implications with two middle atoms, so the
+    right-associated composition renames σ12 origins beside variables
+    that the inner composition named."""
     a, b, c, d = _chain_schemas()
-    m12 = Mapping(a, b, [parse_tgd("R(R_k=x, R_v=y) -> S(S_k=x, S_v=y)")])
-    m23 = Mapping(b, c, [parse_tgd("S(S_k=x, S_v=y) -> T(T_k=x, T_v=e)")])
-    m34 = Mapping(c, d, [parse_tgd("T(T_k=x, T_v=y) -> U(U_k=x, U_v=y)")])
+    copy = (
+        _step(a, b, "R(R_k=x, R_v=y) -> S(S_k=x, S_v=y)"),
+        _step(b, c, "S(S_k=x, S_v=y) -> T(T_k=x, T_v=e)"),
+        _step(c, d, "T(T_k=x, T_v=y) -> U(U_k=x, U_v=y)"),
+    )
+    a = _schema("XA", {r: ["k"] for r in ("R1", "R2", "R3", "R4")})
+    b = _schema("XB", {r: ["k"] for r in ("S", "P", "Q")})
+    c = _schema("XC", {r: ["k"] for r in ("T", "T2", "T3")})
+    d = _schema("XD", {"U1": ["k"], "U2": ["a", "b"]})
+    cross = (
+        _step(a, b, "R1(k=x) -> S(k=x)", "R2(k=x) -> S(k=x)",
+              "R3(k=x) -> P(k=x)", "R4(k=x) -> Q(k=x)"),
+        _step(b, c, "S(k=x) -> T(k=x)", "P(k=x) -> T2(k=x)", "Q(k=x) -> T3(k=x)"),
+        _step(c, d, "T(k=u) -> U1(k=u)", "T2(k=u) & T3(k=w) -> U2(a=u, b=w)"),
+    )
+    a = _schema("YA", {"R": ["k", "v"], "P": ["k", "v"]})
+    b = _schema("YB", {"S": ["k", "v"], "Q": ["k", "v"]})
+    c = _schema("YC", {"T": ["k", "v"], "W": ["k", "v"]})
+    d = _schema("YD", {"U": ["a", "b", "c"]})
+    joins = (
+        _step(a, b, "R(k=x, v=y) -> S(k=x, v=y)", "P(k=x, v=y) -> S(k=y, v=x)",
+              "P(k=x, v=y) -> Q(k=x, v=e)"),
+        _step(b, c, "S(k=x, v=y) -> T(k=x, v=y)", "Q(k=x, v=y) -> W(k=x, v=y)",
+              "S(k=x, v=y) & Q(k=x, v=z) -> W(k=y, v=z)"),
+        _step(c, d, "T(k=x, v=y) & W(k=y, v=z) -> U(a=x, b=y, c=z)"),
+    )
+    return copy, cross, joins
+
+
+_ASSOCIATIVITY_CHAINS = _associativity_chains()
+
+
+@given(st.sampled_from(range(len(_ASSOCIATIVITY_CHAINS))),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                min_size=0, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_composition_associativity(chain, rows):
+    """(m12 ∘ m23) ∘ m34 and m12 ∘ (m23 ∘ m34) agree on exchange, with
+    each other and with the three-step exchange."""
+    m12, m23, m34 = _ASSOCIATIVITY_CHAINS[chain]
     left = compose(compose(m12, m23), m34)
     right = compose(m12, compose(m23, m34))
 
     source = Instance()
-    for k, v in rows:
-        source.add("R", R_k=k, R_v=v)
-    left_result = chase(source, left.tgds).instance
-    right_result = chase(source, right.tgds).instance
-    left_u, right_u = Instance(), Instance()
-    left_u.relations["U"] = left_result.relations.get("U", [])
-    right_u.relations["U"] = right_result.relations.get("U", [])
-    assert are_hom_equivalent(left_u, right_u)
+    relations = sorted(m12.source.entities)
+    for index, (k, v) in enumerate(rows):
+        relation = relations[index % len(relations)]
+        attributes = [a.name for a in m12.source.entities[relation].attributes]
+        source.add(relation, **dict(zip(attributes, (k, v))))
+    three_steps = source
+    for mapping in (m12, m23, m34):
+        three_steps = chase(three_steps, mapping.tgds).instance
+    results = [three_steps, exchange(left, source), exchange(right, source)]
+    targets = []
+    for result in results:
+        target = Instance()
+        for relation in m34.target.entities:
+            target.relations[relation] = list(result.rows(relation))
+        targets.append(target)
+    assert are_hom_equivalent(targets[0], targets[1])
+    assert are_hom_equivalent(targets[0], targets[2])
 
 
 # ----------------------------------------------------------------------

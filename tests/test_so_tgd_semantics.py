@@ -5,10 +5,12 @@ side."""
 import pytest
 
 from repro.instances import Instance
-from repro.logic import parse_tgd
+from repro.logic import chase, parse_tgd
 from repro.logic.second_order import skolemize_all
 from repro.mappings import Mapping, MappingLanguage
 from repro.metamodel import INT, SchemaBuilder
+from repro.operators import compose
+from repro.runtime import exchange
 
 
 def _so_mapping():
@@ -62,3 +64,47 @@ class TestSoTgdHoldsFor:
 
     def test_language_reported(self):
         assert _so_mapping().language == MappingLanguage.SO_TGD
+
+
+class TestExchangeThroughComposition:
+    """Compositions that stay second-order must run: exchanging through
+    them equals the two-step exchange."""
+
+    @staticmethod
+    def _pair(m12_text, m23_text):
+        a = SchemaBuilder("CA").entity("R", key=["k"]).attribute("k", INT).build()
+        b = (
+            SchemaBuilder("CB").entity("S", key=["k"]).attribute("k", INT)
+            .attribute("v", INT).entity("P", key=["k"]).attribute("k", INT)
+            .attribute("v", INT).build()
+        )
+        c = SchemaBuilder("CC").entity("T", key=["k"]).attribute("k", INT).build()
+        return (Mapping(a, b, [parse_tgd(m12_text)], name="m12"),
+                Mapping(b, c, [parse_tgd(m23_text)], name="m23"))
+
+    def _check(self, m12, m23):
+        composed = compose(m12, m23, prefer_first_order=False)
+        source = Instance()
+        source.add("R", k=1)
+        source.add("R", k=2)
+        middle = chase(source, m12.tgds).instance
+        two_step = chase(middle, m23.tgds).instance.rows("T")
+        assert list(exchange(composed, source).rows("T")) == list(two_step) == []
+        return composed.so_tgd.implications
+
+    def test_function_term_left_in_a_body(self):
+        """S's key is invented, P's value is copied: joining them leaves
+        R(k=f(x)) in the composed body, which matches no source row."""
+        (implication,) = self._check(*self._pair(
+            "R(k=x) -> S(k=e, v=x) & P(k=e, v=x)",
+            "S(k=y, v=z) & P(k=w, v=y) -> T(k=y)",
+        ))
+        assert any(atom.functions() for atom in implication.body)
+
+    def test_condition_on_a_variable_no_body_atom_binds(self):
+        """Two different Skolem functions equated: the implication keeps
+        its conditions on y, which only the head reads."""
+        (implication,) = self._check(*self._pair(
+            "R(k=x) -> S(k=e, v=u)", "S(k=y, v=y) -> T(k=y)",
+        ))
+        assert implication.conditions
