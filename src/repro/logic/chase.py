@@ -15,10 +15,11 @@ termination for weakly acyclic dependency sets.
 Two engines live here:
 
 * :func:`chase` — the **semi-naive, set-at-a-time** engine.  Each
-  dependency is compiled once (:func:`compile_dependency`) into a
-  positional join plan: body variables get tuple slots in sorted-name
-  order, and each body atom is a step probing the instance's postings
-  on its first constant or bound attribute.  A plan extends a list of
+  dependency — a tgd, an egd, or an implication of a second-order tgd
+  — is compiled once (:func:`compile_dependency`) into a positional
+  join plan: body variables get tuple slots in sorted-name order, and
+  each body atom is a step probing the instance's postings on its
+  first constant or bound attribute.  A plan extends a list of
   binding tuples one atom at a time, in the order of the backtracking
   search (:func:`iter_homomorphisms`), so triggers, labeled nulls and
   recorder events are the ones that search yields.  Round 0 enumerates
@@ -26,12 +27,20 @@ Two engines live here:
   inserted (or rewritten by an egd merge) in the previous round, so
   per-round work tracks the *delta*.  A tgd's last step fires as it
   scans, checking full head atoms against projection indexes, the
-  others by index lookups (or a homomorphism search when an
-  existential spans atoms), memoized per frontier assignment.  Key egds
-  ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` run as a hash group-by on K.  Egd
-  equalities are batched per round into a union-find over labeled
-  nulls and applied in one substitution pass driven by a null → row
-  occurrence index.
+  others by index lookups (or the head atoms' own plan when an
+  existential spans atoms), memoized per frontier assignment.  A
+  function term in a head is a null memoized on (function, arguments)
+  for the run, and an implication's conditions filter its triggers:
+  Skolem semantics.  Key egds ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` run
+  as a hash group-by on K.  Egd equalities are batched per round into
+  a union-find over labeled nulls and applied in one substitution pass
+  driven by a null → row occurrence index.
+
+  The plans are the library's one trigger engine: :func:`bindings`
+  (with a pinned-delta entry and a ``partial=`` entry of preset
+  variables), :func:`triggers` and :func:`distinct` also serve
+  incremental maintenance, provenance and :func:`satisfies`, the
+  satisfaction check behind ``Mapping.holds_for``.
 
 * :func:`naive_chase` — the original Gauss–Seidel engine kept verbatim
   as the reference implementation: equivalence tests assert the
@@ -57,7 +66,7 @@ from repro.instances.labeled_null import LabeledNull, NullFactory
 from repro.logic.dependencies import EGD, TGD, Dependency
 from repro.logic.formulas import Atom
 from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
-from repro.logic.terms import Const, Var
+from repro.logic.terms import Const, FuncTerm, Var
 from repro.observability.state import STATE as _OBS
 
 
@@ -295,7 +304,9 @@ def chase(
     recorder: Optional[ChaseRecorder] = None,
     initial_delta: Optional[dict[str, list[Row]]] = None,
 ) -> ChaseResult:
-    """Chase ``instance`` with ``dependencies`` (semi-naive engine).
+    """Chase ``instance`` with ``dependencies`` (semi-naive engine):
+    tgds, egds, and the implications of second-order tgds
+    (``SecondOrderTGD.runnable``), run with Skolem semantics.
 
     ``recorder`` receives provenance callbacks per firing/merge (see
     :class:`ChaseRecorder`).  ``initial_delta`` replaces round 0's full
@@ -326,6 +337,23 @@ def chase(
         span.set_attributes(rounds=result.stats.rounds, steps=result.steps)
         _publish_stats(result.stats, result.steps)
     return result
+
+
+def satisfies(instance: Instance, dependencies: Sequence[Dependency]) -> bool:
+    """Does ``instance`` satisfy every dependency?  One chase round on a
+    zero step budget: the first firing or merge it would make is a
+    violation, as is an egd equating distinct constants, so the
+    instance is never changed."""
+    engine = _SemiNaiveChase(instance, dependencies, NullFactory(), 0)
+    try:
+        for index, plan in enumerate(engine.plans):
+            if plan.kind == "egd":
+                engine._collect_egd(index, plan, None, _UnionFind())
+            else:
+                engine._fire_tgd(index, plan, None, {})
+    except (ChaseFailure, ChaseNonTermination):
+        return False
+    return True
 
 
 def _publish_stats(stats: "ChaseStats", steps: int) -> None:
@@ -422,8 +450,6 @@ class _UnionFind:
 #: :class:`_Step` check kinds: the row's value must equal a constant, a
 #: binding slot, or the row's value at another attribute.
 _CONST, _BOUND, _SAME = 0, 1, 2
-_SECOND_ORDER = ("cannot chase second-order tgds directly; ground their "
-                 "function terms first")
 
 
 def _getter(indices: tuple) -> Callable:
@@ -439,7 +465,8 @@ class _Step:
     the first constant or bound argument, under ``source``, else a scan.
     A match has the ``required`` attributes and passes ``checks`` on
     constants, bound and repeated variables; ``grab`` reads its new
-    variables, which ``positions`` (variable → binding slot) gains."""
+    variables, which ``positions`` (variable or function term → binding
+    slot) gains."""
 
     __slots__ = ("relation", "probe", "source", "required", "checks", "grab")
 
@@ -455,10 +482,11 @@ class _Step:
                 continue
             if isinstance(term, Const):
                 source = (_CONST, term.value)
-            elif isinstance(term, Var):
+            elif term in positions:
                 source = (_BOUND, positions[term])
             else:
-                raise ChaseFailure(_SECOND_ORDER)
+                raise ChaseFailure(f"cannot match function term {term} "
+                                   "against rows")
             if probe and self.probe is None:
                 self.probe, self.source = attr, source
             else:
@@ -549,24 +577,33 @@ class _KeyGroup:
 
 
 class CompiledDependency:
-    """A dependency compiled once for the chase.  ``variables`` (body
-    variables by name) is the slot order of bindings and body keys,
-    ``frontier`` (by name) that of frontier keys.  A tgd's ``templates``
-    pick head rows from the frontier values, head constants and fresh
-    nulls (``hints``); ``probes`` check its head atoms — ``(relation,
-    attrs, pick)`` projection probes, fed by the rows of the head atoms
+    """A dependency compiled once for the chase: a tgd, an egd, or an
+    implication of a second-order tgd.  ``variables`` (body variables by
+    name) is the slot order of bindings and body keys, ``frontier`` (by
+    name) that of frontier keys.  A tgd's cells are its ``known`` values
+    — the frontier's, then one null per distinct function term
+    (``skolems``, memoized per chase run) — the head constants, and a
+    fresh null per existential (``hints``); ``templates`` pick head rows
+    from them.  ``probes`` check its head atoms — ``(relation, attrs,
+    pick)`` projection probes, fed by the rows of the head atoms
     ``feeds`` names, or :class:`_Step` lookups for existential atoms —
-    unless an existential spans atoms (None)."""
+    unless an existential spans atoms (None): then ``head_plan``, the
+    head atoms compiled as a body, is searched with the known values
+    preset.  An implication's ``conditions`` filter its triggers."""
 
     def __init__(self, dependency: Dependency):
         self.dependency, self._variants = dependency, {}
         self.label = dependency.name or str(dependency)[:60]
-        self.relations = frozenset(dependency.body_relations())
-        self.variables = tuple(sorted(dependency.body_variables(),
-                                      key=lambda v: v.name))
+        body = dependency.body
+        self.relations = frozenset(atom.relation for atom in body)
+        self.variables = tuple(sorted(set().union(
+            *(atom.variables() for atom in body)), key=lambda v: v.name))
         slots = {var: i for i, var in enumerate(self.variables)}
-        terms = [t for atom in dependency.body + getattr(
-            dependency, "head", ()) for _, t in atom.args]
+        self.conditions = tuple((c.left, c.right) for c in getattr(
+            dependency, "conditions", ()))
+        terms = [t for atom in body + getattr(dependency, "head", ())
+                 for _, t in atom.args]
+        terms += [t for pair in self.conditions for t in pair]
         self.frontier, self.group = (), None
         if isinstance(dependency, EGD):
             self.kind = "egd"
@@ -579,51 +616,57 @@ class CompiledDependency:
             )
             self.group = _KeyGroup.of(dependency, self.variables)
         else:
-            self._compile_head(dependency, slots)
+            self._compile_head(dependency.head, dependency.name, slots)
         self.frontier_set = frozenset(self.frontier)
-        self.has_constants = any(isinstance(t, Const) for t in terms)
+        # A function term may hide a constant too.
+        self.has_constants = any(isinstance(t, (Const, FuncTerm))
+                                 for t in terms)
 
-    def _compile_head(self, tgd: TGD, slots: dict) -> None:
-        self.kind = "tgd" if tgd.is_full else "tgd∃"
-        frontier = tuple(sorted(tgd.frontier(), key=lambda v: v.name))
-        self.frontier, width = frontier, len(frontier)
+    def _compile_head(self, head: tuple, name: str, slots: dict) -> None:
+        head_variables = set().union(*(atom.variables() for atom in head))
+        frontier = tuple(v for v in self.variables if v in head_variables)
         self.fget = None if frontier == self.variables else _getter(
             tuple(slots[var] for var in frontier)
         )
-        # A firing's cells: the frontier values, the head constants, then
-        # a fresh null per existential in order of first occurrence (the
+        # A firing's cells: the known values, the head constants, then a
+        # fresh null per existential in order of first occurrence (the
         # order they are minted in); each head atom picks its row's cells.
-        terms = [term for atom in tgd.head for _, term in atom.args]
-        if not all(isinstance(t, (Var, Const)) for t in terms):
-            raise ChaseFailure(_SECOND_ORDER)
+        terms = [term for atom in head for _, term in atom.args]
+        self.skolems = tuple(t for t in dict.fromkeys(terms)
+                             if isinstance(t, FuncTerm))
+        known = frontier + self.skolems
+        self.frontier, self.known, width = frontier, known, len(known)
         self.consts = tuple(t.value for t in terms if isinstance(t, Const))
         self.hconsts = tuple(hashable_key(c) for c in self.consts)
         opens = [t for t in dict.fromkeys(terms)
                  if isinstance(t, Var) and t not in frontier]
-        self.hints = tuple(f"{tgd.name or 'tgd'}.{var.name}" for var in opens)
+        self.kind = "tgd∃" if opens or self.skolems else "tgd"
+        self.hints = tuple(f"{name or 'tgd'}.{var.name}" for var in opens)
         first_open = width + len(self.consts)
-        cell = {var: i for i, var in enumerate(frontier)}
+        cell = {term: i for i, term in enumerate(known)}
         cell.update((var, first_open + n) for n, var in enumerate(opens))
         consts = iter(range(width, first_open))  # in order of occurrence
         atoms = [tuple(next(consts) if isinstance(t, Const) else cell[t]
-                       for _, t in atom.args) for atom in tgd.head]
+                       for _, t in atom.args) for atom in head]
         self.templates = tuple(
             (atom.relation, tuple(attr for attr, _ in atom.args),
              None if at == tuple(range(len(at))) else _getter(at))
-            for atom, at in zip(tgd.head, atoms)
+            for atom, at in zip(head, atoms)
         )
-        self.self_feeding = bool(tgd.head_relations() & self.relations)
+        self.self_feeding = any(atom.relation in self.relations
+                                for atom in head)
         self.probes, self.feeds = None, tuple(() for _ in atoms)
         existential = [any(i >= first_open for i in at) for at in atoms]
         if sum(len({i for i in at if i >= first_open})
                for at in atoms) > len(opens):
+            self.head_plan = CompiledDependency(TGD(body=head))
             return  # an existential spans head atoms
         self.probes = tuple(
-            _Step(atom, dict(zip(frontier, range(width)))) if open_atom
+            _Step(atom, dict(zip(known, range(width)))) if open_atom
             else (atom.relation, attrs,
                   None if at == tuple(range(width)) else _getter(at))
             for atom, (_, attrs, _), at, open_atom
-            in zip(tgd.head, self.templates, atoms, existential)
+            in zip(head, self.templates, atoms, existential)
         )
         self.feeds = tuple(
             tuple(k for k, probe in enumerate(self.probes)
@@ -632,23 +675,129 @@ class CompiledDependency:
             for relation, attrs, _ in self.templates
         )
 
-    def variant(self, order: tuple, pinned: bool) -> tuple:
+    def variant(self, order: tuple, pinned: bool, preset: tuple = ()) -> tuple:
         """The body's steps in ``order`` (the first reading a pinned
-        delta when ``pinned``) and the map from binding order to slot
-        order (None when they agree), compiled once per order."""
-        found = self._variants.get((order, pinned))
+        delta when ``pinned``), with the ``preset`` variables bound in
+        the first binding slots, and the map from binding order to slot
+        order (None when they agree), compiled once per entry."""
+        found = self._variants.get((order, pinned, preset))
         if found is None:
-            positions: dict[Var, int] = {}
+            positions = {var: n for n, var in enumerate(preset)}
             steps = tuple(
                 _Step(self.dependency.body[i], positions,
                       probe=not (pinned and n == 0))
                 for n, i in enumerate(order)
             )
             perm = tuple(positions[var] for var in self.variables)
-            found = (steps, None if perm == tuple(range(len(perm)))
+            found = (steps, None if perm == tuple(range(len(positions)))
                      else _getter(perm))
-            self._variants[(order, pinned)] = found
+            self._variants[(order, pinned, preset)] = found
         return found
+
+
+def bindings(plan: CompiledDependency, instance: Instance,
+             pin: Optional[tuple] = None,
+             partial: Optional[dict] = None) -> Iterable[tuple]:
+    """Every assignment of ``plan``'s body over ``instance`` as a slot
+    tuple, in the order of ``iter_homomorphisms``: the pinned atom
+    ``(position, rows)`` first, then the rest by cardinality; each atom
+    probes its first constant or bound argument, and the ``partial``
+    variables (a dict, like the search's ``partial=``) count as bound.
+    Each step fetches its postings once; the last step runs as the
+    caller consumes it."""
+    body, relations = plan.dependency.body, instance.relations
+    order = sorted(range(len(body)), key=lambda i: (
+        (0, 0) if pin is not None and i == pin[0]
+        else (1, len(relations.get(body[i].relation, ())))))
+    steps, out = plan.variant(tuple(order), pin is not None,
+                              tuple(partial) if partial else ())
+    found: Iterable[tuple] = [tuple(partial.values()) if partial else ()]
+    for n, step in enumerate(steps):
+        postings = None
+        if n == 0 and pin is not None:
+            rows = pin[1]
+        elif step.probe is None:
+            rows = relations.get(step.relation, ())
+        else:
+            postings = instance.postings(step.relation, step.probe)
+            kind, source = step.source
+            rows = (postings.get(hashable_key(source), ())
+                    if kind == _CONST else None)
+        found = _extend(step, found, rows, postings)
+        if n < len(steps) - 1:
+            found = list(found)
+    return found if out is None else map(out, found)
+
+
+def triggers(plan: CompiledDependency, instance: Instance,
+             delta: Optional[dict[str, list[Row]]]) -> Iterable[tuple]:
+    """All assignments when ``delta`` is None; else those touching
+    ``delta``, each distinct one once (a one-atom body: once per delta
+    row)."""
+    body = plan.dependency.body
+    if delta is None:
+        return bindings(plan, instance)
+    if len(body) == 1:
+        rows = delta.get(body[0].relation)
+        return bindings(plan, instance, (0, rows)) if rows else ()
+    return distinct(plan, instance, delta)
+
+
+def distinct(plan: CompiledDependency, instance: Instance,
+             delta: dict[str, list[Row]]) -> Iterator[tuple]:
+    """The distinct assignments touching ``delta``: each body atom
+    pinned to its relation's delta rows in turn."""
+    seen: set = set()
+    for position, atom in enumerate(plan.dependency.body):
+        rows = delta.get(atom.relation)
+        if not rows:
+            continue
+        for binding in bindings(plan, instance, (position, rows)):
+            key = tuple(map(hashable_key, binding))
+            if key not in seen:
+                seen.add(key)
+                yield binding
+
+
+def head_members(plan: CompiledDependency, instance: Instance) -> list:
+    """The projection members each of ``plan``'s head probes checks
+    (an empty dict for a lookup probe)."""
+    members = []
+    for probe in plan.probes or ():
+        entry = (instance.projection_entry(probe[0], probe[1])
+                 if isinstance(probe, tuple) else None)
+        members.append({} if entry is None else entry.members)
+    return members
+
+
+def head_holds(plan: CompiledDependency, instance: Instance, key: tuple,
+               values: tuple, members: list, overlays) -> bool:
+    """Is the head satisfied for the known ``values`` (``key`` their
+    hashable form)?  Atom by atom: projection probes against
+    ``members`` plus ``overlays`` (rows fired since they were fetched),
+    existential atoms by live index lookups; when an existential spans
+    atoms, the first binding of the head plan under the known values."""
+    if plan.probes is None:
+        preset = dict(zip(plan.known, values))
+        return next(iter(bindings(plan.head_plan, instance, partial=preset)),
+                    None) is not None
+    for probe, found, fresh in zip(plan.probes, members, overlays):
+        if isinstance(probe, tuple):
+            get = probe[2]
+            value = key if get is None else get(key + plan.hconsts)
+            if value not in found and value not in fresh:
+                return False
+            continue
+        rows = instance.relations.get(probe.relation, ())
+        if probe.probe is not None:
+            kind, source = probe.source
+            rows = instance.index_lookup(
+                probe.relation, probe.probe,
+                source if kind == _CONST else values[source],
+            )
+        if next(_extend(probe, (values,), rows, None), None) is None:
+            return False
+    return True
 
 
 @lru_cache(maxsize=1024)
@@ -685,6 +834,8 @@ class _SemiNaiveChase:
         # Memo of frontier assignments whose head is known satisfied;
         # cleared whenever an egd substitution rewrites rows in place.
         self.satisfied: list[set] = [set() for _ in self.plans]
+        # (function, argument keys) → its null, for the whole run.
+        self.skolems: dict[tuple, LabeledNull] = {}
         # null → {id(row): (relation, row)} occurrence index, maintained
         # only when egds can merge nulls.
         self.null_occurrences: dict[LabeledNull, dict] = {}
@@ -751,62 +902,6 @@ class _SemiNaiveChase:
                            stats=stats)
 
     # ------------------------------------------------------------------
-    # trigger enumeration
-    # ------------------------------------------------------------------
-    def _bindings(self, plan: CompiledDependency,
-                  pin: Optional[tuple] = None) -> Iterable[tuple]:
-        """Every assignment of the body as a slot tuple, in the order of
-        ``iter_homomorphisms``: the pinned atom ``(position, rows)``
-        first, then the rest by cardinality.  Each step fetches its
-        postings once; the last step runs as the caller consumes it."""
-        body, relations = plan.dependency.body, self.instance.relations
-        order = sorted(range(len(body)), key=lambda i: (
-            (0, 0) if pin is not None and i == pin[0]
-            else (1, len(relations.get(body[i].relation, ())))))
-        steps, out = plan.variant(tuple(order), pin is not None)
-        bindings: Iterable[tuple] = [()]
-        for n, step in enumerate(steps):
-            postings = None
-            if n == 0 and pin is not None:
-                rows = pin[1]
-            elif step.probe is None:
-                rows = relations.get(step.relation, ())
-            else:
-                postings = self.instance.postings(step.relation, step.probe)
-                kind, source = step.source
-                rows = (postings.get(hashable_key(source), ())
-                        if kind == _CONST else None)
-            bindings = _extend(step, bindings, rows, postings)
-            if n < len(steps) - 1:
-                bindings = list(bindings)
-        return bindings if out is None else map(out, bindings)
-
-    def _triggers(self, plan: CompiledDependency,
-                  delta: Optional[dict[str, list[Row]]]) -> Iterable[tuple]:
-        """All assignments in round 0; later those touching ``delta``,
-        each distinct one once (a one-atom body: once per delta row)."""
-        body = plan.dependency.body
-        if delta is None:
-            return self._bindings(plan)
-        if len(body) == 1:
-            rows = delta.get(body[0].relation)
-            return self._bindings(plan, (0, rows)) if rows else ()
-        return self._distinct(plan, delta)
-
-    def _distinct(self, plan: CompiledDependency,
-                  delta: dict[str, list[Row]]) -> Iterator[tuple]:
-        seen: set = set()
-        for position, atom in enumerate(plan.dependency.body):
-            rows = delta.get(atom.relation)
-            if not rows:
-                continue
-            for binding in self._bindings(plan, (position, rows)):
-                key = tuple(map(hashable_key, binding))
-                if key not in seen:
-                    seen.add(key)
-                    yield binding
-
-    # ------------------------------------------------------------------
     # tgds
     # ------------------------------------------------------------------
     def _fire_tgd(self, index: int, plan: CompiledDependency,
@@ -814,30 +909,30 @@ class _SemiNaiveChase:
                   inserted: dict[str, list[Row]]) -> int:
         """Enumerate, check and fire one tgd's triggers (materialized
         first if the head writes a body relation); returns the count."""
-        triggers = self._triggers(plan, delta)
+        found = triggers(plan, self.instance, delta)
+        if plan.conditions:
+            found = filter(self._conditions(plan), found)
+        fget = self._known(plan) if plan.skolems else plan.fget
         if plan.self_feeding:
-            triggers = list(triggers)
+            found = list(found)
         relations = self.instance.relations
         # Projection members are fetched once, plus overlays of the rows
         # fired here.  A lone full head atom (probed inline) needs none:
         # its projection determines the frontier key, which the memo has.
         probes = plan.probes or ()
-        members = []
-        for probe in probes:
-            entry = (self.instance.projection_entry(probe[0], probe[1])
-                     if isinstance(probe, tuple) else None)
-            members.append({} if entry is None else entry.members)
+        members = head_members(plan, self.instance)
         overlays = [set() for _ in probes]
         single = len(probes) == 1 and isinstance(probes[0], tuple)
         if single:
             get, members0 = probes[0][2], members[0]
         feeds = ((),) if single else plan.feeds
-        fget, hints, memo = plan.fget, plan.hints, self.satisfied[index]
+        hints, memo = plan.hints, self.satisfied[index]
         templates, consts, hconsts = plan.templates, plan.consts, plan.hconsts
         recorder, has_egds, hk = self.recorder, self.has_egds, hashable_key
+        instance = self.instance
         examined = fired = 0
         outputs = [None] * len(templates)
-        for binding in triggers:
+        for binding in found:
             examined += 1
             values = binding if fget is None else fget(binding)
             key = tuple(map(hk, values))
@@ -847,7 +942,7 @@ class _SemiNaiveChase:
                 if (key if get is None else get(key + hconsts)) in members0:
                     memo.add(key)
                     continue
-            elif self._head_holds(plan, key, values, members, overlays):
+            elif head_holds(plan, instance, key, values, members, overlays):
                 memo.add(key)
                 continue
             self._charge_step()
@@ -879,31 +974,44 @@ class _SemiNaiveChase:
             self.fired[name] = self.fired.get(name, 0) + fired
         return examined
 
-    def _head_holds(self, plan: CompiledDependency, key: tuple,
-                    values: tuple, members: list, overlays: list) -> bool:
-        """Is the head satisfied?  Atom by atom (existential ones by live
-        index lookups), unless an existential spans atoms."""
-        if plan.probes is None:
-            partial = dict(zip(plan.frontier, values))
-            return find_homomorphism(plan.dependency.head, self.instance,
-                                     partial=partial) is not None
-        for probe, found, fresh in zip(plan.probes, members, overlays):
-            if isinstance(probe, tuple):
-                get = probe[2]
-                value = key if get is None else get(key + plan.hconsts)
-                if value not in found and value not in fresh:
-                    return False
-                continue
-            rows = self.instance.relations.get(probe.relation, ())
-            if probe.probe is not None:
-                kind, source = probe.source
-                rows = self.instance.index_lookup(
-                    probe.relation, probe.probe,
-                    source if kind == _CONST else values[source],
-                )
-            if next(_extend(probe, (values,), rows, None), None) is None:
-                return False
-        return True
+    def _value(self, slots: dict) -> Callable:
+        """A term's value under a tuple whose ``slots`` map variables to
+        positions.  A function term is a null memoized on (function,
+        arguments) for the run: Skolem semantics, so two implications
+        inventing ``f(x)`` for the same ``x`` agree."""
+        memo, fresh = self.skolems, self.factory.fresh
+
+        def value(term, values: tuple) -> object:
+            if isinstance(term, Var):
+                return values[slots[term]]
+            if isinstance(term, Const):
+                return term.value
+            key = (term.function, tuple([hashable_key(value(arg, values))
+                                         for arg in term.args]))
+            null = memo.get(key)
+            if null is None:
+                null = memo[key] = fresh(hint=term.function)
+            return null
+
+        return value
+
+    def _conditions(self, plan: CompiledDependency) -> Callable:
+        """Does a binding pass the implication's conditions?"""
+        value = self._value({var: i for i, var in enumerate(plan.variables)})
+        pairs = plan.conditions
+        return lambda binding: all(value(left, binding) == value(right, binding)
+                                   for left, right in pairs)
+
+    def _known(self, plan: CompiledDependency) -> Callable:
+        """A binding's frontier values followed by its Skolem nulls."""
+        value = self._value({var: i for i, var in enumerate(plan.frontier)})
+        fget, skolems = plan.fget, plan.skolems
+
+        def known(binding: tuple) -> tuple:
+            values = binding if fget is None else fget(binding)
+            return values + tuple([value(term, values) for term in skolems])
+
+        return known
 
     def _charge_step(self) -> None:
         """Charge one firing against the step budget."""
@@ -923,11 +1031,11 @@ class _SemiNaiveChase:
         """Unite every trigger's equalities in the round's union-find;
         returns (examined, united)."""
         if plan.group is None:
-            triggers, examined = self._triggers(plan, delta), None
+            found, examined = triggers(plan, self.instance, delta), None
         else:
-            examined, triggers = self._groups(plan, delta)
+            examined, found = self._groups(plan, delta)
         count = merged = 0
-        for binding in triggers:
+        for binding in found:
             count += 1
             for (lslot, lconst), (rslot, rconst) in plan.equalities:
                 left = lconst if lslot is None else binding[lslot]

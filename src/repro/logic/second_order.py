@@ -12,10 +12,13 @@ tgds — implications whose terms may apply existentially quantified
 * :func:`deskolemize` — best-effort conversion back to first-order
   st-tgds, raising :class:`~repro.errors.ExpressivenessError` when the
   SO-tgd is genuinely second-order;
-* :func:`execute_so_tgd` — data-exchange execution with Skolem
-  semantics (same function + same arguments ⇒ same labeled null),
-  which is what makes composed mappings *runnable* by the mapping
-  runtime, closing the design-time/runtime loop the paper calls for.
+* :meth:`SecondOrderTGD.runnable` — the implications that data exchange
+  runs.  The chase (:mod:`repro.logic.chase`) compiles each into the
+  same plans as a tgd, with Skolem semantics: a function term is a
+  labeled null memoized on (function, arguments) for the run, and a
+  condition filters the joined triggers.  That is what makes composed
+  mappings *runnable* by the mapping runtime, closing the
+  design-time/runtime loop the paper calls for.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ExpressivenessError
-from repro.instances.database import Instance, Row
-from repro.instances.labeled_null import LabeledNull, NullFactory
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom, Equality
-from repro.logic.homomorphism import iter_homomorphisms
 from repro.logic.terms import Const, FuncTerm, Substitution, Term, Var, functions_of, variables_of
 
 
@@ -91,6 +91,23 @@ class SecondOrderTGD:
     @property
     def is_first_order(self) -> bool:
         return not self.functions
+
+    def runnable(self) -> tuple[Implication, ...]:
+        """The implications that can fire in a data exchange.
+
+        Equalities that a composition cannot resolve can leave
+        ``R(f(x))`` in a body, or a condition on a variable that no body
+        atom binds.  Neither fires: ``f(x)`` is a null fresh to the run,
+        which no source row holds, and an unbound variable equals no
+        value, as in a first-order condition.
+        """
+        return tuple(
+            implication for implication in self.implications
+            if not any(atom.functions() for atom in implication.body)
+            and all(condition.variables() <= set().union(
+                *(atom.variables() for atom in implication.body))
+                for condition in implication.conditions)
+        )
 
     def size(self) -> int:
         """Total atom count — the measure of composition blow-up the
@@ -270,90 +287,3 @@ def _resolve_conditions(implication: Implication) -> Optional[Implication]:
         tuple(Equality(resolve(c.left), resolve(c.right)) for c in residual),
         implication.name,
     )
-
-
-# ----------------------------------------------------------------------
-# Execution with Skolem semantics
-# ----------------------------------------------------------------------
-def execute_so_tgd(
-    so_tgd: SecondOrderTGD,
-    source: Instance,
-    target: Optional[Instance] = None,
-    null_factory: Optional[NullFactory] = None,
-) -> Instance:
-    """Populate a target instance from ``source`` per ``so_tgd``.
-
-    Function terms are interpreted as Skolem functions producing
-    labeled nulls, memoized per (function, arguments) — so two
-    implications inventing ``f(x)`` for the same ``x`` agree, which is
-    exactly the semantics composition relies on.
-    """
-    result = target if target is not None else Instance()
-    factory = null_factory or NullFactory(
-        max((n.label for n in source.nulls()), default=-1) + 1
-    )
-    skolem_cache: dict[tuple, LabeledNull] = {}
-
-    for implication in so_tgd.implications:
-        bound = set().union(*(atom.variables() for atom in implication.body))
-        if any(atom.functions() for atom in implication.body) or any(
-            not condition.variables() <= bound for condition in implication.conditions
-        ):
-            # Equalities that a composition cannot resolve can leave
-            # R(f(x)) in a body, or a condition on a variable that no
-            # body atom binds.  Neither fires: f(x) is a null fresh to
-            # this run, which no source row holds, and an unbound
-            # variable equals no value, as in a first-order condition.
-            continue
-        first_order_conditions = [
-            c
-            for c in implication.conditions
-            if not (functions_of(c.left) or functions_of(c.right))
-        ]
-        functional_conditions = [
-            c for c in implication.conditions if c not in first_order_conditions
-        ]
-        for assignment in iter_homomorphisms(
-            implication.body, source, first_order_conditions
-        ):
-            if not _functional_conditions_hold(
-                functional_conditions, assignment, skolem_cache, factory
-            ):
-                continue
-            for atom in implication.head:
-                row: Row = {}
-                for name, term in atom.args:
-                    row[name] = _term_to_value(
-                        term, assignment, skolem_cache, factory
-                    )
-                result.insert(atom.relation, row)
-    return result.deduplicated()
-
-
-def _term_to_value(term: Term, assignment, cache, factory) -> object:
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Var):
-        return assignment[term]
-    args = tuple(
-        _freeze(_term_to_value(a, assignment, cache, factory)) for a in term.args
-    )
-    key = (term.function, args)
-    if key not in cache:
-        cache[key] = factory.fresh(hint=term.function)
-    return cache[key]
-
-
-def _freeze(value: object) -> object:
-    if isinstance(value, LabeledNull):
-        return ("⊥", value.label)
-    return value
-
-
-def _functional_conditions_hold(conditions, assignment, cache, factory) -> bool:
-    for condition in conditions:
-        left = _term_to_value(condition.left, assignment, cache, factory)
-        right = _term_to_value(condition.right, assignment, cache, factory)
-        if left != right:
-            return False
-    return True

@@ -26,11 +26,11 @@ from repro.algebra.evaluator import evaluate
 from repro.algebra.expressions import RelExpr
 from repro.errors import MappingError
 from repro.instances.database import Instance, freeze_row
+from repro.logic.chase import chase, satisfies
 from repro.logic.dependencies import EGD, TGD
 from repro.logic.formulas import Atom
-from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
-from repro.logic.second_order import SecondOrderTGD, execute_so_tgd
 from repro.logic.homomorphism import instance_homomorphism
+from repro.logic.second_order import Implication, SecondOrderTGD
 from repro.metamodel.schema import Schema
 
 
@@ -149,23 +149,14 @@ class Mapping:
     ) -> bool:
         """⟨D1, D2⟩ ∈ mapping?  (Section 2's subset of D1 × D2.)"""
         combined = self._combined(source_instance, target_instance)
-        for constraint in self.constraints:
-            if isinstance(constraint, EqualityConstraint):
-                if not constraint.holds_for(
-                    source_instance, target_instance,
-                    self.source, self.target,
-                ):
-                    return False
-            elif isinstance(constraint, TGD):
-                if not self._tgd_holds(constraint, combined):
-                    return False
-            elif isinstance(constraint, EGD):
-                if not self._egd_holds(constraint, combined):
-                    return False
-        if self.so_tgd is not None:
-            if not self._so_tgd_holds(source_instance, target_instance):
+        for constraint in self.equalities:
+            if not constraint.holds_for(
+                source_instance, target_instance, self.source, self.target,
+            ):
                 return False
-        return True
+        if not satisfies(combined, self.tgds + self.egds):
+            return False
+        return self.so_tgd is None or self._so_tgd_holds(combined)
 
     def _combined(self, source_instance: Instance, target_instance: Instance) -> Instance:
         combined = Instance()
@@ -175,53 +166,31 @@ class Mapping:
             combined.relations.setdefault(relation, []).extend(rows)
         return combined
 
-    @staticmethod
-    def _tgd_holds(tgd: TGD, combined: Instance) -> bool:
-        for assignment in iter_homomorphisms(tgd.body, combined):
-            partial = {
-                var: value
-                for var, value in assignment.items()
-                if var in tgd.frontier()
-            }
-            if find_homomorphism(tgd.head, combined, partial=partial) is None:
-                return False
-        return True
-
-    @staticmethod
-    def _egd_holds(egd: EGD, combined: Instance) -> bool:
-        from repro.logic.terms import Const, Var
-
-        for assignment in iter_homomorphisms(egd.body, combined):
-            for equality in egd.equalities:
-                left = (
-                    equality.left.value
-                    if isinstance(equality.left, Const)
-                    else assignment[equality.left]
-                )
-                right = (
-                    equality.right.value
-                    if isinstance(equality.right, Const)
-                    else assignment[equality.right]
-                )
-                if left != right:
-                    return False
-        return True
-
-    def _so_tgd_holds(
-        self, source_instance: Instance, target_instance: Instance
-    ) -> bool:
+    def _so_tgd_holds(self, combined: Instance) -> bool:
         """An SO-tgd holds iff *some* interpretation of the function
         symbols satisfies all implications.  We check the canonical
-        Skolem interpretation: execute and test that the produced atoms
-        map homomorphically into the given pair.
+        Skolem interpretation: the chase runs the runnable implications
+        over the combined pair, and the head rows they produce must map
+        homomorphically into it.
 
         Bodies are matched against the *combined* instance (atoms find
         their relations wherever they live), so the check stays correct
         for inverted mappings and for implications whose bodies are not
-        purely source-side.
+        purely source-side.  The heads write relations tagged apart (a
+        tuple names no stored relation), so no body reads a produced
+        row: a mapping from a schema to itself runs once rather than
+        chasing its own output.
         """
-        combined = self._combined(source_instance, target_instance)
-        produced = execute_so_tgd(self.so_tgd, combined)
+        tagged = [
+            Implication(i.body, tuple(Atom(("head", a.relation), a.args)
+                                      for a in i.head),
+                        i.conditions, i.name)
+            for i in self.so_tgd.runnable()
+        ]
+        chased = chase(combined, tagged, copy=False).instance
+        produced = Instance()
+        for relation in [r for r in chased.relations if isinstance(r, tuple)]:
+            produced.relations[relation[1]] = chased.relations.pop(relation)
         return instance_homomorphism(produced, combined) is not None
 
     # ------------------------------------------------------------------

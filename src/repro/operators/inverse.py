@@ -34,6 +34,7 @@ from repro.logic.dependencies import TGD
 from repro.logic.homomorphism import instance_homomorphism
 from repro.mappings.mapping import Mapping
 from repro.observability.instrument import instrumented
+from repro.operators.transgen import exchange_dependencies
 
 
 @instrumented("op.invert", attrs=lambda mapping: {
@@ -148,13 +149,15 @@ def roundtrips(
     target_relations = set(forward.target.entities)
     source_relations = set(forward.source.entities)
 
-    forward_result = chase(source_instance, forward.tgds).instance
+    forward_result = chase(source_instance,
+                           exchange_dependencies(forward)).instance
     target_instance = Instance()
     for relation in target_relations:
         if forward_result.rows(relation):
             target_instance.relations[relation] = list(forward_result.rows(relation))
 
-    backward_result = chase(target_instance, backward.tgds).instance
+    backward_result = chase(target_instance,
+                            exchange_dependencies(backward)).instance
     recovered = Instance()
     for relation in source_relations:
         if backward_result.rows(relation):

@@ -190,14 +190,16 @@ def scan_relations(expr: E.RelExpr, schema: Optional[Schema] = None) -> set:
 def exchange_dependencies(
     mapping: Mapping, enforce_target_keys: bool = False
 ) -> list:
-    """The chase dependency set of a tgd mapping's data exchange: the
-    mapping's constraints plus, when ``enforce_target_keys``, the
-    target's primary-key constraints as egds (the Section 4 interplay
-    of mappings with target constraints).  Shared by
-    :class:`ExchangeTransformation` and the incremental runtime
-    (:mod:`repro.runtime.incremental`), which must chase with the
-    *same* dependency list to keep provenance indexes aligned."""
-    dependencies = list(mapping.constraints)
+    """The chase dependency set of a (SO-)tgd mapping's data exchange:
+    the mapping's constraints, or its SO-tgd's runnable implications,
+    plus, when ``enforce_target_keys``, the target's primary-key
+    constraints as egds (the Section 4 interplay of mappings with
+    target constraints).  Shared by :class:`ExchangeTransformation` and
+    the incremental runtime (:mod:`repro.runtime.incremental`), which
+    must chase with the *same* dependency list to keep provenance
+    indexes aligned."""
+    dependencies = list(mapping.so_tgd.runnable() if mapping.so_tgd
+                        else mapping.constraints)
     if enforce_target_keys:
         from repro.logic.dependencies import key_egd
         from repro.metamodel.constraints import KeyConstraint
@@ -233,31 +235,23 @@ class ExchangeTransformation(Transformation):
         self.compute_core = compute_core
         self.enforce_target_keys = enforce_target_keys
         self.name = name
-        #: ChaseStats of the most recent :meth:`apply` (None for so-tgd
-        #: execution, which bypasses the chase).
+        #: ChaseStats of the most recent :meth:`apply` (None before the
+        #: first).
         self.last_chase_stats: Optional[ChaseStats] = None
-
-    def _dependencies(self):
-        return exchange_dependencies(self.mapping, self.enforce_target_keys)
 
     def apply(
         self, instance: Instance, engine: Optional[str] = None
     ) -> Instance:
-        # ``engine`` is accepted for interface uniformity; the chase and
-        # so-tgd execution do not run relational algebra.
-        self.last_chase_stats = None
-        if self.mapping.so_tgd is not None:
-            from repro.logic.second_order import execute_so_tgd
-
-            produced = execute_so_tgd(self.mapping.so_tgd, instance)
-        else:
-            result = chase(instance, self._dependencies())
-            self.last_chase_stats = result.stats
-            chased = result.instance
-            produced = Instance()
-            for relation in self.mapping.target.entities:
-                if chased.rows(relation):
-                    produced.relations[relation] = list(chased.rows(relation))
+        # ``engine`` is accepted for interface uniformity; the chase
+        # does not run relational algebra.
+        result = chase(instance, exchange_dependencies(
+            self.mapping, self.enforce_target_keys))
+        self.last_chase_stats = result.stats
+        chased = result.instance
+        produced = Instance()
+        for relation in self.mapping.target.entities:
+            if chased.rows(relation):
+                produced.relations[relation] = list(chased.rows(relation))
         if self.compute_core:
             produced = core_of(produced)
         produced.schema = self.mapping.target
@@ -315,7 +309,7 @@ def transgen(
     Returns an :class:`ExchangeTransformation` for (SO-)tgd mappings and
     a :class:`TransformationPair` for equality mappings.
     ``enforce_target_keys`` adds the target schema's primary keys as
-    egds to the exchange chase (tgd mappings only).
+    egds to the exchange chase ((SO-)tgd mappings).
     """
     if mapping.equalities:
         return _views_from_equalities(mapping)

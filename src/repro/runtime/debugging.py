@@ -22,7 +22,12 @@ from repro.operators.transgen import (
     TransformationPair,
     transgen,
 )
-from repro.runtime.provenance import ProvenanceEntry, lineage, route
+from repro.runtime.provenance import (
+    ProvenanceEntry,
+    invert_head,
+    lineage,
+    route,
+)
 
 
 @dataclass
@@ -143,9 +148,7 @@ class MappingDebugger:
         that could produce the relation, which body atoms found no
         matching source data — the paper's debugging scenario of a
         mapping that silently drops data."""
-        from repro.logic.formulas import Atom
         from repro.logic.homomorphism import find_homomorphism
-        from repro.logic.terms import Const, Var
 
         reasons: list[str] = []
         for tgd in self.mapping.tgds:
@@ -153,20 +156,13 @@ class MappingDebugger:
             if not heads:
                 continue
             for head_atom in heads:
-                from repro.runtime.provenance import _head_matches
-
-                seed = _head_matches(head_atom, expected_row, {})
-                if seed is None:
+                partial = invert_head(head_atom, expected_row, tgd.frontier())
+                if partial is None:
                     reasons.append(
                         f"[{tgd.name or tgd}] head cannot produce the row "
                         "(constant mismatch)"
                     )
                     continue
-                partial = {
-                    var: value
-                    for var, value in seed.items()
-                    if var in tgd.frontier()
-                }
                 if find_homomorphism(tgd.body, source, partial=partial):
                     reasons.append(
                         f"[{tgd.name or tgd}] would produce the row — "

@@ -41,8 +41,9 @@ def exchange(
 ) -> Instance:
     """One-call data exchange: TransGen + execute.
 
-    For tgd mappings this computes a universal solution (optionally the
-    core); for equality mappings it evaluates the generated query view.
+    For (SO-)tgd mappings this computes a universal solution (optionally
+    the core); for equality mappings it evaluates the generated query
+    view.
     """
     produced, _ = exchange_with_stats(mapping, source, compute_core, engine)
     return produced
@@ -55,9 +56,9 @@ def exchange_with_stats(
     engine: Optional[str] = None,
 ) -> tuple[Instance, Optional[ChaseStats]]:
     """:func:`exchange`, additionally returning the chase's
-    :class:`ChaseStats` (``None`` when no chase ran — equality mappings
-    and so-tgd execution).  With observability enabled the same numbers
-    also land in the metrics registry (``chase.*``) via the chase."""
+    :class:`ChaseStats` (``None`` when no chase ran — equality
+    mappings).  With observability enabled the same numbers also land
+    in the metrics registry (``chase.*``) via the chase."""
     attributes = (
         {
             "mapping": mapping.name,

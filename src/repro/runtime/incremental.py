@@ -27,7 +27,9 @@ tgd mapping's universal solution materialized and maintains it under
   by reinstating a dead derivation from an alternative body witness
   with the same frontier key (which preserves its labeled nulls), then
   by cross-dependency refiring for rows derivable another way — and
-  finish with a repair delta chase over everything that moved;
+  finish with a repair delta chase over everything that moved.  Every
+  trigger comes from the chase's compiled plans (pinned to the deleted
+  rows, or with the frontier preset), keyed as the chase recorded it;
 
 * **egd-merge rollback** — an egd-merged null whose last deriving
   trigger dies must come apart again: the union-find substitution log
@@ -45,7 +47,7 @@ metrics in the observability registry.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ExpressivenessError
 from repro.instances.database import (
@@ -56,14 +58,20 @@ from repro.instances.database import (
     null_key_label,
 )
 from repro.instances.labeled_null import LabeledNull, NullFactory
-from repro.logic.chase import ChaseRecorder, chase, compile_dependency
-from repro.logic.dependencies import TGD
-from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
-from repro.logic.terms import Const, Var
+from repro.logic.chase import (
+    ChaseRecorder,
+    bindings,
+    chase,
+    compile_dependency,
+    distinct,
+    head_holds,
+    head_members,
+)
 from repro.mappings.mapping import Mapping
 from repro.observability.instrument import instrumented
 from repro.observability.state import STATE as _OBS
 from repro.operators.transgen import exchange_dependencies
+from repro.runtime.provenance import invert_head
 from repro.runtime.updates import UpdateSet, resolve_deletes
 
 
@@ -167,7 +175,7 @@ class MaterializedExchange:
         if mapping.so_tgd is not None or not mapping.tgds:
             raise ExpressivenessError(
                 "incremental materialized exchange needs a tgd mapping "
-                "(so-tgds and pure equality mappings are not chased)"
+                "(so-tgds and pure equality mappings are not maintained)"
             )
         self.mapping = mapping
         self._dependencies = exchange_dependencies(mapping,
@@ -511,37 +519,25 @@ class MaterializedExchange:
         overdeleted = 0
         next_round: dict[str, list[Row]] = {}
         while pending:
-            for dep_index, dependency in enumerate(self._dependencies):
-                if not (self._compiled[dep_index].relations
-                        & pending.keys()):
+            for dep_index, plan in enumerate(self._compiled):
+                if not (plan.relations & pending.keys()):
                     continue
-                if isinstance(dependency, TGD):
-                    frontier = self._compiled[dep_index].frontier
-                    for assignment in self._pinned_triggers(dep_index,
-                                                            pending):
-                        key = tuple(
-                            hashable_key(assignment[v]) for v in frontier
-                        )
-                        bucket = self._derivations.get((dep_index, key))
-                        if bucket:
-                            for derivation in list(bucket):
-                                self._kill_derivation(
-                                    derivation, dead_derivations,
-                                    next_round, scheduled
-                                )
-                else:
-                    variables = self._compiled[dep_index].variables
-                    for assignment in self._pinned_triggers(dep_index,
-                                                            pending):
-                        body_key = tuple(
-                            hashable_key(assignment[v]) for v in variables
-                        )
-                        for edge in self._edges.pop(
-                            (dep_index, body_key), []
-                        ):
+                # Frontier and body keys as the chase recorded them.
+                fget = plan.fget if plan.kind != "egd" else None
+                for binding in distinct(plan, self.working, pending):
+                    key = tuple(map(hashable_key, binding if fget is None
+                                    else fget(binding)))
+                    if plan.kind == "egd":
+                        for edge in self._edges.pop((dep_index, key), []):
                             edge.alive = False
                             dead_edges.append(edge)
                             self._session_dead.append(edge)
+                        continue
+                    for derivation in list(
+                        self._derivations.get((dep_index, key), ())
+                    ):
+                        self._kill_derivation(derivation, dead_derivations,
+                                              next_round, scheduled)
             self._remove_batch(pending)
             pending = next_round
             next_round = {}
@@ -571,27 +567,6 @@ class MaterializedExchange:
             if count <= 0 and rid in self._alive and rid not in scheduled:
                 scheduled.add(rid)
                 dying_out.setdefault(relation, []).append(row)
-
-    def _pinned_triggers(self, dep_index: int,
-                         delta: dict[str, list[Row]]) -> Iterator[dict]:
-        dependency = self._dependencies[dep_index]
-        body = dependency.body
-        variables = self._compiled[dep_index].variables
-        seen: set = set()
-        for position, atom in enumerate(body):
-            delta_rows = delta.get(atom.relation)
-            if not delta_rows:
-                continue
-            for assignment in iter_homomorphisms(
-                body, self.working, pinned=(position, delta_rows)
-            ):
-                key = tuple(
-                    [hashable_key(assignment[v]) for v in variables]
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield assignment
 
     def _remove_batch(self, pending: dict[str, list[Row]]) -> None:
         for relation, rows in pending.items():
@@ -649,14 +624,10 @@ class MaterializedExchange:
         head rows (and their labeled nulls) exactly."""
         if self._derivations.get((derivation.dep_index, derivation.key)):
             return False  # the frontier key is already supported
-        dependency = self._dependencies[derivation.dep_index]
-        partial = {var: value for var, value in derivation.frontier}
-        witness = next(
-            iter_homomorphisms(dependency.body, self.working,
-                               partial=partial),
-            None,
-        )
-        if witness is None:
+        plan = self._compiled[derivation.dep_index]
+        witnesses = bindings(plan, self.working,
+                             partial=dict(derivation.frontier))
+        if next(iter(witnesses), None) is None:
             return False
         for relation, row in derivation.rows:
             self.working.relations.setdefault(relation, []).append(row)
@@ -675,78 +646,43 @@ class MaterializedExchange:
         """Fire any dependency whose head can produce ``row``'s content
         from a surviving, so-far-unused trigger (fresh nulls for the
         existentials, exactly as the chase would)."""
-        for dep_index, dependency in enumerate(self._dependencies):
-            if not isinstance(dependency, TGD):
+        for dep_index, plan in enumerate(self._compiled):
+            if plan.kind == "egd":
                 continue
-            frontier_set = self._compiled[dep_index].frontier_set
-            frontier = self._compiled[dep_index].frontier
-            for atom in dependency.head:
+            for atom in plan.dependency.head:
                 if atom.relation != relation:
                     continue
-                partial = self._invert_head(atom, row, frontier_set)
+                partial = invert_head(atom, row, plan.frontier_set)
                 if partial is None:
                     continue
-                for assignment in iter_homomorphisms(
-                    dependency.body, self.working, partial=partial
-                ):
-                    key = tuple(
-                        hashable_key(assignment[v]) for v in frontier
+                members = head_members(plan, self.working)
+                fresh = [()] * len(members)
+                for binding in bindings(plan, self.working, partial=partial):
+                    values = (binding if plan.fget is None
+                              else plan.fget(binding))
+                    key = tuple(map(hashable_key, values))
+                    if self._derivations.get((dep_index, key)) or head_holds(
+                        plan, self.working, key, values, members, fresh
+                    ):
+                        continue
+                    cells = values + plan.consts + tuple(
+                        self._factory.fresh(hint=h) for h in plan.hints
                     )
-                    if self._derivations.get((dep_index, key)):
-                        continue
-                    head_partial = {v: assignment[v] for v in frontier}
-                    if find_homomorphism(
-                        dependency.head, self.working, partial=head_partial
-                    ) is not None:
-                        continue
-                    return self._fire(dep_index, dependency, assignment,
-                                      key)
-        return []
-
-    @staticmethod
-    def _invert_head(atom, row: Row, frontier_set) -> Optional[dict]:
-        partial: dict = {}
-        for attr, term in atom.args:
-            if attr not in row:
-                return None
-            value = row[attr]
-            if isinstance(term, Const):
-                if value != term.value:
-                    return None
-            elif isinstance(term, Var) and term in frontier_set:
-                if term in partial and partial[term] != value:
-                    return None
-                partial[term] = value
-            # existential positions are unconstrained
-        return partial
-
-    def _fire(self, dep_index, tgd, assignment, key):
-        frontier = self._compiled[dep_index].frontier
-        existential_values: dict = {}
-        head_rows: list[tuple[str, Row]] = []
-        for atom in tgd.head:
-            row: Row = {}
-            for attr, term in atom.args:
-                if isinstance(term, Const):
-                    row[attr] = term.value
-                elif term in assignment:
-                    row[attr] = assignment[term]
-                else:
-                    null = existential_values.get(term)
-                    if null is None:
-                        null = self._factory.fresh(
-                            hint=f"{tgd.name or 'tgd'}.{term.name}"
+                    head_rows = [
+                        (name, dict(zip(attrs, cells if pick is None
+                                        else pick(cells))))
+                        for name, attrs, pick in plan.templates
+                    ]
+                    for name, stored in head_rows:
+                        self.working.relations.setdefault(name, []).append(
+                            stored
                         )
-                        existential_values[term] = null
-                    row[attr] = null
-            stored = self.working.insert(atom.relation, row)
-            head_rows.append((atom.relation, stored))
-        self._record_derivation(
-            dep_index, key,
-            [(v, assignment[v]) for v in frontier],
-            head_rows,
-        )
-        return head_rows
+                    self._record_derivation(
+                        dep_index, key, list(zip(plan.frontier, values)),
+                        head_rows,
+                    )
+                    return head_rows
+        return []
 
     # -- egd rollback --------------------------------------------------
     def _rollback_edges(self, dead_edges):

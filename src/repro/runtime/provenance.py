@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 from repro.instances.database import Instance, Row, freeze_row
 from repro.instances.labeled_null import LabeledNull
+from repro.logic.chase import bindings, compile_dependency
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom
-from repro.logic.homomorphism import iter_homomorphisms
-from repro.logic.terms import Const, Var
+from repro.logic.terms import Const
 from repro.observability.instrument import instrumented
 
 
@@ -37,12 +37,12 @@ class ProvenanceEntry:
         return f"via [{self.dependency.name or self.dependency}] from {rows}"
 
 
-def _head_matches(
-    atom: Atom, row: Row, assignment: dict
-) -> Optional[dict]:
-    """Extend ``assignment`` so that the head atom instantiates to
-    ``row``; labeled nulls in the row match existential variables."""
-    extended = dict(assignment)
+def invert_head(atom: Atom, row: Row, frontier) -> Optional[dict]:
+    """The ``frontier`` bindings under which head ``atom`` instantiates
+    to ``row``, or None when it cannot: every attribute present, the
+    constants equal, and each repeated term meeting one value.  Labeled
+    nulls in the row may stand for existential variables."""
+    seen: dict = {}
     for name, term in atom.args:
         if name not in row:
             return None
@@ -50,15 +50,12 @@ def _head_matches(
         if isinstance(term, Const):
             if value != term.value:
                 return None
-        elif isinstance(term, Var):
-            if term in extended:
-                if extended[term] != value:
-                    return None
-            else:
-                extended[term] = value
+        elif term in seen:
+            if seen[term] != value:
+                return None
         else:
-            return None
-    return extended
+            seen[term] = value
+    return {var: value for var, value in seen.items() if var in frontier}
 
 
 @instrumented("provenance.lineage", attrs=lambda target_row, relation,
@@ -76,23 +73,19 @@ def lineage(
     via the given tgds (why-provenance)."""
     entries: list[ProvenanceEntry] = []
     for tgd in dependencies:
+        plan = compile_dependency(tgd)
         for head_atom in tgd.head:
             if head_atom.relation != relation:
                 continue
-            seed = _head_matches(head_atom, target_row, {})
-            if seed is None:
-                continue
             # Existential variables bound to labeled nulls do not
             # constrain the body; keep only frontier bindings.
-            frontier = tgd.frontier()
-            partial = {
-                var: value for var, value in seed.items() if var in frontier
-            }
-            if any(isinstance(v, LabeledNull) for v in partial.values()):
-                continue  # null in a frontier position: not derivable here
-            for assignment in iter_homomorphisms(
-                tgd.body, source_instance, partial=partial
+            partial = invert_head(head_atom, target_row, plan.frontier_set)
+            if partial is None or any(
+                isinstance(v, LabeledNull) for v in partial.values()
             ):
+                continue  # null in a frontier position: not derivable here
+            for binding in bindings(plan, source_instance, partial=partial):
+                assignment = dict(zip(plan.variables, binding))
                 source_rows = _witness_rows(tgd.body, assignment,
                                             source_instance)
                 entries.append(
@@ -111,17 +104,15 @@ def _witness_rows(
     witnesses: list[tuple[str, Row]] = []
     for atom in body:
         for row in instance.rows(atom.relation):
-            if _head_matches(atom, row, dict(assignment)) is not None:
-                matches = all(
-                    row.get(name) == (
-                        term.value if isinstance(term, Const)
-                        else assignment.get(term)
-                    )
-                    for name, term in atom.args
+            if all(
+                name in row and row[name] == (
+                    term.value if isinstance(term, Const)
+                    else assignment[term]
                 )
-                if matches:
-                    witnesses.append((atom.relation, row))
-                    break
+                for name, term in atom.args
+            ):
+                witnesses.append((atom.relation, row))
+                break
     return witnesses
 
 

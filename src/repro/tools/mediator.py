@@ -124,8 +124,11 @@ class QueryMediator:
         """Per-source query plans (unfolded when possible)."""
         plans = {}
         for source in self._sources.values():
-            try:
-                plans[source.name] = repr(source.processor.unfolded(query))
-            except Exception:  # noqa: BLE001 - tgd sources have no unfolding
-                plans[source.name] = "(certain answers over exchanged data)"
+            # Only equality mappings unfold; tgd sources answer over
+            # their exchanged data.
+            plans[source.name] = (
+                repr(source.processor.unfolded(query))
+                if source.mapping.equalities
+                else "(certain answers over exchanged data)"
+            )
         return plans

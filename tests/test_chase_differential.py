@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.errors import ChaseFailure, ChaseNonTermination
+from repro.errors import ChaseNonTermination
 from repro.instances import Instance, LabeledNull
 from repro.instances.database import freeze_row
 from repro.logic import chase, naive_chase, parse_egd, parse_tgd
@@ -212,8 +212,21 @@ class TestFullTGDLane:
             plan = compile_dependency(parse_tgd(text))
             assert plan.kind == "tgd∃"
             assert not isinstance(plan.probes[0], tuple)
-        with pytest.raises(ChaseFailure):
-            compile_dependency(parse_tgd("R(a=x) -> S(a=f(x))"))
+        # A function term in a head is a cell memoized on its arguments
+        # for the run: equal arguments meet one null, across dependencies.
+        skolem = parse_tgd("R(a=x) -> S(a=f(x))")
+        plan = compile_dependency(skolem)
+        assert plan.kind == "tgd∃" and plan.skolems
+        assert all(isinstance(probe, tuple) for probe in plan.probes)
+        db = Instance()
+        db.insert_all("R", [{"a": 1}, {"a": 2}, {"a": 1}])
+        result = chase(db, [skolem, parse_tgd("R(a=x) -> U(a=x, b=f(x))")])
+        nulls = [row["a"] for row in result.instance.rows("S")]
+        assert len(set(nulls)) == len(nulls) == 2 and result.steps == 4
+        assert all(isinstance(null, LabeledNull) for null in nulls)
+        assert [(row["a"], row["b"]) for row in result.instance.rows("U")] == [
+            (1, nulls[0]), (2, nulls[1])
+        ]
         egd = parse_egd("Assign(eid=e, office=f) & Assign(eid=e, office=g) "
                         "-> f = g")
         assert compile_dependency(egd).group is not None

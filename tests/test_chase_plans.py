@@ -2,9 +2,10 @@
 as a hash group-by against the naive oracle.
 
 * a compiled body plan enumerates exactly the triggers of
-  ``iter_homomorphisms``, in its order, in round 0 and pinned to a
-  delta — on seeded random bodies with constants, repeated variables,
-  self-joins, rows lacking attributes and mixed value types;
+  ``iter_homomorphisms``, in its order, in round 0, pinned to a delta
+  and with variables preset (``partial=``) — on seeded random bodies
+  with constants, repeated variables, self-joins, rows lacking
+  attributes and mixed value types, presets included;
 * a key egd ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` takes the group-by and
   matches ``naive_chase`` (same steps, results equal modulo nulls,
   same failures); egds outside that shape take the compiled plan;
@@ -25,7 +26,9 @@ from repro.logic.chase import (
     _fresh_factory,
     _SemiNaiveChase,
     _UnionFind,
+    bindings,
     compile_dependency,
+    triggers,
 )
 from repro.logic.dependencies import key_egd
 from repro.logic.formulas import Atom
@@ -39,22 +42,20 @@ def _typed(value):
     return (type(value).__name__, hashable_key(value))
 
 
-def plan_triggers(instance, dependency, pin=None, delta=None):
+def plan_triggers(instance, dependency, pin=None, delta=None, partial=None):
     """The compiled plan's triggers as typed ``{variable: value}``
     lists, in enumeration order: all of them, those with one atom
-    pinned, or a delta round's."""
-    engine = _SemiNaiveChase(instance, [dependency],
-                             _fresh_factory(instance), 0)
-    plan = engine.plans[0]
-    bindings = (engine._bindings(plan, pin) if delta is None
-                else engine._triggers(plan, delta))
+    pinned or some variables preset, or a delta round's."""
+    plan = compile_dependency(dependency)
+    found = (bindings(plan, instance, pin, partial) if delta is None
+             else triggers(plan, instance, delta))
     return [
         {var: _typed(value) for var, value in zip(plan.variables, binding)}
-        for binding in bindings
+        for binding in found
     ]
 
 
-def search_triggers(instance, dependency, pin=None, delta=None):
+def search_triggers(instance, dependency, pin=None, delta=None, partial=None):
     """The same from ``iter_homomorphisms``; a delta round pins each
     atom in turn and keeps each distinct assignment once (a one-atom
     body: once per delta row)."""
@@ -65,7 +66,8 @@ def search_triggers(instance, dependency, pin=None, delta=None):
     ]
     found, seen = [], set()
     for each in pins:
-        for assignment in iter_homomorphisms(body, instance, pinned=each):
+        for assignment in iter_homomorphisms(body, instance, partial=partial,
+                                             pinned=each):
             key = tuple(hashable_key(value) for _, value in
                         sorted(assignment.items(), key=lambda i: i[0].name))
             if delta is not None and len(body) > 1 and key in seen:
@@ -97,6 +99,30 @@ def assert_plans_match_search(instance, dependencies, rng=None):
         assert plan_triggers(instance, dependency, delta=delta) == (
             search_triggers(instance, dependency, delta=delta)
         ), dependency
+        for partial in presets(instance, dependency, rng):
+            assert plan_triggers(instance, dependency, partial=partial) == (
+                search_triggers(instance, dependency, partial=partial)
+            ), (dependency, partial)
+
+
+def presets(instance, dependency, rng, count=3):
+    """Partial assignments of ``dependency``'s body variables: values
+    of a trigger the search finds (when there is one), then values
+    drawn from ``_VALUES`` — labeled nulls and 1/True/1.0 included."""
+    variables = sorted(set().union(*(a.variables() for a in dependency.body)),
+                       key=lambda var: var.name)
+    if not variables:
+        return []
+    found = list(iter_homomorphisms(dependency.body, instance))
+    result = []
+    for n in range(count):
+        chosen = rng.sample(variables, rng.randint(1, len(variables)))
+        if n == 0 and found:
+            trigger = rng.choice(found)
+            result.append({var: trigger[var] for var in chosen})
+        else:
+            result.append({var: rng.choice(_VALUES) for var in chosen})
+    return result
 
 
 def assert_matches_naive(db, deps, max_steps=100_000):
@@ -142,7 +168,7 @@ def _random_body(rng):
 
 
 class TestPlansMatchSearch:
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", range(90))
     def test_random_bodies(self, seed):
         rng = random.Random(seed)
         db = _random_instance(rng)

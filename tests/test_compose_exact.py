@@ -16,6 +16,12 @@ case product that renames the chosen origin again for every choice.
   alternatives family, copy chains and seeded random st-tgd pairs.
 * Exchanging through the composition must be homomorphically
   equivalent to the two-step exchange on random instances.
+* The chase runs a composition that stays second-order; it must equal
+  ``execute_so_tgd``, the separate executor that ran SO-tgds before
+  (kept below verbatim), up to null renaming — on the random pairs and
+  on 60 seeded compositions whose Skolem functions survive
+  de-Skolemization and whose invented values feed joins (one function
+  in several head positions) or conditions.
 """
 
 from __future__ import annotations
@@ -29,21 +35,24 @@ import pytest
 
 from repro.errors import CompositionError
 from repro.instances import Instance
+from repro.instances.database import Row
+from repro.instances.labeled_null import LabeledNull, NullFactory
 from repro.logic import chase
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom, Equality
-from repro.logic.homomorphism import are_hom_equivalent
+from repro.logic.homomorphism import are_hom_equivalent, iter_homomorphisms
 from repro.logic.second_order import (
     Implication,
     SecondOrderTGD,
     _resolve_conditions,
     skolemize_all,
 )
-from repro.logic.terms import Const, FuncTerm, Term, Var
+from repro.logic.terms import Const, FuncTerm, Term, Var, functions_of
 from repro.mappings import Mapping
 from repro.metamodel import INT, SchemaBuilder
 from repro.operators import compose
 from repro.runtime import exchange
+from repro.runtime.incremental import set_equal_modulo_nulls
 from repro.workloads import synthetic
 
 # The package re-exports compose(), which shadows the module.
@@ -236,6 +245,92 @@ def _oracle_mark_functions(sigma23: SecondOrderTGD) -> SecondOrderTGD:
                           for c in i.conditions), i.name)
         for i in sigma23.implications
     ), name=sigma23.name)
+
+
+# The former second SO-tgd executor, verbatim: each implication's body
+# matched against the source, every head instance inserted, then deduped.
+def execute_so_tgd(
+    so_tgd: SecondOrderTGD,
+    source: Instance,
+    target: Optional[Instance] = None,
+    null_factory: Optional[NullFactory] = None,
+) -> Instance:
+    """Populate a target instance from ``source`` per ``so_tgd``.
+
+    Function terms are interpreted as Skolem functions producing
+    labeled nulls, memoized per (function, arguments) — so two
+    implications inventing ``f(x)`` for the same ``x`` agree, which is
+    exactly the semantics composition relies on.
+    """
+    result = target if target is not None else Instance()
+    factory = null_factory or NullFactory(
+        max((n.label for n in source.nulls()), default=-1) + 1
+    )
+    skolem_cache: dict[tuple, LabeledNull] = {}
+
+    for implication in so_tgd.implications:
+        bound = set().union(*(atom.variables() for atom in implication.body))
+        if any(atom.functions() for atom in implication.body) or any(
+            not condition.variables() <= bound for condition in implication.conditions
+        ):
+            # Equalities that a composition cannot resolve can leave
+            # R(f(x)) in a body, or a condition on a variable that no
+            # body atom binds.  Neither fires: f(x) is a null fresh to
+            # this run, which no source row holds, and an unbound
+            # variable equals no value, as in a first-order condition.
+            continue
+        first_order_conditions = [
+            c
+            for c in implication.conditions
+            if not (functions_of(c.left) or functions_of(c.right))
+        ]
+        functional_conditions = [
+            c for c in implication.conditions if c not in first_order_conditions
+        ]
+        for assignment in iter_homomorphisms(
+            implication.body, source, first_order_conditions
+        ):
+            if not _functional_conditions_hold(
+                functional_conditions, assignment, skolem_cache, factory
+            ):
+                continue
+            for atom in implication.head:
+                row: Row = {}
+                for name, term in atom.args:
+                    row[name] = _term_to_value(
+                        term, assignment, skolem_cache, factory
+                    )
+                result.insert(atom.relation, row)
+    return result.deduplicated()
+
+
+def _term_to_value(term: Term, assignment, cache, factory) -> object:
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, Var):
+        return assignment[term]
+    args = tuple(
+        _freeze(_term_to_value(a, assignment, cache, factory)) for a in term.args
+    )
+    key = (term.function, args)
+    if key not in cache:
+        cache[key] = factory.fresh(hint=term.function)
+    return cache[key]
+
+
+def _freeze(value: object) -> object:
+    if isinstance(value, LabeledNull):
+        return ("⊥", value.label)
+    return value
+
+
+def _functional_conditions_hold(conditions, assignment, cache, factory) -> bool:
+    for condition in conditions:
+        left = _term_to_value(condition.left, assignment, cache, factory)
+        right = _term_to_value(condition.right, assignment, cache, factory)
+        if left != right:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -487,9 +582,51 @@ def test_random_pairs_alpha_equal_and_exchange_like_two_steps():
             assert are_hom_equivalent(one_step, two_step), (
                 f"{ours.so_tgd}\non {source.relations}"
             )
+            assert set_equal_modulo_nulls(
+                one_step, execute_so_tgd(ours.so_tgd, source)
+            ), f"{ours.so_tgd}\non {source.relations}"
             exchanged += bool(two_step.total_rows())
     # The pairs must exercise the case product and the exchange law.
     assert implications >= 600 and exchanged >= 150, (implications, exchanged)
+
+
+def _feeds_joins_or_conditions(so_tgd: SecondOrderTGD) -> bool:
+    """Does a function of a runnable implication occur in more than one
+    head position, or in a condition?"""
+    seen: set = set()
+    for implication in so_tgd.runnable():
+        if any(functions_of(c.left) | functions_of(c.right)
+               for c in implication.conditions):
+            return True
+        for atom in implication.head:
+            for _, term in atom.args:
+                if isinstance(term, FuncTerm):
+                    if term.function in seen:
+                        return True
+                    seen.add(term.function)
+    return False
+
+
+def test_genuinely_second_order_exchange_equals_the_executor():
+    rng = random.Random(61)
+    variants = invented = 0
+    while variants < 60:
+        m12, m23 = _random_pair(rng)
+        composed = compose(m12, m23)
+        if composed.so_tgd is None or not _feeds_joins_or_conditions(
+            composed.so_tgd
+        ):
+            continue
+        variants += 1
+        for _ in range(2):
+            source = _random_source(rng, m12)
+            expected = execute_so_tgd(composed.so_tgd, source)
+            assert set_equal_modulo_nulls(exchange(composed, source),
+                                          expected), (
+                f"{composed.so_tgd}\non {source.relations}"
+            )
+            invented += bool(expected.nulls())
+    assert invented >= 50, invented  # 60 of the 120 at this seed
 
 
 def test_every_resolver_call_equals_the_oracle(monkeypatch):

@@ -25,7 +25,7 @@ from repro.logic import (
 )
 from repro.logic.dependencies import key_egd
 from repro.logic.homomorphism import are_hom_equivalent, instance_homomorphism
-from repro.logic.second_order import execute_so_tgd, skolemize_all
+from repro.logic.second_order import skolemize_all
 
 
 class TestChaseFullTgds:
@@ -315,7 +315,7 @@ class TestSecondOrder:
         db = Instance()
         db.add("S", a=1)
         db.add("S", a=2)
-        out = execute_so_tgd(so, db)
+        out = chase(db, so.runnable()).instance
         assert out.cardinality("T") == 2
         assert out.cardinality("U") == 2
 
@@ -326,7 +326,10 @@ class TestSecondOrder:
         chased = chase(db, [tgd]).instance
         target_chase = Instance()
         target_chase.relations["T"] = chased.relations["T"]
-        executed = execute_so_tgd(skolemize_all([tgd]), db)
+        executed = Instance()
+        executed.relations["T"] = chase(
+            db, skolemize_all([tgd]).runnable()
+        ).instance.relations["T"]
         assert are_hom_equivalent(target_chase, executed)
 
     def test_so_tgd_size_metric(self):

@@ -127,11 +127,10 @@ def test_composition_equals_two_step_exchange(m12_text, m23_text, rows):
     two_step = Instance()
     two_step.relations["T"] = step2.relations.get("T", [])
 
-    from repro.logic.second_order import execute_so_tgd
     from repro.logic.second_order import skolemize_all
 
     so = composed.so_tgd or skolemize_all(composed.tgds)
-    direct = execute_so_tgd(so, source)
+    direct = chase(source, so.runnable()).instance
     one_step = Instance()
     one_step.relations["T"] = direct.relations.get("T", [])
     assert are_hom_equivalent(two_step, one_step)

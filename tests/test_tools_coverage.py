@@ -3,7 +3,7 @@ report filters, ETL edge cases."""
 
 import pytest
 
-from repro.algebra import Col, Scan, gt, project_names
+from repro.algebra import Col, EntityScan, Scan, gt, project_names
 from repro.errors import MappingError
 from repro.instances import Instance
 from repro.logic import parse_query, parse_tgd
@@ -45,6 +45,40 @@ class TestMediatorExtras:
         mediator.add_source("hr", m1, d1)
         plans = mediator.explain(project_names(Scan("People"), ["id"]))
         assert "hr" in plans
+
+    def test_explain_unfolds_equality_sources_only(self):
+        """An equality source shows its unfolded plan, a tgd source the
+        certain-answers text."""
+        er = paper.figure2_er_schema()
+        side = (SchemaBuilder("Side").entity("Src", key=["Id"])
+                .attribute("Id", INT).attribute("Name", STRING).build())
+        tgds = Mapping(side, er, [
+            parse_tgd("Src(Id=i, Name=n) -> Person(Id=i, Name=n)")
+        ])
+        mediator = QueryMediator(er)
+        mediator.add_source("sql", paper.figure2_mapping(),
+                            paper.figure2_sql_instance())
+        mediator.add_source("side", tgds, Instance())
+        query = project_names(EntityScan("Person"), ["Id"])
+        plans = mediator.explain(query)
+        assert plans["sql"] == repr(
+            mediator._sources["sql"].processor.unfolded(query)
+        )
+        assert "HR" in plans["sql"]
+        assert plans["side"] == "(certain answers over exchanged data)"
+
+    def test_explain_propagates_unfolding_errors(self, monkeypatch):
+        mediator = QueryMediator(paper.figure2_er_schema())
+        mediator.add_source("sql", paper.figure2_mapping(),
+                            paper.figure2_sql_instance())
+
+        def broken(query):
+            raise RuntimeError("unfolding failed")
+
+        monkeypatch.setattr(mediator._sources["sql"].processor, "unfolded",
+                            broken)
+        with pytest.raises(RuntimeError, match="unfolding failed"):
+            mediator.explain(project_names(EntityScan("Person"), ["Id"]))
 
     def test_refresh_replaces_data(self):
         global_schema, _, m1, d1 = _global_and_sources()
