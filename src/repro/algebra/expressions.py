@@ -13,14 +13,11 @@ import hashlib
 from typing import Iterable, Optional, Sequence
 
 from repro.algebra.scalars import (
-    And,
     Col,
-    Comparison,
     Predicate,
     Scalar,
     TRUE,
     conjunction,
-    eq,
 )
 from repro.errors import EvaluationError
 from repro.instances.database import Row

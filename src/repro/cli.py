@@ -29,9 +29,9 @@ serializes (schemas, mappings, instances as JSON; DDL as SQL text):
   estimator consumes (row counts, distincts, null fractions, min/max,
   most-common values);
 * ``journal SCRIPT.py`` — run a script with observability enabled and
-  print the engine event journal (queries, chase rounds, backpressure,
-  fallbacks, alerts; ``--kind`` filters, ``--out`` exports the same
-  events as JSONL);
+  print the engine event journal (queries, chase rounds, fallbacks,
+  alerts; ``--kind`` filters, ``--out`` exports the same events as
+  JSONL);
 * ``querylog SCRIPT.py`` — the journal view of the script's ``query``
   events (plan fingerprint, engine, cache hit, wall ms, rows, worst
   divergent node; ``--slow``/``--slow-ms`` keep the slow ones) plus a
@@ -684,10 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress the script's own stdout")
     p.add_argument("--threshold", action="append", metavar="KEY=VALUE",
                    help="override a threshold / min-sample knob "
-                   "(repeatable); keys: backpressure_ms_max, "
-                   "cache_eviction_rate_max, divergence_rate_max, "
-                   "slow_query_rate_max, min_cache_lookups, "
-                   "min_query_samples")
+                   "(repeatable); keys: cache_eviction_rate_max, "
+                   "divergence_rate_max, slow_query_rate_max, "
+                   "min_cache_lookups, min_query_samples")
     p.add_argument("--json", action="store_true",
                    help="machine-readable report")
     p.set_defaults(func=cmd_health)

@@ -20,7 +20,6 @@ from repro.mappings.interpretation import interpret_as_tgds, interpret_snowflake
 from repro.mappings.mapping import Mapping
 from repro.metamodel.schema import Schema
 from repro.observability.instrument import instrumented
-from repro.operators import compose as _compose_module
 from repro.operators.compose import compose as _compose
 from repro.operators.diff import SchemaSlice, diff as _diff, extract as _extract
 from repro.operators.inverse import (

@@ -8,7 +8,7 @@ existing name creates a new version; loads default to the latest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 

@@ -23,7 +23,7 @@ from repro.mappings.mapping import Mapping
 from repro.metamodel.schema import Schema
 from repro.observability.instrument import instrumented
 from repro.operators.compose import compose
-from repro.operators.diff import SchemaSlice, diff, extract
+from repro.operators.diff import SchemaSlice, diff
 from repro.operators.merge import MergeResult, merge
 from repro.runtime.executor import exchange
 

@@ -296,9 +296,10 @@ class Instance:
         self._dirty_epoch = 0
         # Index-maintenance counters.  Writers append interned event
         # names to ``_stat_events`` (a single ``list.append``, atomic
-        # under the GIL, so writers on p2p hop or synchronizer threads
-        # never lose an increment); reads fold the pending events into
-        # the totals under ``_stats_lock``.  See the :attr:`index_stats` property.
+        # under the GIL, so writers on threads a caller starts never
+        # lose an increment); reads fold the pending events into the
+        # totals under ``_stats_lock``.  See the :attr:`index_stats`
+        # property.
         self._index_stats = {
             "hits": 0, "extends": 0, "rebuilds": 0, "removes": 0,
             "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 0,

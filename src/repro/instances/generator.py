@@ -14,7 +14,6 @@ from typing import Optional
 
 from repro.errors import SchemaError
 from repro.instances.database import Instance
-from repro.metamodel.constraints import InclusionDependency
 from repro.metamodel.elements import Attribute, Entity
 from repro.metamodel.schema import Schema
 from repro.metamodel.types import ParametricType, base_primitive

@@ -11,7 +11,6 @@ implemented by substitution rather than mutation.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 
 class LabeledNull:

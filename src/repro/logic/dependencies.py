@@ -8,7 +8,7 @@ the GLAV constraint language of the Clio line of work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.logic.formulas import Atom, Equality

@@ -8,7 +8,6 @@ ones, matching the engine's row representation; the printer renders
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.logic.terms import (
     Const,

@@ -17,12 +17,12 @@ Two flavours, both backtracking with candidate filtering:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.instances.database import Instance, Row
 from repro.instances.labeled_null import LabeledNull
 from repro.logic.formulas import Atom, Equality
-from repro.logic.terms import Const, FuncTerm, Term, Var, apply_term
+from repro.logic.terms import Const, Term, Var
 
 
 Assignment = dict[Var, object]

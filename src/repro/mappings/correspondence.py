@@ -9,7 +9,7 @@ module turns them into constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import MappingError

@@ -12,7 +12,7 @@ target metamodel lacks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.errors import SchemaError

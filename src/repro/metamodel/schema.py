@@ -10,20 +10,16 @@ set of possible instances is checked by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import SchemaError
 from repro.metamodel.constraints import (
     Constraint,
-    Covering,
-    Disjointness,
     InclusionDependency,
     KeyConstraint,
-    NotNull,
 )
 from repro.metamodel.elements import (
     Association,
-    Attribute,
     Containment,
     Element,
     Entity,

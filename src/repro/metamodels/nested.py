@@ -21,7 +21,7 @@ from repro.errors import SchemaError
 from repro.instances.database import Instance, Row
 from repro.metamodel.elements import Containment, Entity
 from repro.metamodel.schema import Schema
-from repro.metamodel.types import ParametricType, base_primitive
+from repro.metamodel.types import base_primitive
 
 _XSD_TYPES = {
     "bool": "xs:boolean",

@@ -25,7 +25,6 @@ from repro.metamodel.types import (
     FLOAT,
     INT,
     STRING,
-    DataType,
     base_primitive,
 )
 

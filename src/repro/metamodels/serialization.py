@@ -8,8 +8,6 @@ equality constraints are serialized structurally.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
 from repro.errors import RepositoryError
@@ -37,7 +35,6 @@ from repro.metamodel.elements import (
 from repro.metamodel.schema import Schema
 from repro.metamodel.types import (
     ParametricType,
-    PrimitiveType,
     DataType,
     primitive,
 )

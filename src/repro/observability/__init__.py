@@ -13,16 +13,12 @@ for perf work.  This package provides:
 * a **metrics registry** (:mod:`repro.observability.metrics`) —
   counters, gauges, fixed-bucket histograms with percentile summaries;
 * an :func:`instrumented` decorator wiring both through any callable;
-* request-scoped **trace context** propagation
-  (:mod:`repro.observability.context`) — capture a
-  :class:`TraceContext` on the caller's thread, restore it on p2p hop
-  threads / the synchronizer so their spans join the
-  caller's trace, with adaptive head+tail **sampling**
+* adaptive head+tail trace **sampling**
   (:mod:`repro.observability.sampling`);
 * a bounded, trace-correlated **event journal**
   (:mod:`repro.observability.journal`) of engine lifecycle events —
-  observed queries, chase rounds, backpressure waits,
-  re-optimizations, evictions, and every silent fallback;
+  observed queries, chase rounds, re-optimizations, evictions, and
+  every silent fallback;
 * a **health monitor** (:mod:`repro.observability.health`) judging
   metric-derived signals against SLO thresholds, behind
   ``repro health`` and the live ``repro top`` dashboard
@@ -37,13 +33,6 @@ the near-zero-overhead state.  ``repro trace <script>`` and
 
 from __future__ import annotations
 
-from repro.observability.context import (
-    TraceContext,
-    activate,
-    capture,
-    current_context,
-    propagating,
-)
 from repro.observability.health import (
     MONITOR,
     HealthConfig,
@@ -57,7 +46,6 @@ from repro.observability.journal import (
     EventJournal,
     JournalEvent,
     journal,
-    record_backpressure,
 )
 from repro.observability.metrics import (
     COUNT_BUCKETS,
@@ -109,13 +97,9 @@ __all__ = [
     "STATE",
     "Sampler",
     "Span",
-    "TraceContext",
     "Tracer",
-    "activate",
-    "capture",
     "chrome_trace_events",
     "critical_path",
-    "current_context",
     "current_span",
     "current_trace_id",
     "disable",
@@ -124,8 +108,6 @@ __all__ = [
     "instrumented",
     "is_enabled",
     "journal",
-    "propagating",
-    "record_backpressure",
     "registry",
     "render_critical_path",
     "render_rollup",
@@ -155,7 +137,7 @@ def is_enabled() -> bool:
 
 def reset() -> None:
     """Drop all recorded telemetry — spans, metrics and journal events
-    (``query`` events included) — stop the health monitor, restore the
+    (``query`` events included) — reset the health monitor, restore the
     journal's default capacity and the estimator tunables, and re-read
     the sampler's environment config."""
     from repro.observability.stats import ESTIMATION

@@ -4,9 +4,6 @@ The monitor turns metrics-registry counters into a handful of
 *signals* a human (or CI) can act on, each compared against a
 configurable threshold:
 
-* ``backpressure_ms`` — total time threads spent blocked on bounded
-  queues (``backpressure.wait_ms``): sustained waits mean inbox/hop
-  capacities are undersized for the workload;
 * ``cache_eviction_rate`` — plan-cache evictions per lookup
   (``query.plan_cache.*``): thrash, i.e. the working set of plans no
   longer fits;
@@ -17,21 +14,20 @@ configurable threshold:
 * ``slow_query_rate`` — fraction of observed queries at or over
   ``SLOW_QUERY_MS`` (``query.log.slow / query.log.entries``).
 
-Every signal reads the registry only, so all four cover the same
+Every signal reads the registry only, so all three cover the same
 period — everything since the last :func:`repro.observability.reset`
 — and none depends on what the journal's ring has already discarded.
 Signals with too few samples report ``no-data`` rather than guessing.
 Each breach journals a ``health.alert`` event and bumps the
 ``health.alerts`` counter, so alerts correlate with traces like any
-other engine event.  :meth:`HealthMonitor.start` runs the evaluation
-on a daemon thread at a fixed interval (the ``repro top`` refresh
-path); one-shot evaluation backs ``repro health`` with CI-friendly
-exit codes.
+other engine event.  Evaluation is one-shot on the caller's thread:
+``repro health`` evaluates once and maps the report to CI-friendly
+exit codes, and ``repro top`` calls :meth:`HealthMonitor.check` before
+each frame it draws.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -45,7 +41,6 @@ class HealthConfig:
     from too few samples (below them the signal is ``no-data``).
     """
 
-    backpressure_ms_max: float = 1_000.0
     cache_eviction_rate_max: float = 0.5
     divergence_rate_max: float = 0.5
     slow_query_rate_max: float = 0.25
@@ -127,14 +122,11 @@ class HealthReport:
 
 
 class HealthMonitor:
-    """Evaluates health signals on demand or periodically."""
+    """Evaluates health signals on demand."""
 
     def __init__(self, config: Optional[HealthConfig] = None) -> None:
-        self._lock = threading.Lock()
         self.config = config or HealthConfig()
         self.last_report: Optional[HealthReport] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     # ------------------------------------------------------------------
     # signal derivation
@@ -154,15 +146,6 @@ class HealthMonitor:
             return metric["value"]
 
         signals: list[HealthSignal] = []
-
-        # backpressure: total blocked time on bounded queues
-        waits = snapshot.get("backpressure.wait_ms")
-        value, detail = 0.0, "waits=0"
-        if waits is not None and waits["count"]:
-            value, detail = waits["sum"], f"waits={waits['count']}"
-        signals.append(self._judge(
-            "backpressure_ms", value, cfg.backpressure_ms_max, detail,
-        ))
 
         # plan-cache thrash: evictions per lookup (the total counter;
         # the per-reason ones split the same evictions)
@@ -223,8 +206,7 @@ class HealthMonitor:
         from repro.observability.state import STATE
 
         report = self.evaluate(config)
-        with self._lock:
-            self.last_report = report
+        self.last_report = report
         if STATE.enabled:
             for signal in report.alerts:
                 registry.counter("health.alerts").inc()
@@ -238,40 +220,10 @@ class HealthMonitor:
                 )
         return report
 
-    # ------------------------------------------------------------------
-    # periodic evaluation
-    # ------------------------------------------------------------------
-    def start(self, interval: float = 5.0) -> None:
-        """Run :meth:`check` every ``interval`` seconds on a daemon
-        thread (idempotent while already running)."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, args=(interval,),
-                name="repro-health", daemon=True,
-            )
-            self._thread.start()
-
-    def _run(self, interval: float) -> None:
-        while not self._stop.wait(interval):
-            self.check()
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
-        with self._lock:
-            self._thread = None
-
     def reset(self) -> None:
-        """Stop any periodic thread and restore default thresholds."""
-        self.stop()
-        with self._lock:
-            self.config = HealthConfig()
-            self.last_report = None
+        """Restore default thresholds and forget the last report."""
+        self.config = HealthConfig()
+        self.last_report = None
 
 
 #: Process-wide monitor behind ``repro health`` / ``repro top``.

@@ -5,20 +5,20 @@ happened* — a structured, trace-correlated record of engine lifecycle
 events that would otherwise be invisible: every observed query
 execution (``query``: plan fingerprint, engine, cache hit, wall ms,
 rows out, worst divergent node, re-optimization mark), chase rounds,
-queue backpressure waits, re-optimizations and plan-cache evictions,
-and every silent fallback the engine takes (vectorized stage → row
-closures, incremental maintenance → full re-exchange, a failed
-estimate or cost-based plan), plus the health monitor's alerts.
+re-optimizations and plan-cache evictions, and every silent fallback
+the engine takes (vectorized stage → row closures, incremental
+maintenance → full re-exchange, a failed estimate or cost-based
+plan), plus the health monitor's alerts.
 
 Events live in a bounded ring (:class:`EventJournal`, default 512
 entries) so an event flood costs one deque append per event and a
 fixed amount of memory.  Whatever the health monitor judges is
 counted in the metrics registry as well, so an event that rotates out
 of the ring is never lost to a signal.  Each event carries the
-recording thread's trace id (from the active span or an attached
-remote context), which is what lets ``repro top`` and post-mortems
-line journal entries up against the span tree of one request.  An
-optional JSONL sink mirrors every event to a file as it is recorded.
+recording thread's trace id (from its active span), which is what
+lets ``repro top`` and post-mortems line journal entries up against
+the span tree of one request.  An optional JSONL sink mirrors every
+event to a file as it is recorded.
 
 Recording is guarded by ``STATE.enabled`` at the call sites via the
 :func:`journal` helper, preserving the disabled-overhead contract; the
@@ -72,8 +72,8 @@ class JournalEvent:
 
 class EventJournal:
     """Bounded ring of :class:`JournalEvent` with an optional JSONL
-    sink.  All operations are safe under concurrent recording from
-    p2p hop threads and the synchronizer worker."""
+    sink.  All operations take one lock, so threads a caller starts
+    may record concurrently."""
 
     DEFAULT_CAPACITY = 512
 
@@ -116,7 +116,7 @@ class EventJournal:
         self, kind: str, trace_id: Optional[str] = None, **attrs: object
     ) -> JournalEvent:
         """Append one event.  The trace id defaults to the recording
-        thread's (active span or attached remote context)."""
+        thread's active span."""
         if trace_id is None:
             from repro.observability.tracing import current_trace_id
 
@@ -218,21 +218,3 @@ def journal(kind: str, **attrs: object) -> None:
 
     if STATE.enabled:
         JOURNAL.record(kind, **attrs)
-
-
-def record_backpressure(site: str, wait_seconds: float, **attrs: object) -> None:
-    """Record one bounded-queue backpressure wait: feeds the
-    ``backpressure.wait_ms`` histogram (the health monitor's signal)
-    and journals the stall with the waiting thread's trace id.
-    Callers invoke this only when a wait actually happened."""
-    from repro.observability.metrics import registry
-    from repro.observability.state import STATE
-
-    if not STATE.enabled:
-        return
-    wait_ms = wait_seconds * 1000.0
-    registry.histogram("backpressure.wait_ms").observe(wait_ms)
-    registry.counter(f"backpressure.{site}.waits").inc()
-    JOURNAL.record(
-        "backpressure.wait", site=site, wait_ms=round(wait_ms, 3), **attrs
-    )

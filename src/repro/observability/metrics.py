@@ -4,10 +4,10 @@ The registry (:data:`registry`) is a process-wide name → metric map.
 Recording sites in the engine guard every update with
 ``STATE.enabled`` so a disabled registry costs one attribute check.
 Each metric's update path (``inc`` / ``set`` / ``observe``) is
-serialized on a per-metric lock, so concurrent p2p hop threads and
-synchronizer workers never lose increments; the enable/disable switch
-itself stays unguarded for code (the benchmark harness, tests) that
-manages it explicitly.
+serialized on a per-metric lock, so threads a caller runs beside the
+engine (``repro top``'s script thread) never lose increments; the
+enable/disable switch itself stays unguarded for code (the benchmark
+harness, tests) that manages it explicitly.
 
 Histograms use *fixed* bucket bounds so percentile summaries need no
 stored samples: a percentile is located in its bucket by cumulative
@@ -71,7 +71,6 @@ HELP_TEXTS: tuple[tuple[str, str], ...] = (
     ("query.reopt.", "Adaptive re-optimization activity"),
     ("query.vectorized.", "Vectorized executor activity"),
     ("query.", "Query execution activity"),
-    ("backpressure.", "Time threads spent blocked on bounded queues"),
     ("trace.sampler.", "Trace sampler decisions"),
     ("health.", "Health monitor activity"),
     ("runtime.", "Runtime service activity"),

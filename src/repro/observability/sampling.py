@@ -13,9 +13,8 @@ splits the decision:
   a per-kind counter keeps every ``round(1/rate)``-th trace, starting
   with the first — so tests and replays see the same traces every run;
 * **tail-keep** — a head-dropped trace is still built (its spans nest
-  normally, on this thread and on propagated worker threads) but is
-  not attached to the tracer's root list.  When the root finishes, the
-  trace is *promoted* after the fact if it was slow
+  normally) but is not attached to the tracer's root list.  When the
+  root finishes, the trace is *promoted* after the fact if it was slow
   (``tail_keep_ms``) or errored (the span context manager stamps an
   ``error`` attribute on exceptions).  Otherwise the whole tree is
   simply dropped and garbage-collected.

@@ -6,7 +6,7 @@ One render frame combines, top to bottom:
 * the busiest span kinds — ``span.*.wall_ms`` histograms ranked by
   total wall time, with call counts and p50/p99;
 * key engine counters and gauges (chase, plan cache, queries,
-  backpressure, sampler);
+  sampler);
 * the journal tail — the most recent engine events other than
   ``query`` (``repro querylog`` lists those).
 
@@ -33,7 +33,6 @@ KEY_COUNTERS: tuple[str, ...] = (
     "query.log.slow",
     "chase.runs",
     "chase.steps",
-    "backpressure",
     "trace.sampler",
     "health.alerts",
 )

@@ -5,11 +5,9 @@ runtime-service call, a chase run.  Spans nest: each thread keeps a
 stack of active spans, and a span started while another is active
 becomes its child.  Every span carries the **trace id** of its root
 (W3C-style 32-hex lowercase), so one request yields one correlatable
-tree even when its work fans out across p2p hop threads and the
-queued synchronizer — those threads join the caller's trace by
-*attaching* a captured :class:`~repro.observability.context.TraceContext`
-(see :meth:`Tracer.attach`; the high-level helpers live in
-:mod:`repro.observability.context`).
+tree.  The runtime starts no threads, so a request's spans all open on
+the caller's thread; a span started on some other thread has no
+parent there and roots a trace of its own.
 
 Root spans pass through the head sampler
 (:data:`repro.observability.sampling.SAMPLER`): a head-dropped trace is
@@ -114,8 +112,7 @@ class Span:
 
 
 class Tracer:
-    """Thread-safe hierarchical tracer with a per-thread active stack
-    and a per-thread attached remote context (cross-thread parenting)."""
+    """Thread-safe hierarchical tracer with a per-thread active stack."""
 
     def __init__(self) -> None:
         self._local = threading.local()
@@ -136,69 +133,23 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _remotes(self) -> list:
-        remotes = getattr(self._local, "remotes", None)
-        if remotes is None:
-            remotes = self._local.remotes = []
-        return remotes
-
     def current(self) -> Optional[Span]:
         """The innermost active span of this thread (None when idle or
         tracing is disabled)."""
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def current_parent(self) -> Optional[Span]:
-        """The span a new span on this thread would nest under: the
-        innermost active local span, else the attached remote
-        context's span (cross-thread propagation)."""
-        stack = self._stack()
-        if stack:
-            return stack[-1]
-        remotes = self._remotes()
-        if remotes:
-            ctx = remotes[-1]
-            return ctx.span if ctx is not None else None
-        return None
-
-    # ------------------------------------------------------------------
-    # remote-context attachment (see repro.observability.context)
-    # ------------------------------------------------------------------
-    def attach(self, ctx) -> object:
-        """Attach a captured :class:`TraceContext` to this thread: the
-        next span started with no local parent nests under
-        ``ctx.span`` and inherits its trace id.  Returns a token for
-        :meth:`detach`.  Attachments nest (a stack per thread)."""
-        remotes = self._remotes()
-        remotes.append(ctx)
-        return ctx
-
-    def detach(self, token: object) -> None:
-        """Pop the innermost attachment (tolerates a token that is no
-        longer on the stack — e.g. after a reset)."""
-        remotes = self._remotes()
-        if remotes and remotes[-1] is token:
-            remotes.pop()
-        elif token in remotes:           # mismatched detach order
-            remotes.remove(token)
-
     # ------------------------------------------------------------------
     def start(self, name: str, **attributes: object) -> Span:
         """Begin a span unconditionally (callers must have checked
         ``STATE.enabled``; prefer :meth:`span`).
 
-        Parentage: the innermost active span of this thread, else the
-        attached remote context (a hop or synchronizer thread running
-        propagated work), else a new root.  Roots mint a fresh trace
-        id and pass through the head sampler; children inherit both
-        the trace id and the sampling decision."""
+        Parentage: the innermost active span of this thread, else a
+        new root.  Roots mint a fresh trace id and pass through the
+        head sampler; children inherit both the trace id and the
+        sampling decision."""
         stack = self._stack()
-        if stack:
-            parent = stack[-1]
-        else:
-            remotes = getattr(self._local, "remotes", None)
-            ctx = remotes[-1] if remotes else None
-            parent = ctx.span if ctx is not None else None
+        parent = stack[-1] if stack else None
         if parent is not None:
             with self._lock:
                 span_id = f"s{next(self._ids):04d}"
@@ -221,8 +172,6 @@ class Tracer:
             sampled=sampled,
         )
         if parent is not None:
-            # Child appends are atomic under the GIL, so concurrent
-            # worker threads may share one (still-open) parent.
             parent.children.append(span)
         elif sampled:
             with self._lock:
@@ -390,7 +339,7 @@ def current_span() -> Optional[Span]:
 
 
 def current_trace_id() -> str:
-    """The calling thread's trace id — from its innermost active span,
-    or from an attached remote context; empty when neither exists."""
-    span = tracer.current_parent()
+    """The calling thread's trace id — from its innermost active span;
+    empty when none is open."""
+    span = tracer.current()
     return span.trace_id if span is not None else ""

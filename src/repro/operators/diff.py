@@ -23,7 +23,7 @@ from repro.errors import MappingError
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom
 from repro.logic.terms import Const, Var
-from repro.mappings.mapping import EqualityConstraint, Mapping
+from repro.mappings.mapping import Mapping
 from repro.metamodel.constraints import (
     Covering,
     Disjointness,
@@ -31,7 +31,7 @@ from repro.metamodel.constraints import (
     KeyConstraint,
     NotNull,
 )
-from repro.metamodel.elements import Attribute, Entity
+from repro.metamodel.elements import Entity
 from repro.metamodel.schema import Schema
 from repro.observability.instrument import instrumented
 
@@ -88,7 +88,6 @@ def _expression_attributes(expr, schema: Schema) -> set[str]:
     """Attributes an algebra expression reads, resolved bottom-up from
     its scans (column provenance tracking)."""
     from repro.algebra import expressions as E
-    from repro.algebra import scalars as S
 
     result: set[str] = set()
 

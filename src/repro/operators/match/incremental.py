@@ -16,12 +16,11 @@ re-ranks the remaining candidates —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mappings.correspondence import Correspondence, CorrespondenceSet
 from repro.metamodel.schema import ElementPath, Schema
-from repro.operators.match.base import SimilarityMatrix
 from repro.operators.match.combiner import MatchConfig, ensemble_similarity
 
 

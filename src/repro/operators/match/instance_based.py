@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.instances.database import TYPE_FIELD, Instance
+from repro.instances.database import Instance
 from repro.instances.labeled_null import is_null
 from repro.metamodel.schema import Schema
 from repro.operators.match.base import Matcher, SimilarityMatrix

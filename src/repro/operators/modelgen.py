@@ -37,13 +37,11 @@ from repro.algebra import (
     Col,
     EntityScan,
     IsOf,
-    Project,
     Scan,
     Select,
     eq,
     project_names,
 )
-from repro.algebra.scalars import Or
 from repro.errors import SchemaError
 from repro.mappings.mapping import EqualityConstraint, Mapping
 from repro.metamodel.constraints import (

@@ -27,7 +27,7 @@ with joins and anti-joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.algebra import expressions as E

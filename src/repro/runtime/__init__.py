@@ -46,7 +46,6 @@ from repro.runtime.indexing import KeywordIndex, SearchHit
 from repro.runtime.business_logic import Trigger, TriggerSet, pushdown
 from repro.runtime.synchronization import (
     Endpoint,
-    QueuedSynchronizer,
     ReplicationRule,
     Synchronizer,
 )
@@ -66,5 +65,5 @@ __all__ = [
     "BatchLoader",
     "KeywordIndex", "SearchHit",
     "Trigger", "TriggerSet", "pushdown",
-    "Endpoint", "QueuedSynchronizer", "ReplicationRule", "Synchronizer",
+    "Endpoint", "ReplicationRule", "Synchronizer",
 ]

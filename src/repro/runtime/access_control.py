@@ -15,7 +15,7 @@ by the client runtime."  Two services:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra import expressions as E

@@ -14,14 +14,13 @@ triggers' firings on the corresponding target deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.algebra import scalars as S
 from repro.errors import ExpressivenessError
 from repro.instances.database import TYPE_FIELD, Row
 from repro.mappings.mapping import Mapping
-from repro.runtime.errors import ErrorTranslator
 from repro.runtime.updates import UpdateSet
 
 Action = Callable[[str, Row], None]

@@ -17,11 +17,7 @@ from repro.instances.database import Instance, Row
 from repro.mappings.mapping import Mapping
 from repro.observability.instrument import instrumented
 from repro.observability.tracing import tracer
-from repro.operators.transgen import (
-    ExchangeTransformation,
-    TransformationPair,
-    transgen,
-)
+from repro.operators.transgen import TransformationPair, transgen
 from repro.runtime.provenance import (
     ProvenanceEntry,
     invert_head,

@@ -15,7 +15,7 @@ error messages and structured context accordingly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra import expressions as E

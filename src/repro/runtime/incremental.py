@@ -194,6 +194,23 @@ class MaterializedExchange:
         # The chase's compilations own the body-key and frontier-key
         # order, so recorded keys and re-enumerated keys always agree.
         self._compiled = [compile_dependency(d) for d in self._dependencies]
+        # (dependency, relation) → the (dependency, head atom) pairs
+        # that can re-derive a row a dead derivation of that dependency
+        # lost: the relation's atoms in every other tgd, and its own
+        # when its head has two or more atoms.  A one-atom head's row
+        # fixes the frontier key, which _try_reinstate already tried.
+        tgds = [(index, plan) for index, plan in enumerate(self._compiled)
+                if plan.kind != "egd"]
+        self._refire_atoms: dict[tuple[int, str], list] = {}
+        for owner, plan in tgds:
+            for relation in {atom.relation for atom in plan.dependency.head}:
+                self._refire_atoms[(owner, relation)] = [
+                    (index, atom)
+                    for index, other in tgds
+                    if index != owner or len(plan.dependency.head) > 1
+                    for atom in other.dependency.head
+                    if atom.relation == relation
+                ]
         # Working instance: source relations ∪ chased target relations.
         self.working = Instance(mapping.source)
         for relation, rows in source.relations.items():
@@ -609,13 +626,15 @@ class MaterializedExchange:
                 else:
                     keep.append(derivation)
             remaining = keep
-        # Rows a *different* dependency can still derive (the original
-        # trigger is gone for good, but the content is not).
+        # Rows another trigger can still derive (the original trigger
+        # is gone for good, but the content is not).
         for derivation in remaining:
             for relation, row in derivation.rows:
                 if id(row) in self._alive:
                     continue
-                reinserted.extend(self._try_refire(relation, row))
+                atoms = self._refire_atoms[(derivation.dep_index, relation)]
+                if atoms:
+                    reinserted.extend(self._try_refire(atoms, row))
         return reinserted
 
     def _try_reinstate(self, derivation) -> bool:
@@ -642,47 +661,48 @@ class MaterializedExchange:
         ).append(derivation)
         return True
 
-    def _try_refire(self, relation: str, row: Row):
-        """Fire any dependency whose head can produce ``row``'s content
-        from a surviving, so-far-unused trigger (fresh nulls for the
-        existentials, exactly as the chase would)."""
-        for dep_index, plan in enumerate(self._compiled):
-            if plan.kind == "egd":
+    def _try_refire(self, atoms, row: Row):
+        """Fire every trigger of ``atoms``' dependencies (see
+        ``_refire_atoms``) that can produce ``row``'s content, never
+        fired, and whose head no longer holds (fresh nulls for the
+        existentials, exactly as the chase would).  Every one, not the
+        first: a head that holds on the first firing's rows may still
+        have needed ``row`` itself."""
+        head_rows = []
+        for dep_index, atom in atoms:
+            plan = self._compiled[dep_index]
+            partial = invert_head(atom, row, plan.frontier_set)
+            if partial is None:
                 continue
-            for atom in plan.dependency.head:
-                if atom.relation != relation:
+            members = head_members(plan, self.working)
+            fresh = [()] * len(members)
+            for binding in list(bindings(plan, self.working,
+                                         partial=partial)):
+                values = (binding if plan.fget is None
+                          else plan.fget(binding))
+                key = tuple(map(hashable_key, values))
+                if self._derivations.get((dep_index, key)) or head_holds(
+                    plan, self.working, key, values, members, fresh
+                ):
                     continue
-                partial = invert_head(atom, row, plan.frontier_set)
-                if partial is None:
-                    continue
+                cells = values + plan.consts + tuple(
+                    self._factory.fresh(hint=h) for h in plan.hints
+                )
+                fired = [
+                    (name, dict(zip(attrs, cells if pick is None
+                                    else pick(cells))))
+                    for name, attrs, pick in plan.templates
+                ]
+                for name, stored in fired:
+                    self.working.relations.setdefault(name, []).append(
+                        stored
+                    )
+                self._record_derivation(
+                    dep_index, key, list(zip(plan.frontier, values)), fired,
+                )
+                head_rows.extend(fired)
                 members = head_members(plan, self.working)
-                fresh = [()] * len(members)
-                for binding in bindings(plan, self.working, partial=partial):
-                    values = (binding if plan.fget is None
-                              else plan.fget(binding))
-                    key = tuple(map(hashable_key, values))
-                    if self._derivations.get((dep_index, key)) or head_holds(
-                        plan, self.working, key, values, members, fresh
-                    ):
-                        continue
-                    cells = values + plan.consts + tuple(
-                        self._factory.fresh(hint=h) for h in plan.hints
-                    )
-                    head_rows = [
-                        (name, dict(zip(attrs, cells if pick is None
-                                        else pick(cells))))
-                        for name, attrs, pick in plan.templates
-                    ]
-                    for name, stored in head_rows:
-                        self.working.relations.setdefault(name, []).append(
-                            stored
-                        )
-                    self._record_derivation(
-                        dep_index, key, list(zip(plan.frontier, values)),
-                        head_rows,
-                    )
-                    return head_rows
-        return []
+        return head_rows
 
     # -- egd rollback --------------------------------------------------
     def _rollback_edges(self, dead_edges):

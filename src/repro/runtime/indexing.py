@@ -16,7 +16,7 @@ mappings; fragment analysis for equality mappings).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.instances.database import TYPE_FIELD, Instance, Row, freeze_row

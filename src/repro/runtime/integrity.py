@@ -28,9 +28,6 @@ from repro.metamodel.constraints import (
     Constraint,
     Covering,
     Disjointness,
-    InclusionDependency,
-    KeyConstraint,
-    NotNull,
 )
 from repro.runtime.executor import exchange
 

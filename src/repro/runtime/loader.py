@@ -19,11 +19,11 @@ the grown source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import TransformationError
-from repro.instances.database import Instance, Row, freeze_row
+from repro.instances.database import Instance, freeze_row
 from repro.instances.validation import violations
 from repro.mappings.mapping import Mapping
 from repro.observability.instrument import instrumented

@@ -20,11 +20,8 @@ chain's data volume.
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import MappingError
 from repro.instances.database import Instance
@@ -32,7 +29,6 @@ from repro.instances.labeled_null import NullFactory
 from repro.mappings.mapping import Mapping
 from repro.metamodel.schema import Schema
 from repro.observability.instrument import instrumented
-from repro.observability.state import STATE as _OBS
 from repro.operators.compose import compose
 from repro.runtime.executor import exchange
 from repro.runtime.incremental import MaterializedExchange
@@ -175,135 +171,6 @@ class PeerNetwork:
                 break
             delta = hop.apply(delta)
         return delta
-
-    @instrumented("runtime.p2p.propagate_updates",
-                  attrs=lambda self, source_peer, target_peer, updates, **kw: {
-                      "source": source_peer, "target": target_peer,
-                      "batches": len(list(updates))})
-    def propagate_updates(
-        self,
-        source_peer: str,
-        target_peer: str,
-        updates: Sequence[UpdateSet],
-        queue_depth: int = 4,
-    ) -> list[UpdateSet]:
-        """Pipeline a *sequence* of update batches along the
-        materialized chain: one worker thread per hop, connected by
-        bounded queues, so hop *i* applies batch *k* while hop *i−1*
-        is already absorbing batch *k+1* — the chain walk is no longer
-        serial across batches.  Each hop's materialized state is
-        touched only by its own worker, and batches traverse every hop
-        in submission order, so the result is identical to calling
-        :meth:`propagate_update` once per batch.  Returns the final
-        target-peer delta of each batch, in order."""
-        hops = self.materialize_chain(source_peer, target_peer)
-        updates = list(updates)
-        peer = self.peers[source_peer]
-        if peer.data is not None:
-            for update in updates:
-                apply_update_in_place(peer.data, update)
-        if not updates:
-            return []
-        queues: list[queue.Queue] = [
-            queue.Queue(maxsize=max(1, queue_depth))
-            for _ in range(len(hops) + 1)
-        ]
-        failures: list[BaseException] = []
-
-        def run_hop(index: int, hop: MaterializedExchange) -> int:
-            inbox, outbox = queues[index], queues[index + 1]
-            batches = 0
-            while True:
-                item = inbox.get()
-                if item is None:
-                    outbox.put(None)
-                    return batches
-                order, delta = item
-                if not failures and not delta.is_empty:
-                    try:
-                        delta = hop.apply(delta)
-                        batches += 1
-                    except BaseException as exc:  # noqa: BLE001 - re-raised
-                        failures.append(exc)
-                        delta = UpdateSet()
-                outbox.put((order, delta))
-
-        def traced_hop(index: int, hop: MaterializedExchange) -> None:
-            if not _OBS.enabled:
-                run_hop(index, hop)
-                return
-            from repro.observability.tracing import tracer
-
-            with tracer.span("runtime.p2p.hop", hop=index) as span:
-                batches = run_hop(index, hop)
-                span.set_attribute("batches", batches)
-
-        # Wrapping the thread target with ``propagating(...)`` captures
-        # this (caller) thread's context — the open
-        # ``runtime.p2p.propagate_updates`` span — so every hop
-        # thread's spans join the caller's trace.
-        from repro.observability.context import propagating
-
-        target = propagating(traced_hop)
-        threads = [
-            threading.Thread(
-                target=target, args=(index, hop),
-                name=f"p2p-hop-{index}",
-            )
-            for index, hop in enumerate(hops)
-        ]
-        for thread in threads:
-            thread.start()
-        results: dict[int, UpdateSet] = {}
-
-        def collect_one() -> bool:
-            item = queues[-1].get()
-            if item is None:
-                return False
-            order, delta = item
-            results[order] = delta
-            return True
-
-        emitted = 0
-
-        def feed(item: object, in_flight: int) -> None:
-            # Feed with backpressure: drain finished batches while the
-            # first queue is full, so the feeder never deadlocks with
-            # hops that are themselves blocked on a full tail queue
-            # (``in_flight`` = batches fed but not yet collected).
-            nonlocal emitted
-            wait_start = None
-            while True:
-                try:
-                    queues[0].put(item, timeout=0.05)
-                    if wait_start is not None and _OBS.enabled:
-                        from repro.observability.journal import (
-                            record_backpressure,
-                        )
-
-                        record_backpressure(
-                            "p2p.feed",
-                            time.perf_counter() - wait_start,
-                            source=source_peer,
-                            target=target_peer,
-                        )
-                    return
-                except queue.Full:
-                    if wait_start is None:
-                        wait_start = time.perf_counter()
-                    if emitted < in_flight and collect_one():
-                        emitted += 1
-
-        for order, update in enumerate(updates):
-            feed((order, update), order)
-        feed(None, len(updates))
-        while collect_one():
-            emitted += 1
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        return [results[order] for order in range(len(updates))]
 
     def materialized_target(self, source_peer: str,
                             target_peer: str) -> Instance:

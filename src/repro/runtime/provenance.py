@@ -12,10 +12,10 @@ debugging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.instances.database import Instance, Row, freeze_row
+from repro.instances.database import Instance, Row
 from repro.instances.labeled_null import LabeledNull
 from repro.logic.chase import bindings, compile_dependency
 from repro.logic.dependencies import TGD

@@ -17,10 +17,7 @@ applies only the row-level difference.
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.algebra import scalars as S
@@ -229,100 +226,6 @@ class Synchronizer:
             if not wanted <= have:
                 return False
         return True
-
-
-class QueuedSynchronizer:
-    """Asynchronous forwarding front for a :class:`Synchronizer`.
-
-    Callers :meth:`submit` primary-side update batches and continue;
-    a single worker thread applies each batch to the primary endpoint
-    and forwards it to the replica (via
-    :meth:`Synchronizer.forward_update`) in submission order.  The
-    bounded queue provides backpressure — :meth:`submit` blocks once
-    ``maxsize`` batches are pending — and the single worker serializes
-    all endpoint mutation, so no synchronizer state needs locking.
-    :meth:`drain` waits for the queue to empty and returns the
-    replica-side deltas (raising the first forwarding error, if any).
-    """
-
-    def __init__(self, synchronizer: Synchronizer, maxsize: int = 8):
-        self.synchronizer = synchronizer
-        self._queue: queue.Queue = queue.Queue(maxsize=max(1, maxsize))
-        self._results: list[UpdateSet] = []
-        self._errors: list[BaseException] = []
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="sync-forwarder", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        from repro.observability.context import activate
-
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                ctx, update = item
-                if self._errors:
-                    continue  # fail fast; drain() raises
-                # Each batch carries the trace context captured at
-                # submit time, so forwarding spans join the
-                # submitter's trace (contexts can differ per batch).
-                with activate(ctx):
-                    self._results.append(
-                        self.synchronizer.forward_update(update)
-                    )
-            except BaseException as exc:  # noqa: BLE001 - re-raised in drain
-                self._errors.append(exc)
-            finally:
-                self._queue.task_done()
-
-    def submit(self, update: UpdateSet) -> None:
-        """Enqueue one primary-side batch (blocks when the queue is
-        full)."""
-        if self._closed:
-            raise MappingError("QueuedSynchronizer is closed")
-        from repro.observability.context import capture
-        from repro.observability.state import STATE as _OBS
-
-        item = (capture(), update)
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
-            wait_start = time.perf_counter()
-            self._queue.put(item)
-            if _OBS.enabled:
-                from repro.observability.journal import record_backpressure
-
-                record_backpressure(
-                    "synchronizer.submit",
-                    time.perf_counter() - wait_start,
-                    pending=self._queue.qsize(),
-                )
-
-    def pending(self) -> int:
-        return self._queue.qsize()
-
-    def drain(self) -> list[UpdateSet]:
-        """Wait until every submitted batch has been forwarded; return
-        their replica-side deltas in submission order."""
-        self._queue.join()
-        if self._errors:
-            error = self._errors[0]
-            raise error
-        results, self._results = self._results, []
-        return results
-
-    def close(self) -> None:
-        """Drain outstanding work and stop the worker thread."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.join()
-        self._queue.put(None)
-        self._thread.join()
 
 
 def _touched_relations(update: UpdateSet, schema) -> set[str]:

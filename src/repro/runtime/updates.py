@@ -11,7 +11,7 @@ delta.  The roundtripping property guarantees the translated update is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import ExpressivenessError, TransformationError
 from repro.instances.database import Instance, Row, freeze_row

@@ -12,7 +12,7 @@ staging of data in mini-batches") appear as the ``deduplicate`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.instances.database import Instance, Row

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import MappingError
-from repro.instances.database import Instance
 from repro.mappings.mapping import Mapping
 from repro.metamodel.schema import Schema
 from repro.metamodels.nested import flatten_documents, nest_instance

@@ -10,7 +10,7 @@ against sources) and renders fixed-width text or CSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.algebra import expressions as E

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ModelManagementError
-from repro.instances.database import TYPE_FIELD, Instance, Row
+from repro.instances.database import Instance, Row
 from repro.mappings.mapping import Mapping
 from repro.metamodel.schema import Schema
 from repro.metamodels.objects import emit_classes

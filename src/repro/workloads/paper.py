@@ -33,7 +33,6 @@ from repro.algebra import (
     project_names,
 )
 from repro.instances.database import Instance
-from repro.logic.parser import parse_tgd
 from repro.mappings.correspondence import CorrespondenceSet
 from repro.mappings.mapping import EqualityConstraint, Mapping
 from repro.metamodel import INT, STRING, DATE, SchemaBuilder, Schema

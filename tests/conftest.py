@@ -4,13 +4,14 @@ Observability state (the span tracer, the metrics registry, the event
 journal with its ``query`` events, the trace sampler, the health
 monitor, the estimator config, and the process-wide enabled flag) is a
 process singleton, so a test that enables tracing and fails mid-way
-would otherwise leak spans, metrics, journal events, sampler counters,
-or a running health thread into every later test's assertions.  The
+would otherwise leak spans, metrics, journal events, sampler counters
+or the health monitor's last report into every later test's
+assertions.  The
 autouse fixture below restores a clean state around *every* test;
 ``obs.reset()`` covers the tracer, the registry, the journal
 (including its JSONL sink and its capacity, restored to the default),
 the sampler (re-reading ``REPRO_TRACE_SAMPLE``), the health monitor
-(stopping its periodic thread), and the estimator tunables.
+(default thresholds, no last report), and the estimator tunables.
 
 Setting ``REPRO_OBSERVABILITY=1`` runs the whole suite with
 observability *enabled* instead (the CI lane that catches state-leak

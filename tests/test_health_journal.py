@@ -11,16 +11,8 @@ from repro.instances import Instance
 from repro.instances.serialization import dump_instance
 from repro.logic import chase, parse_tgd
 from repro.observability import registry
-from repro.observability.health import (
-    MONITOR,
-    HealthConfig,
-    HealthMonitor,
-)
-from repro.observability.journal import (
-    JOURNAL,
-    EventJournal,
-    record_backpressure,
-)
+from repro.observability.health import MONITOR, HealthConfig
+from repro.observability.journal import JOURNAL, EventJournal
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +40,7 @@ class TestEventJournal:
         journal = EventJournal()
         journal.record("chase.round")
         journal.record("chase.egd.reconcile")
-        journal.record("backpressure.wait")
+        journal.record("health.alert")
         assert len(journal.events(kind="chase")) == 2
         assert len(journal.events(kind="chase.round")) == 1
         assert len(journal.events(kind="chase.rou")) == 0
@@ -86,27 +78,10 @@ class TestEventJournal:
         journal.clear()
         assert journal.record("demo.event").seq == 1
 
-    def test_record_backpressure_feeds_metrics_and_journal(self):
-        obs.enable()
-        record_backpressure("test.site", 0.05, shard=1)
-        hist = registry.histogram("backpressure.wait_ms")
-        assert hist.count == 1
-        assert hist.total == pytest.approx(50.0)
-        assert registry.counter("backpressure.test.site.waits").value == 1
-        event = JOURNAL.events(kind="backpressure.wait")[-1]
-        assert event.attrs["site"] == "test.site"
-        assert event.attrs["wait_ms"] == pytest.approx(50.0)
-
     def test_reset_restores_default_capacity(self):
         JOURNAL.configure(capacity=4)
         obs.reset()
         assert JOURNAL.capacity == EventJournal.DEFAULT_CAPACITY
-
-    def test_record_backpressure_noop_when_disabled(self):
-        obs.disable()
-        record_backpressure("test.site", 0.05)
-        assert len(JOURNAL) == 0
-        assert "backpressure.wait_ms" not in registry
 
 
 # ----------------------------------------------------------------------
@@ -140,20 +115,11 @@ class TestHealthSignals:
     def test_empty_state_is_healthy_with_no_data(self):
         report = MONITOR.evaluate()
         assert report.ok
-        by_name = {s.name: s for s in report.signals}
-        assert by_name["divergence_rate"].status == "no-data"
-        # Backpressure defaults to a measured zero, not no-data.
-        assert by_name["backpressure_ms"].status == "ok"
-        assert by_name["backpressure_ms"].value == 0.0
-
-    def test_backpressure_alerts_on_total_wait(self):
-        obs.enable()
-        record_backpressure("site", 1.5)  # 1500ms > 1000ms default
-        signal = {s.name: s for s in MONITOR.evaluate().signals}[
-            "backpressure_ms"
-        ]
-        assert signal.status == "alert"
-        assert signal.value == pytest.approx(1500.0)
+        assert {s.name: s.status for s in report.signals} == {
+            "cache_eviction_rate": "no-data",
+            "divergence_rate": "no-data",
+            "slow_query_rate": "no-data",
+        }
 
     def test_cache_eviction_rate(self):
         registry.counter("query.plan_cache.hits").inc(10)
@@ -185,8 +151,7 @@ class TestHealthSignals:
 
     def test_every_signal_reads_counters_alone(self):
         """No journal event, span or plan behind them: the registry's
-        counters and histogram drive all four signals."""
-        registry.histogram("backpressure.wait_ms").observe(1500.0)
+        counters drive all three signals."""
         registry.counter("query.plan_cache.hits").inc(15)
         registry.counter("query.plan_cache.misses").inc(5)
         registry.counter("query.plan_cache.evictions").inc(12)
@@ -197,7 +162,6 @@ class TestHealthSignals:
         by_name = {s.name: s for s in MONITOR.evaluate().signals}
         assert {name: signal.value for name, signal in by_name.items()} \
             == pytest.approx({
-                "backpressure_ms": 1500.0,
                 "cache_eviction_rate": 0.6,
                 "divergence_rate": 0.75,
                 "slow_query_rate": 0.5,
@@ -245,31 +209,28 @@ class TestHealthSignals:
         assert config.slow_query_rate_max == 0.1
         assert config.min_query_samples == 5  # coerced to int
 
+    @staticmethod
+    def _thrash_plan_cache():
+        registry.counter("query.plan_cache.hits").inc(10)
+        registry.counter("query.plan_cache.misses").inc(10)
+        registry.counter("query.plan_cache.evictions").inc(15)
+
     def test_check_journals_alerts_when_enabled(self):
         obs.enable()
-        record_backpressure("site", 2.0)
+        self._thrash_plan_cache()
         report = MONITOR.check()
         assert not report.ok
         assert MONITOR.last_report is report
         alerts = JOURNAL.events(kind="health.alert")
-        assert any(e.attrs["signal"] == "backpressure_ms" for e in alerts)
-        assert registry.counter("health.alerts").value >= 1
-
-    def test_periodic_thread_starts_and_stops(self):
-        monitor = HealthMonitor()
-        monitor.start(interval=0.01)
-        monitor.start(interval=0.01)  # idempotent
-        assert monitor._thread is not None
-        monitor.reset()
-        assert monitor._thread is None
-        assert monitor.last_report is None
+        assert [e.attrs["signal"] for e in alerts] == ["cache_eviction_rate"]
+        assert registry.counter("health.alerts").value == 1
 
     def test_report_renders_markers(self):
         obs.enable()
-        record_backpressure("site", 2.0)
+        self._thrash_plan_cache()
         text = MONITOR.evaluate().render()
         assert "ALERT" in text
-        assert "✗ backpressure_ms" in text
+        assert "✗ cache_eviction_rate" in text
         assert "·" in text  # no-data markers for the rest
 
 
@@ -377,8 +338,8 @@ def test_cli_health_json(capsys, workload):
     assert main(["health", str(workload), "--quiet", "--json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["ok"] is True
-    assert {s["name"] for s in parsed["signals"]} >= {
-        "cache_eviction_rate", "backpressure_ms", "slow_query_rate",
+    assert {s["name"] for s in parsed["signals"]} == {
+        "cache_eviction_rate", "divergence_rate", "slow_query_rate",
     }
 
 

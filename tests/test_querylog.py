@@ -151,8 +151,8 @@ def test_estimator_failure_never_fails_the_query(instance, monkeypatch):
 def test_interleaved_run_never_leaks_into_the_log(monkeypatch):
     """Another run of the same cached plan, over a larger instance,
     landing between this query's execute and its annotate — the
-    interleaving a p2p hop thread or the queued synchronizer produces —
-    must not leak its row counts into this query's divergence or
+    interleaving a caller's second thread can produce, since the plan
+    cache is shared process-wide — must not leak its row counts into this query's divergence or
     schedule a re-optimization from them."""
     import repro.algebra.estimate as estimate
 

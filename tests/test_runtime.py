@@ -1,7 +1,5 @@
 """Tests for the mapping runtime: all Section 5 services."""
 
-import copy
-
 import pytest
 
 from repro.algebra import (
@@ -29,7 +27,6 @@ from repro.runtime import (
     inexpressible_constraints,
     lineage,
 )
-from repro.runtime.incremental import set_equal_modulo_nulls
 from repro.runtime.updates import apply_update, instance_delta
 from repro.workloads import paper
 from tests.test_metamodel_schema import person_hierarchy
@@ -557,68 +554,3 @@ class TestBatchLoader:
         )
         with pytest.raises(TransformationError):
             BatchLoader(mapping)
-
-
-# ----------------------------------------------------------------------
-# pipelined p2p propagation
-# ----------------------------------------------------------------------
-def _peer_network(peers=4, rows=30):
-    network = PeerNetwork()
-    schemas = []
-    for i in range(peers):
-        schemas.append(
-            SchemaBuilder(f"P{i}").entity(f"R{i}", key=["k"])
-            .attribute("k", INT).attribute("v", INT).build()
-        )
-        data = None
-        if i == 0:
-            data = Instance()
-            for r in range(rows):
-                data.add("R0", k=r, v=r * 2)
-        network.add_peer(f"p{i}", schemas[i], data)
-    for i in range(peers - 1):
-        network.add_mapping(
-            f"p{i}", f"p{i + 1}",
-            Mapping(schemas[i], schemas[i + 1], [
-                parse_tgd(f"R{i}(k=x, v=y) -> R{i + 1}(k=x, v=y)")
-            ]),
-        )
-    return network
-
-
-class TestPipelinedPropagation:
-    def test_matches_serial_propagate_update(self):
-        batches = [
-            UpdateSet().insert("R0", k=100 + i, v=i) for i in range(6)
-        ] + [UpdateSet().delete("R0", k=2)]
-        serial = _peer_network()
-        expected = [
-            serial.propagate_update("p0", "p3", copy.deepcopy(b))
-            for b in batches
-        ]
-        pipelined = _peer_network()
-        got = pipelined.propagate_updates(
-            "p0", "p3", [copy.deepcopy(b) for b in batches], queue_depth=2
-        )
-        assert [d.inserts for d in got] == [d.inserts for d in expected]
-        assert [d.deletes for d in got] == [d.deletes for d in expected]
-        assert set_equal_modulo_nulls(
-            serial.materialized_target("p0", "p3"),
-            pipelined.materialized_target("p0", "p3"),
-        )
-
-    def test_empty_batch_list(self):
-        network = _peer_network()
-        assert network.propagate_updates("p0", "p3", []) == []
-
-    def test_more_batches_than_queue_depth(self):
-        network = _peer_network()
-        batches = [UpdateSet().insert("R0", k=200 + i, v=i)
-                   for i in range(12)]
-        results = network.propagate_updates("p0", "p3", batches,
-                                            queue_depth=1)
-        assert len(results) == 12
-        maintained = network.materialized_target("p0", "p3")
-        assert {r["k"] for r in maintained.rows("R3")} >= {
-            200 + i for i in range(12)
-        }

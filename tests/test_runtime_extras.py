@@ -17,7 +17,6 @@ from repro.runtime import (
     UpdateSet,
     pushdown,
 )
-from repro.runtime.synchronization import QueuedSynchronizer
 from repro.workloads import paper
 
 
@@ -257,60 +256,3 @@ class TestSynchronization:
         replica = Endpoint(other, paper.figure6_s_instance())
         with pytest.raises(MappingError):
             Synchronizer(primary, replica)
-
-
-class TestQueuedSynchronizer:
-    def _synchronizer(self):
-        from repro.runtime.synchronization import Endpoint, Synchronizer
-        from repro.workloads import paper
-
-        mapping = paper.figure2_mapping()
-        primary = Endpoint(mapping, paper.figure2_sql_instance(),
-                           name="primary")
-        replica = Endpoint(paper.figure2_mapping(),
-                           Instance(mapping.source), name="replica")
-        synchronizer = Synchronizer(primary, replica)
-        synchronizer.add_rule("Customer")
-        synchronizer.synchronize()
-        return synchronizer
-
-    def test_drain_returns_ordered_deltas(self):
-        synchronizer = self._synchronizer()
-        queued = QueuedSynchronizer(synchronizer, maxsize=2)
-        template = dict(synchronizer.primary.source.rows("Client")[0])
-        batches = []
-        for i in range(5):
-            row = dict(template)
-            row["Id"] = 1000 + i
-            batches.append(UpdateSet().insert("Client", **row))
-        for batch in batches:
-            queued.submit(batch)
-        deltas = queued.drain()
-        queued.close()
-        assert len(deltas) == 5
-        assert synchronizer.verify_converged()
-        ids = {r["Id"] for r in
-               synchronizer.replica.source.rows("Client")}
-        assert ids >= {1000 + i for i in range(5)}
-
-    def test_submit_after_close_rejected(self):
-        from repro.errors import MappingError
-
-        queued = QueuedSynchronizer(self._synchronizer())
-        queued.close()
-        with pytest.raises(MappingError):
-            queued.submit(UpdateSet())
-
-    def test_drain_reraises_worker_error(self):
-        synchronizer = self._synchronizer()
-        queued = QueuedSynchronizer(synchronizer)
-
-        def boom(update):
-            raise RuntimeError("forwarding failed")
-
-        synchronizer.forward_update = boom
-        queued.submit(UpdateSet().insert("Client", Id=1, Name="x",
-                                         CreditScore=1, Address="y"))
-        with pytest.raises(RuntimeError, match="forwarding failed"):
-            queued.drain()
-        queued.close()

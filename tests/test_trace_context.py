@@ -1,13 +1,10 @@
-"""Trace-context propagation and adaptive sampling.
+"""Request-scoped traces and adaptive sampling.
 
-The tentpole contract: work fanned out to p2p hop threads and the
-queued synchronizer joins the submitting request's
-trace — one trace_id, one connected span tree — with head sampling
-deterministic per root kind and tail-keep promoting slow/error traces.
+One request yields one trace — one trace_id, one connected span tree,
+recorded on the caller's thread (the runtime starts no threads) — with
+head sampling deterministic per root kind and tail-keep promoting
+slow/error traces.
 """
-
-import copy
-import threading
 
 import pytest
 
@@ -16,8 +13,7 @@ from repro.instances import Instance
 from repro.logic import parse_tgd
 from repro.mappings import Mapping
 from repro.metamodel import INT, SchemaBuilder
-from repro.observability import SAMPLER, TraceContext, tracer
-from repro.observability.context import activate, capture, propagating
+from repro.observability import SAMPLER, tracer
 from repro.observability.sampling import Sampler
 from repro.runtime.p2p import PeerNetwork
 from repro.runtime.updates import UpdateSet
@@ -46,59 +42,9 @@ def _assert_connected_single_trace(spans):
 
 
 # ----------------------------------------------------------------------
-# context capture / restore
+# trace ids per root
 # ----------------------------------------------------------------------
 class TestTraceContext:
-    def test_capture_returns_none_when_idle(self):
-        obs.enable()
-        assert capture() is None
-
-    def test_capture_and_activate_cross_thread(self):
-        obs.enable()
-        seen = {}
-
-        def worker(ctx):
-            with activate(ctx):
-                with obs.span("child.on.worker"):
-                    pass
-            seen["trace"] = tracer.roots[0].trace_id
-
-        with obs.span("request") as root:
-            ctx = capture()
-            assert ctx.trace_id == root.trace_id
-            thread = threading.Thread(target=worker, args=(ctx,))
-            thread.start()
-            thread.join()
-        spans = _all_spans()
-        assert [s.name for s in spans] == ["request", "child.on.worker"]
-        _assert_connected_single_trace(spans)
-        assert spans[1].thread != spans[0].thread
-
-    def test_propagating_captures_at_wrap_time(self):
-        obs.enable()
-        with obs.span("request"):
-            fn = propagating(lambda: obs.span("inner").__enter__())
-        # Wrapped while the span was open: calls made later (span
-        # closed, other thread) still join the captured context.
-        thread = threading.Thread(target=fn)
-        thread.start()
-        thread.join()
-        spans = _all_spans()
-        assert {s.name for s in spans} == {"request", "inner"}
-        assert len({s.trace_id for s in spans}) == 1
-
-    def test_propagating_passthrough_without_context(self):
-        obs.enable()
-        fn = lambda: 42  # noqa: E731
-        assert propagating(fn) is fn
-
-    def test_activate_none_is_noop(self):
-        obs.enable()
-        with activate(None):
-            with obs.span("solo"):
-                pass
-        assert tracer.roots[0].name == "solo"
-
     def test_nested_roots_get_distinct_trace_ids(self):
         obs.enable()
         with obs.span("first"):
@@ -106,17 +52,6 @@ class TestTraceContext:
         with obs.span("second"):
             pass
         assert len(tracer.trace_ids()) == 2
-
-    def test_traceparent_rendering(self):
-        obs.enable()
-        with obs.span("request"):
-            ctx = capture()
-            header = ctx.traceparent()
-        version, trace_id, span_id, flags = header.split("-")
-        assert version == "00"
-        assert len(trace_id) == 32 and trace_id == ctx.trace_id
-        assert len(span_id) == 16
-        assert flags == "01"
 
     def test_error_stamps_attribute(self):
         obs.enable()
@@ -211,7 +146,8 @@ class TestSampler:
 
 
 # ----------------------------------------------------------------------
-# cross-thread joins through the engine
+# one request through the engine (the class keeps the name it had when
+# p2p hops ran on threads of their own)
 # ----------------------------------------------------------------------
 def _peer_network(peers=4, rows=30):
     network = PeerNetwork()
@@ -239,67 +175,11 @@ def _peer_network(peers=4, rows=30):
 
 class TestCrossThreadJoins:
     @pytest.mark.parametrize("hops", [2, 4])
-    def test_pipelined_p2p_joins_request_trace(self, hops):
-        obs.enable()
-        SAMPLER.configure(default_rate=1.0)
-        network = _peer_network(peers=hops + 1)
-        batches = [
-            UpdateSet().insert("R0", k=100 + i, v=i) for i in range(6)
-        ]
-        with obs.span("request"):
-            network.propagate_updates(
-                "p0", f"p{hops}", [copy.deepcopy(b) for b in batches],
-                queue_depth=2,
-            )
-        spans = _all_spans()
-        trace_id = _assert_connected_single_trace(spans)
-        hop_spans = [s for s in spans if s.name == "runtime.p2p.hop"]
-        assert {s.attributes["hop"] for s in hop_spans} == set(range(hops))
-        hop_threads = {s.thread for s in hop_spans}
-        assert hop_threads == {f"p2p-hop-{i}" for i in range(hops)}
-        assert all(s.trace_id == trace_id for s in hop_spans)
-
-    def test_queued_synchronizer_joins_submitter_trace(self):
-        from repro.runtime.synchronization import (
-            Endpoint,
-            QueuedSynchronizer,
-            Synchronizer,
-        )
-        from repro.workloads import paper
-
-        mapping = paper.figure2_mapping()
-        primary = Endpoint(mapping, paper.figure2_sql_instance(),
-                           name="primary")
-        replica = Endpoint(paper.figure2_mapping(),
-                           Instance(mapping.source), name="replica")
-        synchronizer = Synchronizer(primary, replica)
-        synchronizer.add_rule("Customer")
-        synchronizer.synchronize()
-
-        obs.enable()
-        obs.reset()  # drop spans recorded while wiring the synchronizer
-        queued = QueuedSynchronizer(synchronizer, maxsize=2)
-        template = dict(synchronizer.primary.source.rows("Client")[0])
-        with obs.span("request"):
-            for i in range(3):
-                row = dict(template)
-                row["Id"] = 1000 + i
-                queued.submit(UpdateSet().insert("Client", **row))
-            queued.drain()
-        queued.close()
-        spans = _all_spans()
-        trace_id = _assert_connected_single_trace(spans)
-        forwarded = [
-            s for s in spans if s.thread == "sync-forwarder"
-        ]
-        assert forwarded, "no spans recorded on the forwarder thread"
-        assert all(s.trace_id == trace_id for s in forwarded)
-
-    @pytest.mark.parametrize("hops", [2, 4])
     def test_end_to_end_exchange_feeding_p2p(self, hops):
-        """The acceptance scenario: exchanges feeding pipelined p2p
-        propagation yield ONE trace connecting the caller and every
-        hop thread, with journal events carrying that trace_id."""
+        """The acceptance scenario: exchanges feeding p2p propagation,
+        one ``propagate_update`` per batch inside one request, yield
+        ONE trace, recorded wholly on the caller's thread, with every
+        chase-round journal event carrying that trace_id."""
         obs.enable()
         SAMPLER.configure(default_rate=1.0)
         from repro.observability.journal import JOURNAL
@@ -308,18 +188,15 @@ class TestCrossThreadJoins:
         batches = [
             UpdateSet().insert("R0", k=200 + i, v=i) for i in range(8)
         ]
-        with obs.span("request"):
-            network.propagate_updates("p0", f"p{hops}", batches,
-                                      queue_depth=1)
+        with obs.span("request") as request:
+            for batch in batches:
+                network.propagate_update("p0", f"p{hops}", batch)
         spans = _all_spans()
         trace_id = _assert_connected_single_trace(spans)
-
-        hop_spans = [s for s in spans if s.name == "runtime.p2p.hop"]
-        assert {s.thread for s in hop_spans} == {
-            f"p2p-hop-{i}" for i in range(hops)
-        }
-        # The caller and every hop thread participated in the one trace.
-        assert len({s.thread for s in spans}) == hops + 1
+        assert trace_id == request.trace_id
+        assert len([s for s in spans
+                    if s.name == "runtime.p2p.propagate_update"]) == 8
+        assert {s.thread for s in spans} == {request.thread}
 
         round_events = JOURNAL.events(kind="chase.round")
         assert round_events
