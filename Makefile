@@ -2,15 +2,16 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
-	optimizer-smoke health-smoke match-smoke compose-smoke bench-smoke bench-chase \
+	optimizer-smoke health-smoke match-smoke compose-smoke transgen-smoke \
+	bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke perfbench-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
-# query-engine, incremental-maintenance, optimizer, health, Match and
-# Compose smoke gates.
+# query-engine, incremental-maintenance, optimizer, health, Match,
+# Compose and TransGen smoke gates.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		health-smoke match-smoke compose-smoke
+		health-smoke match-smoke compose-smoke transgen-smoke
 	$(PYTHON) -m pytest -x -q
 
 # Static checks: ruff with the pinned config in pyproject.toml.
@@ -98,6 +99,12 @@ match-smoke:
 # and widths up to 6.  No JSON rewrite.
 compose-smoke:
 	$(PYTHON) benchmarks/bench_compose_scaling.py --smoke
+
+# TransGen gate: the E4 table (TPH/TPT/TPC at depths 1-3, every row
+# roundtrip-verified), which fails if a query view's node count leaves
+# its pinned value.  No JSON rewrite.
+transgen-smoke:
+	$(PYTHON) benchmarks/bench_roundtrip_strategies.py --smoke
 
 # Fast perf sanity after tier-1: smallest size only, no JSON rewrite.
 bench-smoke: test

@@ -6,8 +6,16 @@ through ModelGen → TransGen → roundtrip verification, measuring the
 generated view's size and the cost of the losslessness check.  This is
 the ablation DESIGN.md calls out: the strategy is a design choice with
 measurable consequences — TPT's views grow with hierarchy depth (one
-join per level), TPH's stay flat but its table gets wide, TPC
-duplicates inherited columns.
+join per level, one anti-join per type), TPH's stay flat but its table
+gets wide, TPC duplicates inherited columns.
+
+Run standalone (``python benchmarks/bench_roundtrip_strategies.py``)
+to emit ``BENCH_roundtrip.json`` through the harness
+(``benchmarks/harness.py``): the E4 table at depths 1–3, every row
+roundtrip-verified.  The run fails if a query view's node count leaves
+its pinned value (``_E4_NODES``).  ``--smoke`` builds the same table
+and rewrites no JSON unless ``--out`` is given
+(``make transgen-smoke``).
 """
 
 import pytest
@@ -54,8 +62,18 @@ def test_depth_scaling_tpt(benchmark, depth):
     )
 
 
+#: E4's query-view node counts, by (depth, strategy).
+_E4_NODES = {
+    (1, "TPH"): 14, (1, "TPT"): 31, (1, "TPC"): 11,
+    (2, "TPH"): 34, (2, "TPT"): 105, (2, "TPC"): 27,
+    (3, "TPH"): 74, (3, "TPT"): 289, (3, "TPC"): 59,
+}
+
+
 def test_strategy_report(benchmark):
-    rows = []
+    """The E4 table; a query-view node count that leaves ``_E4_NODES``
+    fails the run."""
+    rows, moved = [], []
     for depth in (1, 2, 3):
         schema = _hierarchy(depth)
         for strategy in InheritanceStrategy:
@@ -65,12 +83,17 @@ def test_strategy_report(benchmark):
             columns = sum(
                 len(e.attributes) for e in result.schema.entities.values()
             )
+            nodes = views.query_view.size()
+            pinned = _E4_NODES[depth, strategy.name]
+            if nodes != pinned:
+                moved.append(f"depth {depth} {strategy.name}: "
+                             f"{nodes} != {pinned}")
             rows.append([
                 depth,
                 strategy.name,
                 tables,
                 columns,
-                views.query_view.size(),
+                nodes,
                 "yes",
             ])
             views.verify_roundtrip(
@@ -87,6 +110,7 @@ def test_strategy_report(benchmark):
          "query-view nodes", "roundtrips"],
         rows,
     )
+    assert not moved, "E4 view sizes moved: " + "; ".join(moved)
 
 
 # ----------------------------------------------------------------------

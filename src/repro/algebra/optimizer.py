@@ -37,6 +37,7 @@ instance, ``optimize`` behaves exactly as before.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,10 +134,11 @@ def _heuristic_fixpoint(expr: E.RelExpr, max_passes: int) -> E.RelExpr:
     current = expr
     for _ in range(max_passes):
         rewritten = _rewrite(current)
-        if rewritten == current:
-            # Return the pre-pass tree: structurally identical, but it
-            # keeps the caller's object identity (and with it any
-            # shared-subtree DAG structure the compiler CSEs).
+        # A pass returns every node no rule changed as itself.  On a
+        # settled tree return the pre-pass tree: it keeps the caller's
+        # object identity (and with it any shared-subtree DAG structure
+        # the compiler CSEs).
+        if rewritten is current or rewritten == current:
             return current
         current = rewritten
     return current
@@ -229,6 +231,8 @@ def _rewrite(expr: E.RelExpr) -> E.RelExpr:
                         expr.input.outputs,
                     )
                 )
+        if predicate is expr.predicate or predicate == expr.predicate:
+            return expr
         return E.Select(expr.input, predicate)
 
     if isinstance(expr, E.Project):
@@ -254,6 +258,8 @@ def _rewrite(expr: E.RelExpr) -> E.RelExpr:
         mapping = {o: n for o, n in expr.mapping.items() if o != n}
         if not mapping:
             return expr.input
+        if len(mapping) == len(expr.mapping):
+            return expr
         return E.Rename(expr.input, mapping)
 
     if isinstance(expr, E.Join):
@@ -277,33 +283,12 @@ def _rewrite(expr: E.RelExpr) -> E.RelExpr:
 
 
 def _rewrite_children(expr: E.RelExpr) -> E.RelExpr:
-    if isinstance(expr, E.Select):
-        return E.Select(_rewrite(expr.input), expr.predicate)
-    if isinstance(expr, E.Project):
-        return E.Project(_rewrite(expr.input), expr.outputs)
-    if isinstance(expr, E.Extend):
-        return E.Extend(_rewrite(expr.input), expr.name, expr.scalar)
-    if isinstance(expr, E.Join):
-        return E.Join(
-            _rewrite(expr.left),
-            _rewrite(expr.right),
-            expr.predicate,
-            expr.kind,
-            expr.right_prefix,
-        )
-    if isinstance(expr, E.UnionAll):
-        return E.UnionAll(_rewrite(expr.left), _rewrite(expr.right))
-    if isinstance(expr, E.Difference):
-        return E.Difference(_rewrite(expr.left), _rewrite(expr.right))
-    if isinstance(expr, E.Distinct):
-        return E.Distinct(_rewrite(expr.input))
-    if isinstance(expr, E.Rename):
-        return E.Rename(_rewrite(expr.input), expr.mapping)
-    if isinstance(expr, E.Aggregate):
-        return E.Aggregate(_rewrite(expr.input), expr.group_by, expr.aggregations)
-    if isinstance(expr, E.Sort):
-        return E.Sort(_rewrite(expr.input), expr.keys)
-    return expr
+    """``expr`` over its rewritten inputs: ``expr`` itself when none
+    changed."""
+    inputs = expr.inputs()
+    if not inputs:
+        return expr
+    return _replace_children(expr, [_rewrite(c) for c in inputs])
 
 
 def _carries(expr: E.RelExpr, predicate: S.Predicate) -> bool:
@@ -378,6 +363,14 @@ def _recognize_equi_join(expr: E.Join) -> E.Join:
     sides are statically known and distinct: same-named columns, or two
     columns from the same side, keep their Comparison semantics.
     """
+    operands = (
+        list(expr.predicate.operands)
+        if isinstance(expr.predicate, S.And)
+        else [expr.predicate]
+    )
+    col_pairs = [_col_eq_col(operand) for operand in operands]
+    if not any(col_pairs):
+        return expr
     left_names = _output_names(expr.left)
     right_names = _output_names(expr.right)
     if left_names is None or right_names is None:
@@ -392,22 +385,11 @@ def _recognize_equi_join(expr: E.Join) -> E.Join:
             return "right"
         return None
 
-    operands = (
-        list(expr.predicate.operands)
-        if isinstance(expr.predicate, S.And)
-        else [expr.predicate]
-    )
     changed = False
     rewritten = []
-    for operand in operands:
-        if (
-            isinstance(operand, S.Comparison)
-            and operand.op == "="
-            and isinstance(operand.left, S.Col)
-            and isinstance(operand.right, S.Col)
-            and operand.left.name != operand.right.name
-        ):
-            a, b = operand.left.name, operand.right.name
+    for operand, col_pair in zip(operands, col_pairs):
+        if col_pair is not None:
+            a, b = col_pair
             sides = (side_of(a), side_of(b))
             if sides == ("left", "right"):
                 rewritten.append(E._JoinEq(a, b))
@@ -429,6 +411,19 @@ def _recognize_equi_join(expr: E.Join) -> E.Join:
     )
 
 
+def _col_eq_col(predicate: S.Predicate) -> Optional[tuple[str, str]]:
+    """``(a, b)`` for ``Comparison('=', Col(a), Col(b))`` with a ≠ b."""
+    if (
+        isinstance(predicate, S.Comparison)
+        and predicate.op == "="
+        and isinstance(predicate.left, S.Col)
+        and isinstance(predicate.right, S.Col)
+        and predicate.left.name != predicate.right.name
+    ):
+        return predicate.left.name, predicate.right.name
+    return None
+
+
 def _output_names(expr: E.RelExpr):
     """The exact output column list if statically known, else None."""
     if isinstance(expr, E.Project):
@@ -444,13 +439,15 @@ def _output_names(expr: E.RelExpr):
 
 
 def _partial_eval(predicate: S.Predicate) -> S.Predicate:
-    """Fold closed (column-free) sub-predicates to TRUE/FALSE."""
+    """Fold literal sub-predicates (every leaf a ``Lit``, no ``Func``)
+    to TRUE/FALSE.  Literal arithmetic and ``IN`` can still raise (1/0,
+    'a' + 1, an unhashable value); such a predicate stays unfolded."""
     if not isinstance(predicate, S.Predicate):
         return predicate
-    if not predicate.columns():
+    if _is_literal(predicate):
         try:
             return S.TRUE if predicate.eval({}, None) else S.FALSE
-        except Exception:  # noqa: BLE001 - leave unfoldable predicates be
+        except (ArithmeticError, TypeError):
             return predicate
     if isinstance(predicate, S.And):
         return S.And(*(_partial_eval(p) for p in predicate.operands))
@@ -461,8 +458,28 @@ def _partial_eval(predicate: S.Predicate) -> S.Predicate:
     return predicate
 
 
+def _is_literal(scalar: S.Scalar) -> bool:
+    """Every leaf of ``scalar`` is a ``Lit`` (or TRUE/FALSE) and it
+    calls no ``Func``: a ``Param`` needs the execution's bindings and a
+    function may do anything."""
+    if isinstance(scalar, (S.Lit, S._Bool)):
+        return True
+    if isinstance(scalar, (S.Comparison, S.Arith)):
+        return _is_literal(scalar.left) and _is_literal(scalar.right)
+    if isinstance(scalar, (S.And, S.Or)):
+        return all(_is_literal(p) for p in scalar.operands)
+    if isinstance(scalar, (S.Not, S.IsNull, S.In)):
+        return _is_literal(scalar.operand)
+    if isinstance(scalar, S.Case):
+        return _is_literal(scalar.default) and all(
+            _is_literal(p) and _is_literal(v) for p, v in scalar.whens
+        )
+    return False
+
+
 def simplify_predicate(predicate: S.Predicate) -> S.Predicate:
-    """Constant-fold TRUE/FALSE through the boolean connectives."""
+    """Constant-fold TRUE/FALSE through the boolean connectives; a
+    predicate nothing folds in comes back as itself."""
     if isinstance(predicate, S.And):
         operands = []
         for operand in predicate.operands:
@@ -479,6 +496,8 @@ def simplify_predicate(predicate: S.Predicate) -> S.Predicate:
             return S.TRUE
         if len(operands) == 1:
             return operands[0]
+        if _same_operands(operands, predicate.operands):
+            return predicate
         return S.And(*operands)
     if isinstance(predicate, S.Or):
         operands = []
@@ -493,6 +512,8 @@ def simplify_predicate(predicate: S.Predicate) -> S.Predicate:
             return S.FALSE
         if len(operands) == 1:
             return operands[0]
+        if _same_operands(operands, predicate.operands):
+            return predicate
         return S.Or(*operands)
     if isinstance(predicate, S.Not):
         inner = simplify_predicate(predicate.operand)
@@ -502,12 +523,18 @@ def simplify_predicate(predicate: S.Predicate) -> S.Predicate:
             return S.TRUE
         if isinstance(inner, S.Not):
             return inner.operand
+        if inner is predicate.operand:
+            return predicate
         return S.Not(inner)
     if isinstance(predicate, S.Comparison):
         if isinstance(predicate.left, S.Lit) and isinstance(predicate.right, S.Lit):
             result = predicate.eval({}, None)
             return S.TRUE if result else S.FALSE
     return predicate
+
+
+def _same_operands(new: list, old: tuple) -> bool:
+    return len(new) == len(old) and all(map(operator.is_, new, old))
 
 
 def _substitute_columns(scalar: S.Scalar, bindings: dict[str, S.Scalar]) -> S.Scalar:
@@ -732,7 +759,7 @@ def _cost_walk(node: E.RelExpr, est) -> E.RelExpr:
 def _replace_children(
     node: E.RelExpr, children: list[E.RelExpr]
 ) -> E.RelExpr:
-    if all(new is old for new, old in zip(children, node.inputs())):
+    if all(map(operator.is_, children, node.inputs())):
         return node
     if isinstance(node, E.Select):
         return E.Select(children[0], node.predicate)

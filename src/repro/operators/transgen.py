@@ -22,7 +22,11 @@ type from its *fragment pattern*: the set of constraints whose type set
 includes it.  A type's instances are the key-join of its fragments,
 minus keys claimed by types with strictly richer patterns — equivalent
 to Figure 3's left-outer-join + ``_from`` flags formulation, expressed
-with joins and anti-joins.
+with joins and anti-joins.  Each richer type is told apart by its first
+fragment outside the pattern (its *excluder*), and a subtree's types
+share one, so each type takes one anti-join, against the union of its
+distinct excluders in fragment order: the view stays linear in the
+hierarchy.
 """
 
 from __future__ import annotations
@@ -587,20 +591,26 @@ def _query_view_expr(root: Entity, fragments: list[_Fragment]) -> E.RelExpr:
         own = [fragments[i] for i in sorted(pattern)]
         expr = _join_fragments(own, root_key)
         key_cols = own[0].key_columns(root_key)
-        # Anti-joins: remove keys claimed by types whose fragment
-        # pattern could overlap this join (see module docstring).
+        # Remove keys claimed by types whose fragment pattern could
+        # overlap this join: one anti-join against their distinct
+        # excluders (see module docstring).
         intersection_types: set[str] = set(own[0].types)
         for fragment in own[1:]:
             intersection_types &= fragment.types
-        for other in intersection_types - {entity.name}:
+        excluders: set[int] = set()
+        for other in sorted(intersection_types - {entity.name}):
             extra_indices = patterns.get(other, frozenset()) - pattern
             if not extra_indices:
                 raise TransformationError(
                     f"types {entity.name!r} and {other!r} are "
                     "indistinguishable under these constraints"
                 )
-            excluder = fragments[min(extra_indices)]
-            expr = _anti_join(expr, excluder, key_cols, root_key)
+            excluders.add(min(extra_indices))
+        if excluders:
+            expr = _anti_join(
+                expr, [fragments[i] for i in sorted(excluders)], key_cols,
+                root_key,
+            )
         # Rename output columns to entity attribute names.
         renames: dict[str, str] = {}
         for fragment in own:
@@ -650,15 +660,21 @@ def _join_fragments(
 
 def _anti_join(
     expr: E.RelExpr,
-    excluder: _Fragment,
+    excluders: list[_Fragment],
     key_cols: list[str],
     root_key: list[str],
 ) -> E.RelExpr:
-    """Keep rows of ``expr`` whose key is absent from the excluder."""
-    excluder_keys = excluder.key_columns(root_key)
-    excluded = E.project_names(excluder.constraint.source_expr, excluder_keys)
-    if excluder_keys != key_cols:
-        excluded = E.Rename(excluded, dict(zip(excluder_keys, key_cols)))
+    """Keep rows of ``expr`` whose key no excluder holds; ``expr``
+    appears twice, so the view stays linear in its fragments."""
+    excluded: Optional[E.RelExpr] = None
+    for excluder in excluders:
+        excluder_keys = excluder.key_columns(root_key)
+        keys: E.RelExpr = E.project_names(
+            excluder.constraint.source_expr, excluder_keys
+        )
+        if excluder_keys != key_cols:
+            keys = E.Rename(keys, dict(zip(excluder_keys, key_cols)))
+        excluded = keys if excluded is None else E.UnionAll(excluded, keys)
     surviving = E.Difference(
         E.Distinct(E.project_names(expr, key_cols)), E.Distinct(excluded)
     )

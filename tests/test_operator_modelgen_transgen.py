@@ -219,12 +219,14 @@ class TestTransGenViews:
             broken.verify_roundtrip(paper.figure2_er_instance())
 
     def test_roundtrip_scales_with_hierarchy(self):
-        schema = synthetic.inheritance_schema("Deep", depth=2, branching=2)
-        for strategy in InheritanceStrategy:
-            result = modelgen(schema, "relational", strategy)
-            views = transgen(result.mapping)
-            db = InstanceGenerator(schema, seed=5).generate(30)
-            views.verify_roundtrip(db)
+        for depth in (2, 3):
+            schema = synthetic.inheritance_schema("Deep", depth=depth,
+                                                  branching=2)
+            for strategy in InheritanceStrategy:
+                result = modelgen(schema, "relational", strategy)
+                views = transgen(result.mapping)
+                db = InstanceGenerator(schema, seed=5).generate(30)
+                views.verify_roundtrip(db)
 
     def test_query_view_sql_rendering(self):
         """The generated view renders to SQL (the Figure 3 deliverable)."""
