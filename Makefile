@@ -3,16 +3,25 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
 	optimizer-smoke health-smoke match-smoke compose-smoke transgen-smoke \
+	examples \
 	bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke perfbench-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
 # query-engine, incremental-maintenance, optimizer, health, Match,
-# Compose and TransGen smoke gates.
+# Compose and TransGen smoke gates and the example scripts.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		health-smoke match-smoke compose-smoke transgen-smoke
+		health-smoke match-smoke compose-smoke transgen-smoke examples
 	$(PYTHON) -m pytest -x -q
+
+# Every example script end to end (ETL pipeline, mediator, wrapper,
+# certain answers, ...); a nonzero exit or a traceback fails.
+examples:
+	@for f in examples/*.py; do \
+		$(PYTHON) $$f >/dev/null || { echo "examples: $$f failed"; exit 1; }; \
+	done
+	@echo "examples: all ok"
 
 # Static checks: ruff with the pinned config in pyproject.toml.
 # Skips gracefully when ruff is not installed (the CI image does not

@@ -2,13 +2,15 @@
 
 The executor is :mod:`repro.algebra.vectorized` (the columnar plan
 pipeline behind ``evaluate``); the reference interpreter in
-:mod:`repro.algebra.evaluator` is its differential oracle.  This module
-keeps only what those modules, the optimizer and the estimator import:
+:mod:`repro.algebra.evaluator` is its differential oracle and runs
+every stage the executor cannot run over columns.  This module keeps
+what those modules, the optimizer and the estimator share:
 
-* scalar lowering (:func:`compile_scalar`): a scalar AST becomes one
-  closure ``f(row, ctx)`` built once per plan — no per-row
-  ``isinstance``/``_OPS`` dispatch — memoized per scalar identity
-  during a lowering pass;
+* the value semantics both engines use: join keys
+  (:func:`join_key_value`), join-predicate analysis
+  (:func:`equality_pairs`), the heterogeneous sort key
+  (:class:`SortKey`) and the aggregate reduction
+  (:func:`reduce_aggregate`);
 * static column inference (:func:`_static_cols`), the license for
   projection pushdown through unions
   (:func:`_push_project_through_union`) and the optimizer's join
@@ -19,23 +21,18 @@ keeps only what those modules, the optimizer and the estimator import:
 * plan nodes (:class:`PlanNode`), the per-lowering registry that
   records them and wraps every stage in the per-node profiling hook
   (:class:`_PlanRegistry`), and one execution's per-node statistics
-  (:class:`PlanProfile`) — the units of EXPLAIN / EXPLAIN ANALYZE;
-* join-predicate analysis (:func:`equality_pairs`) and the row helpers
-  the vectorized engine's row fallbacks call: join keyers, merge and
-  left-join padding, frozen-row distinct/difference, aggregate
-  reduction, and the heterogeneous sort key.
+  (:class:`PlanProfile`) — the units of EXPLAIN / EXPLAIN ANALYZE.
 """
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
 from repro.errors import EvaluationError
-from repro.instances.database import Instance, Row, freeze_row, hashable_key
+from repro.instances.database import Instance
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
 
@@ -56,8 +53,9 @@ def join_key_value(value):
 def equality_pairs(predicate) -> Optional[list[tuple[str, str, bool]]]:
     """``(left_col, right_col, null_tolerant)`` triples if ``predicate``
     is a pure conjunction of ``_JoinEq``/``ValueJoinEq`` atoms — the
-    condition for the hash-join fast path.  ``TRUE`` yields ``[]``
-    (cross join); anything else yields ``None`` (nested loop)."""
+    condition for the vectorized hash join (the interpreter hashes only
+    when no pair is null-tolerant).  ``TRUE`` yields ``[]`` (cross
+    join); anything else yields ``None`` (nested loop)."""
     if predicate is S.TRUE:
         return []
     if isinstance(predicate, E._JoinEq):
@@ -117,245 +115,25 @@ class SortKey:
             return str(self.value) < str(other.value)
 
 
-def merge_rows(l_row: Row, r_row: Row, right_prefix: Optional[str]) -> Row:
-    """Join output row: left wins on collisions unless a prefix exposes
-    the right side's copy."""
-    merged = dict(l_row)
-    for key, value in r_row.items():
-        if key in merged:
-            if right_prefix:
-                merged[f"{right_prefix}.{key}"] = value
-        else:
-            merged[key] = value
-    return merged
-
-
-# ----------------------------------------------------------------------
-# scalar lowering
-# ----------------------------------------------------------------------
-ScalarFn = Callable[[Row, object], object]
-
-#: Per-lowering memo of lowered scalars, keyed on scalar *identity*
-#: (CSE-shared subtrees splice the same predicate objects under several
-#: parents — without the memo each reference relowers the closure
-#: tree).  Values keep a strong reference to the scalar so an id cannot
-#: be reused mid-pass.  Active only under :data:`_COMPILE_LOCK` (set by
-#: the vectorized plan's lowering pass); ``None`` outside a pass, where
-#: direct callers get the unmemoized behavior.
-_scalar_memo: Optional[dict[int, tuple[S.Scalar, ScalarFn]]] = None
-
-
-def compile_scalar(scalar: S.Scalar) -> ScalarFn:
-    """Lower a scalar AST to one closure ``f(row, ctx) -> value``.
-
-    All dispatch happens here, once per plan; unknown scalar classes
-    fall back to their own bound ``eval`` (which has the same
-    signature), so user-defined predicates keep working.  During a plan
-    lowering pass, results are memoized per scalar identity.
-    """
-    memo = _scalar_memo
-    if memo is None:
-        return _compile_scalar(scalar)
-    hit = memo.get(id(scalar))
-    if hit is not None:
-        return hit[1]
-    fn = _compile_scalar(scalar)
-    memo[id(scalar)] = (scalar, fn)
-    return fn
-
-
-def _compile_scalar(scalar: S.Scalar) -> ScalarFn:
-    if isinstance(scalar, S.Col):
-        name = scalar.name
-
-        def run_col(row, ctx):
-            try:
-                return row[name]
-            except KeyError:
-                raise EvaluationError(
-                    f"row has no column {name!r}: {sorted(row)}"
-                ) from None
-
-        return run_col
-
-    if isinstance(scalar, (S.Lit, S._Bool)):
-        value = scalar.value
-        return lambda row, ctx: value
-
-    if isinstance(scalar, S.Param):
-        index = scalar.index
-        return lambda row, ctx: ctx.params[index]
-
-    if isinstance(scalar, S.Comparison):
-        return _compile_comparison(scalar)
-
-    if isinstance(scalar, S.And):
-        operands = tuple(compile_scalar(p) for p in scalar.operands)
-
-        def run_and(row, ctx):
-            for operand in operands:
-                if not operand(row, ctx):
-                    return False
-            return True
-
-        return run_and
-
-    if isinstance(scalar, S.Or):
-        operands = tuple(compile_scalar(p) for p in scalar.operands)
-
-        def run_or(row, ctx):
-            for operand in operands:
-                if operand(row, ctx):
-                    return True
-            return False
-
-        return run_or
-
-    if isinstance(scalar, S.Not):
-        operand = compile_scalar(scalar.operand)
-        return lambda row, ctx: not operand(row, ctx)
-
-    if isinstance(scalar, S.IsNull):
-        operand = compile_scalar(scalar.operand)
-        if scalar.negated:
-            return lambda row, ctx: not (
-                (v := operand(row, ctx)) is None or isinstance(v, LabeledNull)
-            )
-        return lambda row, ctx: (
-            (v := operand(row, ctx)) is None or isinstance(v, LabeledNull)
-        )
-
-    if isinstance(scalar, S.In):
-        operand = compile_scalar(scalar.operand)
-        values = scalar.values
-
-        def run_in(row, ctx):
-            value = operand(row, ctx)
-            if value is None:
-                return False
-            return value in values
-
-        return run_in
-
-    if isinstance(scalar, S.IsOf):
-        return _compile_is_of(scalar)
-
-    if isinstance(scalar, S.Arith):
-        op = S.Arith._OPS[scalar.op]
-        left = compile_scalar(scalar.left)
-        right = compile_scalar(scalar.right)
-
-        def run_arith(row, ctx):
-            lhs = left(row, ctx)
-            rhs = right(row, ctx)
-            if lhs is None or rhs is None or isinstance(
-                lhs, LabeledNull
-            ) or isinstance(rhs, LabeledNull):
-                return None
-            return op(lhs, rhs)
-
-        return run_arith
-
-    if isinstance(scalar, S.Func):
-        args = tuple(compile_scalar(a) for a in scalar.args)
-        fn = scalar.fn
-        if scalar.null_tolerant:
-            return lambda row, ctx: fn(*(a(row, ctx) for a in args))
-
-        def run_func(row, ctx):
-            values = [a(row, ctx) for a in args]
-            for value in values:
-                if value is None or isinstance(value, LabeledNull):
-                    return None
-            return fn(*values)
-
-        return run_func
-
-    if isinstance(scalar, S.Case):
-        whens = tuple(
-            (compile_scalar(p), compile_scalar(v)) for p, v in scalar.whens
-        )
-        default = compile_scalar(scalar.default)
-
-        def run_case(row, ctx):
-            for predicate, value in whens:
-                if predicate(row, ctx):
-                    return value(row, ctx)
-            return default(row, ctx)
-
-        return run_case
-
-    # Unknown scalar class (e.g. the CQ translation's guards, or user
-    # extensions): its own eval already has the (row, ctx) signature.
-    return scalar.eval
-
-
-def _compile_comparison(scalar: S.Comparison) -> ScalarFn:
-    left = compile_scalar(scalar.left)
-    right = compile_scalar(scalar.right)
-    op = scalar.op
-
-    if op == "=":
-
-        def run_eq(row, ctx):
-            lhs = left(row, ctx)
-            rhs = right(row, ctx)
-            if isinstance(lhs, LabeledNull) or isinstance(rhs, LabeledNull):
-                return lhs == rhs
-            if lhs is None or rhs is None:
-                return False
-            return bool(lhs == rhs)
-
-        return run_eq
-
-    if op == "!=":
-
-        def run_ne(row, ctx):
-            lhs = left(row, ctx)
-            rhs = right(row, ctx)
-            if isinstance(lhs, LabeledNull) or isinstance(rhs, LabeledNull):
-                return lhs != rhs
-            if lhs is None or rhs is None:
-                return False
-            return bool(lhs != rhs)
-
-        return run_ne
-
-    op_fn = S.Comparison._OPS[op]
-
-    def run_ordered(row, ctx):
-        lhs = left(row, ctx)
-        rhs = right(row, ctx)
-        if isinstance(lhs, LabeledNull) or isinstance(rhs, LabeledNull):
-            return False
-        if lhs is None or rhs is None:
-            return False
-        try:
-            return bool(op_fn(lhs, rhs))
-        except TypeError:
-            return False  # cross-type comparison is unknown
-
-    return run_ordered
-
-
-def _compile_is_of(scalar: S.IsOf) -> ScalarFn:
-    from repro.instances.database import TYPE_FIELD
-
-    entity = scalar.entity
-    only = scalar.only
-
-    def run_is_of(row, ctx):
-        actual = row.get(TYPE_FIELD)
-        if actual is None:
-            return False
-        if only or ctx is None or ctx.schema is None:
-            return actual == entity
-        schema = ctx.schema
-        if actual not in schema.entities or entity not in schema.entities:
-            return actual == entity
-        return schema.entity(str(actual)).is_subtype_of(schema.entity(entity))
-
-    return run_is_of
+def reduce_aggregate(func: str, values: list) -> object:
+    """One group's ``func`` over ``values``, skipping SQL and labeled
+    nulls: ``count`` of nothing is 0, any other aggregate ``None``."""
+    kept = [
+        v for v in values if v is not None and not isinstance(v, LabeledNull)
+    ]
+    if func == "count":
+        return len(kept)
+    if not kept:
+        return None
+    if func == "sum":
+        return sum(kept)
+    if func == "min":
+        return min(kept)
+    if func == "max":
+        return max(kept)
+    if func == "avg":
+        return sum(kept) / len(kept)
+    raise EvaluationError(f"unknown aggregate {func!r}")
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +186,7 @@ def _static_cols(expr: E.RelExpr) -> Optional[tuple[str, ...]]:
     if isinstance(expr, E.Join):
         if expr.kind == "left":
             # An empty right side pads nothing, so the shape depends on
-            # the data — see the interpreter's `_pad_left` behavior.
+            # the data (the interpreter pads from the right rows seen).
             return None
         l_cols = _static_cols(expr.left)
         r_cols = _static_cols(expr.right)
@@ -465,10 +243,10 @@ def _push_project_through_union(expr: E.Project) -> Optional[E.RelExpr]:
 # execution context and CSE detection
 # ----------------------------------------------------------------------
 class _Run:
-    """Per-execution context a plan pipeline threads through its stage
-    and scalar closures (duck-compatible with the interpreter's
-    ``EvalContext``: exposes ``schema``, ``instance`` and the values
-    bound to the plan's ``Param`` slots).  ``memo`` holds the
+    """Per-execution context a plan pipeline threads through its stages
+    (duck-compatible with the interpreter's ``EvalContext``: exposes
+    ``schema``, ``instance`` and the values bound to the plan's
+    ``Param`` slots, so scalars and row paths evaluate against it).  ``memo`` holds the
     per-execution results of common subexpressions (see
     :func:`_shared_subtrees`); ``profile`` is the per-node
     ``[calls, rows, seconds]`` accumulator of a profiled execution, or
@@ -488,11 +266,6 @@ class _Run:
         self.memo: dict = {}
         self.profile = profile
         self.params = params
-
-
-#: Sentinel for "this row can never match" join keys (a null under a
-#: null-rejecting pair).  Never inserted into an index.
-_NOMATCH = object()
 
 
 def _shared_subtrees(expr: E.RelExpr) -> dict[int, int]:
@@ -632,116 +405,6 @@ class _PlanRegistry:
         # through a union) reports that stage's strategy.
         run_node.__name__ = run.__name__
         return run_node
-
-
-#: Lowering is rare (the plan cache memoizes it) but may be reached
-#: from several threads at once; the module-level scalar memo makes it
-#: a critical section.
-_COMPILE_LOCK = threading.RLock()
-
-
-# ----------------------------------------------------------------------
-# row paths the vectorized stages fall back to
-# ----------------------------------------------------------------------
-def _distinct_frozen(rows) -> list:
-    seen: set[frozenset] = set()
-    out = []
-    for row in rows:
-        frozen = freeze_row(row)
-        if frozen not in seen:
-            seen.add(frozen)
-            out.append(row)
-    return out
-
-
-def _difference_frozen(left_rows, right_rows) -> list:
-    excluded = {freeze_row(r) for r in right_rows}
-    seen: set[frozenset] = set()
-    out = []
-    for row in left_rows:
-        frozen = freeze_row(row)
-        if frozen not in excluded and frozen not in seen:
-            seen.add(frozen)
-            out.append(row)
-    return out
-
-
-def _make_join_keyer(columns: tuple[str, ...], tolerant: tuple[bool, ...]):
-    """One closure ``row -> hashable key | _NOMATCH`` per join side.
-    ``_NOMATCH`` marks a null under a null-rejecting pair — the row can
-    never match and is skipped on both build and probe."""
-    if len(columns) == 1:
-        column = columns[0]
-        if tolerant[0]:
-            return lambda row: hashable_key(row.get(column))
-
-        def strict_single(row):
-            value = row.get(column)
-            if value is None:
-                return _NOMATCH
-            if isinstance(value, LabeledNull):
-                return ("⊥", value.label)
-            return value
-
-        return strict_single
-
-    keyers = tuple(hashable_key if t else join_key_value for t in tolerant)
-    strict_at = tuple(i for i, t in enumerate(tolerant) if not t)
-
-    def multi(row):
-        key = tuple(
-            keyer(row.get(c)) for keyer, c in zip(keyers, columns)
-        )
-        for i in strict_at:
-            if key[i] is None:
-                return _NOMATCH
-        return key
-
-    return multi
-
-
-def _column_set(rows) -> set[str]:
-    columns: set[str] = set()
-    for row in rows:
-        columns.update(row)
-    return columns
-
-
-def _pad_left(
-    l_row: Row, right_columns: set[str], right_prefix: Optional[str]
-) -> Row:
-    if right_prefix:
-        padding = {f"{right_prefix}.{c}": None for c in right_columns}
-    else:
-        padding = {c: None for c in right_columns if c not in l_row}
-    merged = dict(l_row)
-    merged.update(padding)
-    return merged
-
-
-def _apply_aggregate(
-    func: str, scalar: Optional[ScalarFn], members: list[Row], ctx
-) -> object:
-    if func == "count" and scalar is None:
-        return len(members)
-    values = []
-    for row in members:
-        value = scalar(row, ctx) if scalar is not None else 1
-        if value is not None and not isinstance(value, LabeledNull):
-            values.append(value)
-    if func == "count":
-        return len(values)
-    if not values:
-        return None
-    if func == "sum":
-        return sum(values)
-    if func == "min":
-        return min(values)
-    if func == "max":
-        return max(values)
-    if func == "avg":
-        return sum(values) / len(values)
-    raise EvaluationError(f"unknown aggregate {func!r}")
 
 
 # ----------------------------------------------------------------------

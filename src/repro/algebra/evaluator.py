@@ -14,6 +14,11 @@ runs one executor and keeps one oracle:
   operator's output.  Simple, deterministic, and the semantic oracle
   the differential suite holds the vectorized engine to.
 
+The interpreter is child evaluation plus one per-node entry,
+:func:`apply_operator`.  That entry is the library's one row
+semantics: where the vectorized executor cannot run a stage over
+columns, it calls :func:`apply_operator` on its input batches' rows.
+
 Pick the oracle per call with ``evaluate(..., engine="interpreted")``.
 """
 
@@ -22,6 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.algebra.compiler import (
+    SortKey,
+    equality_pairs,
+    join_key_value,
+    reduce_aggregate,
+)
 from repro.algebra.expressions import (
     Aggregate,
     Difference,
@@ -40,7 +51,6 @@ from repro.algebra.expressions import (
 )
 from repro.errors import EvaluationError
 from repro.instances.database import Instance, Row, freeze_row
-from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
 from repro.observability.journal import JOURNAL
 from repro.observability.metrics import registry
@@ -152,7 +162,7 @@ SLOW_QUERY_MS = 100.0
 
 def _record_query(
     expr: RelExpr,
-    engine: str,
+    executed_by: str,
     cache_hit: bool,
     wall_ms: float,
     rows_out: int,
@@ -165,7 +175,7 @@ def _record_query(
     JOURNAL.record(
         "query",
         fingerprint=expr.fingerprint(),
-        engine=engine,
+        engine=executed_by,
         cache_hit=cache_hit,
         wall_ms=round(wall_ms, 3),
         rows_out=rows_out,
@@ -189,14 +199,14 @@ def evaluate_interpreted(
     ``evaluate(..., engine="interpreted")`` selects)."""
     ctx = EvalContext(schema or instance.schema, instance, params)
     if not STATE.enabled:
-        return _eval(expr, instance, ctx)
+        return _eval(expr, ctx)
     import time
 
     start = time.perf_counter()
     with tracer.span(
         "query.execute", engine="interpreted", **{"plan.size": expr.size()}
     ) as span:
-        rows = _eval(expr, instance, ctx)
+        rows = _eval(expr, ctx)
         if span is not None:
             span.set_attribute("rows", len(rows))
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -208,9 +218,25 @@ def evaluate_interpreted(
     return rows
 
 
-def _eval(expr: RelExpr, instance: Instance, ctx: EvalContext) -> list[Row]:
+def _eval(expr: RelExpr, ctx: EvalContext) -> list[Row]:
+    return apply_operator(
+        expr, [_eval(child, ctx) for child in expr.inputs()], ctx
+    )
+
+
+def apply_operator(expr: RelExpr, inputs: list[list[Row]], ctx) -> list[Row]:
+    """The rows of one ``expr`` node, given its children's rows in
+    ``expr.inputs()`` order (none for source nodes, which read
+    ``ctx.instance``).
+
+    ``ctx`` is an :class:`EvalContext` or anything exposing the same
+    ``schema``/``instance``/``params`` — the vectorized executor's
+    row paths pass their per-execution context and the rows of their
+    input batches, so both engines share this one row semantics.  The
+    input lists may be consumed (a sort reorders its input in place).
+    """
     if isinstance(expr, Scan):
-        return [dict(row) for row in instance.rows(expr.relation)]
+        return [dict(row) for row in ctx.instance.rows(expr.relation)]
 
     if isinstance(expr, EntityScan):
         if ctx.schema is None:
@@ -219,7 +245,7 @@ def _eval(expr: RelExpr, instance: Instance, ctx: EvalContext) -> list[Row]:
         # no instance.copy() just to rebind the schema.
         return [
             dict(row)
-            for row in instance.objects_of(
+            for row in ctx.instance.objects_of(
                 expr.entity, strict=expr.only, schema=ctx.schema
             )
         ]
@@ -228,39 +254,33 @@ def _eval(expr: RelExpr, instance: Instance, ctx: EvalContext) -> list[Row]:
         return [dict(row) for row in expr.rows]
 
     if isinstance(expr, Select):
-        rows = _eval(expr.input, instance, ctx)
-        return [row for row in rows if expr.predicate.eval(row, ctx)]
+        return [row for row in inputs[0] if expr.predicate.eval(row, ctx)]
 
     if isinstance(expr, Project):
-        rows = _eval(expr.input, instance, ctx)
         return [
             {name: scalar.eval(row, ctx) for name, scalar in expr.outputs}
-            for row in rows
+            for row in inputs[0]
         ]
 
     if isinstance(expr, Extend):
-        rows = _eval(expr.input, instance, ctx)
         out = []
-        for row in rows:
+        for row in inputs[0]:
             extended = dict(row)
             extended[expr.name] = expr.scalar.eval(row, ctx)
             out.append(extended)
         return out
 
     if isinstance(expr, Join):
-        return _eval_join(expr, instance, ctx)
+        return _join(expr, inputs[0], inputs[1], ctx)
 
     if isinstance(expr, UnionAll):
-        left = _eval(expr.left, instance, ctx)
-        right = _eval(expr.right, instance, ctx)
-        return _pad_union(left, right)
+        return _pad_union(inputs[0], inputs[1])
 
     if isinstance(expr, Difference):
-        left = _eval(expr.left, instance, ctx)
-        right = {freeze_row(r) for r in _eval(expr.right, instance, ctx)}
+        right = {freeze_row(r) for r in inputs[1]}
         seen: set[frozenset] = set()
         out = []
-        for row in left:
+        for row in inputs[0]:
             frozen = freeze_row(row)
             if frozen not in right and frozen not in seen:
                 seen.add(frozen)
@@ -268,10 +288,9 @@ def _eval(expr: RelExpr, instance: Instance, ctx: EvalContext) -> list[Row]:
         return out
 
     if isinstance(expr, Distinct):
-        rows = _eval(expr.input, instance, ctx)
         seen: set[frozenset] = set()
         out = []
-        for row in rows:
+        for row in inputs[0]:
             frozen = freeze_row(row)
             if frozen not in seen:
                 seen.add(frozen)
@@ -279,45 +298,46 @@ def _eval(expr: RelExpr, instance: Instance, ctx: EvalContext) -> list[Row]:
         return out
 
     if isinstance(expr, Rename):
-        rows = _eval(expr.input, instance, ctx)
         return [
-            {expr.mapping.get(k, k): v for k, v in row.items()} for row in rows
+            {expr.mapping.get(k, k): v for k, v in row.items()}
+            for row in inputs[0]
         ]
 
     if isinstance(expr, Aggregate):
-        return _eval_aggregate(expr, instance, ctx)
+        return _aggregate(expr, inputs[0], ctx)
 
     if isinstance(expr, Sort):
-        rows = _eval(expr.input, instance, ctx)
+        rows = inputs[0]
         for key in reversed(expr.keys):
             descending = key.startswith("-")
             column = key[1:] if descending else key
-            rows.sort(key=lambda r: _SortKey(r.get(column)), reverse=descending)
+            rows.sort(key=lambda r: SortKey(r.get(column)), reverse=descending)
         return rows
 
     raise EvaluationError(f"unknown expression node {type(expr).__name__}")
 
 
-def _eval_join(expr: Join, instance: Instance, ctx: EvalContext) -> list[Row]:
-    left_rows = _eval(expr.left, instance, ctx)
-    right_rows = _eval(expr.right, instance, ctx)
+def _join(
+    expr: Join, left_rows: list[Row], right_rows: list[Row], ctx
+) -> list[Row]:
     out: list[Row] = []
     right_columns: set[str] = set()
     for row in right_rows:
         right_columns.update(row)
 
-    # Hash-join fast path for pure equality predicates.
-    pairs = _equality_pairs(expr.predicate)
+    # Hash join only when every pair is a null-rejecting _JoinEq; a
+    # null-tolerant ValueJoinEq takes the nested loop.
+    pairs = equality_pairs(expr.predicate)
     index: Optional[dict[tuple, list[Row]]] = None
-    if pairs is not None and pairs:
+    if pairs and not any(tolerant for _, _, tolerant in pairs):
         index = {}
         for r_row in right_rows:
-            key = tuple(_join_value(r_row.get(rc)) for _, rc in pairs)
+            key = tuple(join_key_value(r_row.get(rc)) for _, rc, _ in pairs)
             index.setdefault(key, []).append(r_row)
 
     for l_row in left_rows:
         if index is not None:
-            key = tuple(_join_value(l_row.get(lc)) for lc, _ in pairs)
+            key = tuple(join_key_value(l_row.get(lc)) for lc, _, _ in pairs)
             candidates = index.get(key, []) if None not in key else []
         else:
             candidates = right_rows
@@ -339,35 +359,6 @@ def _eval_join(expr: Join, instance: Instance, ctx: EvalContext) -> list[Row]:
             merged.update(padding)
             out.append(merged)
     return out
-
-
-def _equality_pairs(predicate) -> Optional[list[tuple[str, str]]]:
-    """Extract (left_col, right_col) pairs if the predicate is a pure
-    conjunction of ``_JoinEq`` atoms — enables the hash join."""
-    from repro.algebra.expressions import _JoinEq
-    from repro.algebra.scalars import And, TRUE
-
-    if predicate is TRUE:
-        return []
-    if isinstance(predicate, _JoinEq):
-        return [(predicate.left_col, predicate.right_col)]
-    if isinstance(predicate, And):
-        pairs: list[tuple[str, str]] = []
-        for operand in predicate.operands:
-            if not isinstance(operand, _JoinEq):
-                return None
-            pairs.append((operand.left_col, operand.right_col))
-        return pairs
-    return None
-
-
-def _join_value(value):
-    """Join keys: None never matches; labeled nulls match by label."""
-    if value is None:
-        return None
-    if isinstance(value, LabeledNull):
-        return ("⊥", value.label)
-    return value
 
 
 def _join_predicate_holds(expr: Join, l_row: Row, r_row: Row, ctx) -> bool:
@@ -410,75 +401,27 @@ def _pad_union(left: list[Row], right: list[Row]) -> list[Row]:
     return out
 
 
-def _eval_aggregate(
-    expr: Aggregate, instance: Instance, ctx: EvalContext
-) -> list[Row]:
-    rows = _eval(expr.input, instance, ctx)
+def _aggregate(expr: Aggregate, rows: list[Row], ctx) -> list[Row]:
     groups: dict[tuple, list[Row]] = {}
     for row in rows:
-        key = tuple(_join_value(row.get(c)) for c in expr.group_by)
+        key = tuple(join_key_value(row.get(c)) for c in expr.group_by)
         groups.setdefault(key, []).append(row)
     if not groups and not expr.group_by:
         groups[()] = []
     out: list[Row] = []
-    for key, members in groups.items():
+    for members in groups.values():
         result: Row = {}
-        for column, raw in zip(expr.group_by, key):
+        for column in expr.group_by:
             # .get: a group-by column may be absent from a row (padded
             # unions); the group key already treats that as None.
-            sample = members[0].get(column) if members else None
-            result[column] = sample
+            result[column] = members[0].get(column) if members else None
         for name, func, scalar in expr.aggregations:
-            result[name] = _apply_aggregate(func, scalar, members, ctx)
+            if func == "count" and scalar is None:
+                result[name] = len(members)
+            else:
+                result[name] = reduce_aggregate(func, [
+                    scalar.eval(row, ctx) if scalar is not None else 1
+                    for row in members
+                ])
         out.append(result)
     return out
-
-
-def _apply_aggregate(func: str, scalar, members: list[Row], ctx) -> object:
-    if func == "count" and scalar is None:
-        return len(members)
-    values = []
-    for row in members:
-        value = scalar.eval(row, ctx) if scalar is not None else 1
-        if value is not None and not isinstance(value, LabeledNull):
-            values.append(value)
-    if func == "count":
-        return len(values)
-    if not values:
-        return None
-    if func == "sum":
-        return sum(values)
-    if func == "min":
-        return min(values)
-    if func == "max":
-        return max(values)
-    if func == "avg":
-        return sum(values) / len(values)
-    raise EvaluationError(f"unknown aggregate {func!r}")
-
-
-class _SortKey:
-    """Total order over heterogeneous values: nulls last, then by type
-    name, then by value (string fallback for incomparables)."""
-
-    __slots__ = ("rank", "type_name", "value")
-
-    def __init__(self, value):
-        if value is None or isinstance(value, LabeledNull):
-            self.rank = 1
-            self.type_name = ""
-            self.value = repr(value)
-        else:
-            self.rank = 0
-            self.type_name = type(value).__name__
-            self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        if self.rank != other.rank:
-            return self.rank < other.rank
-        if self.type_name != other.type_name:
-            return self.type_name < other.type_name
-        try:
-            return self.value < other.value
-        except TypeError:
-            return str(self.value) < str(other.value)

@@ -162,7 +162,10 @@ class Values(RelExpr):
         self.rows = tuple(dict(r) for r in rows)
 
     def _key(self):
-        return tuple(frozenset(r.items()) for r in self.rows)
+        return tuple(
+            frozenset((k, type(v).__name__, v) for k, v in r.items())
+            for r in self.rows
+        )
 
 
 class Select(RelExpr):
@@ -411,12 +414,9 @@ class _JoinEq(Predicate):
 class ValueJoinEq(Predicate):
     """Null-*tolerant* equality between a left-side and a right-side
     column: plain Python equality, so ``None == None`` matches and
-    labeled nulls match by label.
-
-    This is the join semantics of variable binding in the homomorphism
-    search — the CQ-to-algebra translation joins atom plans with it so
-    the planned path reproduces naive evaluation exactly.  Both
-    the vectorized engine and the interpreter give it a hash join.
+    labeled nulls match by label (the binding equality of the
+    homomorphism search).  The vectorized engine hash-joins it; the
+    interpreter tests it pair by pair in a nested loop.
     """
 
     def __init__(self, left_col: str, right_col: str):

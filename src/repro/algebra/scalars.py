@@ -83,7 +83,8 @@ class Lit(Scalar):
         return set()
 
     def _key(self):
-        return (self.value,)
+        # Typed: 1 == True == 1.0, but a literal yields its own type.
+        return (type(self.value).__name__, self.value)
 
 
 class Param(Scalar):
@@ -372,7 +373,10 @@ class In(Predicate):
         return self.operand.columns()
 
     def _key(self):
-        return (self.operand, self.values)
+        return (
+            self.operand,
+            frozenset((type(v).__name__, v) for v in self.values),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -26,15 +26,17 @@ Semantics are bit-for-bit those of the reference interpreter in
 labeled nulls included.  Where a scalar expression or a runtime batch
 shape falls outside the vectorizer's reach (heterogeneous rows, exotic
 predicates, computed projections, cross and nested-loop joins), the
-stage takes a row path *per stage*: it materializes rows, runs the row
-algorithm, and re-encodes — never approximating the row semantics.
+stage takes a row path *per stage*: it materializes its input batches'
+rows, runs the interpreter's operator on them
+(:func:`~repro.algebra.evaluator.apply_operator`), and re-encodes the
+result — so a row path is the oracle's semantics by construction.
 Every row path is counted (``query.vectorized.row_fallback.<stage>``)
 and journaled once per stage kind when observability is enabled.
 
 The plan-building blocks — CSE detection, projection-through-union
-pushdown, scalar lowering, and the :class:`~repro.algebra.compiler.
-_PlanRegistry` node bookkeeping behind EXPLAIN / EXPLAIN ANALYZE — live
-in :mod:`repro.algebra.compiler`.  Batches flowing between stages are
+pushdown, and the :class:`~repro.algebra.compiler._PlanRegistry` node
+bookkeeping behind EXPLAIN / EXPLAIN ANALYZE — live in
+:mod:`repro.algebra.compiler`.  Batches flowing between stages are
 immutable by convention; fresh row dicts are built exactly once, at
 the plan boundary (:meth:`VectorizedPlan.execute`).
 """
@@ -51,10 +53,11 @@ from repro.algebra.compiler import (
     PlanProfile,
     SortKey,
     _Run,
-    compile_scalar,
     equality_pairs,
     join_key_value,
+    reduce_aggregate,
 )
+from repro.algebra.evaluator import apply_operator
 from repro.errors import EvaluationError
 from repro.instances.columnar import Column, ColumnBatch
 from repro.instances.database import (
@@ -69,27 +72,32 @@ from repro.observability.metrics import registry
 from repro.observability.state import STATE
 from repro.observability.tracing import tracer
 
-_NOMATCH = C._NOMATCH
+#: Sentinel for "this row can never match" join keys (a null under a
+#: null-rejecting pair).  Never inserted into an index.
+_NOMATCH = object()
 _EMPTY = ()
 
 VStage = Callable[[_Run], ColumnBatch]
 
 
-def _note_row_fallback(stage: str) -> None:
-    """Count a vectorized→row-closure fallback and journal it once per
-    stage kind (per journal clear) — the fallback itself can run once
-    per batch, so the journal entry is deduped while the counter keeps
-    the exact tally."""
-    if not STATE.enabled:
-        return
-    registry.counter(f"query.vectorized.row_fallback.{stage}").inc()
-    from repro.observability.journal import JOURNAL
+def _row_path(stage: str, expr: E.RelExpr, ctx: _Run,
+              *batches: ColumnBatch) -> list[Row]:
+    """A stage's row path: the interpreter's operator for ``expr``
+    (:func:`~repro.algebra.evaluator.apply_operator`) over the rows of
+    its input ``batches``.  Counted per stage kind and journaled once
+    per kind (per journal clear) — the path can run once per batch, so
+    the journal entry is deduped while the counter keeps the exact
+    tally."""
+    if STATE.enabled:
+        registry.counter(f"query.vectorized.row_fallback.{stage}").inc()
+        from repro.observability.journal import JOURNAL
 
-    JOURNAL.record_once(
-        f"vectorized.row_fallback.{stage}",
-        "vectorized.row_fallback",
-        stage=stage,
-    )
+        JOURNAL.record_once(
+            f"vectorized.row_fallback.{stage}",
+            "vectorized.row_fallback",
+            stage=stage,
+        )
+    return apply_operator(expr, [batch.to_rows() for batch in batches], ctx)
 
 
 class _Lower:
@@ -364,14 +372,12 @@ def _vector_predicate(scalar) -> Optional[_VecPred]:
         ), frozenset((name,))
 
     if isinstance(scalar, S.IsOf):
-        cell = compile_scalar(scalar)  # run_is_of consults row.get
+        cell = scalar.eval  # consults only row.get(TYPE_FIELD)
 
         def run_is_of_mask(b, ctx):
             vals = _plain_values(b, TYPE_FIELD)
             if vals is None:
-                row: Row = {}
-                value = cell(row, ctx)
-                return [value] * b.nrows
+                return [cell({}, ctx)] * b.nrows
             return [cell({TYPE_FIELD: v}, ctx) for v in vals]
 
         return run_is_of_mask, frozenset()
@@ -455,11 +461,7 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
                 }
                 return ColumnBatch(new_names, cols, batch.nrows)
             # Colliding rename: later key wins per row — row semantics.
-            _note_row_fallback("rename")
-            return _from_rows([
-                {mapping.get(k, k): v for k, v in row.items()}
-                for row in batch.to_rows()
-            ])
+            return _from_rows(_row_path("rename", expr, ctx, batch))
 
         return run_vec_rename
 
@@ -508,8 +510,7 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
                     return batch.take(sorted(first.values()))
                 except TypeError:
                     pass  # unhashable value → frozen-row path
-            _note_row_fallback("distinct")
-            return _from_rows(C._distinct_frozen(batch.to_rows()))
+            return _from_rows(_row_path("distinct", expr, ctx, batch))
 
         return run_vec_distinct
 
@@ -578,7 +579,6 @@ def _lower_entity_scan(expr: E.EntityScan) -> VStage:
 
 def _lower_select(expr: E.Select, st: _Lower) -> VStage:
     inner = _lower(expr.input, st)
-    predicate = compile_scalar(expr.predicate)
     vec = _vector_predicate(expr.predicate)
 
     if vec is None:
@@ -587,9 +587,7 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
             batch = inner(ctx)
             if not batch.nrows:
                 return batch
-            _note_row_fallback("select")
-            mask = [predicate(row, ctx) for row in batch.to_rows()]
-            return batch.compress(mask)
+            return _from_rows(_row_path("select", expr, ctx, batch))
 
         return run_vec_select_rows
 
@@ -604,9 +602,7 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
             if col is None or col.present is not None:
                 # A referenced column is missing from some row: use the
                 # row path (exact raise/short-circuit semantics).
-                _note_row_fallback("select")
-                mask = [predicate(row, ctx) for row in batch.to_rows()]
-                return batch.compress(mask)
+                return _from_rows(_row_path("select", expr, ctx, batch))
         return batch.compress(mask_fn(batch, ctx))
 
     test = C.eq_test(expr.predicate)
@@ -703,18 +699,9 @@ def _lower_project(expr: E.Project, st: _Lower) -> VStage:
 
         return run_vec_project
 
-    compiled = tuple(
-        (name, compile_scalar(scalar)) for name, scalar in outputs
-    )
-
     def run_vec_project_rows(ctx):
-        batch = inner(ctx)
-        _note_row_fallback("project")
-        built = [
-            {name: fn(row, ctx) for name, fn in compiled}
-            for row in batch.to_rows()
-        ]
-        return ColumnBatch.from_homogeneous_rows(built, out_names)
+        rows = _row_path("project", expr, ctx, inner(ctx))
+        return ColumnBatch.from_homogeneous_rows(rows, out_names)
 
     return run_vec_project_rows
 
@@ -723,14 +710,9 @@ def _lower_extend(expr: E.Extend, st: _Lower) -> VStage:
     inner = _lower(expr.input, st)
     name = expr.name
     scalar = expr.scalar
-    cell = compile_scalar(scalar)
 
     def fallback(batch, ctx):
-        _note_row_fallback("extend")
-        rows = batch.to_rows()
-        for row in rows:
-            row[name] = cell(row, ctx)
-        return _from_rows(rows)
+        return _from_rows(_row_path("extend", expr, ctx, batch))
 
     if isinstance(scalar, S.Lit):
         value = scalar.value
@@ -783,8 +765,8 @@ def _batch_keys(
     tolerant: tuple[bool, ...],
 ) -> list:
     """Per-row join keys over column slices (``_NOMATCH`` marks a null
-    under a null-rejecting pair) — the columnar image of
-    ``_make_join_keyer``, which keys the row fallback."""
+    under a null-rejecting pair, ``hashable_key`` keys a null-tolerant
+    one)."""
     n = batch.nrows
     if len(columns) == 1:
         col = batch.cols.get(columns[0])
@@ -845,8 +827,6 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
         tolerant = tuple(t for _, _, t in pairs)
         l_cols = tuple(lc for lc, _, _ in pairs)
         r_cols = tuple(rc for _, rc, _ in pairs)
-        lkey_row = C._make_join_keyer(l_cols, tolerant)
-        rkey_row = C._make_join_keyer(r_cols, tolerant)
         join_right_cols = set(r_cols)
         semi_licensed = (
             kind == "inner"
@@ -855,29 +835,6 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
         )
         is_left = kind == "left"
 
-        def rows_fallback(lb, rb):
-            """The hash join over materialized rows (row semantics)."""
-            _note_row_fallback("join")
-            right_rows = rb.to_rows()
-            index: dict = {}
-            setdefault = index.setdefault
-            for r_row in right_rows:
-                key = rkey_row(r_row)
-                if key is not _NOMATCH:
-                    setdefault(key, []).append(r_row)
-            right_columns = C._column_set(right_rows)
-            get = index.get
-            out = []
-            append = out.append
-            for l_row in lb.to_rows():
-                candidates = get(lkey_row(l_row), ())
-                if candidates:
-                    for r_row in candidates:
-                        append(C.merge_rows(l_row, r_row, right_prefix))
-                elif is_left:
-                    append(C._pad_left(l_row, right_columns, right_prefix))
-            return _from_rows(out)
-
         def run_vec_hash_join(ctx):
             lb = left(ctx)
             rb = right(ctx)
@@ -885,7 +842,7 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
                 # Heterogeneous rows — or prefixed left-join padding,
                 # which prefixes *all* right columns while matches keep
                 # non-colliding ones unprefixed: row semantics only.
-                return rows_fallback(lb, rb)
+                return _from_rows(_row_path("join", expr, ctx, lb, rb))
             if (
                 semi_licensed
                 and set(rb.names) == join_right_cols
@@ -987,51 +944,14 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
     if pairs == []:  # TRUE predicate: cross join
 
         def run_vec_cross_join(ctx):
-            lb = left(ctx)
-            rb = right(ctx)
-            _note_row_fallback("join")
-            right_rows = rb.to_rows()
-            right_columns = C._column_set(right_rows)
-            out = []
-            append = out.append
-            for l_row in lb.to_rows():
-                if right_rows:
-                    for r_row in right_rows:
-                        append(C.merge_rows(l_row, r_row, right_prefix))
-                elif kind == "left":
-                    append(C._pad_left(l_row, right_columns, right_prefix))
-            return _from_rows(out)
+            return _from_rows(
+                _row_path("join", expr, ctx, left(ctx), right(ctx))
+            )
 
         return run_vec_cross_join
 
-    predicate = compile_scalar(expr.predicate)
-
     def run_vec_nested_join(ctx):
-        lb = left(ctx)
-        rb = right(ctx)
-        _note_row_fallback("join")
-        right_rows = rb.to_rows()
-        right_columns = C._column_set(right_rows)
-        out = []
-        append = out.append
-        for l_row in lb.to_rows():
-            matched = False
-            for r_row in right_rows:
-                combined = dict(l_row)
-                for key, value in r_row.items():
-                    if key not in combined:
-                        combined[key] = value
-                for key, value in l_row.items():
-                    combined[f"$left.{key}"] = value
-                for key, value in r_row.items():
-                    combined[f"$right.{key}"] = value
-                if not predicate(combined, ctx):
-                    continue
-                matched = True
-                append(C.merge_rows(l_row, r_row, right_prefix))
-            if not matched and kind == "left":
-                append(C._pad_left(l_row, right_columns, right_prefix))
-        return _from_rows(out)
+        return _from_rows(_row_path("join", expr, ctx, left(ctx), right(ctx)))
 
     return run_vec_nested_join
 
@@ -1116,10 +1036,7 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
                 return lb.take(indices)
             except TypeError:
                 pass  # unhashable value → frozen-row path
-        _note_row_fallback("difference")
-        return _from_rows(
-            C._difference_frozen(lb.to_rows(), rb.to_rows())
-        )
+        return _from_rows(_row_path("difference", expr, ctx, lb, rb))
 
     return run_vec_difference
 
@@ -1127,35 +1044,10 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
 # ----------------------------------------------------------------------
 # aggregation
 # ----------------------------------------------------------------------
-def _agg_reduce(func: str, values: list) -> object:
-    filtered = [
-        v
-        for v in values
-        if v is not None and not isinstance(v, LabeledNull)
-    ]
-    if func == "count":
-        return len(filtered)
-    if not filtered:
-        return None
-    if func == "sum":
-        return sum(filtered)
-    if func == "min":
-        return min(filtered)
-    if func == "max":
-        return max(filtered)
-    if func == "avg":
-        return sum(filtered) / len(filtered)
-    raise EvaluationError(f"unknown aggregate {func!r}")
-
-
 def _lower_aggregate(expr: E.Aggregate, st: _Lower) -> VStage:
     inner = _lower(expr.input, st)
     group_by = tuple(expr.group_by)
     aggregations = expr.aggregations
-    compiled = tuple(
-        (name, func, compile_scalar(scalar) if scalar is not None else None)
-        for name, func, scalar in aggregations
-    )
     out_names = group_by + tuple(name for name, _, _ in aggregations)
     columnar_ok = all(
         scalar is None or isinstance(scalar, S.Col)
@@ -1164,26 +1056,11 @@ def _lower_aggregate(expr: E.Aggregate, st: _Lower) -> VStage:
     agg_srcs = tuple(
         (name, func, scalar.name if scalar is not None else None)
         for name, func, scalar in aggregations
-    )
+    ) if columnar_ok else ()
 
     def rows_fallback(batch, ctx):
-        _note_row_fallback("aggregate")
-        groups: dict[tuple, list[Row]] = {}
-        setdefault = groups.setdefault
-        for row in batch.to_rows():
-            key = tuple(join_key_value(row.get(c)) for c in group_by)
-            setdefault(key, []).append(row)
-        if not groups and not group_by:
-            groups[()] = []
-        out = []
-        for members in groups.values():
-            result: Row = {}
-            for column in group_by:
-                result[column] = members[0].get(column) if members else None
-            for name, func, cell in compiled:
-                result[name] = C._apply_aggregate(func, cell, members, ctx)
-            out.append(result)
-        return ColumnBatch.from_homogeneous_rows(out, out_names)
+        rows = _row_path("aggregate", expr, ctx, batch)
+        return ColumnBatch.from_homogeneous_rows(rows, out_names)
 
     def run_vec_aggregate(ctx):
         batch = inner(ctx)
@@ -1228,12 +1105,12 @@ def _lower_aggregate(expr: E.Aggregate, st: _Lower) -> VStage:
                         out_cols[name].append(len(idxs))
                     else:
                         out_cols[name].append(
-                            _agg_reduce(func, [1] * len(idxs))
+                            reduce_aggregate(func, [1] * len(idxs))
                         )
                 else:
                     values = agg_values[src]
                     out_cols[name].append(
-                        _agg_reduce(func, [values[i] for i in idxs])
+                        reduce_aggregate(func, [values[i] for i in idxs])
                     )
         return ColumnBatch(
             out_names,
@@ -1274,16 +1151,8 @@ class VectorizedPlan:
         # from a cost-based rewrite of a different tree (EXPLAIN shows
         # it); informational only.
         self.optimized_from: Optional[str] = None
-        # The scalar-closure memo slot is module-global (hence the
-        # lock), so CSE-shared predicates lower once per pass.
-        with C._COMPILE_LOCK:
-            prev_memo = C._scalar_memo
-            C._scalar_memo = {}
-            try:
-                st = _Lower(C._shared_subtrees(expr), C._PlanRegistry())
-                self._run = _lower(expr, st)
-            finally:
-                C._scalar_memo = prev_memo
+        st = _Lower(C._shared_subtrees(expr), C._PlanRegistry())
+        self._run = _lower(expr, st)
         self.nodes = st.registry.nodes
         self.root_id = st.registry.root_id()
 

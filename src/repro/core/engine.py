@@ -191,17 +191,12 @@ class ModelManagementEngine:
         return _exchange(mapping, source, compute_core)
 
     def query_processor(
-        self,
-        mapping: Mapping,
-        source: Instance,
-        engine: Optional[str] = None,
+        self, mapping: Mapping, source: Instance
     ) -> QueryProcessor:
-        return QueryProcessor(mapping, source, engine=engine)
+        return QueryProcessor(mapping, source)
 
-    def update_propagator(
-        self, mapping: Mapping, engine: Optional[str] = None
-    ) -> UpdatePropagator:
-        return UpdatePropagator(mapping, engine=engine)
+    def update_propagator(self, mapping: Mapping) -> UpdatePropagator:
+        return UpdatePropagator(mapping)
 
     def debugger(self, mapping: Mapping) -> MappingDebugger:
         return MappingDebugger(mapping)

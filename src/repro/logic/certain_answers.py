@@ -6,48 +6,68 @@ constraints" (paper, Section 4).  For (unions of) conjunctive queries,
 this is *naive evaluation*: run the query on a universal solution and
 discard answers that contain labeled nulls.
 
-Two execution paths share these semantics.  The reference path
-enumerates homomorphisms directly; the default path translates the CQ
-to relational algebra (:mod:`repro.logic.cq_compile`) and runs it
-through the plan-cached vectorized executor, falling back to the
-reference search for queries the translation declines.
+Naive evaluation runs on the chase's compiled plans: the query body
+compiles once, as the body of a tgd (:func:`~repro.logic.chase.
+compile_dependency`), and :func:`~repro.logic.chase.bindings`
+enumerates its matches in the order of the homomorphism search
+(:func:`~repro.logic.homomorphism.iter_homomorphisms`, the tests'
+oracle), so both return the same answers in the same order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Sequence, Union
 
-from repro.algebra.evaluator import evaluate
 from repro.instances.database import Instance
 from repro.instances.labeled_null import LabeledNull
-from repro.logic.cq_compile import answers_from_rows, translate_cq
+from repro.logic.chase import _getter, bindings, compile_dependency
+from repro.logic.dependencies import TGD
 from repro.logic.formulas import ConjunctiveQuery
-from repro.logic.homomorphism import iter_homomorphisms
+from repro.logic.terms import Const, Term, Var
+
+
+def _reader(term: Term, slots: dict[Var, int]) -> Callable:
+    """``binding -> value`` of a condition term, read the way the search
+    reads it: an unbound variable stands for itself."""
+    if isinstance(term, Const):
+        value = term.value
+        return lambda binding: value
+    if not isinstance(term, Var):
+        raise TypeError("conditions must be first-order")
+    if term in slots:
+        return itemgetter(slots[term])
+    return lambda binding: term
 
 
 def naive_evaluate(
-    query: ConjunctiveQuery,
-    instance: Instance,
-    engine: Optional[str] = None,
+    query: ConjunctiveQuery, instance: Instance
 ) -> list[tuple]:
     """All answer tuples of ``query`` over ``instance`` (nulls allowed
-    to bind variables; answers may contain nulls).
+    to bind variables; answers may contain nulls), deduplicated with
+    labeled nulls told apart by label, in the search's order.
 
-    By default (``engine=None``/``"vectorized"``) the algebra
-    translation runs through the vectorized plan cache;
-    ``engine="interpreted"`` forces the reference homomorphism
-    enumeration, the oracle for the planned path.  Answer *sets* are
-    identical; ordering may differ between the paths.
-    """
-    if engine != "interpreted":
-        plan = translate_cq(query)
-        if plan is not None:
-            rows = evaluate(plan, instance, engine=engine)
-            return answers_from_rows(query, rows)
+    A condition holds unless its two sides compare ``!=``.  A head
+    variable the body does not bind raises ``KeyError`` at the first
+    answer, as the search does."""
+    plan = compile_dependency(TGD(body=query.body))
+    slots = {var: i for i, var in enumerate(plan.variables)}
+    checks = [
+        (_reader(c.left, slots), _reader(c.right, slots))
+        for c in query.conditions
+    ]
+    try:
+        project = _getter(tuple(slots[var] for var in query.head))
+    except KeyError as unbound:
+        # An unsafe head: the search raises at its first answer too.
+        def project(binding, unbound=unbound):
+            raise unbound
     answers: list[tuple] = []
     seen: set[tuple] = set()
-    for assignment in iter_homomorphisms(query.body, instance, query.conditions):
-        answer = tuple(assignment[v] for v in query.head)
+    for binding in bindings(plan, instance):
+        if any(left(binding) != right(binding) for left, right in checks):
+            continue
+        answer = project(binding)
         key = tuple(
             ("⊥", v.label) if isinstance(v, LabeledNull) else ("c", v)
             for v in answer
@@ -61,7 +81,6 @@ def naive_evaluate(
 def certain_answers(
     query: Union[ConjunctiveQuery, Sequence[ConjunctiveQuery]],
     universal_solution: Instance,
-    engine: Optional[str] = None,
 ) -> list[tuple]:
     """Certain answers of a CQ (or union of CQs) given a universal
     solution: naive evaluation minus answers containing labeled nulls."""
@@ -69,7 +88,7 @@ def certain_answers(
     results: list[tuple] = []
     seen: set[tuple] = set()
     for q in queries:
-        for answer in naive_evaluate(q, universal_solution, engine=engine):
+        for answer in naive_evaluate(q, universal_solution):
             if any(isinstance(v, LabeledNull) for v in answer):
                 continue
             if answer not in seen:

@@ -51,18 +51,11 @@ from repro.metamodel.schema import Schema
 # transformations
 # ----------------------------------------------------------------------
 class Transformation:
-    """An executable function from instances of one schema to another.
-
-    ``engine`` selects the query-execution engine for transformations
-    that evaluate algebra (see :func:`repro.algebra.evaluate`);
-    chase-based transformations accept and ignore it.
-    """
+    """An executable function from instances of one schema to another."""
 
     name: str = "transformation"
 
-    def apply(
-        self, instance: Instance, engine: Optional[str] = None
-    ) -> Instance:
+    def apply(self, instance: Instance) -> Instance:
         raise NotImplementedError
 
     def __call__(self, instance: Instance) -> Instance:
@@ -79,22 +72,16 @@ class AlgebraTransformation(Transformation):
         input_schema: Optional[Schema] = None,
         output_schema: Optional[Schema] = None,
         name: str = "view",
-        engine: Optional[str] = None,
     ):
         self.rules = list(rules)
         self.input_schema = input_schema
         self.output_schema = output_schema
         self.name = name
-        #: Default engine for :meth:`apply` (None → vectorized).
-        self.engine = engine
 
-    def apply(
-        self, instance: Instance, engine: Optional[str] = None
-    ) -> Instance:
-        engine = engine if engine is not None else self.engine
+    def apply(self, instance: Instance) -> Instance:
         result = Instance(self.output_schema)
         for relation, expr in self.rules:
-            rows = evaluate(expr, instance, self.input_schema, engine=engine)
+            rows = evaluate(expr, instance, self.input_schema)
             result.relations.setdefault(relation, [])
             result.insert_all(relation, self._normalize(rows))
         deduplicated = result.deduplicated()
@@ -116,20 +103,18 @@ class AlgebraTransformation(Transformation):
         instance: Instance,
         previous_output: Instance,
         touched: set,
-        engine: Optional[str] = None,
     ) -> Instance:
         """Like :meth:`apply`, but re-evaluates only the output
         relations whose rules scan a relation in ``touched``; every
         other output relation is carried over from ``previous_output``
         unchanged.  Sound because each rule's output is a function of
         exactly the relations it scans."""
-        engine = engine if engine is not None else self.engine
         recompute = self.output_relations_touched_by(touched)
         partial = Instance(self.output_schema)
         for relation, expr in self.rules:
             if relation not in recompute:
                 continue
-            rows = evaluate(expr, instance, self.input_schema, engine=engine)
+            rows = evaluate(expr, instance, self.input_schema)
             partial.relations.setdefault(relation, [])
             partial.insert_all(relation, self._normalize(rows))
         partial = partial.deduplicated()
@@ -243,11 +228,7 @@ class ExchangeTransformation(Transformation):
         #: first).
         self.last_chase_stats: Optional[ChaseStats] = None
 
-    def apply(
-        self, instance: Instance, engine: Optional[str] = None
-    ) -> Instance:
-        # ``engine`` is accepted for interface uniformity; the chase
-        # does not run relational algebra.
+    def apply(self, instance: Instance) -> Instance:
         result = chase(instance, exchange_dependencies(
             self.mapping, self.enforce_target_keys))
         self.last_chase_stats = result.stats
@@ -689,7 +670,10 @@ def _update_view_rules(
 ) -> list[tuple[str, E.RelExpr]]:
     """Each fragment contributes its rows to its table; a table's full
     column set is assembled with nulls for columns no fragment covers
-    in that branch, and selection literals (discriminators) restored."""
+    in that branch, and selection literals (discriminators) restored.
+    A branch is one projection: a fragment's own entity-side projection
+    is composed into it rather than wrapped, so ``optimize`` has
+    nothing to fuse."""
     by_table: dict[str, list[_Fragment]] = {}
     for fragment in fragments:
         by_table.setdefault(fragment.table, []).append(fragment)
@@ -699,8 +683,13 @@ def _update_view_rules(
         table_columns = list(table_entity.all_attribute_names())
         branches: list[E.RelExpr] = []
         for fragment in table_fragments:
-            # Entity-side rows for this fragment.
+            # Entity-side rows for this fragment, and the scalar behind
+            # each of their columns.
             expr = fragment.constraint.target_expr
+            produced: dict[str, S.Scalar] = {}
+            if isinstance(expr, E.Project):
+                produced = dict(expr.outputs)
+                expr = expr.input
             outputs: list[tuple[str, S.Scalar]] = []
             covered = {
                 fragment.output_to_table[column]: column
@@ -708,7 +697,10 @@ def _update_view_rules(
             }
             for table_column in table_columns:
                 if table_column in covered:
-                    outputs.append((table_column, S.Col(covered[table_column])))
+                    column = covered[table_column]
+                    outputs.append(
+                        (table_column, produced.get(column, S.Col(column)))
+                    )
                 elif table_column in fragment.table_selection:
                     outputs.append(
                         (table_column,

@@ -51,12 +51,9 @@ class MappingDebugger:
         self,
         mapping: Mapping,
         sample_size: int = 3,
-        engine: Optional[str] = None,
     ):
         self.mapping = mapping
         self.sample_size = sample_size
-        #: Algebra engine traced rules run on (None → vectorized).
-        self.engine = engine
 
     # ------------------------------------------------------------------
     @instrumented("debug.trace", attrs=lambda self, source: {
@@ -75,9 +72,7 @@ class MappingDebugger:
         if isinstance(transformation, TransformationPair):
             for relation, expr in transformation.query_view.rules:
                 with tracer.span("debug.step", rule=f"view:{relation}") as span:
-                    rows = evaluate(
-                        expr, source, self.mapping.source, engine=self.engine
-                    )
+                    rows = evaluate(expr, source, self.mapping.source)
                     if span is not None:
                         span.set_attribute("rows", len(rows))
                 steps.append(

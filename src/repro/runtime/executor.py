@@ -16,20 +16,16 @@ from repro.operators.transgen import (
 )
 
 
-def execute(
-    transformation, instance: Instance, engine: Optional[str] = None
-) -> Instance:
+def execute(transformation, instance: Instance) -> Instance:
     """Run any transformation produced by TransGen.
 
     For a :class:`TransformationPair`, the *query view* is executed —
-    the direction that materializes the entity/target side.  ``engine``
-    selects the algebra execution engine (vectorized/interpreted; None
-    → vectorized).
+    the direction that materializes the entity/target side.
     """
     if isinstance(transformation, TransformationPair):
-        return transformation.query_view.apply(instance, engine=engine)
+        return transformation.query_view.apply(instance)
     if isinstance(transformation, Transformation):
-        return transformation.apply(instance, engine=engine)
+        return transformation.apply(instance)
     raise TypeError(f"not a transformation: {transformation!r}")
 
 
@@ -37,7 +33,6 @@ def exchange(
     mapping: Mapping,
     source: Instance,
     compute_core: bool = False,
-    engine: Optional[str] = None,
 ) -> Instance:
     """One-call data exchange: TransGen + execute.
 
@@ -45,7 +40,7 @@ def exchange(
     the core); for equality mappings it evaluates the generated query
     view.
     """
-    produced, _ = exchange_with_stats(mapping, source, compute_core, engine)
+    produced, _ = exchange_with_stats(mapping, source, compute_core)
     return produced
 
 
@@ -53,7 +48,6 @@ def exchange_with_stats(
     mapping: Mapping,
     source: Instance,
     compute_core: bool = False,
-    engine: Optional[str] = None,
 ) -> tuple[Instance, Optional[ChaseStats]]:
     """:func:`exchange`, additionally returning the chase's
     :class:`ChaseStats` (``None`` when no chase ran — equality
@@ -70,7 +64,7 @@ def exchange_with_stats(
     )
     with tracer.span("runtime.exchange", **attributes) as span:
         transformation = transgen(mapping, compute_core=compute_core)
-        produced = execute(transformation, source, engine=engine)
+        produced = execute(transformation, source)
         stats = getattr(transformation, "last_chase_stats", None)
         if span is not None:
             span.set_attribute("target.rows", produced.total_rows())

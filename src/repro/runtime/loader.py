@@ -53,7 +53,6 @@ class BatchLoader:
         self,
         mapping: Mapping,
         validate: bool = True,
-        engine: Optional[str] = None,
     ):
         views = transgen(mapping)
         if not isinstance(views, TransformationPair):
@@ -64,7 +63,6 @@ class BatchLoader:
         self.mapping = mapping
         self.views = views
         self.validate = validate
-        self.engine = engine
         self._staging = Instance(mapping.target)
         self._batches = 0
         self._target_rows = 0
@@ -112,7 +110,7 @@ class BatchLoader:
         chased target is maintained incrementally.  The returned
         instance is the exchange's grown source state.
         """
-        loaded = self.views.update_view.apply(self._staging, engine=self.engine)
+        loaded = self.views.update_view.apply(self._staging)
         if materialized is not None:
             update = UpdateSet()
             current = materialized.source_instance(copy=False)

@@ -43,15 +43,11 @@ class Peer:
 
 
 class PeerNetwork:
-    """Peers connected by mappings, queried through chains.
+    """Peers connected by mappings, queried through chains."""
 
-    ``engine`` selects the algebra execution engine for every exchange
-    in the network (None → vectorized)."""
-
-    def __init__(self, engine: Optional[str] = None):
+    def __init__(self):
         self.peers: dict[str, Peer] = {}
         self.mappings: dict[tuple[str, str], Mapping] = {}
-        self.engine = engine
         # (source, target) → materialized hops, built lazily by
         # materialize_chain and maintained by propagate_update.
         self._materialized: dict[
@@ -114,7 +110,7 @@ class PeerNetwork:
             raise MappingError(f"peer {source_peer!r} holds no data")
         current = peer.data
         for mapping in self.find_chain(source_peer, target_peer):
-            current = exchange(mapping, current, engine=self.engine)
+            current = exchange(mapping, current)
         return current
 
     @instrumented("runtime.p2p.materialize_chain",
@@ -188,7 +184,5 @@ class PeerNetwork:
         if peer.data is None:
             raise MappingError(f"peer {source_peer!r} holds no data")
         return exchange(
-            self.collapse_chain(source_peer, target_peer),
-            peer.data,
-            engine=self.engine,
+            self.collapse_chain(source_peer, target_peer), peer.data
         )

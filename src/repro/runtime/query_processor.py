@@ -35,13 +35,14 @@ from repro.operators.transgen import TransformationPair, transgen
 class QueryProcessor:
     """Query answering over one mapping, source database attached.
 
-    ``engine`` picks the algebra execution engine for every query this
-    processor answers (``vectorized``/``interpreted``; None →
-    vectorized, see :func:`repro.algebra.evaluate`).  Unfolding runs
-    once per target-query *shape* (``Col = literal`` tests become
-    parameter slots first), so lookups of different keys share one
-    unfolded tree and one cached plan.  EXPLAIN always shows the
-    vectorized plan.
+    ``engine`` picks the engine of :meth:`answer_algebra`'s
+    ``evaluate`` calls (``vectorized``/``interpreted``; None →
+    vectorized, see :func:`repro.algebra.evaluate`), so a processor can
+    serve as the interpreter oracle of a query workload; exchange and
+    certain answers run on the chase either way.  Unfolding runs once
+    per target-query *shape* (``Col = literal`` tests become parameter
+    slots first), so lookups of different keys share one unfolded tree
+    and one cached plan.  EXPLAIN always shows the vectorized plan.
     """
 
     def __init__(
@@ -95,9 +96,7 @@ class QueryProcessor:
         if self._universal is None:
             from repro.runtime.executor import exchange
 
-            self._universal = exchange(
-                self.mapping, self.source, engine=self.engine
-            )
+            self._universal = exchange(self.mapping, self.source)
         return self._universal
 
     # ------------------------------------------------------------------
@@ -158,9 +157,7 @@ class QueryProcessor:
         self, query: Union[ConjunctiveQuery, Sequence[ConjunctiveQuery]]
     ) -> list[tuple]:
         """Certain answers of a conjunctive query over the target."""
-        return certain_answers(
-            query, self._universal_solution(), engine=self.engine
-        )
+        return certain_answers(query, self._universal_solution())
 
     @instrumented("runtime.query.unfold",
                   attrs=lambda self, query: {

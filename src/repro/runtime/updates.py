@@ -206,7 +206,7 @@ class UpdatePropagator:
     usable mapping language.
     """
 
-    def __init__(self, mapping: Mapping, engine: Optional[str] = None):
+    def __init__(self, mapping: Mapping):
         if not mapping.equalities:
             raise ExpressivenessError(
                 "update propagation needs a bidirectional equality mapping; "
@@ -216,7 +216,6 @@ class UpdatePropagator:
         views = transgen(mapping)
         assert isinstance(views, TransformationPair)
         self.views = views
-        self.engine = engine
         # (new_source, new_target) of the previous propagate: lets a
         # caller that chains updates (passing back the target we
         # returned) skip the second full update_view application.
@@ -276,22 +275,18 @@ class UpdatePropagator:
         if delta_path:
             source_instance = self._cached[0]
             new_source = self.views.update_view.apply_delta(
-                new_target, source_instance, touched, engine=self.engine
+                new_target, source_instance, touched
             )
             diff_scope = self.views.update_view.output_relations_touched_by(
                 touched
             )
         else:
-            new_source = self.views.update_view.apply(
-                new_target, engine=self.engine
-            )
+            new_source = self.views.update_view.apply(new_target)
             diff_scope = None
         if validate:
             # Validate representability: query view must reproduce the
             # updated target (roundtrip of the *new* state).
-            recovered = self.views.query_view.apply(
-                new_source, engine=self.engine
-            )
+            recovered = self.views.query_view.apply(new_source)
             relations = set(recovered.relations)
             visible = Instance(new_target.schema)
             for relation in relations:
@@ -302,9 +297,7 @@ class UpdatePropagator:
                     "query(update(T′)) ≠ T′"
                 )
         if source_instance is None:
-            source_instance = self.views.update_view.apply(
-                target_instance, engine=self.engine
-            )
+            source_instance = self.views.update_view.apply(target_instance)
         source_update = instance_delta(
             source_instance, new_source, relations=diff_scope
         )

@@ -31,7 +31,6 @@ class EtlStep:
     cleaner: Optional[Cleaner] = None
     deduplicate: bool = True
     name: str = ""
-    engine: Optional[str] = None
 
     def run(self, data: Instance) -> tuple[Instance, dict]:
         cleaned = data
@@ -45,7 +44,7 @@ class EtlStep:
                         dropped += 1
                     else:
                         cleaned.insert(relation, kept)
-        result = exchange(self.mapping, cleaned, engine=self.engine)
+        result = exchange(self.mapping, cleaned)
         if self.deduplicate:
             result = result.deduplicated()
         stats = {
@@ -60,10 +59,8 @@ class EtlStep:
 class EtlPipeline:
     """Compose steps source → staging → ... → warehouse."""
 
-    def __init__(self, name: str = "etl", engine: Optional[str] = None):
+    def __init__(self, name: str = "etl"):
         self.name = name
-        #: Algebra engine every step's exchange runs on (None → default).
-        self.engine = engine
         self.steps: list[EtlStep] = []
 
     def add_step(
@@ -75,7 +72,7 @@ class EtlPipeline:
     ) -> "EtlPipeline":
         self.steps.append(
             EtlStep(mapping=mapping, cleaner=cleaner,
-                    deduplicate=deduplicate, name=name, engine=self.engine)
+                    deduplicate=deduplicate, name=name)
         )
         return self
 

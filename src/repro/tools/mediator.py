@@ -10,7 +10,6 @@ queries get certain-answer semantics per source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.algebra.expressions import RelExpr
 from repro.errors import MappingError
@@ -30,15 +29,10 @@ class _Source:
 
 
 class QueryMediator:
-    """One global schema, many mapped sources.
+    """One global schema, many mapped sources."""
 
-    ``engine`` selects the algebra execution engine used by every
-    per-source processor and the union-side re-aggregation (None →
-    vectorized)."""
-
-    def __init__(self, global_schema: Schema, engine: Optional[str] = None):
+    def __init__(self, global_schema: Schema):
         self.global_schema = global_schema
-        self.engine = engine
         self._sources: dict[str, _Source] = {}
 
     def add_source(self, name: str, mapping: Mapping, data: Instance) -> None:
@@ -53,7 +47,7 @@ class QueryMediator:
             name=name,
             mapping=mapping,
             data=data,
-            processor=QueryProcessor(mapping, data, engine=self.engine),
+            processor=QueryProcessor(mapping, data),
         )
 
     def sources(self) -> list[str]:
@@ -62,9 +56,7 @@ class QueryMediator:
     def refresh(self, name: str, data: Instance) -> None:
         source = self._sources[name]
         source.data = data
-        source.processor = QueryProcessor(
-            source.mapping, data, engine=self.engine
-        )
+        source.processor = QueryProcessor(source.mapping, data)
 
     # ------------------------------------------------------------------
     def answer(self, query: RelExpr, distinct: bool = True) -> list[Row]:
@@ -107,7 +99,7 @@ class QueryMediator:
                                       node.aggregations)
             else:
                 rebuilt = E.Sort(rebuilt, node.keys)
-        return evaluate(rebuilt, staging, engine=self.engine)
+        return evaluate(rebuilt, staging)
 
     def answer_cq(self, query: ConjunctiveQuery) -> list[tuple]:
         """Certain answers of a CQ, unioned across sources."""

@@ -37,18 +37,16 @@ class GeneratedWrapper:
         self,
         mapping: Mapping,
         database: Instance,
-        engine: Optional[str] = None,
     ):
         self.mapping = mapping
         self.database = database
-        self.engine = engine
         views = transgen(mapping)
         if not isinstance(views, TransformationPair):
             raise ModelManagementError(
                 "wrapper generation needs a bidirectional mapping"
             )
         self.views = views
-        self.propagator = UpdatePropagator(mapping, engine=engine)
+        self.propagator = UpdatePropagator(mapping)
         self.errors = ErrorTranslator(mapping)
         self._objects: Optional[Instance] = None
 
@@ -59,9 +57,7 @@ class GeneratedWrapper:
 
     def _materialized(self) -> Instance:
         if self._objects is None:
-            self._objects = self.views.query_view.apply(
-                self.database, engine=self.engine
-            )
+            self._objects = self.views.query_view.apply(self.database)
             self._objects.schema = self.object_schema
         return self._objects
 

@@ -75,6 +75,25 @@ class TestEngineFacade:
         report = engine.check_integrity_propagation(mapping, db)
         assert report.propagates
 
+    def test_update_propagator_accessor(self):
+        from repro.runtime import UpdatePropagator, UpdateSet
+        from tests.test_runtime import _mapping_er_instance
+
+        engine = ModelManagementEngine()
+        mapping = paper.figure2_mapping()
+        propagator = engine.update_propagator(mapping)
+        assert isinstance(propagator, UpdatePropagator)
+        update = UpdateSet().insert_object(
+            "Employee", Id=9, Name="New", Dept="Ops"
+        )
+        source_update, new_source, new_target = propagator.propagate(
+            _mapping_er_instance(mapping), update
+        )
+        assert any(
+            row.get("Id") == 9 for row in source_update.inserts.get("Empl", [])
+        )
+        assert {r["Id"] for r in new_target.objects_of("Employee")} >= {9}
+
 
 class TestRepository:
     def test_save_load_schema(self):

@@ -1,0 +1,100 @@
+"""One implementation of each query semantics, checked on the source.
+
+Row semantics live in the interpreter (``apply_operator``), which the
+vectorized executor's row paths call; conjunctive queries run on the
+chase's compiled plans.  This test parses ``src/repro`` and fails when a
+second scalar compiler or CQ-to-algebra translator comes back, or when
+an engine switch appears anywhere but ``evaluate`` (the oracle
+selector) and ``QueryProcessor`` (a query workload's oracle)."""
+
+from __future__ import annotations
+
+import ast
+
+from tests.test_trigger_engine import _modules
+
+ENGINE_TAKERS = {
+    "algebra/evaluator.py:evaluate",
+    "runtime/query_processor.py:QueryProcessor.__init__",
+}
+
+
+def _functions(tree: ast.AST, prefix: str = ""):
+    """``(qualified name, node)`` of every function, methods included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
+def test_only_evaluate_and_query_processor_take_engine():
+    takers = {
+        f"{name}:{qualname}"
+        for name, tree in _modules()
+        for qualname, node in _functions(tree)
+        if any(arg.arg == "engine" for arg in (
+            node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        ))
+    }
+    assert takers == ENGINE_TAKERS
+
+
+def test_no_engine_field_or_attribute_elsewhere():
+    """No dataclass field named ``engine``, and ``self.engine`` is set
+    only by ``QueryProcessor``."""
+    offenders = []
+    for name, tree in _modules():
+        for qualname, node in _functions(tree):
+            for target in ast.walk(node):
+                if (isinstance(target, ast.Attribute)
+                        and target.attr == "engine"
+                        and isinstance(target.ctx, ast.Store)
+                        and qualname != "QueryProcessor.__init__"):
+                    offenders.append(f"{name}:{qualname}")
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                offenders += [
+                    f"{name}:{cls.name}.engine"
+                    for field in cls.body
+                    if isinstance(field, ast.AnnAssign)
+                    and isinstance(field.target, ast.Name)
+                    and field.target.id == "engine"
+                ]
+    assert not offenders, offenders
+
+
+#: Every ``compile*`` / ``translate*`` function the source defines.  A
+#: scalar compiler or a CQ-to-algebra translator coming back shows up
+#: as a name outside this set.
+COMPILERS = {
+    "compile_vector_plan", "compile_dependency", "_compile", "_compile_head",
+    "translate", "translate_one", "_translate", "_translate_condition",
+}
+
+
+def test_no_second_scalar_compiler_or_cq_translator():
+    found = {
+        qualname.rsplit(".", 1)[-1]
+        for _, tree in _modules()
+        for qualname, _ in _functions(tree)
+        if qualname.rsplit(".", 1)[-1].lstrip("_").startswith(
+            ("compile", "translate")
+        )
+    }
+    assert found == COMPILERS
+
+
+def test_logic_does_not_import_the_algebra():
+    """Certain answers run on the chase's plans, so no ``repro.logic``
+    module reaches into ``repro.algebra``."""
+    offenders = [
+        name
+        for name, tree in _modules()
+        if name.startswith("logic/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("repro.algebra")
+    ]
+    assert not offenders, offenders

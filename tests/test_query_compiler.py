@@ -24,6 +24,7 @@ from repro.algebra import (
     EntityScan,
     Extend,
     GLOBAL_VECTOR_PLAN_CACHE,
+    In,
     IsNull,
     Join,
     Lit,
@@ -54,6 +55,7 @@ from repro.logic.formulas import Atom, ConjunctiveQuery, Equality
 from repro.logic.terms import Const, Var
 from repro.observability import disable, enable, registry, reset
 from tests.test_metamodel_schema import person_hierarchy
+from tests.test_naive_evaluation import search_answers, typed
 
 
 # ----------------------------------------------------------------------
@@ -431,12 +433,18 @@ _RIGHT = Values([{"b": 2}])
     ("project", Project(_LEFT, [("x", Arith("+", Col("a"), Lit(1)))])),
     ("join", Join(_LEFT, _RIGHT, TRUE)),
     ("join", Join(_LEFT, _RIGHT, Comparison("<", Col("a"), Col("b")))),
+    ("join", eq_join(_RAGGED, _RIGHT, [("b", "b")])),
+    ("extend", Extend(_LEFT, "x", Arith("+", Col("a"), Lit(1)))),
+    ("aggregate", Aggregate(_LEFT, [], [
+        ("s", "sum", Arith("+", Col("a"), Lit(1)))])),
 ], ids=["rename", "distinct", "difference", "select-predicate",
         "select-partial-column", "project-computed", "cross-join",
-        "nested-loop-join"])
+        "nested-loop-join", "ragged-hash-join", "extend-computed",
+        "aggregate-computed"])
 def test_every_row_path_is_counted(stage, expr):
-    """Each row path the vectorized engine keeps bumps its per-stage
-    fallback counter, and still agrees with the interpreter."""
+    """Each row path the vectorized engine keeps — the interpreter's
+    operator over the stage's input rows — bumps its per-stage
+    fallback counter, and agrees with the interpreter."""
     reset()
     enable()
     try:
@@ -488,6 +496,38 @@ def test_fingerprint_structural_equality():
     assert a.fingerprint() == b.fingerprint()
     assert a.fingerprint() != c.fingerprint()
     assert a.fingerprint() != Scan("T").fingerprint()
+
+
+_LITERALS = (0, 1, True, False, 1.0, "1", None)
+
+
+def _literal_tree(rng):
+    """A random tree holding literals from ``_LITERALS`` in a selection,
+    an IN list, a projection or a ``Values`` row."""
+    value = rng.choice(_LITERALS)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return Select(Scan("R"), eq(Col("x"), Lit(value)))
+    if shape == 1:
+        values = [value] + rng.sample(_LITERALS, rng.randint(0, 2))
+        return Select(Scan("R"), In(Col("x"), values))
+    if shape == 2:
+        return Project(Scan("R"), [("x", Lit(value))])
+    return Values([{"a": value, "b": rng.choice(_LITERALS)}])
+
+
+def test_equality_agrees_with_fingerprint_over_typed_literals():
+    """``a == b`` exactly when the fingerprints agree (and equal trees
+    hash alike): ``1 == True == 1.0`` must not make two trees equal
+    whose fingerprints, and results, tell those literals apart."""
+    rng = random.Random(0)
+    trees = [_literal_tree(rng) for _ in range(300)]
+    for a in trees:
+        for b in rng.sample(trees, 30) + [_literal_tree(rng)]:
+            same = a.fingerprint() == b.fingerprint()
+            assert (a == b) == same, (a, b)
+            if same:
+                assert hash(a) == hash(b)
 
 
 def test_warm_cache_skips_compilation():
@@ -623,7 +663,7 @@ def test_optimizer_leaves_same_named_columns_alone():
 
 
 # ----------------------------------------------------------------------
-# CQ translation parity
+# naive evaluation on the chase's plans against the homomorphism search
 # ----------------------------------------------------------------------
 def _answer_set(answers):
     return {
@@ -658,9 +698,8 @@ def test_cq_join_parity_with_nulls():
         body=(Atom.of("Emp", eid=x, dept=d), Atom.of("Dept", dname=d, mgr=m)),
     )
     instance = _cq_instance()
-    planned = naive_evaluate(query, instance, engine="vectorized")
-    reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(planned) == _answer_set(reference)
+    planned = naive_evaluate(query, instance)
+    assert typed(planned) == typed(search_answers(query, instance))
     # the None dept binds too: homomorphism equality is value equality
     assert (("c", 4), ("c", 3)) in _answer_set(planned)
 
@@ -673,9 +712,9 @@ def test_cq_condition_and_constant_parity():
         conditions=(Equality(d, Const("a")),),
     )
     instance = _cq_instance()
-    planned = naive_evaluate(query, instance, engine="vectorized")
-    reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(planned) == _answer_set(reference) == {(("c", 1),)}
+    planned = naive_evaluate(query, instance)
+    assert typed(planned) == typed(search_answers(query, instance))
+    assert _answer_set(planned) == {(("c", 1),)}
 
 
 def test_cq_repeated_variable_parity():
@@ -691,9 +730,8 @@ def test_cq_repeated_variable_parity():
          {"a": LabeledNull(5), "b": LabeledNull(5)},
          {"a": None, "b": None}],
     )
-    planned = naive_evaluate(query, instance, engine="vectorized")
-    reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(planned) == _answer_set(reference)
+    planned = naive_evaluate(query, instance)
+    assert typed(planned) == typed(search_answers(query, instance))
 
 
 def test_certain_answers_drop_nulls_both_engines():
@@ -702,15 +740,18 @@ def test_certain_answers_drop_nulls_both_engines():
         head=(x, d), body=(Atom.of("Emp", eid=x, dept=d),)
     )
     instance = _cq_instance()
-    planned = set(certain_answers(query, instance, engine="vectorized"))
-    reference = set(certain_answers(query, instance, engine="interpreted"))
-    assert planned == reference
+    planned = certain_answers(query, instance)
+    reference = [
+        answer for answer in search_answers(query, instance)
+        if not any(isinstance(v, LabeledNull) for v in answer)
+    ]
+    assert typed(planned) == typed(reference)
     assert (3, LabeledNull(9)) not in planned
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_cq_random_parity(seed):
-    """Random two-atom CQs with a shared variable agree across paths."""
+    """Random two-atom CQs with a shared variable agree with the search."""
     rng = random.Random(seed)
     instance = Instance()
     for name, cols in (("P", ("u", "v")), ("Q", ("v", "w"))):
@@ -723,6 +764,5 @@ def test_cq_random_parity(seed):
         head=(u, w),
         body=(Atom.of("P", u=u, v=v), Atom.of("Q", v=v, w=w)),
     )
-    planned = naive_evaluate(query, instance, engine="vectorized")
-    reference = naive_evaluate(query, instance, engine="interpreted")
-    assert _answer_set(planned) == _answer_set(reference)
+    planned = naive_evaluate(query, instance)
+    assert typed(planned) == typed(search_answers(query, instance))
