@@ -18,17 +18,29 @@ The point-lookup lane sends 64 distinct keys through one
 reports the mean time per key after the first and how many plans the
 keys compiled; every answer is checked against the interpreter, and
 the keys must share one plan.
+
+The join-shape lane runs three joins of two 300-row relations (60 in
+smoke) that no hash on a pure equi-join covers: a cross join, a theta
+join ``a < b``, and an equi-join with a residual ``a < b``.  Each runs
+through ``evaluate`` and through the interpreter, reporting the best
+wall and CPU ms of three runs; ``evaluate`` must return the
+interpreter's rows, and each row count its closed form.
 """
 
 import gc
 import random
 import time
+from typing import Callable
 
 import pytest
 
 from repro.algebra import (
+    TRUE,
+    And,
     Col,
+    Comparison,
     EntityScan,
+    Join,
     Scan,
     Select,
     clear_plan_cache,
@@ -39,6 +51,7 @@ from repro.algebra import (
     project_names,
     vector_plan_cache_stats,
 )
+from repro.algebra.expressions import _JoinEq
 from repro.instances import Instance
 from repro.operators.compose import unfold_scans
 from repro.operators.transgen import transgen
@@ -49,6 +62,8 @@ from conftest import print_table
 
 SIZES = (250, 1000, 4000)
 POINT_KEYS = 64
+#: Rows per side of the join-shape lane.
+JOIN_SIDE = 300
 # vectorized engine vs interpreter, at 4k
 VEC_VS_INTERPRETED = 10.0
 
@@ -114,14 +129,67 @@ def _point_lookups(sql: Instance, people: int) -> tuple[float, float, float, int
             compiled)
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall-clock milliseconds over ``repeats`` runs."""
-    best = float("inf")
+def _join_shapes() -> list[tuple[str, Join, Callable[[int], int]]]:
+    """``(label, join over L and R, its row count as a function of the
+    side)``.  ``L.a`` and ``R.b`` run over ``0..side-1``; ``k`` groups
+    them in threes, so the equi-join with a residual keeps three pairs
+    per complete group."""
+    less = Comparison("<", Col("a"), Col("b"))
+    return [
+        ("cross", Join(Scan("L"), Scan("R"), TRUE), lambda n: n * n),
+        ("theta a<b", Join(Scan("L"), Scan("R"), less),
+         lambda n: n * (n - 1) // 2),
+        ("equi+residual", Join(Scan("L"), Scan("R"),
+                               And(_JoinEq("k", "k"), less)),
+         lambda n: 3 * (n // 3) + (n % 3) * (n % 3 - 1) // 2),
+    ]
+
+
+def _join_instance(side: int) -> Instance:
+    db = Instance()
+    db.insert_all("L", [{"a": i, "k": i // 3} for i in range(side)])
+    db.insert_all("R", [{"b": j, "k": j // 3} for j in range(side)])
+    return db
+
+
+def _join_shape_rows(side: int) -> list[list]:
+    """One table row per join shape; raises unless ``evaluate`` returns
+    the interpreter's rows and the closed-form count."""
+    db = _join_instance(side)
+    table = []
+    for label, join, closed_form in _join_shapes():
+        expected = evaluate_interpreted(join, db)
+        rows = evaluate(join, db)
+        if len(expected) != closed_form(side) or _canon(rows) != _canon(
+            expected
+        ):
+            raise AssertionError(
+                f"{label} at {side}x{side}: evaluate returned "
+                f"{len(rows)} rows, the interpreter {len(expected)}, "
+                f"the closed form {closed_form(side)}"
+            )
+        eval_wall, eval_cpu = _best_of(lambda: evaluate(join, db))
+        interp_wall, interp_cpu = _best_of(
+            lambda: evaluate_interpreted(join, db)
+        )
+        table.append([
+            label, f"{side}x{side}", len(rows), f"{eval_wall:.2f} ms",
+            f"{eval_cpu:.2f} ms", f"{interp_wall:.2f} ms",
+            f"{interp_cpu:.2f} ms",
+        ])
+    return table
+
+
+def _best_of(fn, repeats: int = 3) -> tuple[float, float]:
+    """Best wall-clock and best CPU milliseconds over ``repeats``
+    runs."""
+    wall = cpu = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
+        cpu = min(cpu, time.process_time() - start_cpu)
+        wall = min(wall, time.perf_counter() - start)
+    return wall * 1000.0, cpu * 1000.0
 
 
 def _canon(rows):
@@ -173,7 +241,7 @@ def test_query_executor_report(benchmark):
             f"{interpreted_ms / per_key_ms:.1f}x",
         ])
         for label, plan in queries:
-            interpreted_ms = _best_of(
+            interpreted_ms, _ = _best_of(
                 lambda: evaluate(plan, sql, engine="interpreted")
             )
             clear_plan_cache()
@@ -185,10 +253,10 @@ def test_query_executor_report(benchmark):
                 registry.counter("span.query.compile.calls").value
                 if is_enabled() else None
             )
-            vec_cold_ms = _best_of(
+            vec_cold_ms, _ = _best_of(
                 lambda: evaluate(plan, sql, engine="vectorized"), repeats=1
             )
-            vec_warm_ms = _best_of(
+            vec_warm_ms, _ = _best_of(
                 lambda: evaluate(plan, sql, engine="vectorized")
             )
             if is_enabled():
@@ -232,6 +300,12 @@ def test_query_executor_report(benchmark):
         ["persons", "plans compiled", "interpreted", "first key",
          "per key after first", "vec/interp"],
         lookups,
+    )
+    print_table(
+        "Join shapes: evaluate vs interpreted (best of 3)",
+        ["shape", "sides", "rows", "evaluate wall", "evaluate cpu",
+         "interpreted wall", "interpreted cpu"],
+        _join_shape_rows(JOIN_SIDE),
     )
     if acceptance and max(SIZES) >= 4000:
         assert acceptance["vec_vs_interpreted"] >= VEC_VS_INTERPRETED, (
@@ -310,8 +384,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if "--smoke" in argv:
         # CI sanity: smallest size only, parity asserts still run.
-        global SIZES
+        global SIZES, JOIN_SIDE
         SIZES = (250,)
+        JOIN_SIDE = 60
     return run_standalone("query", [test_query_executor_report], argv)
 
 

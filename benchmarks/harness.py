@@ -10,7 +10,8 @@ Every ``bench_*.py`` suite keeps its pytest-benchmark tests, but its
 * enables the engine's observability layer for the duration, so the
   emitted JSON carries the span/metric telemetry of the run,
 * writes ``BENCH_<name>.json`` with the tables plus a registry
-  snapshot — one uniform format across all benchmarks.
+  snapshot and a ``machine`` block (cores, Python, numpy and scipy
+  versions, platform) — one uniform format across all benchmarks.
 
 Standalone usage (every bench file)::
 
@@ -23,10 +24,31 @@ is given — the CI sanity mode.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import os
+import platform
 import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+
+
+def machine() -> dict:
+    """Where a run happened: logical cores, the Python version, the
+    numpy and scipy versions (``None`` when not importable) and the
+    platform string."""
+    versions = {}
+    for module in ("numpy", "scipy"):
+        try:
+            versions[module] = importlib.import_module(module).__version__
+        except ImportError:
+            versions[module] = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        **versions,
+        "platform": platform.platform(),
+    }
 
 
 class _StubBenchmark:
@@ -118,6 +140,7 @@ class Harness:
         data = {
             "benchmark": self.name,
             "format": "harness-v1",
+            "machine": machine(),
             "results": self.results,
             "tables": self.tables,
             "timings_seconds": self.timings,

@@ -59,7 +59,6 @@ from repro.algebra.expressions import (
     Sort,
     project_names,
     eq_join,
-    ValueJoinEq,
 )
 from repro.algebra.evaluator import (
     EvalContext,
@@ -93,7 +92,7 @@ __all__ = [
     "conjunction",
     "RelExpr", "Scan", "EntityScan", "Values", "Select", "Project",
     "Extend", "Join", "UnionAll", "Difference", "Distinct", "Rename",
-    "Aggregate", "Sort", "project_names", "eq_join", "ValueJoinEq",
+    "Aggregate", "Sort", "project_names", "eq_join",
     "evaluate", "evaluate_interpreted", "EvalContext",
     "PlanCache", "clear_plan_cache", "plan_cache_stats",
     "VectorizedPlan", "compile_vector_plan", "GLOBAL_VECTOR_PLAN_CACHE",

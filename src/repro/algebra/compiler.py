@@ -8,7 +8,7 @@ what those modules, the optimizer and the estimator share:
 
 * the value semantics both engines use: join keys
   (:func:`join_key_value`), join-predicate analysis
-  (:func:`equality_pairs`), the heterogeneous sort key
+  (:func:`split_join_predicate`), the heterogeneous sort key
   (:class:`SortKey`) and the aggregate reduction
   (:func:`reduce_aggregate`);
 * static column inference (:func:`_static_cols`), the license for
@@ -50,29 +50,36 @@ def join_key_value(value):
     return value
 
 
-def equality_pairs(predicate) -> Optional[list[tuple[str, str, bool]]]:
-    """``(left_col, right_col, null_tolerant)`` triples if ``predicate``
-    is a pure conjunction of ``_JoinEq``/``ValueJoinEq`` atoms — the
-    condition for the vectorized hash join (the interpreter hashes only
-    when no pair is null-tolerant).  ``TRUE`` yields ``[]`` (cross
-    join); anything else yields ``None`` (nested loop)."""
+def split_join_predicate(
+    predicate,
+) -> tuple[list[tuple[str, str]], Optional[S.Predicate]]:
+    """``(pairs, residual)`` of a join predicate: its top-level
+    ``_JoinEq`` atoms as ``(left_col, right_col)`` pairs, and the rest
+    of the predicate (``None`` when nothing is left over; ``TRUE``
+    leaves nothing, so a cross join is ``([], None)``).  The
+    interpreter hashes on the pairs and tests the residual per
+    candidate; the vectorized hash join, the estimator and the
+    optimizer act only when the residual is ``None``."""
     if predicate is S.TRUE:
-        return []
+        return [], None
     if isinstance(predicate, E._JoinEq):
-        return [(predicate.left_col, predicate.right_col, False)]
-    if isinstance(predicate, E.ValueJoinEq):
-        return [(predicate.left_col, predicate.right_col, True)]
-    if isinstance(predicate, S.And):
-        pairs: list[tuple[str, str, bool]] = []
-        for operand in predicate.operands:
-            if isinstance(operand, E._JoinEq):
-                pairs.append((operand.left_col, operand.right_col, False))
-            elif isinstance(operand, E.ValueJoinEq):
-                pairs.append((operand.left_col, operand.right_col, True))
-            else:
-                return None
-        return pairs
-    return None
+        return [(predicate.left_col, predicate.right_col)], None
+    if not isinstance(predicate, S.And):
+        return [], predicate
+    pairs = [
+        (operand.left_col, operand.right_col)
+        for operand in predicate.operands
+        if isinstance(operand, E._JoinEq)
+    ]
+    rest = [
+        operand for operand in predicate.operands
+        if not isinstance(operand, E._JoinEq)
+    ]
+    if not rest:
+        return pairs, None
+    if not pairs:
+        return [], predicate
+    return pairs, rest[0] if len(rest) == 1 else S.And(*rest)
 
 
 def eq_test(predicate) -> Optional[tuple[str, S.Scalar]]:

@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
-from repro.algebra.compiler import PlanNode, equality_pairs
+from repro.algebra.compiler import PlanNode, split_join_predicate
 from repro.errors import SchemaError
 from repro.observability.journal import journal
 from repro.observability.metrics import registry
@@ -223,13 +223,9 @@ def _selectivity(pred, est: _Est, schema) -> float:
             est, pred.entity, pred.only, schema
         )
         return fraction if fraction is not None else DEFAULT_SELECTIVITY
-    pairs = equality_pairs(pred)
-    if pairs:
-        out = 1.0
-        for left_col, right_col, _ in pairs:
-            d = max(_distinct(est, left_col), _distinct(est, right_col))
-            out *= 1.0 / d
-        return _clamp(out)
+    if isinstance(pred, E._JoinEq):
+        d = max(_distinct(est, pred.left_col), _distinct(est, pred.right_col))
+        return _clamp(1.0 / d)
     return DEFAULT_SELECTIVITY
 
 
@@ -237,15 +233,13 @@ def _selectivity(pred, est: _Est, schema) -> float:
 # expression estimates
 # ----------------------------------------------------------------------
 def _join_estimate(expr: E.Join, left: _Est, right: _Est, schema) -> _Est:
-    pairs = equality_pairs(expr.predicate)
+    pairs, residual = split_join_predicate(expr.predicate)
     cross = left.rows * right.rows
-    if pairs is None:
+    if residual is not None:
         rows = cross * _selectivity(expr.predicate, left, schema)
-    elif not pairs:
-        rows = cross
     else:
         rows = cross
-        for left_col, right_col, _ in pairs:
+        for left_col, right_col in pairs:
             rows /= max(
                 _distinct(left, left_col), _distinct(right, right_col)
             )

@@ -29,9 +29,9 @@ from typing import Optional
 
 from repro.algebra.compiler import (
     SortKey,
-    equality_pairs,
     join_key_value,
     reduce_aggregate,
+    split_join_predicate,
 )
 from repro.algebra.expressions import (
     Aggregate,
@@ -48,7 +48,9 @@ from repro.algebra.expressions import (
     Sort,
     UnionAll,
     Values,
+    _JoinEq,
 )
+from repro.algebra.scalars import Col, Scalar
 from repro.errors import EvaluationError
 from repro.instances.database import Instance, Row, freeze_row
 from repro.metamodel.schema import Schema
@@ -320,33 +322,42 @@ def apply_operator(expr: RelExpr, inputs: list[list[Row]], ctx) -> list[Row]:
 def _join(
     expr: Join, left_rows: list[Row], right_rows: list[Row], ctx
 ) -> list[Row]:
+    """Hash the right rows on the predicate's top-level equi-pairs (a
+    null key never matches; labeled nulls match by label) and test the
+    residual on each candidate.  The residual reads one row holding the
+    left row's cells over the right's; the ``$left.``/``$right.``
+    copies of both are added only when it reads them."""
     out: list[Row] = []
     right_columns: set[str] = set()
     for row in right_rows:
         right_columns.update(row)
 
-    # Hash join only when every pair is a null-rejecting _JoinEq; a
-    # null-tolerant ValueJoinEq takes the nested loop.
-    pairs = equality_pairs(expr.predicate)
+    pairs, residual = split_join_predicate(expr.predicate)
     index: Optional[dict[tuple, list[Row]]] = None
-    if pairs and not any(tolerant for _, _, tolerant in pairs):
+    if pairs:
         index = {}
         for r_row in right_rows:
-            key = tuple(join_key_value(r_row.get(rc)) for _, rc, _ in pairs)
+            key = tuple(join_key_value(r_row.get(rc)) for _, rc in pairs)
             index.setdefault(key, []).append(r_row)
+    tagged = residual is not None and _reads_sides(residual)
 
     for l_row in left_rows:
         if index is not None:
-            key = tuple(join_key_value(l_row.get(lc)) for lc, _, _ in pairs)
-            candidates = index.get(key, []) if None not in key else []
+            key = tuple(join_key_value(l_row.get(lc)) for lc, _ in pairs)
+            candidates = index.get(key, ()) if None not in key else ()
         else:
             candidates = right_rows
         matched = False
         for r_row in candidates:
-            if index is None and not _join_predicate_holds(
-                expr, l_row, r_row, ctx
-            ):
-                continue
+            if residual is not None:
+                combined = {**r_row, **l_row}
+                if tagged:
+                    for name, value in l_row.items():
+                        combined[f"$left.{name}"] = value
+                    for name, value in r_row.items():
+                        combined[f"$right.{name}"] = value
+                if not residual.eval(combined, ctx):
+                    continue
             matched = True
             out.append(_merge(l_row, r_row, expr.right_prefix))
         if not matched and expr.kind == "left":
@@ -361,16 +372,18 @@ def _join(
     return out
 
 
-def _join_predicate_holds(expr: Join, l_row: Row, r_row: Row, ctx) -> bool:
-    combined = dict(l_row)
-    combined.update(
-        {k: v for k, v in r_row.items() if k not in combined}
-    )
-    for key, value in l_row.items():
-        combined[f"$left.{key}"] = value
-    for key, value in r_row.items():
-        combined[f"$right.{key}"] = value
-    return expr.predicate.eval(combined, ctx)
+def _reads_sides(scalar) -> bool:
+    """Whether a join residual reads the ``$left.``/``$right.`` copies:
+    a column named so, or a ``_JoinEq`` anywhere inside it."""
+    if isinstance(scalar, _JoinEq):
+        return True
+    if isinstance(scalar, Col):
+        return scalar.name.startswith(("$left.", "$right."))
+    if isinstance(scalar, Scalar):
+        return _reads_sides(scalar._key())
+    if isinstance(scalar, tuple):
+        return any(_reads_sides(part) for part in scalar)
+    return False
 
 
 def _merge(l_row: Row, r_row: Row, right_prefix: Optional[str]) -> Row:

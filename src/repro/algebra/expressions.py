@@ -409,30 +409,3 @@ class _JoinEq(Predicate):
 
     def _key(self):
         return (self.left_col, self.right_col)
-
-
-class ValueJoinEq(Predicate):
-    """Null-*tolerant* equality between a left-side and a right-side
-    column: plain Python equality, so ``None == None`` matches and
-    labeled nulls match by label (the binding equality of the
-    homomorphism search).  The vectorized engine hash-joins it; the
-    interpreter tests it pair by pair in a nested loop.
-    """
-
-    def __init__(self, left_col: str, right_col: str):
-        self.left_col = left_col
-        self.right_col = right_col
-
-    def eval(self, row: Row, ctx) -> bool:
-        left_key = f"$left.{self.left_col}"
-        right_key = f"$right.{self.right_col}"
-        lhs = row[left_key] if left_key in row else row.get(self.left_col)
-        rhs = row[right_key] if right_key in row else row.get(self.right_col)
-        # Binding equality mirrors homomorphism matching: reject on !=.
-        return not (lhs != rhs)
-
-    def columns(self) -> set[str]:
-        return {self.left_col, self.right_col}
-
-    def _key(self):
-        return (self.left_col, self.right_col)

@@ -46,7 +46,7 @@ from repro.algebra import scalars as S
 from repro.algebra.compiler import (
     _static_cols,
     eq_test,
-    equality_pairs,
+    split_join_predicate,
     union_branches,
 )
 
@@ -313,7 +313,9 @@ def _push_select_into_join(
         return None
     left_set = set(left_cols)
     right_only = set(right_cols) - left_set
-    pairs = equality_pairs(join.predicate) or ()
+    pairs, residual = split_join_predicate(join.predicate)
+    if residual is not None:
+        pairs = []
     to_left, to_right, kept = [], [], []
     operands = (
         predicate.operands if isinstance(predicate, S.And) else (predicate,)
@@ -326,7 +328,7 @@ def _push_select_into_join(
             if eq is not None:
                 to_right.extend(
                     S.Comparison("=", S.Col(rcol), eq[1])
-                    for lcol, rcol, _ in pairs
+                    for lcol, rcol in pairs
                     if lcol == eq[0]
                 )
         elif cols and cols <= right_only:
@@ -334,7 +336,7 @@ def _push_select_into_join(
             if eq is not None:
                 to_left.extend(
                     S.Comparison("=", S.Col(lcol), eq[1])
-                    for lcol, rcol, _ in pairs
+                    for lcol, rcol in pairs
                     if rcol == eq[0]
                 )
         else:
@@ -549,7 +551,6 @@ def _substitute_columns(scalar: S.Scalar, bindings: dict[str, S.Scalar]) -> S.Sc
             scalar.name,
             [_substitute_columns(a, bindings) for a in scalar.args],
             scalar.fn,
-            scalar.null_tolerant,
         )
     if isinstance(scalar, S.Arith):
         return S.Arith(
@@ -695,8 +696,8 @@ def _join_step_cost(join: E.Join, est) -> float:
     left_rows = est.rows(join.left)
     right_rows = est.rows(join.right)
     out_rows = est.rows(join)
-    pairs = equality_pairs(join.predicate)
-    if pairs is None:  # nested loop over the cross product
+    pairs, residual = split_join_predicate(join.predicate)
+    if residual is not None:  # nested loop over the cross product
         return (
             left_rows * right_rows * COST.pred_weight
             + out_rows * COST.output_weight
@@ -711,7 +712,7 @@ def _join_step_cost(join: E.Join, est) -> float:
     right_cols = _static_cols(join.right)
     if isinstance(join.right, E.Distinct) and right_cols is not None and set(
         right_cols
-    ) == {rcol for _, rcol, _ in pairs}:
+    ) == {rcol for _, rcol in pairs}:
         return cost
     return cost + out_rows * COST.output_weight
 
@@ -732,13 +733,10 @@ def mirror_join_fingerprint(expr: E.RelExpr) -> Optional[str]:
         return None
     if expr.right_prefix is not None:
         return None
-    pairs = equality_pairs(expr.predicate)
-    if pairs is None:
+    pairs, residual = split_join_predicate(expr.predicate)
+    if residual is not None:
         return None
-    flipped = [
-        E.ValueJoinEq(rcol, lcol) if tolerant else E._JoinEq(rcol, lcol)
-        for lcol, rcol, tolerant in pairs
-    ]
+    flipped = [E._JoinEq(rcol, lcol) for lcol, rcol in pairs]
     mirror = E.Join(
         expr.right, expr.left, S.conjunction(flipped), "inner", None
     )
@@ -793,16 +791,12 @@ class _JoinClass:
 
     ``by_leaf`` maps leaf index → column name (one member per leaf —
     regions where a class touches two columns of the same leaf bail
-    out); ``strict`` records whether any contributing edge was the
-    null-rejecting ``_JoinEq``, in which case every spanning atom the
-    rebuilt tree emits may be strict too (connectivity through a strict
-    edge already forces all copies non-null)."""
+    out)."""
 
-    __slots__ = ("by_leaf", "strict", "mask")
+    __slots__ = ("by_leaf", "mask")
 
     def __init__(self) -> None:
         self.by_leaf: dict[int, str] = {}
-        self.strict = False
         self.mask = 0
 
     def name_for(self, mask: int) -> str:
@@ -819,12 +813,12 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
     the reorder safe, and return the cheapest enumerated tree — or
     ``None`` when the region must stay in its written order.
 
-    Safety model (see docs/OPTIMIZER.md): original ``_JoinEq`` /
-    ``ValueJoinEq`` edges are grounded to the *leftmost* leaf owning
-    each column (matching the evaluator's left-wins combined-row
-    reads), grounded endpoints are unioned into equivalence classes,
-    and the rebuilt tree emits one atom per class at every join whose
-    two sides both contain class members.  That keeps every pair of
+    Safety model (see docs/OPTIMIZER.md): original ``_JoinEq`` edges
+    are grounded to the *leftmost* leaf owning each column (matching
+    the evaluator's left-wins combined-row reads), grounded endpoints
+    are unioned into equivalence classes, and the rebuilt tree emits
+    one atom per class at every join whose two sides both contain
+    class members.  That keeps every pair of
     same-named copies provably equal at all times, so which copy a
     collision keeps — in any order — cannot change the result.  Any
     shape the proof does not cover (outer joins, prefixed joins, theta
@@ -832,7 +826,7 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
     leaf twice, ambiguous copies never constrained equal) bails out.
     """
     leaves: list[E.RelExpr] = []
-    raw_edges: list[tuple[int, int, int, str, str, bool]] = []
+    raw_edges: list[tuple[int, int, int, str, str]] = []
 
     def flatten(node: E.RelExpr) -> None:
         if (
@@ -840,15 +834,15 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
             and node.kind == "inner"
             and node.right_prefix is None
         ):
-            pairs = equality_pairs(node.predicate)
-            if pairs is not None:
+            pairs, residual = split_join_predicate(node.predicate)
+            if residual is None:
                 lo = len(leaves)
                 flatten(node.left)
                 mid = len(leaves)
                 flatten(node.right)
                 hi = len(leaves)
-                for lcol, rcol, tolerant in pairs:
-                    raw_edges.append((lo, mid, hi, lcol, rcol, tolerant))
+                for lcol, rcol in pairs:
+                    raw_edges.append((lo, mid, hi, lcol, rcol))
                 return
         leaves.append(node)
 
@@ -881,8 +875,7 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
             item = parent[item]
         return item
 
-    grounded: list[tuple[tuple[int, str], tuple[int, str], bool]] = []
-    for lo, mid, hi, lcol, rcol, tolerant in raw_edges:
+    for lo, mid, hi, lcol, rcol in raw_edges:
         lown = next(
             (i for i in range(lo, mid) if lcol in leaf_cols[i]), None
         )
@@ -891,10 +884,8 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
         )
         if lown is None or rown is None:
             return None
-        left_item, right_item = (lown, lcol), (rown, rcol)
-        root_l, root_r = find(left_item), find(right_item)
+        root_l, root_r = find((lown, lcol)), find((rown, rcol))
         parent[root_l] = root_r
-        grounded.append((left_item, right_item, tolerant))
 
     # Collision safety: every column owned by two or more leaves must
     # have ALL its copies constrained into one class, else reordering
@@ -917,9 +908,6 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
             return None  # class touches two columns of one leaf
         cls.by_leaf[leaf] = name
         cls.mask |= 1 << leaf
-    for left_item, right_item, tolerant in grounded:
-        if not tolerant:
-            classes[find(left_item)].strict = True
     class_list = [c for c in classes.values() if len(c.by_leaf) > 1]
 
     new_leaves = [_cost_walk(leaf, est) for leaf in leaves]
@@ -940,14 +928,9 @@ def _join_subsets(
     atoms: list[S.Predicate] = []
     for cls in classes:
         if cls.mask & left_mask and cls.mask & right_mask:
-            lname = cls.name_for(left_mask)
-            rname = cls.name_for(right_mask)
-            atom = (
-                E._JoinEq(lname, rname)
-                if cls.strict
-                else E.ValueJoinEq(lname, rname)
-            )
-            atoms.append(atom)
+            atoms.append(E._JoinEq(
+                cls.name_for(left_mask), cls.name_for(right_mask)
+            ))
     return E.Join(
         left_tree, right_tree, S.conjunction(atoms), "inner", None
     )

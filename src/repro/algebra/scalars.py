@@ -129,26 +129,19 @@ class Func(Scalar):
 
     ``fn`` is the Python implementation; the name is kept for printing
     and SQL generation.  Nulls propagate: if any argument is null the
-    result is ``None`` (unless ``null_tolerant``).
+    result is ``None``.
     """
 
     def __init__(
-        self,
-        name: str,
-        args: Sequence[Scalar],
-        fn: Callable[..., object],
-        null_tolerant: bool = False,
+        self, name: str, args: Sequence[Scalar], fn: Callable[..., object]
     ):
         self.name = name
         self.args = tuple(args)
         self.fn = fn
-        self.null_tolerant = null_tolerant
 
     def eval(self, row: Row, ctx: "EvalContext") -> object:
         values = [a.eval(row, ctx) for a in self.args]
-        if not self.null_tolerant and any(
-            v is None or isinstance(v, LabeledNull) for v in values
-        ):
+        if any(v is None or isinstance(v, LabeledNull) for v in values):
             return None
         return self.fn(*values)
 

@@ -14,7 +14,8 @@ scalars per row:
   O(columns) per stage, sharing the input's (immutable) value lists;
 * **hash joins** build and probe over column slices, then gather output
   columns through index lists (one C-level list comprehension per
-  column instead of one dict build per row);
+  column instead of one dict build per row); a cross join is the hash
+  join on the empty key;
 * **distinct / difference** encode rows as tuples via ``zip(*columns)``
   and dedup through sets;
 * **union** aligns layouts once per batch pair and concatenates value
@@ -25,9 +26,9 @@ Semantics are bit-for-bit those of the reference interpreter in
 ``tests/test_query_compiler.py`` holds the two to identical results,
 labeled nulls included.  Where a scalar expression or a runtime batch
 shape falls outside the vectorizer's reach (heterogeneous rows, exotic
-predicates, computed projections, cross and nested-loop joins), the
-stage takes a row path *per stage*: it materializes its input batches'
-rows, runs the interpreter's operator on them
+predicates, computed projections, joins whose predicate is more than
+equi-pairs), the stage takes a row path *per stage*: it materializes
+its input batches' rows, runs the interpreter's operator on them
 (:func:`~repro.algebra.evaluator.apply_operator`), and re-encodes the
 result — so a row path is the oracle's semantics by construction.
 Every row path is counted (``query.vectorized.row_fallback.<stage>``)
@@ -53,27 +54,22 @@ from repro.algebra.compiler import (
     PlanProfile,
     SortKey,
     _Run,
-    equality_pairs,
     join_key_value,
     reduce_aggregate,
+    split_join_predicate,
 )
 from repro.algebra.evaluator import apply_operator
 from repro.errors import EvaluationError
 from repro.instances.columnar import Column, ColumnBatch
-from repro.instances.database import (
-    TYPE_FIELD,
-    Instance,
-    Row,
-    hashable_key,
-)
+from repro.instances.database import TYPE_FIELD, Instance, Row
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
 from repro.observability.metrics import registry
 from repro.observability.state import STATE
 from repro.observability.tracing import tracer
 
-#: Sentinel for "this row can never match" join keys (a null under a
-#: null-rejecting pair).  Never inserted into an index.
+#: Sentinel for "this row can never match" join keys (a null key
+#: cell).  Never inserted into an index.
 _NOMATCH = object()
 _EMPTY = ()
 
@@ -759,22 +755,14 @@ def _with_column(batch: ColumnBatch, name: str, col: Column) -> ColumnBatch:
 # ----------------------------------------------------------------------
 # joins
 # ----------------------------------------------------------------------
-def _batch_keys(
-    batch: ColumnBatch,
-    columns: tuple[str, ...],
-    tolerant: tuple[bool, ...],
-) -> list:
-    """Per-row join keys over column slices (``_NOMATCH`` marks a null
-    under a null-rejecting pair, ``hashable_key`` keys a null-tolerant
-    one)."""
+def _batch_keys(batch: ColumnBatch, columns: tuple[str, ...]) -> list:
+    """Per-row join keys over column slices (``_NOMATCH`` marks a row
+    with a null key cell; the empty key is ``()`` for every row)."""
     n = batch.nrows
+    if not columns:
+        return [()] * n
     if len(columns) == 1:
         col = batch.cols.get(columns[0])
-        if tolerant[0]:
-            values = _plain_values(batch, columns[0])
-            if values is None:
-                return [None] * n
-            return [hashable_key(v) for v in values]
         if col is None:
             return [_NOMATCH] * n
         if (
@@ -801,18 +789,11 @@ def _batch_keys(
     for c in columns:
         values = _plain_values(batch, c)
         per_col.append(values if values is not None else [None] * n)
-    keyers = tuple(hashable_key if t else join_key_value for t in tolerant)
-    strict_at = tuple(i for i, t in enumerate(tolerant) if not t)
     out = []
     append = out.append
     for cells in zip(*per_col):
-        key = tuple(k(v) for k, v in zip(keyers, cells))
-        nomatch = False
-        for i in strict_at:
-            if key[i] is None:
-                nomatch = True
-                break
-        append(_NOMATCH if nomatch else key)
+        key = tuple(join_key_value(v) for v in cells)
+        append(_NOMATCH if None in key else key)
     return out
 
 
@@ -821,12 +802,11 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
     right = _lower(expr.right, st)
     kind = expr.kind
     right_prefix = expr.right_prefix
-    pairs = equality_pairs(expr.predicate)
+    pairs, residual = split_join_predicate(expr.predicate)
 
-    if pairs:
-        tolerant = tuple(t for _, _, t in pairs)
-        l_cols = tuple(lc for lc, _, _ in pairs)
-        r_cols = tuple(rc for _, rc, _ in pairs)
+    if residual is None:  # equi-join, or a cross join on the empty key
+        l_cols = tuple(lc for lc, _ in pairs)
+        r_cols = tuple(rc for _, rc in pairs)
         join_right_cols = set(r_cols)
         semi_licensed = (
             kind == "inner"
@@ -850,12 +830,12 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
             ):
                 # Right side contributes no columns and holds at most
                 # one row per key: the join is a pure filter.
-                rkeys = _batch_keys(rb, r_cols, tolerant)
+                rkeys = _batch_keys(rb, r_cols)
                 keys = {k for k in rkeys if k is not _NOMATCH}
-                lkeys = _batch_keys(lb, l_cols, tolerant)
+                lkeys = _batch_keys(lb, l_cols)
                 return lb.compress([k in keys for k in lkeys])
-            rkeys = _batch_keys(rb, r_cols, tolerant)
-            lkeys = _batch_keys(lb, l_cols, tolerant)
+            rkeys = _batch_keys(rb, r_cols)
+            lkeys = _batch_keys(lb, l_cols)
             padded = False
             li: Optional[list] = None  # None ⇒ identity gather
             pos = {
@@ -939,16 +919,10 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
             names = l_names + tuple(name for name, _ in actions)
             return ColumnBatch(names, out_cols, nout)
 
+        if not pairs:
+            # EXPLAIN names the stage after the join it runs.
+            run_vec_hash_join.__name__ = "run_vec_cross_join"
         return run_vec_hash_join
-
-    if pairs == []:  # TRUE predicate: cross join
-
-        def run_vec_cross_join(ctx):
-            return _from_rows(
-                _row_path("join", expr, ctx, left(ctx), right(ctx))
-            )
-
-        return run_vec_cross_join
 
     def run_vec_nested_join(ctx):
         return _from_rows(_row_path("join", expr, ctx, left(ctx), right(ctx)))

@@ -601,14 +601,10 @@ class CompiledDependency:
         slots = {var: i for i, var in enumerate(self.variables)}
         self.conditions = tuple((c.left, c.right) for c in getattr(
             dependency, "conditions", ()))
-        terms = [t for atom in body + getattr(dependency, "head", ())
-                 for _, t in atom.args]
-        terms += [t for pair in self.conditions for t in pair]
         self.frontier, self.group = (), None
         if isinstance(dependency, EGD):
             self.kind = "egd"
             pairs = [(e.left, e.right) for e in dependency.equalities]
-            terms += [t for pair in pairs for t in pair]
             self.equalities = tuple(
                 tuple((None, t.value) if isinstance(t, Const)
                       else (slots[t], None) for t in pair)
@@ -618,9 +614,6 @@ class CompiledDependency:
         else:
             self._compile_head(dependency.head, dependency.name, slots)
         self.frontier_set = frozenset(self.frontier)
-        # A function term may hide a constant too.
-        self.has_constants = any(isinstance(t, (Const, FuncTerm))
-                                 for t in terms)
 
     def _compile_head(self, head: tuple, name: str, slots: dict) -> None:
         head_variables = set().union(*(atom.variables() for atom in head))
@@ -801,17 +794,34 @@ def head_holds(plan: CompiledDependency, instance: Instance, key: tuple,
 
 
 @lru_cache(maxsize=1024)
-def _compile(dependency: Dependency) -> CompiledDependency:
+def _compile(dependency: Dependency,
+             constant_types: tuple) -> CompiledDependency:
     return CompiledDependency(dependency)
 
 
 def compile_dependency(dependency: Dependency) -> CompiledDependency:
-    """``dependency`` compiled for the chase, cached by value — but equal
-    constants can differ in type (``Const(1) == Const(True)``)."""
-    compiled = _compile(dependency)
-    if compiled.dependency is not dependency and compiled.has_constants:
-        return CompiledDependency(dependency)
-    return compiled
+    """``dependency`` compiled for the chase, cached by value and by the
+    types of its constants: equal constants can differ in type
+    (``Const(1) == Const(True)``), and a plan writes its own."""
+    return _compile(dependency, _constant_types(dependency))
+
+
+def _constant_types(dependency: Dependency) -> tuple:
+    """The type of every constant in ``dependency``, function-term
+    arguments included, in a fixed order."""
+    terms = [t for atom in dependency.body + getattr(dependency, "head", ())
+             for _, t in atom.args]
+    for pair in (getattr(dependency, "conditions", ())
+                 + getattr(dependency, "equalities", ())):
+        terms += (pair.left, pair.right)
+    types = []
+    while terms:
+        term = terms.pop()
+        if isinstance(term, Const):
+            types.append(type(term.value))
+        elif isinstance(term, FuncTerm):
+            terms.extend(term.args)
+    return tuple(types)
 
 
 class _SemiNaiveChase:

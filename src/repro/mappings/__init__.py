@@ -14,10 +14,7 @@ levels of refinement (Section 3.1):
    (:mod:`repro.operators.transgen`).
 
 :mod:`repro.mappings.interpretation` implements the step from (1) to
-(2), including the snowflake rule of Figure 4;
-:mod:`repro.mappings.algebra_bridge` converts between the project-join
-algebra fragment and conjunctive queries so that equality constraints
-and tgds interoperate.
+(2), including the snowflake rule of Figure 4.
 """
 
 from repro.mappings.mapping import (
@@ -26,12 +23,6 @@ from repro.mappings.mapping import (
     MappingLanguage,
 )
 from repro.mappings.correspondence import Correspondence, CorrespondenceSet
-from repro.mappings.algebra_bridge import (
-    algebra_to_cq,
-    cq_to_algebra,
-    containment_tgd,
-    equality_to_tgds,
-)
 from repro.mappings.interpretation import (
     interpret_snowflake,
     interpret_as_tgds,
@@ -43,10 +34,6 @@ __all__ = [
     "MappingLanguage",
     "Correspondence",
     "CorrespondenceSet",
-    "algebra_to_cq",
-    "cq_to_algebra",
-    "containment_tgd",
-    "equality_to_tgds",
     "interpret_snowflake",
     "interpret_as_tgds",
 ]

@@ -202,11 +202,3 @@ def _selected_types(constraint, mapping: Mapping) -> set[str]:
         return set()
     _, types, _ = shape
     return types
-
-
-def _pairwise_disjoint(relation_sets: list[set[str]]) -> bool:
-    for i, first in enumerate(relation_sets):
-        for second in relation_sets[i + 1:]:
-            if first & second:
-                return False
-    return True

@@ -208,6 +208,33 @@ class TestJudgment:
         assert missing and all(f.key.startswith("250/") for f in missing)
 
 
+class TestMachineBlock:
+    def test_every_payload_says_where_it_ran(self):
+        sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+        try:
+            from harness import Harness
+        finally:
+            sys.path.remove(str(REPO_ROOT / "benchmarks"))
+        block = Harness("q", observe=False).payload()["machine"]
+        assert list(block) == [
+            "cpu_count", "python", "numpy", "scipy", "platform",
+        ]
+        assert block["cpu_count"] >= 1
+        assert block["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert all(isinstance(block[k], (str, type(None)))
+                   for k in ("numpy", "scipy"))
+
+    def test_benchdiff_ignores_the_machine_block(self):
+        baseline = harness_payload()
+        fresh = harness_payload()
+        fresh["machine"] = {"cpu_count": 64, "python": "3.99.0",
+                            "numpy": None, "scipy": None,
+                            "platform": "elsewhere"}
+        assert extract_metrics(fresh) == extract_metrics(baseline)
+        report = diff_payloads("q", baseline, fresh)
+        assert all(f.status == "ok" for f in report.findings)
+
+
 class TestDirsAndCli:
     def write(self, directory, name, payload):
         (directory / name).write_text(json.dumps(payload))

@@ -196,6 +196,18 @@ class TestPlansMatchSearch:
             parse_tgd("R(a=x, b=y) & S(b=y, c=z) -> T(a=x, c=z)")
         )
 
+    def test_plans_with_constants_compile_once(self):
+        # Certain answers build a fresh tgd per query call; one with a
+        # constant, in a function term too, reuses the cached plan.
+        text = "R(a=x, b=1) -> S(a=x, c=f(x, \"k\"), d=2.5)"
+        assert compile_dependency(parse_tgd(text)) is compile_dependency(
+            parse_tgd(text)
+        )
+        one = parse_tgd("R(a=x) -> S(a=x, c=f(x, 1))")
+        true = parse_tgd("R(a=x) -> S(a=x, c=f(x, true))")
+        assert one == true
+        assert compile_dependency(one) is not compile_dependency(true)
+
     def test_equal_constants_of_other_types_are_kept_apart(self):
         # Const(1) == Const(True): the compile cache must not hand one
         # dependency's head constant to the other.

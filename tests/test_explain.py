@@ -15,11 +15,14 @@ import pytest
 
 import repro.observability as obs
 from repro.algebra import (
+    TRUE,
+    And,
     Col,
     Comparison,
     Distinct,
     EntityScan,
     IsOf,
+    Join,
     Project,
     Scan,
     Select,
@@ -102,6 +105,21 @@ class TestExplain:
         plan = explain(expr).plan
         assert plan.nodes[plan.root_id].strategy == "vec_union"
         assert all(n.strategy.startswith("vec_") for n in plan.nodes)
+
+    def test_join_strategies_are_named_by_predicate(self):
+        """A cross join runs in the hash-join stage on the empty key yet
+        keeps its own name; a residual sends a join to the row path."""
+        less = Comparison("<", Col("a"), Col("b"))
+        pair = eq_join(Scan("L"), Scan("R"), [("k", "k")]).predicate
+        cases = [
+            (pair, "vec_hash_join"),
+            (TRUE, "vec_cross_join"),
+            (less, "vec_nested_join"),
+            (And(pair, less), "vec_nested_join"),
+        ]
+        for predicate, strategy in cases:
+            plan = explain(Join(Scan("L"), Scan("R"), predicate)).plan
+            assert plan.nodes[plan.root_id].strategy == strategy
 
     def test_to_dict_round_trips_node_tree(self):
         _, expr = shared_plan()

@@ -1,29 +1,20 @@
-"""Tests for mappings: correspondences, constraint semantics, the
-algebra↔CQ bridge, interpretation, and the paper's figure workloads."""
+"""Tests for mappings: correspondences, constraint semantics,
+interpretation, and the paper's figure workloads."""
 
 import pytest
 
-from repro.algebra import (
-    Col, Distinct, Project, Scan, Select, eq, eq_join, evaluate,
-    project_names,
-)
-from repro.errors import ExpressivenessError, MappingError
+from repro.errors import MappingError
 from repro.instances import Instance
-from repro.logic import Var, are_equivalent, parse_query, parse_tgd
+from repro.logic import parse_tgd
 from repro.mappings import (
     Correspondence,
     CorrespondenceSet,
     EqualityConstraint,
     Mapping,
     MappingLanguage,
-    algebra_to_cq,
-    containment_tgd,
-    cq_to_algebra,
-    equality_to_tgds,
     interpret_as_tgds,
     interpret_snowflake,
 )
-from repro.mappings.algebra_bridge import TableQuery, relation_attributes
 from repro.workloads import paper
 
 
@@ -138,105 +129,6 @@ class TestMappingSemantics:
         er = paper.figure2_er_instance()
         er.insert_object("Person", Id=99, Name="Ghost")
         assert not mapping.holds_for(paper.figure2_sql_instance(), er)
-
-
-class TestAlgebraBridge:
-    def setup_method(self):
-        self.schema = paper.figure4_source_schema()
-        self.attrs = relation_attributes(self.schema)
-
-    def test_scan_to_cq(self):
-        tq = algebra_to_cq(Scan("Empl"), self.attrs)
-        assert tq.columns == ("EID", "Name", "Tel", "AID")
-        assert len(tq.query.body) == 1
-
-    def test_select_constant(self):
-        expr = Select(Scan("Addr"), eq(Col("City"), "Rome"))
-        tq = algebra_to_cq(expr, self.attrs)
-        atom = tq.query.body[0]
-        from repro.logic import Const
-
-        assert atom.term("City") == Const("Rome")
-
-    def test_join_unifies_variables(self):
-        expr = eq_join(Scan("Empl"), Scan("Addr"), [("AID", "AID")])
-        tq = algebra_to_cq(expr, self.attrs)
-        empl, addr = tq.query.body
-        assert empl.term("AID") == addr.term("AID")
-
-    def test_projection(self):
-        expr = project_names(
-            eq_join(Scan("Empl"), Scan("Addr"), [("AID", "AID")]),
-            ["EID", "City"],
-        )
-        tq = algebra_to_cq(expr, self.attrs)
-        assert tq.columns == ("EID", "City")
-
-    def test_rejects_outer_join(self):
-        expr = eq_join(Scan("Empl"), Scan("Addr"), [("AID", "AID")], kind="left")
-        with pytest.raises(ExpressivenessError):
-            algebra_to_cq(expr, self.attrs)
-
-    def test_rejects_inequality(self):
-        from repro.algebra import gt
-
-        with pytest.raises(ExpressivenessError):
-            algebra_to_cq(Select(Scan("Empl"), gt(Col("EID"), 3)), self.attrs)
-
-    def test_roundtrip_evaluates_identically(self):
-        expr = Distinct(project_names(
-            eq_join(Scan("Empl"), Scan("Addr"), [("AID", "AID")]),
-            ["EID", "City"],
-        ))
-        tq = algebra_to_cq(expr, self.attrs)
-        compiled = cq_to_algebra(tq)
-        db = paper.figure4_source_instance()
-        original = {frozenset(r.items()) for r in evaluate(expr, db)}
-        recompiled = {frozenset(r.items()) for r in evaluate(compiled, db)}
-        assert original == recompiled
-
-    def test_cq_to_algebra_repeated_var(self):
-        q = parse_query("q(x) :- R(a=x, b=x)")
-        compiled = cq_to_algebra(TableQuery(q, ("x",)))
-        db = Instance()
-        db.add("R", a=1, b=1)
-        db.add("R", a=1, b=2)
-        assert evaluate(compiled, db) == [{"x": 1}]
-
-    def test_cq_to_algebra_constant(self):
-        q = parse_query("q(x) :- R(a=x, b=5)")
-        compiled = cq_to_algebra(TableQuery(q, ("x",)))
-        db = Instance()
-        db.add("R", a=1, b=5)
-        db.add("R", a=2, b=6)
-        assert evaluate(compiled, db) == [{"x": 1}]
-
-    def test_containment_tgd(self):
-        attrs = self.attrs
-        sub = algebra_to_cq(
-            project_names(
-                eq_join(Scan("Empl"), Scan("Addr"), [("AID", "AID")]),
-                ["EID"],
-            ),
-            attrs,
-        )
-        sup = algebra_to_cq(project_names(Scan("Empl"), ["EID"]), attrs)
-        tgd = containment_tgd(sub, sup)
-        assert len(tgd.body) == 2 and len(tgd.head) == 1
-        assert tgd.head[0].relation == "Empl"
-        # The head's EID must be the body's EID variable.
-        assert tgd.head[0].term("EID") == sub.query.head[0]
-
-    def test_equality_to_tgds(self):
-        attrs = self.attrs
-        left = algebra_to_cq(project_names(Scan("Empl"), ["EID"]), attrs)
-        right = algebra_to_cq(
-            Project(Scan("Addr"), [("EID", Col("AID"))]), attrs
-        )
-        tgds = equality_to_tgds(left, right, name="t")
-        assert len(tgds) == 2
-        assert tgds[0].body[0].relation == "Empl"
-        assert tgds[1].body[0].relation == "Addr"
 
 
 class TestSnowflakeInterpretation:

@@ -3,15 +3,17 @@
 Row semantics live in the interpreter (``apply_operator``), which the
 vectorized executor's row paths call; conjunctive queries run on the
 chase's compiled plans.  This test parses ``src/repro`` and fails when a
-second scalar compiler or CQ-to-algebra translator comes back, or when
+second scalar compiler or CQ-to-algebra translator comes back, when
 an engine switch appears anywhere but ``evaluate`` (the oracle
-selector) and ``QueryProcessor`` (a query workload's oracle)."""
+selector) and ``QueryProcessor`` (a query workload's oracle), or when
+the algebra grows a second join equality."""
 
 from __future__ import annotations
 
 import ast
+import re
 
-from tests.test_trigger_engine import _modules
+from tests.test_trigger_engine import SOURCE, _modules
 
 ENGINE_TAKERS = {
     "algebra/evaluator.py:evaluate",
@@ -70,7 +72,7 @@ def test_no_engine_field_or_attribute_elsewhere():
 #: as a name outside this set.
 COMPILERS = {
     "compile_vector_plan", "compile_dependency", "_compile", "_compile_head",
-    "translate", "translate_one", "_translate", "_translate_condition",
+    "translate", "translate_one", "_translate_condition",
 }
 
 
@@ -96,5 +98,25 @@ def test_logic_does_not_import_the_algebra():
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.module or "").startswith("repro.algebra")
+    ]
+    assert not offenders, offenders
+
+
+#: The algebra's one join equality is ``_JoinEq``, under which a null
+#: never matches.  The null-matching equality class that was deleted,
+#: and the flag that threaded it through the algebra, must not come
+#: back.  The pattern spells those names with a character class, so a
+#: plain text search for them finds only real uses.
+SECOND_EQUALITY = re.compile(r"Value\s*JoinEq|tole[r]ant", re.IGNORECASE)
+
+
+def test_one_join_equality_in_the_algebra():
+    offenders = [
+        f"{path.relative_to(SOURCE).as_posix()}:{number}"
+        for path in sorted((SOURCE / "algebra").rglob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1
+        )
+        if SECOND_EQUALITY.search(line)
     ]
     assert not offenders, offenders

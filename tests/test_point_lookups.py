@@ -35,7 +35,6 @@ from repro.algebra import (
     Scan,
     Select,
     UnionAll,
-    ValueJoinEq,
     clear_plan_cache,
     eq,
     eq_join,
@@ -46,6 +45,7 @@ from repro.algebra import (
     vector_plan_cache_stats,
 )
 from repro.algebra.estimate import estimate_expr
+from repro.algebra.expressions import _JoinEq
 from repro.algebra.plan_cache import parameterize
 from repro.errors import EvaluationError
 from repro.instances import Instance, LabeledNull
@@ -415,7 +415,10 @@ def _subplan(rng, depth, tag):
         kind = "inner" if rng.random() < 0.8 else "left"
         if rng.random() < 0.7:
             return eq_join(left, right, [pair], kind=kind), lcols + rcols
-        return Join(left, right, ValueJoinEq(*pair), kind=kind), lcols + rcols
+        # The pair plus a residual between the sides' first columns.
+        residual = Comparison("<=", Col(lcols[0]), Col(rcols[0]))
+        return Join(left, right, And(_JoinEq(*pair), residual),
+                    kind=kind), lcols + rcols
     if op == "difference":
         right, rcols = _plan(rng, depth - 1, tag + "r")
         shared = [c for c in lcols if c in rcols] or lcols[:1]

@@ -4,7 +4,7 @@ reference interpreter, plus plan-cache / engine-flag behavior.
 The executor (:mod:`repro.algebra.vectorized`) must be observationally
 identical to the tree-walking interpreter on every operator, including
 the awkward corners: labeled-null join keys, left-join padding,
-empty-group aggregates, null-tolerant ``ValueJoinEq`` joins, and
+empty-group aggregates, equi-joins with a residual predicate, and
 heterogeneous unions.  Random plans over synthetic-style relations
 exercise operator compositions no hand-written case would."""
 
@@ -37,7 +37,6 @@ from repro.algebra import (
     Sort,
     TRUE,
     UnionAll,
-    ValueJoinEq,
     Values,
     clear_plan_cache,
     compile_vector_plan,
@@ -47,6 +46,7 @@ from repro.algebra import (
     evaluate_interpreted,
     vector_plan_cache_stats,
 )
+from repro.algebra.expressions import _JoinEq
 from repro.algebra.optimizer import optimize
 from repro.errors import EvaluationError
 from repro.instances import Instance, LabeledNull
@@ -144,7 +144,8 @@ def _random_plan(rng, depth):
 
     op = rng.choice(
         ["select", "project", "extend", "rename", "distinct",
-         "union", "difference", "join", "value_join", "aggregate", "sort"]
+         "union", "difference", "join", "residual_join", "aggregate",
+         "sort"]
     )
     expr, cols, int_cols = _random_plan(rng, depth - 1)
 
@@ -192,7 +193,7 @@ def _random_plan(rng, depth):
     if op == "difference":
         other, _, _ = _random_plan(rng, depth - 1)
         return Difference(expr, other), cols, int_cols
-    if op in ("join", "value_join"):
+    if op in ("join", "residual_join"):
         name = rng.choice(RELATIONS)
         suffix = f"_j{depth}"
         mapping = {c: c + suffix for c in _columns(name)}
@@ -204,8 +205,13 @@ def _random_plan(rng, depth):
         if op == "join":
             joined = eq_join(expr, right, [(left_key, right_key)], kind=kind)
         else:
+            # The pair plus a residual over the other int column of the
+            # right side: no draw beyond the plain join's.
+            other = right_cols[1 if right_key == right_cols[0] else 0]
+            residual = Comparison("<=", Col(other), Col(left_key))
             joined = Join(
-                expr, right, ValueJoinEq(left_key, right_key), kind=kind
+                expr, right, And(_JoinEq(left_key, right_key), residual),
+                kind=kind,
             )
         overlap = [c for c in right_cols if c in cols]
         assert not overlap
@@ -310,19 +316,6 @@ def test_labeled_null_join_keys():
     expr = eq_join(Scan("L"), Scan("R"), [("a", "b")])
     rows = assert_engines_agree(expr, instance)
     assert canon(rows) == canon([{"a": n1, "b": n1}, {"a": 7, "b": 7}])
-
-
-def test_value_join_eq_none_matches_none():
-    """ValueJoinEq is the homomorphism-binding equality: None == None."""
-    instance = Instance()
-    instance.insert_all("L", [{"a": None}, {"a": 1}, {"a": LabeledNull(3)}])
-    instance.insert_all("R", [{"b": None}, {"b": 2}, {"b": LabeledNull(3)}])
-    expr = Join(Scan("L"), Scan("R"), ValueJoinEq("a", "b"))
-    rows = assert_engines_agree(expr, instance)
-    assert canon(rows) == canon(
-        [{"a": None, "b": None},
-         {"a": LabeledNull(3), "b": LabeledNull(3)}]
-    )
 
 
 def test_left_join_padding():
@@ -431,7 +424,7 @@ _RIGHT = Values([{"b": 2}])
     ("select", Select(_RAGGED, Or(eq(Col("b"), Lit(2)),
                                   eq(Col("a"), Lit(1))))),
     ("project", Project(_LEFT, [("x", Arith("+", Col("a"), Lit(1)))])),
-    ("join", Join(_LEFT, _RIGHT, TRUE)),
+    ("join", Join(_RAGGED, _RIGHT, TRUE)),
     ("join", Join(_LEFT, _RIGHT, Comparison("<", Col("a"), Col("b")))),
     ("join", eq_join(_RAGGED, _RIGHT, [("b", "b")])),
     ("extend", Extend(_LEFT, "x", Arith("+", Col("a"), Lit(1)))),
