@@ -47,8 +47,7 @@ from repro.logic import (
     parse_query,
     parse_tgd,
 )
-from repro.logic.homomorphism import are_hom_equivalent
-from repro.runtime.incremental import set_equal_modulo_nulls
+from repro.logic.homomorphism import are_hom_equivalent, set_equal_modulo_nulls
 from repro.workloads import synthetic
 
 from conftest import print_table

@@ -4,9 +4,14 @@ The core is the smallest universal solution — unique up to isomorphism
 ("Data Exchange: Getting to the Core", the paper's reference [39]).  It
 is computed by repeatedly finding an endomorphism whose image avoids
 some row, and shrinking the instance to that image, until no row can be
-dropped.  Exponential in the worst case (the problem is intractable in
-general) but fast on chase outputs of practical size, which is exactly
-the paper's "best effort on an intractable problem" stance (Section 2).
+dropped.  Each attempt is one call of the instance homomorphism search
+(:func:`~repro.logic.homomorphism.instance_homomorphism`) into the
+instance minus one row with nulls; the search settles most rows through
+the target's value indexes without branching, so an attempt costs about
+the instance's size.  Exponential in the worst case (the problem is
+intractable in general) but fast on chase outputs of practical size,
+which is exactly the paper's "best effort on an intractable problem"
+stance (Section 2).
 """
 
 from __future__ import annotations

@@ -1,25 +1,33 @@
 """Homomorphism search.
 
-Two flavours, both backtracking with candidate filtering:
+Two flavours, both narrowing candidates through the instance's value
+indexes:
 
 * **formula → instance**: assign values to the variables of a
-  conjunction of atoms so every atom maps onto some row.  This is the
-  trigger-finding step of the chase and the evaluation step of
-  Chandra–Merlin containment.  Atoms use named arguments and may
-  mention only a *subset* of a relation's attributes — a row matches if
-  it agrees on the mentioned ones.
+  conjunction of atoms so every atom maps onto some row, by
+  backtracking.  This is the evaluation step of Chandra–Merlin
+  containment and the reference ``naive_chase``, and the oracle of the
+  chase's compiled plans.  Atoms use named arguments and may mention
+  only a *subset* of a relation's attributes — a row matches if it
+  agrees on the mentioned ones.
 
 * **instance → instance**: map labeled nulls to values such that every
-  row of the source maps onto a row of the target (constants fixed).
-  This is the workhorse of core computation and universal-solution
-  equivalence checks.
+  row of the source maps onto a row of the target with the same
+  attributes (constants fixed).  A universal solution is unique only up
+  to homomorphic equivalence (paper, §4), so this one search decides
+  every comparison of instances: ``core_of``, ``roundtrips``, the
+  SO-tgd branch of ``Mapping.holds_for``, and ``are_hom_equivalent``,
+  which the runtime exports as ``set_equal_modulo_nulls``.  It
+  propagates forced and unconstrained rows before it branches, so chase
+  output, with egd-merged rows and interchangeable all-null rows,
+  takes time about linear in its size.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.instances.database import Instance, Row
+from repro.instances.database import Instance, Row, freeze_row
 from repro.instances.labeled_null import LabeledNull
 from repro.logic.formulas import Atom, Equality
 from repro.logic.terms import Const, Term, Var
@@ -28,6 +36,8 @@ from repro.logic.terms import Const, Term, Var
 Assignment = dict[Var, object]
 
 
+#: An absent attribute or an unbound variable or null (``None`` cannot
+#: mark one: rows may hold ``None``, and a null may map to it).
 _MISSING = object()
 
 
@@ -178,90 +188,186 @@ def find_all_homomorphisms(
 # ----------------------------------------------------------------------
 # instance → instance
 # ----------------------------------------------------------------------
+def _extension(row: Row, candidate: Row, mapping: dict) -> Optional[dict]:
+    """The bindings that send ``row`` onto ``candidate`` on top of
+    ``mapping`` (``{}`` when it needs none), or ``None`` when they
+    clash: other attributes, an unequal constant or bound null, or one
+    unbound null asked to take two values."""
+    if len(candidate) != len(row):
+        return None
+    local: dict = {}
+    for attr, value in row.items():
+        image = candidate.get(attr, _MISSING)
+        if image is _MISSING:
+            return None
+        if isinstance(value, LabeledNull):
+            known = mapping.get(value, _MISSING)
+            if known is _MISSING:
+                known = local.get(value, _MISSING)
+                if known is _MISSING:
+                    local[value] = image
+                    continue
+            if known != image:
+                return None
+        elif value != image:
+            return None
+    return local
+
+
 def instance_homomorphism(
-    source: Instance,
-    target: Instance,
-    fixed: Optional[dict[LabeledNull, object]] = None,
-    forbid_identity: bool = False,
+    source: Instance, target: Instance
 ) -> Optional[dict[LabeledNull, object]]:
     """A mapping of ``source``'s labeled nulls to values such that every
-    source row lands on a target row (constants map to themselves).
+    source row lands on a target row with the same attributes
+    (constants map to themselves), or ``None`` when there is none.
 
-    ``forbid_identity=True`` rejects the trivial solution in which every
-    null maps to itself *and* the row images are the originals — used
-    when searching for proper endomorphisms during core computation.
+    Duplicate source rows are dropped, and the rest are visited in
+    stored order, relations by name.  A row's candidates are the
+    target's index postings on its first attribute whose image is
+    known (a constant or an already-bound null); only a row whose
+    nulls are all unbound scans its relation.  A row is settled at
+    once when one candidate fits (unit propagation), or when no other
+    row mentions its unbound nulls, so that any fitting candidate will
+    do.  Settling binds nulls, which re-examines the rows that mention
+    them.  What propagation leaves open is settled one group of rows
+    sharing unbound nulls at a time, on an explicit stack: the row with
+    the fewest candidates first, and each choice propagates again.
     """
-    source_rows: list[tuple[str, Row]] = [
-        (relation, row)
-        for relation in sorted(source.relations)
-        for row in source.relations[relation]
-    ]
-    target_sets: dict[str, list[Row]] = {
-        relation: target.rows(relation) for relation, _ in source_rows
-    }
-    # Most-constrained-first ordering.
-    source_rows.sort(key=lambda item: len(target_sets.get(item[0], [])))
-
-    def try_map_row(
-        row: Row, candidate: Row, mapping: dict[LabeledNull, object]
-    ) -> Optional[dict[LabeledNull, object]]:
-        if set(row) != set(candidate):
-            return None
-        extended = dict(mapping)
-        for key, value in row.items():
-            target_value = candidate[key]
-            if isinstance(value, LabeledNull):
-                if value in extended:
-                    if extended[value] != target_value:
-                        return None
-                else:
-                    extended[value] = target_value
-            elif value != target_value:
-                return None
-        return extended
-
-    # Explicit-stack DFS: the search is one level deep per source row,
-    # so recursion would hit the interpreter limit on instances of a
-    # few thousand rows.
-    total = len(source_rows)
-    root = dict(fixed or {})
-
-    def is_identity(mapping: dict[LabeledNull, object]) -> bool:
-        return all(null == image for null, image in mapping.items())
-
-    if total == 0:
-        return None if forbid_identity and is_identity(root) else root
-
-    mappings: list[Optional[dict[LabeledNull, object]]] = [None] * (total + 1)
-    mappings[0] = root
-    iterators = [iter(target_sets.get(source_rows[0][0], []))]
-    while iterators:
-        index = len(iterators) - 1
-        _, row = source_rows[index]
-        descended = False
-        for candidate in iterators[index]:
-            extended = try_map_row(row, candidate, mappings[index])
-            if extended is None:
+    rows: list[tuple[str, Row]] = []
+    seen: set[tuple[str, frozenset]] = set()
+    occurs: dict[LabeledNull, list[int]] = {}
+    for relation in sorted(source.relations):
+        for row in source.relations[relation]:
+            key = (relation, freeze_row(row))
+            if key in seen:
                 continue
-            if index + 1 == total:
-                if forbid_identity and is_identity(extended):
-                    continue
-                return extended
-            mappings[index + 1] = extended
-            iterators.append(
-                iter(target_sets.get(source_rows[index + 1][0], []))
+            seen.add(key)
+            for value in row.values():
+                if isinstance(value, LabeledNull):
+                    mentions = occurs.setdefault(value, [])
+                    if not mentions or mentions[-1] != len(rows):
+                        mentions.append(len(rows))
+            rows.append((relation, row))
+
+    mapping: dict[LabeledNull, object] = {}
+    settled = [False] * len(rows)
+    bound: list[LabeledNull] = []  # trail of bindings, newest last
+    closed: list[int] = []  # trail of settled rows, newest last
+
+    def pool(index: int) -> Sequence[Row]:
+        relation, row = rows[index]
+        for attr, value in row.items():
+            image = (mapping.get(value, _MISSING)
+                     if isinstance(value, LabeledNull) else value)
+            if image is not _MISSING:
+                return target.index_lookup(relation, attr, image)
+        return target.rows(relation)
+
+    def settle(index: int, local: dict) -> list[int]:
+        """Bind ``local`` and close row ``index``; return the open rows
+        that mention a newly bound null."""
+        settled[index] = True
+        closed.append(index)
+        touched = []
+        for null, image in local.items():
+            mapping[null] = image
+            bound.append(null)
+            touched.extend(i for i in occurs[null] if not settled[i])
+        return touched
+
+    def propagate(queue: list[int]) -> bool:
+        while queue:
+            index = queue.pop()
+            if settled[index]:
+                continue
+            row = rows[index][1]
+            private = all(
+                len(occurs[value]) == 1 for value in row.values()
+                if isinstance(value, LabeledNull) and value not in mapping
             )
-            descended = True
-            break
-        if not descended:
-            iterators.pop()
+            found = []  # the first one or two fitting candidates
+            for candidate in pool(index):
+                local = _extension(row, candidate, mapping)
+                if local is not None:
+                    found.append(local)
+                    if private or len(found) == 2:
+                        break
+            if not found:
+                return False
+            if private or len(found) == 1:
+                queue.extend(settle(index, found[0]))
+        return True
+
+    def components() -> Iterator[list[int]]:
+        """The open rows, grouped by the unbound nulls they share."""
+        grouped = [False] * len(rows)
+        reached: set[LabeledNull] = set()
+        for start in range(len(rows)):
+            if settled[start] or grouped[start]:
+                continue
+            grouped[start] = True
+            component, frontier = [], [start]
+            while frontier:
+                index = frontier.pop()
+                component.append(index)
+                for value in rows[index][1].values():
+                    if (isinstance(value, LabeledNull) and value not in mapping
+                            and value not in reached):
+                        reached.add(value)
+                        for other in occurs[value]:
+                            if not grouped[other]:
+                                grouped[other] = True
+                                frontier.append(other)
+            yield sorted(component)
+
+    def solve(component: list[int]) -> bool:
+        # Frames: (row, its untried candidates, trail lengths).
+        stack: list[tuple] = []
+        while True:
+            open_rows = [i for i in component if not settled[i]]
+            if not open_rows:
+                return True
+            index = min(open_rows, key=lambda i: len(pool(i)))
+            stack.append((index, iter(pool(index)), len(bound), len(closed)))
+            while stack:
+                index, untried, bound_mark, closed_mark = stack[-1]
+                for null in bound[bound_mark:]:
+                    del mapping[null]
+                del bound[bound_mark:]
+                for i in closed[closed_mark:]:
+                    settled[i] = False
+                del closed[closed_mark:]
+                for candidate in untried:
+                    local = _extension(rows[index][1], candidate, mapping)
+                    if local is not None:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                if propagate(settle(index, local)):
+                    break
+            else:
+                return False
+
+    if not propagate(list(range(len(rows) - 1, -1, -1))):
+        return None
+    # Components share no unbound null, so one that cannot be settled
+    # fails the search whatever the others chose.
+    if all(solve(component) for component in components()):
+        return dict(mapping)
     return None
 
 
-def are_hom_equivalent(a: Instance, b: Instance) -> bool:
-    """True when homomorphisms exist both ways — the equivalence class
-    of universal solutions."""
+def are_hom_equivalent(left: Instance, right: Instance) -> bool:
+    """True when homomorphisms exist both ways: the equivalence of
+    universal solutions, which covers a renaming of labeled nulls."""
     return (
-        instance_homomorphism(a, b) is not None
-        and instance_homomorphism(b, a) is not None
+        instance_homomorphism(left, right) is not None
+        and instance_homomorphism(right, left) is not None
     )
+
+
+#: The runtime's name for the check (``repro.runtime`` exports it):
+#: maintenance, Compose and the chase engines are judged equal when
+#: their instances are homomorphically equivalent.
+set_equal_modulo_nulls = are_hom_equivalent

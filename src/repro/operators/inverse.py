@@ -31,7 +31,7 @@ from repro.errors import InversionError
 from repro.instances.database import Instance
 from repro.logic.chase import chase
 from repro.logic.dependencies import TGD
-from repro.logic.homomorphism import instance_homomorphism
+from repro.logic.homomorphism import are_hom_equivalent
 from repro.mappings.mapping import Mapping
 from repro.observability.instrument import instrumented
 from repro.operators.transgen import exchange_dependencies
@@ -168,7 +168,4 @@ def roundtrips(
         if source_instance.rows(relation):
             original.relations[relation] = list(source_instance.rows(relation))
 
-    return (
-        instance_homomorphism(original, recovered) is not None
-        and instance_homomorphism(recovered, original) is not None
-    )
+    return are_hom_equivalent(original, recovered)

@@ -31,10 +31,8 @@ from repro.runtime.provenance import lineage, route, ProvenanceEntry
 from repro.runtime.debugging import MappingDebugger
 from repro.runtime.errors import ErrorTranslator, TranslatedError
 from repro.runtime.notifications import MaterializedTarget, Delta
-from repro.runtime.incremental import (
-    MaterializedExchange,
-    set_equal_modulo_nulls,
-)
+from repro.runtime.incremental import MaterializedExchange
+from repro.logic.homomorphism import set_equal_modulo_nulls
 from repro.runtime.access_control import AccessController, Permission
 from repro.runtime.integrity import (
     check_constraint_propagation,

@@ -72,7 +72,7 @@ from repro.observability.instrument import instrumented
 from repro.observability.state import STATE as _OBS
 from repro.operators.transgen import exchange_dependencies
 from repro.runtime.provenance import invert_head
-from repro.runtime.updates import UpdateSet, resolve_deletes
+from repro.runtime.updates import UpdateSet, instance_delta, resolve_deletes
 
 
 class _FallbackNeeded(Exception):
@@ -873,8 +873,8 @@ class MaterializedExchange:
                   recorder=self._recorder)
         self._begin_session()
         self.stats["full_reexchange"] += 1
-        return _bag_delta(old_target, self.target_instance(copy=False),
-                          self._target_relations)
+        return instance_delta(old_target, self.target_instance(copy=False),
+                              relations=self._target_relations)
 
     def _target_image_before_session(self) -> Instance:
         """The target state at the start of the current apply call,
@@ -977,201 +977,3 @@ def _net_cancel(update: UpdateSet) -> UpdateSet:
             for _ in range(surplus):
                 result.deletes.setdefault(relation, []).append(rows[0])
     return result
-
-
-def _bag_delta(before: Instance, after: Instance,
-               relations) -> UpdateSet:
-    update = UpdateSet()
-    for relation in sorted(relations):
-        old: dict[frozenset, list[Row]] = {}
-        for row in before.relations.get(relation, []):
-            old.setdefault(freeze_row(row), []).append(row)
-        new: dict[frozenset, list[Row]] = {}
-        for row in after.relations.get(relation, []):
-            new.setdefault(freeze_row(row), []).append(row)
-        for key, rows in new.items():
-            for _ in range(len(rows) - len(old.get(key, ()))):
-                update.inserts.setdefault(relation, []).append(
-                    dict(rows[0])
-                )
-        for key, rows in old.items():
-            for _ in range(len(rows) - len(new.get(key, ()))):
-                update.deletes.setdefault(relation, []).append(
-                    dict(rows[0])
-                )
-    return update
-
-
-def _deduped(instance: Instance) -> Instance:
-    result = Instance(instance.schema)
-    for relation, row_sets in instance.as_sets().items():
-        result.relations[relation] = [dict(frozen) for frozen in row_sets]
-    return result
-
-
-def _match_rows(source: Instance, target: Instance,
-                bijective: bool) -> Optional[dict]:
-    """A null assignment mapping every source row onto some target row
-    (constants fixed), or ``None``.  ``bijective`` requires a
-    null-to-null injection.
-
-    Unit propagation first: rows whose current image is compatible
-    with exactly one target row bind their nulls immediately, so
-    constrained rows (a null alongside a unique constant) pin the
-    assignment before unconstrained rows (all-null tuples, which are
-    mutually interchangeable and would make a naive fixed-order
-    backtracking search explode) are even considered.  Whatever
-    symmetric residue survives propagation is settled by a
-    most-constrained-first backtracking pass.
-    """
-    mapping: dict = {}
-    used: set = set()  # images already taken (bijective mode)
-
-    def bind(null, value) -> bool:
-        if bijective:
-            if not isinstance(value, LabeledNull):
-                return False
-            key = hashable_key(value)
-            if key in used:
-                return False
-            used.add(key)
-        mapping[null] = value
-        return True
-
-    target_lists = {relation: list(rows)
-                    for relation, rows in target.relations.items()}
-    target_frozen = {relation: {freeze_row(r) for r in rows}
-                     for relation, rows in target_lists.items()}
-
-    pending: list[tuple[str, Row]] = []
-    for relation in sorted(source.relations):
-        for row in source.relations[relation]:
-            if any(isinstance(v, LabeledNull) for v in row.values()):
-                pending.append((relation, row))
-            elif freeze_row(row) not in target_frozen.get(relation, ()):
-                return None  # ground rows must appear verbatim
-
-    def compatible(row: Row, candidate: Row) -> Optional[dict]:
-        """The bindings this candidate would add, or None."""
-        if set(row) != set(candidate):
-            return None
-        local: dict = {}
-        local_used: set = set()
-        for attr, value in row.items():
-            image = candidate[attr]
-            if isinstance(value, LabeledNull):
-                bound = mapping.get(value, local.get(value))
-                if bound is not None:
-                    if bound != image:
-                        return None
-                    continue
-                if bijective:
-                    if not isinstance(image, LabeledNull):
-                        return None
-                    key = hashable_key(image)
-                    if key in used or key in local_used:
-                        return None
-                    local_used.add(key)
-                local[value] = image
-            elif value != image:
-                return None
-        return local
-
-    def candidates_of(relation: str, row: Row,
-                      cap: Optional[int] = None) -> Optional[list[dict]]:
-        found: list[dict] = []
-        for candidate in target_lists.get(relation, ()):
-            local = compatible(row, candidate)
-            if local is not None:
-                found.append(local)
-                if cap is not None and len(found) >= cap:
-                    break
-        return found
-
-    while pending:
-        progress = False
-        residue: list[tuple[str, Row]] = []
-        for relation, row in pending:
-            found = candidates_of(relation, row, cap=2)
-            if not found:
-                return None
-            free = any(
-                isinstance(v, LabeledNull) and v not in mapping
-                for v in row.values()
-            )
-            if not free:
-                progress = True  # fully bound and matched: satisfied
-            elif len(found) == 1:
-                for null, value in found[0].items():
-                    if not bind(null, value):
-                        return None
-                progress = True
-            else:
-                residue.append((relation, row))
-        pending = residue
-        if not progress:
-            break
-
-    def solve(remaining: list[tuple[str, Row]]) -> bool:
-        if not remaining:
-            return True
-        best = None
-        for index, (relation, row) in enumerate(remaining):
-            found = candidates_of(relation, row)
-            if not found:
-                return False
-            if best is None or len(found) < len(best[1]):
-                best = (index, found)
-                if len(found) == 1:
-                    break
-        index, found = best
-        rest = remaining[:index] + remaining[index + 1:]
-        for local in found:
-            saved_mapping = dict(mapping)
-            saved_used = set(used)
-            if all(bind(n, v) for n, v in local.items()) and solve(rest):
-                return True
-            mapping.clear()
-            mapping.update(saved_mapping)
-            used.clear()
-            used.update(saved_used)
-        return False
-
-    return mapping if solve(pending) else None
-
-
-def set_equal_modulo_nulls(left: Instance, right: Instance) -> bool:
-    """Equality of two instances up to a renaming of labeled nulls.
-
-    Fast path: plain set equality.  Otherwise both sides are
-    *deduplicated* (the chase's firing order can duplicate rows that an
-    egd merge later collapses — homomorphisms ignore multiplicity, and
-    duplicate rows make the matching search explode) and a null-to-null
-    bijection whose substitution maps ``left`` onto exactly ``right``
-    is searched via :func:`_match_rows`.  When the engines produced
-    syntactically different (but hom-equivalent) universal solutions,
-    the final tier accepts homomorphisms both ways — the data-exchange
-    notion of equivalence.
-    """
-    left_sets = left.as_sets()
-    right_sets = right.as_sets()
-    if set(left_sets) != set(right_sets):
-        return False
-    if left_sets == right_sets:
-        return True
-    ded_left = _deduped(left)
-    ded_right = _deduped(right)
-    same_shape = all(
-        len(left_sets[name]) == len(right_sets[name]) for name in left_sets
-    )
-    if same_shape:
-        mapping = _match_rows(ded_left, ded_right, bijective=True)
-        if mapping is not None and (
-            not mapping
-            or ded_left.substitute(mapping).set_equal(ded_right)
-        ):
-            return True
-    return (
-        _match_rows(ded_left, ded_right, bijective=False) is not None
-        and _match_rows(ded_right, ded_left, bijective=False) is not None
-    )

@@ -30,6 +30,7 @@ from repro.runtime.updates import (
     UpdateSet,
     apply_update_in_place,
     instance_delta,
+    touched_relations,
 )
 
 
@@ -167,7 +168,7 @@ class Synchronizer:
             or self._last_replica_source is None
         ):
             return self.synchronize()
-        touched = _touched_relations(update, self.primary.mapping.source)
+        touched = touched_relations(update, self.primary.mapping.source)
         query_view = self.primary.views.query_view
         primary_objects = query_view.apply_delta(
             self.primary.source, self._last_primary_objects, touched
@@ -226,23 +227,6 @@ class Synchronizer:
             if not wanted <= have:
                 return False
         return True
-
-
-def _touched_relations(update: UpdateSet, schema) -> set[str]:
-    """Relations of ``schema`` named by the update batch ("$typed"
-    inserts resolve to their entity's root extent)."""
-    touched: set[str] = set()
-    for relation, rows in list(update.inserts.items()) + list(
-        update.deletes.items()
-    ):
-        if relation != "$typed":
-            touched.add(relation)
-            continue
-        for row in rows:
-            entity = str(row.get("$type", ""))
-            if schema is not None and entity in schema.entities:
-                touched.add(schema.entity(entity).root().name)
-    return touched
 
 
 def _relation_of(instance: Instance, entity: str) -> str:

@@ -196,6 +196,23 @@ def instance_delta(
     return update
 
 
+def touched_relations(update: UpdateSet, schema) -> set[str]:
+    """Relations of ``schema`` the update batch names ("$typed" inserts
+    resolve to their entity's root extent)."""
+    touched: set[str] = set()
+    for relation, rows in list(update.inserts.items()) + list(
+        update.deletes.items()
+    ):
+        if relation != "$typed":
+            touched.add(relation)
+            continue
+        for row in rows:
+            entity = str(row.get("$type", ""))
+            if schema is not None and entity in schema.entities:
+                touched.add(schema.entity(entity).root().name)
+    return touched
+
+
 class UpdatePropagator:
     """Translates target-side updates into source-side updates.
 
@@ -220,23 +237,6 @@ class UpdatePropagator:
         # caller that chains updates (passing back the target we
         # returned) skip the second full update_view application.
         self._cached: Optional[tuple[Instance, Instance]] = None
-
-    def _touched_relations(self, update: UpdateSet) -> set[str]:
-        """Target relations the update batch names ("$typed" inserts
-        resolve to their entity's root extent)."""
-        touched: set[str] = set()
-        schema = self.mapping.target
-        for relation, rows in list(update.inserts.items()) + list(
-            update.deletes.items()
-        ):
-            if relation != "$typed":
-                touched.add(relation)
-                continue
-            for row in rows:
-                entity = str(row.get("$type", ""))
-                if schema is not None and entity in schema.entities:
-                    touched.add(schema.entity(entity).root().name)
-        return touched
 
     @instrumented("runtime.update_propagate", attrs=lambda self,
                   target_instance, update, source_instance=None, **kw: {
@@ -266,7 +266,7 @@ class UpdatePropagator:
         it), before any state is touched.
         """
         new_target = apply_update(target_instance, update)
-        touched = self._touched_relations(update)
+        touched = touched_relations(update, self.mapping.target)
         delta_path = (
             source_instance is None
             and self._cached is not None

@@ -16,8 +16,9 @@ The generator runs the full engine pipeline:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.errors import ModelManagementError
 from repro.instances.database import Instance, Row
@@ -64,15 +65,23 @@ class GeneratedWrapper:
     def refresh(self) -> None:
         self._objects = None
 
+    @contextmanager
+    def _in_object_terms(self, operation: str) -> Iterator[None]:
+        """Engine errors raised inside (an unknown entity or attribute, a
+        state the tables cannot represent) come back phrased for the
+        object layer; anything else propagates unchanged."""
+        try:
+            yield
+        except ModelManagementError as error:
+            raise self.errors.translate(error, operation=operation)
+
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def all(self, entity: str, strict: bool = False) -> list[Row]:
         """All objects of (sub)type ``entity``."""
-        try:
+        with self._in_object_terms(f"read {entity}"):
             return self._materialized().objects_of(entity, strict=strict)
-        except Exception as error:  # noqa: BLE001 - translated for the user
-            raise self.errors.translate(error, operation=f"read {entity}")
 
     def get(self, entity: str, **key: object) -> Optional[Row]:
         for row in self.all(entity):
@@ -83,26 +92,21 @@ class GeneratedWrapper:
     # ------------------------------------------------------------------
     # writes (incremental updates, translated to the source)
     # ------------------------------------------------------------------
-    def insert(self, entity: str, **values: object) -> Row:
-        update = UpdateSet().insert_object(entity, **values)
-        return self._write(update, f"insert {entity}")
+    def insert(self, entity: str, **values: object) -> None:
+        with self._in_object_terms(f"insert {entity}"):
+            self._write(UpdateSet().insert_object(entity, **values))
 
     def delete(self, entity: str, **key: object) -> None:
-        root = self.object_schema.entity(entity).root()
-        pattern = dict(key)
-        update = UpdateSet().delete(root.name, **pattern)
-        self._write(update, f"delete {entity}")
+        with self._in_object_terms(f"delete {entity}"):
+            root = self.object_schema.entity(entity).root()
+            self._write(UpdateSet().delete(root.name, **key))
 
-    def _write(self, update: UpdateSet, operation: str):
-        try:
-            _, new_source, new_target = self.propagator.propagate(
-                self._materialized(), update, source_instance=self.database
-            )
-        except Exception as error:  # noqa: BLE001
-            raise self.errors.translate(error, operation=operation)
+    def _write(self, update: UpdateSet) -> None:
+        _, new_source, new_target = self.propagator.propagate(
+            self._materialized(), update, source_instance=self.database
+        )
         self.database.relations = new_source.relations
         self._objects = new_target
-        return None
 
 
 @dataclass

@@ -26,7 +26,7 @@ from repro.logic.chase import (
     _SemiNaiveChase,
     compile_dependency,
 )
-from repro.runtime.incremental import set_equal_modulo_nulls
+from repro.logic.homomorphism import set_equal_modulo_nulls
 
 from tests.test_chase_plans import assert_plans_match_search
 

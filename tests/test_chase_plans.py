@@ -34,7 +34,7 @@ from repro.logic.dependencies import key_egd
 from repro.logic.formulas import Atom
 from repro.logic.homomorphism import iter_homomorphisms
 from repro.logic.terms import Const, Var
-from repro.runtime.incremental import set_equal_modulo_nulls
+from repro.logic.homomorphism import set_equal_modulo_nulls
 
 
 def _typed(value):

@@ -40,7 +40,11 @@ from repro.instances.labeled_null import LabeledNull, NullFactory
 from repro.logic import chase
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom, Equality
-from repro.logic.homomorphism import are_hom_equivalent, iter_homomorphisms
+from repro.logic.homomorphism import (
+    are_hom_equivalent,
+    iter_homomorphisms,
+    set_equal_modulo_nulls,
+)
 from repro.logic.second_order import (
     Implication,
     SecondOrderTGD,
@@ -52,7 +56,6 @@ from repro.mappings import Mapping
 from repro.metamodel import INT, SchemaBuilder
 from repro.operators import compose
 from repro.runtime import exchange
-from repro.runtime.incremental import set_equal_modulo_nulls
 from repro.workloads import synthetic
 
 # The package re-exports compose(), which shadows the module.

@@ -255,3 +255,44 @@ class TestCrossLayerFlows:
         assert sum(
             1 for r in wrapper.database.rows("HR") if r["Id"] == 1
         ) == 1
+
+    @pytest.mark.parametrize("operation, call", [
+        ("read Nope", lambda wrapper: wrapper.all("Nope")),
+        ("insert Employee",
+         lambda wrapper: wrapper.insert("Employee", Bogus=1)),
+        ("delete Nope", lambda wrapper: wrapper.delete("Nope", Id=1)),
+    ])
+    def test_wrapper_translates_every_engine_error(self, operation, call):
+        """An unknown entity or attribute fails every wrapper call with
+        a translated error that keeps the engine's SchemaError — also
+        on delete, which resolves its entity before it writes."""
+        from repro.errors import SchemaError
+        from repro.runtime.errors import TranslatedError
+        from repro.tools import WrapperGenerator
+
+        wrapper, _ = WrapperGenerator().generate_from_mapping(
+            paper.figure2_mapping(), paper.figure2_sql_instance()
+        )
+        with pytest.raises(TranslatedError) as excinfo:
+            call(wrapper)
+        assert str(excinfo.value).startswith(f"{operation}: ")
+        assert isinstance(excinfo.value.original, SchemaError)
+
+    def test_wrapper_lets_a_non_engine_error_through(self, monkeypatch):
+        """Only engine errors are translated: a bug elsewhere (here a
+        propagator that raises KeyError) reaches the caller as itself,
+        and the wrapper's state is untouched."""
+        from repro.tools import WrapperGenerator
+
+        wrapper, _ = WrapperGenerator().generate_from_mapping(
+            paper.figure2_mapping(), paper.figure2_sql_instance()
+        )
+        before = wrapper.all("Person")
+
+        def broken(*args, **kwargs):
+            raise KeyError("propagator bug")
+
+        monkeypatch.setattr(wrapper.propagator, "propagate", broken)
+        with pytest.raises(KeyError, match="propagator bug"):
+            wrapper.insert("Employee", Id=10, Name="Frank", Dept="Support")
+        assert wrapper.all("Person") == before

@@ -31,10 +31,8 @@ from repro.logic.terms import Var
 from repro.mappings import Mapping
 from repro.metamodel import INT, SchemaBuilder
 from repro.runtime.executor import exchange
-from repro.runtime.incremental import (
-    MaterializedExchange,
-    set_equal_modulo_nulls,
-)
+from repro.logic.homomorphism import set_equal_modulo_nulls
+from repro.runtime.incremental import MaterializedExchange
 from repro.runtime.updates import UpdateSet, apply_update
 
 SEEDS = 300

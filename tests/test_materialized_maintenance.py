@@ -10,10 +10,8 @@ from repro.logic import parse_tgd
 from repro.mappings import Mapping
 from repro.metamodel import INT, STRING, SchemaBuilder
 from repro.runtime.executor import exchange
-from repro.runtime.incremental import (
-    MaterializedExchange,
-    set_equal_modulo_nulls,
-)
+from repro.logic.homomorphism import set_equal_modulo_nulls
+from repro.runtime.incremental import MaterializedExchange
 from repro.runtime.p2p import PeerNetwork
 from repro.runtime.updates import UpdateSet, apply_update_in_place
 

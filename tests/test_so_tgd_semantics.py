@@ -16,7 +16,7 @@ from repro.operators.inverse import roundtrips
 from repro.operators.transgen import ExchangeTransformation
 from repro.runtime import exchange
 from repro.runtime.executor import exchange_with_stats
-from repro.runtime.incremental import set_equal_modulo_nulls
+from repro.logic.homomorphism import set_equal_modulo_nulls
 from tests.test_compose_exact import execute_so_tgd
 from tests.test_operator_compose import _mgr_pair
 
