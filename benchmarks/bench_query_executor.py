@@ -25,6 +25,12 @@ join ``a < b``, and an equi-join with a residual ``a < b``.  Each runs
 through ``evaluate`` and through the interpreter, reporting the best
 wall and CPU ms of three runs; ``evaluate`` must return the
 interpreter's rows, and each row count its closed form.
+
+The dedup lane runs δ and − over 4,000 rows (400 in smoke), once over a
+relation with a unique column, where δ returns its input and − only
+filters, and once over one where every value repeats, where both still
+dedup.  It reports like the join-shape lane, and ``evaluate`` must
+return the interpreter's rows in the interpreter's order.
 """
 
 import gc
@@ -39,6 +45,8 @@ from repro.algebra import (
     And,
     Col,
     Comparison,
+    Difference,
+    Distinct,
     EntityScan,
     Join,
     Scan,
@@ -64,6 +72,8 @@ SIZES = (250, 1000, 4000)
 POINT_KEYS = 64
 #: Rows per side of the join-shape lane.
 JOIN_SIDE = 300
+#: Rows per relation of the dedup lane.
+DEDUP_ROWS = 4000
 # vectorized engine vs interpreter, at 4k
 VEC_VS_INTERPRETED = 10.0
 
@@ -176,6 +186,53 @@ def _join_shape_rows(side: int) -> list[list]:
             label, f"{side}x{side}", len(rows), f"{eval_wall:.2f} ms",
             f"{eval_cpu:.2f} ms", f"{interp_wall:.2f} ms",
             f"{interp_cpu:.2f} ms",
+        ])
+    return table
+
+
+def _dedup_shapes() -> list[tuple[str, object, Callable[[int], int]]]:
+    """``(label, plan, its row count as a function of the rows)``.  In
+    ``U`` the column ``k`` is unique; in ``D`` every value, and so every
+    row, occurs twice; ``X`` holds every third ``U`` row."""
+    return [
+        ("δ, unique column", Distinct(Scan("U")), lambda n: n),
+        ("δ, no unique column", Distinct(Scan("D")), lambda n: n // 2),
+        ("−, unique column", Difference(Scan("U"), Scan("X")),
+         lambda n: n - len(range(0, n, 3))),
+        ("−, no unique column", Difference(Scan("D"), Scan("X")),
+         lambda n: n // 2 - len(range(0, n // 2, 3))),
+    ]
+
+
+def _dedup_instance(n: int) -> Instance:
+    db = Instance()
+    db.insert_all("U", [{"k": i, "v": i % 7} for i in range(n)])
+    db.insert_all("D", [{"k": i // 2, "v": i // 2 % 7} for i in range(n)])
+    db.insert_all("X", [{"k": i, "v": i % 7} for i in range(0, n, 3)])
+    return db
+
+
+def _dedup_rows(n: int) -> list[list]:
+    """One table row per dedup shape; raises unless ``evaluate`` returns
+    the interpreter's rows in its order and the closed-form count."""
+    db = _dedup_instance(n)
+    table = []
+    for label, plan, closed_form in _dedup_shapes():
+        expected = evaluate_interpreted(plan, db)
+        rows = evaluate(plan, db)
+        if len(expected) != closed_form(n) or rows != expected:
+            raise AssertionError(
+                f"{label} over {n} rows: evaluate returned {len(rows)} "
+                f"rows, the interpreter {len(expected)}, the closed form "
+                f"{closed_form(n)}"
+            )
+        eval_wall, eval_cpu = _best_of(lambda: evaluate(plan, db))
+        interp_wall, interp_cpu = _best_of(
+            lambda: evaluate_interpreted(plan, db)
+        )
+        table.append([
+            label, n, len(rows), f"{eval_wall:.2f} ms", f"{eval_cpu:.2f} ms",
+            f"{interp_wall:.2f} ms", f"{interp_cpu:.2f} ms",
         ])
     return table
 
@@ -307,6 +364,13 @@ def test_query_executor_report(benchmark):
          "interpreted wall", "interpreted cpu"],
         _join_shape_rows(JOIN_SIDE),
     )
+    print_table(
+        "Dedup: δ and − with and without a unique column, evaluate vs "
+        "interpreted (best of 3)",
+        ["plan", "rows in", "rows out", "evaluate wall", "evaluate cpu",
+         "interpreted wall", "interpreted cpu"],
+        _dedup_rows(DEDUP_ROWS),
+    )
     if acceptance and max(SIZES) >= 4000:
         assert acceptance["vec_vs_interpreted"] >= VEC_VS_INTERPRETED, (
             f"vectorized/interpreted speedup "
@@ -384,9 +448,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if "--smoke" in argv:
         # CI sanity: smallest size only, parity asserts still run.
-        global SIZES, JOIN_SIDE
+        global SIZES, JOIN_SIDE, DEDUP_ROWS
         SIZES = (250,)
         JOIN_SIDE = 60
+        DEDUP_ROWS = 400
     return run_standalone("query", [test_query_executor_report], argv)
 
 

@@ -17,7 +17,9 @@ scalars per row:
   column instead of one dict build per row); a cross join is the hash
   join on the empty key;
 * **distinct / difference** encode rows as tuples via ``zip(*columns)``
-  and dedup through sets;
+  and dedup through sets, unless a column of the (left) input is
+  :meth:`~repro.instances.columnar.Column.unique`: then δ returns its
+  input and − only filters;
 * **union** aligns layouts once per batch pair and concatenates value
   lists.
 
@@ -476,6 +478,13 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
         def run_vec_distinct(ctx):
             batch = inner(ctx)
             if batch.full:
+                cols = batch.cols.values()
+                # A unique column makes every row distinct.  The row
+                # path raises TypeError on an unhashable cell; so must δ.
+                if any(c.unique() for c in cols) and all(
+                    c.hashable() for c in cols
+                ):
+                    return batch
                 names = batch.names
                 try:
                     if len(names) == 1:
@@ -484,10 +493,7 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
                         # and dict.fromkeys keeps first occurrences in
                         # first-seen order — the output column itself.
                         name = names[0]
-                        values = batch.cols[name].values
-                        ordered = list(dict.fromkeys(values))
-                        if len(ordered) == len(values):
-                            return batch
+                        ordered = list(dict.fromkeys(batch.cols[name].values))
                         return ColumnBatch(
                             names, {name: Column(ordered)}, len(ordered)
                         )
@@ -765,11 +771,7 @@ def _batch_keys(batch: ColumnBatch, columns: tuple[str, ...]) -> list:
         col = batch.cols.get(columns[0])
         if col is None:
             return [_NOMATCH] * n
-        if (
-            col.present is None
-            and not col.labels()
-            and not any(col.null_mask())
-        ):
+        if col.present is None and _clean(col):
             # No nulls, no labeled nulls: the values ARE the keys.
             # Both derived views are cached on the Column, so keying a
             # scanned column is free from the second query on.
@@ -838,6 +840,7 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
             lkeys = _batch_keys(lb, l_cols)
             padded = False
             li: Optional[list] = None  # None ⇒ identity gather
+            distinct_li = False  # li holds each left position at most once
             pos = {
                 key: j
                 for j, key in enumerate(rkeys)
@@ -855,6 +858,7 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
                 elif -1 in ji:
                     li = [i for i, j in enumerate(ji) if j >= 0]
                     ri = [ji[i] for i in li]
+                    distinct_li = True
                 else:
                     ri = ji  # every left row matched exactly once
             else:
@@ -904,18 +908,20 @@ def _lower_join(expr: E.Join, st: _Lower) -> VStage:
                     out_cols[name] = lb.cols[name]
                 nout = lb.nrows
             else:
+                # take keeps a left column's unique() fact; gather, for
+                # positions that may repeat, keeps none.
                 for name in l_names:
-                    values = lb.cols[name].values
-                    out_cols[name] = Column([values[i] for i in li])
+                    col = lb.cols[name]
+                    out_cols[name] = col.take(li) if distinct_li else col.gather(li)
                 nout = len(li)
             for name, src in actions:
-                values = rb.cols[src].values
                 if padded:
+                    values = rb.cols[src].values
                     out_cols[name] = Column(
                         [values[j] if j >= 0 else None for j in ri]
                     )
                 else:
-                    out_cols[name] = Column([values[j] for j in ri])
+                    out_cols[name] = rb.cols[src].gather(ri)
             names = l_names + tuple(name for name, _ in actions)
             return ColumnBatch(names, out_cols, nout)
 
@@ -995,16 +1001,25 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
                     excluded = set(_tuple_keys(rb, order))
                     keys = _tuple_keys(lb, order)
                 n = lb.nrows
-                # First-occurrence position per key (reversed insertion,
-                # last assignment wins), minus the excluded keys —
-                # difference dedups its left side like the interpreter.
-                first = {
-                    key: i
-                    for i, key in zip(range(n - 1, -1, -1), reversed(keys))
-                }
-                indices = sorted(
-                    i for key, i in first.items() if key not in excluded
-                )
+                if any(col.unique() for col in lb.cols.values()):
+                    # Left rows are pairwise distinct: nothing to dedup.
+                    # The membership test still hashes every left key,
+                    # so an unhashable cell raises into the row path.
+                    indices = [
+                        i for i, key in enumerate(keys) if key not in excluded
+                    ]
+                else:
+                    # First-occurrence position per key (reversed
+                    # insertion, last assignment wins), minus the
+                    # excluded keys — difference dedups its left side
+                    # like the interpreter.
+                    first = {
+                        key: i
+                        for i, key in zip(range(n - 1, -1, -1), reversed(keys))
+                    }
+                    indices = sorted(
+                        i for key, i in first.items() if key not in excluded
+                    )
                 if len(indices) == n:
                     return lb
                 return lb.take(indices)

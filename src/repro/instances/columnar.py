@@ -42,16 +42,23 @@ class Column:
     ``values[i]`` is the cell value, with ``None`` standing in for both
     SQL ``NULL`` and *absent* (row lacks the key); ``present`` is
     ``None`` when every row carries the key, else a bytearray of 0/1
-    flags.  ``null_mask()`` and ``labels()`` are derived, cached views.
+    flags.  ``null_mask()``, ``labels()``, ``unique()`` and
+    ``hashable()`` are derived, cached views.
     """
 
-    __slots__ = ("values", "present", "_null_mask", "_labels")
+    __slots__ = (
+        "values", "present", "_null_mask", "_labels", "_unique", "_hashable",
+    )
 
     def __init__(self, values: list, present: Optional[bytearray] = None):
         self.values = values
         self.present = present
         self._null_mask: Optional[bytearray] = None
         self._labels: Optional[dict[int, LabeledNull]] = None
+        self._unique: Optional[bool] = None
+        # True/False once known; until then, the Column a take,
+        # compress or gather drew this one from (see hashable()).
+        self._hashable: Optional[object] = None
 
     @property
     def full(self) -> bool:
@@ -88,15 +95,76 @@ class Column:
             self._labels = table
         return table
 
+    def unique(self) -> bool:
+        """True when every row carries the column and its values are
+        pairwise distinct under ``==``/``hash`` (so ``1``, ``True`` and
+        ``1.0`` collide, and so do two ``None`` cells or two labeled
+        nulls of one label).  Any batch holding such a column has no two
+        equal rows.  An unhashable cell makes it False."""
+        fact = self._unique
+        if fact is None:
+            fact = False
+            if self.present is None:
+                values = self.values
+                try:
+                    fact = len(set(values)) == len(values)
+                    self._hashable = True
+                except TypeError:
+                    self._hashable = False
+            self._unique = fact
+        return fact
+
+    def hashable(self) -> bool:
+        """True when every cell hashes (absent cells hold ``None``).
+
+        A column that :meth:`take`, :meth:`compress` or :meth:`gather`
+        drew from another one asks that source first: its cells are
+        among the source's, and a source column only ever grows by
+        appends, so the fact a scanned column caches serves every copy
+        drawn from it."""
+        fact = self._hashable
+        if fact is True or fact is False:
+            return fact
+        if fact is not None and fact.hashable():
+            fact = True
+        else:
+            try:
+                hash(tuple(self.values))
+                fact = True
+            except TypeError:
+                fact = False
+        self._hashable = fact
+        return fact
+
     def _invalidate(self) -> None:
         self._null_mask = None
         self._labels = None
+        self._unique = None
+        self._hashable = None
+
+    def _carry(self, out: "Column") -> "Column":
+        """``out`` holds cells of this column from distinct positions:
+        a known-true ``unique()`` holds there too, and ``hashable()``
+        defers to this column."""
+        out._unique = self._unique or None
+        out._hashable = True if self._hashable is True else self
+        return out
+
+    def gather(self, indices: Sequence[int]) -> "Column":
+        """The cells of this full column at ``indices``, which may
+        repeat (a join's gather): only ``hashable()`` defers to this
+        column."""
+        values = self.values
+        out = Column([values[i] for i in indices])
+        out._hashable = True if self._hashable is True else self
+        return out
 
     def take(self, indices: Sequence[int]) -> "Column":
+        """The cells at ``indices``, which must be distinct positions."""
         values = self.values
         present = self.present
         if present is None:
-            return Column([values[i] for i in indices])
+            return self._carry(Column([values[i] for i in indices]))
         picked = bytearray(present[i] for i in indices)
         # Normalize: if every surviving row carries the key, the result
         # is a full column (downstream fast paths key off ``present``).
@@ -108,7 +176,9 @@ class Column:
         values = self.values
         present = self.present
         if present is None:
-            return Column([v for v, keep in zip(values, mask) if keep])
+            return self._carry(
+                Column([v for v, keep in zip(values, mask) if keep])
+            )
         kept = [
             (v, p) for v, p, keep in zip(values, present, mask) if keep
         ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, insort
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError
@@ -104,6 +105,11 @@ _DEL_LIMIT = 256
 
 #: Shared empty batch for absent relations (immutable by convention).
 _EMPTY_BATCH = ColumnBatch((), {}, 0)
+
+#: Pending index-maintenance events at which a writer folds the backlog
+#: into the totals, so an instance whose counters nobody reads stays
+#: bounded.
+_MAX_PENDING_STAT_EVENTS = 1024
 
 
 class RowsView(Sequence):
@@ -297,9 +303,10 @@ class Instance:
         # Index-maintenance counters.  Writers append interned event
         # names to ``_stat_events`` (a single ``list.append``, atomic
         # under the GIL, so writers on threads a caller starts never
-        # lose an increment); reads fold the pending events into the
-        # totals under ``_stats_lock``.  See the :attr:`index_stats`
-        # property.
+        # lose an increment); reads, and a writer that finds
+        # ``_MAX_PENDING_STAT_EVENTS`` pending, fold the pending events
+        # into the totals under ``_stats_lock``.  See the
+        # :attr:`index_stats` property.
         self._index_stats = {
             "hits": 0, "extends": 0, "rebuilds": 0, "removes": 0,
             "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 0,
@@ -330,15 +337,25 @@ class Instance:
         indexes: writers only ever append to an event list, and this
         property folds the backlog into the totals under a lock before
         returning them."""
-        events = self._stat_events
-        if events:
-            with self._stats_lock:
-                drained = len(events)
-                totals = self._index_stats
-                for name in events[:drained]:
-                    totals[name] += 1
-                del events[:drained]
+        if self._stat_events:
+            self._fold_stat_events()
         return self._index_stats
+
+    def _count(self, event: str) -> None:
+        """Record one index-maintenance event (see :attr:`index_stats`)."""
+        events = self._stat_events
+        events.append(event)
+        if len(events) >= _MAX_PENDING_STAT_EVENTS:
+            self._fold_stat_events()
+
+    def _fold_stat_events(self) -> None:
+        events = self._stat_events
+        with self._stats_lock:
+            drained = len(events)
+            totals = self._index_stats
+            for name, count in Counter(events[:drained]).items():
+                totals[name] += count
+            del events[:drained]
 
     # ------------------------------------------------------------------
     # population
@@ -487,7 +504,10 @@ class Instance:
         else:
             for p in reversed(positions):
                 del backing[p]
-        self._stat_events.extend(["removes"] * len(removed))
+        events = self._stat_events
+        events.extend(["removes"] * len(removed))
+        if len(events) >= _MAX_PENDING_STAT_EVENTS:
+            self._fold_stat_events()
         return removed
 
     def _slot_map(self, relation: str, rows: list) -> _SlotMap:
@@ -612,11 +632,11 @@ class Instance:
         ):
             entry = _BatchEntry(rows, self._dirty_epoch)
             self._batches[relation] = entry
-            self._stat_events.append("rebuilds")
+            self._count("rebuilds")
         elif entry.seen < len(rows):
-            self._stat_events.append("extends")
+            self._count("extends")
         else:
-            self._stat_events.append("hits")
+            self._count("hits")
             return entry.batch
         if entry.seen == 0:
             entry.batch = ColumnBatch.from_rows(rows)
@@ -655,11 +675,11 @@ class Instance:
                 rows, self._dirty_epoch, RelationStats(relation)
             )
             self._relation_stats[relation] = entry
-            self._stat_events.append("stats_rebuilds")
+            self._count("stats_rebuilds")
         elif entry.seen < len(rows):
-            self._stat_events.append("stats_extends")
+            self._count("stats_extends")
         else:
-            self._stat_events.append("stats_hits")
+            self._count("stats_hits")
             return entry.stats
         entry.stats.absorb(rows[entry.seen:])
         entry.seen = len(rows)
@@ -679,11 +699,11 @@ class Instance:
         ):
             entry = _AttrIndex(rows, self._dirty_epoch)
             self._attr_indexes[key] = entry
-            self._stat_events.append("rebuilds")
+            self._count("rebuilds")
         elif entry.seen < len(rows):
-            self._stat_events.append("extends")
+            self._count("extends")
         else:
-            self._stat_events.append("hits")
+            self._count("hits")
             return entry
         postings = entry.postings
         for row in rows[entry.seen:]:
@@ -744,11 +764,11 @@ class Instance:
         ):
             entry = _ProjectionSet(rows, self._dirty_epoch)
             self._projection_sets[key] = entry
-            self._stat_events.append("rebuilds")
+            self._count("rebuilds")
         elif entry.seen < len(rows):
-            self._stat_events.append("extends")
+            self._count("extends")
         else:
-            self._stat_events.append("hits")
+            self._count("hits")
             return entry
         members = entry.members
         for row in rows[entry.seen:]:

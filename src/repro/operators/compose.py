@@ -138,13 +138,13 @@ def _replace_middle_atoms(
                 continue
             renamed = _rename_apart(origin, first_suffix + position)
             for index in heads:
-                # Equate the σ23 atom's terms with the σ12 head atom's.
                 head_args = renamed.head[index].arg_map
-                if set(atom_args) != set(head_args):
-                    missing = set(atom_args) ^ set(head_args)
-                    raise CompositionError(
-                        f"attribute mismatch on {atom.relation!r}: {sorted(missing)}"
-                    )
+                if not atom_args.keys() <= head_args.keys():
+                    # The head writes rows without an attribute the atom
+                    # reads, and an atom matches only rows carrying all
+                    # of its attributes: this origin never matches.
+                    continue
+                # Equate the σ23 atom's terms with the σ12 head atom's.
                 equalities = tuple(
                     Equality(atom_args[a], head_args[a]) for a in sorted(atom_args)
                 )

@@ -17,6 +17,8 @@ import random
 
 import pytest
 
+from repro.algebra import Distinct, Project, Scan, evaluate
+from repro.algebra import Col as C
 from repro.instances import Instance, LabeledNull
 from repro.instances.columnar import Column, ColumnBatch
 
@@ -178,6 +180,11 @@ def test_append_extends_batch_in_place():
     assert grown.to_rows() == [{"a": 1}, {"a": 2, "b": 9}]
     # the pre-existing column gained a presence mask for the old rows
     assert bytes(grown.cols["b"].present) == b"\x00\x01"
+    assert grown.cols["a"].unique()
+    db.insert("R", {"a": 1, "b": 5})  # a duplicate key arrives
+    assert db.column_batch("R") is batch
+    assert not batch.cols["a"].unique()
+    assert _distinct_a(db) == [{"a": 1}, {"a": 2}]
 
 
 def test_remove_rows_compacts_cache_without_rebuild():
@@ -195,17 +202,54 @@ def test_remove_rows_compacts_cache_without_rebuild():
     survivors = [{"a": 1}, {"a": 3}]
     assert fresh.to_rows() == ColumnBatch.from_rows(survivors).to_rows()
     assert fresh.names == ("a",)  # no survivor carries "b"
+    assert fresh.cols["a"].unique()
+    db.insert("R", {"a": 3})  # a duplicate arrives after the removal
+    assert db.column_batch("R") is fresh
+    assert not fresh.cols["a"].unique()
+    assert _distinct_a(db) == survivors
 
 
 def test_mark_dirty_invalidates_batch():
     db = Instance()
-    db.insert_all("R", [{"a": 1}])
+    db.insert_all("R", [{"a": 1}, {"a": 7}])
     stale = db.column_batch("R")
     db.relations["R"][0]["a"] = 42  # declared in-place mutation
     db.mark_dirty()
     fresh = db.column_batch("R")
     assert fresh is not stale
-    assert fresh.to_rows() == [{"a": 42}]
+    assert fresh.to_rows() == [{"a": 42}, {"a": 7}]
+    assert fresh.cols["a"].unique()
+    db.relations["R"][0]["a"] = 7  # now a duplicate
+    db.mark_dirty()
+    assert not db.column_batch("R").cols["a"].unique()
+    assert fresh.cols["a"].unique()  # a batch handed out keeps its fact
+    assert _distinct_a(db) == [{"a": 7}]
+
+
+def _distinct_a(db):
+    return evaluate(Distinct(Project(Scan("R"), [("a", C("a"))])), db)
+
+
+def test_unique_and_hashable_facts():
+    assert Column([1, 2.5, "x", None, LabeledNull(1)]).unique()
+    for values in ([1, True], [1, 1.0], [None, None],
+                   [LabeledNull(1), LabeledNull(1)], [[1], [2]]):
+        assert not Column(values).unique()
+    assert not Column([1, 2], bytearray(b"\x01\x00")).unique()
+    assert not Column([[1], 2]).hashable()
+    # take/compress (distinct positions) keep a unique column unique
+    # without a rescan, and their copies ask the source for hashability.
+    col = Column([3, 1, 2])
+    assert col.unique()
+    assert col.take([2, 0])._unique is col.compress([1, 0, 1])._unique is True
+    # gather may repeat positions, so it carries no unique() fact.
+    repeated = col.gather([0, 0])
+    assert repeated._unique is None and not repeated.unique()
+    assert repeated.hashable()
+    source = Column([[0], 1, 2])
+    assert source.compress([0, 1, 1]).hashable()  # own cells rescanned
+    assert not source.hashable()
+    assert source.take([1, 2])._hashable is source.gather([1])._hashable is source
 
 
 def test_clear_rebuilds_empty():

@@ -37,7 +37,7 @@ from repro.errors import CompositionError
 from repro.instances import Instance
 from repro.instances.database import Row
 from repro.instances.labeled_null import LabeledNull, NullFactory
-from repro.logic import chase
+from repro.logic import chase, parse_tgd
 from repro.logic.dependencies import TGD
 from repro.logic.formulas import Atom, Equality
 from repro.logic.homomorphism import (
@@ -591,6 +591,44 @@ def test_random_pairs_alpha_equal_and_exchange_like_two_steps():
             exchanged += bool(two_step.total_rows())
     # The pairs must exercise the case product and the exchange law.
     assert implications >= 600 and exchanged >= 150, (implications, exchanged)
+
+
+def _subset_pair(tgd12: str, tgd23: str) -> tuple[Mapping, Mapping]:
+    def schema(name, relations):
+        builder = SchemaBuilder(name, metamodel="relational")
+        for relation, attributes in relations.items():
+            builder.entity(relation, key=[attributes[0]])
+            for attribute in attributes:
+                builder.attribute(attribute, INT)
+        return builder.build()
+
+    a = schema("A", {"R": ["R_k", "R_v"]})
+    b = schema("B", {"S": ["S_k", "S_v"]})
+    c = schema("C", {"T": ["T_k"], "S2": ["S_k", "S_v"]})
+    return (Mapping(a, b, [parse_tgd(tgd12)], name="m12"),
+            Mapping(b, c, [parse_tgd(tgd23)], name="m23"))
+
+
+@pytest.mark.parametrize("tgd12, tgd23, expected", [
+    # The σ23 atom reads a subset of the σ12 head's attributes: only
+    # those are equated.
+    ("R(R_k=x, R_v=y) -> S(S_k=x, S_v=y)", "S(S_k=x) -> T(T_k=x)",
+     {"T": [{"T_k": 1}]}),
+    # The σ12 head omits S_v, so its S rows never match an atom that
+    # reads S_v; S_v is not an existential.
+    ("R(R_k=x, R_v=y) -> S(S_k=x)", "S(S_k=x, S_v=z) -> S2(S_k=x, S_v=z)",
+     {}),
+])
+def test_attribute_subset_atoms_exchange_like_two_steps(tgd12, tgd23, expected):
+    m12, m23 = _subset_pair(tgd12, tgd23)
+    source = Instance()
+    source.add("R", R_k=1, R_v=2)
+    middle = chase(source, m12.tgds).instance
+    two_step = _target_part(chase(middle, m23.tgds).instance, m23)
+    one_step = _target_part(exchange(compose(m12, m23), source), m23)
+    assert two_step.relations == expected
+    assert are_hom_equivalent(one_step, two_step)
+    assert one_step.relations == expected
 
 
 def _feeds_joins_or_conditions(so_tgd: SecondOrderTGD) -> bool:

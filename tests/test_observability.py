@@ -10,6 +10,7 @@ import pytest
 import repro.observability as obs
 from repro.core import ModelManagementEngine
 from repro.instances import Instance
+from repro.instances.database import _MAX_PENDING_STAT_EVENTS
 from repro.logic import chase, parse_tgd
 from repro.observability import (
     COUNT_BUCKETS,
@@ -330,6 +331,16 @@ class TestThreadSafeObservability:
         assert stats["hits"] == baseline["hits"] + total
         # A second read is stable (events were drained exactly once).
         assert db.index_stats["hits"] == stats["hits"]
+
+    def test_index_stats_backlog_stays_bounded(self):
+        db = Instance()
+        db.insert_all("R", [{"a": 1}])
+        db.column_batch("R")  # the one rebuild
+        for _ in range(10_000):
+            db.column_batch("R")
+        assert len(db._stat_events) <= _MAX_PENDING_STAT_EVENTS
+        assert db.index_stats["hits"] == 10_000
+        assert db.index_stats["rebuilds"] == 1
 
     def test_index_stats_concurrent_readers_and_writers(self):
         db = Instance()

@@ -103,14 +103,22 @@ def _int_value(rng):
 
 
 def _random_instance(rng):
+    """About half the relations get a pairwise-distinct key column, so
+    δ and − meet inputs with a unique column (their shortcut) as well
+    as inputs with none."""
     instance = Instance()
     for name in RELATIONS:
         key_col, attr_col, str_col = _columns(name)
-        for _ in range(rng.randint(3, 10)):
+        count = rng.randint(3, 10)
+        if rng.random() < 0.5:
+            keys = rng.sample(range(20), count)
+        else:
+            keys = [_int_value(rng) for _ in range(count)]
+        for key in keys:
             instance.insert(
                 name,
                 {
-                    key_col: _int_value(rng),
+                    key_col: key,
                     attr_col: _int_value(rng),
                     str_col: rng.choice(["x", "y", "z", None]),
                 },
@@ -316,6 +324,57 @@ def test_labeled_null_join_keys():
     expr = eq_join(Scan("L"), Scan("R"), [("a", "b")])
     rows = assert_engines_agree(expr, instance)
     assert canon(rows) == canon([{"a": n1, "b": n1}, {"a": 7, "b": 7}])
+
+
+def _exact(rows):
+    """Rows in order, each cell with its type: ``==`` alone equates 1,
+    True and 1.0."""
+    return [{k: (type(v), v) for k, v in row.items()} for row in rows]
+
+
+def _outcome(expr, instance, engine):
+    try:
+        return _exact(evaluate(expr, instance, engine=engine))
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+_L1, _L2 = LabeledNull(1), LabeledNull(2)
+
+
+@pytest.mark.parametrize("rows, fast", [
+    # k is unique: δ returns its input, − filters in stored order.
+    ([{"k": 3, "v": "a"}, {"k": 1, "v": "a"}, {"k": 2, "v": "b"},
+      {"k": 5, "v": "a"}], True),
+    # One None among distinct values is a distinct value.
+    ([{"k": None, "v": 1}, {"k": 4, "v": 1}, {"k": 2, "v": 1}], True),
+    # 1, True and 1.0 are one value: no unique column, rows 0 and 1 equal.
+    ([{"k": 1, "v": "a"}, {"k": True, "v": "a"}, {"k": 1.0, "v": "b"},
+      {"k": 2, "v": "a"}], False),
+    # Repeated None.
+    ([{"k": None, "v": 1}, {"k": None, "v": 2}, {"k": None, "v": 1}], False),
+    # A repeated labeled null.
+    ([{"k": _L1, "v": 1}, {"k": _L1, "v": 1}, {"k": _L2, "v": 1}], False),
+    # Unhashable list cells: every engine raises TypeError, even beside
+    # a unique column.
+    ([{"k": [1], "v": 1}, {"k": [1], "v": 1}, {"k": [2], "v": 2}], False),
+    ([{"k": 1, "v": [1]}, {"k": 2, "v": [1]}], False),
+    # A partially present column is never unique.
+    ([{"k": 1, "v": 1}, {"v": 2}, {"k": 3, "v": 1}, {"k": 1, "v": 1}], False),
+])
+def test_distinct_and_difference_match_the_interpreter_in_order(rows, fast):
+    instance = Instance()
+    instance.insert_all("R", rows)
+    instance.insert_all("S", [dict(rows[-1])])
+    for expr in (Distinct(Scan("R")), Difference(Scan("R"), Scan("S"))):
+        assert _outcome(expr, instance, "vectorized") == _outcome(
+            expr, instance, "interpreted"
+        )
+    try:
+        batch = compile_vector_plan(Distinct(Scan("R"))).batch(instance)
+    except TypeError:
+        batch = None
+    assert (batch is instance.column_batch("R")) == fast
 
 
 def test_left_join_padding():
