@@ -3,16 +3,17 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
 	optimizer-smoke health-smoke match-smoke compose-smoke transgen-smoke \
-	examples \
+	chase-smoke examples \
 	bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke perfbench-smoke
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
 # query-engine, incremental-maintenance, optimizer, health, Match,
-# Compose and TransGen smoke gates and the example scripts.
+# Compose, chase and TransGen smoke gates and the example scripts.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		health-smoke match-smoke compose-smoke transgen-smoke examples
+		health-smoke match-smoke compose-smoke chase-smoke transgen-smoke \
+		examples
 	$(PYTHON) -m pytest -x -q
 
 # Every example script end to end (ETL pipeline, mediator, wrapper,
@@ -108,6 +109,14 @@ match-smoke:
 # and widths up to 6.  No JSON rewrite.
 compose-smoke:
 	$(PYTHON) benchmarks/bench_compose_scaling.py --smoke
+
+# Chase gate: every E3c lane at its smallest size, which fails if the
+# semi-naive result or step count leaves the naive engine's, or if a
+# one-atom-body dependency examines more triggers than it has rows to
+# read (each row is read once per dependency; a count gate, not a
+# timing gate).  No JSON rewrite.
+chase-smoke:
+	$(PYTHON) benchmarks/bench_chase_scaling.py --smoke
 
 # TransGen gate: the E4 table (TPH/TPT/TPC at depths 1-3, every row
 # roundtrip-verified), which fails if a query view's node count leaves

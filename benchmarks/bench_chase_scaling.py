@@ -18,17 +18,19 @@ output but never the irredundant one's.
 
 Run standalone (``python benchmarks/bench_chase_scaling.py``) to emit
 ``BENCH_chase.json`` through the harness (``benchmarks/harness.py``):
-wall and process CPU time of both engines, steps, rounds and speedup
-for three workloads at three instance sizes, so successive PRs leave a
-perf trajectory.  At the smallest size every workload's result must be
-hom-equivalent to ``naive_chase``'s and take the same steps; the run
-exits non-zero otherwise.  ``--smoke`` runs only the smallest size and
-rewrites no JSON unless ``--out`` is given (the ``make bench-smoke``
-target and the CI "Chase bench smoke" step).
+wall and process CPU time of both engines, steps, rounds, triggers
+examined and speedup for four workloads at three instance sizes, so
+successive PRs leave a perf trajectory.  At the smallest size every
+workload's result must be hom-equivalent to ``naive_chase``'s and take
+the same steps, and at every size no one-atom-body dependency may
+examine more triggers than its body relation has rows (a count gate:
+each row is read once per dependency); the run exits non-zero
+otherwise.  ``--smoke`` runs only the smallest size and rewrites no
+JSON unless ``--out`` is given (``make chase-smoke``, which ``make
+test`` and the CI "Chase bench smoke" step run).
 """
 
 import gc
-import random
 import sys
 import time
 from pathlib import Path
@@ -43,7 +45,6 @@ from repro.logic import (
     chase,
     core_of,
     naive_chase,
-    parse_egd,
     parse_query,
     parse_tgd,
 )
@@ -61,19 +62,21 @@ def _exchange_workload(rows: int, existential_fraction: float, seed: int = 5):
     return db, tgds
 
 
-def _chain_workload(rows: int, stages: int = 8):
+def _chain_workload(rows: int, stages: int = 8, forward: bool = False):
     """A copy chain R0 → R1 → … with the dependencies listed in
     *reverse* order — the naive engine needs ``stages`` full sweeps
     (each re-enumerating every trigger of every tgd), the semi-naive
-    engine does delta-sized work per round."""
+    engine does delta-sized work per round.  ``forward`` lists them in
+    chain order instead: one round does all the work, each stage
+    reading the rows the one before it wrote."""
     db = Instance()
     for i in range(rows):
         db.add("R0", a=i, b=i % 7)
     tgds = [
         parse_tgd(f"R{k}(a=x, b=y) -> R{k + 1}(a=x, b=y)")
         for k in range(stages)
-    ][::-1]
-    return db, tgds
+    ]
+    return db, tgds if forward else tgds[::-1]
 
 
 # ----------------------------------------------------------------------
@@ -181,50 +184,38 @@ def test_chase_report(benchmark):
 _SIZES = (250, 1000, 4000)
 
 
-def _keyed_workload(rows: int, seed: int = 5):
-    """The shapes of perfbench ``exchange`` over ``rows`` source rows: a
-    join tgd, an existential tgd and a target tgd over orders and
-    customers, and a key egd over staff that is partly placed in an
-    office (a tgd per split) and partly unplaced (an existential)."""
-    rng = random.Random(seed)
-    customers = rows // 7
-    staff = (rows - 5 * customers) * 2 // 3
-    placed = rows - 5 * customers - staff
-    db = Instance()
-    cids = rng.sample(range(10 ** 6), customers)
-    for cid in cids:
-        db.add("Cust", cid=cid, name=f"c{rng.randrange(97)}")
-    for oid in rng.sample(range(10 ** 6), 4 * customers):
-        db.add("Ord", oid=oid, cust=rng.choice(cids),
-               amount=rng.randrange(1000))
-    eids = rng.sample(range(10 ** 6), staff)
-    for eid in eids:
-        db.add("A", eid=eid)
-    for eid in rng.sample(eids, placed):
-        db.add("B", eid=eid, office=f"off{rng.randrange(5)}")
-    dependencies = [
-        parse_tgd("Ord(oid=o, cust=c, amount=a) & Cust(cid=c, name=n) "
-                  "-> Sale(oid=o, name=n)"),
-        parse_tgd("Cust(cid=c, name=n) -> Client(cid=c, name=n, tier=t)"),
-        parse_tgd("Sale(oid=o, name=n) -> Audit(oid=o)"),
-        parse_tgd("A(eid=e) -> Assign(eid=e, office=o)"),
-        parse_tgd("B(eid=e, office=f) -> Assign(eid=e, office=f)"),
-        parse_tgd("Assign(eid=e, office=f) -> Room(office=f)"),
-        parse_egd("Assign(eid=e, office=f) & Assign(eid=e, office=g) "
-                  "-> f = g", name="Assign.key"),
-    ]
-    return db, dependencies
-
-
 #: workload label → builder of (source, dependencies) at a size.  The
 #: chain's gap between engines scales with its stages (naive sweeps cost
 #: O(stages² · rows), delta rounds O(stages · rows)); 12 stages is the
-#: depth of the composition-chain workloads.
+#: depth of the composition-chain workloads.  Listed forward, the chain
+#: costs the naive engine two sweeps, and each stage reads each row once.
 _WORKLOADS = {
     "chain(stages=12)": lambda rows: _chain_workload(rows, stages=12),
+    "chain(stages=12, forward)": lambda rows: _chain_workload(
+        rows, stages=12, forward=True),
     "exchange(∃=0.5)": lambda rows: _exchange_workload(rows, 0.5, seed=9),
-    "keyed": _keyed_workload,
+    "keyed": synthetic.keyed_exchange,
 }
+
+
+def _overreads(dependencies, result) -> list[str]:
+    """The one-atom-body dependencies that examined more triggers than
+    their body relation has rows, when no merge rewrote a row (a merge
+    makes each plan read the rewritten rows again): each row is read
+    once per plan, so a larger count means a row was read twice."""
+    if result.stats.merges:
+        return []
+    found = []
+    for dependency in dependencies:
+        if len(dependency.body) != 1:
+            continue
+        label = dependency.name or str(dependency)[:60]
+        examined = result.stats.triggers_examined.get(label, 0)
+        rows = result.instance.cardinality(dependency.body[0].relation)
+        if examined > rows:
+            found.append(f"{label} examined {examined} triggers "
+                         f"over {rows} rows")
+    return found
 
 
 def _timed(engine, db, dependencies):
@@ -237,9 +228,12 @@ def _timed(engine, db, dependencies):
 
 
 def trajectory_report(benchmark):
-    """Both engines on every workload and size.  The smallest size also
-    checks the semi-naive result against the naive one (hom-equivalent,
-    equal steps) and fails the run on a mismatch."""
+    """Both engines on every workload and size, with the semi-naive
+    engine's trigger count.  The smallest size also checks the
+    semi-naive result against the naive one (hom-equivalent, equal
+    steps), and every size checks that no one-atom-body dependency
+    examined more triggers than it has rows to read (see
+    :func:`_overreads`); either failure fails the run."""
     rows_table, mismatches = [], []
     for workload, build in _WORKLOADS.items():
         for index, rows in enumerate(_SIZES):
@@ -258,25 +252,28 @@ def trajectory_report(benchmark):
                                 f"{equivalent})")
                 if checked != "ok":
                     mismatches.append(f"{workload} at {rows} rows: {checked}")
+            mismatches.extend(f"{workload} at {rows} rows: {overread}"
+                              for overread in _overreads(dependencies, semi))
             rows_table.append([
                 workload, rows, semi.steps, semi.stats.rounds,
+                sum(semi.stats.triggers_examined.values()),
                 f"{semi_wall * 1000:.2f} ms", f"{semi_cpu * 1000:.2f} ms",
                 f"{naive_wall * 1000:.2f} ms", f"{naive_cpu * 1000:.2f} ms",
                 f"{naive_wall / semi_wall:.2f}x", checked,
             ])
-            print(f"{workload:<17} rows={rows:>5}  "
+            print(f"{workload:<25} rows={rows:>5}  "
                   f"semi={semi_wall:.4f}s  naive={naive_wall:.4f}s")
     db, dependencies = _chain_workload(_SIZES[0], stages=12)
     benchmark(chase, db, dependencies)
     print_table(
         "E3c: semi-naive vs naive chase (wall and process CPU time; "
         "smallest size checked against the naive result)",
-        ["workload", "source rows", "steps", "rounds", "semi-naive",
-         "semi-naive cpu", "naive", "naive cpu", "speedup",
+        ["workload", "source rows", "steps", "rounds", "examined",
+         "semi-naive", "semi-naive cpu", "naive", "naive cpu", "speedup",
          "naive check"],
         rows_table,
     )
-    assert not mismatches, "semi-naive chase diverged from naive_chase: " \
+    assert not mismatches, "semi-naive chase failed a check: " \
         + "; ".join(mismatches)
 
 

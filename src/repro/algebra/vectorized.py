@@ -205,12 +205,6 @@ def _pair_fn(op: str):
     return pair_ordered
 
 
-def _clean(col: Column) -> bool:
-    """No SQL nulls and no labeled nulls (both views cached on the
-    column, so this is O(1) after the first call)."""
-    return not col.labels() and not any(col.null_mask())
-
-
 def _lit_mask_fn(op: str, name: str, lit, flipped: bool):
     """A mask evaluator for ``col <op> lit`` that runs the comparison
     as one plain comprehension — no per-cell closure call — whenever
@@ -240,7 +234,7 @@ def _lit_mask_fn(op: str, name: str, lit, flipped: bool):
     def run_mask_ordered(b, ctx):
         col = b.cols[name]
         values = col.values
-        if _clean(col):
+        if col.clean():
             try:
                 if flipped:
                     return [op_fn(lit, v) for v in values]
@@ -771,10 +765,12 @@ def _batch_keys(batch: ColumnBatch, columns: tuple[str, ...]) -> list:
         col = batch.cols.get(columns[0])
         if col is None:
             return [_NOMATCH] * n
-        if col.present is None and _clean(col):
-            # No nulls, no labeled nulls: the values ARE the keys.
-            # Both derived views are cached on the Column, so keying a
-            # scanned column is free from the second query on.
+        if col.present is None and col.clean():
+            # No nulls, no labeled nulls: the values ARE the keys.  The
+            # fact is cached on the Column and carried to the columns
+            # a take, compress or gather draws from it, so keying a
+            # scanned column or one filtered from it is free from the
+            # second query on.
             return col.values
         values = _plain_values(batch, columns[0])
         out = []

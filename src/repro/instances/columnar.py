@@ -42,12 +42,13 @@ class Column:
     ``values[i]`` is the cell value, with ``None`` standing in for both
     SQL ``NULL`` and *absent* (row lacks the key); ``present`` is
     ``None`` when every row carries the key, else a bytearray of 0/1
-    flags.  ``null_mask()``, ``labels()``, ``unique()`` and
-    ``hashable()`` are derived, cached views.
+    flags.  ``null_mask()``, ``labels()``, ``unique()``, ``clean()``
+    and ``hashable()`` are derived, cached views.
     """
 
     __slots__ = (
-        "values", "present", "_null_mask", "_labels", "_unique", "_hashable",
+        "values", "present", "_null_mask", "_labels", "_unique", "_clean",
+        "_hashable",
     )
 
     def __init__(self, values: list, present: Optional[bytearray] = None):
@@ -56,6 +57,7 @@ class Column:
         self._null_mask: Optional[bytearray] = None
         self._labels: Optional[dict[int, LabeledNull]] = None
         self._unique: Optional[bool] = None
+        self._clean: Optional[bool] = None
         # True/False once known; until then, the Column a take,
         # compress or gather drew this one from (see hashable()).
         self._hashable: Optional[object] = None
@@ -114,6 +116,15 @@ class Column:
             self._unique = fact
         return fact
 
+    def clean(self) -> bool:
+        """True when no present cell is a SQL ``NULL`` and no cell is a
+        labeled null, so the values are their own join keys."""
+        fact = self._clean
+        if fact is None:
+            fact = self._clean = (not self.labels()
+                                  and not any(self.null_mask()))
+        return fact
+
     def hashable(self) -> bool:
         """True when every cell hashes (absent cells hold ``None``).
 
@@ -140,24 +151,25 @@ class Column:
         self._null_mask = None
         self._labels = None
         self._unique = None
+        self._clean = None
         self._hashable = None
 
-    def _carry(self, out: "Column") -> "Column":
-        """``out`` holds cells of this column from distinct positions:
-        a known-true ``unique()`` holds there too, and ``hashable()``
-        defers to this column."""
-        out._unique = self._unique or None
+    def _carry(self, out: "Column", distinct: bool = True) -> "Column":
+        """``out`` holds cells of this full column: a known-true
+        ``clean()`` holds there too, and so does ``unique()`` when the
+        cells come from ``distinct`` positions; ``hashable()`` defers to
+        this column.  No fact is computed here."""
+        out._unique = (self._unique or None) if distinct else None
+        out._clean = self._clean or None
         out._hashable = True if self._hashable is True else self
         return out
 
     def gather(self, indices: Sequence[int]) -> "Column":
         """The cells of this full column at ``indices``, which may
-        repeat (a join's gather): only ``hashable()`` defers to this
-        column."""
+        repeat (a join's gather)."""
         values = self.values
-        out = Column([values[i] for i in indices])
-        out._hashable = True if self._hashable is True else self
-        return out
+        return self._carry(Column([values[i] for i in indices]),
+                           distinct=False)
 
     def take(self, indices: Sequence[int]) -> "Column":
         """The cells at ``indices``, which must be distinct positions."""

@@ -23,18 +23,23 @@ Two engines live here:
   binding tuples one atom at a time, in the order of the backtracking
   search (:func:`iter_homomorphisms`), so triggers, labeled nulls and
   recorder events are the ones that search yields.  Round 0 enumerates
-  every trigger; later rounds pin each body atom in turn to the rows
-  inserted (or rewritten by an egd merge) in the previous round, so
-  per-round work tracks the *delta*.  A tgd's last step fires as it
-  scans, checking full head atoms against projection indexes, the
-  others by index lookups (or the head atoms' own plan when an
-  existential spans atoms), memoized per frontier assignment.  A
-  function term in a head is a null memoized on (function, arguments)
-  for the run, and an implication's conditions filter its triggers:
-  Skolem semantics.  Key egds ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` run
-  as a hash group-by on K.  Egd equalities are batched per round into
-  a union-find over labeled nulls and applied in one substitution pass
-  driven by a null → row occurrence index.
+  every trigger; after that each plan pins each body atom in turn to
+  the rows it has not read: those appended since its *mark* (its body
+  relations' lengths when it last started, so it reads rows that
+  dependencies listed before it fired in the same round) and those the
+  last egd merge pass rewrote before the mark.  Each row is read once
+  per plan, plus once after each merge that rewrites it.  A tgd's last
+  step fires as it scans, checking full head atoms against projection
+  indexes and existential ones against postings, each fetched once per
+  call plus an overlay of the rows the call fired (or the head atoms'
+  own plan when an existential spans atoms), memoized per frontier
+  assignment.  A function term in a head is a null memoized on
+  (function, arguments) for the run, and an implication's conditions
+  filter its triggers: Skolem semantics.  Key egds
+  ``R(K, Ȳ₁) & R(K, Ȳ₂) → Ȳ₁ = Ȳ₂`` run as a hash group-by on K.  Egd
+  equalities are batched per round into a union-find over labeled nulls
+  and applied in one substitution pass driven by a null → row
+  occurrence index.
 
   The plans are the library's one trigger engine: :func:`bindings`
   (with a pinned-delta entry and a ``partial=`` entry of preset
@@ -77,11 +82,14 @@ class ChaseStats:
     * ``rounds`` — delta rounds executed (round 0 included);
     * ``triggers_examined`` — per-dependency count of trigger
       assignments enumerated before satisfaction filtering: all of them
-      in round 0, later each distinct one touching the delta (a one-atom
-      body: one per delta row); a key egd's group-by counts the
-      assignments it stands for, not the rows it scans;
-    * ``delta_sizes`` — rows inserted or rewritten per round; the run
-      stops after the first ``0``;
+      in round 0 (or those touching ``initial_delta``), later in each
+      run each distinct one touching the rows that dependency has not
+      read — appended since it last started, or rewritten by the last
+      merge pass (a one-atom body: one per unread row, so each row once
+      plus once per merge that rewrites it); a key egd's group-by
+      counts the assignments it stands for, not the rows it scans;
+    * ``delta_sizes`` — rows inserted, plus older rows rewritten, per
+      round; the run stops after the first ``0``;
     * ``merges`` — egd equalities applied (null↦value substitutions);
     * ``index_hits`` / ``index_extends`` / ``index_rebuilds`` — index
       fetches (once per plan step and call): a *hit* reused an index
@@ -350,7 +358,7 @@ def satisfies(instance: Instance, dependencies: Sequence[Dependency]) -> bool:
             if plan.kind == "egd":
                 engine._collect_egd(index, plan, None, _UnionFind())
             else:
-                engine._fire_tgd(index, plan, None, {})
+                engine._fire_tgd(index, plan, None)
     except (ChaseFailure, ChaseNonTermination):
         return False
     return True
@@ -578,24 +586,25 @@ class _KeyGroup:
 
 class CompiledDependency:
     """A dependency compiled once for the chase: a tgd, an egd, or an
-    implication of a second-order tgd.  ``variables`` (body variables by
-    name) is the slot order of bindings and body keys, ``frontier`` (by
-    name) that of frontier keys.  A tgd's cells are its ``known`` values
+    implication of a second-order tgd.  ``relations`` lists its body
+    relations by name.  ``variables`` (body variables by name) is the
+    slot order of bindings and body keys, ``frontier`` (by name) that of
+    frontier keys.  A tgd's cells are its ``known`` values
     — the frontier's, then one null per distinct function term
     (``skolems``, memoized per chase run) — the head constants, and a
     fresh null per existential (``hints``); ``templates`` pick head rows
     from them.  ``probes`` check its head atoms — ``(relation, attrs,
-    pick)`` projection probes, fed by the rows of the head atoms
-    ``feeds`` names, or :class:`_Step` lookups for existential atoms —
-    unless an existential spans atoms (None): then ``head_plan``, the
-    head atoms compiled as a body, is searched with the known values
-    preset.  An implication's ``conditions`` filter its triggers."""
+    pick)`` projection probes, or :class:`_Step` lookups for existential
+    atoms, each fed by the rows of the head atoms ``feeds`` names (none
+    when the head is one atom) — unless an existential spans atoms
+    (None): then ``head_plan``, the head atoms compiled as a body, is
+    searched with the known values preset.  An implication's ``conditions`` filter its triggers."""
 
     def __init__(self, dependency: Dependency):
         self.dependency, self._variants = dependency, {}
         self.label = dependency.name or str(dependency)[:60]
         body = dependency.body
-        self.relations = frozenset(atom.relation for atom in body)
+        self.relations = tuple(sorted({atom.relation for atom in body}))
         self.variables = tuple(sorted(set().union(
             *(atom.variables() for atom in body)), key=lambda v: v.name))
         slots = {var: i for i, var in enumerate(self.variables)}
@@ -661,10 +670,15 @@ class CompiledDependency:
             for atom, (_, attrs, _), at, open_atom
             in zip(head, self.templates, atoms, existential)
         )
+        if len(head) == 1:
+            return  # a lone atom's rows match only their own frontier key
         self.feeds = tuple(
             tuple(k for k, probe in enumerate(self.probes)
-                  if isinstance(probe, tuple) and probe[0] == relation
-                  and set(probe[1]) <= set(attrs))
+                  if (probe[0] == relation and set(probe[1]) <= set(attrs)
+                      if isinstance(probe, tuple)
+                      else probe.relation == relation
+                      and probe.probe is not None
+                      and probe.required <= set(attrs)))
             for relation, attrs, _ in self.templates
         )
 
@@ -753,41 +767,54 @@ def distinct(plan: CompiledDependency, instance: Instance,
 
 
 def head_members(plan: CompiledDependency, instance: Instance) -> list:
-    """The projection members each of ``plan``'s head probes checks
-    (an empty dict for a lookup probe)."""
+    """The projection members each of ``plan``'s head probes checks;
+    None for a lookup probe, whose postings :func:`head_holds` fetches
+    at its first lookup."""
     members = []
     for probe in plan.probes or ():
-        entry = (instance.projection_entry(probe[0], probe[1])
-                 if isinstance(probe, tuple) else None)
-        members.append({} if entry is None else entry.members)
+        if isinstance(probe, tuple):
+            entry = instance.projection_entry(probe[0], probe[1])
+            members.append({} if entry is None else entry.members)
+        else:
+            members.append(None)
     return members
 
 
 def head_holds(plan: CompiledDependency, instance: Instance, key: tuple,
                values: tuple, members: list, overlays) -> bool:
     """Is the head satisfied for the known ``values`` (``key`` their
-    hashable form)?  Atom by atom: projection probes against
-    ``members`` plus ``overlays`` (rows fired since they were fetched),
-    existential atoms by live index lookups; when an existential spans
-    atoms, the first binding of the head plan under the known values."""
+    hashable form)?  Atom by atom, against ``members`` plus ``overlays``
+    (rows fired since they were fetched): a projection probe checks a
+    member set (its overlay: a set), an existential atom's lookup the
+    postings of its probe attribute, fetched into ``members`` on first
+    use (its overlay: rows by probe value; ``()`` for none), and a scan
+    the live relation.  When an existential spans atoms, the first
+    binding of the head plan under the known values."""
     if plan.probes is None:
         preset = dict(zip(plan.known, values))
         return next(iter(bindings(plan.head_plan, instance, partial=preset)),
                     None) is not None
-    for probe, found, fresh in zip(plan.probes, members, overlays):
+    for k, probe in enumerate(plan.probes):
+        fresh = overlays[k]
         if isinstance(probe, tuple):
             get = probe[2]
             value = key if get is None else get(key + plan.hconsts)
-            if value not in found and value not in fresh:
+            if value not in members[k] and value not in fresh:
                 return False
             continue
-        rows = instance.relations.get(probe.relation, ())
-        if probe.probe is not None:
+        if probe.probe is None:
+            rows = instance.relations.get(probe.relation, ())
+        else:
+            postings = members[k]
+            if postings is None:
+                postings = members[k] = instance.postings(probe.relation,
+                                                          probe.probe)
             kind, source = probe.source
-            rows = instance.index_lookup(
-                probe.relation, probe.probe,
-                source if kind == _CONST else values[source],
-            )
+            value = hashable_key(source if kind == _CONST
+                                 else values[source])
+            rows = postings.get(value, ())
+            if fresh and value in fresh:
+                rows = [*rows, *fresh[value]]
         if next(_extend(probe, (values,), rows, None), None) is None:
             return False
     return True
@@ -836,6 +863,7 @@ class _SemiNaiveChase:
         self.recorder, self.initial_delta = recorder, initial_delta
         self.plans = [compile_dependency(d) for d in dependencies]
         self.steps, self.fired, self.stats = 0, {}, ChaseStats()
+        self.appended = 0  # rows the run's firings appended
         self.names = _unique_names(dependencies,
                                    [plan.label for plan in self.plans])
         self.has_egds = any(plan.kind == "egd" for plan in self.plans)
@@ -846,34 +874,59 @@ class _SemiNaiveChase:
         self.satisfied: list[set] = [set() for _ in self.plans]
         # (function, argument keys) → its null, for the whole run.
         self.skolems: dict[tuple, LabeledNull] = {}
-        # null → {id(row): (relation, row)} occurrence index, maintained
-        # only when egds can merge nulls.
+        # null → {id(row): (relation, position, row)} occurrence index,
+        # maintained only when egds can merge nulls.  Relations are
+        # append-only inside a run, so a row's position is stable.
         self.null_occurrences: dict[LabeledNull, dict] = {}
         if self.has_egds:
             for relation, rows in instance.relations.items():
-                for row in rows:
-                    self._record_nulls(relation, row)
+                for position, row in enumerate(rows):
+                    self._record_nulls(relation, row, position)
+        # Each plan's mark: the lengths of its body relations
+        # (``relations``) when it last started; the chase's start with an initial delta,
+        # else taken as round 0 starts the plan on a full enumeration.
+        # The rows past a mark are unread by that plan; so are those the
+        # last merge pass rewrote (``rewritten``: relation →
+        # [(position, row)]).
+        self.marks: list[Optional[tuple]] = [None] * len(self.plans)
+        if initial_delta is not None:
+            start = {name: len(rows)
+                     for name, rows in instance.relations.items()}
+            self.marks = [tuple([start.get(name, 0)
+                                 for name in plan.relations])
+                          for plan in self.plans]
+        self.rewritten: dict[str, list[tuple[int, Row]]] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> ChaseResult:
         start = time.perf_counter()
         instance, stats = self.instance, self.stats
+        relations = instance.relations
         hits0 = dict(instance.index_stats)
-        # None ⇒ full round-0 enumeration; a caller-supplied initial
-        # delta restricts round 0 to triggers touching its rows.
-        delta: Optional[dict[str, list[Row]]] = self.initial_delta
+        # Round 0 enumerates every trigger, unless the caller's initial
+        # delta restricts it to the triggers touching those rows.
+        full = self.initial_delta is None
+        pending = self.initial_delta or {}
         while True:
             stats.rounds += 1
-            inserted: dict[str, list[Row]] = {}
+            appended = self.appended
+            lengths = ({name: len(rows) for name, rows in relations.items()}
+                       if self.has_egds else None)
             union_find = _UnionFind() if self.has_egds else None
             merged_any = False
             for index, plan in enumerate(self.plans):
-                if delta is not None and not (plan.relations & delta.keys()):
-                    continue
+                if full:
+                    delta = None
+                    self.marks[index] = tuple([len(relations.get(name, ()))
+                                               for name in plan.relations])
+                else:
+                    delta = self._unread(index, plan, pending)
+                    if delta is None:
+                        continue
                 name = self.names[index]
                 dep_start = time.perf_counter()
                 if plan.kind != "egd":
-                    examined = self._fire_tgd(index, plan, delta, inserted)
+                    examined = self._fire_tgd(index, plan, delta)
                 else:
                     examined, merged = self._collect_egd(index, plan, delta,
                                                          union_find)
@@ -885,23 +938,22 @@ class _SemiNaiveChase:
                 stats.triggers_examined[name] = examined
                 wall = time.perf_counter() - dep_start
                 stats.dep_wall[name] = stats.dep_wall.get(name, 0.0) + wall
-            modified = self._apply_merges(union_find) if merged_any else []
-            next_delta: dict[str, list[Row]] = dict(inserted)
-            inserted_ids = {id(row) for rows in inserted.values()
-                            for row in rows}
-            for relation, row in modified:
-                if id(row) not in inserted_ids:
-                    next_delta.setdefault(relation, []).append(row)
-            delta_size = sum(len(rows) for rows in next_delta.values())
+            self.rewritten = (self._apply_merges(union_find) if merged_any
+                              else {})
+            # Rows this round inserted, plus older rows it rewrote.
+            delta_size = self.appended - appended
+            for name, rewritten in self.rewritten.items():
+                seen = lengths.get(name, 0)
+                delta_size += sum(1 for at, _ in rewritten if at < seen)
             stats.delta_sizes.append(delta_size)
             if _OBS.enabled:
                 from repro.observability.journal import journal
 
                 journal("chase.round", round=stats.rounds,
                         delta_rows=delta_size)
-            if not next_delta:
+            if not delta_size:
                 break
-            delta = next_delta
+            full, pending = False, {}
         stats.wall_time = time.perf_counter() - start
         stats.dep_fired = dict(self.fired)
         for kind in ("hits", "extends", "rebuilds"):
@@ -911,12 +963,42 @@ class _SemiNaiveChase:
                            fired=self.fired, null_factory=self.factory,
                            stats=stats)
 
+    def _unread(self, index: int, plan: CompiledDependency,
+                pending: dict[str, list[Row]]) -> Optional[dict]:
+        """The rows plan ``index`` has not read, by body relation, after
+        which its mark moves; None, with the mark kept, when there are
+        none.  They are the ``pending`` rows (round 0's initial delta,
+        which need not sit at a relation's tail), the rows appended
+        since the mark, and the rows the last merge pass rewrote before
+        the mark (a rewritten row past it is among the appended ones)."""
+        relations, rewritten = self.instance.relations, self.rewritten
+        reads, mark = plan.relations, self.marks[index]
+        for name, seen in zip(reads, mark):
+            if (len(relations.get(name, ())) > seen or name in rewritten
+                    or pending.get(name)):
+                break
+        else:
+            return None
+        delta, now = {}, []
+        for name, seen in zip(reads, mark):
+            rows = relations.get(name, ())
+            now.append(len(rows))
+            rows = rows[seen:]
+            if name in pending:
+                rows = [*pending[name], *rows] if rows else pending[name]
+            if name in rewritten:
+                rows = [*rows, *(row for at, row in rewritten[name]
+                                 if at < seen)]
+            if rows:
+                delta[name] = rows
+        self.marks[index] = tuple(now)
+        return delta
+
     # ------------------------------------------------------------------
     # tgds
     # ------------------------------------------------------------------
     def _fire_tgd(self, index: int, plan: CompiledDependency,
-                  delta: Optional[dict[str, list[Row]]],
-                  inserted: dict[str, list[Row]]) -> int:
+                  delta: Optional[dict[str, list[Row]]]) -> int:
         """Enumerate, check and fire one tgd's triggers (materialized
         first if the head writes a body relation); returns the count."""
         found = triggers(plan, self.instance, delta)
@@ -926,16 +1008,19 @@ class _SemiNaiveChase:
         if plan.self_feeding:
             found = list(found)
         relations = self.instance.relations
-        # Projection members are fetched once, plus overlays of the rows
-        # fired here.  A lone full head atom (probed inline) needs none:
-        # its projection determines the frontier key, which the memo has.
+        # Head indexes are fetched once (a lookup probe's postings at
+        # its first lookup), plus overlays of the rows fired here.  A
+        # lone head atom needs none: its rows match only their own
+        # frontier key, which the memo has.  A lone full atom is probed
+        # inline.
         probes = plan.probes or ()
         members = head_members(plan, self.instance)
-        overlays = [set() for _ in probes]
+        overlays = [set() if isinstance(probe, tuple) else {}
+                    for probe in probes]
         single = len(probes) == 1 and isinstance(probes[0], tuple)
         if single:
             get, members0 = probes[0][2], members[0]
-        feeds = ((),) if single else plan.feeds
+        feeds = plan.feeds
         hints, memo = plan.hints, self.satisfied[index]
         templates, consts, hconsts = plan.templates, plan.consts, plan.hconsts
         recorder, has_egds, hk = self.recorder, self.has_egds, hashable_key
@@ -962,15 +1047,19 @@ class _SemiNaiveChase:
             head_rows = []
             for n, (relation, attrs, pick) in enumerate(templates):
                 row = dict(zip(attrs, cells if pick is None else pick(cells)))
-                if outputs[n] is None:
-                    outputs[n] = (relations.setdefault(relation, []),
-                                  inserted.setdefault(relation, []))
-                outputs[n][0].append(row)
-                outputs[n][1].append(row)
+                out = outputs[n]
+                if out is None:
+                    out = outputs[n] = relations.setdefault(relation, [])
+                out.append(row)
                 for k in feeds[n]:
-                    overlays[k].add(tuple(map(hk, map(row.get, probes[k][1]))))
+                    probe = probes[k]
+                    if isinstance(probe, tuple):
+                        overlays[k].add(tuple(map(hk, map(row.get, probe[1]))))
+                    else:
+                        overlays[k].setdefault(hk(row[probe.probe]),
+                                               []).append(row)
                 if has_egds:
-                    self._record_nulls(relation, row)
+                    self._record_nulls(relation, row, len(out) - 1)
                 if recorder is not None:
                     head_rows.append((relation, row))
             if recorder is not None:
@@ -982,6 +1071,7 @@ class _SemiNaiveChase:
         if fired:
             name = self.names[index]
             self.fired[name] = self.fired.get(name, 0) + fired
+            self.appended += fired * len(templates)
         return examined
 
     def _value(self, slots: dict) -> Callable:
@@ -1099,19 +1189,21 @@ class _SemiNaiveChase:
 
     def _apply_merges(
         self, union_find: _UnionFind
-    ) -> list[tuple[str, Row]]:
+    ) -> dict[str, list[tuple[int, Row]]]:
         """One substitution pass over exactly the rows that mention a
-        merged null, via the occurrence index."""
+        merged null, via the occurrence index; returns the rewritten
+        rows as relation → [(position, row)]."""
         mapping = union_find.substitution()
         if not mapping:
-            return []
-        touched: dict[int, tuple[str, Row]] = {}
+            return {}
+        touched: dict[int, tuple[str, int, Row]] = {}
         positions: list[tuple[str, Row, str, LabeledNull, object]] = []
         for null, replacement in mapping.items():
             occurrences = self.null_occurrences.pop(null, None)
             if not occurrences:
                 continue
-            for row_id, (relation, row) in occurrences.items():
+            for row_id, entry in occurrences.items():
+                relation, _, row = entry
                 for attr, value in row.items():
                     if isinstance(value, LabeledNull) and value == null:
                         row[attr] = replacement
@@ -1119,25 +1211,27 @@ class _SemiNaiveChase:
                             positions.append(
                                 (relation, row, attr, null, replacement)
                             )
-                touched[row_id] = (relation, row)
+                touched[row_id] = entry
                 if isinstance(replacement, LabeledNull):
                     self.null_occurrences.setdefault(replacement, {})[
                         row_id
-                    ] = (relation, row)
+                    ] = entry
         if self.recorder is not None and positions:
             self.recorder.on_substitution(positions)
         # Rows were rewritten in place: the instance's persistent
         # indexes and the satisfied-frontier memos are both stale.
         self.instance.mark_dirty()
         self.satisfied = [set() for _ in self.plans]
-        return list(touched.values())
+        rewritten: dict[str, list[tuple[int, Row]]] = {}
+        for relation, position, row in touched.values():
+            rewritten.setdefault(relation, []).append((position, row))
+        return rewritten
 
-    def _record_nulls(self, relation: str, row: Row) -> None:
+    def _record_nulls(self, relation: str, row: Row, position: int) -> None:
         for value in row.values():
             if isinstance(value, LabeledNull):
                 self.null_occurrences.setdefault(value, {})[id(row)] = (
-                    relation,
-                    row,
+                    relation, position, row,
                 )
 
 

@@ -13,7 +13,9 @@ the structures its claims are about, with knobs the benchmarks sweep:
   Fagin-style alternatives construction) for the composition blow-up
   experiment (E2);
 * :func:`exchange_tgds` — st-tgd sets with tunable existential density
-  for the chase experiments (E3).
+  for the chase experiments (E3);
+* :func:`keyed_exchange` — a source and dependency set with a join, an
+  existential, a target tgd and a key egd (E3c).
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.logic.dependencies import TGD
+from repro.instances.database import Instance
+from repro.logic.dependencies import TGD, Dependency
 from repro.logic.formulas import Atom
+from repro.logic.parser import parse_egd, parse_tgd
 from repro.logic.terms import Var
 from repro.mappings.mapping import Mapping
 from repro.metamodel import INT, STRING, FLOAT, DATE, SchemaBuilder, Schema
@@ -355,3 +359,39 @@ def exchange_tgds(
                 name=f"R{r}→T{r}")
         )
     return source, target_builder.build(), tgds
+
+
+def keyed_exchange(rows: int,
+                   seed: int = 5) -> tuple[Instance, list[Dependency]]:
+    """The shapes of an exchange under target keys over ``rows`` source
+    rows: a join tgd, an existential tgd and a target tgd over orders
+    and customers, and a key egd over staff that is partly placed in an
+    office (a tgd per split) and partly unplaced (an existential)."""
+    rng = random.Random(seed)
+    customers = rows // 7
+    staff = (rows - 5 * customers) * 2 // 3
+    placed = rows - 5 * customers - staff
+    db = Instance()
+    cids = rng.sample(range(10 ** 6), customers)
+    for cid in cids:
+        db.add("Cust", cid=cid, name=f"c{rng.randrange(97)}")
+    for oid in rng.sample(range(10 ** 6), 4 * customers):
+        db.add("Ord", oid=oid, cust=rng.choice(cids),
+               amount=rng.randrange(1000))
+    eids = rng.sample(range(10 ** 6), staff)
+    for eid in eids:
+        db.add("A", eid=eid)
+    for eid in rng.sample(eids, placed):
+        db.add("B", eid=eid, office=f"off{rng.randrange(5)}")
+    dependencies = [
+        parse_tgd("Ord(oid=o, cust=c, amount=a) & Cust(cid=c, name=n) "
+                  "-> Sale(oid=o, name=n)"),
+        parse_tgd("Cust(cid=c, name=n) -> Client(cid=c, name=n, tier=t)"),
+        parse_tgd("Sale(oid=o, name=n) -> Audit(oid=o)"),
+        parse_tgd("A(eid=e) -> Assign(eid=e, office=o)"),
+        parse_tgd("B(eid=e, office=f) -> Assign(eid=e, office=f)"),
+        parse_tgd("Assign(eid=e, office=f) -> Room(office=f)"),
+        parse_egd("Assign(eid=e, office=f) & Assign(eid=e, office=g) "
+                  "-> f = g", name="Assign.key"),
+    ]
+    return db, dependencies

@@ -13,6 +13,7 @@ Two differential properties:
 """
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.logic.chase import (
     compile_dependency,
 )
 from repro.logic.homomorphism import set_equal_modulo_nulls
+from repro.workloads.synthetic import keyed_exchange
 
 from tests.test_chase_plans import assert_plans_match_search
 
@@ -145,6 +147,38 @@ class TestDifferential:
             chase(db, deps, max_steps=999)
 
 
+def _random_workload(rng, rows, stages):
+    """A copy chain S0 → S1 → … over ``rows`` source rows with uniform
+    or skewed keys; each stage is a full copy or, with probability 0.3,
+    an existential copy plus a key egd on its output, and the
+    dependencies come shuffled."""
+    keyspace = rng.choice([5, 17, rows])
+    skewed = rng.random() < 0.5
+    db = Instance()
+    for i in range(rows):
+        if skewed:
+            # ~half the rows pile onto key 0.
+            k = 0 if rng.random() < 0.5 else rng.randrange(keyspace)
+        else:
+            k = rng.randrange(keyspace)
+        db.insert("S0", {"a": k, "b": i})
+    deps = []
+    for s in range(stages):
+        if rng.random() < 0.3:
+            deps.append(parse_tgd(
+                f"S{s}(a=x, b=y) -> S{s + 1}(a=x, c=z)"
+            ))
+            deps.append(parse_egd(
+                f"S{s + 1}(a=x, c=z1) & S{s + 1}(a=x, c=z2) -> z1 = z2"
+            ))
+        else:
+            deps.append(parse_tgd(
+                f"S{s}(a=x, b=y) -> S{s + 1}(a=x, b=y)"
+            ))
+    rng.shuffle(deps)
+    return db, deps
+
+
 class TestRandomizedDifferential:
     """Randomized workloads: uniform and skewed key distributions,
     random chain shapes, optional existentials and egds."""
@@ -154,33 +188,21 @@ class TestRandomizedDifferential:
     def test_random_workload(self, seed):
         rng = random.Random(seed)
         stages = rng.randint(2, 4)
-        rows = rng.randint(200, 800)
-        keyspace = rng.choice([5, 17, rows])
-        skewed = rng.random() < 0.5
-        db = Instance()
-        for i in range(rows):
-            if skewed:
-                # ~half the rows pile onto key 0.
-                k = 0 if rng.random() < 0.5 else rng.randrange(keyspace)
-            else:
-                k = rng.randrange(keyspace)
-            db.insert("S0", {"a": k, "b": i})
-        deps = []
-        for s in range(stages):
-            if rng.random() < 0.3:
-                deps.append(parse_tgd(
-                    f"S{s}(a=x, b=y) -> S{s + 1}(a=x, c=z)"
-                ))
-                deps.append(parse_egd(
-                    f"S{s + 1}(a=x, c=z1) & S{s + 1}(a=x, c=z2) -> z1 = z2"
-                ))
-            else:
-                deps.append(parse_tgd(
-                    f"S{s}(a=x, b=y) -> S{s + 1}(a=x, b=y)"
-                ))
-        rng.shuffle(deps)
+        db, deps = _random_workload(rng, rng.randint(200, 800), stages)
         _assert_matches_naive(db, deps)
         _assert_plans_match(db, deps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_ordering(self, seed):
+        # Each plan reads the rows past its own mark, so the order the
+        # dependencies are listed in decides which rows a plan meets in
+        # which round; every order must reach the naive result.
+        rng = random.Random(seed)
+        db, deps = _random_workload(rng, rng.randint(12, 30), 3)
+        while len(deps) > 4:  # at most 24 orderings
+            deps.pop()
+        for order in itertools.permutations(deps):
+            _assert_matches_naive(db, list(order))
 
 
 # ----------------------------------------------------------------------
@@ -341,3 +363,56 @@ class TestFullTGDLane:
             engine.run()
         assert engine.steps == 100
         assert len(working.rows("R1")) == 100
+
+
+# ----------------------------------------------------------------------
+# each row read once per plan
+# ----------------------------------------------------------------------
+class TestReadOncePerPlan:
+    def test_keyed_target_tgd_examines_what_it_fires(self):
+        # Sale → Audit runs after the join that fills Sale, in the same
+        # round: it reads each Sale row once, and each fires.
+        db, deps = keyed_exchange(250)
+        result = _assert_matches_naive(db, deps)
+        name = "Sale(oid=o, name=n) -> Audit(oid=o)"
+        assert result.stats.triggers_examined[name] == result.fired[name]
+        assert result.fired[name] == 140
+
+    def test_merge_rewrites_a_row_already_read(self):
+        # The join, listed before the egd, reads B(1, 7, ⊥) in round 0,
+        # when it meets no P row.  The merge rewrites it to
+        # B(1, 7, 'c') at the round's end; the join reads it again in
+        # round 1, and only then does Hit(7) fire.
+        db = Instance()
+        db.insert("A", {"k": 1, "t": 7})
+        db.insert("C", {"k": 1, "u": "c"})
+        db.insert("P", {"u": "c"})
+        join = parse_tgd("B(k=x, t=t, u=y) & P(u=y) -> Hit(t=t)")
+        deps = [
+            parse_tgd("A(k=x, t=t) -> B(k=x, t=t, u=y)"),
+            parse_tgd("C(k=x, u=v) -> B(k=x, t=0, u=v)"),
+            join,
+            parse_egd("B(k=x, t=a, u=y1) & B(k=x, t=b, u=y2) -> y1 = y2"),
+        ]
+        result = _assert_matches_naive(db, deps)
+        assert result.stats.merges == 1
+        assert sorted(row["t"] for row in result.instance.rows("Hit")) == [
+            0, 7]
+        # One trigger in each round: B(1, 0, 'c') ⋈ P('c'), then the
+        # rewritten row's.
+        assert result.stats.triggers_examined[str(join)[:60]] == 2
+        assert result.stats.rounds == 3
+
+    def test_existential_witness_fired_in_the_same_call(self):
+        # (1, 2)'s head holds only on rows this call fired: S(1, ⊥)
+        # from (1, 1) and T(2) from (2, 2).  The S postings are fetched
+        # at the first lookup, before either firing, so only the
+        # overlay of fired rows finds S(1, ⊥).
+        db = Instance()
+        db.insert_all("R", [{"a": 1, "b": 1}, {"a": 2, "b": 2},
+                            {"a": 1, "b": 2}])
+        db.insert("S", {"a": 9, "c": 9})
+        deps = [parse_tgd("R(a=x, b=y) -> S(a=x, c=z) & T(b=y)")]
+        result = _assert_matches_naive(db, deps)
+        assert result.steps == 2
+        _assert_plans_match(db, deps)

@@ -196,6 +196,69 @@ def test_chase_stats_counts_egd_merges():
 
 
 # ----------------------------------------------------------------------
+# each row read once per plan
+# ----------------------------------------------------------------------
+class TestReadOncePerPlan:
+    def test_forward_chain(self):
+        # Listed in forward order, each stage reads the rows the one
+        # before it wrote in the same round, and never again.
+        db = Instance()
+        for i in range(40):
+            db.add("R0", a=i)
+        tgds = [parse_tgd(f"R{k}(a=x) -> R{k + 1}(a=x)") for k in range(3)]
+        result = chase(db, tgds)
+        assert result.stats.triggers_examined == {
+            str(tgd): 40 for tgd in tgds
+        }
+        assert result.stats.rounds == 2
+        assert result.stats.delta_sizes == [120, 0]
+
+    def test_initial_delta_row_rewritten_in_place(self):
+        # A chase-consistent instance whose first R row is then
+        # rewritten in place, as maintenance restores a row: the initial
+        # delta names a row at the head of R, not at its tail, and every
+        # plan reading R pins it.
+        db = Instance()
+        for i in range(3):
+            db.add("R", a=i)
+        tgds = [parse_tgd("R(a=x) -> S(a=x)"), parse_tgd("R(a=x) -> T(a=x)")]
+        working = chase(db, tgds).instance
+        row = working.relations["R"][0]
+        row["a"] = 99
+        working.mark_dirty()
+        result = chase(working, tgds, copy=False, initial_delta={"R": [row]})
+        assert result.stats.triggers_examined == {str(t): 1 for t in tgds}
+        assert result.steps == 2
+        assert {r["a"] for r in result.instance.rows("S")} == {0, 1, 2, 99}
+        assert {r["a"] for r in result.instance.rows("T")} == {0, 1, 2, 99}
+
+    def test_first_run_after_round_zero_reads_rewritten_rows(self):
+        # The join reads nothing in the initial delta, so its first run
+        # comes in round 1, after round 0's merge rewrote U(⊥) — a row
+        # that was there before the chase — into U('c').  It must read
+        # that row, which then meets C('c').
+        null = LabeledNull(0)
+        db = Instance()
+        db.insert("S", {"k": 1, "v": null})
+        db.insert("T", {"k": 1, "v": null})
+        db.insert("U", {"v": null})
+        db.insert("C", {"v": "c"})
+        deps = [
+            parse_tgd("S(k=x, v=y) -> T(k=x, v=y)"),
+            parse_egd("T(k=x, v=a) & T(k=x, v=b) -> a = b"),
+            parse_tgd("U(v=y) & C(v=y) -> Hit(v=y)"),
+        ]
+        fresh = {"k": 1, "v": "c"}
+        db.insert("S", fresh)
+        naive = naive_chase(db, deps)
+        seed = {"S": [db.relations["S"][-1]]}
+        result = chase(db, deps, copy=False, initial_delta=seed)
+        assert are_hom_equivalent(result.instance, naive.instance)
+        assert result.instance.rows("Hit") == [{"v": "c"}]
+        assert result.steps == naive.steps == 3
+
+
+# ----------------------------------------------------------------------
 # weak acyclicity edge cases
 # ----------------------------------------------------------------------
 class TestWeaklyAcyclicEdgeCases:

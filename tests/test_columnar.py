@@ -252,6 +252,60 @@ def test_unique_and_hashable_facts():
     assert source.take([1, 2])._hashable is source.gather([1])._hashable is source
 
 
+def _random_column(rng):
+    """A column of 0-12 cells: plain ints and strings half the time,
+    else any cell (``None``, labeled nulls, …) or, rarely, a list; a
+    third of the columns miss some rows (absent cells hold ``None``)."""
+    plain = rng.random() < 0.5
+    values = []
+    for _ in range(rng.randint(0, 12)):
+        if plain:
+            values.append(rng.choice([rng.randint(0, 9), "ab"[rng.randint(0, 1)]]))
+        else:
+            values.append([1] if rng.random() < 0.05 else _random_cell(rng))
+    present = None
+    if values and rng.random() < 0.33:
+        present = bytearray(rng.random() < 0.7 for _ in values)
+        values = [v if p else None for v, p in zip(values, present)]
+    return Column(values, present)
+
+
+def _facts(col):
+    return col.unique(), col.clean(), col.hashable()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_carried_facts_equal_recomputed_facts(seed):
+    # take, compress and gather of a full column carry a known-true
+    # clean() and (distinct positions only) unique() without a scan,
+    # and compute nothing on the source; every fact of a copy equals
+    # the one a fresh column with the same cells computes.
+    rng = random.Random(seed)
+    source = _random_column(rng)
+    n = len(source.values)
+    for fact in ("unique", "clean", "hashable"):
+        if rng.random() < 0.5:
+            getattr(source, fact)()
+    known = (source._unique, source._clean)
+    ops = [("take", sorted(rng.sample(range(n), rng.randint(0, n)))),
+           ("compress", [rng.random() < 0.6 for _ in range(n)])]
+    if source.full:
+        ops.append(("gather", [rng.randrange(n) for _ in range(n)] if n
+                    else []))
+    for op, arg in ops:
+        out = getattr(source, op)(arg)
+        assert (source._unique, source._clean) == known
+        fresh = Column(list(out.values),
+                       None if out.present is None else bytearray(out.present))
+        assert _facts(out) == _facts(fresh), (op, source.values, arg)
+        assert (source._unique, source._clean) == known
+    clean = Column([1, 2, 3])
+    assert clean.clean()
+    for out in (clean.take([0, 2]), clean.compress([0, 1, 1]),
+                clean.gather([1, 1])):
+        assert out._clean is True
+
+
 def test_clear_rebuilds_empty():
     db = Instance()
     db.insert_all("R", [{"a": 1}])

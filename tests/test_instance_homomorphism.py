@@ -231,47 +231,15 @@ import hashlib
 import random
 
 from repro.instances import Instance, LabeledNull
-from repro.logic import chase, core_of, naive_chase, parse_egd, parse_tgd
+from repro.logic import chase, core_of, naive_chase, parse_tgd
 from repro.logic.homomorphism import (
     are_hom_equivalent, instance_homomorphism, set_equal_modulo_nulls,
 )
+from repro.workloads.synthetic import keyed_exchange as keyed
 
 
 def digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
-
-
-def keyed(rows, seed=5):
-    """Orders joined to customers, an existential tier, and staff whose
-    office is an existential that a key egd merges with a placement."""
-    rng = random.Random(seed)
-    customers = rows // 7
-    staff = (rows - 5 * customers) * 2 // 3
-    placed = rows - 5 * customers - staff
-    db = Instance()
-    cids = rng.sample(range(10 ** 6), customers)
-    for cid in cids:
-        db.add("Cust", cid=cid, name=f"c{rng.randrange(97)}")
-    for oid in rng.sample(range(10 ** 6), 4 * customers):
-        db.add("Ord", oid=oid, cust=rng.choice(cids),
-               amount=rng.randrange(1000))
-    eids = rng.sample(range(10 ** 6), staff)
-    for eid in eids:
-        db.add("A", eid=eid)
-    for eid in rng.sample(eids, placed):
-        db.add("B", eid=eid, office=f"off{rng.randrange(5)}")
-    dependencies = [
-        parse_tgd("Ord(oid=o, cust=c, amount=a) & Cust(cid=c, name=n) "
-                  "-> Sale(oid=o, name=n)"),
-        parse_tgd("Cust(cid=c, name=n) -> Client(cid=c, name=n, tier=t)"),
-        parse_tgd("Sale(oid=o, name=n) -> Audit(oid=o)"),
-        parse_tgd("A(eid=e) -> Assign(eid=e, office=o)"),
-        parse_tgd("B(eid=e, office=f) -> Assign(eid=e, office=f)"),
-        parse_tgd("Assign(eid=e, office=f) -> Room(office=f)"),
-        parse_egd("Assign(eid=e, office=f) & Assign(eid=e, office=g) "
-                  "-> f = g", name="Assign.key"),
-    ]
-    return db, dependencies
 
 
 def against_naive(db, dependencies):
