@@ -18,19 +18,22 @@ output but never the irredundant one's.
 
 Run standalone (``python benchmarks/bench_chase_scaling.py``) to emit
 ``BENCH_chase.json`` through the harness (``benchmarks/harness.py``):
-wall and process CPU time of both engines, steps, rounds, triggers
-examined and speedup for four workloads at three instance sizes, so
-successive PRs leave a perf trajectory.  At the smallest size every
-workload's result must be hom-equivalent to ``naive_chase``'s and take
-the same steps, and at every size no one-atom-body dependency may
-examine more triggers than its body relation has rows (a count gate:
-each row is read once per dependency); the run exits non-zero
-otherwise.  ``--smoke`` runs only the smallest size and rewrites no
-JSON unless ``--out`` is given (``make chase-smoke``, which ``make
-test`` and the CI "Chase bench smoke" step run).
+wall and process CPU time of both engines (the semi-naive engine's is
+the median of three runs taken before the naive run), steps, rounds,
+triggers examined and speedup for four workloads at three instance
+sizes, so successive PRs leave a perf trajectory.  At the smallest
+size every workload's result must be hom-equivalent to
+``naive_chase``'s and take the same steps, and at every size no
+one-atom-body dependency may examine more triggers than its body
+relation has rows (a count gate: each row is read once per
+dependency); the run exits non-zero otherwise.  ``--smoke`` runs only
+the smallest size and rewrites no JSON unless ``--out`` is given
+(``make chase-smoke``, which ``make test`` and the CI "Chase bench
+smoke" step run).
 """
 
 import gc
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -227,18 +230,30 @@ def _timed(engine, db, dependencies):
     return (result, time.perf_counter() - wall, time.process_time() - cpu)
 
 
+def _median_timed(engine, db, dependencies, runs: int = 3):
+    """The last of ``runs`` runs' results, with the median wall and the
+    median CPU time of the runs."""
+    timings = [_timed(engine, db, dependencies) for _ in range(runs)]
+    return (timings[-1][0], statistics.median(t[1] for t in timings),
+            statistics.median(t[2] for t in timings))
+
+
 def trajectory_report(benchmark):
     """Both engines on every workload and size, with the semi-naive
-    engine's trigger count.  The smallest size also checks the
-    semi-naive result against the naive one (hom-equivalent, equal
-    steps), and every size checks that no one-atom-body dependency
-    examined more triggers than it has rows to read (see
-    :func:`_overreads`); either failure fails the run."""
+    engine's trigger count.  The semi-naive engine is timed as the
+    median of three runs taken before the naive run of the same size,
+    so that one slow run after the previous size's naive run does not
+    set its row.  The smallest size also checks the semi-naive result
+    against the naive one (hom-equivalent, equal steps), and every size
+    checks that no one-atom-body dependency examined more triggers than
+    it has rows to read (see :func:`_overreads`); either failure fails
+    the run."""
     rows_table, mismatches = [], []
     for workload, build in _WORKLOADS.items():
         for index, rows in enumerate(_SIZES):
             db, dependencies = build(rows)
-            semi, semi_wall, semi_cpu = _timed(chase, db, dependencies)
+            semi, semi_wall, semi_cpu = _median_timed(chase, db,
+                                                      dependencies)
             naive, naive_wall, naive_cpu = _timed(naive_chase, db,
                                                   dependencies)
             checked = "—"
@@ -266,8 +281,9 @@ def trajectory_report(benchmark):
     db, dependencies = _chain_workload(_SIZES[0], stages=12)
     benchmark(chase, db, dependencies)
     print_table(
-        "E3c: semi-naive vs naive chase (wall and process CPU time; "
-        "smallest size checked against the naive result)",
+        "E3c: semi-naive (median of 3 runs) vs naive chase (one run), "
+        "wall and process CPU time; smallest size checked against the "
+        "naive result",
         ["workload", "source rows", "steps", "rounds", "examined",
          "semi-naive", "semi-naive cpu", "naive", "naive cpu", "speedup",
          "naive check"],

@@ -23,6 +23,12 @@ accidental O(n²), a dropped fast path), not 10% jitter:
 * **info** (signed ``...%`` cells without a declared bound) — never
   regress; drift is reported as ``changed``.
 
+A metric's key is its row's label and its column header.  The label
+is the shortest leading run of the row's label cells that tells the
+table's rows apart in both payloads (for E3c, workload and source
+rows), so counts that follow it (steps, rounds, triggers examined) may
+move without unkeying the row's times.
+
 Keys present on only one side (a new size, a renamed workload) are
 reported as ``new`` / ``missing`` and never fail the check — smoke
 runs diff cleanly against full baselines because only the key
@@ -157,27 +163,76 @@ def _cell_metric(cell: object) -> Optional[tuple[float, str]]:
     return None
 
 
-def extract_metrics(payload: dict) -> list[Metric]:
-    """Comparable metrics of a harness-v1 payload (none otherwise)."""
+def _split_row(
+    headers: Sequence[str], row: Sequence[object]
+) -> tuple[list[object], list[tuple[str, float, str]]]:
+    """The row's leading label cells (those before its first
+    measurement) and its measurements as (header, value, kind)."""
+    labels: list[object] = []
+    measured: list[tuple[str, float, str]] = []
+    for header, cell in zip(headers, row):
+        parsed = _cell_metric(cell)
+        if parsed is not None:
+            measured.append((header, *parsed))
+        elif not measured:
+            labels.append(cell)
+    return labels, measured
+
+
+def _key_width(labels: list[list[object]]) -> int:
+    """The shortest leading run of label cells that tells the rows
+    apart.  It reaches at least the last text cell of any row (text
+    names a row; a table of one row has nothing to tell apart), and at
+    least one cell."""
+    width = max(
+        [1] + [i + 1 for cells in labels
+               for i, cell in enumerate(cells) if isinstance(cell, str)]
+    )
+    longest = max(map(len, labels), default=0)
+    while (width < longest
+           and len({tuple(cells[:width]) for cells in labels}) < len(labels)):
+        width += 1
+    return width
+
+
+def _key_widths(*payloads: dict) -> dict[tuple, int]:
+    """Per table (known by its headers), the widest key any of the
+    payloads needs, so that a smoke run with one row per workload keys
+    its rows as the full run does."""
+    widths: dict[tuple, int] = {}
+    for payload in payloads:
+        for table in payload.get("tables", []):
+            headers = tuple(table.get("headers", []))
+            labels = [_split_row(headers, row)[0]
+                      for row in table.get("rows", [])]
+            widths[headers] = max(widths.get(headers, 1), _key_width(labels))
+    return widths
+
+
+def extract_metrics(
+    payload: dict, widths: Optional[dict[tuple, int]] = None
+) -> list[Metric]:
+    """Comparable metrics of a harness-v1 payload (none otherwise).
+
+    A row's key is its leading run of label cells, as wide as
+    ``widths`` (default :func:`_key_widths` of the payload alone) says,
+    so counts after that run (steps, rounds, triggers examined) may
+    move without unkeying the row's times."""
     if payload.get("format") != "harness-v1":
         return []
+    if widths is None:
+        widths = _key_widths(payload)
     bounds = {}
     for kind in ("floor", "ceiling"):
         for key, bound in payload.get(kind + "s", {}).items():
             bounds[key] = (kind, float(bound))
     metrics: list[Metric] = []
     for table in payload.get("tables", []):
-        headers = table.get("headers", [])
+        headers = tuple(table.get("headers", []))
+        width = widths[headers]
         for row in table.get("rows", []):
-            label_cells = []
-            measured: list[tuple[str, float, str]] = []
-            for header, cell in zip(headers, row):
-                parsed = _cell_metric(cell)
-                if parsed is None:
-                    label_cells.append(str(cell))
-                else:
-                    measured.append((header, parsed[0], parsed[1]))
-            label = "/".join(label_cells)
+            labels, measured = _split_row(headers, row)
+            label = "/".join(map(str, labels[:width]))
             for header, value, kind in measured:
                 key = f"{label}/{header}"
                 kind, bound = bounds.get(key, (kind, None))
@@ -234,8 +289,9 @@ def diff_payloads(
 ) -> DiffReport:
     """Compare two parsed BENCH payloads; only the key intersection is
     judged (see module docstring)."""
-    base_metrics = {m.key: m for m in extract_metrics(baseline)}
-    fresh_metrics = {m.key: m for m in extract_metrics(fresh)}
+    widths = _key_widths(baseline, fresh)
+    base_metrics = {m.key: m for m in extract_metrics(baseline, widths)}
+    fresh_metrics = {m.key: m for m in extract_metrics(fresh, widths)}
     report = DiffReport(name)
     for key in sorted(base_metrics.keys() | fresh_metrics.keys()):
         base = base_metrics.get(key)

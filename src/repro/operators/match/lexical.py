@@ -46,7 +46,6 @@ def _dice(a: set, b: set) -> float:
     return 2 * len(a & b) / (len(a) + len(b))
 
 
-@lru_cache(maxsize=65536)
 def _levenshtein(a: str, b: str) -> int:
     """Edit distance by the bit-parallel algorithm of Myers (JACM 1999),
     in Hyyrö's form for the distance between two whole strings: bit i
@@ -82,6 +81,7 @@ def _levenshtein(a: str, b: str) -> int:
     return distance
 
 
+@lru_cache(maxsize=65536)
 def _token_pair_score(token_a: str, token_b: str) -> float:
     """Exact, prefix, abbreviation or scaled edit-distance similarity of
     two tokens."""
@@ -96,28 +96,18 @@ def _token_pair_score(token_a: str, token_b: str) -> float:
     return max(0.0, 1.0 - distance / longest) * 0.7
 
 
-def _token_similarity(
-    a: tuple[str, ...],
-    b: tuple[str, ...],
-    pair_scores: dict[str, dict[str, float]],
-) -> float:
-    """Greedy best-pair token alignment with abbreviation awareness;
-    ``pair_scores[token_a][token_b]`` memoizes :func:`_token_pair_score`."""
+def _token_similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
+    """Greedy best-pair token alignment with abbreviation awareness."""
     if not a or not b:
         return 0.0
     total = 0.0
     used: set[int] = set()
     for token_a in a:
-        scores = pair_scores.get(token_a)
-        if scores is None:
-            scores = pair_scores[token_a] = {}
         best, best_index = 0.0, -1
         for index, token_b in enumerate(b):
             if index in used:
                 continue
-            score = scores.get(token_b)
-            if score is None:
-                score = scores[token_b] = _token_pair_score(token_a, token_b)
+            score = _token_pair_score(token_a, token_b)
             if score > best:
                 best, best_index = score, index
         if best_index >= 0 and best > 0.3:
@@ -154,61 +144,23 @@ def _is_abbreviation(short: str, long: str) -> bool:
     return False
 
 
-#: What every score of a name reads: the name, its lowercase form, its
-#: tokens and its trigram set.
-_Features = tuple[str, str, tuple[str, ...], set[str]]
+@lru_cache(maxsize=65536)
+def name_similarity(a: str, b: str) -> float:
+    """Overall lexical similarity of two element names in [0, 1].
 
-
-def _features(name: str) -> _Features:
-    lowered = name.lower()
-    return name, lowered, tokenize(name), _trigrams(lowered)
-
-
-def _feature_similarity(
-    a: _Features, b: _Features, pair_scores: dict[str, dict[str, float]]
-) -> float:
-    name_a, lower_a, tokens_a, trigrams_a = a
-    name_b, lower_b, tokens_b, trigrams_b = b
-    if name_a == name_b:
+    Memoized per process on the ordered pair, as
+    :func:`_token_pair_score` is on the token pair: Match over a
+    repository rescores the same names again and again."""
+    if a == b:
         return 1.0
+    lower_a, lower_b = a.lower(), b.lower()
     if lower_a == lower_b:
         return 0.98
-    tokens = _token_similarity(tokens_a, tokens_b, pair_scores)
-    trigram = _dice(trigrams_a, trigrams_b)
+    tokens = _token_similarity(tokenize(a), tokenize(b))
+    trigram = _dice(_trigrams(lower_a), _trigrams(lower_b))
     distance = _levenshtein(lower_a, lower_b)
-    edit = max(0.0, 1.0 - distance / max(len(name_a), len(name_b)))
+    edit = max(0.0, 1.0 - distance / max(len(a), len(b)))
     return max(tokens, 0.5 * trigram + 0.5 * edit)
-
-
-def name_similarity(a: str, b: str) -> float:
-    """Overall lexical similarity of two element names in [0, 1]."""
-    return _feature_similarity(_features(a), _features(b), {})
-
-
-class _NameScorer:
-    """:func:`name_similarity` for the many pairs of one matcher call:
-    each name's features are worked out once, and each distinct name
-    pair and token pair is scored once."""
-
-    def __init__(self) -> None:
-        self._features: dict[str, _Features] = {}
-        self._pairs: dict[tuple[str, str], float] = {}
-        self._token_pairs: dict[str, dict[str, float]] = {}
-
-    def features(self, name: str) -> _Features:
-        features = self._features.get(name)
-        if features is None:
-            features = self._features[name] = _features(name)
-        return features
-
-    def __call__(self, a: str, b: str) -> float:
-        key = (a, b)
-        score = self._pairs.get(key)
-        if score is None:
-            score = self._pairs[key] = _feature_similarity(
-                self.features(a), self.features(b), self._token_pairs
-            )
-        return score
 
 
 class LexicalMatcher(Matcher):
@@ -223,12 +175,11 @@ class LexicalMatcher(Matcher):
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
         matrix = SimilarityMatrix(source, target)
         floor = self.floor
-        score = _NameScorer()
         entity_scores: dict[str, dict[str, float]] = {}
         for s_entity in source.entities:
             owners = entity_scores[s_entity] = {}
             for t_entity in target.entities:
-                value = owners[t_entity] = score(s_entity, t_entity)
+                value = owners[t_entity] = name_similarity(s_entity, t_entity)
                 if value > floor:
                     matrix.set(s_entity, t_entity, value)
         targets = [
@@ -243,7 +194,7 @@ class LexicalMatcher(Matcher):
             names = name_rows.get(s_attr)
             if names is None:
                 names = name_rows[s_attr] = [
-                    score(s_attr, t_attr) for _, _, t_attr in targets
+                    name_similarity(s_attr, t_attr) for _, _, t_attr in targets
                 ]
             owners = entity_scores.get(s_entity, {})
             for (t_path, t_entity, _), name_score in zip(targets, names):

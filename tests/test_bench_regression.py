@@ -67,6 +67,30 @@ def overhead_payload(disabled="+0.40%", query="+3.00%",
     }
 
 
+_CHASE_HEADERS = ["workload", "source rows", "steps", "rounds", "examined",
+                  "semi-naive", "semi-naive cpu", "naive", "naive cpu",
+                  "speedup", "naive check"]
+
+
+def chase_payload(sizes=(250, 1000), per_row=12, examined_per_row=12):
+    """The shape BENCH_chase.json's E3c table takes: counts (steps,
+    rounds, examined) between the row's name and its times, and a
+    verdict after them."""
+    rows = [
+        [workload, size, per_row * size, 13, examined_per_row * size,
+         f"{size / 40:.2f} ms", f"{size / 40:.2f} ms",
+         f"{size / 4:.2f} ms", f"{size / 4:.2f} ms", "10.00x",
+         "ok" if size == sizes[0] else "—"]
+        for workload in ("chain(stages=12)", "keyed") for size in sizes
+    ]
+    return {
+        "benchmark": "chase",
+        "format": "harness-v1",
+        "tables": [{"headers": _CHASE_HEADERS, "rows": rows}],
+        "timings_seconds": {"trajectory_report": 9.5},
+    }
+
+
 class TestExtraction:
     def test_harness_cells_and_timings(self):
         metrics = {m.key: m for m in extract_metrics(harness_payload())}
@@ -100,6 +124,36 @@ class TestExtraction:
         for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
             payload = json.loads(path.read_text())
             assert extract_metrics(payload), f"{path.name} extracted nothing"
+
+
+class TestRowKeys:
+    def test_rows_key_on_the_run_that_tells_them_apart(self):
+        keys = {m.key for m in extract_metrics(chase_payload())}
+        assert "keyed/1000/semi-naive" in keys
+        assert "chain(stages=12)/250/speedup" in keys
+        assert len(keys) == 2 * 2 * 5 + 1
+
+    def test_moved_counts_still_compare_every_time(self):
+        baseline = chase_payload(per_row=12, examined_per_row=12)
+        fresh = chase_payload(per_row=9, examined_per_row=15)
+        report = diff_payloads("chase", baseline, fresh)
+        assert report.compared == 2 * 2 * 5 + 1
+        assert [f for f in report.findings
+                if f.status in ("new", "missing")] == []
+        assert report.regressions == []
+
+    def test_smoke_rows_key_as_the_full_run_does(self):
+        """With one size per workload the name alone tells the smoke
+        rows apart; the diff still keys them on name and size, so only
+        the full run's larger size is missing."""
+        full = chase_payload(sizes=(250, 1000))
+        smoke = chase_payload(sizes=(250,), per_row=9)
+        report = diff_payloads("chase", full, smoke)
+        assert report.compared == 2 * 5 + 1
+        assert not [f for f in report.findings if f.status == "new"]
+        missing = [f.key for f in report.findings if f.status == "missing"]
+        assert len(missing) == 2 * 5
+        assert all(key.split("/")[1] == "1000" for key in missing)
 
 
 class TestJudgment:

@@ -1,16 +1,16 @@
 """Exactness of the Match operator against a reference implementation.
 
-The matchers score each name, name pair and token pair once per call,
-number the pairwise connectivity graph's nodes, seed similarity flooding
-from the ensemble's own lexical matrix and keep the matrix in rows.  None
-of that may move a score.  The oracle below is the straightforward
-formulation: a lexical loop that scores every element pair from
-scratch, a dynamic-programming edit distance, a flooding fixpoint over
-tuple-keyed dicts seeded by that lexical loop, and a blend over the
-union of pair keys.  ``ensemble_similarity`` must equal it exactly
-(``==`` on the pair → score dict) on seeded schema pairs of every shape
-the matchers read: FK snowflakes, is-a hierarchies, schemas with
-associations and containments, and Figure 4.
+The lexical matcher scores each name pair and token pair once per
+process, the matchers number the pairwise connectivity graph's nodes,
+seed similarity flooding from the ensemble's own lexical matrix and keep
+the matrix in rows.  None of that may move a score.  The oracle below
+is the straightforward formulation: a lexical loop that scores every
+element pair from scratch, a dynamic-programming edit distance, a
+flooding fixpoint over tuple-keyed dicts seeded by that lexical loop,
+and a blend over the union of pair keys.  ``ensemble_similarity`` must
+equal it exactly (``==`` on the pair → score dict) on seeded schema
+pairs of every shape the matchers read: FK snowflakes, is-a
+hierarchies, schemas with associations and containments, and Figure 4.
 """
 
 from __future__ import annotations
@@ -34,7 +34,12 @@ from repro.operators.match import (
     tokenize,
 )
 from repro.operators.match.combiner import ensemble_similarity
-from repro.operators.match.lexical import _is_abbreviation, _levenshtein
+from repro.operators.match.lexical import (
+    _is_abbreviation,
+    _levenshtein,
+    _token_pair_score,
+    name_similarity,
+)
 from repro.operators.match.structural import _schema_graph
 from repro.workloads import paper, synthetic
 
@@ -454,9 +459,32 @@ def test_bit_parallel_levenshtein_equals_dynamic_programming():
             "".join(rng.choice(alphabet) for _ in range(rng.randrange(13)))
             for _ in range(2)
         ))
-    distance = _levenshtein.__wrapped__  # the algorithm, not the cache
+    distance = _levenshtein  # the bit-parallel algorithm, uncached
     for a, b in pairs:
         assert distance(a, b) == _dp_levenshtein(a, b), (a, b)
+
+
+def test_warm_memo_gives_the_cold_scores():
+    """``name_similarity`` and ``_token_pair_score`` are memoized per
+    process.  A pass over the pairs in reverse order, which finds every
+    name pair already scored, must give the matrices of a pass that
+    started from an empty memo."""
+    name_similarity.cache_clear()
+    _token_pair_score.cache_clear()
+    config = _CONFIGS["default"]
+    cold = [_as_dict(ensemble_similarity(source, target, config))
+            for _, source, target in _PAIRS]
+    misses = name_similarity.cache_info().misses
+    warm = [_as_dict(ensemble_similarity(source, target, config))
+            for _, source, target in reversed(_PAIRS)]
+    assert name_similarity.cache_info().misses == misses
+    for (label, _, _), expected, actual in zip(_PAIRS, cold, warm[::-1]):
+        assert actual == expected, f"{label}: a warm memo moved a score"
+
+
+def test_memos_share_one_bound():
+    for memo in (tokenize, name_similarity, _token_pair_score):
+        assert memo.cache_info().maxsize == 65_536
 
 
 #: A perfbench ``design`` pair whose best target for ``fact.fact_d0_ref``
