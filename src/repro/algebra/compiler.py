@@ -3,7 +3,7 @@
 The executor is :mod:`repro.algebra.vectorized` (the columnar plan
 pipeline behind ``evaluate``); the reference interpreter in
 :mod:`repro.algebra.evaluator` is its differential oracle and runs
-every stage the executor cannot run over columns.  This module keeps
+every plan the executor cannot run over columns.  This module keeps
 what those modules, the optimizer and the estimator share:
 
 * the value semantics both engines use: join keys
@@ -176,12 +176,10 @@ def _static_cols(expr: E.RelExpr) -> Optional[tuple[str, ...]]:
         return renamed if len(set(renamed)) == len(renamed) else None
     if isinstance(expr, E.UnionAll):
         # ∪ pads a side's missing columns only while the other side has
-        # rows, so only a column set both sides share is static.
+        # rows, and takes the right side's order when the left has none,
+        # so only a column tuple both sides share is static.
         l_cols = _static_cols(expr.left)
-        r_cols = _static_cols(expr.right)
-        if l_cols is None or r_cols is None or set(l_cols) != set(r_cols):
-            return None
-        return l_cols
+        return l_cols if l_cols == _static_cols(expr.right) else None
     if isinstance(expr, E.Values):
         rows = expr.rows
         if not rows:
@@ -253,7 +251,8 @@ class _Run:
     """Per-execution context a plan pipeline threads through its stages
     (duck-compatible with the interpreter's ``EvalContext``: exposes
     ``schema``, ``instance`` and the values bound to the plan's
-    ``Param`` slots, so scalars and row paths evaluate against it).  ``memo`` holds the
+    ``Param`` slots, so scalars, and the interpreter when it runs the
+    plan instead, evaluate against it).  ``memo`` holds the
     per-execution results of common subexpressions (see
     :func:`_shared_subtrees`); ``profile`` is the per-node
     ``[calls, rows, seconds]`` accumulator of a profiled execution, or
@@ -309,8 +308,9 @@ class PlanNode:
     """Static metadata for one plan node (EXPLAIN's unit).
 
     ``strategy`` is the name of the stage closure the lowering chose —
-    ``vec_hash_join``, ``vec_project``, ``vec_select_rows`` — so the
-    annotated plan tree shows *which* path each operator took.
+    ``vec_hash_join``, ``vec_project``, ``vec_probe`` — so the
+    annotated plan tree shows *which* path each operator took; a plan
+    outside the columnar dialect is one ``interpreted`` node.
     ``children`` holds node ids in input order; a CSE-shared subtree
     keeps one node referenced from every parent (``shared=True``).
 

@@ -534,7 +534,8 @@ def worst_divergent(
     """The node whose estimate (``estimates[node_id]``, as
     :func:`annotate_plan` returns them) diverges worst from the same
     run's profiled actual rows, as a summary dict, or None when nothing
-    is comparable.
+    is comparable.  A node the run never called (every node but the
+    root of a run redone on the interpreter) has no actual.
 
     ``flagged`` marks ratios at or beyond ``factor`` (default
     :data:`ESTIMATION.divergence_factor`) — the re-optimization
@@ -545,7 +546,7 @@ def worst_divergent(
     worst: Optional[dict] = None
     for node in nodes:
         est = estimates[node.node_id]
-        if est is None:
+        if est is None or not profile.calls(node.node_id):
             continue
         actual = profile.rows_out(node.node_id)
         ratio = divergence_ratio(est, actual)

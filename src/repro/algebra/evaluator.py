@@ -14,10 +14,10 @@ runs one executor and keeps one oracle:
   operator's output.  Simple, deterministic, and the semantic oracle
   the differential suite holds the vectorized engine to.
 
-The interpreter is child evaluation plus one per-node entry,
-:func:`apply_operator`.  That entry is the library's one row
-semantics: where the vectorized executor cannot run a stage over
-columns, it calls :func:`apply_operator` on its input batches' rows.
+The interpreter is child evaluation (:func:`_eval`) plus one per-node
+entry, :func:`apply_operator`.  That entry is the library's one row
+semantics: where the vectorized executor cannot run a plan over
+columns, it runs :func:`_eval` over the plan's whole tree.
 
 Pick the oracle per call with ``evaluate(..., engine="interpreted")``.
 """
@@ -232,10 +232,10 @@ def apply_operator(expr: RelExpr, inputs: list[list[Row]], ctx) -> list[Row]:
     ``ctx.instance``).
 
     ``ctx`` is an :class:`EvalContext` or anything exposing the same
-    ``schema``/``instance``/``params`` — the vectorized executor's
-    row paths pass their per-execution context and the rows of their
-    input batches, so both engines share this one row semantics.  The
-    input lists may be consumed (a sort reorders its input in place).
+    ``schema``/``instance``/``params`` — the vectorized executor passes
+    its per-execution context when it hands a plan to the interpreter,
+    so both engines share this one row semantics.  The input lists may
+    be consumed (a sort reorders its input in place).
     """
     if isinstance(expr, Scan):
         return [dict(row) for row in ctx.instance.rows(expr.relation)]

@@ -240,7 +240,7 @@ def _rewrite(expr: E.RelExpr) -> E.RelExpr:
         if all(
             isinstance(s, S.Col) and s.name == name for name, s in expr.outputs
         ):
-            inner_names = _output_names(expr.input)
+            inner_names = _static_cols(expr.input)
             if inner_names is not None and list(expr.output_names) == list(
                 inner_names
             ):
@@ -373,8 +373,8 @@ def _recognize_equi_join(expr: E.Join) -> E.Join:
     col_pairs = [_col_eq_col(operand) for operand in operands]
     if not any(col_pairs):
         return expr
-    left_names = _output_names(expr.left)
-    right_names = _output_names(expr.right)
+    left_names = _static_cols(expr.left)
+    right_names = _static_cols(expr.right)
     if left_names is None or right_names is None:
         return expr
     left_set, right_set = set(left_names), set(right_names)
@@ -423,20 +423,6 @@ def _col_eq_col(predicate: S.Predicate) -> Optional[tuple[str, str]]:
         and predicate.left.name != predicate.right.name
     ):
         return predicate.left.name, predicate.right.name
-    return None
-
-
-def _output_names(expr: E.RelExpr):
-    """The exact output column list if statically known, else None."""
-    if isinstance(expr, E.Project):
-        return expr.output_names
-    if isinstance(expr, E.Rename):
-        inner = _output_names(expr.input)
-        if inner is None:
-            return None
-        return tuple(expr.mapping.get(c, c) for c in inner)
-    if isinstance(expr, (E.Distinct, E.Sort, E.Select)):
-        return _output_names(expr.inputs()[0])
     return None
 
 

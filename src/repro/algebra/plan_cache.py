@@ -229,8 +229,10 @@ class PlanCache:
         Bounded per source fingerprint by ``COST.max_reopts``, and a
         no-op when the profile teaches nothing new (so a plan that
         stays divergent — e.g. inherently correlated predicates — stops
-        churning once its corrections converge).  Returns ``True`` when
-        a re-optimization was scheduled.
+        churning once its corrections converge).  Nodes the run never
+        called (a run redone on the interpreter profiles its root only)
+        teach nothing.  Returns ``True`` when a re-optimization was
+        scheduled.
         """
         from repro.algebra.optimizer import COST, mirror_join_fingerprint
 
@@ -238,7 +240,7 @@ class PlanCache:
             return False
         corrections: dict[str, float] = {}
         for node in plan.nodes:
-            if node.expr is not None:
+            if node.expr is not None and profile.calls(node.node_id):
                 actual = float(profile.rows_out(node.node_id))
                 corrections[node.expr.fingerprint()] = actual
                 # Inner equi-joins commute; key the correction under

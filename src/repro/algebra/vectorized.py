@@ -26,15 +26,17 @@ scalars per row:
 Semantics are bit-for-bit those of the reference interpreter in
 :mod:`repro.algebra.evaluator` — the differential suite in
 ``tests/test_query_compiler.py`` holds the two to identical results,
-labeled nulls included.  Where a scalar expression or a runtime batch
-shape falls outside the vectorizer's reach (heterogeneous rows, exotic
-predicates, computed projections, joins whose predicate is more than
-equi-pairs), the stage takes a row path *per stage*: it materializes
-its input batches' rows, runs the interpreter's operator on them
-(:func:`~repro.algebra.evaluator.apply_operator`), and re-encodes the
-result — so a row path is the oracle's semantics by construction.
-Every row path is counted (``query.vectorized.row_fallback.<stage>``)
-and journaled once per stage kind when observability is enabled.
+labeled nulls included.  A plan runs on columns end to end or on the
+interpreter whole.  Lowering a node outside the columnar dialect (a
+predicate no mask expresses, a computed projection, extension or
+aggregate, a join with a residual, a left join with a ``right_prefix``)
+makes the plan one ``interpreted`` node; a run whose batch a stage
+cannot read (a column absent from some row, a colliding rename, an
+unhashable δ/− cell) is redone on the interpreter.  Either way the
+result is the interpreter's rows over the plan's whole tree, so the
+fallback is the oracle's semantics by construction.  Every interpreted
+execution is counted (``query.vectorized.interpreted``) and journaled
+once per node kind when observability is enabled.
 
 The plan-building blocks — CSE detection, projection-through-union
 pushdown, and the :class:`~repro.algebra.compiler._PlanRegistry` node
@@ -46,12 +48,14 @@ the plan boundary (:meth:`VectorizedPlan.execute`).
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable, Optional
 
 from repro.algebra import compiler as C
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
 from repro.algebra.optimizer import COST
+from repro.algebra.printer import node_label
 from repro.algebra.compiler import (
     PlanProfile,
     SortKey,
@@ -60,12 +64,13 @@ from repro.algebra.compiler import (
     reduce_aggregate,
     split_join_predicate,
 )
-from repro.algebra.evaluator import apply_operator
+from repro.algebra.evaluator import _eval
 from repro.errors import EvaluationError
 from repro.instances.columnar import Column, ColumnBatch
 from repro.instances.database import TYPE_FIELD, Instance, Row
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
+from repro.observability.journal import JOURNAL
 from repro.observability.metrics import registry
 from repro.observability.state import STATE
 from repro.observability.tracing import tracer
@@ -78,24 +83,15 @@ _EMPTY = ()
 VStage = Callable[[_Run], ColumnBatch]
 
 
-def _row_path(stage: str, expr: E.RelExpr, ctx: _Run,
-              *batches: ColumnBatch) -> list[Row]:
-    """A stage's row path: the interpreter's operator for ``expr``
-    (:func:`~repro.algebra.evaluator.apply_operator`) over the rows of
-    its input ``batches``.  Counted per stage kind and journaled once
-    per kind (per journal clear) — the path can run once per batch, so
-    the journal entry is deduped while the counter keeps the exact
-    tally."""
-    if STATE.enabled:
-        registry.counter(f"query.vectorized.row_fallback.{stage}").inc()
-        from repro.observability.journal import JOURNAL
+class _Interpret(Exception):
+    """``node`` is outside the columnar dialect: raised while lowering a
+    node no stage expresses, and while running a stage over a batch it
+    cannot read.  :class:`VectorizedPlan` then runs the whole plan on
+    the interpreter."""
 
-        JOURNAL.record_once(
-            f"vectorized.row_fallback.{stage}",
-            "vectorized.row_fallback",
-            stage=stage,
-        )
-    return apply_operator(expr, [batch.to_rows() for batch in batches], ctx)
+    def __init__(self, node: E.RelExpr):
+        super().__init__(type(node).__name__)
+        self.node = node
 
 
 class _Lower:
@@ -127,26 +123,12 @@ def _plain_values(batch: ColumnBatch, name: str) -> Optional[list]:
 
 def _full_values(batch: ColumnBatch, name: str) -> Optional[list]:
     """The column's values when every row carries the column, else
-    ``None`` (the caller must fall back to row semantics, which may
+    ``None`` (the caller leaves the run to the interpreter, which may
     raise per row)."""
     col = batch.cols.get(name)
     if col is None or col.present is not None:
         return None
     return col.values
-
-
-def _raise_missing(batch: ColumnBatch, srcs: tuple[str, ...]) -> None:
-    """Interpreter-parity missing-column error: report the first row
-    (in order) missing any of ``srcs`` (first such column in ``srcs``
-    order), exactly like the interpreter does."""
-    for i in range(batch.nrows):
-        row = batch.row_at(i)
-        for src in srcs:
-            if src not in row:
-                raise EvaluationError(
-                    f"row has no column {src!r}: {sorted(row)}"
-                ) from None
-    raise AssertionError("no missing column found")  # pragma: no cover
 
 
 def _tuple_keys(batch: ColumnBatch, order: tuple[str, ...]) -> list[tuple]:
@@ -155,10 +137,6 @@ def _tuple_keys(batch: ColumnBatch, order: tuple[str, ...]) -> list[tuple]:
     if not order:
         return [()] * batch.nrows
     return list(zip(*(batch.cols[c].values for c in order)))
-
-
-def _from_rows(rows: list[Row]) -> ColumnBatch:
-    return ColumnBatch.from_rows(rows)
 
 
 # ----------------------------------------------------------------------
@@ -446,14 +424,14 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
         def run_vec_rename(ctx):
             batch = inner(ctx)
             new_names = tuple(mapping.get(c, c) for c in batch.names)
-            if len(set(new_names)) == len(new_names):
-                cols = {
-                    new: batch.cols[old]
-                    for new, old in zip(new_names, batch.names)
-                }
-                return ColumnBatch(new_names, cols, batch.nrows)
-            # Colliding rename: later key wins per row — row semantics.
-            return _from_rows(_row_path("rename", expr, ctx, batch))
+            if len(set(new_names)) != len(new_names):
+                # Colliding rename: the later key wins per row.
+                raise _Interpret(expr)
+            cols = {
+                new: batch.cols[old]
+                for new, old in zip(new_names, batch.names)
+            }
+            return ColumnBatch(new_names, cols, batch.nrows)
 
         return run_vec_rename
 
@@ -471,42 +449,40 @@ def _lower_node(expr: E.RelExpr, st: _Lower) -> VStage:
 
         def run_vec_distinct(ctx):
             batch = inner(ctx)
-            if batch.full:
-                cols = batch.cols.values()
-                # A unique column makes every row distinct.  The row
-                # path raises TypeError on an unhashable cell; so must δ.
-                if any(c.unique() for c in cols) and all(
-                    c.hashable() for c in cols
-                ):
-                    return batch
-                names = batch.names
-                try:
-                    if len(names) == 1:
-                        # Single column: row equality is value equality
-                        # (labeled nulls hash/eq by label either way),
-                        # and dict.fromkeys keeps first occurrences in
-                        # first-seen order — the output column itself.
-                        name = names[0]
-                        ordered = list(dict.fromkeys(batch.cols[name].values))
-                        return ColumnBatch(
-                            names, {name: Column(ordered)}, len(ordered)
-                        )
-                    keys = _tuple_keys(batch, names)
-                    n = batch.nrows
-                    # Reversed insertion: the surviving position per key
-                    # is its first occurrence (last assignment wins).
-                    first = {
-                        key: i
-                        for i, key in zip(
-                            range(n - 1, -1, -1), reversed(keys)
-                        )
-                    }
-                    if len(first) == n:
-                        return batch
-                    return batch.take(sorted(first.values()))
-                except TypeError:
-                    pass  # unhashable value → frozen-row path
-            return _from_rows(_row_path("distinct", expr, ctx, batch))
+            if not batch.full:
+                raise _Interpret(expr)
+            cols = batch.cols.values()
+            # A unique column makes every row distinct.  The interpreter
+            # raises TypeError on an unhashable cell; so must δ.
+            if any(c.unique() for c in cols) and all(
+                c.hashable() for c in cols
+            ):
+                return batch
+            names = batch.names
+            n = batch.nrows
+            try:
+                if len(names) == 1:
+                    # Single column: row equality is value equality
+                    # (labeled nulls hash/eq by label either way), and
+                    # dict.fromkeys keeps first occurrences in
+                    # first-seen order — the output column itself.
+                    name = names[0]
+                    ordered = list(dict.fromkeys(batch.cols[name].values))
+                    return ColumnBatch(
+                        names, {name: Column(ordered)}, len(ordered)
+                    )
+                # Reversed insertion: the surviving position per key is
+                # its first occurrence (last assignment wins).
+                keys = _tuple_keys(batch, names)
+                first = {
+                    key: i
+                    for i, key in zip(range(n - 1, -1, -1), reversed(keys))
+                }
+            except TypeError:
+                raise _Interpret(expr) from None  # an unhashable cell
+            if len(first) == n:
+                return batch
+            return batch.take(sorted(first.values()))
 
         return run_vec_distinct
 
@@ -574,19 +550,10 @@ def _lower_entity_scan(expr: E.EntityScan) -> VStage:
 
 
 def _lower_select(expr: E.Select, st: _Lower) -> VStage:
-    inner = _lower(expr.input, st)
     vec = _vector_predicate(expr.predicate)
-
     if vec is None:
-
-        def run_vec_select_rows(ctx):
-            batch = inner(ctx)
-            if not batch.nrows:
-                return batch
-            return _from_rows(_row_path("select", expr, ctx, batch))
-
-        return run_vec_select_rows
-
+        raise _Interpret(expr)
+    inner = _lower(expr.input, st)
     mask_fn, needs = vec
 
     def select(batch, ctx):
@@ -596,9 +563,9 @@ def _lower_select(expr: E.Select, st: _Lower) -> VStage:
         for name in needs:
             col = cols.get(name)
             if col is None or col.present is not None:
-                # A referenced column is missing from some row: use the
-                # row path (exact raise/short-circuit semantics).
-                return _from_rows(_row_path("select", expr, ctx, batch))
+                # A referenced column is missing from some row: only
+                # the interpreter raises or short-circuits per row.
+                raise _Interpret(expr)
         return batch.compress(mask_fn(batch, ctx))
 
     test = C.eq_test(expr.predicate)
@@ -660,55 +627,47 @@ def _probe_pays(
 
 
 def _lower_project(expr: E.Project, st: _Lower) -> VStage:
+    outputs = expr.outputs
+    if not all(isinstance(s, (S.Col, S.Lit)) for _, s in outputs):
+        raise _Interpret(expr)
     pushed = C._push_project_through_union(expr)
     if pushed is not None:
         return _lower(pushed, st)
 
     inner = _lower(expr.input, st)
-    outputs = expr.outputs
     out_names = expr.output_names
+    col_pairs = tuple(
+        (name, s.name) for name, s in outputs if isinstance(s, S.Col)
+    )
+    const_items = tuple(
+        (name, s.value) for name, s in outputs if isinstance(s, S.Lit)
+    )
 
-    if all(isinstance(s, (S.Col, S.Lit)) for _, s in outputs):
-        col_pairs = tuple(
-            (name, s.name) for name, s in outputs if isinstance(s, S.Col)
-        )
-        const_items = tuple(
-            (name, s.value) for name, s in outputs if isinstance(s, S.Lit)
-        )
-        srcs = tuple(src for _, src in col_pairs)
+    def run_vec_project(ctx):
+        batch = inner(ctx)
+        cols = batch.cols
+        nrows = batch.nrows
+        out_cols = {}
+        for name, src in col_pairs:
+            col = cols.get(src)
+            if col is None or col.present is not None:
+                if not nrows:
+                    return ColumnBatch.empty(out_names)
+                raise _Interpret(expr)  # the interpreter names the row
+            out_cols[name] = col
+        for name, value in const_items:
+            out_cols[name] = Column([value] * nrows)
+        return ColumnBatch(out_names, out_cols, nrows)
 
-        def run_vec_project(ctx):
-            batch = inner(ctx)
-            cols = batch.cols
-            nrows = batch.nrows
-            out_cols = {}
-            for name, src in col_pairs:
-                col = cols.get(src)
-                if col is None or col.present is not None:
-                    if not nrows:
-                        return ColumnBatch.empty(out_names)
-                    _raise_missing(batch, srcs)
-                out_cols[name] = col
-            for name, value in const_items:
-                out_cols[name] = Column([value] * nrows)
-            return ColumnBatch(out_names, out_cols, nrows)
-
-        return run_vec_project
-
-    def run_vec_project_rows(ctx):
-        rows = _row_path("project", expr, ctx, inner(ctx))
-        return ColumnBatch.from_homogeneous_rows(rows, out_names)
-
-    return run_vec_project_rows
+    return run_vec_project
 
 
 def _lower_extend(expr: E.Extend, st: _Lower) -> VStage:
-    inner = _lower(expr.input, st)
     name = expr.name
     scalar = expr.scalar
-
-    def fallback(batch, ctx):
-        return _from_rows(_row_path("extend", expr, ctx, batch))
+    if not isinstance(scalar, (S.Lit, S.Col)):
+        raise _Interpret(expr)
+    inner = _lower(expr.input, st)
 
     if isinstance(scalar, S.Lit):
         value = scalar.value
@@ -718,31 +677,23 @@ def _lower_extend(expr: E.Extend, st: _Lower) -> VStage:
             col = batch.cols.get(name)
             if col is not None and col.present is not None:
                 # Partially present target: per-row key order differs
-                # between rows — only the row path reproduces it.
-                return fallback(batch, ctx)
+                # between rows.
+                raise _Interpret(expr)
             return _with_column(batch, name, Column([value] * batch.nrows))
 
         return run_vec_extend_const
 
-    if isinstance(scalar, S.Col):
-        src = scalar.name
+    src = scalar.name
 
-        def run_vec_extend_col(ctx):
-            batch = inner(ctx)
-            col = batch.cols.get(name)
-            if col is not None and col.present is not None:
-                return fallback(batch, ctx)
-            values = _full_values(batch, src)
-            if values is None:
-                return fallback(batch, ctx)  # raises row-style if absent
-            return _with_column(batch, name, Column(values))
+    def run_vec_extend_col(ctx):
+        batch = inner(ctx)
+        col = batch.cols.get(name)
+        values = _full_values(batch, src)
+        if values is None or col is not None and col.present is not None:
+            raise _Interpret(expr)
+        return _with_column(batch, name, Column(values))
 
-        return run_vec_extend_col
-
-    def run_vec_extend_rows(ctx):
-        return fallback(inner(ctx), ctx)
-
-    return run_vec_extend_rows
+    return run_vec_extend_col
 
 
 def _with_column(batch: ColumnBatch, name: str, col: Column) -> ColumnBatch:
@@ -796,140 +747,136 @@ def _batch_keys(batch: ColumnBatch, columns: tuple[str, ...]) -> list:
 
 
 def _lower_join(expr: E.Join, st: _Lower) -> VStage:
-    left = _lower(expr.left, st)
-    right = _lower(expr.right, st)
+    """An equi-join, or a cross join on the empty key, as a hash join.
+    A residual predicate, or a left join's ``right_prefix`` (its padding
+    prefixes *all* right columns while matches keep non-colliding ones
+    unprefixed), is the interpreter's."""
     kind = expr.kind
     right_prefix = expr.right_prefix
     pairs, residual = split_join_predicate(expr.predicate)
+    is_left = kind == "left"
+    if residual is not None or is_left and right_prefix:
+        raise _Interpret(expr)
+    left = _lower(expr.left, st)
+    right = _lower(expr.right, st)
+    l_cols = tuple(lc for lc, _ in pairs)
+    r_cols = tuple(rc for _, rc in pairs)
+    join_right_cols = set(r_cols)
+    semi_licensed = (
+        kind == "inner"
+        and right_prefix is None
+        and isinstance(expr.right, (E.Distinct, E.Difference))
+    )
 
-    if residual is None:  # equi-join, or a cross join on the empty key
-        l_cols = tuple(lc for lc, _ in pairs)
-        r_cols = tuple(rc for _, rc in pairs)
-        join_right_cols = set(r_cols)
-        semi_licensed = (
-            kind == "inner"
-            and right_prefix is None
-            and isinstance(expr.right, (E.Distinct, E.Difference))
-        )
-        is_left = kind == "left"
-
-        def run_vec_hash_join(ctx):
-            lb = left(ctx)
-            rb = right(ctx)
-            if not (lb.full and rb.full) or (is_left and right_prefix):
-                # Heterogeneous rows — or prefixed left-join padding,
-                # which prefixes *all* right columns while matches keep
-                # non-colliding ones unprefixed: row semantics only.
-                return _from_rows(_row_path("join", expr, ctx, lb, rb))
-            if (
-                semi_licensed
-                and set(rb.names) == join_right_cols
-                and join_right_cols <= set(lb.names)
-            ):
-                # Right side contributes no columns and holds at most
-                # one row per key: the join is a pure filter.
-                rkeys = _batch_keys(rb, r_cols)
-                keys = {k for k in rkeys if k is not _NOMATCH}
-                lkeys = _batch_keys(lb, l_cols)
-                return lb.compress([k in keys for k in lkeys])
+    def run_vec_hash_join(ctx):
+        lb = left(ctx)
+        rb = right(ctx)
+        if not (lb.full and rb.full):
+            raise _Interpret(expr)
+        if (
+            semi_licensed
+            and set(rb.names) == join_right_cols
+            and join_right_cols <= set(lb.names)
+        ):
+            # Right side contributes no columns and holds at most
+            # one row per key: the join is a pure filter.
             rkeys = _batch_keys(rb, r_cols)
+            keys = {k for k in rkeys if k is not _NOMATCH}
             lkeys = _batch_keys(lb, l_cols)
-            padded = False
-            li: Optional[list] = None  # None ⇒ identity gather
-            distinct_li = False  # li holds each left position at most once
-            pos = {
-                key: j
-                for j, key in enumerate(rkeys)
-                if key is not _NOMATCH
-            }
-            if len(pos) == len(rkeys):
-                # Unique build keys, no null-rejected rows (the common
-                # FK→PK shape): each left row resolves to at most one
-                # gather position — no candidate lists.
-                get1 = pos.get
-                ji = [get1(key, -1) for key in lkeys]
-                if is_left:
-                    ri = ji  # every left row survives, in order
-                    padded = -1 in ji
-                elif -1 in ji:
-                    li = [i for i, j in enumerate(ji) if j >= 0]
-                    ri = [ji[i] for i in li]
-                    distinct_li = True
-                else:
-                    ri = ji  # every left row matched exactly once
+            return lb.compress([k in keys for k in lkeys])
+        rkeys = _batch_keys(rb, r_cols)
+        lkeys = _batch_keys(lb, l_cols)
+        padded = False
+        li: Optional[list] = None  # None ⇒ identity gather
+        distinct_li = False  # li holds each left position at most once
+        pos = {
+            key: j
+            for j, key in enumerate(rkeys)
+            if key is not _NOMATCH
+        }
+        if len(pos) == len(rkeys):
+            # Unique build keys, no null-rejected rows (the common
+            # FK→PK shape): each left row resolves to at most one
+            # gather position — no candidate lists.
+            get1 = pos.get
+            ji = [get1(key, -1) for key in lkeys]
+            if is_left:
+                ri = ji  # every left row survives, in order
+                padded = -1 in ji
+            elif -1 in ji:
+                li = [i for i, j in enumerate(ji) if j >= 0]
+                ri = [ji[i] for i in li]
+                distinct_li = True
             else:
-                index: dict = {}
-                setdefault = index.setdefault
-                for j, key in enumerate(rkeys):
-                    if key is not _NOMATCH:
-                        setdefault(key, []).append(j)
-                get = index.get
-                if not is_left:
-                    # Two comprehension passes beat one interpreted loop.
-                    li = [
-                        i
-                        for i, key in enumerate(lkeys)
-                        for _ in get(key, _EMPTY)
-                    ]
-                    ri = [j for key in lkeys for j in get(key, _EMPTY)]
-                else:
-                    li = []
-                    ri = []
-                    li_append = li.append
-                    ri_append = ri.append
-                    for i, key in enumerate(lkeys):
-                        candidates = get(key)
-                        if candidates:
-                            li.extend([i] * len(candidates))
-                            ri.extend(candidates)
-                        else:
-                            li_append(i)
-                            ri_append(-1)
-                            padded = True
-            l_names = lb.names
-            l_set = set(l_names)
-            actions = []
-            if rb.nrows:
-                for c in rb.names:
-                    if c in l_set:
-                        if right_prefix:
-                            actions.append((f"{right_prefix}.{c}", c))
+                ri = ji  # every left row matched exactly once
+        else:
+            index: dict = {}
+            setdefault = index.setdefault
+            for j, key in enumerate(rkeys):
+                if key is not _NOMATCH:
+                    setdefault(key, []).append(j)
+            get = index.get
+            if not is_left:
+                # Two comprehension passes beat one interpreted loop.
+                li = [
+                    i
+                    for i, key in enumerate(lkeys)
+                    for _ in get(key, _EMPTY)
+                ]
+                ri = [j for key in lkeys for j in get(key, _EMPTY)]
+            else:
+                li = []
+                ri = []
+                li_append = li.append
+                ri_append = ri.append
+                for i, key in enumerate(lkeys):
+                    candidates = get(key)
+                    if candidates:
+                        li.extend([i] * len(candidates))
+                        ri.extend(candidates)
                     else:
-                        actions.append((c, c))
-            out_cols = {}
-            if li is None:
-                # Identity gather: share the left columns unchanged
-                # (batches are immutable by convention).
-                for name in l_names:
-                    out_cols[name] = lb.cols[name]
-                nout = lb.nrows
-            else:
-                # take keeps a left column's unique() fact; gather, for
-                # positions that may repeat, keeps none.
-                for name in l_names:
-                    col = lb.cols[name]
-                    out_cols[name] = col.take(li) if distinct_li else col.gather(li)
-                nout = len(li)
-            for name, src in actions:
-                if padded:
-                    values = rb.cols[src].values
-                    out_cols[name] = Column(
-                        [values[j] if j >= 0 else None for j in ri]
-                    )
+                        li_append(i)
+                        ri_append(-1)
+                        padded = True
+        l_names = lb.names
+        l_set = set(l_names)
+        actions = []
+        if rb.nrows:
+            for c in rb.names:
+                if c in l_set:
+                    if right_prefix:
+                        actions.append((f"{right_prefix}.{c}", c))
                 else:
-                    out_cols[name] = rb.cols[src].gather(ri)
-            names = l_names + tuple(name for name, _ in actions)
-            return ColumnBatch(names, out_cols, nout)
+                    actions.append((c, c))
+        out_cols = {}
+        if li is None:
+            # Identity gather: share the left columns unchanged
+            # (batches are immutable by convention).
+            for name in l_names:
+                out_cols[name] = lb.cols[name]
+            nout = lb.nrows
+        else:
+            # take keeps a left column's unique() fact; gather, for
+            # positions that may repeat, keeps none.
+            for name in l_names:
+                col = lb.cols[name]
+                out_cols[name] = col.take(li) if distinct_li else col.gather(li)
+            nout = len(li)
+        for name, src in actions:
+            if padded:
+                values = rb.cols[src].values
+                out_cols[name] = Column(
+                    [values[j] if j >= 0 else None for j in ri]
+                )
+            else:
+                out_cols[name] = rb.cols[src].gather(ri)
+        names = l_names + tuple(name for name, _ in actions)
+        return ColumnBatch(names, out_cols, nout)
 
-        if not pairs:
-            # EXPLAIN names the stage after the join it runs.
-            run_vec_hash_join.__name__ = "run_vec_cross_join"
-        return run_vec_hash_join
-
-    def run_vec_nested_join(ctx):
-        return _from_rows(_row_path("join", expr, ctx, left(ctx), right(ctx)))
-
-    return run_vec_nested_join
+    if not pairs:
+        # EXPLAIN names the stage after the join it runs.
+        run_vec_hash_join.__name__ = "run_vec_cross_join"
+    return run_vec_hash_join
 
 
 # ----------------------------------------------------------------------
@@ -987,41 +934,40 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
     def run_vec_difference(ctx):
         lb = left(ctx)
         rb = right(ctx)
-        if lb.full and rb.full and set(lb.names) == set(rb.names):
-            order = lb.names
-            try:
-                if len(order) == 1:
-                    excluded = set(rb.cols[order[0]].values)
-                    keys = lb.cols[order[0]].values
-                else:
-                    excluded = set(_tuple_keys(rb, order))
-                    keys = _tuple_keys(lb, order)
-                n = lb.nrows
-                if any(col.unique() for col in lb.cols.values()):
-                    # Left rows are pairwise distinct: nothing to dedup.
-                    # The membership test still hashes every left key,
-                    # so an unhashable cell raises into the row path.
-                    indices = [
-                        i for i, key in enumerate(keys) if key not in excluded
-                    ]
-                else:
-                    # First-occurrence position per key (reversed
-                    # insertion, last assignment wins), minus the
-                    # excluded keys — difference dedups its left side
-                    # like the interpreter.
-                    first = {
-                        key: i
-                        for i, key in zip(range(n - 1, -1, -1), reversed(keys))
-                    }
-                    indices = sorted(
-                        i for key, i in first.items() if key not in excluded
-                    )
-                if len(indices) == n:
-                    return lb
-                return lb.take(indices)
-            except TypeError:
-                pass  # unhashable value → frozen-row path
-        return _from_rows(_row_path("difference", expr, ctx, lb, rb))
+        if not (lb.full and rb.full and set(lb.names) == set(rb.names)):
+            raise _Interpret(expr)
+        order = lb.names
+        n = lb.nrows
+        try:
+            if len(order) == 1:
+                excluded = set(rb.cols[order[0]].values)
+                keys = lb.cols[order[0]].values
+            else:
+                excluded = set(_tuple_keys(rb, order))
+                keys = _tuple_keys(lb, order)
+            if any(col.unique() for col in lb.cols.values()):
+                # Left rows are pairwise distinct: nothing to dedup.
+                # The membership test still hashes every left key, so
+                # an unhashable cell still leaves the run.
+                indices = [
+                    i for i, key in enumerate(keys) if key not in excluded
+                ]
+            else:
+                # First-occurrence position per key (reversed insertion,
+                # last assignment wins), minus the excluded keys —
+                # difference dedups its left side like the interpreter.
+                first = {
+                    key: i
+                    for i, key in zip(range(n - 1, -1, -1), reversed(keys))
+                }
+                indices = sorted(
+                    i for key, i in first.items() if key not in excluded
+                )
+        except TypeError:
+            raise _Interpret(expr) from None  # an unhashable cell
+        if len(indices) == n:
+            return lb
+        return lb.take(indices)
 
     return run_vec_difference
 
@@ -1030,36 +976,30 @@ def _lower_difference(expr: E.Difference, st: _Lower) -> VStage:
 # aggregation
 # ----------------------------------------------------------------------
 def _lower_aggregate(expr: E.Aggregate, st: _Lower) -> VStage:
-    inner = _lower(expr.input, st)
-    group_by = tuple(expr.group_by)
     aggregations = expr.aggregations
-    out_names = group_by + tuple(name for name, _, _ in aggregations)
-    columnar_ok = all(
+    if not all(
         scalar is None or isinstance(scalar, S.Col)
         for _, _, scalar in aggregations
-    )
+    ):
+        raise _Interpret(expr)
+    inner = _lower(expr.input, st)
+    group_by = tuple(expr.group_by)
+    out_names = group_by + tuple(name for name, _, _ in aggregations)
     agg_srcs = tuple(
         (name, func, scalar.name if scalar is not None else None)
         for name, func, scalar in aggregations
-    ) if columnar_ok else ()
-
-    def rows_fallback(batch, ctx):
-        rows = _row_path("aggregate", expr, ctx, batch)
-        return ColumnBatch.from_homogeneous_rows(rows, out_names)
+    )
 
     def run_vec_aggregate(ctx):
         batch = inner(ctx)
-        if not columnar_ok:
-            return rows_fallback(batch, ctx)
         agg_values = {}
         for _, _, src in agg_srcs:
             if src is None or src in agg_values:
                 continue
             values = _full_values(batch, src)
             if values is None:
-                # Col over a missing/partial column raises per row —
-                # keep the exact row semantics.
-                return rows_fallback(batch, ctx)
+                # Col over a missing or partial column raises per row.
+                raise _Interpret(expr)
             agg_values[src] = values
         n = batch.nrows
         group_values = [
@@ -1111,16 +1051,19 @@ def _lower_aggregate(expr: E.Aggregate, st: _Lower) -> VStage:
 # ----------------------------------------------------------------------
 class VectorizedPlan:
     """An executable columnar pipeline compiled from one
-    :class:`RelExpr`.
+    :class:`RelExpr`, or — when a node is outside the columnar dialect —
+    the interpreter over the whole tree, shown as one ``interpreted``
+    node.
 
     Immutable and reentrant: every run's state lives in its own
     :class:`_Run`, so one cached plan serves concurrent executions over
     different instances.  One pipeline serves plain execution and
     EXPLAIN ANALYZE: each stage's profiling hook records only when the
-    run carries a profile.  The only mutable slots are
-    ``optimized_from`` (an EXPLAIN label) and ``_annotate_memo`` (the
-    estimator's per-instance cache, whose racing writers store
-    equivalent values)."""
+    run carries a profile.  A run the pipeline cannot finish is redone
+    on the interpreter, and its profile holds the root's actuals only.
+    The only mutable slots are ``optimized_from`` (an EXPLAIN label)
+    and ``_annotate_memo`` (the estimator's per-instance cache, whose
+    racing writers store equivalent values)."""
 
     __slots__ = (
         "expr", "fingerprint", "size", "_run", "nodes", "root_id",
@@ -1137,9 +1080,52 @@ class VectorizedPlan:
         # it); informational only.
         self.optimized_from: Optional[str] = None
         st = _Lower(C._shared_subtrees(expr), C._PlanRegistry())
-        self._run = _lower(expr, st)
-        self.nodes = st.registry.nodes
-        self.root_id = st.registry.root_id()
+        try:
+            run = _lower(expr, st)
+        except _Interpret as exc:
+            node = exc.node
+
+            def run_interpreted(ctx):
+                raise _Interpret(node)
+
+            self._run = run_interpreted
+            self.nodes = [C.PlanNode(
+                0, node_label(expr), "interpreted", [], False, expr=expr
+            )]
+            self.root_id = 0
+        else:
+            self._run = run
+            self.nodes = st.registry.nodes
+            self.root_id = st.registry.root_id()
+
+    def _interpret(self, ctx: _Run, exc: _Interpret) -> list[Row]:
+        """The interpreter's rows for the whole plan, counted and
+        journaled (once per node kind) when observability is on."""
+        if STATE.enabled:
+            kind = type(exc.node).__name__.lower()
+            registry.counter("query.vectorized.interpreted").inc()
+            JOURNAL.record_once(
+                f"vectorized.interpreted.{kind}",
+                "vectorized.interpreted",
+                node=kind,
+            )
+        return _eval(self.expr, ctx)
+
+    def _rows(self, ctx: _Run) -> list[Row]:
+        """The run's fresh result rows, from the pipeline or, when it
+        leaves the columnar dialect, from the interpreter."""
+        try:
+            return self._run(ctx).to_rows()
+        except _Interpret as exc:
+            start = perf_counter()
+            rows = self._interpret(ctx, exc)
+            seconds = perf_counter() - start
+        if ctx.profile is not None:
+            # No stage's rows are known: report the root's alone.
+            for record in ctx.profile:
+                record[:] = (0, 0, 0.0)
+            ctx.profile[self.root_id][:] = (1, len(rows), seconds)
+        return rows
 
     def batch(
         self, instance: Instance, schema: Optional[Schema] = None,
@@ -1149,16 +1135,21 @@ class VectorizedPlan:
         immutable; :meth:`execute` is the row-materializing API).
         ``params`` bind the plan's ``Param`` slots."""
         schema = schema if schema is not None else instance.schema
-        return self._run(_Run(instance, schema, params=params))
+        ctx = _Run(instance, schema, params=params)
+        try:
+            return self._run(ctx)
+        except _Interpret as exc:
+            return ColumnBatch.from_rows(self._interpret(ctx, exc))
 
     def execute(
         self, instance: Instance, schema: Optional[Schema] = None,
         params: tuple = (),
     ) -> list[Row]:
         """Run against ``instance`` and return fresh result rows."""
-        if not STATE.enabled:
-            return self.batch(instance, schema, params).to_rows()
-        return self.execute_profiled(instance, schema, params)[0]
+        if STATE.enabled:
+            return self.execute_profiled(instance, schema, params)[0]
+        schema = schema if schema is not None else instance.schema
+        return self._rows(_Run(instance, schema, params=params))
 
     def execute_profiled(
         self, instance: Instance, schema: Optional[Schema] = None,
@@ -1179,7 +1170,7 @@ class VectorizedPlan:
             params,
         )
         if not STATE.enabled:
-            rows = self._run(ctx).to_rows()
+            rows = self._rows(ctx)
         else:
             with tracer.span(
                 "query.execute",
@@ -1187,7 +1178,7 @@ class VectorizedPlan:
                 plan=self.fingerprint[:12],
                 **{"plan.size": self.size},
             ) as span:
-                rows = self._run(ctx).to_rows()
+                rows = self._rows(ctx)
                 if span is not None:
                     span.set_attribute("rows", len(rows))
             registry.counter("query.execute.count").inc()

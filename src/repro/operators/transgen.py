@@ -748,12 +748,12 @@ def _fit_to_relation(
 ) -> E.RelExpr:
     """Project the expression onto the relation's attribute list when
     its (statically known) output columns are a strict superset."""
-    from repro.algebra.optimizer import _output_names
+    from repro.algebra.compiler import _static_cols
 
     if relation not in schema.entities:
         return expr
     attrs = list(schema.entity(relation).all_attribute_names())
-    outputs = _output_names(expr)
+    outputs = _static_cols(expr)
     if outputs is None:
         return expr
     if set(attrs) <= set(outputs) and set(outputs) != set(attrs):

@@ -125,6 +125,16 @@ class TestExtraction:
             payload = json.loads(path.read_text())
             assert extract_metrics(payload), f"{path.name} extracted nothing"
 
+    def test_every_declared_bound_keys_a_metric(self):
+        """A floor or ceiling whose key no extracted metric carries is
+        never judged."""
+        for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+            payload = json.loads(path.read_text())
+            keys = {m.key for m in extract_metrics(payload)}
+            for kind in ("floors", "ceilings"):
+                dead = sorted(set(payload.get(kind, {})) - keys)
+                assert not dead, f"{path.name} {kind} key no metric: {dead}"
+
 
 class TestRowKeys:
     def test_rows_key_on_the_run_that_tells_them_apart(self):

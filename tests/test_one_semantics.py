@@ -1,12 +1,14 @@
 """One implementation of each query semantics, checked on the source.
 
-Row semantics live in the interpreter (``apply_operator``), which the
-vectorized executor's row paths call; conjunctive queries run on the
-chase's compiled plans.  This test parses ``src/repro`` and fails when a
-second scalar compiler or CQ-to-algebra translator comes back, when
-an engine switch appears anywhere but ``evaluate`` (the oracle
-selector) and ``QueryProcessor`` (a query workload's oracle), or when
-the algebra grows a second join equality."""
+Row semantics live in the interpreter (``apply_operator``), which runs
+every plan the vectorized executor cannot run over columns, whole;
+conjunctive queries run on the chase's compiled plans.  This test
+parses ``src/repro`` and fails when a second scalar compiler or
+CQ-to-algebra translator comes back, when an engine switch appears
+anywhere but ``evaluate`` (the oracle selector) and ``QueryProcessor``
+(a query workload's oracle), when the executor runs one interpreter
+operator over a stage's rows again, or when the algebra grows a second
+join equality."""
 
 from __future__ import annotations
 
@@ -100,6 +102,25 @@ def test_logic_does_not_import_the_algebra():
         and (node.module or "").startswith("repro.algebra")
     ]
     assert not offenders, offenders
+
+
+def test_the_executor_hands_the_interpreter_whole_plans():
+    """``algebra/vectorized.py`` reads no ``apply_operator``: a plan
+    outside the columnar dialect runs on the interpreter's ``_eval``
+    over its whole tree, never one operator over one stage's rows."""
+    [tree] = [tree for name, tree in _modules()
+              if name == "algebra/vectorized.py"]
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    } | {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "apply_operator" not in names
+    assert "_eval" in names
 
 
 #: The algebra's one join equality is ``_JoinEq``, under which a null

@@ -3,7 +3,7 @@ estimator gaps they lean on (ISSUE 8).
 
 Covers the cost model and DP/greedy enumeration, the commute-safety
 bails, randomized star/chain/cycle join graphs cross-checked against
-the heuristic plans on all three engines, the stats-epoch and
+the heuristic plans on both engines, the stats-epoch and
 divergence re-optimization lifecycle, and the BENCH floor judging used
 by the optimizer benchmark.
 """
@@ -404,6 +404,9 @@ class TestAdaptivePlanCache:
         class _FakeProfile:
             def __init__(self, factor):
                 self.factor = factor
+
+            def calls(self, node_id):
+                return 1
 
             def rows_out(self, node_id):
                 return node_id * self.factor + 1

@@ -37,7 +37,6 @@ from repro.algebra.compiler import _static_cols, union_branches
 from repro.algebra.optimizer import (
     _carries,
     _is_empty,
-    _output_names,
     _partial_eval,
     _push_select_into_join,
     _recognize_equi_join,
@@ -147,7 +146,7 @@ def _rebuild(expr):
         if all(
             isinstance(s, S.Col) and s.name == name for name, s in expr.outputs
         ):
-            inner_names = _output_names(expr.input)
+            inner_names = _static_cols(expr.input)
             if inner_names is not None and list(expr.output_names) == list(
                 inner_names
             ):

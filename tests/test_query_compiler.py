@@ -53,7 +53,7 @@ from repro.instances import Instance, LabeledNull
 from repro.logic.certain_answers import certain_answers, naive_evaluate
 from repro.logic.formulas import Atom, ConjunctiveQuery, Equality
 from repro.logic.terms import Const, Var
-from repro.observability import disable, enable, registry, reset
+from repro.observability import JOURNAL, disable, enable, registry, reset
 from tests.test_metamodel_schema import person_hierarchy
 from tests.test_naive_evaluation import search_answers, typed
 
@@ -460,9 +460,9 @@ def test_entity_scan_schema_override():
 
 
 def test_colliding_rename_over_ragged_rows():
-    """A rename that maps two columns onto one name takes the row path:
-    per row the later key wins, and a row lacking one keeps the
-    other."""
+    """A rename that maps two columns onto one name runs on the
+    interpreter: per row the later key wins, and a row lacking one
+    keeps the other."""
     instance = Instance()
     instance.insert_all("T", [{"a": 1, "b": 2}, {"a": 3}, {"b": 4, "c": 5}])
     rows = assert_engines_agree(Rename(Scan("T"), {"a": "b"}), instance)
@@ -494,15 +494,77 @@ _RIGHT = Values([{"b": 2}])
         "nested-loop-join", "ragged-hash-join", "extend-computed",
         "aggregate-computed"])
 def test_every_row_path_is_counted(stage, expr):
-    """Each row path the vectorized engine keeps — the interpreter's
-    operator over the stage's input rows — bumps its per-stage
-    fallback counter, and agrees with the interpreter."""
+    """Each plan that leaves the columnar dialect, while lowering or
+    while running, runs on the interpreter whole: it bumps the one
+    interpreter counter once, journals one event naming the node kind,
+    and agrees with the interpreter."""
     reset()
     enable()
     try:
         assert_engines_agree(expr, Instance())
-        counter = f"query.vectorized.row_fallback.{stage}"
-        assert registry.counter(counter).value == 1
+        assert registry.counter("query.vectorized.interpreted").value == 1
+        events = JOURNAL.events("vectorized.interpreted")
+        assert [e.attrs["node"] for e in events] == [stage]
+    finally:
+        disable()
+        reset()
+
+
+def test_ragged_difference_keeps_the_interpreters_key_order():
+    """A run redone on the interpreter returns the interpreter's rows
+    unchanged, key order included."""
+    instance = Instance()
+    instance.insert_all("R", [{"k": 1, "v": 1}, {"v": 2}, {"k": 3, "v": 1},
+                              {"k": 1, "v": 1}])
+    instance.insert_all("S", [{"k": 1, "v": 1}])
+    expr = Difference(Scan("R"), Scan("S"))
+    interpreted = evaluate(expr, instance, engine="interpreted")
+    vectorized = evaluate(expr, instance, engine="vectorized")
+    assert [list(row) for row in vectorized] == [["v"], ["k", "v"]]
+    assert [list(row) for row in vectorized] == [
+        list(row) for row in interpreted
+    ]
+
+
+def test_projection_over_a_reordered_union_keeps_its_key_order():
+    """∪ takes its right side's column order when the left side is
+    empty, so π[a, b] over π[a, b](R) ∪ π[b, a](S) is no identity
+    projection: the optimizer must keep it."""
+    instance = Instance()
+    instance.insert_all("S", [{"a": 1, "b": 2}])
+    expr = Project(
+        UnionAll(Project(Scan("R"), [("a", Col("a")), ("b", Col("b"))]),
+                 Project(Scan("S"), [("b", Col("b")), ("a", Col("a"))])),
+        [("a", Col("a")), ("b", Col("b"))],
+    )
+    rows = assert_engines_agree(expr, instance)
+    assert [list(row) for row in rows] == [["a", "b"]]
+
+
+def test_profiled_ragged_run_reports_the_root_only():
+    """A profiled run redone on the interpreter knows the root's rows
+    alone: no other node is compared with its estimate, so none is
+    flagged and no re-optimization is scheduled."""
+    instance = Instance()
+    instance.insert_all("L", [{"k": i, "a": i} for i in range(200)]
+                        + [{"a": -1}])
+    instance.insert_all("R", [{"k": i, "b": i} for i in range(200)])
+    expr = eq_join(Scan("L"), Scan("R"), [("k", "k")])
+    reset()
+    enable()
+    try:
+        rows = assert_engines_agree(expr, instance)
+        assert len(rows) == 200
+        assert registry.counter("query.vectorized.interpreted").value == 1
+        plan, _ = GLOBAL_VECTOR_PLAN_CACHE.adaptive_lookup(expr, instance)
+        assert len(plan.nodes) == 3
+        [event] = [e for e in JOURNAL.events()
+                   if e.kind == "query" and e.attrs["engine"] == "vectorized"]
+        worst = event.attrs["worst_divergent"]
+        assert worst["node_id"] == plan.root_id
+        assert worst["actual_rows"] == 200 and not worst["flagged"]
+        assert not event.attrs["reopt"]
+        assert GLOBAL_VECTOR_PLAN_CACHE.stats()["reopts"] == 0
     finally:
         disable()
         reset()
