@@ -10,10 +10,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
 # query-engine, incremental-maintenance, optimizer, health, Match,
-# Compose, chase and TransGen smoke gates and the example scripts.
+# Compose, chase, TransGen and end-to-end benchmark smoke gates and the
+# example scripts.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
 		health-smoke match-smoke compose-smoke chase-smoke transgen-smoke \
-		examples
+		perfbench-smoke examples
 	$(PYTHON) -m pytest -x -q
 
 # Every example script end to end (ETL pipeline, mediator, wrapper,

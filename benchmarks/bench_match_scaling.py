@@ -35,7 +35,11 @@ from repro.operators.match import (
     evaluate_against_truth,
     match,
 )
-from repro.operators.match.lexical import _token_pair_score, name_similarity
+from repro.operators.match.lexical import (
+    _token_pair_score,
+    _trigrams,
+    name_similarity,
+)
 from repro.operators.match.structural import _connectivity_graph, _schema_graph
 from repro.workloads import synthetic
 
@@ -164,10 +168,12 @@ def _ms(seconds: float) -> str:
 
 
 def _clear_name_memo() -> None:
-    """Empty the lexical matcher's process-wide name-pair and token-pair
-    memos, so that the next Match scores every name pair from scratch."""
+    """Empty the lexical matcher's process-wide name-pair, token-pair
+    and trigram memos, so that the next Match scores every name pair
+    from scratch."""
     name_similarity.cache_clear()
     _token_pair_score.cache_clear()
+    _trigrams.cache_clear()
 
 
 def scaling_report(benchmark):

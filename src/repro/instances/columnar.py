@@ -337,15 +337,6 @@ class ColumnBatch:
             append(row)
         return out
 
-    def row_at(self, i: int) -> Row:
-        """One reconstructed row (diagnostics / error messages)."""
-        row: Row = {}
-        for name in self.names:
-            col = self.cols[name]
-            if col.present is None or col.present[i]:
-                row[name] = col.values[i]
-        return row
-
     # ------------------------------------------------------------------
     # bulk operations
     # ------------------------------------------------------------------

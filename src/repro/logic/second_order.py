@@ -54,10 +54,11 @@ class Implication:
     def functions(self) -> set[str]:
         found: set[str] = set()
         for atom in self.body + self.head:
-            found |= atom.functions()
+            for _, term in atom.args:
+                if term.__class__ is FuncTerm:
+                    found |= functions_of(term)
         for condition in self.conditions:
-            for term in (condition.left, condition.right):
-                found |= functions_of(term)
+            found |= functions_of(condition.left) | functions_of(condition.right)
         return found
 
     def variables(self) -> set[Var]:
@@ -130,14 +131,18 @@ class SecondOrderTGD:
 # ----------------------------------------------------------------------
 def skolemize(tgd: TGD, index: int = 0) -> Implication:
     """Replace each existential head variable by a Skolem term over the
-    tgd's frontier variables (sorted for determinism)."""
-    frontier = sorted(tgd.frontier(), key=lambda v: v.name)
-    substitution: dict[Var, Term] = {}
+    tgd's frontier variables (sorted for determinism).  A full tgd keeps
+    its head as it is."""
     label = tgd.name or f"d{index}"
-    for existential in sorted(tgd.existentials(), key=lambda v: v.name):
-        substitution[existential] = FuncTerm(
-            f"f_{label}_{existential.name}", tuple(frontier)
-        )
+    body_variables, head_variables = tgd.body_variables(), tgd.head_variables()
+    existentials = head_variables - body_variables
+    if not existentials:
+        return Implication(body=tgd.body, head=tgd.head, name=label)
+    frontier = tuple(sorted(body_variables & head_variables, key=lambda v: v.name))
+    substitution: dict[Var, Term] = {
+        existential: FuncTerm(f"f_{label}_{existential.name}", frontier)
+        for existential in sorted(existentials, key=lambda v: v.name)
+    }
     return Implication(
         body=tgd.body,
         head=tuple(atom.substitute(substitution) for atom in tgd.head),
@@ -174,17 +179,22 @@ def deskolemize(so_tgd: SecondOrderTGD) -> list[TGD]:
     # function symbol -> the one (implication index, term) it may take
     owners: dict[str, tuple[int, FuncTerm]] = {}
     for index, implication in enumerate(so_tgd.implications):
-        resolved = _resolve_conditions(implication)
+        # Resolving an implication without conditions binds nothing: it
+        # is its own resolution (Compose's output is already resolved).
+        resolved = (
+            _resolve_conditions(implication) if implication.conditions
+            else implication
+        )
         if resolved is None or resolved.conditions:
             raise ExpressivenessError(
                 f"implication {implication} has unresolvable function-term "
                 "conditions; composition result is not first-order"
             )
-        for atom in resolved.body:
-            if atom.functions():
-                raise ExpressivenessError(
-                    f"function term in body of {resolved}; not first-order"
-                )
+        if any(isinstance(term, FuncTerm)
+               for atom in resolved.body for _, term in atom.args):
+            raise ExpressivenessError(
+                f"function term in body of {resolved}; not first-order"
+            )
         # Each distinct function term in the head becomes one
         # existential variable.
         replacements: dict[FuncTerm, Var] = {}
@@ -229,42 +239,56 @@ def _resolve_conditions(implication: Implication) -> Optional[Implication]:
     constant makes the implication unresolvable (returns None).  The
     bindings form a triangular substitution: a popped condition is
     resolved under them on the spot, and the body, head and residual
-    conditions are resolved once, at the end.
+    conditions are resolved once, at the end.  Only atoms that hold a
+    bound variable or a function term are rebuilt; every other atom is
+    returned as itself.
     """
     # Keyed by variable name: a str caches its hash, a Var rehashes on
     # every lookup, and Compose's candidates spend most of their time
     # here (apply_term and Implication.substitute take twice as long).
+    # Terms dispatch on their exact class (no term class is subclassed).
     bindings: dict[str, Term] = {}
 
     def resolve(term: Term) -> Term:
-        while isinstance(term, Var) and term.name in bindings:
+        while term.__class__ is Var and term.name in bindings:
             term = bindings[term.name]
-        if isinstance(term, FuncTerm):
+        if term.__class__ is FuncTerm:
             return FuncTerm(term.function, tuple(map(resolve, term.args)))
         return term
 
     def resolve_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
-        return tuple(
-            Atom(a.relation, tuple((name, resolve(t)) for name, t in a.args))
-            for a in atoms
-        )
+        if not bindings:
+            return atoms
+        resolved = []
+        for atom in atoms:
+            for _, term in atom.args:
+                kind = term.__class__
+                if kind is FuncTerm or (kind is Var and term.name in bindings):
+                    atom = Atom(atom.relation,
+                                tuple([(name, resolve(t)) for name, t in atom.args]))
+                    break
+            resolved.append(atom)
+        return tuple(resolved)
 
     pending = list(implication.conditions)
     residual: list[Equality] = []
     while pending:
         condition = pending.pop()
         left, right = resolve(condition.left), resolve(condition.right)
-        if left == right:
-            continue
-        if isinstance(right, Var) and not isinstance(left, Var):
+        if right.__class__ is Var and left.__class__ is not Var:
             left, right = right, left
-        if isinstance(left, Var):
-            if isinstance(right, FuncTerm) and left in variables_of(right):
+        if left.__class__ is Var:
+            if right.__class__ is Var:
+                if left.name != right.name:
+                    bindings[left.name] = right
+            elif right.__class__ is FuncTerm and left in variables_of(right):
                 # Occurs check: x = f(..x..) is a genuine second-order
                 # constraint on the function; keep it residual.
                 residual.append(Equality(left, right))
             else:
                 bindings[left.name] = right
+            continue
+        if left is right or left == right:
             continue
         if isinstance(left, FuncTerm) and isinstance(right, FuncTerm):
             if left.function == right.function and len(left.args) == len(right.args):

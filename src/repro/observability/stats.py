@@ -87,23 +87,30 @@ class ColumnStats:
     ordering off rather than guessing a cross-type order.  ``nums`` /
     ``strs`` count the numeric and string cells (the rest of
     :attr:`non_null` is unordered), which is what lets
-    :meth:`retract` turn ordering back on once the last value of the
+    :meth:`settle` turn ordering back on once the last value of the
     odd kind is gone.
+
+    A removal that may move ``kind``, ``lo`` or ``hi`` only marks them
+    stale; the first read of one of them (or of :attr:`ordered`,
+    ``==`` or :meth:`to_dict`) settles them, so a stream of removals
+    between two reads pays one O(distinct) pass, and a stream read
+    only through counts pays none.
     """
 
-    __slots__ = ("present", "nulls", "labeled", "counts", "kind", "lo", "hi",
-                 "nums", "strs")
+    __slots__ = ("present", "nulls", "labeled", "counts", "_kind", "_lo",
+                 "_hi", "nums", "strs", "_stale")
 
     def __init__(self) -> None:
         self.present = 0
         self.nulls = 0
         self.labeled = 0
         self.counts: dict[object, int] = {}
-        self.kind: Optional[str] = None  # None | "num" | "str" | "off"
-        self.lo: object = None
-        self.hi: object = None
+        self._kind: Optional[str] = None  # None | "num" | "str" | "off"
+        self._lo: object = None
+        self._hi: object = None
         self.nums = 0
         self.strs = 0
+        self._stale = False
 
     # ------------------------------------------------------------------
     def observe(self, value: object) -> None:
@@ -129,30 +136,31 @@ class ColumnStats:
             key = _stat_key(value)
         counts = self.counts
         counts[key] = counts.get(key, 0) + 1
-        kind = self.kind
+        if self._stale:
+            return  # settle() derives kind and extremes from the counts
+        kind = self._kind
         if kind == value_kind:
             if kind == "off":
                 return
-            if value < self.lo:
-                self.lo = value
-            elif value > self.hi:
-                self.hi = value
+            if value < self._lo:
+                self._lo = value
+            elif value > self._hi:
+                self._hi = value
         elif kind is None:
-            self.kind = value_kind
+            self._kind = value_kind
             if value_kind != "off":
-                self.lo = self.hi = value
+                self._lo = self._hi = value
         elif kind != "off":
-            self.kind = "off"
-            self.lo = self.hi = None
+            self._kind = "off"
+            self._lo = self._hi = None
 
     def retract(self, value: object) -> bool:
-        """Undo one earlier :meth:`observe` of ``value``.
+        """Undo one earlier :meth:`observe` of ``value``, and say whether
+        the column lost its last cell.
 
-        Counts drop in O(1).  ``kind``, ``lo`` and ``hi`` are left for
-        :meth:`settle`: the return value says whether they may have
-        moved (an extreme's count reached zero, a kind's count did, or
-        the column lost its last cell), so a caller retracting a batch
-        settles each flagged column once, after its last retraction."""
+        Counts drop in O(1).  When ``kind``, ``lo`` or ``hi`` may have
+        moved (an extreme's count reached zero, or a kind's count did),
+        they are marked stale for the next read to settle."""
         self.present -= 1
         if value is None:
             self.nulls -= 1
@@ -175,29 +183,52 @@ class ColumnStats:
         left = counts[key] - 1
         if left:
             counts[key] = left
-            return moved
-        del counts[key]
-        return moved or key == self.lo or key == self.hi
+        else:
+            del counts[key]
+            moved = moved or key == self._lo or key == self._hi
+        if moved:
+            self._stale = True
+        return not self.present
 
     def settle(self) -> None:
         """Re-derive ``kind`` from the per-kind counts and, for an
         ordered column, ``lo`` / ``hi`` from the surviving keys — one
-        O(distinct) pass, run only for columns :meth:`retract`
-        flagged."""
+        O(distinct) pass, run on the first read after :meth:`retract`
+        marked them stale."""
         nums, strs = self.nums, self.strs
         if self.non_null - nums - strs or (nums and strs):
-            self.kind = "off"
+            self._kind = "off"
         elif nums:
-            self.kind = "num"
+            self._kind = "num"
         elif strs:
-            self.kind = "str"
+            self._kind = "str"
         else:
-            self.kind = None
-        if self.kind in ("num", "str"):
-            self.lo = min(self.counts)
-            self.hi = max(self.counts)
+            self._kind = None
+        if self._kind in ("num", "str"):
+            self._lo = min(self.counts)
+            self._hi = max(self.counts)
         else:
-            self.lo = self.hi = None
+            self._lo = self._hi = None
+        self._stale = False
+
+    @property
+    def kind(self) -> Optional[str]:
+        """None (no ordered cell yet), "num", "str", or "off" (mixed)."""
+        if self._stale:
+            self.settle()
+        return self._kind
+
+    @property
+    def lo(self) -> object:
+        if self._stale:
+            self.settle()
+        return self._lo
+
+    @property
+    def hi(self) -> object:
+        if self._stale:
+            self.settle()
+        return self._hi
 
     # ------------------------------------------------------------------
     @property
@@ -310,25 +341,21 @@ class RelationStats:
     def retract(self, rows: Iterable[Mapping[str, object]]) -> None:
         """Take rows previously absorbed back out, in place.
 
-        Each cell is retracted from its column in O(1); a column that
-        no remaining row carries loses its entry, and a column whose
-        kind or extremes may have moved is settled once, after the
-        whole batch (see :meth:`ColumnStats.retract`)."""
+        Each cell is retracted from its column in O(1), and a column
+        that no remaining row carries loses its entry.  A column whose
+        kind or extremes may have moved settles them when they are next
+        read (see :meth:`ColumnStats.retract`)."""
         columns = self.columns
-        unsettled: set[str] = set()
+        emptied: list[str] = []
         removed = 0
         for row in rows:
             removed += 1
             for name, value in row.items():
                 if columns[name].retract(value):
-                    unsettled.add(name)
+                    emptied.append(name)
         self.rows -= removed
-        for name in unsettled:
-            column = columns[name]
-            if column.present:
-                column.settle()
-            else:
-                del columns[name]
+        for name in emptied:
+            del columns[name]
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> Optional[ColumnStats]:

@@ -22,8 +22,7 @@ that some D2 satisfies both.  Two concrete algorithms:
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
@@ -119,7 +118,7 @@ def _replace_middle_atoms(
     renamed apart once per middle-atom position ``p``, with the suffix
     ``~(first_suffix + p)``; a choice then only concatenates cases."""
     middle_atoms = [a for a in implication.body if a.relation in middle_relations]
-    other_atoms = [a for a in implication.body if a.relation not in middle_relations]
+    other_atoms = tuple(a for a in implication.body if a.relation not in middle_relations)
     produced = {h.relation for o in sigma12.implications for h in o.head}
     if any(atom.relation not in produced for atom in middle_atoms):
         # No σ12 rule ever produces this relation: the implication
@@ -150,16 +149,18 @@ def _replace_middle_atoms(
                 )
                 cases[-1].append((renamed.body, renamed.conditions + equalities))
 
+    # The case product in itertools.product's order, one position at a
+    # time: a choice's body and conditions extend its prefix's tuples.
+    choices = [(other_atoms, implication.conditions)]
+    for position_cases in cases:
+        choices = [
+            (body + case_body, conditions + case_conditions)
+            for body, conditions in choices
+            for case_body, case_conditions in position_cases
+        ]
     results: list[Implication] = []
-    for choice in itertools.product(*cases):
-        body: list[Atom] = list(other_atoms)
-        conditions: list[Equality] = list(implication.conditions)
-        for case_body, case_conditions in choice:
-            body.extend(case_body)
-            conditions.extend(case_conditions)
-        candidate = Implication(
-            tuple(body), implication.head, tuple(conditions), implication.name
-        )
+    for body, conditions in choices:
+        candidate = Implication(body, implication.head, conditions, implication.name)
         resolved = _resolve_conditions(candidate)
         # Residual function-term conditions are kept unresolved: the
         # SO-tgd language allows them.
@@ -176,8 +177,9 @@ def _rename_functions_apart(
     reuse names; the functions are still distinct, and merging them
     would equate their values."""
     renaming: dict[str, str] = {}
-    used = set(taken | sigma23.functions)
-    for function in sorted(taken & sigma23.functions):
+    functions = sigma23.functions
+    used = set(taken | functions)
+    for function in sorted(taken & functions):
         suffix = 1
         while f"{function}${suffix}" in used:
             suffix += 1
@@ -191,32 +193,63 @@ def _rename_functions_apart(
             return FuncTerm(renaming.get(t.function, t.function), tuple(map(rename, t.args)))
         return t
 
-    def rename_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
-        return tuple(Atom(a.relation, tuple((n, rename(t)) for n, t in a.args)) for a in atoms)
-
-    implications = tuple(
-        Implication(rename_atoms(i.body), rename_atoms(i.head), tuple(
-            Equality(rename(c.left), rename(c.right)) for c in i.conditions
-        ), i.name)
-        for i in sigma23.implications
+    return SecondOrderTGD(
+        tuple(_map_terms(i, rename) for i in sigma23.implications),
+        name=sigma23.name,
     )
-    return SecondOrderTGD(implications, name=sigma23.name)
+
+
+def _map_terms(implication: Implication, rebuild: Callable[[Term], Term]) -> Implication:
+    """``implication`` with ``rebuild`` applied to each term of its atoms
+    and conditions, in one pass."""
+
+    def atoms(of: tuple[Atom, ...]) -> tuple[Atom, ...]:
+        return tuple(Atom(a.relation, tuple((n, rebuild(t)) for n, t in a.args))
+                     for a in of)
+
+    return Implication(
+        atoms(implication.body),
+        atoms(implication.head),
+        tuple(Equality(rebuild(c.left), rebuild(c.right))
+              for c in implication.conditions),
+        implication.name,
+    )
 
 
 def _first_free_suffix(implications: Sequence[Implication]) -> int:
     """One past the largest ``j`` of any variable named ``…~j``: suffixes
     from there on never capture a variable, not even one that an earlier
     composition named."""
-    tails = (v.name.rpartition("~")[2] for i in implications for v in i.variables())
+    terms: list[Term] = [term for i in implications for atom in i.body + i.head
+                         for _, term in atom.args]
+    terms += [t for i in implications for c in i.conditions for t in (c.left, c.right)]
+    names: set[str] = set()
+    for term in terms:  # a function term appends its arguments
+        if term.__class__ is Var:
+            names.add(term.name)
+        elif term.__class__ is FuncTerm:
+            terms.extend(term.args)
+    tails = (name.rpartition("~")[2] for name in names)
     return 1 + max((int(t) for t in tails if t.isdecimal()), default=-1)
 
 
 def _rename_apart(implication: Implication, index: int) -> Implication:
-    """Rename an implication's variables with the suffix ``~index``."""
-    substitution: dict[Var, Term] = {
-        var: Var(f"{var.name}~{index}") for var in implication.variables()
-    }
-    return implication.substitute(substitution)
+    """Rename an implication's variables with the suffix ``~index``, in
+    one pass that builds each renamed variable once."""
+    suffix = f"~{index}"
+    renamed: dict[str, Var] = {}
+
+    def rename(term: Term) -> Term:
+        if term.__class__ is Var:
+            var = renamed.get(term.name)
+            if var is None:
+                var = renamed[term.name] = Var(term.name + suffix)
+            return var
+        if term.__class__ is FuncTerm:
+            return FuncTerm(term.function, tuple(map(rename, term.args)))
+        return term
+
+    return _map_terms(implication, rename)
 
 
 # ----------------------------------------------------------------------

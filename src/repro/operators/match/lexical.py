@@ -35,9 +35,12 @@ def tokenize(identifier: str) -> tuple[str, ...]:
     return tuple(t.lower() for t in _SPLITTER.findall(identifier))
 
 
-def _trigrams(lowered: str) -> set[str]:
+@lru_cache(maxsize=65536)
+def _trigrams(lowered: str) -> frozenset[str]:
+    """A lowered name's padded trigrams, built once per name: a Match
+    scores each name against every name of the other schema."""
     padded = f"  {lowered} "
-    return {padded[i : i + 3] for i in range(len(padded) - 2)}
+    return frozenset(padded[i : i + 3] for i in range(len(padded) - 2))
 
 
 def _dice(a: set, b: set) -> float:

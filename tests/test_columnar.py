@@ -62,9 +62,6 @@ def test_round_trip_random_rows(seed):
     batch = ColumnBatch.from_rows(rows)
     assert len(batch) == len(rows)
     assert batch.to_rows() == rows
-    # row_at agrees with the bulk boundary
-    for i in range(len(rows)):
-        assert batch.row_at(i) == rows[i]
 
 
 @pytest.mark.parametrize("seed", range(25))

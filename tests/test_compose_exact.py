@@ -11,6 +11,10 @@ case product that renames the chosen origin again for every choice.
 * The resolver must equal the eager one exactly (``==``), on seeded
   implications with nested function terms, constants and occurs-check
   cycles, and on every call that the composes below make.
+* Skolemization, renaming apart and the first free suffix build only
+  the terms they change; every call the composes below make must equal
+  the former implementations, kept verbatim, that rebuilt every term
+  through a substitution.
 * Compose must equal the per-choice renamer up to a variable bijection
   per implication, with the implications in the same order, on the
   alternatives family, copy chains and seeded random st-tgd pairs.
@@ -189,11 +193,40 @@ def _oracle_replace_middle_atoms(
 
 def _oracle_rename_apart(implication: Implication, index: int) -> Implication:
     """Rename an implication's variables with a fresh suffix so distinct
-    origin choices never share variables."""
+    origin choices never share variables.  (Compose's former
+    ``_rename_apart``, verbatim: one substitution through
+    ``apply_term``.)"""
     substitution: dict[Var, Term] = {
         var: Var(f"{var.name}~{index}") for var in implication.variables()
     }
     return implication.substitute(substitution)
+
+
+def _oracle_skolemize(tgd: TGD, index: int = 0) -> Implication:
+    """Replace each existential head variable by a Skolem term over the
+    tgd's frontier variables (sorted for determinism).  (The former
+    ``skolemize``, verbatim: every head rebuilt through a substitution,
+    empty for a full tgd.)"""
+    frontier = sorted(tgd.frontier(), key=lambda v: v.name)
+    substitution: dict[Var, Term] = {}
+    label = tgd.name or f"d{index}"
+    for existential in sorted(tgd.existentials(), key=lambda v: v.name):
+        substitution[existential] = FuncTerm(
+            f"f_{label}_{existential.name}", tuple(frontier)
+        )
+    return Implication(
+        body=tgd.body,
+        head=tuple(atom.substitute(substitution) for atom in tgd.head),
+        name=label,
+    )
+
+
+def _oracle_first_free_suffix(implications) -> int:
+    """One past the largest ``j`` of any variable named ``…~j``.  (The
+    former ``_first_free_suffix``, verbatim: a variable set per
+    implication.)"""
+    tails = (v.name.rpartition("~")[2] for i in implications for v in i.variables())
+    return 1 + max((int(t) for t in tails if t.isdecimal()), default=-1)
 
 
 def _oracle_find_corresponding_head(
@@ -693,3 +726,72 @@ def test_every_resolver_call_equals_the_oracle(monkeypatch):
     for _ in range(40):
         compose(*_random_pair(rng))
     assert len(calls) >= 100
+
+
+def test_first_free_suffix_reads_every_term():
+    """A variable counts wherever it occurs: nested in function terms,
+    or only in a condition."""
+    x, y, z = Var("x~3"), Var("y~7"), Var("z~9")
+    nested = Implication(
+        (Atom("R", (("a", x),)),),
+        (Atom("T", (("a", FuncTerm("f", (FuncTerm("g", (y, Const(12))),))),)),),
+    )
+    conditioned = Implication(nested.body, nested.head, (Equality(z, Const(1)),))
+    for implications, expected in (((nested,), 8), ((nested, conditioned), 10)):
+        assert compose_module._first_free_suffix(implications) == expected
+        assert _oracle_first_free_suffix(implications) == expected
+
+
+def test_every_rename_and_skolemization_equals_the_oracle(monkeypatch):
+    """Every Skolemization, rename and suffix that Compose computes on the
+    design shapes, widths 1-8, chains of 2-8 steps (first-order and
+    second-order at every step) and 240 seeded random pairs (existentials,
+    constants, function terms) equals the former implementation's."""
+    seen = {"skolemized": 0, "existential": 0, "renamed": 0,
+            "function": 0, "constant": 0, "suffixes": 0}
+    rename_apart = compose_module._rename_apart
+    real_skolemize_all = compose_module.skolemize_all
+    first_free_suffix = compose_module._first_free_suffix
+
+    def renamed(implication, index):
+        result = rename_apart(implication, index)
+        assert result == _oracle_rename_apart(implication, index), str(implication)
+        seen["renamed"] += 1
+        seen["function"] += bool(implication.functions())
+        seen["constant"] += any(isinstance(t, Const) for a in implication.head
+                                for _, t in a.args)
+        return result
+
+    def skolemized(tgds, name=""):
+        result = real_skolemize_all(tgds, name=name)
+        assert result.implications == tuple(
+            _oracle_skolemize(tgd, index) for index, tgd in enumerate(tgds)
+        ), name
+        seen["skolemized"] += len(tgds)
+        seen["existential"] += sum(not tgd.is_full for tgd in tgds)
+        return result
+
+    def suffix(implications):
+        result = first_free_suffix(implications)
+        assert result == _oracle_first_free_suffix(implications)
+        seen["suffixes"] += 1
+        return result
+
+    monkeypatch.setattr(compose_module, "_rename_apart", renamed)
+    monkeypatch.setattr(compose_module, "skolemize_all", skolemized)
+    monkeypatch.setattr(compose_module, "_first_free_suffix", suffix)
+    for width in range(1, 9):
+        compose(*synthetic.composition_pair_exponential(width),
+                prefer_first_order=False)
+    for steps in range(2, 9):
+        mappings = synthetic.composition_chain_linear(steps, relations=3)
+        for first_order in (True, False):
+            current = mappings[0]
+            for step in mappings[1:]:
+                current = compose(current, step, prefer_first_order=first_order)
+    rng = random.Random(2107)
+    for _ in range(240):
+        m12, m23 = _random_pair(rng)
+        compose(m12, m23, prefer_first_order=False)
+        compose(m12, m23)
+    assert min(seen.values()) >= 100, seen

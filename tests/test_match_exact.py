@@ -38,6 +38,7 @@ from repro.operators.match.lexical import (
     _is_abbreviation,
     _levenshtein,
     _token_pair_score,
+    _trigrams,
     name_similarity,
 )
 from repro.operators.match.structural import _schema_graph
@@ -465,12 +466,13 @@ def test_bit_parallel_levenshtein_equals_dynamic_programming():
 
 
 def test_warm_memo_gives_the_cold_scores():
-    """``name_similarity`` and ``_token_pair_score`` are memoized per
-    process.  A pass over the pairs in reverse order, which finds every
-    name pair already scored, must give the matrices of a pass that
-    started from an empty memo."""
+    """``name_similarity``, ``_token_pair_score`` and ``_trigrams`` are
+    memoized per process.  A pass over the pairs in reverse order, which
+    finds every name pair already scored, must give the matrices of a
+    pass that started from an empty memo."""
     name_similarity.cache_clear()
     _token_pair_score.cache_clear()
+    _trigrams.cache_clear()
     config = _CONFIGS["default"]
     cold = [_as_dict(ensemble_similarity(source, target, config))
             for _, source, target in _PAIRS]
@@ -483,7 +485,7 @@ def test_warm_memo_gives_the_cold_scores():
 
 
 def test_memos_share_one_bound():
-    for memo in (tokenize, name_similarity, _token_pair_score):
+    for memo in (tokenize, name_similarity, _token_pair_score, _trigrams):
         assert memo.cache_info().maxsize == 65_536
 
 

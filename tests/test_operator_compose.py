@@ -8,7 +8,8 @@ from repro.algebra import evaluate
 from repro.errors import CompositionError, ExpressivenessError
 from repro.instances import Instance
 from repro.logic import chase, parse_tgd
-from repro.logic.formulas import Atom
+from repro.logic.dependencies import TGD
+from repro.logic.formulas import Atom, Equality
 from repro.logic.homomorphism import are_hom_equivalent
 from repro.logic.second_order import (
     Implication, SecondOrderTGD, deskolemize, skolemize_all,
@@ -307,6 +308,21 @@ class TestCompositionSoundness:
         )
         with pytest.raises(ExpressivenessError, match="shared"):
             deskolemize(SecondOrderTGD((implication,)))
+
+    def test_deskolemize_resolves_conditions_first(self):
+        """A condition that resolution eliminates does not keep an
+        implication second-order: f(x) = f(y) binds x to y."""
+        x, y = Var("x"), Var("y")
+        implication = Implication(
+            body=(Atom("R", (("a", x), ("b", y))),),
+            head=(Atom("S", (("a", FuncTerm("f", (x,))),)),),
+            conditions=(Equality(FuncTerm("f", (x,)), FuncTerm("f", (y,))),),
+        )
+        assert deskolemize(SecondOrderTGD((implication,))) == [TGD(
+            body=(Atom("R", (("a", y), ("b", y))),),
+            head=(Atom("S", (("a", Var("e0_0")),)),),
+            name="c0",
+        )]
 
     def test_second_order_fallback_is_counted_and_journaled(self):
         m12, m23 = _mgr_pair()

@@ -352,6 +352,48 @@ def test_stats_counters_follow_the_validation_contract():
     }
 
 
+def test_fifo_removals_settle_the_extremes_only_when_read(monkeypatch):
+    """A FIFO stream on a monotonic column removes its minimum on every
+    call.  No removal settles the extremes; the first read after the
+    stream does, and the statistics then equal the current rows'."""
+    settled = []
+    settle = ColumnStats.settle
+    monkeypatch.setattr(ColumnStats, "settle",
+                        lambda self: settled.append(self) or settle(self))
+    db = Instance()
+    for oid in range(2_000):
+        db.insert("Ledger", {"oid": oid, "name": f"n{oid % 7}"})
+    db.relation_stats("Ledger")
+    for oid in range(2_000, 3_000):
+        db.remove_rows("Ledger", [db.rows("Ledger")[0]])
+        db.insert("Ledger", {"oid": oid, "name": f"n{oid % 7}"})
+    assert settled == []
+    stats = db.relation_stats("Ledger")
+    assert stats == RelationStats.from_rows("Ledger", db.rows("Ledger"))
+    assert (stats.columns["oid"].lo, stats.columns["oid"].hi) == (1_000, 2_999)
+    assert settled
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unread_retractions_settle_to_the_fresh_statistics(seed):
+    """Observes and retracts of mixed kinds with no read in between: the
+    column settles to the statistics of its surviving cells."""
+    rng = random.Random(seed)
+    values = [0, 1, 2.5, 7, True, "a", "b", None, LabeledNull(1), [1]]
+    column, cells = ColumnStats(), []
+    for _ in range(300):
+        if cells and rng.random() < 0.45:
+            column.retract(cells.pop(rng.randrange(len(cells))))
+        else:
+            cells.append(rng.choice(values))
+            column.observe(cells[-1])
+    fresh = ColumnStats()
+    for value in cells:
+        fresh.observe(value)
+    assert column == fresh
+    assert (column.kind, column.lo, column.hi) == (fresh.kind, fresh.lo, fresh.hi)
+
+
 def test_relation_stats_for_missing_relation_is_empty():
     stats = Instance().relation_stats("nope")
     assert stats.rows == 0
