@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
 	optimizer-smoke health-smoke match-smoke compose-smoke transgen-smoke \
 	chase-smoke examples \
-	bench-smoke bench-chase \
+	bench-smoke bench-chase bench-match \
 	bench bench-query bench-updates bench-optimizer \
 	bench-json bench-check bench-check-smoke perfbench-smoke
 
@@ -144,6 +144,12 @@ bench-query:
 # Full chase trajectory: rewrites BENCH_chase.json at three sizes.
 bench-chase:
 	$(PYTHON) benchmarks/bench_chase_scaling.py
+
+# Full Match run: rewrites BENCH_match.json, the E1 quality table (which
+# fails if a candidate moves from its pinned value) and one Match at
+# 23, 77, 239 and 509 elements, wall and CPU time.
+bench-match:
+	$(PYTHON) benchmarks/bench_match_scaling.py
 
 # Incremental maintenance vs full re-exchange: rewrites
 # BENCH_updates.json at three sizes plus the egd merge/rollback lane,

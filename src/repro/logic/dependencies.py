@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.logic.formulas import Atom, Equality
+from repro.logic.formulas import Atom, Equality, atoms_variables
 from repro.logic.terms import Var
 
 
@@ -22,10 +22,7 @@ class Dependency:
     body: tuple[Atom, ...]
 
     def body_variables(self) -> set[Var]:
-        result: set[Var] = set()
-        for atom in self.body:
-            result |= atom.variables()
-        return result
+        return atoms_variables(self.body)
 
     def body_relations(self) -> set[str]:
         return {atom.relation for atom in self.body}
@@ -43,10 +40,7 @@ class TGD(Dependency):
         return TGD(body=tuple(body), head=tuple(head), name=name)
 
     def head_variables(self) -> set[Var]:
-        result: set[Var] = set()
-        for atom in self.head:
-            result |= atom.variables()
-        return result
+        return atoms_variables(self.head)
 
     def frontier(self) -> set[Var]:
         """Variables shared by body and head (the universally

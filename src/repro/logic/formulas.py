@@ -8,6 +8,7 @@ ones, matching the engine's row representation; the printer renders
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.logic.terms import (
     Const,
@@ -57,7 +58,10 @@ class Atom:
     def variables(self) -> set[Var]:
         result: set[Var] = set()
         for _, term in self.args:
-            result |= variables_of(term)
+            if isinstance(term, Var):
+                result.add(term)
+            elif isinstance(term, FuncTerm):
+                result |= variables_of(term)
         return result
 
     def functions(self) -> set[str]:
@@ -75,6 +79,20 @@ class Atom:
     def __str__(self) -> str:
         inner = ", ".join(f"{name}={term}" for name, term in self.args)
         return f"{self.relation}({inner})"
+
+
+def atoms_variables(atoms: Iterable[Atom]) -> set[Var]:
+    """The variables of ``atoms``, in one walk: a variable term is added
+    as it is, and only a function term is opened."""
+    result: set[Var] = set()
+    add = result.add
+    for atom in atoms:
+        for _, term in atom.args:
+            if isinstance(term, Var):
+                add(term)
+            elif isinstance(term, FuncTerm):
+                result |= variables_of(term)
+    return result
 
 
 @dataclass(frozen=True)

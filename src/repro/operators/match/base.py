@@ -28,6 +28,19 @@ class SimilarityMatrix:
         else:
             self._rows.setdefault(source_path, {})[target_path] = min(1.0, score)
 
+    def install_row(self, source_path: str, row: dict[str, float]) -> None:
+        """Install a whole row of ``target_path -> score`` that already
+        keeps :meth:`set`'s rule (see :func:`kept_row`), as setting its
+        pairs one by one would: a source element with no row takes
+        ``row`` itself, one with a row has it updated, and an empty
+        ``row`` installs nothing."""
+        if row:
+            existing = self._rows.get(source_path)
+            if existing is None:
+                self._rows[source_path] = row
+            else:
+                existing.update(row)
+
     def get(self, source_path: str, target_path: str) -> float:
         row = self._rows.get(source_path)
         return row.get(target_path, 0.0) if row else 0.0
@@ -40,20 +53,30 @@ class SimilarityMatrix:
     def __len__(self) -> int:
         return sum(len(row) for row in self._rows.values())
 
-    def blend(self, others: Iterable[tuple["SimilarityMatrix", float]]) -> "SimilarityMatrix":
-        """Weighted combination of this matrix (weight folded in by the
-        caller) with others; pairs missing from a matrix contribute 0.
+    def blend(
+        self,
+        others: Iterable[tuple["SimilarityMatrix", float]],
+        weight: float,
+    ) -> "SimilarityMatrix":
+        """Weighted combination of this matrix, at ``weight``, with
+        others; pairs missing from a matrix contribute 0.
 
-        Each pair's total adds this matrix's score, then each other
-        matrix's weighted score in the order given, so a pair's sum does
-        not depend on which other pairs exist."""
-        totals = {source_path: dict(row) for source_path, row in self._rows.items()}
-        for matrix, weight in others:
+        Each pair's total is this matrix's score times ``weight``, plus
+        each other matrix's weighted score in the order given, so a
+        pair's sum does not depend on which other pairs exist."""
+        totals = {
+            source_path: {
+                target_path: score * weight
+                for target_path, score in row.items()
+            }
+            for source_path, row in self._rows.items()
+        }
+        for matrix, other_weight in others:
             for source_path, row in matrix._rows.items():
                 total_row = totals.setdefault(source_path, {})
                 for target_path, score in row.items():
                     total_row[target_path] = (
-                        total_row.get(target_path, 0.0) + weight * score
+                        total_row.get(target_path, 0.0) + other_weight * score
                     )
         result = SimilarityMatrix(self.source, self.target)
         for source_path, total_row in totals.items():
@@ -61,14 +84,6 @@ class SimilarityMatrix:
                 target_path: min(1.0, total)
                 for target_path, total in total_row.items()
                 if total > 0
-            }
-        return result
-
-    def scale(self, factor: float) -> "SimilarityMatrix":
-        result = SimilarityMatrix(self.source, self.target)
-        for source_path, row in self._rows.items():
-            result._rows[source_path] = {
-                target_path: score * factor for target_path, score in row.items()
             }
         return result
 
@@ -93,6 +108,20 @@ class SimilarityMatrix:
             key=lambda item: (-item[1], positions.get(item[0], unknown)),
         )
         return candidates[:k]
+
+
+def kept_row(
+    targets: Iterable[str], scores: Iterable[float], floor: float = 0.0
+) -> dict[str, float]:
+    """The row ``target -> score`` that :meth:`SimilarityMatrix.set`
+    leaves after setting each target's score when it exceeds ``floor``:
+    scores ≤ 0 are dropped and the rest are clamped at 1."""
+    floor = max(floor, 0.0)
+    return {
+        target: score if score < 1.0 else 1.0
+        for target, score in zip(targets, scores)
+        if score > floor
+    }
 
 
 class Matcher:

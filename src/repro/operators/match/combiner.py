@@ -107,7 +107,7 @@ def ensemble_similarity(
             lexical = matrix
         weighted.append((matrix, weight / total_weight))
     first, first_weight = weighted[0]
-    return first.scale(first_weight).blend(weighted[1:])
+    return first.blend(weighted[1:], first_weight)
 
 
 @instrumented("op.match", attrs=lambda source, target, config=None: {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.metamodel.schema import Schema
 from repro.metamodel.types import DataType, type_compatibility
-from repro.operators.match.base import Matcher, SimilarityMatrix
+from repro.operators.match.base import Matcher, SimilarityMatrix, kept_row
 
 
 class DatatypeMatcher(Matcher):
@@ -27,14 +27,15 @@ class DatatypeMatcher(Matcher):
             for e in target.entities.values()
             for a in e.attributes
         ]
-        # Few distinct types: score each distinct pair once.
-        rows: dict[DataType, list[float]] = {}
+        t_paths = [t_path for t_path, _ in target_attrs]
+        # Few distinct types: one row per distinct source type; each
+        # source element installs its own copy.
+        rows: dict[DataType, dict[str, float]] = {}
         for s_path, s_type in source_attrs:
             row = rows.get(s_type)
             if row is None:
-                row = rows[s_type] = [
+                row = rows[s_type] = kept_row(t_paths, [
                     type_compatibility(s_type, t_type) for _, t_type in target_attrs
-                ]
-            for (t_path, _), score in zip(target_attrs, row):
-                matrix.set(s_path, t_path, score)
+                ])
+            matrix.install_row(s_path, dict(row))
         return matrix

@@ -16,7 +16,7 @@ import re
 from functools import lru_cache
 
 from repro.metamodel.schema import Schema
-from repro.operators.match.base import Matcher, SimilarityMatrix
+from repro.operators.match.base import Matcher, SimilarityMatrix, kept_row
 
 _SPLITTER = re.compile(
     r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+"
@@ -178,20 +178,21 @@ class LexicalMatcher(Matcher):
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
         matrix = SimilarityMatrix(source, target)
         floor = self.floor
+        t_entities = list(target.entities)
         entity_scores: dict[str, dict[str, float]] = {}
         for s_entity in source.entities:
-            owners = entity_scores[s_entity] = {}
-            for t_entity in target.entities:
-                value = owners[t_entity] = name_similarity(s_entity, t_entity)
-                if value > floor:
-                    matrix.set(s_entity, t_entity, value)
+            scores = [name_similarity(s_entity, t_entity) for t_entity in t_entities]
+            entity_scores[s_entity] = dict(zip(t_entities, scores))
+            matrix.install_row(s_entity, kept_row(t_entities, scores, floor))
         targets = [
             (t_path, *t_path.split(".", 1))
             for t_path in self.attribute_paths(target)
         ]
-        # One list of name scores per distinct source attribute name,
-        # aligned with ``targets``.
+        t_paths = [t_path for t_path, _, _ in targets]
+        # One list of name scores per distinct source attribute name, and
+        # one of owner scores per source entity, aligned with ``targets``.
         name_rows: dict[str, list[float]] = {}
+        owner_rows: dict[str, list[float]] = {}
         for s_path in self.attribute_paths(source):
             s_entity, s_attr = s_path.split(".", 1)
             names = name_rows.get(s_attr)
@@ -199,9 +200,14 @@ class LexicalMatcher(Matcher):
                 names = name_rows[s_attr] = [
                     name_similarity(s_attr, t_attr) for _, _, t_attr in targets
                 ]
-            owners = entity_scores.get(s_entity, {})
-            for (t_path, t_entity, _), name_score in zip(targets, names):
-                blended = 0.85 * name_score + 0.15 * owners.get(t_entity, 0.0)
-                if blended > floor:
-                    matrix.set(s_path, t_path, blended)
+            owners = owner_rows.get(s_entity)
+            if owners is None:
+                scores = entity_scores.get(s_entity, {})
+                owners = owner_rows[s_entity] = [
+                    scores.get(t_entity, 0.0) for _, t_entity, _ in targets
+                ]
+            matrix.install_row(s_path, kept_row(t_paths, [
+                0.85 * name_score + 0.15 * owner_score
+                for name_score, owner_score in zip(names, owners)
+            ], floor))
         return matrix

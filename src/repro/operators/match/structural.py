@@ -18,7 +18,7 @@ Schema graph edge labels used here:
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul, sub, truediv
+from operator import add, itemgetter, le, mul, sub, truediv
 
 from repro.metamodel.schema import Schema
 from repro.metamodel.types import base_primitive
@@ -111,9 +111,46 @@ class SimilarityFlooding(Matcher):
             _schema_graph(source), _schema_graph(target)
         )
 
+        # Nodes grouped by degree.  A class with at least as many nodes
+        # as its degree (and at least two, so that a gather returns a
+        # tuple) sums by columns: column j holds each node's j-th
+        # neighbour, so one gather per column and one ``map(add, …)``
+        # per column add up a whole class, left to right in edge order.
+        # The other nodes keep a per-node loop.  The iteration runs on
+        # the nodes renumbered class by class, column classes first, so
+        # each class is one slice of σ.
+        classes: dict[int, list[int]] = {}
+        for node, neighbours in enumerate(adjacency):
+            classes.setdefault(len(neighbours), []).append(node)
+        columnar = [
+            nodes for degree, nodes in classes.items()
+            if len(nodes) >= max(degree, 2)
+        ]
+        looped = [
+            node for degree, nodes in classes.items()
+            if len(nodes) < max(degree, 2) for node in nodes
+        ]
+        order = [node for nodes in columnar for node in nodes] + looped
+        position = [0] * len(order)
+        for new_id, node in enumerate(order):
+            position[node] = new_id
+        renumber = position.__getitem__
+        column_sums = []
+        stop = 0
+        for nodes in columnar:
+            start, stop = stop, stop + len(nodes)
+            columns = zip(*map(adjacency.__getitem__, nodes))
+            column_sums.append((start, stop, [
+                itemgetter(*map(renumber, column)) for column in columns
+            ]))
+        loop_start = stop
+        loop_adjacency = [
+            list(map(renumber, adjacency[node])) for node in looped
+        ]
+
         # Fanout-weighted coefficients: every edge a node sends along
         # weighs 1/outdegree of that node.
-        weights = [1.0 / len(neighbours) for neighbours in adjacency]
+        weights = [1.0 / len(adjacency[node]) for node in order]
 
         # Initial σ⁰: seed scores for element pairs, 1.0 for shared type
         # nodes (they are identical constants).
@@ -121,19 +158,29 @@ class SimilarityFlooding(Matcher):
             s_node.startswith("type:") or t_node.startswith("type:")
             for s_node, t_node in pairs
         ]
-        sigma = [
+        seed_rows = seed._rows
+        initial = [
             (1.0 if s_node == t_node else 0.0)
             if type_pair
-            else seed.get(s_node, t_node)
+            else seed_rows.get(s_node, {}).get(t_node, 0.0)
             for (s_node, t_node), type_pair in zip(pairs, is_type)
         ]
+        sigma = [initial[node] for node in order]
 
+        epsilon = self.epsilon
         for _ in range(self.iterations):
             # What each node sends: σ times its weight, once per node.
             sent = list(map(mul, sigma, weights))
             updated = []
+            for start, stop, gathers in column_sums:
+                # The first column stands for 0.0 plus its value, which
+                # is the same float: every sent value is ≥ 0.
+                incoming = gathers[0](sent)
+                for gather in gathers[1:]:
+                    incoming = map(add, incoming, gather(sent))
+                updated += map(add, sigma[start:stop], incoming)
             append = updated.append
-            for value, neighbours in zip(sigma, adjacency):
+            for value, neighbours in zip(sigma[loop_start:], loop_adjacency):
                 # A plain loop: the sum runs left to right in edge
                 # order (``sum`` compensates float sums from 3.12 on).
                 incoming = 0.0
@@ -143,19 +190,30 @@ class SimilarityFlooding(Matcher):
             best = max(updated, default=1.0)
             if best > 0:
                 updated = list(map(truediv, updated, repeat(best)))
-            delta = max(map(abs, map(sub, updated, sigma)), default=0.0)
+            # ``max |u − σ| < ε``, decided at the first node that moved
+            # by ε or more (σ is never NaN).
+            moved = any(map(le, repeat(epsilon),
+                            map(abs, map(sub, updated, sigma))))
             sigma = updated
-            if delta < self.epsilon:
+            if not moved:
                 break
 
+        # σ lies in [0, 1] (the seed's scores, then each iteration
+        # divides by the largest), so no score needs clamping.
+        rows: dict[str, dict[str, float]] = {}
+        for (s_node, t_node), new_id, type_pair in zip(pairs, position, is_type):
+            score = sigma[new_id]
+            if score > 0.01 and not type_pair:
+                rows.setdefault(s_node, {})[t_node] = score
+        # Elements disconnected in the PCG keep half their seed score
+        # (unless it underflows to 0, which ``set`` would drop).
+        for s_path, seed_row in seed_rows.items():
+            row = rows.setdefault(s_path, {})
+            for t_path, score in seed_row.items():
+                if t_path not in row and score * 0.5 > 0.0:
+                    row[t_path] = score * 0.5
+        # ``install_row`` skips the rows that stayed empty.
         matrix = SimilarityMatrix(source, target)
-        for (s_node, t_node), score, type_pair in zip(pairs, sigma, is_type):
-            if type_pair:
-                continue
-            if score > 0.01:
-                matrix.set(s_node, t_node, score)
-        # Elements disconnected in the PCG keep their seed score.
-        for s_path, t_path, score in seed.items():
-            if matrix.get(s_path, t_path) == 0.0:
-                matrix.set(s_path, t_path, score * 0.5)
+        for s_path, row in rows.items():
+            matrix.install_row(s_path, row)
         return matrix

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.metamodel.schema import Schema
-from repro.operators.match.base import Matcher, SimilarityMatrix
+from repro.operators.match.base import Matcher, SimilarityMatrix, kept_row
 from repro.operators.match.lexical import tokenize
 
 #: symmetric synonym groups; each token maps to its canonical form.
@@ -64,36 +64,40 @@ class ThesaurusMatcher(Matcher):
 
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
         matrix = SimilarityMatrix(source, target)
-        # Each name's canonical set, and each distinct name pair's
-        # score, is worked out once per call.
+        # Each name's canonical set is worked out once per call.
         canonical: dict[str, set[str]] = {}
-        scores: dict[tuple[str, str], float] = {}
 
-        def score(a: str, b: str) -> float:
-            key = (a, b)
-            value = scores.get(key)
-            if value is None:
-                for name in key:
-                    if name not in canonical:
-                        canonical[name] = self._canonical(name)
-                value = scores[key] = _overlap(canonical[a], canonical[b])
-            return value
+        def canonical_set(name: str) -> set[str]:
+            if name not in canonical:
+                canonical[name] = self._canonical(name)
+            return canonical[name]
 
+        t_entities = list(target.entities)
+        t_entity_sets = [canonical_set(t_entity) for t_entity in t_entities]
         for s_entity in source.entities:
-            for t_entity in target.entities:
-                matrix.set(s_entity, t_entity, score(s_entity, t_entity))
-        targets = [
-            (t_path, t_path.split(".", 1)[1])
-            for t_path in self.attribute_paths(target)
-        ]
+            s_set = canonical_set(s_entity)
+            matrix.install_row(s_entity, kept_row(t_entities, [
+                _overlap(s_set, t_set) for t_set in t_entity_sets
+            ]))
+        t_paths = self.attribute_paths(target)
+        t_sets = [canonical_set(t_path.split(".", 1)[1]) for t_path in t_paths]
+        # One row per distinct source attribute name; each source
+        # element installs its own copy.
+        rows: dict[str, dict[str, float]] = {}
         for s_path in self.attribute_paths(source):
             s_attr = s_path.split(".", 1)[1]
-            for t_path, t_attr in targets:
-                matrix.set(s_path, t_path, score(s_attr, t_attr))
+            row = rows.get(s_attr)
+            if row is None:
+                s_set = canonical_set(s_attr)
+                row = rows[s_attr] = kept_row(t_paths, [
+                    _overlap(s_set, t_set) for t_set in t_sets
+                ])
+            matrix.install_row(s_path, dict(row))
         return matrix
 
 
 def _overlap(canon_a: set[str], canon_b: set[str]) -> float:
     if not canon_a or not canon_b:
         return 0.0
-    return len(canon_a & canon_b) / max(len(canon_a), len(canon_b))
+    size_a, size_b = len(canon_a), len(canon_b)
+    return len(canon_a & canon_b) / (size_a if size_a >= size_b else size_b)

@@ -42,6 +42,12 @@ from repro.operators.match.lexical import (
     name_similarity,
 )
 from repro.operators.match.structural import _schema_graph
+from repro.operators.match import (
+    DatatypeMatcher,
+    LexicalMatcher,
+    SimilarityFlooding,
+    ThesaurusMatcher,
+)
 from repro.workloads import paper, synthetic
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -554,3 +560,117 @@ def test_seeded_snowflakes_do_not_move():
     assert digest.hexdigest() == (
         "7d6b57506f7b612c6c4afe0f0336944cea2aea8aea2c36a753714866869e4949"
     )
+
+
+# ----------------------------------------------------------------------
+# the flooding fixpoint's convergence test, custom thesauri and the rows
+# the matchers install
+# ----------------------------------------------------------------------
+#: Convergence bounds: 0 (an int) never stops a run early, 0.5 stops
+#: most runs after the first iteration.
+_EPSILONS = (0, 1e-4, 1e-2, 0.5)
+
+
+def test_flooding_stops_where_the_oracle_stops():
+    """``flood`` at every iteration cap of :data:`_ITERATIONS` and every
+    ε of :data:`_EPSILONS` equals the oracle's fixpoint, which takes the
+    largest move of any node and stops when it is below ε.  A run that
+    stopped before its cap differs from the run that never stops."""
+    stopped_early = 0
+    for label, source, target in _PAIRS:
+        seed = LexicalMatcher().similarity(source, target)
+        never_stops = _oracle_flooding(source, target, _as_dict(seed),
+                                       _ITERATIONS, epsilon=0)
+        for epsilon in _EPSILONS:
+            expected = _oracle_flooding(source, target, _as_dict(seed),
+                                        _ITERATIONS, epsilon=epsilon)
+            for iterations in _ITERATIONS:
+                actual = _as_dict(SimilarityFlooding(
+                    iterations=iterations, epsilon=epsilon).flood(seed))
+                assert actual == expected[iterations], (
+                    f"{label}: flooding moved at {iterations} iterations, "
+                    f"epsilon {epsilon}"
+                )
+                stopped_early += actual != never_stops[iterations]
+    assert stopped_early >= 1
+
+
+def _oracle_thesaurus_with(source, target, thesaurus) -> dict:
+    """:func:`_oracle_thesaurus` over ``DEFAULT_THESAURUS`` merged with
+    ``thesaurus``."""
+    merged = dict(DEFAULT_THESAURUS)
+    merged.update(thesaurus)
+
+    def score(a: str, b: str) -> float:
+        canon_a = {merged.get(t, t) for t in tokenize(a)}
+        canon_b = {merged.get(t, t) for t in tokenize(b)}
+        if not canon_a or not canon_b:
+            return 0.0
+        return len(canon_a & canon_b) / max(len(canon_a), len(canon_b))
+
+    scores: dict = {}
+    for s_entity in source.entities:
+        for t_entity in target.entities:
+            _put(scores, s_entity, t_entity, score(s_entity, t_entity))
+    for s_path in _attribute_paths(source):
+        for t_path in _attribute_paths(target):
+            _put(scores, s_path, t_path,
+                 score(s_path.split(".", 1)[1], t_path.split(".", 1)[1]))
+    return scores
+
+
+#: Synonyms that join names of the schema pairs the default thesaurus
+#: keeps apart, and move "cost" out of the price group.
+_CUSTOM_THESAURUS = {"billing": "address", "qty": "price", "cost": "cost",
+                     "zip": "city", "tel": "name", "eid": "identifier"}
+
+
+def test_custom_thesaurus_equals_the_merged_oracle(oracle_matrices):
+    """``MatchConfig(thesaurus=...)`` scores by the default thesaurus
+    merged with the custom one; a default Match run after it scores by
+    the default thesaurus again."""
+    moved = 0
+    for (label, source, target), matrices in zip(_PAIRS, oracle_matrices):
+        for config in (
+            MatchConfig(thesaurus=_CUSTOM_THESAURUS),
+            MatchConfig(weights={"thesaurus": 1.0},
+                        thesaurus=_CUSTOM_THESAURUS),
+        ):
+            custom = dict(matrices)
+            custom["thesaurus"] = _oracle_thesaurus_with(
+                source, target, _CUSTOM_THESAURUS)
+            moved += custom["thesaurus"] != matrices["thesaurus"]
+            actual = _as_dict(ensemble_similarity(source, target, config))
+            assert actual == _oracle_ensemble(custom, config), label
+        for config_name in ("default", "thesaurus"):
+            config = _CONFIGS[config_name]
+            actual = _as_dict(ensemble_similarity(source, target, config))
+            assert actual == _oracle_ensemble(matrices, config), (
+                f"{label}: a custom thesaurus leaked into {config_name}"
+            )
+    # The custom synonyms must move some scores.
+    assert moved >= 10
+
+
+def test_installed_rows_hold_scores_in_the_unit_interval():
+    """Every matcher, and the ensemble, installs rows the way
+    ``SimilarityMatrix.set`` leaves them: no empty row, and only scores
+    in (0, 1]."""
+    for label, source, target in _PAIRS:
+        lexical = LexicalMatcher().similarity(source, target)
+        matrices = {
+            "lexical": lexical,
+            "flooding": SimilarityFlooding().flood(lexical),
+            "flooding/0": SimilarityFlooding(iterations=0).flood(lexical),
+            "thesaurus": ThesaurusMatcher().similarity(source, target),
+            "datatype": DatatypeMatcher().similarity(source, target),
+            "ensemble": ensemble_similarity(source, target, MatchConfig()),
+        }
+        for name, matrix in matrices.items():
+            for source_path, row in matrix._rows.items():
+                assert row, f"{label}: {name} installed an empty row"
+                for target_path, score in row.items():
+                    assert 0.0 < score <= 1.0, (
+                        f"{label}: {name} holds {score} for "
+                        f"{source_path} -> {target_path}"
+                    )

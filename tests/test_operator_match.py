@@ -191,7 +191,7 @@ class TestSimilarityMatrix:
         b = SimilarityMatrix(s, t)
         b.set("Empl", "Staff", 0.2)
         b.set("Addr", "Staff", 1.0)
-        combined = a.scale(0.5).blend([(b, 0.5)])
+        combined = a.blend([(b, 0.5)], 0.5)
         assert combined.get("Empl", "Staff") == pytest.approx(0.4)
         assert combined.get("Addr", "Staff") == pytest.approx(0.5)
 
