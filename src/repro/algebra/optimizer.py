@@ -27,10 +27,10 @@ semantics of the evaluator.
 When an :class:`~repro.instances.database.Instance` is supplied,
 a second, *cost-based* phase runs after the heuristic fixpoint: commute-
 safe inner-equi-join regions are flattened into join graphs, orders are
-enumerated (dynamic programming up to ``COST.dp_max_leaves`` relations,
+enumerated (dynamic programming up to ``DP_MAX_LEAVES`` relations,
 greedy min-est-rows above), and the cheapest tree under the cardinality
 estimates of :mod:`repro.algebra.estimate` wins — see
-``docs/OPTIMIZER.md`` for the cost model and its knobs.  Without an
+``docs/OPTIMIZER.md`` for the cost model and its constants.  Without an
 instance, ``optimize`` behaves exactly as before.
 """
 
@@ -51,39 +51,37 @@ from repro.algebra.compiler import (
 )
 
 
+#: Regions up to this many leaves get exhaustive DP; larger ones fall
+#: back to the greedy min-est-rows heuristic.
+DP_MAX_LEAVES = 8
+#: Regions beyond this are left in their written order.
+MAX_REGION_LEAVES = 24
+#: Per-query bound on adaptive re-optimizations (feedback loop in
+#: :mod:`repro.algebra.plan_cache`).
+MAX_REOPTS = 3
+
+# Per-row CPU weights of the cost model (``docs/OPTIMIZER.md``),
+# calibrated from operator profiles (`EXPLAIN ANALYZE` self-times over
+# the BENCH_query workloads): hash-build rows cost
+# roughly 2x probe rows, predicate evaluation sits between the two, and
+# scans are the cheapest per-row touch.  Absolute scale is irrelevant —
+# only ratios steer the join-order search.
+SCAN_WEIGHT = 0.25
+PRED_WEIGHT = 0.6
+BUILD_WEIGHT = 1.4
+PROBE_WEIGHT = 0.8
+OUTPUT_WEIGHT = 1.0
+SORT_WEIGHT = 0.3
+
+
 class CostConfig:
-    """Tuning knobs for the cost-based phase (``docs/OPTIMIZER.md``).
+    """The cost-based phase's switch: ``enabled = False`` leaves the
+    heuristic plans (``benchmarks/bench_optimizer.py`` runs both)."""
 
-    The per-row CPU weights are calibrated from the PR 5/7 operator
-    profiles (`EXPLAIN ANALYZE` self-times over the BENCH_query
-    workloads): hash-build rows cost roughly 2× probe rows, predicate
-    evaluation sits between the two, and scans are the cheapest
-    per-row touch.  Absolute scale is irrelevant — only ratios steer
-    the join-order search.
-    """
-
-    __slots__ = (
-        "enabled", "dp_max_leaves", "max_region_leaves", "max_reopts",
-        "scan_weight", "pred_weight", "build_weight", "probe_weight",
-        "output_weight", "sort_weight",
-    )
+    __slots__ = ("enabled",)
 
     def __init__(self) -> None:
         self.enabled = True
-        #: Regions up to this many leaves get exhaustive DP; larger
-        #: ones fall back to the greedy min-est-rows heuristic.
-        self.dp_max_leaves = 8
-        #: Regions beyond this are left in their written order.
-        self.max_region_leaves = 24
-        #: Per-query bound on adaptive re-optimizations (feedback loop
-        #: in :mod:`repro.algebra.plan_cache`).
-        self.max_reopts = 3
-        self.scan_weight = 0.25
-        self.pred_weight = 0.6
-        self.build_weight = 1.4
-        self.probe_weight = 0.8
-        self.output_weight = 1.0
-        self.sort_weight = 0.3
 
 
 #: Process-wide cost configuration (mutable, like ``ESTIMATION``).
@@ -636,7 +634,7 @@ def _count_optimizer_error(exc: Exception) -> None:
 
 
 def plan_cost(expr: E.RelExpr, est) -> float:
-    """Total estimated CPU cost of a tree under the ``COST`` weights.
+    """Total estimated CPU cost of a tree under the ``*_WEIGHT`` constants.
 
     ``est`` is an :class:`repro.algebra.estimate.Estimator`; every
     operator contributes (input rows × per-operator weight), hash joins
@@ -659,19 +657,19 @@ def plan_cost(expr: E.RelExpr, est) -> float:
         if isinstance(node, E.Join):
             total += _join_step_cost(node, est)
         elif isinstance(node, E.Select):
-            total += est.rows(node.input) * COST.pred_weight
+            total += est.rows(node.input) * PRED_WEIGHT
         elif isinstance(node, (E.Scan, E.EntityScan, E.Values)):
-            total += rows * COST.scan_weight
+            total += rows * SCAN_WEIGHT
         elif isinstance(node, (E.Distinct, E.Aggregate, E.Difference)):
             total += (
-                est.rows(node.inputs()[0]) * COST.build_weight
-                + rows * COST.output_weight
+                est.rows(node.inputs()[0]) * BUILD_WEIGHT
+                + rows * OUTPUT_WEIGHT
             )
         elif isinstance(node, E.Sort):
             n = max(rows, 1.0)
-            total += n * math.log2(n + 1.0) * COST.sort_weight
+            total += n * math.log2(n + 1.0) * SORT_WEIGHT
         else:  # Project/Extend/Rename/UnionAll and future operators
-            total += rows * COST.output_weight
+            total += rows * OUTPUT_WEIGHT
 
     walk(expr)
     return total
@@ -685,13 +683,13 @@ def _join_step_cost(join: E.Join, est) -> float:
     pairs, residual = split_join_predicate(join.predicate)
     if residual is not None:  # nested loop over the cross product
         return (
-            left_rows * right_rows * COST.pred_weight
-            + out_rows * COST.output_weight
+            left_rows * right_rows * PRED_WEIGHT
+            + out_rows * OUTPUT_WEIGHT
         )
     if not pairs:  # cross join
-        return left_rows * COST.probe_weight + out_rows * COST.output_weight
+        return left_rows * PROBE_WEIGHT + out_rows * OUTPUT_WEIGHT
     cost = (
-        right_rows * COST.build_weight + left_rows * COST.probe_weight
+        right_rows * BUILD_WEIGHT + left_rows * PROBE_WEIGHT
     )
     # Semi-join shape: Distinct right over exactly the join keys never
     # materializes widened output rows (the executor's semi-join path).
@@ -700,7 +698,7 @@ def _join_step_cost(join: E.Join, est) -> float:
         right_cols
     ) == {rcol for _, rcol in pairs}:
         return cost
-    return cost + out_rows * COST.output_weight
+    return cost + out_rows * OUTPUT_WEIGHT
 
 
 def mirror_join_fingerprint(expr: E.RelExpr) -> Optional[str]:
@@ -834,7 +832,7 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
 
     flatten(root)
     n = len(leaves)
-    if n < 2 or n > COST.max_region_leaves:
+    if n < 2 or n > MAX_REGION_LEAVES:
         return None
 
     # Resolve each leaf's output column set.  Statically known shapes
@@ -897,7 +895,7 @@ def _reorder_region(root: E.Join, est) -> Optional[E.RelExpr]:
     class_list = [c for c in classes.values() if len(c.by_leaf) > 1]
 
     new_leaves = [_cost_walk(leaf, est) for leaf in leaves]
-    if n <= COST.dp_max_leaves:
+    if n <= DP_MAX_LEAVES:
         return _dp_order(new_leaves, class_list, est)
     return _greedy_order(new_leaves, class_list, est)
 

@@ -28,7 +28,7 @@ statistics drift re-plans instead of reusing a stale join order, and
 :meth:`PlanCache.note_divergence` closes the feedback loop — a plan
 whose estimate↔actual divergence is flagged by ``EXPLAIN ANALYZE`` /
 an observed ``evaluate`` is evicted and re-optimized with actuals-corrected
-cardinalities on the next execution (bounded by ``COST.max_reopts``).
+cardinalities on the next execution (bounded by ``MAX_REOPTS``).
 Evictions are attributed by reason through
 ``query.plan_cache.evictions.{lru,epoch,reopt}`` and re-planning
 through ``query.reopt.scheduled`` / ``query.reopt.applied``.
@@ -226,7 +226,7 @@ class PlanCache:
         of a divergence-flagged execution and evict the cached entry so
         the next execution re-optimizes with corrected cardinalities.
 
-        Bounded per source fingerprint by ``COST.max_reopts``, and a
+        Bounded per source fingerprint by ``MAX_REOPTS``, and a
         no-op when the profile teaches nothing new (so a plan that
         stays divergent — e.g. inherently correlated predicates — stops
         churning once its corrections converge).  Nodes the run never
@@ -234,7 +234,11 @@ class PlanCache:
         teach nothing.  Returns ``True`` when a re-optimization was
         scheduled.
         """
-        from repro.algebra.optimizer import COST, mirror_join_fingerprint
+        from repro.algebra.optimizer import (
+            COST,
+            MAX_REOPTS,
+            mirror_join_fingerprint,
+        )
 
         if profile is None or not COST.enabled:
             return False
@@ -260,7 +264,7 @@ class PlanCache:
                 feedback = self._feedback.setdefault(
                     fingerprint, _Feedback()
                 )
-            if feedback.reopts >= COST.max_reopts:
+            if feedback.reopts >= MAX_REOPTS:
                 return False
             if all(
                 feedback.corrections.get(k) == v

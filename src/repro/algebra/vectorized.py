@@ -54,7 +54,7 @@ from typing import Callable, Optional
 from repro.algebra import compiler as C
 from repro.algebra import expressions as E
 from repro.algebra import scalars as S
-from repro.algebra.optimizer import COST
+from repro.algebra.optimizer import OUTPUT_WEIGHT, PROBE_WEIGHT, SCAN_WEIGHT
 from repro.algebra.printer import node_label
 from repro.algebra.compiler import (
     PlanProfile,
@@ -612,7 +612,7 @@ def _probe_pays(
 ) -> bool:
     """Whether reading ``relation``'s postings for ``name = value``
     costs less than masking its ``nrows``-row batch, under the
-    optimizer's ``CostConfig`` weights.  The expected match count is
+    optimizer's cost-model weights.  The expected match count is
     the larger of the value's own frequency and the column's average
     per distinct value, so a low-cardinality column never gets a
     postings index, even for a rare value."""
@@ -621,8 +621,7 @@ def _probe_pays(
         return False
     matched = max(stats.frequency(value) or 0, stats.non_null / stats.distinct)
     return (
-        matched * (COST.probe_weight + COST.output_weight)
-        < nrows * COST.scan_weight
+        matched * (PROBE_WEIGHT + OUTPUT_WEIGHT) < nrows * SCAN_WEIGHT
     )
 
 

@@ -15,10 +15,10 @@ rescan.
 Row dicts remain the source of truth: instances keep storing
 ``list[Row]`` and the chase / interpreted engine / persistent indexes
 never see a batch.  :meth:`Instance.column_batch` materializes the
-columnar image on demand and maintains it incrementally under the same
-validation contract as the persistent (relation, attr) indexes —
-appends extend it in place, removals compact it into a new batch (see
-``docs/COLUMNAR.md`` for the layout and the compatibility contract).
+columnar image on demand and keeps it under the instance's one cache
+protocol, like the postings and statistics — appends extend it in
+place, removals compact it into a new batch (see ``docs/COLUMNAR.md``
+for the layout and the compatibility contract).
 
 Batches handed to the vectorized executor are **immutable by
 convention**: operator stages build new value lists (or share existing
@@ -29,7 +29,7 @@ fresh row dicts are built only once, at the plan boundary
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.instances.labeled_null import LabeledNull
 
@@ -243,7 +243,9 @@ class ColumnBatch:
                 names, {name: Column(values) for name, values in cols.items()},
                 len(rows),
             )
-        return cls._from_rows_generic(rows)
+        batch = cls((), {}, 0)
+        batch._absorb(rows)
+        return batch
 
     @classmethod
     def from_homogeneous_rows(
@@ -256,32 +258,6 @@ class ColumnBatch:
             {name: Column([r[name] for r in rows]) for name in names},
             len(rows),
         )
-
-    @classmethod
-    def _from_rows_generic(
-        cls, rows: Sequence[Mapping[str, object]]
-    ) -> "ColumnBatch":
-        names: dict[str, None] = {}
-        for row in rows:
-            for key in row:
-                if key not in names:
-                    names[key] = None
-        nrows = len(rows)
-        cols: dict[str, Column] = {}
-        for name in names:
-            values = []
-            present = bytearray(nrows)
-            absent = False
-            append = values.append
-            for i, row in enumerate(rows):
-                try:
-                    append(row[name])
-                    present[i] = 1
-                except KeyError:
-                    append(None)
-                    absent = True
-            cols[name] = Column(values, present if absent else None)
-        return cls(tuple(names), cols, nrows)
 
     @classmethod
     def empty(cls, names: tuple[str, ...] = ()) -> "ColumnBatch":
@@ -372,65 +348,52 @@ class ColumnBatch:
     # ------------------------------------------------------------------
     # incremental maintenance (Instance-private contract)
     # ------------------------------------------------------------------
-    def _extend_from_rows(self, rows: Iterable[Mapping[str, object]]) -> None:
-        """Absorb appended source rows **in place**.
+    def _absorb(self, rows: Sequence[Mapping[str, object]]) -> None:
+        """Append ``rows`` to this batch **in place**: columns first
+        seen in ``rows`` join with no cell in the earlier rows, then
+        every column takes one cell (``None`` where the row lacks the
+        key) and one presence flag per row.
 
-        Only :meth:`Instance.column_batch` calls this, under the same
-        identity/epoch validation as the persistent indexes; operator
-        stages never mutate batches."""
-        tail = list(rows)
-        if not tail:
+        Builds a heterogeneous batch in :meth:`from_rows`; otherwise
+        only the instance's batch cache calls this (see
+        :meth:`Instance.column_batch`).  Operator stages never mutate
+        batches."""
+        if not rows:
             return
         old = self.nrows
         cols = self.cols
-        known = set(cols)
         new_names: dict[str, None] = {}
-        for row in tail:
+        for row in rows:
             for key in row:
-                if key not in known and key not in new_names:
+                if key not in cols and key not in new_names:
                     new_names[key] = None
+        for name in new_names:
+            cols[name] = Column([None] * old, bytearray(old) if old else None)
         for name, col in cols.items():
-            values = col.values
-            present = col.present
+            append = col.values.append
+            grown = bytearray(len(rows))
             absent = False
-            append = values.append
-            grown = bytearray(len(tail))
-            for i, row in enumerate(tail):
+            for i, row in enumerate(rows):
                 try:
                     append(row[name])
                     grown[i] = 1
                 except KeyError:
                     append(None)
                     absent = True
-            if present is not None:
-                present.extend(grown)
+            if col.present is not None:
+                col.present.extend(grown)
             elif absent:
                 col.present = bytearray([1]) * old + grown
             col._invalidate()
-        for name in new_names:
-            values = [None] * old
-            present = bytearray(old)
-            absent = old > 0
-            append = values.append
-            grown = bytearray(len(tail))
-            for i, row in enumerate(tail):
-                try:
-                    append(row[name])
-                    grown[i] = 1
-                except KeyError:
-                    append(None)
-                    absent = True
-            present.extend(grown)
-            cols[name] = Column(values, present if absent else None)
         if new_names:
             self.names = self.names + tuple(new_names)
-        self.nrows = old + len(tail)
+        self.nrows = old + len(rows)
 
     def _without(self, positions: Sequence[int]) -> "ColumnBatch":
         """A new batch minus the rows at ``positions`` (ascending).
 
-        Only :meth:`Instance.remove_rows` calls this, to compact the
-        cached batch of a relation it removes rows from.  Every column
+        Only the instance's batch cache calls this, to retract the rows
+        :meth:`Instance.remove_rows` removes.  Every column
         gets new value lists (slices, not copies of the whole batch
         followed by deletes), so batches already handed out keep their
         contents; presence masks normalize as in :meth:`Column.take`,

@@ -9,16 +9,20 @@ extent of its *root* entity, with the reserved column ``$type`` naming
 the object's most specific type — exactly the information the ``IS OF``
 predicate of Entity SQL (paper, Figure 2) needs.
 
-Instances also maintain **persistent, incrementally extended indexes**
-over their rows — per-(relation, attribute) value postings and
-per-(relation, attribute-tuple) projection sets — consumed by the
-homomorphism search and the semi-naive chase.  The maintenance contract
-(see :meth:`Instance.mark_dirty`): appends through :meth:`insert` and
-wholesale list replacement via ``relations[r] = [...]`` are detected
-automatically, removals through :meth:`Instance.remove_rows` (and
-:meth:`Instance.delete`) update the caches in place; code that mutates
-stored row dicts *in place* must call :meth:`Instance.mark_dirty`
-afterwards or the indexes go stale.
+Instances also keep **caches derived from each relation's rows**, all
+under one protocol (:class:`_Cache`): value postings per attribute and
+projection multiplicities per attribute tuple (the homomorphism search
+and the semi-naive chase), the column batch (the vectorized executor),
+relation statistics (the optimizer's estimates) and the slot map (row
+positions for removals).  A relation's caches stand while its backing
+list is the one they were built from and no
+:meth:`Instance.mark_dirty` came since; each absorbs the rows appended
+past its ``seen`` watermark on its next read, and retracts in place
+the rows :meth:`Instance.remove_rows` (and :meth:`Instance.delete`)
+removes.  So appends through :meth:`Instance.insert` and wholesale list
+replacement via ``relations[r] = [...]`` are detected automatically;
+code that mutates stored row dicts *in place* must call
+:meth:`Instance.mark_dirty` afterwards or the caches go stale.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from repro.errors import SchemaError
 from repro.instances.columnar import ColumnBatch, drop_positions
 from repro.instances.labeled_null import LabeledNull
 from repro.metamodel.schema import Schema
+# The statistics module imports this package (for LabeledNull), so bind
+# the module: ``RelationStats`` resolves when a cache is first built.
+from repro.observability import stats as _statistics
 
 #: Reserved column carrying an object's most-specific entity type.
 TYPE_FIELD = "$type"
@@ -150,132 +157,232 @@ class RowsView(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
-class _AttrIndex:
-    """Postings index: value key → rows of one relation carrying it."""
+class _Cache:
+    """One cache an :class:`Instance` derives from a relation's rows.
 
-    __slots__ = ("source", "seen", "epoch", "postings")
+    A cache holds the first ``seen`` rows of the relation's backing
+    list.  :meth:`absorb` folds in rows appended past that watermark,
+    and :meth:`retract` takes back rows it had absorbed when
+    :meth:`Instance.remove_rows` removes them (with their ascending
+    positions).  ``Instance._cache`` is the one place that checks a
+    cache's validity, counts the read under the kind's ``HITS`` /
+    ``EXTENDS`` / ``REBUILDS`` names in :attr:`Instance.index_stats`
+    (``None``: not counted) and absorbs."""
 
-    def __init__(self, source: list, epoch: int):
-        self.source = source
+    __slots__ = ("seen",)
+
+    HITS, EXTENDS, REBUILDS = "hits", "extends", "rebuilds"
+
+    def __init__(self) -> None:
         self.seen = 0
-        self.epoch = epoch
+
+    def absorb(self, rows: Sequence[Row]) -> None:
+        raise NotImplementedError
+
+    def retract(self, positions: list[int], rows: list[Row]) -> None:
+        raise NotImplementedError
+
+
+class _Postings(_Cache):
+    """Value postings of one attribute: ``hashable_key(value)`` → the
+    rows carrying it, in stored order (rows lacking the attribute are
+    skipped)."""
+
+    __slots__ = ("attribute", "postings")
+
+    def __init__(self, relation: str, attribute: str):
+        super().__init__()
+        self.attribute = attribute
         self.postings: dict[object, list[Row]] = {}
 
+    def absorb(self, rows: Sequence[Row]) -> None:
+        attribute = self.attribute
+        postings = self.postings
+        for row in rows:
+            if attribute in row:
+                postings.setdefault(
+                    hashable_key(row[attribute]), []
+                ).append(row)
 
-class _ProjectionSet:
-    """Membership index of one relation's rows projected onto an
-    attribute tuple (rows lacking any of the attributes are skipped).
-    ``members`` maps each projected tuple to its multiplicity so that
-    :meth:`Instance.remove_rows` can retract one row without losing
+    def retract(self, positions: list[int], rows: list[Row]) -> None:
+        attribute = self.attribute
+        postings = self.postings
+        for row in rows:
+            if attribute not in row:
+                continue
+            key = hashable_key(row[attribute])
+            posting = postings.get(key)
+            if posting is not None:
+                posting[:] = [r for r in posting if r is not row]
+                if not posting:
+                    del postings[key]
+
+
+class _Projection(_Cache):
+    """Membership of one relation's rows projected onto an attribute
+    tuple (``hashable_key``-mapped; rows lacking any of the attributes
+    are skipped).  ``members`` maps each projected tuple to its
+    multiplicity, so a removal retracts one row without losing
     membership for surviving duplicates."""
 
-    __slots__ = ("source", "seen", "epoch", "members")
+    __slots__ = ("attributes", "members")
 
-    def __init__(self, source: list, epoch: int):
-        self.source = source
-        self.seen = 0
-        self.epoch = epoch
+    def __init__(self, relation: str, attributes: tuple[str, ...]):
+        super().__init__()
+        self.attributes = attributes
         self.members: dict[tuple, int] = {}
 
+    def absorb(self, rows: Sequence[Row]) -> None:
+        attributes = self.attributes
+        members = self.members
+        for row in rows:
+            try:
+                projected = tuple([hashable_key(row[a]) for a in attributes])
+            except KeyError:
+                continue  # row lacks one of the attributes: no match
+            members[projected] = members.get(projected, 0) + 1
 
-class _BatchEntry:
-    """Cached columnar image of one relation (see
-    :meth:`Instance.column_batch`), validated exactly like
-    :class:`_AttrIndex`: backing-list identity + dirty epoch + a
-    ``seen`` watermark that lets appends extend the batch in place.
-    :meth:`Instance.remove_rows` swaps in a compacted batch and lowers
-    ``seen`` by the rows it covered."""
+    def retract(self, positions: list[int], rows: list[Row]) -> None:
+        attributes = self.attributes
+        members = self.members
+        for row in rows:
+            try:
+                projected = tuple([hashable_key(row[a]) for a in attributes])
+            except KeyError:
+                continue
+            count = members.get(projected, 0) - 1
+            if count > 0:
+                members[projected] = count
+            else:
+                members.pop(projected, None)
 
-    __slots__ = ("source", "seen", "epoch", "batch")
 
-    def __init__(self, source: list, epoch: int):
-        self.source = source
-        self.seen = 0
-        self.epoch = epoch
+class _Batch(_Cache):
+    """The relation's :class:`ColumnBatch` (see
+    :meth:`Instance.column_batch`): appends extend it in place, and a
+    removal swaps in a compacted batch, so batches already handed out
+    keep their contents."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, relation: str, key: object):
+        super().__init__()
         self.batch = ColumnBatch((), {}, 0)
 
+    def absorb(self, rows: Sequence[Row]) -> None:
+        if self.seen:
+            self.batch._absorb(rows)
+        else:
+            self.batch = ColumnBatch.from_rows(rows)
 
-class _StatsEntry:
-    """Cached :class:`~repro.observability.stats.RelationStats` for one
-    relation (see :meth:`Instance.relation_stats`), validated exactly
-    like :class:`_BatchEntry`: backing-list identity + dirty epoch + a
-    ``seen`` watermark under which appends are absorbed in place and
-    :meth:`Instance.remove_rows` retracts the rows it covered, while
-    epoch bumps and list replacement force a rebuild."""
-
-    __slots__ = ("source", "seen", "epoch", "stats")
-
-    def __init__(self, source: list, epoch: int, stats):
-        self.source = source
-        self.seen = 0
-        self.epoch = epoch
-        self.stats = stats
+    def retract(self, positions: list[int], rows: list[Row]) -> None:
+        self.batch = self.batch._without(positions)
 
 
-class _SlotMap:
-    """Row positions of one relation without a scan (see
-    :meth:`Instance.remove_rows`), validated like the other caches:
-    backing-list identity + dirty epoch + ``seen`` watermark.
+class _Stats(_Cache):
+    """The relation's :class:`~repro.observability.stats.RelationStats`
+    (see :meth:`Instance.relation_stats`), counted under its own
+    ``stats_*`` names."""
+
+    __slots__ = ("stats",)
+
+    HITS = "stats_hits"
+    EXTENDS = "stats_extends"
+    REBUILDS = "stats_rebuilds"
+
+    def __init__(self, relation: str, key: object):
+        super().__init__()
+        self.stats = _statistics.RelationStats(relation)
+
+    def absorb(self, rows: Sequence[Row]) -> None:
+        self.stats.absorb(rows)
+
+    def retract(self, positions: list[int], rows: list[Row]) -> None:
+        self.stats.retract(rows)
+
+
+class _SlotMap(_Cache):
+    """Row positions of one relation without a scan, which
+    :meth:`Instance.remove_rows` removes by.  Its reads are not
+    counted.
 
     Every row the map has seen holds a *slot*: its position when the
     map last renumbered, or its arrival order since.  ``slots`` maps
     ``id(row)`` to the slot (``shared`` keeps the extra slots of a row
     object stored more than once) and ``removed`` is the sorted list of
     slots vacated since the last renumbering, so a row's current
-    position is its slot minus the removed slots below it.  Keys are
-    ``id()`` values: copies of an instance must not inherit the map
-    (see :meth:`Instance.__getstate__`)."""
+    position is its slot minus the removed slots below it.  ``taken``
+    holds the slots the last :meth:`take` released, which
+    :meth:`retract` marks vacated.  Keys are ``id()`` values, which a copy of the
+    instance does not share, so a copied map comes back empty and
+    absorbs every row on first use."""
 
-    __slots__ = ("source", "seen", "epoch", "slots", "shared", "removed")
+    __slots__ = ("slots", "shared", "removed", "taken")
 
-    def __init__(self, source: list, epoch: int):
-        self.source = source
-        self.seen = 0
-        self.epoch = epoch
+    HITS = EXTENDS = REBUILDS = None
+
+    def __init__(self, relation: object, key: object):
+        super().__init__()
         self.slots: dict[int, int] = {}
         self.shared: dict[int, list[int]] = {}
         self.removed: list[int] = []
+        self.taken: list[int] = []
 
-    def absorb(self) -> None:
-        """Give the rows appended since the last call fresh slots."""
-        rows = self.source
+    def __reduce__(self):
+        return (_SlotMap, (None, None))
+
+    def absorb(self, rows: Sequence[Row]) -> None:
         slots = self.slots
         slot = self.seen + len(self.removed)
-        for row in rows[self.seen:]:
+        for row in rows:
             key = id(row)
             if key in slots:
                 self.shared.setdefault(key, []).append(slot)
             else:
                 slots[key] = slot
             slot += 1
-        self.seen = len(rows)
 
     def take(self, rows: Iterable[Row]) -> list[int]:
-        """Release the slots of ``rows`` (those the map holds) and
-        return their current positions, ascending."""
+        """Release the slots of the stored rows among ``rows`` and return
+        their current positions, ascending and each once."""
         slots = self.slots
-        removed = self.removed
-        freed: list[int] = []
+        taken: list[int] = []
         for row in rows:
             slot = slots.pop(id(row), None)
             if slot is None:
                 continue  # not stored here, or named twice
-            freed.append(slot)
+            taken.append(slot)
             if self.shared:
-                freed.extend(self.shared.pop(id(row), ()))
-        freed.sort()
-        positions = [slot - bisect_left(removed, slot) for slot in freed]
-        for slot in freed:
+                taken.extend(self.shared.pop(id(row), ()))
+        taken.sort()
+        self.taken = taken
+        removed = self.removed
+        return [slot - bisect_left(removed, slot) for slot in taken]
+
+    def retract(self, positions: list[int], rows: list[Row]) -> None:
+        removed = self.removed
+        for slot in self.taken:
             insort(removed, slot)
-        self.seen -= len(freed)
         if len(removed) > self.seen:
             # Vacated slots outnumber live rows: renumber from scratch
             # (one pass, paid for by the removals since the last one).
-            slots.clear()
+            self.slots.clear()
             self.shared.clear()
             removed.clear()
             self.seen = 0
-        return positions
+
+
+class _RelationCaches(dict):
+    """One relation's caches, keyed by attribute (postings), attribute
+    tuple (projections) or kind (one per relation), all built from the
+    backing list ``source`` under dirty epoch ``epoch``."""
+
+    __slots__ = ("source", "epoch")
+
+    def __init__(self, source: list, epoch: int):
+        super().__init__()
+        self.source = source
+        self.epoch = epoch
 
 
 class Instance:
@@ -289,16 +396,8 @@ class Instance:
     def __init__(self, schema: Optional[Schema] = None):
         self.schema = schema
         self.relations: dict[str, list[Row]] = {}
-        # Persistent index caches.  Validated per access against the
-        # backing list's identity and length plus ``_dirty_epoch``, so
-        # appends extend incrementally, removals through remove_rows
-        # retract in place, and replacements and declared in-place
-        # mutations trigger a rebuild.
-        self._attr_indexes: dict[tuple[str, str], _AttrIndex] = {}
-        self._projection_sets: dict[tuple[str, tuple[str, ...]], _ProjectionSet] = {}
-        self._batches: dict[str, _BatchEntry] = {}
-        self._relation_stats: dict[str, _StatsEntry] = {}
-        self._slot_maps: dict[str, _SlotMap] = {}
+        # Caches derived from each relation's rows (see _cache).
+        self._caches: dict[str, _RelationCaches] = {}
         self._dirty_epoch = 0
         # Index-maintenance counters.  Writers append interned event
         # names to ``_stat_events`` (a single ``list.append``, atomic
@@ -316,12 +415,9 @@ class Instance:
 
     def __getstate__(self):
         # Locks are neither picklable nor deepcopy-able; the copy gets
-        # a fresh one (counter state itself transfers fine).  Slot maps
-        # are keyed by id(row), and a copy's rows have new ids: the
-        # copy starts without them and rebuilds on its first removal.
+        # a fresh one (counter state itself transfers fine).
         state = self.__dict__.copy()
         del state["_stats_lock"]
-        state["_slot_maps"] = {}
         return state
 
     def __setstate__(self, state):
@@ -340,13 +436,6 @@ class Instance:
         if self._stat_events:
             self._fold_stat_events()
         return self._index_stats
-
-    def _count(self, event: str) -> None:
-        """Record one index-maintenance event (see :attr:`index_stats`)."""
-        events = self._stat_events
-        events.append(event)
-        if len(events) >= _MAX_PENDING_STAT_EVENTS:
-            self._fold_stat_events()
 
     def _fold_stat_events(self) -> None:
         events = self._stat_events
@@ -428,77 +517,33 @@ class Instance:
         place** instead of invalidating it.
 
         A delete batch costs work proportional to the batch, not to the
-        relation.  The relation's slot map (:class:`_SlotMap`) gives
-        each row's position without a scan.  Each cache retracts the
-        removed rows it had already absorbed and lowers its ``seen``
-        watermark by their number: postings lists drop the dead rows,
-        projection multiplicities are decremented, relation statistics
-        are retracted (:meth:`RelationStats.retract`) and the column
-        batch is compacted into a new batch.  None of this counts as a
-        rebuild in :attr:`index_stats`; ``removes`` counts the rows.
-        Last, the backing list drops the rows by position, highest
-        first (a batch over ``_DEL_LIMIT`` rows rebuilds it in one pass
-        instead), keeping its identity and the survivors' order.
+        relation.  The relation's slot map (:class:`_SlotMap`) releases
+        the rows' slots and gives their positions without a scan.  Then
+        each of the relation's caches lowers its ``seen`` watermark by
+        the removed rows it had absorbed and retracts them: postings
+        lists drop the dead rows, projection multiplicities are
+        decremented, relation statistics are retracted
+        (:meth:`RelationStats.retract`), the column batch is compacted
+        into a new batch and the slot map marks their slots vacated.
+        None of this counts as a rebuild in :attr:`index_stats`;
+        ``removes`` counts the rows.  Last, the backing list drops the
+        rows by position, highest first (a batch over ``_DEL_LIMIT``
+        rows rebuilds it in one pass instead), keeping its identity and
+        the survivors' order.
         """
-        backing = self.relations.get(relation)
-        if backing is None:
+        slot_map = self._cache(relation, _SlotMap, _SlotMap)
+        if slot_map is None:
             return []
-        positions = self._slot_map(relation, backing).take(rows)
+        positions = slot_map.take(rows)
         if not positions:
             return []
+        backing = self.relations[relation]
         removed = [backing[p] for p in positions]
-        epoch = self._dirty_epoch
-
-        def covered(entry) -> int:
-            """How many of the removed rows ``entry`` has absorbed (0
-            for an entry the next access rebuilds anyway)."""
-            if entry.source is not backing or entry.epoch != epoch:
-                return 0
-            return bisect_left(positions, entry.seen)
-
-        for (indexed_relation, attribute), entry in self._attr_indexes.items():
-            if indexed_relation != relation:
-                continue
-            absorbed = covered(entry)
-            for row in removed[:absorbed]:
-                if attribute not in row:
-                    continue
-                key = hashable_key(row[attribute])
-                posting = entry.postings.get(key)
-                if posting is not None:
-                    posting[:] = [r for r in posting if r is not row]
-                    if not posting:
-                        del entry.postings[key]
-            entry.seen -= absorbed
-        for (indexed_relation, attributes), entry in self._projection_sets.items():
-            if indexed_relation != relation:
-                continue
-            absorbed = covered(entry)
-            for row in removed[:absorbed]:
-                try:
-                    projected = tuple(
-                        [hashable_key(row[a]) for a in attributes]
-                    )
-                except KeyError:
-                    continue
-                count = entry.members.get(projected, 0) - 1
-                if count > 0:
-                    entry.members[projected] = count
-                else:
-                    entry.members.pop(projected, None)
-            entry.seen -= absorbed
-        entry = self._batches.get(relation)
-        if entry is not None:
-            absorbed = covered(entry)
+        for entry in self._caches[relation].values():
+            absorbed = bisect_left(positions, entry.seen)
             if absorbed:
-                entry.batch = entry.batch._without(positions[:absorbed])
                 entry.seen -= absorbed
-        entry = self._relation_stats.get(relation)
-        if entry is not None:
-            absorbed = covered(entry)
-            if absorbed:
-                entry.stats.retract(removed[:absorbed])
-                entry.seen -= absorbed
+                entry.retract(positions[:absorbed], removed[:absorbed])
         if len(positions) > _DEL_LIMIT:
             backing[:] = drop_positions(backing, positions)
         else:
@@ -509,21 +554,6 @@ class Instance:
         if len(events) >= _MAX_PENDING_STAT_EVENTS:
             self._fold_stat_events()
         return removed
-
-    def _slot_map(self, relation: str, rows: list) -> _SlotMap:
-        """The relation's :class:`_SlotMap`, covering every stored row."""
-        entry = self._slot_maps.get(relation)
-        if (
-            entry is None
-            or entry.source is not rows
-            or entry.epoch != self._dirty_epoch
-            or entry.seen > len(rows)
-        ):
-            entry = _SlotMap(rows, self._dirty_epoch)
-            self._slot_maps[relation] = entry
-        if entry.seen < len(rows):
-            entry.absorb()
-        return entry
 
     def clear(self, relation: str) -> None:
         self.relations[relation] = []
@@ -576,10 +606,10 @@ class Instance:
         return all(not rows for rows in self.relations.values())
 
     # ------------------------------------------------------------------
-    # persistent indexes
+    # caches (see _Cache)
     # ------------------------------------------------------------------
     def mark_dirty(self) -> None:
-        """Invalidate all persistent indexes.
+        """Invalidate every cache of every relation.
 
         Call after mutating stored row dicts in place (the chase's egd
         substitution does); appends via :meth:`insert` and wholesale
@@ -597,7 +627,7 @@ class Instance:
         changes the token (via row counts), as does :meth:`mark_dirty`
         (via ``_dirty_epoch``).  Same-length in-place row mutation
         without ``mark_dirty`` is invisible here, exactly as it is to
-        the persistent-index contract.
+        the caches.
         """
         return (
             self._dirty_epoch,
@@ -607,119 +637,89 @@ class Instance:
             )),
         )
 
+    def _cache(self, relation: str, kind: type, key: object):
+        """The up-to-date cache of ``kind`` stored under ``key`` among
+        ``relation``'s caches, or ``None`` when the relation is absent.
+
+        The one validity check of the cache protocol (see
+        :class:`_Cache`).  A relation's caches stand while its backing
+        list is the one they were built from and no :meth:`mark_dirty`
+        came since; otherwise they are all dropped.  A cache is rebuilt
+        when absent or when its watermark passes the list's length
+        (rows removed behind the instance's back), extended when rows
+        were appended past it, and a hit otherwise; the read counts
+        under the kind's event name before the cache absorbs."""
+        rows = self.relations.get(relation)
+        if rows is None:
+            return None
+        caches = self._caches.get(relation)
+        if (
+            caches is None
+            or caches.source is not rows
+            or caches.epoch != self._dirty_epoch
+        ):
+            caches = _RelationCaches(rows, self._dirty_epoch)
+            self._caches[relation] = caches
+        entry = caches.get(key)
+        count = len(rows)
+        if entry is None or entry.seen > count:
+            entry = caches[key] = kind(relation, key)
+            event = kind.REBUILDS
+        elif entry.seen < count:
+            event = kind.EXTENDS
+        else:
+            event = kind.HITS
+        if event is not None:
+            events = self._stat_events
+            events.append(event)
+            if len(events) >= _MAX_PENDING_STAT_EVENTS:
+                self._fold_stat_events()
+        seen = entry.seen
+        if seen < count:
+            entry.absorb(rows[seen:] if seen else rows)
+            entry.seen = count
+        return entry
+
     def column_batch(self, relation: str) -> ColumnBatch:
         """The columnar image of ``relation``'s rows (see
-        :mod:`repro.instances.columnar`), cached and incrementally
-        maintained under the persistent-index maintenance contract:
-        appends are absorbed in place, :meth:`remove_rows` and
-        :meth:`delete` compact the cached batch into a new one, while
-        list replacement and :meth:`mark_dirty` trigger a rebuild on
-        next access.
+        :mod:`repro.instances.columnar`), cached under the cache
+        protocol (:meth:`_cache`): appends are absorbed in place,
+        :meth:`remove_rows` and :meth:`delete` compact the cached batch
+        into a new one, while list replacement and :meth:`mark_dirty`
+        trigger a rebuild on next access.
 
         The returned batch is shared — callers must treat it as
         immutable (the vectorized executor copies at its output
         boundary, never in place).  A removal never touches a batch
         already handed out; a later append may extend it."""
-        rows = self.relations.get(relation)
-        if rows is None:
-            return _EMPTY_BATCH
-        entry = self._batches.get(relation)
-        if (
-            entry is None
-            or entry.source is not rows
-            or entry.epoch != self._dirty_epoch
-            or entry.seen > len(rows)
-        ):
-            entry = _BatchEntry(rows, self._dirty_epoch)
-            self._batches[relation] = entry
-            self._count("rebuilds")
-        elif entry.seen < len(rows):
-            self._count("extends")
-        else:
-            self._count("hits")
-            return entry.batch
-        if entry.seen == 0:
-            entry.batch = ColumnBatch.from_rows(rows)
-        else:
-            entry.batch._extend_from_rows(rows[entry.seen:])
-        entry.seen = len(rows)
-        return entry.batch
+        entry = self._cache(relation, _Batch, _Batch)
+        return _EMPTY_BATCH if entry is None else entry.batch
 
     def relation_stats(self, relation: str):
         """Row-count / per-column statistics for ``relation`` (see
-        :class:`repro.observability.stats.RelationStats`), cached and
-        incrementally maintained under the persistent-index contract:
-        appends since the last read are absorbed in place,
-        :meth:`remove_rows` and :meth:`delete` retract the removed rows
-        in place, while list replacement and :meth:`mark_dirty` trigger
-        a rebuild on next access (``stats_hits`` / ``stats_extends`` /
-        ``stats_rebuilds`` in :attr:`index_stats` count which path each
-        read took; retractions count as ``removes``).
+        :class:`repro.observability.stats.RelationStats`), cached under
+        the cache protocol (:meth:`_cache`): appends since the last read
+        are absorbed in place, :meth:`remove_rows` and :meth:`delete`
+        retract the removed rows in place, while list replacement and
+        :meth:`mark_dirty` trigger a rebuild on next access
+        (``stats_hits`` / ``stats_extends`` / ``stats_rebuilds`` in
+        :attr:`index_stats` count which path each read took;
+        retractions count as ``removes``).
 
         The returned object is shared with the cache — treat it as
         read-only; it feeds the cardinality estimator behind EXPLAIN
         and the ``query`` journal events."""
-        from repro.observability.stats import RelationStats
-
-        rows = self.relations.get(relation)
-        if rows is None:
-            return RelationStats(relation)
-        entry = self._relation_stats.get(relation)
-        if (
-            entry is None
-            or entry.source is not rows
-            or entry.epoch != self._dirty_epoch
-            or entry.seen > len(rows)
-        ):
-            entry = _StatsEntry(
-                rows, self._dirty_epoch, RelationStats(relation)
-            )
-            self._relation_stats[relation] = entry
-            self._count("stats_rebuilds")
-        elif entry.seen < len(rows):
-            self._count("stats_extends")
-        else:
-            self._count("stats_hits")
-            return entry.stats
-        entry.stats.absorb(rows[entry.seen:])
-        entry.seen = len(rows)
+        entry = self._cache(relation, _Stats, _Stats)
+        if entry is None:
+            return _statistics.RelationStats(relation)
         return entry.stats
-
-    def _attr_entry(self, relation: str, attribute: str) -> Optional[_AttrIndex]:
-        rows = self.relations.get(relation)
-        if rows is None:
-            return None
-        key = (relation, attribute)
-        entry = self._attr_indexes.get(key)
-        if (
-            entry is None
-            or entry.source is not rows
-            or entry.epoch != self._dirty_epoch
-            or entry.seen > len(rows)
-        ):
-            entry = _AttrIndex(rows, self._dirty_epoch)
-            self._attr_indexes[key] = entry
-            self._count("rebuilds")
-        elif entry.seen < len(rows):
-            self._count("extends")
-        else:
-            self._count("hits")
-            return entry
-        postings = entry.postings
-        for row in rows[entry.seen:]:
-            if attribute in row:
-                postings.setdefault(
-                    hashable_key(row[attribute]), []
-                ).append(row)
-        entry.seen = len(rows)
-        return entry
 
     def index_lookup(
         self, relation: str, attribute: str, value: object
     ) -> Sequence[Row]:
         """Rows of ``relation`` whose ``attribute`` equals ``value``,
         served from the incrementally maintained postings index."""
-        entry = self._attr_entry(relation, attribute)
+        entry = self._cache(relation, _Postings, attribute)
         if entry is None:
             return _NO_ROWS
         return entry.postings.get(hashable_key(value), _NO_ROWS)
@@ -734,12 +734,12 @@ class Instance:
         Like :meth:`projection_entry` it is a point-in-time view — rows
         appended later show up on the next fetch — and callers must not
         mutate it."""
-        entry = self._attr_entry(relation, attribute)
+        entry = self._cache(relation, _Postings, attribute)
         return entry.postings if entry is not None else {}
 
     def projection_entry(
         self, relation: str, attributes: tuple[str, ...]
-    ) -> Optional[_ProjectionSet]:
+    ) -> Optional[_Projection]:
         """The up-to-date projection index of ``relation`` onto
         ``attributes``, or ``None`` when the relation is absent.
 
@@ -751,34 +751,7 @@ class Instance:
         visible on the next fetch — and its ``members`` dict must not
         be mutated by callers.
         """
-        rows = self.relations.get(relation)
-        if rows is None:
-            return None
-        key = (relation, attributes)
-        entry = self._projection_sets.get(key)
-        if (
-            entry is None
-            or entry.source is not rows
-            or entry.epoch != self._dirty_epoch
-            or entry.seen > len(rows)
-        ):
-            entry = _ProjectionSet(rows, self._dirty_epoch)
-            self._projection_sets[key] = entry
-            self._count("rebuilds")
-        elif entry.seen < len(rows):
-            self._count("extends")
-        else:
-            self._count("hits")
-            return entry
-        members = entry.members
-        for row in rows[entry.seen:]:
-            try:
-                projected = tuple([hashable_key(row[a]) for a in attributes])
-            except KeyError:
-                continue  # row lacks one of the attributes: no match
-            members[projected] = members.get(projected, 0) + 1
-        entry.seen = len(rows)
-        return entry
+        return self._cache(relation, _Projection, attributes)
 
     def projection_member(
         self, relation: str, attributes: tuple[str, ...], values: tuple
@@ -786,8 +759,8 @@ class Instance:
         """Is there a row of ``relation`` whose projection onto
         ``attributes`` equals ``values`` (already ``hashable_key``-mapped)?
 
-        The one-off form of :meth:`projection_entry`, which the chase
-        uses to check full head atoms without a homomorphism search.
+        The one-off form of :meth:`projection_entry`, whose ``members``
+        the chase fetches once per step and probes directly.
         """
         entry = self.projection_entry(relation, attributes)
         if entry is None:
@@ -817,9 +790,6 @@ class Instance:
                     if isinstance(value, LabeledNull):
                         found.add(value)
         return found
-
-    def has_nulls(self) -> bool:
-        return bool(self.nulls())
 
     def substitute(self, mapping: Mapping[LabeledNull, object]) -> "Instance":
         """A new instance with labeled nulls replaced per ``mapping``

@@ -5,10 +5,10 @@ cardinalities, per-column distinct counts and value distributions, and
 *feedback* (estimate vs. actual divergence).  This module holds the
 data model; the instances layer maintains it (see
 :meth:`repro.instances.database.Instance.relation_stats`, which caches
-a :class:`RelationStats` per relation under the same validation
-contract as the persistent attribute indexes and cached column
-batches: appends absorbed in place, removals retracted in place,
-epoch bumps and list replacement rebuilding), and
+a :class:`RelationStats` per relation under the instance's one cache
+protocol, like the postings and column batches: appends absorbed in
+place, removals retracted in place, epoch bumps and list replacement
+rebuilding), and
 :mod:`repro.algebra.estimate` consumes it.
 
 A :class:`ColumnStats` keeps an exact value→count map (the engine's

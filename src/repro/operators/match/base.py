@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, Optional
 
 from repro.metamodel.schema import Schema
@@ -103,11 +104,12 @@ class SimilarityMatrix:
             }
         positions = self._target_positions
         unknown = len(positions)
-        candidates = sorted(
+        # nsmallest(k, ...) is specified as sorted(...)[:k], ties included.
+        return heapq.nsmallest(
+            k,
             row.items(),
             key=lambda item: (-item[1], positions.get(item[0], unknown)),
         )
-        return candidates[:k]
 
 
 def kept_row(

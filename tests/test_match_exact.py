@@ -41,6 +41,7 @@ from repro.operators.match.lexical import (
     _trigrams,
     name_similarity,
 )
+from repro.operators.match.base import SimilarityMatrix
 from repro.operators.match.structural import _schema_graph
 from repro.operators.match import (
     DatatypeMatcher,
@@ -674,3 +675,27 @@ def test_installed_rows_hold_scores_in_the_unit_interval():
                         f"{label}: {name} holds {score} for "
                         f"{source_path} -> {target_path}"
                     )
+
+
+def test_best_for_source_equals_a_full_sort():
+    """``best_for_source`` ranks with ``heapq.nsmallest``; it must return
+    exactly ``sorted(row)[:k]`` under the same key, ties included, on
+    random rows whose scores tie often and that name targets outside the
+    target schema (which all rank after the schema's own elements)."""
+    rng = random.Random(11)
+    for label, source, target in _PAIRS[:4]:
+        paths = [str(p.path) for p in target.all_element_paths()]
+        positions = {path: index for index, path in enumerate(paths)}
+
+        def key(item):
+            return -item[1], positions.get(item[0], len(positions))
+
+        for _ in range(50):
+            matrix = SimilarityMatrix(source, target)
+            named = paths + ["Outside.a", "Outside.b", "Outside"]
+            for name in rng.sample(named, rng.randrange(1, len(named) + 1)):
+                matrix.set("S", name, rng.choice((0.25, 0.5, 0.5, 1.0)))
+            row = matrix._rows["S"]
+            ranked = sorted(row.items(), key=key)
+            for k in (1, 3, len(row)):
+                assert matrix.best_for_source("S", k) == ranked[:k], label

@@ -29,6 +29,7 @@ from repro.algebra import (
     GLOBAL_VECTOR_PLAN_CACHE,
 )
 from repro.algebra import expressions as E
+from repro.algebra import optimizer
 from repro.algebra.estimate import Estimator, estimate_expr
 from repro.algebra.optimizer import (
     COST,
@@ -44,7 +45,7 @@ from repro.observability.benchdiff import diff_payloads
 
 @pytest.fixture(autouse=True)
 def _reset_cost_config():
-    """Tests toggle COST knobs; never leak them across tests."""
+    """Tests toggle ``COST.enabled``; never leak it across tests."""
     saved = {name: getattr(COST, name) for name in COST.__slots__}
     clear_plan_cache()
     yield
@@ -318,12 +319,12 @@ class TestRandomizedJoinGraphs:
             ) == reference, f"{shape}/{engine} diverged"
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_dp_and_greedy_agree_on_small_graphs(self, seed):
+    def test_dp_and_greedy_agree_on_small_graphs(self, seed, monkeypatch):
         rng = random.Random(seed)
         shape = rng.choice(["chain", "star", "cycle"])
         db, query = _random_graph(shape, 4, True, rng)
         dp_chosen = optimize_with_report(query, db).chosen
-        COST.dp_max_leaves = 0  # force the greedy path
+        monkeypatch.setattr(optimizer, "DP_MAX_LEAVES", 0)  # greedy path
         greedy_chosen = optimize_with_report(query, db).chosen
         reference = _canon(evaluate(query, db, engine="interpreted"))
         assert _canon(evaluate(dp_chosen, db)) == reference
@@ -415,7 +416,7 @@ class TestAdaptivePlanCache:
             bool(cache.note_divergence(query, plan, _FakeProfile(f)))
             for f in range(2, 12)
         )
-        assert fired == COST.max_reopts
+        assert fired == optimizer.MAX_REOPTS
 
     def test_lru_eviction_reason_counted(self):
         small = PlanCache(capacity=1)
